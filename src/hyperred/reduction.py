@@ -67,9 +67,9 @@ def _theta_poly(vars, roots: Sequence[RatFunc]) -> List[RatFunc]:
 
 
 def ode_operator(fn: AnyHyper) -> ThetaOp:
-    """z prod(theta + a_i) - theta prod(theta + b_l - 1), degree p+1."""
+    """kappa z prod(theta + a_i) - theta prod(theta + b_l - 1), degree p+1."""
     vars = _ring_vars(fn)
-    zf = RatFunc.z(vars)
+    zf = RatFunc.z(vars) * fn.kappa
     up = _theta_poly(vars, [_param_rf(vars, a) for a in fn.upper])
     low = _theta_poly(vars, [_param_rf(vars, b) - 1 for b in fn.lower])
     coeffs = [zf * c for c in up]
@@ -82,11 +82,11 @@ def unit_upper_relation(fn: AnyHyper, skip_index: int) -> Tuple[ThetaOp, RatFunc
     """Inhomogeneous order-p relation for a function with upper parameter 1.
 
     Returns (T, c) with T F = c, where
-    T = prod_l (theta + b_l - 1) - z prod_{i != skip} (theta + a_i)
+    T = prod_l (theta + b_l - 1) - kappa z prod_{i != skip} (theta + a_i)
     and c = prod_l (b_l - 1).
     """
     vars = _ring_vars(fn)
-    zf = RatFunc.z(vars)
+    zf = RatFunc.z(vars) * fn.kappa
     lows = [_param_rf(vars, b) - 1 for b in fn.lower]
     low = _theta_poly(vars, lows)
     ups = [_param_rf(vars, a) for i, a in enumerate(fn.upper) if i != skip_index]

@@ -90,6 +90,22 @@ def test_lower_shift_two_term():
     assert ok, mism
 
 
+@pytest.mark.parametrize("kappa", [F(-1), F(1, 4), F(4)])
+def test_scaled_argument_reductions_verify(kappa):
+    # the ODE of F(kappa z) carries kappa z, in both the generic and the
+    # affine (unit upper) module
+    a, b, c = EpsLin(F(2, 5), 1), EpsLin(F(1, 3), -1), EpsLin(F(3, 2), 2)
+    basis = HyperFn([a, b], [c], kappa)
+    assert ode_operator(basis).apply(series_of_hyper(basis, 20, 2)).is_zero()
+    r = reduce_to_basis(HyperFn([a + 1, b], [c - 1], kappa), basis)
+    assert verify_reduction(r, 30, 2) == (True, None)
+    one, d = EpsLin(1), EpsLin(F(4, 3), 1)
+    affine_basis = HyperFn([one, a, b], [c, d], kappa)
+    r = reduce_to_basis(HyperFn([one, a + 1, b], [c + 1, d], kappa), affine_basis)
+    assert r.affine
+    assert verify_reduction(r, 30, 2) == (True, None)
+
+
 def test_singular_step_determinant():
     # raising the lower parameter of 2F1(1,b;1;z) inverts a matrix whose
     # determinant carries the factor (c-1-a)(c-1-b) -> 0 at a=1, c=2
