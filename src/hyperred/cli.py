@@ -21,7 +21,8 @@ from .errors import (CriterionViolation, DegeneratePoles, HyperredError,
                      PoleAtEpsZero, SingularStep, UncancelledPole, UnsupportedClass,
                      VerificationFailure)
 from .expansion import (EpsilonExpansion, epsilon_expand, f3_parametrization_check,
-                        gauss_triangular_system, three_f2_system, verify_expansion)
+                        gauss_flags, gauss_triangular_system, three_f2_system,
+                        verify_expansion)
 from .gpl import GplWord, PolyLogExpr
 from .grammar import format_mb, parse_hyper, parse_input
 from .mb import DiagramPreset, MBRepr, count_master_integrals, mb_to_hyper
@@ -281,13 +282,11 @@ def run_check_parametrization(spec: JobSpec, family: str, opts) -> int:
                                            Fraction(opts.c), Fraction(opts.beta))
             rec["triangular"] = sysd.triangular
             lines.append(f"triangular with beta={opts.beta}: {sysd.triangular}")
-        p1q, p2q, rq = Fraction(opts.p1, opts.q), Fraction(opts.p2, opts.q), Fraction(opts.r, opts.q)
-        lemma_iv = (p1q == p2q == -rq)
-        rec.update({"p1p2_zero": opts.p1 * opts.p2 == 0,
-                    "p1_zero": opts.p1 == 0,
-                    "lemma_iv": lemma_iv})
-        lines.append(f"p1*p2=0 case: {opts.p1 * opts.p2 == 0}; p1=0 case: {opts.p1 == 0}; "
-                     f"beta=-r/q=p1/q=p2/q (Lemma IV) case: {lemma_iv}")
+        flags = gauss_flags(Fraction(opts.p1, opts.q), Fraction(opts.p2, opts.q),
+                            Fraction(opts.r, opts.q))
+        rec.update(flags)
+        lines.append(f"p1*p2=0 case: {flags['p1p2_zero']}; p1=0 case: {flags['p1_zero']}; "
+                     f"beta=-r/q=p1/q=p2/q (Lemma IV) case: {flags['lemma_iv']}")
         _emit([rec], spec, lines)
         return EXIT_OK
     if family == "3f2":

@@ -78,6 +78,15 @@ def _xi_for_case(case: str, r1: Fraction, r2: Fraction) -> Optional[str]:
     return None
 
 
+def gauss_flags(p1q: Fraction, p2q: Fraction, rq: Fraction) -> dict:
+    """Classifier flags of 2F1(p1/q + a1 eps, p2/q + a2 eps; 1 - r/q + c eps)."""
+    return {
+        "p1p2_zero": p1q * p2q == 0,
+        "p1_zero": p1q == 0,
+        "lemma_iv": p1q == p2q == -rq and p1q != 0,
+    }
+
+
 def factorization_conditions(upper: Sequence[EpsLin], lower: Sequence[EpsLin]) -> FactorizationReport:
     """Solve the factorization constraints for the two-parameter shape.
 
@@ -115,12 +124,7 @@ def factorization_conditions(upper: Sequence[EpsLin], lower: Sequence[EpsLin]) -
     if len(upper) == 2 and len(lower) == 1:
         p1q, p2q = upper[0].const, upper[1].const
         rq = 1 - lower[0].const
-        gauss = {
-            "p1p2_zero": p1q * p2q == 0,
-            "p1_zero": p1q == 0 or p2q == 0,
-            "lemma_iv": p1q == p2q == -rq and p1q != 0,
-            "p_over_q": (p1q, p2q, -rq),
-        }
+        gauss = dict(gauss_flags(p1q, p2q, rq), p_over_q=(p1q, p2q, -rq))
     if not matches:
         raise NoFactorization(
             f"no case of R1=R2 / R1=0 / R2=0 matches uppers {nontrivial_up} "

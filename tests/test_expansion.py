@@ -1,13 +1,15 @@
 """Factorization classifiers and the epsilon-expansion engine."""
 
+import json
 from fractions import Fraction as F
 
 import pytest
 
+from hyperred import cli
 from hyperred.errors import (NoFactorization, NotTriangular, UnsupportedClass)
 from hyperred.expansion import (EpsilonExpansion, elementary_symmetric, epsilon_expand,
                                 f3_parametrization_check, factorization_conditions,
-                                gauss_triangular_system, three_f2_system,
+                                gauss_flags, gauss_triangular_system, three_f2_system,
                                 verify_expansion, xi_dressing_series, xi_z_series)
 from hyperred.gpl import GplWord, PolyLogExpr
 from hyperred.hyper import HyperFn
@@ -59,6 +61,23 @@ def test_factorization_gauss_lemma_iv():
         pass
     if rep2 is not None:
         assert not rep2.gauss_checks["lemma_iv"]
+
+
+@pytest.mark.parametrize("p1,p2,r,want", [
+    (0, 1, -1, {"p1p2_zero": True, "p1_zero": True, "lemma_iv": False}),
+    (1, 0, -1, {"p1p2_zero": True, "p1_zero": False, "lemma_iv": False}),
+    (0, 0, 0, {"p1p2_zero": True, "p1_zero": True, "lemma_iv": False}),
+])
+def test_gauss_flags_shared_by_library_and_cli(p1, p2, r, want, capsys):
+    q = 2
+    assert gauss_flags(F(p1, q), F(p2, q), F(r, q)) == want
+    rep = factorization_conditions([EpsLin(F(p1, q), 1), EpsLin(F(p2, q), 2)],
+                                   [EpsLin(1 - F(r, q), 1)])
+    assert {k: rep.gauss_checks[k] for k in want} == want
+    assert cli.main(["check-parametrization", "gauss", "--p1", str(p1), "--p2", str(p2),
+                     "--r", str(r), "--q", str(q), "--format", "jsonl"]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert {k: rec[k] for k in want} == want
 
 
 def test_factorization_none():
