@@ -320,6 +320,7 @@ def run_check_parametrization(spec: JobSpec, family: str, opts) -> int:
 
 
 def run_verify_file(spec: JobSpec, path: str) -> int:
+    """Re-check stored records, never at less depth than this job's own N and K."""
     with open(path) as fh:
         payload = [json.loads(line) for line in fh if line.strip()]
     for rec in payload:
@@ -332,7 +333,8 @@ def run_verify_file(spec: JobSpec, path: str) -> int:
                 r_polys=tuple(dec_ratfunc(r) for r in rec["r"]),
                 algebraic_tail=dec_ratfunc(rec["tail"]),
                 affine=rec.get("affine", False))
-            ok, mism = verify_reduction(result, rec.get("N", spec.N), rec.get("K", 2))
+            ok, mism = verify_reduction(result, max(rec.get("N", 0), spec.N),
+                                        max(rec.get("K", 0), min(spec.K, 4)))
             if not ok:
                 raise VerificationFailure(
                     f"stored reduction fails oracle at (z^{mism[0]}, eps^{mism[1]})")
@@ -343,7 +345,7 @@ def run_verify_file(spec: JobSpec, path: str) -> int:
                 fn=fn, kind=rec["kind"], var=rec["var"],
                 omega0=dec_ratfunc(rec["omega0"]) if rec["omega0"] is not None else None,
                 layers=tuple(dec_polylog(l) for l in rec["layers"]))
-            ok, mism = verify_expansion(fn, exp, rec.get("N", spec.N))
+            ok, mism = verify_expansion(fn, exp, max(rec.get("N", 0), spec.N))
             if not ok:
                 raise VerificationFailure(
                     f"stored expansion fails oracle at (power {mism[0]}, eps^{mism[1]})")

@@ -9,10 +9,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from hyperred.cli import dec_ratfunc, enc_ratfunc
 from hyperred.errors import ParseError
 from hyperred.grammar import format_mb, parse_hyper, parse_input
 from hyperred.hyper import HyperFn
 from hyperred.mb import DiagramPreset, get_preset
+from hyperred.ratfunc import RatFunc
 from hyperred.scalars import EpsLin
 
 
@@ -132,6 +134,21 @@ def test_cli_saved_result_verification(tmp_path):
     out.write_text(json.dumps(rec) + "\n")
     r = run_cli("verify", str(out))
     assert r.returncode == 5
+
+
+def test_cli_verify_uses_at_least_its_own_depth(tmp_path):
+    out = tmp_path / "result.jsonl"
+    r = run_cli("reduce", "2F1[7/5+eps,1/3-eps;1/2+2*eps;z]",
+                "--basis", "2F1[2/5+eps,1/3-eps;3/2+2*eps;z]",
+                "--format", "jsonl", "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    # a record claiming depth 0 must not hide a wrong z^1 coefficient
+    rec = json.loads(out.read_text())
+    r0 = dec_ratfunc(rec["r"][0])
+    rec["r"][0] = enc_ratfunc(r0 + RatFunc.z(r0.vars))
+    rec["N"] = 0
+    out.write_text(json.dumps(rec) + "\n")
+    assert run_cli("verify", str(out)).returncode == 5
 
 
 def test_cli_env_format(tmp_path):
