@@ -8,20 +8,20 @@ from .expansion import (EpsilonExpansion, F3Report, FactorizationReport,
                         TriangularSystem, elementary_symmetric, epsilon_expand,
                         f3_parametrization_check, factorization_conditions,
                         gauss_triangular_system, three_f2_system, verify_expansion)
-from .gpl import GplCombo, GplWord, PolyLogExpr, gpl_series, gpl_word_series, shuffle_words
+from .gpl import GplCombo, GplWord, PolyLogExpr, gpl_word_series, shuffle_words
 from .grammar import parse_hyper, parse_input
 from .hyper import HyperFn, SymHyperFn
 from .mb import (DiagramPreset, HyperSum, HyperTerm, MBRepr, check_dim,
                  count_master_integrals, dressed_propagator_shift, get_preset,
                  mb_to_hyper)
-from .poly import PFrac, Poly
+from .poly import Poly
 from .ratfunc import RatFunc
 from .reduction import (ExceptionalReport, OpMatrix, ReductionResult,
                         count_nontrivial_basis, detect_exceptional, ode_operator,
                         reduce_to_basis, step_matrix, verify_reduction)
-from .scalars import EpsLin, LinearForm, Rat
+from .scalars import EpsLin, LinearForm
 from .series import (BiSeries, EpsPoly, inv_pochhammer_eps, pochhammer_eps,
                      series_of_hyper)
-from .theta import ThetaOp, apply_theta_op, theta_compose
+from .theta import ThetaOp
 
 __version__ = "0.1.0"

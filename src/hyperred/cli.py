@@ -31,7 +31,6 @@ from .ratfunc import RatFunc
 from .reduction import (ReductionResult, count_nontrivial_basis, detect_exceptional,
                         ode_operator, reduce_to_basis, verify_reduction)
 from .series import series_of_hyper
-from .theta import apply_theta_op
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -370,7 +369,7 @@ def run_verify_suite(spec: JobSpec) -> int:
 
     def ode_check():
         f = parse_hyper("3F2[1/2+eps, -eps, 1/3+2*eps; 1+2*eps, 4/3-eps; z]")
-        res = apply_theta_op(ode_operator(f), series_of_hyper(f, 20, 3))
+        res = ode_operator(f).apply(series_of_hyper(f, 20, 3))
         if not res.is_zero():
             raise VerificationFailure("ODE does not annihilate the series")
 

@@ -24,7 +24,7 @@ from .gpl import GplCombo, PolyLogExpr, rf_from_coeffs, rf_monomial
 from .hyper import HyperFn
 from .ratfunc import RatFunc
 from .scalars import EpsLin, rat
-from .series import compose_z_series, series_of_hyper
+from .series import compose_z_series, mul_trunc, series_of_hyper
 
 F = Fraction
 
@@ -576,7 +576,7 @@ def verify_expansion(f: HyperFn, exp: EpsilonExpansion, N: int = 30):
         rows = []
         for k in range(K + 1):
             raw = composed.eps_row(k)
-            rows.append(_mul_trunc(raw, dress, M))
+            rows.append(mul_trunc(raw, dress, M))
         target_rows = [exp.layers[k].series(M) for k in range(K + 1)]
         length = M
     for k in range(K + 1):
@@ -584,14 +584,3 @@ def verify_expansion(f: HyperFn, exp: EpsilonExpansion, N: int = 30):
             if rows[k][j] != target_rows[k][j]:
                 return False, (j, k)
     return True, None
-
-
-def _mul_trunc(a, b, M):
-    out = [F(0)] * (M + 1)
-    for i, x in enumerate(a[:M + 1]):
-        if x:
-            for j in range(M + 1 - i):
-                y = b[j] if j < len(b) else F(0)
-                if y:
-                    out[i + j] += x * y
-    return out

@@ -22,6 +22,7 @@ from .errors import UncancelledPole, UnsupportedClass
 from .poly import Poly
 from .ratfunc import RatFunc
 from .scalars import rat
+from .series import mul_trunc
 
 F = Fraction
 Word = Tuple[Fraction, ...]
@@ -207,11 +208,6 @@ class PolyLogExpr:
     __repr__ = __str__
 
 
-def gpl_series(e: PolyLogExpr, N: int) -> List[Fraction]:
-    """Power series of an expression in its own variable."""
-    return e.series(N)
-
-
 # ---------------------------------------------------------------------------
 # rational functions of one variable: partial fractions over an alphabet
 
@@ -308,7 +304,7 @@ def partial_fractions(r: RatFunc, letters: Sequence[Fraction]):
         for b, mb in fac.items():
             power = mb if b != a else 0
             for _ in range(power):
-                rest = _coeffs_mul(rest, [-b, F(1)])
+                rest = mul_trunc(rest, [-b, F(1)], len(rest))
         c = _coeffs_eval(num_c, a) / _coeffs_eval(rest, a)
         if c != 0:
             poles[(a, m)] = c
@@ -323,16 +319,6 @@ def partial_fractions(r: RatFunc, letters: Sequence[Fraction]):
         else:
             fac[a] -= 1
     return poly, poles
-
-
-def _coeffs_mul(a, b):
-    out = [F(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +400,7 @@ class GplCombo:
             s, v = r.to_biseries(N + v, 0)
             rc = [s.get(j, 0) for j in range(N + v + 1)]
             ws = _word_series(w, N + v)
-            conv = _coeffs_mul_trunc(rc, ws, N + v)
+            conv = mul_trunc(rc, ws, N + v)
             for j in range(v):
                 if conv[j] != 0:
                     raise UncancelledPole(f"pole of {r} not cancelled by G{w}")
@@ -507,20 +493,9 @@ def _boundary_value(anti: RatFunc, w: Word) -> Fraction:
     ws = _word_series(w, order)
     s, v = anti.to_biseries(order, 0)
     rc = [s.get(j, 0) for j in range(order + 1)]
-    conv = _coeffs_mul_trunc(rc, ws, order)
+    conv = mul_trunc(rc, ws, order)
     for j in range(v):
         if conv[j] != 0:
             raise UncancelledPole(
                 f"divergent boundary term ({anti}) G{w} at the origin")
     return conv[v] if v < len(conv) else F(0)
-
-
-def _coeffs_mul_trunc(a, b, N):
-    out = [F(0)] * (N + 1)
-    for i, x in enumerate(a[:N + 1]):
-        if x:
-            for j in range(N + 1 - i):
-                y = b[j] if j < len(b) else F(0)
-                if y:
-                    out[i + j] += x * y
-    return out

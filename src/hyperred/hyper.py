@@ -4,27 +4,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import Generic, Tuple, TypeVar
 
 from .scalars import EpsLin, LinearForm, rat
 
+P = TypeVar("P", EpsLin, LinearForm)
+
 
 @dataclass(frozen=True)
-class HyperFn:
+class Hyper(Generic[P]):
     """A (p+1)F_p instance: parameter lists plus argument kappa * var.
 
     Parameter order is kept as given for display; equality sorts both
     lists so functions that differ only by parameter order compare equal.
+    Subclasses fix the parameter type through ``_param``.
     """
 
-    upper: Tuple[EpsLin, ...]
-    lower: Tuple[EpsLin, ...]
+    upper: Tuple[P, ...]
+    lower: Tuple[P, ...]
     kappa: Fraction = Fraction(1)
     var: str = "z"
 
     def __init__(self, upper, lower, kappa=1, var="z"):
-        upper = tuple(_as_param(u) for u in upper)
-        lower = tuple(_as_param(l) for l in lower)
+        upper = tuple(self._param(u) for u in upper)
+        lower = tuple(self._param(l) for l in lower)
         if len(upper) != len(lower) + 1:
             raise ValueError(
                 f"need p+1 upper and p lower parameters, got {len(upper)} and {len(lower)}")
@@ -33,12 +36,16 @@ class HyperFn:
         object.__setattr__(self, "kappa", rat(kappa))
         object.__setattr__(self, "var", var)
 
+    @staticmethod
+    def _param(x) -> P:
+        raise NotImplementedError
+
     @property
     def p(self) -> int:
         return len(self.lower)
 
     def __eq__(self, other):
-        if not isinstance(other, HyperFn):
+        if type(other) is not type(self):
             return NotImplemented
         return (sorted(u.sort_key() for u in self.upper) == sorted(u.sort_key() for u in other.upper)
                 and sorted(l.sort_key() for l in self.lower) == sorted(l.sort_key() for l in other.lower)
@@ -49,15 +56,39 @@ class HyperFn:
                      tuple(sorted(l.sort_key() for l in self.lower)),
                      self.kappa, self.var))
 
-    def shifted(self, which: str, index: int, step: int) -> "HyperFn":
+    def shifted(self, which: str, index: int, step: int):
         """New function with one parameter moved by an integer step."""
         if which == "upper":
             ps = list(self.upper)
             ps[index] = ps[index] + step
-            return HyperFn(ps, self.lower, self.kappa, self.var)
+            return type(self)(ps, self.lower, self.kappa, self.var)
         ps = list(self.lower)
         ps[index] = ps[index] + step
-        return HyperFn(self.upper, ps, self.kappa, self.var)
+        return type(self)(self.upper, ps, self.kappa, self.var)
+
+    def _arg(self) -> str:
+        return self.var if self.kappa == 1 else f"({self.kappa})*{self.var}"
+
+    def __str__(self):
+        p = self.p
+        ups = ", ".join(str(u) for u in self.upper)
+        los = ", ".join(str(l) for l in self.lower)
+        return f"{p + 1}F{p}[{ups}; {los}; {self._arg()}]"
+
+    __repr__ = __str__
+
+
+class HyperFn(Hyper[EpsLin]):
+    """Numeric parameters: each one is const + c*eps."""
+
+    @staticmethod
+    def _param(x) -> EpsLin:
+        return x if isinstance(x, EpsLin) else EpsLin(rat(x))
+
+    def _arg(self) -> str:
+        if self.kappa != 1 and self.kappa.denominator == 1:
+            return f"{self.kappa}*{self.var}"
+        return super()._arg()
 
     def cancel_matching(self) -> "HyperFn":
         """Drop upper/lower pairs that are exactly equal (series-identical)."""
@@ -77,74 +108,17 @@ class HyperFn:
                     break
         return HyperFn(uppers, lowers, self.kappa, self.var)
 
-    def __str__(self):
-        p = self.p
-        ups = ", ".join(str(u) for u in self.upper)
-        los = ", ".join(str(l) for l in self.lower)
-        if self.kappa == 1:
-            arg = self.var
-        else:
-            arg = f"{self.kappa}*{self.var}" if self.kappa.denominator == 1 else \
-                f"({self.kappa})*{self.var}"
-        return f"{p + 1}F{p}[{ups}; {los}; {arg}]"
 
-    __repr__ = __str__
-
-
-def _as_param(x) -> EpsLin:
-    if isinstance(x, EpsLin):
-        return x
-    return EpsLin(rat(x))
-
-
-@dataclass(frozen=True)
-class SymHyperFn:
+class SymHyperFn(Hyper[LinearForm]):
     """A hypergeometric function whose parameters are (n, j) linear forms.
 
     This is the shape Mellin-Barnes conversion produces; binding the
     propagator powers and the space-time dimension yields a HyperFn.
     """
 
-    upper: Tuple[LinearForm, ...]
-    lower: Tuple[LinearForm, ...]
-    kappa: Fraction = Fraction(1)
-    var: str = "z"
-
-    def __init__(self, upper, lower, kappa=1, var="z"):
-        upper = tuple(_as_form(u) for u in upper)
-        lower = tuple(_as_form(l) for l in lower)
-        if len(upper) != len(lower) + 1:
-            raise ValueError(
-                f"need p+1 upper and p lower parameters, got {len(upper)} and {len(lower)}")
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "kappa", rat(kappa))
-        object.__setattr__(self, "var", var)
-
-    @property
-    def p(self) -> int:
-        return len(self.lower)
-
-    def __eq__(self, other):
-        if not isinstance(other, SymHyperFn):
-            return NotImplemented
-        return (sorted(u.sort_key() for u in self.upper) == sorted(u.sort_key() for u in other.upper)
-                and sorted(l.sort_key() for l in self.lower) == sorted(l.sort_key() for l in other.lower)
-                and self.kappa == other.kappa and self.var == other.var)
-
-    def __hash__(self):
-        return hash((tuple(sorted(u.sort_key() for u in self.upper)),
-                     tuple(sorted(l.sort_key() for l in self.lower)),
-                     self.kappa, self.var))
-
-    def shifted(self, which: str, index: int, step: int) -> "SymHyperFn":
-        if which == "upper":
-            ps = list(self.upper)
-            ps[index] = ps[index] + step
-            return SymHyperFn(ps, self.lower, self.kappa, self.var)
-        ps = list(self.lower)
-        ps[index] = ps[index] + step
-        return SymHyperFn(self.upper, ps, self.kappa, self.var)
+    @staticmethod
+    def _param(x) -> LinearForm:
+        return x if isinstance(x, LinearForm) else LinearForm.constant(rat(x))
 
     def bind(self, j_values=None, n_value: EpsLin = EpsLin(4, -2)) -> HyperFn:
         """Bind propagator powers and n (default n = 4 - 2 eps)."""
@@ -152,18 +126,3 @@ class SymHyperFn:
         ups = [u.bind(j_values).to_epslin(n_value) for u in self.upper]
         los = [l.bind(j_values).to_epslin(n_value) for l in self.lower]
         return HyperFn(ups, los, self.kappa, self.var)
-
-    def __str__(self):
-        p = self.p
-        ups = ", ".join(str(u) for u in self.upper)
-        los = ", ".join(str(l) for l in self.lower)
-        arg = self.var if self.kappa == 1 else f"({self.kappa})*{self.var}"
-        return f"{p + 1}F{p}[{ups}; {los}; {arg}]"
-
-    __repr__ = __str__
-
-
-def _as_form(x) -> LinearForm:
-    if isinstance(x, LinearForm):
-        return x
-    return LinearForm.constant(rat(x))

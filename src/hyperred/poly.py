@@ -1,4 +1,4 @@
-"""Exact multivariate polynomials over Q and their fraction field.
+"""Exact multivariate polynomials over Q.
 
 A polynomial in variables ``(v1, ..., vk)`` is stored as a recursive dense
 representation: depth 0 is a ``Fraction``; depth d is a tuple of depth-(d-1)
@@ -426,9 +426,6 @@ class Poly:
         """d/d(top variable)."""
         return Poly(self.vars, _derivative(self.rep, self.d))
 
-    def mul_top_power(self, k):
-        return Poly(self.vars, _shift(self.rep, k, self.d))
-
     def gcd(self, other):
         self._check(other)
         return Poly(self.vars, _gcd(self.rep, other.rep, self.d))
@@ -499,118 +496,3 @@ class Poly:
 
     __repr__ = __str__
 
-
-class PFrac:
-    """Element of the fraction field of Poly: num/den, gcd-normalized.
-
-    The denominator is normalized to have lead fraction 1, so equal field
-    elements have identical (num, den) pairs.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly = None, _normalized=False):
-        if den is None:
-            den = Poly.const(num.vars, 1)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if not _normalized:
-            if num.is_zero():
-                den = Poly.const(num.vars, 1)
-            else:
-                g = num.gcd(den)
-                if g.degree() >= 0 and not (g.is_const() and g.const_value() == 1):
-                    num = num.exact_div(g)
-                    den = den.exact_div(g)
-                lf = den.lead_fraction()
-                if lf != 1:
-                    num = num.scale(1 / lf)
-                    den = den.scale(1 / lf)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *a):
-        raise AttributeError("PFrac is immutable")
-
-    @classmethod
-    def const(cls, vars, q):
-        return cls(Poly.const(vars, q), _normalized=True)
-
-    @classmethod
-    def variable(cls, vars, name):
-        return cls(Poly.variable(vars, name), _normalized=True)
-
-    @property
-    def vars(self):
-        return self.num.vars
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def is_one(self):
-        return self.num == self.den
-
-    def _coerce(self, other):
-        if isinstance(other, PFrac):
-            return other
-        if isinstance(other, Poly):
-            return PFrac(other)
-        if isinstance(other, (int, Fraction)):
-            return PFrac.const(self.vars, other)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return PFrac(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return PFrac(self.num * o.den - o.num * self.den, self.den * o.den)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return PFrac(self.num * o.num, self.den * o.den)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o.is_zero():
-            raise ZeroDivisionError("division by zero field element")
-        return PFrac(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __neg__(self):
-        return PFrac(-self.num, self.den, _normalized=True)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def inverse(self):
-        return 1 / self
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            other = self._coerce(other)
-        if not isinstance(other, PFrac):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def const_value(self) -> Fraction:
-        return self.num.const_value() / self.den.const_value()
-
-    def subst(self, new_vars, mapping):
-        return PFrac(self.num.subst(new_vars, mapping), self.den.subst(new_vars, mapping))
-
-    def __str__(self):
-        if self.den.is_const() and self.den.const_value() == 1:
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-    __repr__ = __str__

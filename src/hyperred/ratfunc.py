@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from .errors import PoleAtEpsZero
-from .poly import Poly, PFrac
+from .poly import Poly
 from .scalars import EpsLin
 from .series import BiSeries, EpsPoly
 
@@ -54,13 +54,6 @@ class RatFunc:
     @classmethod
     def z(cls, vars):
         return cls(Poly.variable(vars, _Z), _normalized=True)
-
-    @classmethod
-    def from_pfrac(cls, f: PFrac):
-        """Lift a parameter-field element to a z-constant rational function."""
-        vars = f.vars + (_Z,)
-        lift = {v: Poly.variable(vars, v) for v in f.vars}
-        return cls(f.num.subst(vars, lift), f.den.subst(vars, lift))
 
     @classmethod
     def from_epslin(cls, vars, x: EpsLin):
@@ -157,11 +150,6 @@ class RatFunc:
                              - self.num * self.den.derivative_top()),
                        self.den * self.den)
 
-    def derivative(self) -> "RatFunc":
-        return RatFunc(self.num.derivative_top() * self.den
-                       - self.num * self.den.derivative_top(),
-                       self.den * self.den)
-
     def subst_params(self, new_vars, mapping) -> "RatFunc":
         """Substitute parameter variables (z maps to itself)."""
         full = dict(mapping)
@@ -194,13 +182,6 @@ class RatFunc:
             s = s.mul_z_power(-v)
             v = 0
         return s, v
-
-    def value_at_zero(self) -> Fraction:
-        """Value at z=0 for an eps-free rational function regular there."""
-        s, v = self.to_biseries(0, 0)
-        if v > 0:
-            raise ZeroDivisionError(f"{self} has a pole at z=0")
-        return s.get(0, 0)
 
     def __str__(self):
         if self.den.is_const() and self.den.const_value() == 1:

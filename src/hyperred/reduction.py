@@ -12,24 +12,22 @@ exceptional-parameter signal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import NotIntegerShift, SingularStep, VerificationFailure
-from .hyper import HyperFn, SymHyperFn
+from .hyper import Hyper, HyperFn
 from .poly import Poly
 from .ratfunc import RatFunc
 from .scalars import EpsLin, LinearForm
 from .series import BiSeries, series_of_hyper
 from .theta import ThetaOp
 
-AnyHyper = Union[HyperFn, SymHyperFn]
-
 
 # ---------------------------------------------------------------------------
 # parameter embedding
 
 
-def _ring_vars(fn: AnyHyper):
+def _ring_vars(fn: Hyper):
     if isinstance(fn, HyperFn):
         return ("eps", "z")
     return ("n", "z")
@@ -66,7 +64,7 @@ def _theta_poly(vars, roots: Sequence[RatFunc]) -> List[RatFunc]:
     return coeffs
 
 
-def ode_operator(fn: AnyHyper) -> ThetaOp:
+def ode_operator(fn: Hyper) -> ThetaOp:
     """kappa z prod(theta + a_i) - theta prod(theta + b_l - 1), degree p+1."""
     vars = _ring_vars(fn)
     zf = RatFunc.z(vars) * fn.kappa
@@ -78,7 +76,7 @@ def ode_operator(fn: AnyHyper) -> ThetaOp:
     return ThetaOp(coeffs)
 
 
-def unit_upper_relation(fn: AnyHyper, skip_index: int) -> Tuple[ThetaOp, RatFunc]:
+def unit_upper_relation(fn: Hyper, skip_index: int) -> Tuple[ThetaOp, RatFunc]:
     """Inhomogeneous order-p relation for a function with upper parameter 1.
 
     Returns (T, c) with T F = c, where
@@ -114,7 +112,7 @@ class QuotientModule:
     extra constant (tail) component.
     """
 
-    def __init__(self, fn: AnyHyper, affine_index: Optional[int] = None):
+    def __init__(self, fn: Hyper, affine_index: Optional[int] = None):
         self.fn = fn
         self.vars = _ring_vars(fn)
         self.affine = affine_index is not None
@@ -266,7 +264,7 @@ class OpMatrix:
 # contiguous steps
 
 
-def _forward_op(fn: AnyHyper, which: str, index: int) -> ThetaOp:
+def _forward_op(fn: Hyper, which: str, index: int) -> ThetaOp:
     """Operator Op with F_shifted = Op F, for upper+1 / lower-1 moves."""
     vars = _ring_vars(fn)
     if which == "upper":
@@ -296,7 +294,7 @@ def _matrix_of_op(module: QuotientModule, op: ThetaOp) -> OpMatrix:
     return OpMatrix(tuple(rows), module.affine)
 
 
-def step_matrix(fn: AnyHyper, which: str, index: int, direction: int,
+def step_matrix(fn: Hyper, which: str, index: int, direction: int,
                 affine_index: Optional[int] = None) -> OpMatrix:
     """Matrix M with basis-column(shifted fn) = M basis-column(fn).
 
@@ -331,8 +329,8 @@ class ReductionResult:
     reductions produced along different shift paths compare equal.
     """
 
-    target: AnyHyper
-    basis: AnyHyper
+    target: Hyper
+    basis: Hyper
     s_poly: RatFunc
     r_polys: Tuple[RatFunc, ...]
     algebraic_tail: RatFunc
@@ -354,7 +352,7 @@ class ReductionResult:
                                conv(self.algebraic_tail), self.affine)
 
 
-def shift_vector(target: AnyHyper, basis: AnyHyper):
+def shift_vector(target: Hyper, basis: Hyper):
     """Integer componentwise shifts target - basis; NotIntegerShift otherwise."""
     if len(target.upper) != len(basis.upper) or len(target.lower) != len(basis.lower):
         raise NotIntegerShift("parameter list lengths differ")
@@ -389,7 +387,7 @@ def canonical_path(ups, los):
     return path
 
 
-def reduce_to_basis(target: AnyHyper, basis: AnyHyper,
+def reduce_to_basis(target: Hyper, basis: Hyper,
                     path: Optional[List[Tuple[str, int, int]]] = None) -> ReductionResult:
     """Compose unit-step matrices from basis to target and clear denominators.
 

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Tuple
 
-Rat = Fraction
 
 
 def rat(x) -> Fraction:

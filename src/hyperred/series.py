@@ -66,16 +66,7 @@ class EpsPoly:
         if isinstance(other, (int, Fraction)):
             q = rat(other)
             return EpsPoly(tuple(c * q for c in self.coeffs))
-        K = min(self.order, other.order)
-        out = [_ZERO] * (K + 1)
-        for i, a in enumerate(self.coeffs[:K + 1]):
-            if a == 0:
-                continue
-            for j in range(K + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return EpsPoly(out)
+        return EpsPoly(mul_trunc(self.coeffs, other.coeffs, min(self.order, other.order)))
 
     __rmul__ = __mul__
 
@@ -200,19 +191,7 @@ class BiSeries:
 
     def mul_eps(self, e: EpsPoly) -> "BiSeries":
         K = min(self.eps_order, e.order)
-        ec = e.coeffs
-        out = []
-        for r in self.rows:
-            row = [_ZERO] * (K + 1)
-            for k1 in range(K + 1):
-                a = r[k1]
-                if a == 0:
-                    continue
-                for k2 in range(K + 1 - k1):
-                    if ec[k2]:
-                        row[k1 + k2] += a * ec[k2]
-            out.append(tuple(row))
-        return BiSeries(tuple(out))
+        return BiSeries(tuple(tuple(mul_trunc(r, e.coeffs, K)) for r in self.rows))
 
     def mul_z_poly(self, coeffs: Sequence[EpsPoly]) -> "BiSeries":
         """Multiply by sum coeffs[m] * z^m; z truncation is preserved."""
@@ -354,14 +333,7 @@ def compose_z_series(s: BiSeries, zser: Sequence[Fraction], M: int) -> BiSeries:
     power = [Fraction(1)] + [_ZERO] * M
     for j in range(s.z_order + 1):
         if j > 0:
-            nxt = [_ZERO] * (M + 1)
-            for i1, c1 in enumerate(power):
-                if c1 == 0:
-                    continue
-                for i2 in range(M + 1 - i1):
-                    if zs[i2]:
-                        nxt[i1 + i2] += c1 * zs[i2]
-            power = nxt
+            power = mul_trunc(power, zs, M)
             if all(c == 0 for c in power):
                 break
         row = s.rows[j]
@@ -375,14 +347,13 @@ def compose_z_series(s: BiSeries, zser: Sequence[Fraction], M: int) -> BiSeries:
     return BiSeries(tuple(tuple(r) for r in out))
 
 
-def mul_series_rows(rows_a: Sequence[Fraction], rows_b: Sequence[Fraction], M: int):
-    """Plain Cauchy product of two one-variable coefficient lists."""
+def mul_trunc(a: Sequence[Fraction], b: Sequence[Fraction], M: int) -> List[Fraction]:
+    """Cauchy product of two coefficient lists, truncated after index M."""
     out = [_ZERO] * (M + 1)
-    for i, a in enumerate(rows_a[:M + 1]):
-        if a == 0:
-            continue
-        for j in range(M + 1 - i):
-            b = rows_b[j] if j < len(rows_b) else _ZERO
-            if b:
-                out[i + j] += a * b
+    for i, x in enumerate(a[:M + 1]):
+        if x:
+            for j in range(min(M + 1 - i, len(b))):
+                y = b[j]
+                if y:
+                    out[i + j] += x * y
     return out

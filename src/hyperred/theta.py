@@ -43,10 +43,6 @@ class ThetaOp:
     def theta(cls, vars):
         return cls([RatFunc.const(vars, 0), RatFunc.const(vars, 1)])
 
-    @classmethod
-    def from_coeff_list(cls, coeffs):
-        return cls(coeffs)
-
     @property
     def vars(self):
         return self.coeffs[0].vars
@@ -146,12 +142,3 @@ def _make(coeffs, vars):
     if all(c.is_zero() for c in coeffs):
         return ThetaOp.zero(vars)
     return ThetaOp(coeffs)
-
-
-def theta_compose(a: ThetaOp, b: ThetaOp) -> ThetaOp:
-    """Operator composition a . b (associative)."""
-    return a.compose(b)
-
-
-def apply_theta_op(op: ThetaOp, s: BiSeries) -> BiSeries:
-    return op.apply(s)

@@ -22,7 +22,6 @@ from hyperred.reduction import (ReductionResult, canonical_path, detect_exceptio
                                 verify_reduction)
 from hyperred.scalars import EpsLin
 from hyperred.series import series_of_hyper
-from hyperred.theta import apply_theta_op
 
 
 def _report(num, ok, text):
@@ -59,7 +58,7 @@ def test_criterion_1_ode_annihilation():
     for i in range(50):
         p = (1, 2, 3)[i % 3]
         fn = _rand_fn(rng, p, exclude_exceptional=False)
-        res = apply_theta_op(ode_operator(fn), series_of_hyper(fn, 30, 4))
+        res = ode_operator(fn).apply(series_of_hyper(fn, 30, 4))
         assert res.is_zero(), fn
         count += 1
     elapsed = time.time() - t0

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from hyperred.errors import UncancelledPole, UnsupportedClass
-from hyperred.gpl import (GplCombo, GplWord, PolyLogExpr, gpl_series, gpl_word_series,
+from hyperred.gpl import (GplCombo, GplWord, PolyLogExpr, gpl_word_series,
                           partial_fractions, rf_from_coeffs, rf_monomial,
                           shuffle_words)
 
@@ -22,7 +22,7 @@ def test_g01_is_minus_li2():
 
 def test_empty_expression_is_zero_series():
     e = PolyLogExpr({}, 0)
-    assert gpl_series(e, 5) == [0] * 6
+    assert e.series(5) == [0] * 6
 
 
 def test_trailing_zero_rejected():

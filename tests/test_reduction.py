@@ -15,7 +15,6 @@ from hyperred.reduction import (OpMatrix, ReductionResult, canonical_path,
                                 verify_reduction)
 from hyperred.scalars import EpsLin, LinearForm
 from hyperred.series import series_of_hyper
-from hyperred.theta import apply_theta_op
 
 V = ("eps", "z")
 
@@ -57,7 +56,7 @@ def test_ode_annihilates_random():
     rng = random.Random(42)
     for p in (1, 2, 3):
         fn = _rand_fn(rng, p)
-        res = apply_theta_op(ode_operator(fn), series_of_hyper(fn, 20, 3))
+        res = ode_operator(fn).apply(series_of_hyper(fn, 20, 3))
         assert res.is_zero(), fn
 
 

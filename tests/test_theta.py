@@ -10,7 +10,7 @@ from hyperred.poly import Poly
 from hyperred.ratfunc import RatFunc
 from hyperred.scalars import EpsLin
 from hyperred.series import EpsPoly, series_of_hyper
-from hyperred.theta import ThetaOp, apply_theta_op, theta_compose
+from hyperred.theta import ThetaOp
 
 V = ("eps", "z")
 
@@ -27,15 +27,15 @@ def test_theta_through_z():
     # theta . z = z . (theta + 1): coefficient list [z, z]
     th = ThetaOp.theta(V)
     mz = ThetaOp([zf()])
-    out = theta_compose(th, mz)
+    out = th.compose(mz)
     assert out.coeffs == (zf(), zf())
 
 
 def test_identity_compose():
     ident = ThetaOp.identity(V)
     p = ThetaOp([rf(2), zf(), rf(F(1, 3))])
-    assert theta_compose(ident, p) == p
-    assert theta_compose(p, ident) == p
+    assert ident.compose(p) == p
+    assert p.compose(ident) == p
 
 
 @st.composite
@@ -54,7 +54,7 @@ def small_ops(draw):
 @settings(max_examples=25, deadline=None)
 @given(small_ops(), small_ops(), small_ops())
 def test_compose_associative(a, b, c):
-    assert theta_compose(theta_compose(a, b), c) == theta_compose(a, theta_compose(b, c))
+    assert a.compose(b).compose(c) == a.compose(b.compose(c))
 
 
 @settings(max_examples=15, deadline=None)
@@ -63,13 +63,13 @@ def test_theta_z_commutation_powers(n, m):
     # theta^n . z^m = z^m . (theta + m)^n
     th_n = ThetaOp.identity(V)
     for _ in range(n):
-        th_n = theta_compose(ThetaOp.theta(V), th_n)
+        th_n = ThetaOp.theta(V).compose(th_n)
     zm = ThetaOp([RatFunc(Poly.from_terms(V, {(0, m): 1}))])
-    lhs = theta_compose(th_n, zm)
+    lhs = th_n.compose(zm)
     shifted = ThetaOp.identity(V)
     for _ in range(n):
-        shifted = theta_compose(ThetaOp([rf(m), rf(1)]), shifted)
-    rhs = theta_compose(zm, shifted)
+        shifted = ThetaOp([rf(m), rf(1)]).compose(shifted)
+    rhs = zm.compose(shifted)
     assert lhs == rhs
 
 
@@ -79,7 +79,7 @@ def test_apply_theta_geometric():
     N = 8
     rows = [(F(0),)] + [(F(1, j),) for j in range(1, N + 1)]
     s = BiSeries(tuple(rows))
-    out = apply_theta_op(ThetaOp.theta(V), s)
+    out = ThetaOp.theta(V).apply(s)
     assert all(out.get(j, 0) == 1 for j in range(1, N + 1))
     assert out.get(0, 0) == 0
 
@@ -87,7 +87,7 @@ def test_apply_theta_geometric():
 def test_apply_identity():
     f = HyperFn([EpsLin(F(1, 2), 1), EpsLin(0, -1)], [EpsLin(1, 2)])
     s = series_of_hyper(f, 10, 2)
-    assert apply_theta_op(ThetaOp.identity(V), s) == s
+    assert ThetaOp.identity(V).apply(s) == s
 
 
 def test_ode_lhs_equals_rhs_on_series():
@@ -96,12 +96,11 @@ def test_ode_lhs_equals_rhs_on_series():
     f = HyperFn([a, b], [c])
     s = series_of_hyper(f, 15, 3)
     left_op = ThetaOp([RatFunc.from_epslin(V, a), rf(1)])
-    left_op = theta_compose(ThetaOp([RatFunc.from_epslin(V, b), rf(1)]), left_op)
-    lhs = apply_theta_op(left_op, s).mul_z_poly(
+    left_op = ThetaOp([RatFunc.from_epslin(V, b), rf(1)]).compose(left_op)
+    lhs = left_op.apply(s).mul_z_poly(
         [EpsPoly.const(0, 3), EpsPoly.const(1, 3)])
-    right_op = theta_compose(ThetaOp.theta(V),
-                             ThetaOp([RatFunc.from_epslin(V, c - 1), rf(1)]))
-    rhs = apply_theta_op(right_op, s)
+    right_op = ThetaOp.theta(V).compose(ThetaOp([RatFunc.from_epslin(V, c - 1), rf(1)]))
+    rhs = right_op.apply(s)
     assert lhs == rhs
 
 
@@ -110,12 +109,12 @@ def test_apply_pole_coefficient():
     from hyperred.series import BiSeries
     s = BiSeries(((F(0),), (F(2),), (F(3),)))
     op = ThetaOp([RatFunc(Poly.const(V, 1), Poly.variable(V, "z"))])
-    out = apply_theta_op(op, s)
+    out = op.apply(s)
     assert out.get(0, 0) == 2 and out.get(1, 0) == 3
     from hyperred.errors import UncancelledPole
     t = BiSeries(((F(1),), (F(0),), (F(0),)))
     with pytest.raises(UncancelledPole):
-        apply_theta_op(op, t)
+        op.apply(t)
 
 
 @settings(max_examples=20, deadline=None)
@@ -124,6 +123,6 @@ def test_product_degree_additive(a, b):
     # degree of a composition is the sum of degrees when leads are nonzero
     if a.is_zero() or b.is_zero():
         return
-    prod = theta_compose(a, b)
+    prod = a.compose(b)
     if not (a.coeffs[-1] * b.coeffs[-1]).is_zero():
         assert prod.degree == a.degree + b.degree
