@@ -202,14 +202,9 @@ class BiSeries:
                 continue
             ec = e.truncate(K).coeffs
             for j in range(N + 1 - m):
-                r = self.rows[j]
                 tgt = out[j + m]
-                for k1, a in enumerate(r):
-                    if a == 0:
-                        continue
-                    for k2 in range(K + 1 - k1):
-                        if k2 <= len(ec) - 1 and ec[k2]:
-                            tgt[k1 + k2] += a * ec[k2]
+                for k, c in enumerate(mul_trunc(self.rows[j], ec, K)):
+                    tgt[k] += c
         return BiSeries(tuple(tuple(r) for r in out))
 
     def theta(self) -> "BiSeries":
