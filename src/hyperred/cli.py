@@ -272,6 +272,8 @@ def run_expand(spec: JobSpec, text: str, order: int) -> int:
 
 
 def run_check_parametrization(spec: JobSpec, family: str, opts) -> int:
+    if opts.q < 1:
+        raise ParseError(f"--q must be >= 1, got {opts.q}", 1, 1)
     if family == "gauss":
         rec = {"command": "check-parametrization", "family": "gauss"}
         lines = []

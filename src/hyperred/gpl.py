@@ -37,7 +37,8 @@ def as_word(letters: Iterable) -> Word:
     return w
 
 
-@lru_cache(maxsize=None)
+# bounded; a 30 s `bench/run.py --workload expand` run fills about 2,300 entries
+@lru_cache(maxsize=16384)
 def _word_series(word: Word, N: int) -> Tuple[Fraction, ...]:
     if not word:
         return (F(1),) + (F(0),) * N

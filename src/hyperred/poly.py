@@ -226,6 +226,56 @@ def _rat_gcd(a: Fraction, b: Fraction) -> Fraction:
     return Fraction(gcd(a.numerator, b.numerator), lcm(a.denominator, b.denominator))
 
 
+_PROBES = (2, 3, 5, 7)
+
+
+def _deg_in(rep, d, k):
+    """Degree in variable k (0-based, the top variable is d-1); -1 if zero."""
+    if d - 1 == k:
+        return len(rep) - 1
+    return max((_deg_in(c, d - 1, k) for c in rep), default=-1)
+
+
+def _eval_at(rep, d, x):
+    """Value of a rep with every variable set to x."""
+    acc = _ZERO
+    for c in reversed(rep):
+        acc = acc * x + (c if d == 1 else _eval_at(c, d - 1, x))
+    return acc
+
+
+def _image_in(rep, d, k, x):
+    """Univariate rep in variable k, every other variable set to x."""
+    if d - 1 == k:
+        return _trim(tuple(_eval_at(c, d - 1, x) if d > 1 else c for c in rep), 1)
+    acc = ()
+    for c in reversed(rep):
+        acc = _add(_scale(acc, Fraction(x), 1), _image_in(c, d - 1, k, x), 1)
+    return acc
+
+
+def _coprime_certified(a, b, d):
+    """True if specializations prove gcd(a, b) is a unit; False is no verdict.
+
+    A common factor g of positive degree in x has lc_x(g) | lc_x(a), so its
+    image keeps that degree wherever a keeps its x-degree, and then divides
+    both images.  Image gcds of 1 in every shared variable rule g out.
+    """
+    for k in range(d):
+        da, db = _deg_in(a, d, k), _deg_in(b, d, k)
+        if da == 0 or db == 0:
+            continue
+        for x in _PROBES:
+            ia, ib = _image_in(a, d, k, x), _image_in(b, d, k, x)
+            if _degree(ia) == da and _degree(ib) == db:
+                break
+        else:
+            return False
+        if _degree(_gcd(ia, ib, 1)) > 0:
+            return False
+    return True
+
+
 def _gcd(a, b, d):
     if d == 0:
         # rational content convention: gcd(0, b) = |b|
@@ -248,6 +298,8 @@ def _gcd(a, b, d):
                 r = tuple(c / lead for c in r)
             x, y = y, r
         return _unit_normalize(x, d)
+    if _coprime_certified(a, b, d):
+        return _const(d, 1)
     ca, cb = _content(a, d), _content(b, d)
     pa = _exact_div_elem(a, ca, d)
     pb = _exact_div_elem(b, cb, d)

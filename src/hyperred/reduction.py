@@ -186,7 +186,7 @@ class QuotientModule:
 
 @dataclass(frozen=True)
 class OpMatrix:
-    """Square matrix over rational functions of z.
+    """Square matrix over rational functions of z (or one row of one).
 
     Acts on the basis column (F, theta F, ..., theta^p F); in affine mode
     the final slot holds the constant function 1 instead of theta^p F and
@@ -208,14 +208,15 @@ class OpMatrix:
                          for i in range(n)), affine)
 
     def __matmul__(self, other: "OpMatrix") -> "OpMatrix":
-        n = self.size
+        """Product; the left operand may be a single row (a 1 x n matrix)."""
+        inner, cols = other.size, len(other.entries[0])
         zero = RatFunc.const(self.entries[0][0].vars, 0)
         out = []
-        for i in range(n):
+        for i in range(self.size):
             row = []
-            for j in range(n):
+            for j in range(cols):
                 acc = zero
-                for k in range(n):
+                for k in range(inner):
                     a = self.entries[i][k]
                     b = other.entries[k][j]
                     if not (a.is_zero() or b.is_zero()):
@@ -405,14 +406,18 @@ def reduce_to_basis(target: Hyper, basis: Hyper,
         path = canonical_path(ups, los)
     _check_path(path, ups, los)
     vars = _ring_vars(basis)
-    size = (basis.p + 1)
-    total = OpMatrix.identity(vars, size, affine_index is not None)
+    steps = []
     cur = basis
     for which, index, direction in path:
-        m = step_matrix(cur, which, index, direction, affine_index)
+        steps.append(step_matrix(cur, which, index, direction, affine_index))
         cur = cur.shifted(which, index, direction)
-        total = m @ total
-    row = total.row(0)
+    # row 0 of M_k ... M_1, folded from the target end as row x matrix products
+    last = steps.pop() if steps else OpMatrix.identity(vars, basis.p + 1,
+                                                        affine_index is not None)
+    acc = OpMatrix((last.row(0),), last.affine)
+    for m in reversed(steps):
+        acc = acc @ m
+    row = acc.row(0)
     if affine_index is not None:
         coeffs, tail = row[:-1], row[-1]
     else:

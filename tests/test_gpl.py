@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from hyperred import gpl
 from hyperred.errors import UncancelledPole, UnsupportedClass
 from hyperred.gpl import (GplCombo, GplWord, PolyLogExpr, gpl_word_series,
                           partial_fractions, rf_from_coeffs, rf_monomial,
@@ -18,6 +19,11 @@ def test_g1_is_log():
 
 def test_g01_is_minus_li2():
     assert gpl_word_series((0, 1), 5) == [0] + [F(-1, j * j) for j in range(1, 6)]
+
+
+def test_word_series_cache_is_bounded():
+    maxsize = gpl._word_series.cache_info().maxsize
+    assert maxsize is not None and maxsize >= 4096
 
 
 def test_empty_expression_is_zero_series():

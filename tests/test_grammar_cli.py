@@ -180,6 +180,18 @@ def test_cli_check_parametrization():
     assert r.returncode == 0 and "admissibility: True" in r.stdout
 
 
+@pytest.mark.parametrize("family, args", [
+    ("gauss", ["--p1", "1", "--p2", "1", "--r", "-1"]),
+    ("3f2", ["--r", "1", "--p", "-1"]),
+    ("f3", ["--p1", "1", "--p2", "0", "--r1", "0", "--r2", "1", "--p", "0"]),
+])
+def test_cli_check_parametrization_rejects_q_below_one(family, args):
+    for q in ("0", "-2"):
+        r = run_cli("check-parametrization", family, *args, "--q", q)
+        assert r.returncode == 2, r.stderr
+        assert "--q must be >= 1" in r.stderr and "Traceback" not in r.stderr
+
+
 def test_cli_verify_suite():
     r = run_cli("verify", "--suite")
     assert r.returncode == 0, r.stdout + r.stderr

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hyperred import poly as poly_mod
 from hyperred.poly import Poly
 from hyperred.ratfunc import RatFunc
 
@@ -121,3 +122,80 @@ def test_ratfunc_ring_axioms(a, b, c):
     assert (x * y) * z == x * (y * z)
     if not a.is_zero():
         assert (x / x) == 1
+
+
+# ---------------------------------------------------------------------------
+# coprimality certificate in front of the primitive PRS
+
+
+RINGS = [("eps", "z"), ("n", "z"), ("n", "eps", "z")]
+
+
+@st.composite
+def ring_polys(draw, vars, max_deg=2):
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, max_deg)] * len(vars)), rationals,
+        min_size=1, max_size=3))
+    return Poly.from_terms(vars, terms)
+
+
+def _monic(p):
+    return p.scale(1 / p.lead_fraction())
+
+
+def _prs_gcd(a, b, monkeypatch):
+    """gcd with the certificate switched off: the primitive PRS alone."""
+    with monkeypatch.context() as m:
+        m.setattr(poly_mod, "_coprime_certified", lambda a, b, d: False)
+        return a.gcd(b)
+
+
+@pytest.mark.parametrize("vars", RINGS)
+def test_gcd_of_common_multiples(vars, monkeypatch):
+    @settings(max_examples=25, deadline=None)
+    @given(ring_polys(vars), ring_polys(vars), ring_polys(vars, max_deg=1))
+    def check(a, b, c):
+        if a.is_zero() or b.is_zero() or c.is_zero():
+            return
+        g = a.gcd(b)
+        assert g == _prs_gcd(a, b, monkeypatch)
+        assert (a * c).gcd(b * c) == _monic(g * c)
+    check()
+
+
+def _certified(a, b):
+    return poly_mod._coprime_certified(a.rep, b.rep, a.d)
+
+
+def test_certificate_fires_on_coprime_pairs():
+    z, e = zvar(), evar()
+    assert _certified(z + e, z + e + 1)
+    assert _certified(z * z - e, e * e + z)
+    assert _certified(z + 1, Poly.const(V, 3))      # a constant shares nothing
+    assert (z + e).gcd(z + e + 1) == 1
+
+
+def test_certificate_silent_on_eps_only_factor():
+    z, e = zvar(), evar()
+    a, b = (e - 1) * (z + 1), (e - 1) * (z + 2)
+    assert not _certified(a, b)
+    assert a.gcd(b) == e - 1
+
+
+def test_certificate_silent_on_accidental_image_factor():
+    # at eps = 2 both images are z - 2, yet z - eps and z - 2 are coprime
+    z, e = zvar(), evar()
+    a, b = z - e, z - 2
+    assert not _certified(a, b)
+    assert a.gcd(b) == 1
+
+
+def test_certificate_falls_back_when_every_probe_drops_a_degree():
+    z, e = zvar(), evar()
+    lc = (e - 2) * (e - 3) * (e - 5) * (e - 7)
+    a, b = lc * z + 1, z + e
+    assert not _certified(a, b)
+    assert a.gcd(b) == 1
+    # a shared factor behind the same vanishing leading coefficient is kept
+    c = z * z + e
+    assert (a * c).gcd(b * c) == c

@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 from hyperred.errors import NotIntegerShift, SingularStep
 from hyperred.hyper import HyperFn, SymHyperFn
 from hyperred.ratfunc import RatFunc
-from hyperred.reduction import (OpMatrix, ReductionResult, canonical_path,
-                                count_nontrivial_basis, detect_exceptional,
-                                ode_operator, reduce_to_basis, step_matrix,
-                                verify_reduction)
+from hyperred.reduction import (OpMatrix, ReductionResult, _clear_and_normalize,
+                                canonical_path, count_nontrivial_basis,
+                                detect_exceptional, ode_operator, reduce_to_basis,
+                                shift_vector, step_matrix, verify_reduction)
 from hyperred.scalars import EpsLin, LinearForm
 from hyperred.series import series_of_hyper
 
@@ -103,6 +103,52 @@ def test_scaled_argument_reductions_verify(kappa):
     r = reduce_to_basis(HyperFn([one, a + 1, b], [c + 1, d], kappa), affine_basis)
     assert r.affine
     assert verify_reduction(r, 30, 2) == (True, None)
+
+
+def _reduce_by_full_product(target, basis, affine_index=None):
+    """Row 0 of the whole product M_k ... M_1, built left to right as squares."""
+    affine = affine_index is not None
+    total = OpMatrix.identity(V, basis.p + 1, affine)
+    cur = basis
+    for which, index, direction in canonical_path(*shift_vector(target, basis)):
+        total = step_matrix(cur, which, index, direction, affine_index) @ total
+        cur = cur.shifted(which, index, direction)
+    row = total.row(0)
+    coeffs, tail = (row[:-1], row[-1]) if affine else (row, RatFunc.const(V, 0))
+    return _clear_and_normalize(target, basis, coeffs, tail, affine)
+
+
+_A, _B, _C = EpsLin(F(2, 5), 1), EpsLin(F(1, 3), -1), EpsLin(F(3, 2), 2)
+_ONE, _D = EpsLin(1), EpsLin(F(4, 3), 1)
+
+
+@pytest.mark.parametrize("target, basis, affine_index", [
+    # empty path: the identity row
+    (HyperFn([_A, _B], [_C]), HyperFn([_A, _B], [_C]), None),
+    # forward and inverse steps (upper -1 and lower +1 invert a matrix)
+    (HyperFn([_A + 1, _B - 1], [_C + 1]), HyperFn([_A, _B], [_C]), None),
+    # affine unit-upper module, whose row carries the tail column
+    (HyperFn([_ONE, _A + 1, _B], [_C + 1, _D]), HyperFn([_ONE, _A, _B], [_C, _D]), 0),
+    # scaled argument
+    (HyperFn([_A + 1, _B], [_C - 1], F(-1)), HyperFn([_A, _B], [_C], F(-1)), None),
+])
+def test_row_fold_equals_full_product(target, basis, affine_index):
+    r = reduce_to_basis(target, basis)
+    ref = _reduce_by_full_product(target, basis, affine_index)
+    assert r.affine == (affine_index is not None) == ref.affine
+    assert r.s_poly == ref.s_poly
+    assert r.r_polys == ref.r_polys
+    assert r.algebraic_tail == ref.algebraic_tail
+
+
+@pytest.mark.parametrize("affine_index", [None, 0])
+def test_row_times_matrix_is_row_of_square_product(affine_index):
+    fn = HyperFn([_ONE, _A, _B], [_C, _D])
+    m = step_matrix(fn, "upper", 1, 1, affine_index)
+    n = step_matrix(fn, "lower", 0, 1, affine_index)
+    row = OpMatrix((m.row(0),), m.affine) @ n
+    assert row.size == 1 and row.affine == m.affine
+    assert row.row(0) == (m @ n).row(0)
 
 
 def test_singular_step_determinant():
