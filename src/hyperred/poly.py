@@ -8,7 +8,8 @@ carry trailing zero coefficients, so structural equality is semantic
 equality.
 
 GCDs use plain Euclid for univariate reps and a primitive pseudo-remainder
-sequence for deeper ones.  Everything is immutable and exact.
+sequence for deeper ones, unless univariate images at integer points first
+prove the inputs coprime.  Everything is immutable and exact.
 """
 
 from __future__ import annotations
@@ -238,16 +239,18 @@ def _deg_in(rep, d, k):
 
 def _eval_at(rep, d, x):
     """Value of a rep with every variable set to x."""
+    if d == 0:
+        return rep
     acc = _ZERO
     for c in reversed(rep):
-        acc = acc * x + (c if d == 1 else _eval_at(c, d - 1, x))
+        acc = acc * x + _eval_at(c, d - 1, x)
     return acc
 
 
 def _image_in(rep, d, k, x):
     """Univariate rep in variable k, every other variable set to x."""
     if d - 1 == k:
-        return _trim(tuple(_eval_at(c, d - 1, x) if d > 1 else c for c in rep), 1)
+        return _trim(tuple(_eval_at(c, d - 1, x) for c in rep), 1)
     acc = ()
     for c in reversed(rep):
         acc = _add(_scale(acc, Fraction(x), 1), _image_in(c, d - 1, k, x), 1)
