@@ -514,8 +514,7 @@ def _expand_half_integer_gauss(f: HyperFn, K: int) -> EpsilonExpansion:
     vs = [v0]
     for k in range(1, K + 1):
         um2 = us[k - 2] if k >= 2 else GplCombo.zero(letters)
-        integrand = (vs[k - 1].scale_rf(k_t).scale_q(-(a1 + a2))
-                     + vs[k - 1].scale_rf(k_t).scale_q(c)
+        integrand = (vs[k - 1].scale_rf(k_t).scale_q(c - (a1 + a2))
                      + um2.scale_rf(k_flat).scale_q(-a1 * a2))
         vk = integrand.integrate()
         vk = vk + us[k - 1].scale_rf(inv_xi).scale_q(-c)

@@ -51,18 +51,11 @@ def _word_series(word: Word, N: int) -> Tuple[Fraction, ...]:
         for j in range(1, N + 1):
             out[j] = u[j] / j
     else:
-        # 1/(t-a) = -(1/a) sum (t/a)^m
-        conv = [F(0)] * (N + 1)
-        inv_a = 1 / a
-        geom = F(1)
-        for m in range(N + 1):
-            c = -inv_a * geom
-            for j in range(N + 1 - m):
-                if u[j]:
-                    conv[m + j] += c * u[j]
-            geom *= inv_a
+        # conv = u/(t-a) = -sum_m u t^m / a^(m+1) obeys conv_j = (conv_(j-1) - u_j)/a
+        conv = F(0)
         for j in range(1, N + 1):
-            out[j] = conv[j - 1] / j
+            conv = (conv - u[j - 1]) / a
+            out[j] = conv / j
     return tuple(out)
 
 

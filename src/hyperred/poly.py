@@ -122,6 +122,18 @@ def _degree(rep):
     return len(rep) - 1
 
 
+def _const_rep_value(rep, d):
+    """The Fraction a constant rep stands for (0 for zero); None if not constant."""
+    while d > 0:
+        if not rep:
+            return _ZERO
+        if len(rep) > 1:
+            return None
+        rep = rep[0]
+        d -= 1
+    return rep
+
+
 def _lead_fraction(rep, d):
     while d > 0:
         rep = rep[-1]
@@ -392,15 +404,13 @@ class Poly:
         return _is_zero(self.rep, self.d)
 
     def is_const(self):
-        return all(e == (0,) * self.d for e in self.terms())
+        return _const_rep_value(self.rep, self.d) is not None
 
     def const_value(self) -> Fraction:
-        t = self.terms()
-        if not t:
-            return _ZERO
-        if not self.is_const():
+        q = _const_rep_value(self.rep, self.d)
+        if q is None:
             raise ValueError(f"not a constant: {self}")
-        return t[(0,) * self.d]
+        return q
 
     def degree(self) -> int:
         """Degree in the last (top) variable; -1 if zero."""

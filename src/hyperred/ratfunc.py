@@ -31,10 +31,7 @@ class RatFunc:
             if num.is_zero():
                 den = Poly.const(num.vars, 1)
             else:
-                g = num.gcd(den)
-                if not (g.is_const() and g.const_value() == 1):
-                    num = num.exact_div(g)
-                    den = den.exact_div(g)
+                num, den = _cancel(num, den)
                 lf = den.lead_fraction()
                 if lf != 1:
                     num = num.scale(1 / lf)
@@ -94,10 +91,7 @@ class RatFunc:
                                     self.den * o.den)
         db, dd = self.den.exact_div(g), o.den.exact_div(g)
         t = self.num * dd + o.num * db
-        g2 = t.gcd(g)
-        if not (g2.is_const() and g2.const_value() == 1):
-            t = t.exact_div(g2)
-            g = g.exact_div(g2)
+        t, g = _cancel(t, g)
         return _lead_normalized(t, db * (dd * g))
 
     def __sub__(self, other):
@@ -110,11 +104,14 @@ class RatFunc:
         o = self._coerce(other)
         if self.is_zero() or o.is_zero():
             return RatFunc.const(self.vars, 0)
-        g1 = self.num.gcd(o.den)
-        g2 = o.num.gcd(self.den)
-        num = self.num.exact_div(g1) * o.num.exact_div(g2)
-        den = self.den.exact_div(g2) * o.den.exact_div(g1)
-        return _lead_normalized(num, den)
+        # a constant is q/1 with q != 0: scaling the other numerator keeps it normalized
+        if o.is_polynomial() and o.num.is_const():
+            return RatFunc(self.num.scale(o.num.const_value()), self.den, _normalized=True)
+        if self.is_polynomial() and self.num.is_const():
+            return RatFunc(o.num.scale(self.num.const_value()), o.den, _normalized=True)
+        num_a, den_b = _cancel(self.num, o.den)
+        num_b, den_a = _cancel(o.num, self.den)
+        return _lead_normalized(num_a * num_b, den_a * den_b)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -189,6 +186,14 @@ class RatFunc:
         return f"({self.num})/({self.den})"
 
     __repr__ = __str__
+
+
+def _cancel(num: Poly, den: Poly):
+    """(num, den) divided by their gcd, with no division when the gcd is 1."""
+    g = num.gcd(den)
+    if g.is_const() and g.const_value() == 1:
+        return num, den
+    return num.exact_div(g), den.exact_div(g)
 
 
 def _lead_normalized(num: Poly, den: Poly) -> RatFunc:

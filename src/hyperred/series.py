@@ -81,7 +81,7 @@ class EpsPoly:
         for k in range(1, K + 1):
             s = _ZERO
             for i in range(1, k + 1):
-                s += self.coeffs[i] * out[k - i] if i <= K else _ZERO
+                s += self.coeffs[i] * out[k - i]
             out[k] = -s / c0
         return EpsPoly(out)
 
@@ -232,13 +232,15 @@ class BiSeries:
     def invert(self) -> "BiSeries":
         """1/series; the z^0 coefficient must be invertible in eps."""
         N, K = self.z_order, self.eps_order
-        c0 = EpsPoly(self.rows[0]).inverse()
-        out = [c0.coeffs]
+        rows = self.rows
+        c0 = EpsPoly(rows[0]).inverse().coeffs
+        out = [c0]
         for j in range(1, N + 1):
-            s = EpsPoly.const(0, K)
+            s = [_ZERO] * (K + 1)
             for i in range(1, j + 1):
-                s = s + EpsPoly(self.rows[i]) * EpsPoly(out[j - i])
-            out.append((-(s * c0)).coeffs)
+                for k, c in enumerate(mul_trunc(rows[i], out[j - i], K)):
+                    s[k] += c
+            out.append(tuple(-c for c in mul_trunc(s, c0, K)))
         return BiSeries(tuple(out))
 
     def is_zero(self) -> bool:

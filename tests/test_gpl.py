@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperred import gpl
 from hyperred.errors import UncancelledPole, UnsupportedClass
@@ -131,3 +132,52 @@ def test_to_polylog_requires_constant_coefficients():
     bad = GplCombo({(F(1),): rf_from_coeffs([F(0), F(1)])}, letters)
     with pytest.raises(UnsupportedClass):
         bad.to_polylog()
+
+
+# ---------------------------------------------------------------------------
+# O(N) word-series recurrence against the O(N^2) geometric convolution
+
+
+def _convolution_word_series(word, N):
+    """Reference: 1/(t-a) = -(1/a) sum (t/a)^m convolved with the inner series."""
+    if not word:
+        return (F(1),) + (F(0),) * N
+    a, u = word[0], _convolution_word_series(word[1:], N)
+    out = [F(0)] * (N + 1)
+    if a == 0:
+        for j in range(1, N + 1):
+            out[j] = u[j] / j
+        return tuple(out)
+    conv = [F(0)] * (N + 1)
+    geom = F(1)
+    for m in range(N + 1):
+        c = -geom / a
+        for j in range(N + 1 - m):
+            conv[m + j] += c * u[j]
+        geom /= a
+    for j in range(1, N + 1):
+        out[j] = conv[j - 1] / j
+    return tuple(out)
+
+
+LETTERS = (F(-3), F(-1), F(-1, 2), F(0), F(1, 2), F(1), F(2))
+
+
+def test_word_series_matches_convolution_on_short_words():
+    words = [(a,) for a in LETTERS if a] + [(a, b) for a in LETTERS for b in LETTERS if b]
+    for w in words:
+        assert gpl._word_series(w, 40) == _convolution_word_series(w, 40), w
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(LETTERS), min_size=1, max_size=4)
+       .filter(lambda w: w[-1] != 0).map(tuple),
+       st.integers(0, 40))
+def test_word_series_matches_convolution(word, N):
+    assert gpl._word_series(word, N) == _convolution_word_series(word, N)
+
+
+def test_word_series_dt_over_t_against_constant_term_raises():
+    for w in ((F(0),), (F(2), F(0))):
+        with pytest.raises(UncancelledPole):
+            gpl._word_series(w, 6)

@@ -199,3 +199,71 @@ def test_certificate_falls_back_when_every_probe_drops_a_degree():
     # a shared factor behind the same vanishing leading coefficient is kept
     c = z * z + e
     assert (a * c).gcd(b * c) == c
+
+
+# ---------------------------------------------------------------------------
+# RatFunc products: constant and unit-gcd fast paths
+
+
+PRODUCT_RINGS = [("z",), ("eps", "z"), ("n", "eps", "z")]
+
+
+@st.composite
+def ratfuncs(draw, vars):
+    kind = draw(st.sampled_from(["const", "zero", "poly", "fraction"]))
+    if kind == "zero":
+        return RatFunc.const(vars, 0)
+    if kind == "const":
+        return RatFunc.const(vars, draw(rationals.filter(bool)))
+    num = draw(ring_polys(vars))
+    den = draw(ring_polys(vars)) if kind == "fraction" else Poly.const(vars, 1)
+    return RatFunc(num, den if not den.is_zero() else Poly.const(vars, 1))
+
+
+def _assert_normalized(r):
+    assert r.den.lead_fraction() == 1
+    assert r.num.gcd(r.den) == 1
+
+
+@pytest.mark.parametrize("vars", PRODUCT_RINGS)
+def test_ratfunc_product_matches_normalizing_constructor(vars):
+    @settings(max_examples=40, deadline=None)
+    @given(ratfuncs(vars), ratfuncs(vars))
+    def check(a, b):
+        for p in (a * b, b * a):
+            expected = RatFunc(a.num * b.num, a.den * b.den)
+            assert (p.num, p.den) == (expected.num, expected.den)
+            _assert_normalized(p)
+    check()
+
+
+@pytest.mark.parametrize("vars", PRODUCT_RINGS)
+def test_ratfunc_constant_and_zero_factors(vars):
+    z = Poly.variable(vars, "z")
+    r = RatFunc(z * z - 1, z * 3 + 2)
+    q = F(-5, 3)
+    for p in (r * q, q * r, r * RatFunc.const(vars, q), RatFunc.const(vars, q) * r):
+        assert (p.num, p.den) == (r.num.scale(q), r.den)
+    assert (r * 0).is_zero() and (0 * r).is_zero()
+    assert (r * 0).den == Poly.const(vars, 1)
+
+
+def test_ratfunc_product_still_cancels_shared_factors():
+    z, e = zvar(), evar()
+    a = RatFunc(z + 1, z + e)
+    b = RatFunc((z + e) * (z - 2), (z + 3) * (z + 1))
+    p = a * b
+    assert (p.num, p.den) == (z - 2, z + 3)
+    _assert_normalized(p)
+
+
+def test_const_queries_walk_the_rep():
+    for vars in PRODUCT_RINGS:
+        assert Poly.const(vars, F(7, 2)).const_value() == F(7, 2)
+        assert Poly.zero(vars).is_const() and Poly.zero(vars).const_value() == 0
+        z = Poly.variable(vars, "z")
+        assert not z.is_const() and not (z + 1).is_const()
+        with pytest.raises(ValueError):
+            (z + 1).const_value()
+        assert not Poly.variable(vars, vars[0]).is_const()
+    assert Poly.const((), F(3)).is_const() and Poly.const((), F(3)).const_value() == 3

@@ -145,3 +145,32 @@ def test_ring_axioms_biseries(n, k):
     assert (a + b) + c == a + (b + c)
     assert a * (b + c) == a * b + a * c
     assert (a * b) * c == a * (b * c)
+
+
+def _unit(N, K):
+    return BiSeries(((F(1),) + (F(0),) * K,) + tuple((F(0),) * (K + 1) for _ in range(N)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 4), st.integers(0, 10 ** 6), st.booleans())
+def test_invert_is_a_right_inverse(N, K, seed, sparse_eps0):
+    import random
+    rng = random.Random(seed)
+    def entry():
+        return F(rng.randint(-5, 5), rng.randint(1, 4))
+    rows = [[entry() for _ in range(K + 1)] for _ in range(N + 1)]
+    rows[0][0] = F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+    if sparse_eps0:
+        # eps^0 vanishes in every row after row 0
+        for r in rows[1:]:
+            r[0] = F(0)
+    s = BiSeries(tuple(tuple(r) for r in rows))
+    inv = s.invert()
+    assert (inv.z_order, inv.eps_order) == (N, K)
+    assert s * inv == _unit(N, K)
+
+
+def test_invert_raises_on_vanishing_eps0_of_row0():
+    s = BiSeries(((F(0), F(1)), (F(1), F(0))))
+    with pytest.raises(PoleAtEpsZero):
+        s.invert()
