@@ -22,7 +22,7 @@ from .errors import UncancelledPole, UnsupportedClass
 from .poly import Poly
 from .ratfunc import RatFunc
 from .scalars import rat
-from .series import mul_trunc
+from .series import collect, mul_trunc
 
 F = Fraction
 Word = Tuple[Fraction, ...]
@@ -172,14 +172,17 @@ class PolyLogExpr:
     __rmul__ = __mul__
 
     def series(self, N: int) -> List[Fraction]:
-        out = [F(0)] * (N + 1)
-        out[0] = self.const
+        # integer numerators per denominator, one Fraction per z^j (series.collect)
+        cells = [{} for _ in range(N + 1)]
+        if self.const:
+            cells[0][self.const.denominator] = self.const.numerator
         for w, c in self.terms.items():
-            ws = _word_series(w.letters, N)
-            for j in range(N + 1):
-                if ws[j]:
-                    out[j] += c * ws[j]
-        return out
+            n, d = c.numerator, c.denominator
+            for cell, x in zip(cells, _word_series(w.letters, N)):
+                if x:
+                    dx = d * x.denominator
+                    cell[dx] = cell.get(dx, 0) + n * x.numerator
+        return [collect(cell) for cell in cells]
 
     def __eq__(self, other):
         if not isinstance(other, PolyLogExpr):

@@ -161,6 +161,10 @@ class RatFunc:
         Returns (S, v).  Parameters other than eps must have been bound.
         """
         num_eps = _z_coeff_epspolys(self.num, K)
+        zero = EpsPoly.const(0, K)
+        if self.is_polynomial():
+            # a normalized constant denominator is 1: the series is the numerator
+            return BiSeries.from_eps_polys((num_eps + [zero] * (N + 1))[:N + 1], K), 0
         den_eps = _z_coeff_epspolys(self.den, K)
         vn = _strip_zeros(num_eps)
         vd = _strip_zeros(den_eps)
@@ -171,8 +175,8 @@ class RatFunc:
                 f"denominator {self.den} vanishes at eps=0 after removing z^{vd}")
         if not num_eps:
             return BiSeries.zeros(N, K), 0
-        num_s = BiSeries.from_eps_polys((num_eps + [EpsPoly.const(0, K)] * N)[:N + 1], K)
-        den_s = BiSeries.from_eps_polys((den_eps + [EpsPoly.const(0, K)] * N)[:N + 1], K)
+        num_s = BiSeries.from_eps_polys((num_eps + [zero] * (N + 1))[:N + 1], K)
+        den_s = BiSeries.from_eps_polys((den_eps + [zero] * (N + 1))[:N + 1], K)
         s = num_s * den_s.invert()
         v = vd - vn
         if v < 0:

@@ -467,9 +467,15 @@ def verify_reduction(result: ReductionResult, N: int = 30, K: int = 2):
 
     Returns (True, None) or (False, (j, k)) at the first mismatching
     series coefficient.  Parameters must be numeric (bind symbolic n first).
+    The z-depth is at least d + p + 2, where d is the highest z-degree of
+    the numerators of S, the R_j and the tail, and p the number of lower
+    parameters, so no term of the result lies beyond the checked orders.
     """
     if not isinstance(result.target, HyperFn):
         raise ValueError("bind symbolic parameters before verification")
+    parts = (result.s_poly,) + tuple(result.r_polys) + (result.algebraic_tail,)
+    d = max(r.num.degree() for r in parts)
+    N = max(N, d + len(result.target.lower) + 2)
     st = series_of_hyper(result.target, N, K)
     sb = series_of_hyper(result.basis, N, K)
     s_series, v = result.s_poly.to_biseries(N, K)

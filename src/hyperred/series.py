@@ -3,13 +3,16 @@
 ``EpsPoly`` is a polynomial in eps truncated at a fixed order; ``BiSeries``
 is a power series in z whose coefficients are EpsPoly values.  All entries
 are exact rationals; every operation tracks the valid truncation orders and
-mixing truncations takes the minimum.
+mixing truncations takes the minimum.  Sums of products accumulate integer
+numerators per denominator and build one Fraction per coefficient
+(``collect``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence
+from math import gcd, lcm
+from typing import Dict, List, Sequence
 
 from .errors import PoleAtEpsZero, UncancelledPole
 from .hyper import HyperFn
@@ -171,21 +174,21 @@ class BiSeries:
         if isinstance(other, EpsPoly):
             return self.mul_eps(other)
         N, K = self._common(other)
-        out = [[_ZERO] * (K + 1) for _ in range(N + 1)]
-        for j1 in range(N + 1):
-            r1 = self.rows[j1]
-            for j2 in range(N + 1 - j1):
-                r2 = other.rows[j2]
-                tgt = out[j1 + j2]
-                for k1 in range(K + 1):
-                    a = r1[k1]
-                    if a == 0:
-                        continue
-                    for k2 in range(K + 1 - k1):
-                        b = r2[k2]
-                        if b:
-                            tgt[k1 + k2] += a * b
-        return BiSeries(tuple(tuple(r) for r in out))
+        cells = [[{} for _ in range(K + 1)] for _ in range(N + 1)]
+        right = _split_rows(other.rows, N, K)
+        for j1, t1 in _split_rows(self.rows, N, K):
+            for j2, t2 in right:
+                if j1 + j2 > N:
+                    break
+                row = cells[j1 + j2]
+                for k1, n1, d1 in t1:
+                    for k2, n2, d2 in t2:
+                        if k1 + k2 > K:
+                            break
+                        cell = row[k1 + k2]
+                        d = d1 * d2
+                        cell[d] = cell.get(d, 0) + n1 * n2
+        return BiSeries(tuple(tuple(collect(c) for c in row) for row in cells))
 
     __rmul__ = __mul__
 
@@ -296,21 +299,43 @@ def series_of_hyper(f: HyperFn, N: int, K: int) -> BiSeries:
     for b in f.lower:
         if b.eps == 0 and b.const.denominator == 1 and b.const <= 0:
             raise PoleAtEpsZero(f"lower parameter {b} is a non-positive integer at eps=0")
-    term = EpsPoly.const(1, K)
-    rows = [term.coeffs]
-    kpow = Fraction(1)
+    # term j is num[k]/den at eps^k, updated in place by one linear eps factor
+    # (p0 + p1 eps)/q per parameter and reduced once per index
+    num, den = [1] + [0] * K, 1
+    rows = [tuple(Fraction(c) for c in num)]
+    kn, kd = 1, 1
     for j in range(N):
         for a in f.upper:
-            term = term * EpsPoly.from_epslin(a + j, K)
+            p0, p1, q = _integer_linear(a, j)
+            for k in range(K, 0, -1):
+                num[k] = p0 * num[k] + p1 * num[k - 1]
+            num[0] *= p0
+            den *= q
         for b in f.lower:
-            factor = EpsLin(b.const + j, b.eps)
-            if factor.const == 0:
+            p0, p1, q = _integer_linear(b, j)
+            if p0 == 0:
                 raise PoleAtEpsZero(f"lower parameter {b} hits 0 at series index {j}")
-            term = term * EpsPoly.from_epslin(factor, K).inverse()
-        term = term * Fraction(1, j + 1)
-        kpow *= f.kappa
-        rows.append((term * kpow).coeffs)
+            # o[k] = (t[k] - c1 o[k-1]) / c0, with o[k] scaled by den * p0^(k+1)
+            o = 0
+            for k in range(K + 1):
+                o = q * num[k] * p0 ** k - p1 * o
+                num[k] = o * p0 ** (K - k)
+            den *= p0 ** (K + 1)
+        den *= j + 1
+        g = gcd(den, *num)
+        if g != 1:
+            den //= g
+            num = [c // g for c in num]
+        kn, kd = kn * f.kappa.numerator, kd * f.kappa.denominator
+        rows.append(tuple(Fraction(c * kn, den * kd) for c in num))
     return BiSeries(tuple(rows))
+
+
+def _integer_linear(x: EpsLin, j: int):
+    """(p0, p1, q) in integers with x + j = (p0 + p1 eps)/q."""
+    c0, c1 = x.const + j, x.eps
+    q = lcm(c0.denominator, c1.denominator)
+    return c0.numerator * (q // c0.denominator), c1.numerator * (q // c1.denominator), q
 
 
 def compose_z_series(s: BiSeries, zser: Sequence[Fraction], M: int) -> BiSeries:
@@ -342,6 +367,25 @@ def compose_z_series(s: BiSeries, zser: Sequence[Fraction], M: int) -> BiSeries:
                 if row[k]:
                     tgt[k] += c * row[k]
     return BiSeries(tuple(tuple(r) for r in out))
+
+
+def collect(cell: Dict[int, int]) -> Fraction:
+    """The sum of n/d over a {d: n} map of integers, normalized once."""
+    if not cell:
+        return _ZERO
+    L = lcm(*cell)
+    return Fraction(sum(n * (L // d) for d, n in cell.items()), L)
+
+
+def _split_rows(rows: Sequence[Sequence[Fraction]], N: int, K: int):
+    """(j, [(k, numerator, denominator), ...]) for each nonzero row j <= N, k <= K."""
+    out = []
+    for j, r in enumerate(rows[:N + 1]):
+        t = [(k, c.numerator, c.denominator) for k, c in enumerate(r[:K + 1]) if c]
+        if not t:
+            continue
+        out.append((j, t))
+    return out
 
 
 def mul_trunc(a: Sequence[Fraction], b: Sequence[Fraction], M: int) -> List[Fraction]:

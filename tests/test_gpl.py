@@ -181,3 +181,46 @@ def test_word_series_dt_over_t_against_constant_term_raises():
     for w in ((F(0),), (F(2), F(0))):
         with pytest.raises(UncancelledPole):
             gpl._word_series(w, 6)
+
+
+# ---------------------------------------------------------------------------
+# PolyLogExpr.series: one normalization per coefficient against a per-word sum
+
+
+def _per_word_series(e, N):
+    out = [F(0)] * (N + 1)
+    out[0] = e.const
+    for w, c in e.terms.items():
+        for j, x in enumerate(gpl._word_series(w.letters, N)):
+            out[j] += c * x
+    return out
+
+
+@pytest.mark.parametrize("const", [F(0), F(-7, 3), F(5)])
+def test_polylog_series_equals_per_word_sum(const):
+    terms = {(1,): F(3, 4), (0, 1): F(-2, 9), (F(1, 2), 1): F(5), (-1, F(1, 3)): F(1, 6),
+             (0, 0, 2): F(-11, 10)}
+    e = PolyLogExpr(terms, const)
+    for N in (0, 1, 7, 30):
+        got = e.series(N)
+        assert got == _per_word_series(e, N)
+        assert all(isinstance(c, F) for c in got)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(3)]),
+                                   min_size=1, max_size=3),
+                          st.builds(F, st.integers(-9, 9), st.integers(1, 15))),
+                max_size=6),
+       st.builds(F, st.integers(-5, 5), st.integers(1, 7)))
+def test_polylog_series_equals_per_word_sum_random(words, const):
+    terms = [(w, c) for w, c in words if w[-1] != 0]
+    e = PolyLogExpr(terms, const)
+    assert e.series(12) == _per_word_series(e, 12)
+
+
+def test_polylog_series_cancels_to_zero():
+    # G(1) + G(-1) = ln(1-z) + ln(1+z) = ln(1-z^2): odd orders cancel exactly
+    got = PolyLogExpr({(1,): 1, (-1,): 1}).series(6)
+    assert got == [0, 0, -1, 0, F(-1, 2), 0, F(-1, 3)]
+    assert all(c.denominator == 1 for c in got[1::2])

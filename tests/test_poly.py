@@ -267,3 +267,37 @@ def test_const_queries_walk_the_rep():
             (z + 1).const_value()
         assert not Poly.variable(vars, vars[0]).is_const()
     assert Poly.const((), F(3)).is_const() and Poly.const((), F(3)).const_value() == 3
+
+
+def _to_biseries_by_inversion(r, N, K):
+    """Reference: numerator times the inverted series of the denominator 1."""
+    from hyperred.ratfunc import _strip_zeros, _z_coeff_epspolys
+    from hyperred.series import BiSeries, EpsPoly
+    num_eps = _z_coeff_epspolys(r.num, K)
+    vn = _strip_zeros(num_eps)
+    pad = [EpsPoly.const(0, K)] * (N + 1)
+    num_s = BiSeries.from_eps_polys((num_eps + pad)[:N + 1], K)
+    one = BiSeries.from_eps_polys(([EpsPoly.const(1, K)] + pad)[:N + 1], K)
+    return (num_s * one.invert()).mul_z_power(vn)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys(), st.integers(0, 3), st.sampled_from([(0, 0), (3, 1), (8, 2), (30, 4)]))
+def test_polynomial_to_biseries_equals_inversion_path(p, v, NK):
+    N, K = NK
+    r = RatFunc(p * zvar() ** v)
+    assert r.is_polynomial()
+    s, sv = r.to_biseries(N, K)
+    assert sv == 0 and (s.z_order, s.eps_order) == (N, K)
+    if p.is_zero():
+        assert s.is_zero()
+    else:
+        assert s.rows == _to_biseries_by_inversion(r, N, K).rows
+
+
+def test_polynomial_to_biseries_truncates_past_n():
+    # z^2 + 3 eps z^5 at N = 4: only the z^2 row survives
+    r = RatFunc(zvar() ** 2 + evar() * zvar() ** 5 * 3)
+    s, v = r.to_biseries(4, 1)
+    assert v == 0
+    assert s.rows == tuple((F(int(j == 2)), F(0)) for j in range(5))

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from hyperred.errors import NotIntegerShift, SingularStep
 from hyperred.hyper import HyperFn, SymHyperFn
+from hyperred.poly import Poly
 from hyperred.ratfunc import RatFunc
 from hyperred.reduction import (OpMatrix, ReductionResult, _clear_and_normalize,
                                 canonical_path, count_nontrivial_basis,
@@ -234,6 +235,20 @@ def test_verify_detects_corruption():
     assert not ok
     # corrupting R1 by +1 changes the theta F term, first visible at z^1
     assert mism == (1, 0)
+
+
+def test_verify_looks_past_the_degree_of_the_result():
+    # c z^40 in R0 lies beyond N = 30; the verifier must deepen to see it
+    a, b, c = EpsLin(F(2, 5), 1), EpsLin(F(1, 3), -1), EpsLin(F(3, 2), 2)
+    f = HyperFn([a, b], [c])
+    r = reduce_to_basis(HyperFn([a + 1, b], [c]), f)
+    assert verify_reduction(r, 30, 2) == (True, None)
+    z40 = RatFunc(Poly.variable(r.s_poly.vars, "z") ** 40)
+    bad_r = (r.r_polys[0] + z40 * F(3, 7),) + tuple(r.r_polys[1:])
+    bad = ReductionResult(r.target, r.basis, r.s_poly, bad_r, r.algebraic_tail, r.affine)
+    ok, mism = verify_reduction(bad, 30, 2)
+    assert not ok
+    assert mism[0] == 40
 
 
 def test_detect_exceptional_examples():

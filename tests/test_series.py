@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from hyperred.errors import PoleAtEpsZero, UncancelledPole
 from hyperred.hyper import HyperFn
 from hyperred.scalars import EpsLin
-from hyperred.series import (BiSeries, EpsPoly, compose_z_series, inv_pochhammer_eps,
-                             pochhammer_eps, series_of_hyper)
+from hyperred.series import (BiSeries, EpsPoly, collect, compose_z_series,
+                             inv_pochhammer_eps, pochhammer_eps, series_of_hyper)
 
 
 def test_pochhammer_half_plus_eps():
@@ -174,3 +174,101 @@ def test_invert_raises_on_vanishing_eps0_of_row0():
     s = BiSeries(((F(0), F(1)), (F(1), F(0))))
     with pytest.raises(PoleAtEpsZero):
         s.invert()
+
+
+# ---------------------------------------------------------------------------
+# bucketed product kernel against the dense 2-D product loop
+
+
+def _dense_mul(a, b):
+    """Reference: the dense product, one Fraction multiply-add per term."""
+    N, K = min(a.z_order, b.z_order), min(a.eps_order, b.eps_order)
+    out = [[F(0)] * (K + 1) for _ in range(N + 1)]
+    for j1 in range(N + 1):
+        for j2 in range(N + 1 - j1):
+            for k1 in range(K + 1):
+                for k2 in range(K + 1 - k1):
+                    out[j1 + j2][k1 + k2] += a.rows[j1][k1] * b.rows[j2][k2]
+    return BiSeries(tuple(tuple(r) for r in out))
+
+
+def _sparse_series(rng, N, K, zero_share):
+    def row():
+        if rng.random() < zero_share:
+            return (F(0),) * (K + 1)
+        return tuple(F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(K + 1))
+    return BiSeries(tuple(row() for _ in range(N + 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10), st.integers(0, 4), st.integers(0, 10), st.integers(0, 4),
+       st.sampled_from([0.0, 0.5, 0.8, 1.0]), st.integers(0, 10 ** 6))
+def test_mul_matches_dense_product(Na, Ka, Nb, Kb, zero_share, seed):
+    import random
+    rng = random.Random(seed)
+    a = _sparse_series(rng, Na, Ka, zero_share)
+    b = _sparse_series(rng, Nb, Kb, zero_share)
+    got = a * b
+    assert (got.z_order, got.eps_order) == (min(Na, Nb), min(Ka, Kb))
+    assert got.rows == _dense_mul(a, b).rows
+    assert (b * a).rows == got.rows
+
+
+def test_collect_empty_is_zero():
+    assert collect({}) == 0 and isinstance(collect({}), F)
+
+
+def test_collect_mixed_signs():
+    # 1/2 - 5/6 + 7/4 = 17/12
+    got = collect({2: 1, 6: -5, 4: 7})
+    assert got == F(17, 12) and (got.numerator, got.denominator) == (17, 12)
+
+
+def test_collect_cancels_to_zero():
+    # 3/6 - 2/4 = 0; unreduced keys still normalize
+    got = collect({6: 3, 4: -2})
+    assert got == 0 and got.denominator == 1
+
+
+# ---------------------------------------------------------------------------
+# series_of_hyper against the term-by-term Pochhammer product
+
+
+def _termwise_series(f, N, K):
+    rows = []
+    for j in range(N + 1):
+        t = EpsPoly.const(F(f.kappa) ** j / _factorial(j), K)
+        for a in f.upper:
+            t = t * pochhammer_eps(a, j, K)
+        for b in f.lower:
+            t = t * inv_pochhammer_eps(b, j, K)
+        rows.append(t.coeffs)
+    return BiSeries(tuple(rows))
+
+
+def _factorial(j):
+    out = 1
+    for m in range(2, j + 1):
+        out *= m
+    return out
+
+
+@pytest.mark.parametrize("kappa", [F(1), F(-1), F(1, 4), F(4)])
+@pytest.mark.parametrize("upper,lower", [
+    ([EpsLin(F(2, 5), 1), EpsLin(F(1, 3), -1)], [EpsLin(F(3, 2), 2)]),
+    ([EpsLin(0, 2), EpsLin(1), EpsLin(F(-1, 2), 3)], [EpsLin(1, -1), EpsLin(F(5, 3), F(1, 2))]),
+])
+def test_series_of_hyper_matches_termwise_product(upper, lower, kappa):
+    f = HyperFn(upper, lower, kappa=kappa)
+    for N, K in ((12, 0), (10, 3), (6, 5)):
+        assert series_of_hyper(f, N, K).rows == _termwise_series(f, N, K).rows
+
+
+@pytest.mark.parametrize("lower,j", [(EpsLin(-2, 1), 2), (EpsLin(0, F(1, 3)), 0),
+                                     (EpsLin(-4, -2), 4)])
+def test_series_of_hyper_lower_pole_index(lower, j):
+    f = HyperFn([EpsLin(F(1, 2), 1), 1], [lower])
+    with pytest.raises(PoleAtEpsZero, match=f"hits 0 at series index {j}$"):
+        series_of_hyper(f, 8, 2)
+    # the series up to index j has no pole yet
+    assert series_of_hyper(f, j, 2).rows == _termwise_series(f, j, 2).rows
