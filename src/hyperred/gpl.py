@@ -439,7 +439,7 @@ class GplCombo:
                 for extra in antis[1:]:
                     anti = anti + extra
                 # int anti' G(w) = [anti G(w)]_0^z - int anti G'(w)
-                b = _boundary_value(anti, w)
+                b = GplCombo({w: anti}, self.letters).value_at_zero()
                 _acc(out, w, anti)
                 if b != 0:
                     _acc(out, (), _rf_const(-b))
@@ -482,17 +482,3 @@ def _acc(out: Dict[Word, RatFunc], w: Word, r: RatFunc):
     if out[w].is_zero():
         del out[w]
 
-
-def _boundary_value(anti: RatFunc, w: Word) -> Fraction:
-    """lim_{t->0} anti(t) G(w; t) for anti with a possible pole at 0."""
-    _, v = anti.to_biseries(0, 0)
-    order = v + len(w) + 2
-    ws = _word_series(w, order)
-    s, v = anti.to_biseries(order, 0)
-    rc = [s.get(j, 0) for j in range(order + 1)]
-    conv = mul_trunc(rc, ws, order)
-    for j in range(v):
-        if conv[j] != 0:
-            raise UncancelledPole(
-                f"divergent boundary term ({anti}) G{w} at the origin")
-    return conv[v] if v < len(conv) else F(0)

@@ -374,14 +374,7 @@ class Poly:
 
     @classmethod
     def const(cls, vars, q):
-        q = Fraction(q)
-        d = len(vars)
-        if q == 0:
-            return cls.zero(vars)
-        rep = q
-        for _ in range(d):
-            rep = (rep,)
-        return cls(vars, rep)
+        return cls(vars, _const(len(vars), q))
 
     @classmethod
     def variable(cls, vars, name):

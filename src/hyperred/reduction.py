@@ -1,12 +1,13 @@
 """Differential reduction of hypergeometric functions to a derivative basis.
 
-An operator acting on F is reduced modulo the hypergeometric ODE to a
-vector over the basis column (F, theta F, ..., theta^(d-1) F); when the
-function carries a unit upper parameter the module becomes affine, with a
-constant slot realizing the algebraic tails of the integer-parameter case.
-Contiguous shifts are matrices over rational functions; inverse shifts
-invert those matrices, and a vanishing determinant is exactly the
-exceptional-parameter signal.
+Functions are written as vectors over the basis column (F, theta F, ...,
+theta^(d-1) F), with theta^d F brought back by the hypergeometric ODE (the
+relation row).  When the function carries a unit upper parameter the module
+becomes affine, with a constant slot realizing the algebraic tails of the
+integer-parameter case.  A contiguous step F_shifted = (1 + theta/c) F, with
+c free of z, is the matrix I + N/c, where N is theta on the basis and its
+last row is the relation row; inverse steps invert that matrix, and a
+vanishing determinant is exactly the exceptional-parameter signal.
 """
 
 from __future__ import annotations
@@ -105,16 +106,14 @@ def unit_upper_relation(fn: Hyper, skip_index: int) -> Tuple[ThetaOp, RatFunc]:
 
 
 class QuotientModule:
-    """Reduce theta-operators modulo the relations satisfied by fn.
+    """The relation that brings theta^dim F back into the basis of fn.
 
     dim is p+1 in the generic case; with ``affine`` a unit upper parameter
-    contributes an order-p inhomogeneous relation and operators get an
-    extra constant (tail) component.
+    contributes an order-p inhomogeneous relation, and theta^dim F picks
+    up a constant tail: theta^dim F = sum_i rel_vec[i] theta^i F + rel_tail.
     """
 
     def __init__(self, fn: Hyper, affine_index: Optional[int] = None):
-        self.fn = fn
-        self.vars = _ring_vars(fn)
         self.affine = affine_index is not None
         if self.affine:
             if not _is_unit_param(fn.upper[affine_index]):
@@ -123,61 +122,13 @@ class QuotientModule:
             self.dim = fn.p
         else:
             rel = ode_operator(fn)
-            const = RatFunc.const(self.vars, 0)
+            const = RatFunc.const(_ring_vars(fn), 0)
             self.dim = fn.p + 1
         lead = rel.coeff(self.dim)
         if lead.is_zero():
             raise SingularStep(f"relation for {fn} lost its leading term")
-        self._rel_vec = [-(rel.coeff(i) / lead) for i in range(self.dim)]
-        self._rel_tail = const / lead
-        self._table = None
-
-    def _reps(self, up_to: int):
-        """rep[j] = (vector, tail) expressing theta^j F over the basis."""
-        vars = self.vars
-        zero = RatFunc.const(vars, 0)
-        one = RatFunc.const(vars, 1)
-        if self._table is None:
-            base = []
-            for j in range(self.dim):
-                v = [zero] * self.dim
-                v[j] = one
-                base.append((v, zero))
-            base.append((list(self._rel_vec), self._rel_tail))
-            self._table = base
-        table = self._table
-        while len(table) <= up_to:
-            v, t = table[-1]
-            nv = [zero] * self.dim
-            nt = t.theta()
-            for i in range(self.dim):
-                nv[i] = nv[i] + v[i].theta()
-            for i in range(self.dim - 1):
-                nv[i + 1] = nv[i + 1] + v[i]
-            top = v[self.dim - 1]
-            if not top.is_zero():
-                for i in range(self.dim):
-                    nv[i] = nv[i] + top * self._rel_vec[i]
-                nt = nt + top * self._rel_tail
-            table.append((nv, nt))
-        return table
-
-    def rep_of(self, op: ThetaOp):
-        """Vector + tail of an operator acting on F."""
-        zero = RatFunc.const(self.vars, 0)
-        vec = [zero] * self.dim
-        tail = zero
-        table = self._reps(op.degree)
-        for k, c in enumerate(op.coeffs):
-            if c.is_zero():
-                continue
-            v, t = table[k]
-            for i in range(self.dim):
-                if not v[i].is_zero():
-                    vec[i] = vec[i] + c * v[i]
-            if not t.is_zero():
-                tail = tail + c * t
-        return vec, tail
+        self.rel_vec = [-(rel.coeff(i) / lead) for i in range(self.dim)]
+        self.rel_tail = const / lead
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +216,16 @@ class OpMatrix:
 # contiguous steps
 
 
-def _forward_op(fn: Hyper, which: str, index: int) -> ThetaOp:
-    """Operator Op with F_shifted = Op F, for upper+1 / lower-1 moves."""
+def _forward_matrix(fn: Hyper, which: str, index: int,
+                    affine_index: Optional[int]) -> OpMatrix:
+    """I + N/c, the matrix of F_shifted = (1 + theta/c) F for upper+1 / lower-1.
+
+    c is the upper parameter, or the lower one minus 1; it is free of z, so
+    theta^k (1 + theta/c) F = theta^k F + theta^(k+1) F / c.  N is theta on
+    the basis column: row k < dim-1 is e_(k+1), and the last row is the
+    relation row, with its tail in affine mode.
+    """
+    module = QuotientModule(fn, affine_index)
     vars = _ring_vars(fn)
     if which == "upper":
         c = _param_rf(vars, fn.upper[index])
@@ -275,23 +234,23 @@ def _forward_op(fn: Hyper, which: str, index: int) -> ThetaOp:
     if c.is_zero():
         raise SingularStep(
             f"step divisor vanishes for {which}[{index}] of {fn} (exceptional)")
-    return ThetaOp([RatFunc.const(vars, 1), 1 / c])
-
-
-def _matrix_of_op(module: QuotientModule, op: ThetaOp) -> OpMatrix:
-    """Rows k: reduction of theta^k Op; plus the affine bottom row."""
-    vars = module.vars
+    inv_c = 1 / c
+    zero = RatFunc.const(vars, 0)
+    one = RatFunc.const(vars, 1)
+    dim = module.dim
     rows = []
-    cur = op
-    for k in range(module.dim):
-        if k > 0:
-            cur = cur.theta_shift()
-        vec, tail = module.rep_of(cur)
-        rows.append(tuple(vec) + ((tail,) if module.affine else ()))
+    for k in range(dim - 1):
+        row = [zero] * (dim + module.affine)
+        row[k], row[k + 1] = one, inv_c
+        rows.append(tuple(row))
+    if dim:
+        last = [inv_c * r for r in module.rel_vec]
+        last[-1] = one + last[-1]
+        if module.affine:
+            last.append(inv_c * module.rel_tail)
+        rows.append(tuple(last))
     if module.affine:
-        zero = RatFunc.const(vars, 0)
-        one = RatFunc.const(vars, 1)
-        rows.append(tuple(zero for _ in range(module.dim)) + (one,))
+        rows.append(tuple(zero for _ in range(dim)) + (one,))
     return OpMatrix(tuple(rows), module.affine)
 
 
@@ -300,7 +259,7 @@ def step_matrix(fn: Hyper, which: str, index: int, direction: int,
     """Matrix M with basis-column(shifted fn) = M basis-column(fn).
 
     direction +1 raises the parameter, -1 lowers it.  Upper raises and
-    lower lowers are direct operator reductions; the two opposite moves
+    lower lowers are built directly as I + N/c; the two opposite moves
     invert the matrix of the reverse step, built at the shifted function.
     """
     if which not in ("upper", "lower"):
@@ -309,12 +268,9 @@ def step_matrix(fn: Hyper, which: str, index: int, direction: int,
         raise ValueError("direction must be +1 or -1")
     forward = (which == "upper") == (direction == 1)
     if forward:
-        module = QuotientModule(fn, affine_index)
-        return _matrix_of_op(module, _forward_op(fn, which, index))
+        return _forward_matrix(fn, which, index, affine_index)
     g = fn.shifted(which, index, direction)
-    module = QuotientModule(g, affine_index)
-    back = _matrix_of_op(module, _forward_op(g, which, index))
-    return back.inverse()
+    return _forward_matrix(g, which, index, affine_index).inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +467,6 @@ class ExceptionalReport:
 
     integer_uppers: Tuple[int, ...]
     pairs: Tuple[Tuple[int, int, int], ...]  # (upper index, lower index, diff)
-    equal_pairs: Tuple[Tuple[int, int], ...]
     shared_flags: Tuple[int, ...] = ()
 
     @property
@@ -541,9 +496,8 @@ def detect_exceptional(fn: HyperFn) -> ExceptionalReport:
         if best is not None:
             used_lowers.add(best[0])
             pairs.append((i, best[0], int(best[1])))
-    equal = tuple((i, l) for i, l, d in pairs if d == 0)
     shared = tuple(i for i, _, _ in pairs if i in integer_uppers)
-    return ExceptionalReport(integer_uppers, tuple(pairs), equal, shared)
+    return ExceptionalReport(integer_uppers, tuple(pairs), shared)
 
 
 def count_nontrivial_basis(fn: HyperFn) -> int:

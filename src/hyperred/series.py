@@ -196,20 +196,6 @@ class BiSeries:
         K = min(self.eps_order, e.order)
         return BiSeries(tuple(tuple(mul_trunc(r, e.coeffs, K)) for r in self.rows))
 
-    def mul_z_poly(self, coeffs: Sequence[EpsPoly]) -> "BiSeries":
-        """Multiply by sum coeffs[m] * z^m; z truncation is preserved."""
-        N, K = self.z_order, self.eps_order
-        out = [[_ZERO] * (K + 1) for _ in range(N + 1)]
-        for m, e in enumerate(coeffs):
-            if m > N or e.is_zero():
-                continue
-            ec = e.truncate(K).coeffs
-            for j in range(N + 1 - m):
-                tgt = out[j + m]
-                for k, c in enumerate(mul_trunc(self.rows[j], ec, K)):
-                    tgt[k] += c
-        return BiSeries(tuple(tuple(r) for r in out))
-
     def theta(self) -> "BiSeries":
         """z d/dz on the series."""
         return BiSeries(tuple(tuple(c * j for c in r) for j, r in enumerate(self.rows)))

@@ -15,7 +15,7 @@ from hyperred.reduction import (OpMatrix, ReductionResult, _clear_and_normalize,
                                 detect_exceptional, ode_operator, reduce_to_basis,
                                 shift_vector, step_matrix, verify_reduction)
 from hyperred.scalars import EpsLin, LinearForm
-from hyperred.series import series_of_hyper
+from hyperred.series import BiSeries, series_of_hyper
 
 V = ("eps", "z")
 
@@ -150,6 +150,54 @@ def test_row_times_matrix_is_row_of_square_product(affine_index):
     row = OpMatrix((m.row(0),), m.affine) @ n
     assert row.size == 1 and row.affine == m.affine
     assert row.row(0) == (m @ n).row(0)
+
+
+def _basis_column(fn, affine, N, K):
+    """Series of (F, theta F, ..., theta^(d-1) F), then 1 in affine mode."""
+    col = [series_of_hyper(fn, N, K)]
+    for _ in range(fn.p - (1 if affine else 0)):
+        col.append(col[-1].theta())
+    if affine:
+        col.append(BiSeries(((F(1),) + (F(0),) * K,) + ((F(0),) * (K + 1),) * N))
+    return col
+
+
+def _apply_rows(m, col, N, K):
+    """m times the column; each row is summed over its largest z pole first,
+    since single entries carry 1/z poles that cancel only in the row sum."""
+    out = []
+    for row in m.entries:
+        pieces = [(e.to_biseries(N, K), s) for e, s in zip(row, col) if not e.is_zero()]
+        v = max(ev for (_, ev), _ in pieces)
+        acc = BiSeries.zeros(N, K)
+        for (es, ev), s in pieces:
+            acc = acc + (es * s).mul_z_power(v - ev)
+        out.append(acc.div_z(v))
+    return out
+
+
+@pytest.mark.parametrize("kappa", [F(1), F(-1)], ids=["z", "-z"])
+@pytest.mark.parametrize("fn, affine_index", [
+    (HyperFn([_A, _B], [_C]), None),
+    (HyperFn([_ONE, _A, _B], [_C, _D]), 0),
+], ids=["2F1", "3F2-affine"])
+def test_every_step_matrix_maps_the_basis_column(fn, affine_index, kappa):
+    # series oracle for single steps: M column(fn) == column(shifted fn)
+    fn = HyperFn(fn.upper, fn.lower, kappa)
+    affine = affine_index is not None
+    N, K = 12, 2
+    col = _basis_column(fn, affine, N, K)
+    moves = [("upper", i) for i in range(len(fn.upper)) if i != affine_index]
+    moves += [("lower", l) for l in range(len(fn.lower))]
+    for which, index in moves:
+        for direction in (1, -1):
+            m = step_matrix(fn, which, index, direction, affine_index)
+            want = _basis_column(fn.shifted(which, index, direction), affine, N, K)
+            got = _apply_rows(m, col, N, K)
+            assert len(got) == len(want)
+            for k, (g, w) in enumerate(zip(got, want)):
+                assert g.z_order >= N - 4
+                assert g == w, (which, index, direction, k)
 
 
 def test_singular_step_determinant():

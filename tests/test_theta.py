@@ -9,7 +9,7 @@ from hyperred.hyper import HyperFn
 from hyperred.poly import Poly
 from hyperred.ratfunc import RatFunc
 from hyperred.scalars import EpsLin
-from hyperred.series import EpsPoly, series_of_hyper
+from hyperred.series import series_of_hyper
 from hyperred.theta import ThetaOp
 
 V = ("eps", "z")
@@ -97,8 +97,7 @@ def test_ode_lhs_equals_rhs_on_series():
     s = series_of_hyper(f, 15, 3)
     left_op = ThetaOp([RatFunc.from_epslin(V, a), rf(1)])
     left_op = ThetaOp([RatFunc.from_epslin(V, b), rf(1)]).compose(left_op)
-    lhs = left_op.apply(s).mul_z_poly(
-        [EpsPoly.const(0, 3), EpsPoly.const(1, 3)])
+    lhs = left_op.apply(s).mul_z_power(1)
     right_op = ThetaOp.theta(V).compose(ThetaOp([RatFunc.from_epslin(V, c - 1), rf(1)]))
     rhs = right_op.apply(s)
     assert lhs == rhs
