@@ -8,8 +8,13 @@ carry trailing zero coefficients, so structural equality is semantic
 equality.
 
 GCDs use plain Euclid for univariate reps and a primitive pseudo-remainder
-sequence for deeper ones, unless univariate images at integer points first
-prove the inputs coprime.  Everything is immutable and exact.
+sequence for deeper ones.  In front of both sits one coprimality
+certificate: univariate images at integer points, computed mod the prime
+p = 2^61 - 1 and compared by a mod-p Euclid, can prove the inputs coprime.
+With several variables, a certificate that fails on the inputs runs again
+on their primitive parts, so a common factor that lives only in the
+contents (an eps-only factor, say) costs a content gcd, not a PRS.
+Everything is immutable and exact.
 """
 
 from __future__ import annotations
@@ -228,7 +233,7 @@ def _content(a, d):
     c = _zero(d - 1)
     for coeff in a:
         c = _gcd(c, coeff, d - 1)
-        if d - 1 == 0 and c == 1:
+        if _const_rep_value(c, d - 1) == 1:
             break
     return c
 
@@ -240,53 +245,87 @@ def _rat_gcd(a: Fraction, b: Fraction) -> Fraction:
 
 
 _PROBES = (2, 3, 5, 7)
+_P = (1 << 61) - 1      # the Mersenne prime 2^61 - 1
 
 
-def _deg_in(rep, d, k):
-    """Degree in variable k (0-based, the top variable is d-1); -1 if zero."""
-    if d - 1 == k:
-        return len(rep) - 1
-    return max((_deg_in(c, d - 1, k) for c in rep), default=-1)
+def _terms_mod_p(rep, d):
+    """(exponents, coefficient mod _P) of each term; None if _P divides a denominator.
+
+    A coefficient divisible by _P stays in the list as 0, so the exponents
+    still give the degrees over Q.
+    """
+    out = {}
+    _to_terms(rep, d, (), out)
+    terms = []
+    for exps, q in out.items():
+        den = q.denominator
+        if den % _P == 0:
+            return None
+        c = q.numerator if den == 1 else q.numerator * pow(den, -1, _P)
+        terms.append((exps, c % _P))
+    return terms
 
 
-def _eval_at(rep, d, x):
-    """Value of a rep with every variable set to x."""
-    if d == 0:
-        return rep
-    acc = _ZERO
-    for c in reversed(rep):
-        acc = acc * x + _eval_at(c, d - 1, x)
-    return acc
+def _image_mod_p(terms, k, x, deg):
+    """Coefficients mod _P of the image in variable k, every other variable set to x."""
+    pw = [1]
+    for _ in range(max(sum(e) for e, _ in terms)):
+        pw.append(pw[-1] * x)
+    out = [0] * (deg + 1)
+    for exps, c in terms:
+        e = exps[k]
+        out[e] += c * pw[sum(exps) - e]
+    return [c % _P for c in out]
 
 
-def _image_in(rep, d, k, x):
-    """Univariate rep in variable k, every other variable set to x."""
-    if d - 1 == k:
-        return _trim(tuple(_eval_at(c, d - 1, x) for c in rep), 1)
-    acc = ()
-    for c in reversed(rep):
-        acc = _add(_scale(acc, Fraction(x), 1), _image_in(c, d - 1, k, x), 1)
-    return acc
+def _rem_mod_p(a, b):
+    """Remainder of a by b in F_p[x]; both lists end in a nonzero coefficient."""
+    r = list(a)
+    inv = pow(b[-1], -1, _P)
+    n = len(b)
+    while len(r) >= n:
+        c = r[-1] * inv % _P
+        off = len(r) - n
+        for i in range(n - 1):
+            r[off + i] = (r[off + i] - c * b[i]) % _P
+        r.pop()
+        while r and not r[-1]:
+            r.pop()
+    return r
 
 
 def _coprime_certified(a, b, d):
-    """True if specializations prove gcd(a, b) is a unit; False is no verdict.
+    """True if images in Z/p prove gcd(a, b) is a unit; False is no verdict.
 
-    A common factor g of positive degree in x has lc_x(g) | lc_x(a), so its
-    image keeps that degree wherever a keeps its x-degree, and then divides
-    both images.  Image gcds of 1 in every shared variable rule g out.
+    Let g be a common factor of positive degree in variable x.  Scale it to
+    be primitive over Z localized at p.  Every denominator of a and b is
+    prime to p, so by Gauss's lemma the cofactors a/g and b/g have no p in
+    their denominators either, and reduction mod p followed by setting the
+    other variables to a probe is a ring map that keeps a = g (a/g).  Where
+    the image of a keeps its x-degree over Q, the degrees of the images of
+    g and a/g cannot drop, so the image of g has positive degree and
+    divides both images.  A constant mod-p gcd of the images in every
+    variable that both inputs contain therefore rules g out.  A denominator
+    divisible by p, or an image whose leading coefficient vanishes mod p at
+    every probe, gives no verdict.
     """
+    ta, tb = _terms_mod_p(a, d), _terms_mod_p(b, d)
+    if ta is None or tb is None:
+        return False
     for k in range(d):
-        da, db = _deg_in(a, d, k), _deg_in(b, d, k)
+        da = max(e[k] for e, _ in ta)
+        db = max(e[k] for e, _ in tb)
         if da == 0 or db == 0:
             continue
         for x in _PROBES:
-            ia, ib = _image_in(a, d, k, x), _image_in(b, d, k, x)
-            if _degree(ia) == da and _degree(ib) == db:
+            ia, ib = _image_mod_p(ta, k, x, da), _image_mod_p(tb, k, x, db)
+            if ia[-1] and ib[-1]:
                 break
         else:
             return False
-        if _degree(_gcd(ia, ib, 1)) > 0:
+        while len(ib) > 1:
+            ia, ib = ib, _rem_mod_p(ia, ib)
+        if not ib:
             return False
     return True
 
@@ -303,6 +342,8 @@ def _gcd(a, b, d):
         return _unit_normalize(b, d)
     if _is_zero(b, d):
         return _unit_normalize(a, d)
+    if _coprime_certified(a, b, d):
+        return _const(d, 1)
     if d == 1:
         # Euclid over Q, remainders kept monic to control coefficient growth
         x, y = a, b
@@ -313,12 +354,12 @@ def _gcd(a, b, d):
                 r = tuple(c / lead for c in r)
             x, y = y, r
         return _unit_normalize(x, d)
-    if _coprime_certified(a, b, d):
-        return _const(d, 1)
     ca, cb = _content(a, d), _content(b, d)
     pa = _exact_div_elem(a, ca, d)
     pb = _exact_div_elem(b, cb, d)
     cg = _gcd(ca, cb, d - 1)
+    if _coprime_certified(pa, pb, d):
+        return _unit_normalize((cg,), d)
     if _degree(pa) < _degree(pb):
         pa, pb = pb, pa
     while not _is_zero(pb, d):

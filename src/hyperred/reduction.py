@@ -270,7 +270,14 @@ def step_matrix(fn: Hyper, which: str, index: int, direction: int,
     if forward:
         return _forward_matrix(fn, which, index, affine_index)
     g = fn.shifted(which, index, direction)
-    return _forward_matrix(g, which, index, affine_index).inverse()
+    reverse = _forward_matrix(g, which, index, affine_index)
+    try:
+        return reverse.inverse()
+    except SingularStep as exc:
+        value = (fn.upper if which == "upper" else fn.lower)[index]
+        raise SingularStep(
+            f"contiguous-shift matrix is singular for step {which}[{index}] {direction:+d}"
+            f" of {fn}, where {which}[{index}] = {value} (exceptional parameters)") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -337,22 +337,31 @@ def compose_z_series(s: BiSeries, zser: Sequence[Fraction], M: int) -> BiSeries:
     v = next((i for i, c in enumerate(zs) if c != 0), M + 1)
     if v >= 1 and s.z_order * v < M:
         raise ValueError(f"need z order >= {-(-M // v)} to compose to order {M}")
-    out = [[_ZERO] * (K + 1) for _ in range(M + 1)]
-    power = [Fraction(1)] + [_ZERO] * M
+    # z^j is power[i] / pd at xi^i, kept as integers over D^j
+    D = lcm(*(c.denominator for c in zs))
+    zn = [(i, c.numerator * (D // c.denominator)) for i, c in enumerate(zs) if c]
+    power, pd = [1] + [0] * M, 1
+    rows = dict(_split_rows(s.rows, s.z_order, K))
+    cells = [[{} for _ in range(K + 1)] for _ in range(M + 1)]
     for j in range(s.z_order + 1):
         if j > 0:
-            power = mul_trunc(power, zs, M)
-            if all(c == 0 for c in power):
+            nxt = [0] * (M + 1)
+            for a, p in enumerate(power):
+                if p:
+                    for b, n in zn:
+                        if a + b > M:
+                            break
+                        nxt[a + b] += p * n
+            power, pd = nxt, pd * D
+            if not any(power):
                 break
-        row = s.rows[j]
-        for i, c in enumerate(power):
-            if c == 0:
-                continue
-            tgt = out[i]
-            for k in range(K + 1):
-                if row[k]:
-                    tgt[k] += c * row[k]
-    return BiSeries(tuple(tuple(r) for r in out))
+        for k, n, d in rows.get(j, ()):
+            d *= pd
+            for i, p in enumerate(power):
+                if p:
+                    cell = cells[i][k]
+                    cell[d] = cell.get(d, 0) + p * n
+    return BiSeries(tuple(tuple(collect(c) for c in row) for row in cells))
 
 
 def collect(cell: Dict[int, int]) -> Fraction:

@@ -6,11 +6,11 @@ from fractions import Fraction as F
 import pytest
 
 from hyperred.errors import CriterionViolation, DegeneratePoles
-from hyperred.mb import (MBRepr, canonicalize_raw, check_dim, count_master_integrals,
-                         dressed_propagator_shift, family_series, get_preset,
-                         mb_to_hyper, raw_v1200)
+from hyperred.mb import (MBRepr, check_dim, count_master_integrals,
+                         dressed_propagator_shift, get_preset, mb_to_hyper)
 from hyperred.scalars import EpsLin, LinearForm
 from hyperred.series import series_of_hyper
+from mb_reference import canonicalize_raw, family_series, raw_v1200
 
 
 def _sorted_forms(forms):

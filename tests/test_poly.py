@@ -128,7 +128,7 @@ def test_ratfunc_ring_axioms(a, b, c):
 # coprimality certificate in front of the primitive PRS
 
 
-RINGS = [("eps", "z"), ("n", "z"), ("n", "eps", "z")]
+RINGS = [("z",), ("eps", "z"), ("n", "z"), ("n", "eps", "z")]
 
 
 @st.composite
@@ -144,7 +144,7 @@ def _monic(p):
 
 
 def _prs_gcd(a, b, monkeypatch):
-    """gcd with the certificate switched off: the primitive PRS alone."""
+    """gcd with the certificate switched off: the primitive PRS, or Euclid at depth 1."""
     with monkeypatch.context() as m:
         m.setattr(poly_mod, "_coprime_certified", lambda a, b, d: False)
         return a.gcd(b)
@@ -199,6 +199,87 @@ def test_certificate_falls_back_when_every_probe_drops_a_degree():
     # a shared factor behind the same vanishing leading coefficient is kept
     c = z * z + e
     assert (a * c).gcd(b * c) == c
+
+
+def _forbid(monkeypatch, name):
+    def refuse(*args):
+        raise AssertionError(f"{name} ran although the certificate should decide")
+    monkeypatch.setattr(poly_mod, name, refuse)
+
+
+def test_certificate_on_primitive_parts_settles_an_eps_content(monkeypatch):
+    z, e = zvar(), evar()
+    a, b = (e - 1) * (z + 1), (e - 1) * (z + 2)
+    _forbid(monkeypatch, "_prem")
+    assert a.gcd(b) == e - 1
+
+
+eps_only = st.builds(
+    lambda terms: Poly.from_terms(V, {(i, 0): q for i, q in terms.items()}),
+    st.dictionaries(st.integers(0, 2), rationals.filter(bool), min_size=1, max_size=3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ring_polys(V), ring_polys(V), eps_only, eps_only)
+def test_gcd_with_eps_contents_matches_prs(r, s, c, c2):
+    # z^3 + r is monic in z, so primitive: the eps-contents are c and c2
+    a, b = zvar() ** 3 + r, zvar() ** 3 + s
+    with pytest.MonkeyPatch.context() as m:
+        g = (c * a).gcd(c2 * b)
+        assert g == _prs_gcd(c * a, c2 * b, m)
+        assert g == _monic(c.gcd(c2) * _prs_gcd(a, b, m))
+
+
+def test_primitive_parts_sharing_a_z_factor_still_run_the_prs(monkeypatch):
+    z, e = zvar(), evar()
+    shared = z + e
+    a, b = (e - 1) * (e + 2) * shared * (z + 1), (e - 1) * shared * (z + 2)
+    prem = poly_mod._prem
+    calls = []
+    monkeypatch.setattr(poly_mod, "_prem", lambda *args: calls.append(1) or prem(*args))
+    assert a.gcd(b) == (e - 1) * shared
+    assert calls
+
+
+P = poly_mod._P
+
+
+@pytest.mark.parametrize("vars", [("z",), ("eps", "z")])
+def test_certificate_mod_p_unlucky_prime(vars):
+    z = Poly.variable(vars, "z")
+    a, b = z, z + P                 # the same image mod p
+    assert not _certified(a, b)
+    assert a.gcd(b) == 1
+
+
+@pytest.mark.parametrize("vars", [("z",), ("eps", "z")])
+def test_certificate_mod_p_refuses_denominators_divisible_by_p(vars):
+    # treating 1/p as 0 mod p would leave the coprime images z^2 + 1, z^2 + 2
+    z = Poly.variable(vars, "z")
+    g = z + F(1, P)
+    a, b = g * (z + P), g * (z + 2 * P)
+    assert not _certified(a, b)
+    assert a.gcd(b) == g
+
+
+@pytest.mark.parametrize("vars", [("z",), ("eps", "z")])
+def test_certificate_mod_p_refuses_leading_coefficients_divisible_by_p(vars):
+    # a = p z^2 + (2p+1) z + 2: mod p the shared factor p z + 1 becomes a unit
+    z = Poly.variable(vars, "z")
+    g = z * P + 1
+    a, b = g * (z + 2), g * (z + 3)
+    assert not _certified(a, b)
+    assert a.gcd(b) == _monic(g)
+
+
+def test_depth_one_certificate_skips_euclid(monkeypatch):
+    z = Poly.variable(("z",), "z")
+    a, b = z * z + 1, (z + 1) * (z - F(1, 3))
+    assert not _certified(a * (z + 5), b * (z + 5))
+    assert (a * (z + 5)).gcd(b * (z + 5)) == z + 5
+    assert _certified(a, b)
+    _forbid(monkeypatch, "_divmod_uni")
+    assert a.gcd(b) == 1
 
 
 # ---------------------------------------------------------------------------

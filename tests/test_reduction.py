@@ -204,8 +204,27 @@ def test_singular_step_determinant():
     # raising the lower parameter of 2F1(1,b;1;z) inverts a matrix whose
     # determinant carries the factor (c-1-a)(c-1-b) -> 0 at a=1, c=2
     f = HyperFn([EpsLin(1), EpsLin(F(1, 3), -1)], [EpsLin(1)])
-    with pytest.raises(SingularStep):
+    with pytest.raises(SingularStep, match=r"step lower\[0\] \+1 of .*, where lower\[0\] = 1 "):
         step_matrix(f, "lower", 0, 1)
+
+
+def test_singular_step_names_step_function_and_parameter():
+    """Term 1 of @c1 at binding (1,2,1): the canonical path's first step,
+    upper[1] -1, inverts a singular matrix (upper and lower n/2 - 1 cancel)."""
+    from hyperred.grammar import parse_input
+    from hyperred.mb import mb_to_hyper
+    preset = parse_input("@c1")
+    powers = [s for s in preset.symbols if s != "n"]
+    fn = mb_to_hyper(preset.mb).terms[1].fn
+
+    def bound(values):
+        return SymHyperFn([u.bind(values) for u in fn.upper],
+                          [l.bind(values) for l in fn.lower], fn.kappa, fn.var)
+    target, basis = bound(dict(zip(powers, (1, 2, 1)))), bound(dict.fromkeys(powers, 1))
+    with pytest.raises(SingularStep, match=(
+            r"singular for step upper\[1\] -1 of 3F2\[1, n/2-1, n/2-1; n-2, n/2-1; "
+            r"\(-1\)\*y\], where upper\[1\] = n/2-1")):
+        reduce_to_basis(target, basis)
 
 
 def test_singular_zero_divisor():

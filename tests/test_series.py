@@ -9,7 +9,8 @@ from hyperred.errors import PoleAtEpsZero, UncancelledPole
 from hyperred.hyper import HyperFn
 from hyperred.scalars import EpsLin
 from hyperred.series import (BiSeries, EpsPoly, collect, compose_z_series,
-                             inv_pochhammer_eps, pochhammer_eps, series_of_hyper)
+                             inv_pochhammer_eps, mul_trunc, pochhammer_eps,
+                             series_of_hyper)
 
 
 def test_pochhammer_half_plus_eps():
@@ -228,6 +229,46 @@ def test_collect_cancels_to_zero():
     # 3/6 - 2/4 = 0; unreduced keys still normalize
     got = collect({6: 3, 4: -2})
     assert got == 0 and got.denominator == 1
+
+
+# ---------------------------------------------------------------------------
+# compose_z_series against the per-term Fraction loop
+
+
+def _compose_by_terms(s, zser, M):
+    """Reference: one Fraction multiply-add per (power coefficient, row entry)."""
+    K = s.eps_order
+    zs = list(zser[:M + 1]) + [F(0)] * max(0, M + 1 - len(zser))
+    out = [[F(0)] * (K + 1) for _ in range(M + 1)]
+    power = [F(1)] + [F(0)] * M
+    for j in range(s.z_order + 1):
+        if j > 0:
+            power = mul_trunc(power, zs, M)
+            if all(c == 0 for c in power):
+                break
+        row = s.rows[j]
+        for i, c in enumerate(power):
+            if c == 0:
+                continue
+            for k in range(K + 1):
+                if row[k]:
+                    out[i][k] += c * row[k]
+    return tuple(tuple(r) for r in out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 3), st.integers(1, 3), st.integers(0, 12),
+       st.sampled_from([0.0, 0.5, 0.8]), st.booleans(), st.integers(0, 10 ** 6))
+def test_compose_z_series_matches_per_term_loop(N, K, v, M, zero_share, integral, seed):
+    import random
+    rng = random.Random(seed)
+    s = _sparse_series(rng, N, K, zero_share)
+    M = min(M, N * v)
+    zser = [F(0)] * v + [F(rng.randint(-4, 4), 1 if integral else rng.randint(1, 6))
+                         for _ in range(rng.randint(0, M + 1))]
+    if len(zser) > v:
+        zser[v] = zser[v] or F(1)
+    assert compose_z_series(s, zser, M).rows == _compose_by_terms(s, zser, M)
 
 
 # ---------------------------------------------------------------------------
