@@ -20,8 +20,7 @@ from .reduction import (ExceptionalReport, OpMatrix, ReductionResult,
                         count_nontrivial_basis, detect_exceptional, ode_operator,
                         reduce_to_basis, step_matrix, verify_reduction)
 from .scalars import EpsLin, LinearForm
-from .series import (BiSeries, EpsPoly, inv_pochhammer_eps, pochhammer_eps,
-                     series_of_hyper)
+from .series import BiSeries, inv_pochhammer_eps, pochhammer_eps, series_of_hyper
 from .theta import ThetaOp
 
 __version__ = "0.1.0"

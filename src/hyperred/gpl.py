@@ -227,13 +227,6 @@ def rf_monomial(a: Fraction, power: int) -> RatFunc:
     return out if power >= 0 else _rf_const(1) / out
 
 
-def _poly_coeffs(p: Poly) -> List[Fraction]:
-    out = [F(0)] * (p.degree() + 1) if not p.is_zero() else []
-    for exps, q in p.terms().items():
-        out[exps[0]] = q
-    return out
-
-
 def _coeffs_eval(coeffs, a):
     acc = F(0)
     for c in reversed(coeffs):
@@ -261,8 +254,8 @@ def partial_fractions(r: RatFunc, letters: Sequence[Fraction]):
     raises UnsupportedClass.
     """
     roots = sorted(set([F(0)] + [rat(a) for a in letters]))
-    num = _poly_coeffs(r.num)
-    den = _poly_coeffs(r.den)
+    num = list(r.num.rep)
+    den = list(r.den.rep)
     # polynomial part by long division
     poly = [F(0)] * max(0, len(num) - len(den) + 1)
     rem = list(num)
@@ -393,8 +386,8 @@ class GplCombo:
     def series(self, N: int) -> List[Fraction]:
         out = [F(0)] * (N + 1)
         for w, r in self.data.items():
-            _, v = r.to_biseries(0, 0)
-            s, v = r.to_biseries(N + v, 0)
+            # v <= deg(den), so the series to N + deg(den) covers N + v
+            s, v = r.to_biseries(N + r.den.degree(), 0)
             rc = [s.get(j, 0) for j in range(N + v + 1)]
             ws = _word_series(w, N + v)
             conv = mul_trunc(rc, ws, N + v)

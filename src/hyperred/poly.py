@@ -452,12 +452,6 @@ class Poly:
             return 0 if self.rep else -1
         return _degree(self.rep)
 
-    def top_coeffs(self):
-        """Coefficients of powers of the top variable, as Polys."""
-        if self.d == 0:
-            raise ValueError("no variables")
-        return [Poly(self.vars[:-1], c) for c in self.rep]
-
     def lead_fraction(self) -> Fraction:
         return _lead_fraction(self.rep, self.d)
 

@@ -12,9 +12,10 @@ from fractions import Fraction
 from .errors import PoleAtEpsZero
 from .poly import Poly
 from .scalars import EpsLin
-from .series import BiSeries, EpsPoly
+from .series import BiSeries
 
 _Z = "z"
+_ZERO = Fraction(0)
 
 
 class RatFunc:
@@ -159,25 +160,19 @@ class RatFunc:
         """Expand as z^(-v) * S with S a BiSeries valid to z-order N.
 
         Returns (S, v).  Parameters other than eps must have been bound.
+        The z-valuations are those of the exact coefficients, so a lowest
+        denominator row that vanishes at eps = 0 raises PoleAtEpsZero even
+        when its eps terms all lie above eps^K.
         """
-        num_eps = _z_coeff_epspolys(self.num, K)
-        zero = EpsPoly.const(0, K)
         if self.is_polynomial():
             # a normalized constant denominator is 1: the series is the numerator
-            return BiSeries.from_eps_polys((num_eps + [zero] * (N + 1))[:N + 1], K), 0
-        den_eps = _z_coeff_epspolys(self.den, K)
-        vn = _strip_zeros(num_eps)
-        vd = _strip_zeros(den_eps)
-        if not den_eps:
-            raise ZeroDivisionError("zero denominator")
-        if den_eps[0].coeffs[0] == 0:
+            return _z_rows(self.num, 0, N, K), 0
+        vn, vd = _valuation(self.num), _valuation(self.den)
+        den = _z_rows(self.den, vd, N, K)
+        if den.rows[0][0] == 0:
             raise PoleAtEpsZero(
                 f"denominator {self.den} vanishes at eps=0 after removing z^{vd}")
-        if not num_eps:
-            return BiSeries.zeros(N, K), 0
-        num_s = BiSeries.from_eps_polys((num_eps + [zero] * (N + 1))[:N + 1], K)
-        den_s = BiSeries.from_eps_polys((den_eps + [zero] * (N + 1))[:N + 1], K)
-        s = num_s * den_s.invert()
+        s = _z_rows(self.num, vn, N, K) * den.invert()
         v = vd - vn
         if v < 0:
             s = s.mul_z_power(-v)
@@ -211,29 +206,22 @@ def _lead_normalized(num: Poly, den: Poly) -> RatFunc:
     return RatFunc(num, den, _normalized=True)
 
 
-def _z_coeff_epspolys(p: Poly, K: int):
-    """z-coefficients of p as EpsPoly values (vars must be within eps, z)."""
-    extra = [v for v in p.vars[:-1] if v != "eps"]
+def _valuation(p: Poly) -> int:
+    """Lowest power of z with a nonzero coefficient in a nonzero p."""
+    return next(j for j, c in enumerate(p.rep) if c)
+
+
+def _z_rows(p: Poly, v: int, N: int, K: int) -> BiSeries:
+    """The coefficients of z^v .. z^(v+N) in p as rows of eps^0 .. eps^K.
+
+    For vars (eps, z) each z-coefficient in the rep already is the tuple of
+    its eps-coefficients; for vars (z,) it is a single rational.
+    """
+    extra = [x for x in p.vars[:-1] if x != "eps"]
     if extra:
         raise ValueError(f"unbound parameters {extra}; substitute them before expanding")
-    if p.is_zero():
-        return []
-    out = []
-    for c in (p.top_coeffs() if p.vars[-1] == _Z else [p]):
-        coeffs = [Fraction(0)] * (K + 1)
-        for exps, q in c.terms().items():
-            k = exps[0] if c.vars else 0
-            if k <= K:
-                coeffs[k] = q
-        out.append(EpsPoly(coeffs))
-    return out
-
-
-def _strip_zeros(polys):
-    v = 0
-    while polys and polys[0].is_zero():
-        polys.pop(0)
-        v += 1
-    return v
-
-
+    rows = []
+    for c in p.rep[v:v + N + 1]:
+        c = c[:K + 1] if p.d == 2 else (c,)
+        rows.append(c + (_ZERO,) * (K + 1 - len(c)))
+    return BiSeries(rows + [(_ZERO,) * (K + 1)] * (N + 1 - len(rows)))

@@ -1,11 +1,12 @@
 """Truncated power-series arithmetic: the verification oracle's currency.
 
-``EpsPoly`` is a polynomial in eps truncated at a fixed order; ``BiSeries``
-is a power series in z whose coefficients are EpsPoly values.  All entries
-are exact rationals; every operation tracks the valid truncation orders and
-mixing truncations takes the minimum.  Sums of products accumulate integer
-numerators per denominator and build one Fraction per coefficient
-(``collect``).
+A polynomial in eps truncated at eps^K is a plain tuple of K + 1 exact
+rationals, index k holding the eps^k coefficient.  ``mul_trunc`` is the one
+truncated product of such tuples and ``inv_trunc`` the one truncated
+inverse.  ``BiSeries`` is a power series in z whose rows are such tuples;
+every operation tracks the valid truncation orders and mixing truncations
+takes the minimum.  Sums of products accumulate integer numerators per
+denominator and build one Fraction per coefficient (``collect``).
 """
 
 from __future__ import annotations
@@ -19,88 +20,6 @@ from .hyper import HyperFn
 from .scalars import EpsLin, rat
 
 _ZERO = Fraction(0)
-
-
-class EpsPoly:
-    """Truncated polynomial in eps; coeffs[k] is the eps^k coefficient."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[Fraction]):
-        object.__setattr__(self, "coeffs", tuple(rat(c) for c in coeffs))
-
-    def __setattr__(self, *a):
-        raise AttributeError("EpsPoly is immutable")
-
-    @classmethod
-    def const(cls, q, K: int):
-        return cls((rat(q),) + (_ZERO,) * K)
-
-    @classmethod
-    def from_epslin(cls, x: EpsLin, K: int):
-        if K == 0:
-            return cls((x.const,))
-        return cls((x.const, x.eps) + (_ZERO,) * (K - 1))
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def truncate(self, K: int) -> "EpsPoly":
-        if K >= self.order:
-            return self
-        return EpsPoly(self.coeffs[:K + 1])
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __add__(self, other):
-        K = min(self.order, other.order)
-        return EpsPoly(tuple(self.coeffs[k] + other.coeffs[k] for k in range(K + 1)))
-
-    def __sub__(self, other):
-        K = min(self.order, other.order)
-        return EpsPoly(tuple(self.coeffs[k] - other.coeffs[k] for k in range(K + 1)))
-
-    def __neg__(self):
-        return EpsPoly(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = rat(other)
-            return EpsPoly(tuple(c * q for c in self.coeffs))
-        return EpsPoly(mul_trunc(self.coeffs, other.coeffs, min(self.order, other.order)))
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "EpsPoly":
-        """Multiplicative inverse as a truncated series in eps."""
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise PoleAtEpsZero(f"inverting {self} whose eps^0 part vanishes")
-        K = self.order
-        out = [_ZERO] * (K + 1)
-        out[0] = 1 / c0
-        for k in range(1, K + 1):
-            s = _ZERO
-            for i in range(1, k + 1):
-                s += self.coeffs[i] * out[k - i]
-            out[k] = -s / c0
-        return EpsPoly(out)
-
-    def __eq__(self, other):
-        if not isinstance(other, EpsPoly):
-            return NotImplemented
-        K = min(self.order, other.order)
-        return self.coeffs[:K + 1] == other.coeffs[:K + 1]
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __str__(self):
-        return " + ".join(f"{c}*eps^{k}" for k, c in enumerate(self.coeffs) if c) or "0"
-
-    __repr__ = __str__
 
 
 class BiSeries:
@@ -129,11 +48,6 @@ class BiSeries:
     @classmethod
     def zeros(cls, N: int, K: int):
         return cls(tuple((_ZERO,) * (K + 1) for _ in range(N + 1)))
-
-    @classmethod
-    def from_eps_polys(cls, polys: Sequence[EpsPoly], K: int):
-        return cls(tuple(p.truncate(K).coeffs + (_ZERO,) * (K - min(K, p.order))
-                         for p in polys))
 
     def get(self, j: int, k: int) -> Fraction:
         return self.rows[j][k]
@@ -171,8 +85,6 @@ class BiSeries:
         if isinstance(other, (int, Fraction)):
             q = rat(other)
             return BiSeries(tuple(tuple(c * q for c in r) for r in self.rows))
-        if isinstance(other, EpsPoly):
-            return self.mul_eps(other)
         N, K = self._common(other)
         cells = [[{} for _ in range(K + 1)] for _ in range(N + 1)]
         right = _split_rows(other.rows, N, K)
@@ -191,10 +103,6 @@ class BiSeries:
         return BiSeries(tuple(tuple(collect(c) for c in row) for row in cells))
 
     __rmul__ = __mul__
-
-    def mul_eps(self, e: EpsPoly) -> "BiSeries":
-        K = min(self.eps_order, e.order)
-        return BiSeries(tuple(tuple(mul_trunc(r, e.coeffs, K)) for r in self.rows))
 
     def theta(self) -> "BiSeries":
         """z d/dz on the series."""
@@ -222,7 +130,7 @@ class BiSeries:
         """1/series; the z^0 coefficient must be invertible in eps."""
         N, K = self.z_order, self.eps_order
         rows = self.rows
-        c0 = EpsPoly(rows[0]).inverse().coeffs
+        c0 = inv_trunc(rows[0], K)
         out = [c0]
         for j in range(1, N + 1):
             s = [_ZERO] * (K + 1)
@@ -240,9 +148,6 @@ class BiSeries:
             return NotImplemented
         N, K = self._common(other)
         return all(self.rows[j][:K + 1] == other.rows[j][:K + 1] for j in range(N + 1))
-
-    def __hash__(self):
-        return hash(self.rows)
 
     def first_mismatch(self, other):
         """Lowest (j, k) where the two series differ, or None."""
@@ -263,21 +168,21 @@ class BiSeries:
 # Pochhammer machinery and the hypergeometric series oracle
 
 
-def pochhammer_eps(x: EpsLin, j: int, K: int) -> EpsPoly:
+def pochhammer_eps(x: EpsLin, j: int, K: int) -> tuple:
     """(x)_j = prod_{m<j} (x.const + m + x.eps*eps), truncated at eps^K."""
-    out = EpsPoly.const(1, K)
+    out = (Fraction(1),) + (_ZERO,) * K
     for m in range(j):
-        out = out * EpsPoly.from_epslin(x + m, K)
+        out = tuple(mul_trunc(out, (x.const + m, x.eps), K))
     return out
 
 
-def inv_pochhammer_eps(x: EpsLin, j: int, K: int) -> EpsPoly:
+def inv_pochhammer_eps(x: EpsLin, j: int, K: int) -> tuple:
     """1/(x)_j truncated at eps^K; raises PoleAtEpsZero on vanishing factors."""
     for m in range(j):
         if x.const + m == 0:
             raise PoleAtEpsZero(
                 f"({x})_{j} vanishes at eps=0 (factor m={m}); inverse has an eps pole")
-    return pochhammer_eps(x, j, K).inverse()
+    return tuple(inv_trunc(pochhammer_eps(x, j, K), K))
 
 
 def series_of_hyper(f: HyperFn, N: int, K: int) -> BiSeries:
@@ -392,4 +297,19 @@ def mul_trunc(a: Sequence[Fraction], b: Sequence[Fraction], M: int) -> List[Frac
                 y = b[j]
                 if y:
                     out[i + j] += x * y
+    return out
+
+
+def inv_trunc(a: Sequence[Fraction], M: int) -> List[Fraction]:
+    """Inverse of a coefficient list as a series, truncated after index M."""
+    c0 = a[0]
+    if c0 == 0:
+        raise PoleAtEpsZero(f"inverting ({', '.join(map(str, a))}) whose constant term vanishes")
+    out = [1 / c0]
+    for k in range(1, M + 1):
+        s = _ZERO
+        for i in range(1, min(k, len(a) - 1) + 1):
+            if a[i]:
+                s += a[i] * out[k - i]
+        out.append(-s / c0)
     return out

@@ -15,7 +15,7 @@ from typing import Mapping, Tuple
 
 from hyperred.mb import MBRepr, _c, _j, _n
 from hyperred.scalars import EpsLin, LinearForm
-from hyperred.series import BiSeries, EpsPoly, pochhammer_eps
+from hyperred.series import BiSeries, inv_trunc, mul_trunc, pochhammer_eps
 
 
 def family_series(m: MBRepr, k: int, bindings: Mapping[str, int],
@@ -38,12 +38,12 @@ def family_series(m: MBRepr, k: int, bindings: Mapping[str, int],
     rows = []
     fact = F(1)
     for j in range(N + 1):
-        num = EpsPoly.const(arg ** j, K) * F(1, fact)
+        num = (arg ** j * F(1, fact),) + (F(0),) * K
         for u in ups:
-            num = num * pochhammer_eps(u, j, K)
+            num = mul_trunc(num, pochhammer_eps(u, j, K), K)
         for l in los:
-            num = num * pochhammer_eps(l, j, K).inverse()
-        rows.append(num.coeffs)
+            num = mul_trunc(num, inv_trunc(pochhammer_eps(l, j, K), K), K)
+        rows.append(num)
         fact *= j + 1
     return BiSeries(tuple(rows))
 

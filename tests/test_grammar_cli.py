@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,7 @@ from hyperred.errors import ParseError
 from hyperred.grammar import format_mb, parse_hyper, parse_input
 from hyperred.hyper import HyperFn
 from hyperred.mb import DiagramPreset, get_preset
+from hyperred.poly import Poly
 from hyperred.ratfunc import RatFunc
 from hyperred.scalars import EpsLin
 
@@ -149,6 +151,19 @@ def test_cli_verify_uses_at_least_its_own_depth(tmp_path):
     rec["N"] = 0
     out.write_text(json.dumps(rec) + "\n")
     assert run_cli("verify", str(out)).returncode == 5
+
+
+def test_cli_verify_refuses_denominator_vanishing_above_stored_k(tmp_path):
+    # R_1 * z/(z + eps^5) has an eps pole at every z order; eps^5 lies above
+    # the record's K = 4, so only exact z-valuations expose it
+    golden = Path(__file__).parent / "golden" / "reduce-generic.jsonl.out"
+    rec = json.loads(golden.read_text())
+    r1 = dec_ratfunc(rec["r"][1])
+    z, e = (Poly.variable(r1.vars, x) for x in ("z", "eps"))
+    rec["r"][1] = enc_ratfunc(r1 * RatFunc(z, z + e ** 5))
+    out = tmp_path / "pole.jsonl"
+    out.write_text(json.dumps(rec) + "\n")
+    assert run_cli("verify", str(out)).returncode == 4
 
 
 def test_cli_env_format(tmp_path):

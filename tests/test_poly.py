@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperred import poly as poly_mod
+from hyperred.errors import PoleAtEpsZero
 from hyperred.poly import Poly
 from hyperred.ratfunc import RatFunc
+from hyperred.series import BiSeries
 
 V = ("eps", "z")
 
@@ -350,16 +352,19 @@ def test_const_queries_walk_the_rep():
     assert Poly.const((), F(3)).is_const() and Poly.const((), F(3)).const_value() == 3
 
 
+def _series_by_terms(p, N, K, shift=0):
+    """Reference: z^shift * p as a BiSeries to (N, K), read off Poly.terms()."""
+    rows = [[F(0)] * (K + 1) for _ in range(N + 1)]
+    for exps, q in p.terms().items():
+        k, j = exps if len(exps) == 2 else (0, exps[0])
+        if j + shift <= N and k <= K:
+            rows[j + shift][k] = q
+    return BiSeries(tuple(tuple(r) for r in rows))
+
+
 def _to_biseries_by_inversion(r, N, K):
     """Reference: numerator times the inverted series of the denominator 1."""
-    from hyperred.ratfunc import _strip_zeros, _z_coeff_epspolys
-    from hyperred.series import BiSeries, EpsPoly
-    num_eps = _z_coeff_epspolys(r.num, K)
-    vn = _strip_zeros(num_eps)
-    pad = [EpsPoly.const(0, K)] * (N + 1)
-    num_s = BiSeries.from_eps_polys((num_eps + pad)[:N + 1], K)
-    one = BiSeries.from_eps_polys(([EpsPoly.const(1, K)] + pad)[:N + 1], K)
-    return (num_s * one.invert()).mul_z_power(vn)
+    return _series_by_terms(r.num, N, K) * _series_by_terms(Poly.const(r.vars, 1), N, K).invert()
 
 
 @settings(max_examples=40, deadline=None)
@@ -382,3 +387,42 @@ def test_polynomial_to_biseries_truncates_past_n():
     s, v = r.to_biseries(4, 1)
     assert v == 0
     assert s.rows == tuple((F(int(j == 2)), F(0)) for j in range(5))
+
+
+@st.composite
+def eps_heavy_polys(draw, vars):
+    """Nonzero polys whose eps degrees reach past the truncation orders tested."""
+    exps = st.tuples(st.integers(0, 5), st.integers(0, 3)) if len(vars) == 2 else \
+        st.tuples(st.integers(0, 3))
+    terms = draw(st.dictionaries(exps, rationals.filter(bool), min_size=1, max_size=4))
+    return Poly.from_terms(vars, terms)
+
+
+@pytest.mark.parametrize("vars", [("z",), ("eps", "z")])
+def test_to_biseries_times_denominator_is_numerator(vars):
+    def valuation(p):
+        return min(e[-1] for e in p.terms())
+
+    @settings(max_examples=60, deadline=None)
+    @given(eps_heavy_polys(vars), eps_heavy_polys(vars), st.integers(0, 6), st.integers(0, 2))
+    def check(num, den, N, K):
+        r = RatFunc(num, den)
+        vd = valuation(r.den)
+        if r.den.terms().get((0, vd)[-len(vars):], 0) == 0:
+            # the lowest z-row of the denominator vanishes at eps = 0
+            with pytest.raises(PoleAtEpsZero):
+                r.to_biseries(N, K)
+            return
+        s, v = r.to_biseries(N, K)
+        assert v == max(0, vd - valuation(r.num))
+        assert s * _series_by_terms(r.den, N, K) == _series_by_terms(r.num, N, K, v)
+    check()
+
+
+@pytest.mark.parametrize("power, K", [(5, 2), (5, 4), (2, 2)])
+def test_to_biseries_denominator_vanishing_above_k_is_a_pole(power, K):
+    # (3z + 1)/(z + eps^p) has an eps pole at every z order, whether or not
+    # eps^p survives truncation at eps^K
+    z, e = zvar(), evar()
+    with pytest.raises(PoleAtEpsZero):
+        RatFunc(z * 3 + 1, z + e ** power).to_biseries(4, K)

@@ -8,32 +8,31 @@ from hypothesis import given, settings, strategies as st
 from hyperred.errors import PoleAtEpsZero, UncancelledPole
 from hyperred.hyper import HyperFn
 from hyperred.scalars import EpsLin
-from hyperred.series import (BiSeries, EpsPoly, collect, compose_z_series,
-                             inv_pochhammer_eps, mul_trunc, pochhammer_eps,
-                             series_of_hyper)
+from hyperred.series import (BiSeries, collect, compose_z_series, inv_pochhammer_eps,
+                             inv_trunc, mul_trunc, pochhammer_eps, series_of_hyper)
 
 
 def test_pochhammer_half_plus_eps():
     # (1/2 + eps)(3/2 + eps) = 3/4 + 2 eps + eps^2
     p = pochhammer_eps(EpsLin(F(1, 2), 1), 2, 2)
-    assert p.coeffs == (F(3, 4), F(2), F(1))
+    assert p == (F(3, 4), F(2), F(1))
 
 
 def test_pochhammer_empty_product():
-    assert pochhammer_eps(EpsLin(F(7, 3), 5), 0, 3).coeffs == (1, 0, 0, 0)
+    assert pochhammer_eps(EpsLin(F(7, 3), 5), 0, 3) == (1, 0, 0, 0)
 
 
 def test_pochhammer_pure_eps():
     # (a e)(1 + a e)(2 + a e): eps^1 coefficient is 2! a
     for a in (F(1), F(3, 2), F(-2)):
         p = pochhammer_eps(EpsLin(0, a), 3, 1)
-        assert p.coeffs == (0, 2 * a)
+        assert p == (0, 2 * a)
 
 
 def test_inv_pochhammer_geometric():
     p = inv_pochhammer_eps(EpsLin(1, 1), 1, 2)
-    assert p.coeffs == (F(1), F(-1), F(1))
-    assert inv_pochhammer_eps(EpsLin(1, 7), 0, 2).coeffs == (1, 0, 0)
+    assert p == (F(1), F(-1), F(1))
+    assert inv_pochhammer_eps(EpsLin(1, 7), 0, 2) == (1, 0, 0)
 
 
 def test_inv_pochhammer_pole():
@@ -49,8 +48,8 @@ def test_inv_pochhammer_pole():
 def test_pochhammer_recurrence(c, e, j):
     x = EpsLin(c, e)
     lhs = pochhammer_eps(x, j + 1, 3)
-    rhs = pochhammer_eps(x, j, 3) * EpsPoly.from_epslin(x + j, 3)
-    assert lhs == rhs
+    rhs = mul_trunc(pochhammer_eps(x, j, 3), (x.const + j, x.eps), 3)
+    assert list(lhs) == rhs
 
 
 def test_series_2f1_112():
@@ -177,6 +176,19 @@ def test_invert_raises_on_vanishing_eps0_of_row0():
         s.invert()
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.builds(F, st.integers(-5, 5), st.integers(1, 4)), min_size=1, max_size=6),
+       st.integers(0, 6))
+def test_inv_trunc_is_an_inverse(a, M):
+    if a[0] == 0:
+        with pytest.raises(PoleAtEpsZero):
+            inv_trunc(a, M)
+        return
+    inv = inv_trunc(a, M)
+    assert len(inv) == M + 1
+    assert mul_trunc(a, inv, M) == [1] + [0] * M
+
+
 # ---------------------------------------------------------------------------
 # bucketed product kernel against the dense 2-D product loop
 
@@ -278,12 +290,12 @@ def test_compose_z_series_matches_per_term_loop(N, K, v, M, zero_share, integral
 def _termwise_series(f, N, K):
     rows = []
     for j in range(N + 1):
-        t = EpsPoly.const(F(f.kappa) ** j / _factorial(j), K)
+        t = (F(f.kappa) ** j / _factorial(j),) + (F(0),) * K
         for a in f.upper:
-            t = t * pochhammer_eps(a, j, K)
+            t = mul_trunc(t, pochhammer_eps(a, j, K), K)
         for b in f.lower:
-            t = t * inv_pochhammer_eps(b, j, K)
-        rows.append(t.coeffs)
+            t = mul_trunc(t, inv_pochhammer_eps(b, j, K), K)
+        rows.append(t)
     return BiSeries(tuple(rows))
 
 
