@@ -14,6 +14,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Optional
 
 from .errors import (CriterionViolation, DegeneratePoles, HyperredError,
@@ -247,16 +248,19 @@ def run_expand(spec: JobSpec, text: str, order: int) -> int:
             raise VerificationFailure(
                 f"expansion failed oracle at (power {mism[0]}, eps^{mism[1]})")
         verified = True
-    rec = {
-        "command": "expand",
-        "fn": str(fn),
-        "kind": exp.kind,
-        "var": exp.var,
-        "omega0": enc_ratfunc(exp.omega0) if exp.omega0 is not None else None,
-        "layers": [enc_polylog(l) for l in exp.layers],
-        "verified": bool(verified),
-        "N": spec.N,
-    }
+    # each format sorts every word of every layer, so build only the one printed
+    if spec.fmt == "jsonl":
+        _emit([{
+            "command": "expand",
+            "fn": str(fn),
+            "kind": exp.kind,
+            "var": exp.var,
+            "omega0": enc_ratfunc(exp.omega0) if exp.omega0 is not None else None,
+            "layers": [enc_polylog(l) for l in exp.layers],
+            "verified": bool(verified),
+            "N": spec.N,
+        }], spec, [])
+        return EXIT_OK
     lines = [f"fn: {fn}", f"class: {exp.kind}"]
     if exp.kind == "xi":
         lines.append("layers are for sqrt(-z)*F in xi = (z/(z-1))^(1/2)")
@@ -267,7 +271,7 @@ def run_expand(spec: JobSpec, text: str, order: int) -> int:
         lines.append(f"eps^{k}: {exp.layers[k]}")
     if verified:
         lines.append(f"verified against series oracle at N={spec.N}")
-    _emit([rec], spec, lines)
+    _emit([], spec, lines)
     return EXIT_OK
 
 
@@ -411,6 +415,8 @@ def run_verify_suite(spec: JobSpec) -> int:
 # argument parsing
 
 
+# built on the first call, not at import; parsing leaves no state in the parser
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hyperred",
@@ -422,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--N", type=int, default=30, help="series verification depth")
         p.add_argument("--K", type=int, default=4, help="eps truncation order")
         p.add_argument("--format", choices=("text", "jsonl"),
-                       default=os.environ.get("HYPERRED_FORMAT", "text"))
+                       help="output format (default: $HYPERRED_FORMAT or text)")
         p.add_argument("--out", help="also write the output to this file")
 
     p = sub.add_parser("reduce", help="reduce a function to a shifted basis")
@@ -537,7 +543,8 @@ def main(argv=None) -> int:
         spec = JobSpec(command=args.command, argv=argv,
                        N=getattr(args, "N", 30), K=getattr(args, "K", 4),
                        out=getattr(args, "out", None),
-                       fmt=getattr(args, "format", "text"),
+                       fmt=getattr(args, "format", None)
+                       or os.environ.get("HYPERRED_FORMAT", "text"),
                        no_verify=getattr(args, "no_verify", False))
         return run_job(spec, args, extras)
     except HyperredError as e:

@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NoFactorization, NotTriangular, UncancelledPole, UnsupportedClass
-from .gpl import GplCombo, PolyLogExpr, rf_from_coeffs, rf_monomial
+from .gpl import GplCombo, PolyLogExpr, basis_ratfunc, rf_from_coeffs, rf_monomial
 from .hyper import HyperFn
 from .ratfunc import RatFunc
 from .scalars import EpsLin, rat
@@ -449,8 +449,7 @@ def _expand_integer_class(f: HyperFn, K: int) -> EpsilonExpansion:
 
 
 def _is_pure(combo: GplCombo) -> bool:
-    return all((r.is_polynomial() and (r.num.is_zero() or r.num.degree() == 0))
-               for r in combo.data.values())
+    return all(r.keys() == {0} for r in combo.data.values())
 
 
 def _combo_rational_part(combo: GplCombo) -> RatFunc:
@@ -458,7 +457,7 @@ def _combo_rational_part(combo: GplCombo) -> RatFunc:
         if w:
             raise UnsupportedClass("eps^0 layer is not rational")
     r = combo.data.get(())
-    return r if r is not None else RatFunc.const(("z",), 0)
+    return basis_ratfunc(r) if r is not None else RatFunc.const(("z",), 0)
 
 
 def _theta_stack(c: GplCombo, P: int) -> List[GplCombo]:

@@ -7,8 +7,13 @@ a series with nonvanishing constant term raises UncancelledPole instead of
 producing ln(z).
 
 GplCombo is the working representation during iterated integration:
-rational functions of the variable multiplying words.  Final expansion
-layers are converted to plain rational-coefficient PolyLogExpr values.
+rational functions of the variable multiplying words.  Every kernel has its
+poles on the alphabet, so each coefficient is kept in the alphabet's
+partial-fraction basis, a dict over z^i and (z - a)^(-m), and theta,
+products and integration act on that dict in closed form; a RatFunc is
+converted once on the way in and back only for omega0, printing and
+messages.  Final expansion layers are converted to plain
+rational-coefficient PolyLogExpr values.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from math import comb
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .errors import UncancelledPole, UnsupportedClass
 from .poly import Poly
@@ -26,6 +32,7 @@ from .series import collect, mul_trunc
 
 F = Fraction
 Word = Tuple[Fraction, ...]
+Kernel = Union[int, Tuple[Fraction, int]]
 
 _ZVARS = ("z",)
 
@@ -206,7 +213,7 @@ class PolyLogExpr:
 
 
 # ---------------------------------------------------------------------------
-# rational functions of one variable: partial fractions over an alphabet
+# rational functions of one variable
 
 
 def _rf_const(q) -> RatFunc:
@@ -247,68 +254,138 @@ def _coeffs_divide_root(coeffs, a):
     return q
 
 
-def partial_fractions(r: RatFunc, letters: Sequence[Fraction]):
-    """r = polynomial + sum c/(z-a)^m with poles restricted to the alphabet.
+# ---------------------------------------------------------------------------
+# the partial-fraction basis of an alphabet: kernel i >= 0 is z^i, kernel
+# (a, m) is (z - a)^(-m) with m >= 1 and a a letter or 0
 
-    Returns (poly_coeffs, {(a, m): c}).  A pole outside letters (or 0)
-    raises UnsupportedClass.
-    """
-    roots = sorted(set([F(0)] + [rat(a) for a in letters]))
-    num = list(r.num.rep)
+
+def partial_fractions(r: RatFunc, letters: Sequence[Fraction]) -> Dict[Kernel, Fraction]:
+    """r = sum c_i z^i + sum c/(z-a)^m as {kernel: c}: the denominator factored
+    over the alphabet (or 0), a pole outside it raising UnsupportedClass."""
     den = list(r.den.rep)
-    # polynomial part by long division
-    poly = [F(0)] * max(0, len(num) - len(den) + 1)
-    rem = list(num)
-    while len(rem) >= len(den) and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) < len(den):
-            break
-        k = len(rem) - len(den)
-        c = rem[-1] / den[-1]
-        poly[k] = c
-        for i, dc in enumerate(den):
-            rem[i + k] -= c * dc
-        rem.pop()
-    while rem and rem[-1] == 0:
-        rem.pop()
-    # factor denominator over the alphabet
     factors = {}
-    dwork = list(den)
-    for a in roots:
-        while len(dwork) > 1 and _coeffs_eval(dwork, a) == 0:
-            dwork = _coeffs_divide_root(dwork, a)
+    for a in sorted(set([F(0)] + [rat(a) for a in letters])):
+        while len(den) > 1 and _coeffs_eval(den, a) == 0:
+            den = _coeffs_divide_root(den, a)
             factors[a] = factors.get(a, 0) + 1
-    if len(dwork) != 1:
+    if len(den) != 1:
         raise UnsupportedClass(
             f"denominator {r.den} has poles outside the alphabet {letters}")
-    unit = dwork[0]
-    poles: Dict[Tuple[Fraction, int], Fraction] = {}
-    num_c = [c / unit for c in rem]
-    fac = dict(factors)
-    # peel highest-order pole coefficients one at a time
-    while fac and any(num_c):
-        a = next(iter(sorted(fac)))
-        m = fac[a]
-        rest = [F(1)]
-        for b, mb in fac.items():
-            power = mb if b != a else 0
-            for _ in range(power):
-                rest = mul_trunc(rest, [-b, F(1)], len(rest))
-        c = _coeffs_eval(num_c, a) / _coeffs_eval(rest, a)
-        if c != 0:
-            poles[(a, m)] = c
-        # num_c - c*rest is divisible by (z - a)
-        new_num = [x - c * y for x, y in
-                   zip(num_c + [F(0)] * len(rest), rest + [F(0)] * len(num_c))]
-        while new_num and new_num[-1] == 0:
-            new_num.pop()
-        num_c = _coeffs_divide_root(new_num, a) if new_num else []
-        if fac[a] == 1:
-            del fac[a]
+    out = {i: c / den[0] for i, c in enumerate(r.num.rep) if c}
+    for a, m in factors.items():
+        out = _mul(out, {(a, m): F(1)})
+    return out
+
+
+def basis_ratfunc(coeffs: Mapping[Kernel, Fraction]) -> RatFunc:
+    """The RatFunc of a basis dict (for omega0, printing and messages)."""
+    out = _rf_const(0)
+    for k, c in coeffs.items():
+        out = out + (rf_monomial(F(0), k) if type(k) is int else rf_monomial(k[0], -k[1])) * c
+    return out
+
+
+# bounded; an expansion meets a few hundred kernel pairs
+@lru_cache(maxsize=4096)
+def _kernel_product(k1: Kernel, k2: Kernel) -> Tuple[Tuple[Kernel, Fraction], ...]:
+    """The product of two basis kernels, expanded in the basis."""
+    if type(k1) is int:
+        if type(k2) is int:
+            return ((k1 + k2, F(1)),)
+        k1, k2 = k2, k1
+    a, m = k1
+    out: Dict[Kernel, Fraction] = {}
+    if type(k2) is int:
+        if a == 0:
+            return ((k2 - m if k2 >= m else (a, m - k2), F(1)),)
+        # z^i = sum_k C(i,k) a^(i-k) (z-a)^k; the powers k >= m are polynomials
+        for k in range(k2 + 1):
+            c = comb(k2, k) * a ** (k2 - k)
+            if k < m:
+                out[(a, m - k)] = c
+            else:
+                n = k - m
+                for l in range(n + 1):
+                    out[l] = out.get(l, 0) + c * comb(n, l) * (-a) ** (n - l)
+    else:
+        b, n = k2
+        if a == b:
+            return (((a, m + n), F(1)),)
+        # expand each factor at the other's pole: (z-b)^-n around z = a and back
+        for (p, mp), (q, mq) in (((a, m), (b, n)), ((b, n), (a, m))):
+            for j in range(mp):
+                out[(p, mp - j)] = comb(mq + j - 1, j) * (-1) ** j / (p - q) ** (mq + j)
+    return tuple((k, F(c)) for k, c in out.items() if c)
+
+
+def _mul(r1: Mapping[Kernel, Fraction], r2: Mapping[Kernel, Fraction]) -> Dict[Kernel, Fraction]:
+    out: Dict[Kernel, Fraction] = {}
+    for k1, c1 in r1.items():
+        for k2, c2 in r2.items():
+            c = c1 * c2
+            for k, x in _kernel_product(k1, k2):
+                out[k] = out.get(k, 0) + c * x
+    return {k: c for k, c in out.items() if c}
+
+
+def _merge(out: Dict[Word, Dict[Kernel, Fraction]], w: Word, r: Mapping[Kernel, Fraction]):
+    """out[w] += r in a fresh dict, dropping cancelled kernels and emptied words."""
+    s = dict(out.get(w, ()))
+    for k, c in r.items():
+        s[k] = s.get(k, 0) + c
+    s = {k: c for k, c in s.items() if c}
+    if s:
+        out[w] = s
+    else:
+        out.pop(w, None)
+
+
+def _theta_coeffs(r: Mapping[Kernel, Fraction]) -> Dict[Kernel, Fraction]:
+    """theta z^i = i z^i;  theta (z-a)^-m = -m (z-a)^-m - m a (z-a)^-(m+1)."""
+    out: Dict[Kernel, Fraction] = {}
+    for k, c in r.items():
+        if type(k) is int:
+            if k:
+                out[k] = out.get(k, 0) + k * c
         else:
-            fac[a] -= 1
-    return poly, poles
+            a, m = k
+            out[k] = out.get(k, 0) - m * c
+            if a:
+                nk = (a, m + 1)
+                out[nk] = out.get(nk, 0) - m * a * c
+    return {k: c for k, c in out.items() if c}
+
+
+# bounded; keyed by (pole, order, series order), a few hundred in a run
+@lru_cache(maxsize=2048)
+def _pole_series(a: Fraction, m: int, n: int) -> Tuple[Fraction, ...]:
+    """(z-a)^-m = (-a)^-m sum_k C(m+k-1, k) (z/a)^k to z^n, for a != 0."""
+    t = (-1 / a) ** m
+    out = [t]
+    for k in range(1, n + 1):
+        t = t * (m + k - 1) / (k * a)
+        out.append(t)
+    return tuple(out)
+
+
+def _term_series(w: Word, r: Mapping[Kernel, Fraction], N: int) -> List[Fraction]:
+    """z-series of r(z) G(w; z) to order N; UncancelledPole if G(w) leaves a pole of r."""
+    v = max((k[1] for k in r if type(k) is not int and k[0] == 0), default=0)
+    M = N + v
+    rc = [F(0)] * (M + 1)          # the series of z^v r(z)
+    for k, c in r.items():
+        if type(k) is int:
+            if k <= N:
+                rc[k + v] += c
+        elif k[0] == 0:
+            rc[v - k[1]] += c
+        else:
+            for j, x in enumerate(_pole_series(k[0], k[1], N)):
+                rc[j + v] += c * x
+    conv = mul_trunc(rc, _word_series(w, M), M)
+    if any(conv[:v]):
+        raise UncancelledPole(f"pole of {basis_ratfunc(r)} not cancelled by G{w}")
+    return conv[v:]
 
 
 # ---------------------------------------------------------------------------
@@ -316,18 +393,26 @@ def partial_fractions(r: RatFunc, letters: Sequence[Fraction]):
 
 
 class GplCombo:
-    """sum_w R_w(z) G(w; z); the empty word holds the rational part."""
+    """sum_w R_w(z) G(w; z); the empty word holds the rational part.
+
+    ``data`` maps each word to R_w in the alphabet's partial-fraction basis,
+    {kernel: Fraction}.  The constructor also accepts RatFunc values and
+    converts them once.  A dict of nonempty basis values is kept, not
+    copied (every operation here builds a fresh one), which saves
+    rehashing the Fraction letters of every word.
+    """
 
     __slots__ = ("data", "letters")
 
-    def __init__(self, data: Mapping[Word, RatFunc], letters: Tuple[Fraction, ...]):
-        clean = {}
-        for w, r in data.items():
+    def __init__(self, data: Dict[Word, object], letters: Tuple[Fraction, ...]):
+        for w in data:
             if w and w[-1] == 0:
                 raise ValueError(f"trailing-zero word {w}")
-            if not r.is_zero():
-                clean[w] = r
-        object.__setattr__(self, "data", clean)
+        if not all(type(r) is dict and r for r in data.values()):
+            data = {w: partial_fractions(r, letters) if isinstance(r, RatFunc) else r
+                    for w, r in data.items()}
+            data = {w: r for w, r in data.items() if r}
+        object.__setattr__(self, "data", data)
         object.__setattr__(self, "letters", tuple(letters))
 
     def __setattr__(self, *a):
@@ -339,7 +424,8 @@ class GplCombo:
 
     @classmethod
     def const(cls, q, letters):
-        return cls({(): _rf_const(q)}, letters)
+        q = rat(q)
+        return cls({(): {0: q}} if q else {}, letters)
 
     @classmethod
     def rational(cls, r: RatFunc, letters):
@@ -347,7 +433,8 @@ class GplCombo:
 
     @classmethod
     def word(cls, w, letters, coeff=1):
-        return cls({as_word(w): _rf_const(coeff)}, letters)
+        q = rat(coeff)
+        return cls({as_word(w): {0: q}} if q else {}, letters)
 
     def is_zero(self):
         return not self.data
@@ -355,7 +442,7 @@ class GplCombo:
     def __add__(self, other):
         d = dict(self.data)
         for w, r in other.data.items():
-            d[w] = d[w] + r if w in d else r
+            _merge(d, w, r)
         return GplCombo(d, self.letters)
 
     def __sub__(self, other):
@@ -363,20 +450,22 @@ class GplCombo:
 
     def scale_q(self, q):
         q = rat(q)
-        return GplCombo({w: r * q for w, r in self.data.items()}, self.letters)
+        if not q:
+            return GplCombo.zero(self.letters)
+        return GplCombo({w: {k: c * q for k, c in r.items()} for w, r in self.data.items()},
+                        self.letters)
 
     def scale_rf(self, r: RatFunc):
-        return GplCombo({w: rw * r for w, rw in self.data.items()}, self.letters)
+        b = partial_fractions(r, self.letters)
+        return GplCombo({w: _mul(rw, b) for w, rw in self.data.items()}, self.letters)
 
     def theta(self) -> "GplCombo":
         """z d/dz using G'(a, w) = G(w)/(z - a)."""
-        out: Dict[Word, RatFunc] = {}
-        zf = RatFunc.z(_ZVARS)
+        out: Dict[Word, Dict[Kernel, Fraction]] = {}
         for w, r in self.data.items():
-            _acc(out, w, r.theta())
+            _merge(out, w, _theta_coeffs(r))
             if w:
-                kern = zf / rf_monomial(w[0], 1)
-                _acc(out, w[1:], r * kern)
+                _merge(out, w[1:], _mul(r, dict(_kernel_product(1, (w[0], 1)))))
         return GplCombo(out, self.letters)
 
     def value_at_zero(self) -> Fraction:
@@ -386,59 +475,46 @@ class GplCombo:
     def series(self, N: int) -> List[Fraction]:
         out = [F(0)] * (N + 1)
         for w, r in self.data.items():
-            # v <= deg(den), so the series to N + deg(den) covers N + v
-            s, v = r.to_biseries(N + r.den.degree(), 0)
-            rc = [s.get(j, 0) for j in range(N + v + 1)]
-            ws = _word_series(w, N + v)
-            conv = mul_trunc(rc, ws, N + v)
-            for j in range(v):
-                if conv[j] != 0:
-                    raise UncancelledPole(f"pole of {r} not cancelled by G{w}")
-            for j in range(N + 1):
-                out[j] += conv[j + v]
+            for j, x in enumerate(_term_series(w, r, N)):
+                out[j] += x
         return out
 
     def integrate(self) -> "GplCombo":
         """int_0^z of the combination; raises UncancelledPole if divergent.
 
-        Simple pole kernels prepend letters; everything else is integrated
-        by parts, and the leftover integrands of each weight level are
-        merged into one combination before recursing, so divergent pieces
-        produced by different branches get the chance to cancel.
+        Simple pole kernels prepend letters; z^i and (z-a)^-m with m >= 2
+        have rational antiderivatives, integrated by parts against G(w).
+        The leftover integrands of each weight level are merged into one
+        combination before recursing, so divergent pieces produced by
+        different branches get the chance to cancel.
         """
-        out: Dict[Word, RatFunc] = {}
+        out: Dict[Word, Dict[Kernel, Fraction]] = {}
         log_residue = F(0)
-        current = self
-        while not current.is_zero():
-            pending: Dict[Word, RatFunc] = {}
-            for w, r in current.data.items():
-                poly, poles = partial_fractions(r, current.letters)
-                antis = []
-                if any(poly):
-                    antis.append(rf_from_coeffs(
-                        [F(0)] + [c / (i + 1) for i, c in enumerate(poly)]))
-                for (a, m), c in poles.items():
-                    if m == 1:
-                        if a == 0 and not w:
-                            # pure log pieces cancel across levels or diverge
-                            log_residue += c
-                        else:
-                            _acc(out, (a,) + w, _rf_const(c))
+        current = self.data
+        while current:
+            pending: Dict[Word, Dict[Kernel, Fraction]] = {}
+            for w, r in current.items():
+                anti: Dict[Kernel, Fraction] = {}
+                for k, c in r.items():
+                    if type(k) is int:
+                        anti[k + 1] = c / (k + 1)
+                    elif k[1] > 1:
+                        anti[(k[0], k[1] - 1)] = c / (1 - k[1])
+                    elif k[0] == 0 and not w:
+                        # pure log pieces cancel across levels or diverge
+                        log_residue += c
                     else:
-                        antis.append(rf_monomial(a, 1 - m) * (c / (1 - m)))
-                if not antis:
+                        _merge(out, (k[0],) + w, {0: c})
+                if not anti:
                     continue
-                anti = antis[0]
-                for extra in antis[1:]:
-                    anti = anti + extra
                 # int anti' G(w) = [anti G(w)]_0^z - int anti G'(w)
-                b = GplCombo({w: anti}, self.letters).value_at_zero()
-                _acc(out, w, anti)
+                b = _term_series(w, anti, 0)[0]
+                _merge(out, w, anti)
                 if b != 0:
-                    _acc(out, (), _rf_const(-b))
+                    _merge(out, (), {0: -b})
                 if w:
-                    _acc(pending, w[1:], -(anti / rf_monomial(w[0], 1)))
-            current = GplCombo(pending, current.letters)
+                    _merge(pending, w[1:], _mul(anti, {(w[0], 1): F(-1)}))
+            current = pending
         if log_residue != 0:
             raise UncancelledPole("int dt/t of a nonzero rational part")
         return GplCombo(out, self.letters)
@@ -448,30 +524,20 @@ class GplCombo:
         terms = {}
         const = F(0)
         for w, r in self.data.items():
-            if not r.is_polynomial() or (not r.num.is_zero() and r.num.degree() > 0):
+            if r.keys() != {0}:
                 raise UnsupportedClass(
-                    f"layer is not a pure polylog combination: ({r}) G{w}")
-            q = r.num.const_value() if not r.num.is_zero() else F(0)
+                    f"layer is not a pure polylog combination: ({basis_ratfunc(r)}) G{w}")
             if not w:
-                const += q
+                const += r[0]
             else:
-                terms[GplWord(w, var)] = q
+                terms[GplWord(w, var)] = r[0]
         return PolyLogExpr(terms, const, var)
 
     def __str__(self):
         parts = []
         for w in sorted(self.data, key=lambda w: (len(w), w)):
-            parts.append(f"({self.data[w]})*G{w}" if w else f"({self.data[w]})")
+            rf = basis_ratfunc(self.data[w])
+            parts.append(f"({rf})*G{w}" if w else f"({rf})")
         return " + ".join(parts) or "0"
 
     __repr__ = __str__
-
-
-def _acc(out: Dict[Word, RatFunc], w: Word, r: RatFunc):
-    if w in out:
-        out[w] = out[w] + r
-    else:
-        out[w] = r
-    if out[w].is_zero():
-        del out[w]
-

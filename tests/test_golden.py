@@ -46,6 +46,12 @@ JOBS = {
                             "--sigma", "1", "--rho", "1"],
     "expand-integer": ["expand", "2F1[2*eps, 3*eps; 1+5*eps; z]", "--order", "4"],
     "expand-half-integer": ["expand", HALF_INTEGER, "--order", "3"],
+    "expand-unit-upper": ["expand", "2F1[1+2*eps, 3*eps; 1-eps; z]", "--order", "3"],
+    "expand-3f2": ["expand", "3F2[2*eps, -3*eps, eps; 1+4*eps, 1-2*eps; z]", "--order", "4"],
+    "expand-4f3": ["expand", "4F3[eps, 2*eps, -eps, 3*eps; 1+eps, 1-3*eps, 1+2*eps; z]",
+                   "--order", "4"],
+    "expand-half-integer-k4": ["expand", "2F1[1/2+2*eps, 1/2-3*eps; 3/2+5*eps; z]",
+                               "--order", "4"],
     "check-gauss": ["check-parametrization", "gauss", "--p1", "1", "--p2", "1",
                     "--r", "-1", "--q", "2", "--beta", "1/2"],
     "check-3f2": ["check-parametrization", "3f2", "--r", "1", "--p", "-1", "--q", "2"],
@@ -55,6 +61,7 @@ JOBS = {
     "verify-suite": ["verify", "--suite"],
     "exit-parse": ["reduce", "2F1[1/2+; 1; z]", "--basis", "2F1[1, 1; 1; z]"],
     "exit-unsupported": ["expand", "2F1[1/3+eps, 1/5; 1/7+eps; z]", "--order", "2"],
+    "exit-not-polylog": ["expand", "2F1[1+2*eps, 3*eps; 2-eps; z]", "--order", "3"],
     "exit-exceptional": ["reduce", "2F1[1, 1/3-eps; 3/2; z]",
                          "--basis", "2F1[0, 1/3-eps; 3/2; z]"],
 }

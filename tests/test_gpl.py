@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from hyperred import gpl
 from hyperred.errors import UncancelledPole, UnsupportedClass
-from hyperred.gpl import (GplCombo, GplWord, PolyLogExpr, gpl_word_series,
-                          partial_fractions, rf_from_coeffs, rf_monomial,
-                          shuffle_words)
+from hyperred.gpl import (GplCombo, GplWord, PolyLogExpr, basis_ratfunc,
+                          gpl_word_series, partial_fractions, rf_from_coeffs,
+                          rf_monomial, shuffle_words)
+from hyperred.series import mul_trunc
 
 
 def test_g1_is_log():
@@ -65,9 +66,10 @@ def test_shuffle_product_matches_series():
 
 def test_partial_fractions_round_trip():
     r = rf_from_coeffs([F(1), F(0), F(3)]) / (rf_monomial(F(0), 1) * rf_monomial(F(1), 2))
-    poly, poles = partial_fractions(r, [F(1)])
-    acc = rf_from_coeffs(poly or [F(0)])
-    for (a, m), c in poles.items():
+    pf = partial_fractions(r, [F(1)])
+    assert pf == {(F(0), 1): F(1), (F(1), 1): F(2), (F(1), 2): F(4)}
+    acc = rf_from_coeffs([F(0)])
+    for (a, m), c in pf.items():
         acc = acc + rf_monomial(a, -m) * c
     assert acc == r
 
@@ -224,3 +226,131 @@ def test_polylog_series_cancels_to_zero():
     got = PolyLogExpr({(1,): 1, (-1,): 1}).series(6)
     assert got == [0, 0, -1, 0, F(-1, 2), 0, F(-1, 3)]
     assert all(c.denominator == 1 for c in got[1::2])
+
+
+# ---------------------------------------------------------------------------
+# the partial-fraction basis against the RatFunc / series oracle
+
+
+def _basis_strategy(letters):
+    kernels = st.one_of(st.integers(0, 3),
+                        st.tuples(st.sampled_from((F(0),) + letters), st.integers(1, 3)))
+    coeffs = st.builds(F, st.integers(-6, 6).filter(bool), st.integers(1, 5))
+    return st.dictionaries(kernels, coeffs, min_size=1, max_size=4)
+
+
+def _word_strategy(letters):
+    return (st.lists(st.sampled_from((F(0),) + letters), min_size=0, max_size=3)
+            .filter(lambda w: not w or w[-1] != 0).map(tuple))
+
+
+# GplCombo.series checks poles word by word and the oracle on the sum, so
+# the series, scale_rf and theta properties draw one word
+def _combo_strategy(letters, max_words=1):
+    return st.dictionaries(_word_strategy(letters), _basis_strategy(letters),
+                           min_size=1, max_size=max_words)
+
+
+ALPHABETS = ((F(1),), (F(-1), F(1)))
+
+
+def _oracle_series(data, N):
+    """Series of sum_w r_w G(w) through RatFunc.to_biseries; None if the sum keeps a pole."""
+    laurent = {}
+    for w, r in data.items():
+        s, v = r.to_biseries(N + r.den.degree(), 0)
+        rc = [s.get(j, 0) for j in range(N + v + 1)]
+        for j, x in enumerate(mul_trunc(rc, gpl_word_series(w, N + v), N + v)):
+            laurent[j - v] = laurent.get(j - v, 0) + x
+    if any(x for j, x in laurent.items() if j < 0):
+        return None
+    return [F(laurent.get(j, 0)) for j in range(N + 1)]
+
+
+def _series_or_none(combo, N):
+    try:
+        return combo.series(N)
+    except UncancelledPole:
+        return None
+
+
+def _as_ratfuncs(data):
+    return {w: basis_ratfunc(r) for w, r in data.items()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from(ALPHABETS))
+def test_basis_series_matches_ratfunc_oracle(data, letters):
+    d = data.draw(_combo_strategy(letters))
+    assert _series_or_none(GplCombo(d, letters), 8) == _oracle_series(_as_ratfuncs(d), 8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from(ALPHABETS))
+def test_basis_scale_rf_matches_ratfunc_product(data, letters):
+    d = data.draw(_combo_strategy(letters))
+    r = basis_ratfunc(data.draw(_basis_strategy(letters)))
+    got = _series_or_none(GplCombo(d, letters).scale_rf(r), 8)
+    assert got == _oracle_series({w: rw * r for w, rw in _as_ratfuncs(d).items()}, 8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from(ALPHABETS))
+def test_basis_theta_is_j_times_series(data, letters):
+    c = GplCombo(data.draw(_combo_strategy(letters)), letters)
+    s, t = _series_or_none(c, 8), _series_or_none(c.theta(), 8)
+    # theta keeps a Laurent tail (theta z^-k = -k z^-k) and kills constants only
+    assert (s is None) == (t is None)
+    if s is not None:
+        assert t == [j * x for j, x in enumerate(s)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), st.sampled_from(ALPHABETS))
+def test_basis_integrate_is_antiderivative(data, letters):
+    # several words, so poles that cancel only between words reach integrate
+    d = data.draw(_combo_strategy(letters, max_words=3))
+    try:
+        integral = GplCombo(d, letters).integrate()
+    except UncancelledPole:
+        return
+    s = _oracle_series(_as_ratfuncs(d), 8)
+    assert s is not None
+    assert integral.series(8) == [F(0)] + [s[j - 1] / j for j in range(1, 9)]
+
+
+def test_basis_integrate_covers_boundary_and_higher_poles():
+    # (z-1)^-m with m >= 2 integrates to a pole whose value at 0 is the boundary
+    # term; on a nonempty word the by-parts remainder reaches the empty word
+    letters = (F(1),)
+    for d in ({(): {(F(1), 3): F(1), (F(1), 2): F(-3), 2: F(1, 2)}},
+              {(F(1),): {(F(0), 1): F(1), (F(1), 2): F(2)}},
+              {(F(1), F(1)): {(F(0), 2): F(2)}}):
+        c = GplCombo(d, letters)
+        s = c.series(8)
+        assert c.integrate().series(8) == [F(0)] + [s[j - 1] / j for j in range(1, 9)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from(ALPHABETS))
+def test_kernel_product_table_matches_ratfunc_products(data, letters):
+    kernel = st.one_of(st.integers(0, 3),
+                       st.tuples(st.sampled_from((F(0),) + letters), st.integers(1, 3)))
+    k1, k2 = data.draw(kernel), data.draw(kernel)
+    table = basis_ratfunc(dict(gpl._kernel_product(k1, k2)))
+    assert table == basis_ratfunc({k1: F(1)}) * basis_ratfunc({k2: F(1)})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from(ALPHABETS))
+def test_ratfunc_basis_round_trip(data, letters):
+    num = data.draw(st.lists(st.builds(F, st.integers(-5, 5), st.integers(1, 4)),
+                             min_size=1, max_size=5))
+    poles = data.draw(st.lists(st.tuples(st.sampled_from((F(0),) + letters),
+                                         st.integers(1, 3)), max_size=3))
+    r = rf_from_coeffs(num)
+    for a, m in poles:
+        r = r * rf_monomial(a, -m)
+    b = partial_fractions(r, letters)
+    assert basis_ratfunc(b) == r
+    assert partial_fractions(basis_ratfunc(b), letters) == b

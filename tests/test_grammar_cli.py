@@ -1,5 +1,7 @@
 """Input grammar round-trips and the command-line contract."""
 
+import contextlib
+import io
 import json
 import os
 import random
@@ -172,6 +174,30 @@ def test_cli_env_format(tmp_path):
     assert r.returncode == 0
     rec = json.loads(r.stdout.strip())
     assert rec["L"] == 2
+
+
+def test_cli_main_back_to_back_matches_fresh_runs(monkeypatch):
+    # cli.main builds its parser once per process: a spare --bind, the env
+    # format or an error must not carry over into the next job
+    from hyperred import cli
+    jobs = [(["count-masters", "@c1", "--bind", "sigma1=1", "--bind", "sigma2=2",
+              "--bind", "rho=1", "--bind", "spare=5", "--format", "jsonl"], None),
+            (["expand", "2F1[2*eps, 3*eps; 1+5*eps; z]", "--order", "2"], None),
+            (["reduce", "2F1[1/2+; 1; z]", "--basis", "2F1[1, 1; 1; z]"], None),
+            (["count-masters", "@c1", "--bind", "sigma1=2", "--bind", "sigma2=1",
+              "--bind", "rho=3"], {"HYPERRED_FORMAT": "jsonl"}),
+            (["count-masters", "@c1", "--sigma1", "1", "--sigma2", "2", "--rho", "1"], None)]
+    monkeypatch.delenv("HYPERRED_FORMAT", raising=False)
+    for argv, env in jobs:
+        for k, v in (env or {}).items():
+            monkeypatch.setenv(k, v)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(list(argv))
+        for k in env or {}:
+            monkeypatch.delenv(k)
+        fresh = run_cli(*argv, env_extra=env)
+        assert (out.getvalue(), code) == (fresh.stdout, fresh.returncode), argv
 
 
 def test_cli_mb_command():
