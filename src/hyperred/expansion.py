@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NoFactorization, NotTriangular, UncancelledPole, UnsupportedClass
-from .gpl import GplCombo, PolyLogExpr, basis_ratfunc, rf_from_coeffs, rf_monomial
+from .gpl import ONE, GplCombo, PolyLogExpr, basis_ratfunc, rf_from_coeffs, rf_monomial
 from .hyper import HyperFn
 from .ratfunc import RatFunc
 from .scalars import EpsLin, rat
@@ -449,7 +449,7 @@ def _expand_integer_class(f: HyperFn, K: int) -> EpsilonExpansion:
 
 
 def _is_pure(combo: GplCombo) -> bool:
-    return all(r.keys() == {0} for r in combo.data.values())
+    return all(r.keys() == {ONE} for r in combo.data.values())
 
 
 def _combo_rational_part(combo: GplCombo) -> RatFunc:

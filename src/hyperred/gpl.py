@@ -9,11 +9,11 @@ producing ln(z).
 GplCombo is the working representation during iterated integration:
 rational functions of the variable multiplying words.  Every kernel has its
 poles on the alphabet, so each coefficient is kept in the alphabet's
-partial-fraction basis, a dict over z^i and (z - a)^(-m), and theta,
-products and integration act on that dict in closed form; a RatFunc is
-converted once on the way in and back only for omega0, printing and
-messages.  Final expansion layers are converted to plain
-rational-coefficient PolyLogExpr values.
+partial-fraction basis, a dict over the kernels (z - a)^(-m) (a = 0 with
+m <= 0 giving the powers z^i), and theta, products and integration act on
+that dict in closed form; a RatFunc is converted once on the way in and
+back only for omega0, printing and messages.  Final expansion layers are
+converted to plain rational-coefficient PolyLogExpr values.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .errors import UncancelledPole, UnsupportedClass
 from .poly import Poly
@@ -32,7 +32,7 @@ from .series import collect, mul_trunc
 
 F = Fraction
 Word = Tuple[Fraction, ...]
-Kernel = Union[int, Tuple[Fraction, int]]
+Kernel = Tuple[Fraction, int]
 
 _ZVARS = ("z",)
 
@@ -255,8 +255,14 @@ def _coeffs_divide_root(coeffs, a):
 
 
 # ---------------------------------------------------------------------------
-# the partial-fraction basis of an alphabet: kernel i >= 0 is z^i, kernel
-# (a, m) is (z - a)^(-m) with m >= 1 and a a letter or 0
+# the partial-fraction basis of an alphabet: kernel (a, m) is (z - a)^(-m),
+# with m >= 1 for a letter a and any integer m for a = 0, so (0, -i) is z^i;
+# that 0 is an int, so the commonest keys hash without Fraction.__hash__
+
+_ZERO = 0
+_LETTER0 = F(0)               # one shared object: equal words compare letters by identity
+ONE: Kernel = (_ZERO, 0)      # the kernel of the constant 1
+_Z: Kernel = (_ZERO, -1)
 
 
 def partial_fractions(r: RatFunc, letters: Sequence[Fraction]) -> Dict[Kernel, Fraction]:
@@ -264,14 +270,14 @@ def partial_fractions(r: RatFunc, letters: Sequence[Fraction]) -> Dict[Kernel, F
     over the alphabet (or 0), a pole outside it raising UnsupportedClass."""
     den = list(r.den.rep)
     factors = {}
-    for a in sorted(set([F(0)] + [rat(a) for a in letters])):
+    for a in sorted(set([_ZERO] + [rat(a) for a in letters])):
         while len(den) > 1 and _coeffs_eval(den, a) == 0:
             den = _coeffs_divide_root(den, a)
             factors[a] = factors.get(a, 0) + 1
     if len(den) != 1:
         raise UnsupportedClass(
             f"denominator {r.den} has poles outside the alphabet {letters}")
-    out = {i: c / den[0] for i, c in enumerate(r.num.rep) if c}
+    out = {(_ZERO, -i): c / den[0] for i, c in enumerate(r.num.rep) if c}
     for a, m in factors.items():
         out = _mul(out, {(a, m): F(1)})
     return out
@@ -281,37 +287,33 @@ def basis_ratfunc(coeffs: Mapping[Kernel, Fraction]) -> RatFunc:
     """The RatFunc of a basis dict (for omega0, printing and messages)."""
     out = _rf_const(0)
     for k, c in coeffs.items():
-        out = out + (rf_monomial(F(0), k) if type(k) is int else rf_monomial(k[0], -k[1])) * c
+        out = out + rf_monomial(k[0], -k[1]) * c
     return out
 
 
-# bounded; an expansion meets a few hundred kernel pairs
+# bounded; a seed-1 `bench/run.py --workload expand` stream meets 15 kernel pairs
+# (40,252 hits), since the alphabets hold at most three letters
 @lru_cache(maxsize=4096)
 def _kernel_product(k1: Kernel, k2: Kernel) -> Tuple[Tuple[Kernel, Fraction], ...]:
     """The product of two basis kernels, expanded in the basis."""
-    if type(k1) is int:
-        if type(k2) is int:
-            return ((k1 + k2, F(1)),)
-        k1, k2 = k2, k1
-    a, m = k1
+    (a, m), (b, n) = k1, k2
+    if a == b:
+        return (((a, m + n), F(1)),)
+    if n <= 0:
+        (a, m), (b, n) = (b, n), (a, m)
     out: Dict[Kernel, Fraction] = {}
-    if type(k2) is int:
-        if a == 0:
-            return ((k2 - m if k2 >= m else (a, m - k2), F(1)),)
-        # z^i = sum_k C(i,k) a^(i-k) (z-a)^k; the powers k >= m are polynomials
-        for k in range(k2 + 1):
-            c = comb(k2, k) * a ** (k2 - k)
-            if k < m:
-                out[(a, m - k)] = c
+    if m <= 0:
+        # z^i = sum_k C(i,k) b^(i-k) (z-b)^k; the powers k >= n are polynomials
+        for k in range(1 - m):
+            c = comb(-m, k) * b ** (-m - k)
+            if k < n:
+                out[(b, n - k)] = c
             else:
-                n = k - m
-                for l in range(n + 1):
-                    out[l] = out.get(l, 0) + c * comb(n, l) * (-a) ** (n - l)
+                for l in range(k - n + 1):
+                    kl = (_ZERO, -l)
+                    out[kl] = out.get(kl, 0) + c * comb(k - n, l) * (-b) ** (k - n - l)
     else:
-        b, n = k2
-        if a == b:
-            return (((a, m + n), F(1)),)
-        # expand each factor at the other's pole: (z-b)^-n around z = a and back
+        # expand each pole factor at the other's pole: (z-b)^-n around z = a and back
         for (p, mp), (q, mq) in (((a, m), (b, n)), ((b, n), (a, m))):
             for j in range(mp):
                 out[(p, mp - j)] = comb(mq + j - 1, j) * (-1) ** j / (p - q) ** (mq + j)
@@ -341,23 +343,17 @@ def _merge(out: Dict[Word, Dict[Kernel, Fraction]], w: Word, r: Mapping[Kernel, 
 
 
 def _theta_coeffs(r: Mapping[Kernel, Fraction]) -> Dict[Kernel, Fraction]:
-    """theta z^i = i z^i;  theta (z-a)^-m = -m (z-a)^-m - m a (z-a)^-(m+1)."""
+    """theta (z-a)^-m = -m (z-a)^-m - m a (z-a)^-(m+1); at a = 0, theta z^i = i z^i."""
     out: Dict[Kernel, Fraction] = {}
     for k, c in r.items():
-        if type(k) is int:
-            if k:
-                out[k] = out.get(k, 0) + k * c
-        else:
-            a, m = k
-            out[k] = out.get(k, 0) - m * c
-            if a:
-                nk = (a, m + 1)
-                out[nk] = out.get(nk, 0) - m * a * c
+        a, m = k
+        out[k] = out.get(k, 0) - m * c
+        if a:
+            nk = (a, m + 1)
+            out[nk] = out.get(nk, 0) - m * a * c
     return {k: c for k, c in out.items() if c}
 
 
-# bounded; keyed by (pole, order, series order), a few hundred in a run
-@lru_cache(maxsize=2048)
 def _pole_series(a: Fraction, m: int, n: int) -> Tuple[Fraction, ...]:
     """(z-a)^-m = (-a)^-m sum_k C(m+k-1, k) (z/a)^k to z^n, for a != 0."""
     t = (-1 / a) ** m
@@ -370,18 +366,15 @@ def _pole_series(a: Fraction, m: int, n: int) -> Tuple[Fraction, ...]:
 
 def _term_series(w: Word, r: Mapping[Kernel, Fraction], N: int) -> List[Fraction]:
     """z-series of r(z) G(w; z) to order N; UncancelledPole if G(w) leaves a pole of r."""
-    v = max((k[1] for k in r if type(k) is not int and k[0] == 0), default=0)
+    v = max((m for a, m in r if a == 0 and m > 0), default=0)
     M = N + v
     rc = [F(0)] * (M + 1)          # the series of z^v r(z)
-    for k, c in r.items():
-        if type(k) is int:
-            if k <= N:
-                rc[k + v] += c
-        elif k[0] == 0:
-            rc[v - k[1]] += c
-        else:
-            for j, x in enumerate(_pole_series(k[0], k[1], N)):
+    for (a, m), c in r.items():
+        if a != 0:
+            for j, x in enumerate(_pole_series(a, m, N)):
                 rc[j + v] += c * x
+        elif m >= -N:
+            rc[v - m] += c
     conv = mul_trunc(rc, _word_series(w, M), M)
     if any(conv[:v]):
         raise UncancelledPole(f"pole of {basis_ratfunc(r)} not cancelled by G{w}")
@@ -396,24 +389,34 @@ class GplCombo:
     """sum_w R_w(z) G(w; z); the empty word holds the rational part.
 
     ``data`` maps each word to R_w in the alphabet's partial-fraction basis,
-    {kernel: Fraction}.  The constructor also accepts RatFunc values and
-    converts them once.  A dict of nonempty basis values is kept, not
-    copied (every operation here builds a fresh one), which saves
-    rehashing the Fraction letters of every word.
+    {kernel: Fraction}.  The constructor copies what it is given and also
+    accepts RatFunc values, converting them once.  The operations build
+    fresh dicts and may share the inner ones between combinations, which
+    nothing writes to after construction.
     """
 
     __slots__ = ("data", "letters")
 
-    def __init__(self, data: Dict[Word, object], letters: Tuple[Fraction, ...]):
-        for w in data:
+    def __init__(self, data: Mapping[Word, object], letters: Sequence[Fraction]):
+        letters = tuple(letters)
+        clean = {}
+        for w, r in data.items():
             if w and w[-1] == 0:
                 raise ValueError(f"trailing-zero word {w}")
-        if not all(type(r) is dict and r for r in data.values()):
-            data = {w: partial_fractions(r, letters) if isinstance(r, RatFunc) else r
-                    for w, r in data.items()}
-            data = {w: r for w, r in data.items() if r}
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "letters", tuple(letters))
+            r = (partial_fractions(r, letters) if isinstance(r, RatFunc)
+                 else {k: c for k, c in r.items() if c})
+            if r:
+                clean[w] = r
+        object.__setattr__(self, "data", clean)
+        object.__setattr__(self, "letters", letters)
+
+    @classmethod
+    def _of(cls, data: Dict[Word, Dict[Kernel, Fraction]], letters: Tuple[Fraction, ...]):
+        """Wrap a fresh dict of nonempty basis dicts without checking or copying it."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "data", data)
+        object.__setattr__(s, "letters", letters)
+        return s
 
     def __setattr__(self, *a):
         raise AttributeError("GplCombo is immutable")
@@ -424,8 +427,7 @@ class GplCombo:
 
     @classmethod
     def const(cls, q, letters):
-        q = rat(q)
-        return cls({(): {0: q}} if q else {}, letters)
+        return cls({(): {ONE: rat(q)}}, letters)
 
     @classmethod
     def rational(cls, r: RatFunc, letters):
@@ -433,8 +435,7 @@ class GplCombo:
 
     @classmethod
     def word(cls, w, letters, coeff=1):
-        q = rat(coeff)
-        return cls({as_word(w): {0: q}} if q else {}, letters)
+        return cls({as_word(w): {ONE: rat(coeff)}}, letters)
 
     def is_zero(self):
         return not self.data
@@ -443,7 +444,7 @@ class GplCombo:
         d = dict(self.data)
         for w, r in other.data.items():
             _merge(d, w, r)
-        return GplCombo(d, self.letters)
+        return GplCombo._of(d, self.letters)
 
     def __sub__(self, other):
         return self + other.scale_q(-1)
@@ -452,12 +453,14 @@ class GplCombo:
         q = rat(q)
         if not q:
             return GplCombo.zero(self.letters)
-        return GplCombo({w: {k: c * q for k, c in r.items()} for w, r in self.data.items()},
-                        self.letters)
+        return GplCombo._of({w: {k: c * q for k, c in r.items()}
+                             for w, r in self.data.items()}, self.letters)
 
     def scale_rf(self, r: RatFunc):
         b = partial_fractions(r, self.letters)
-        return GplCombo({w: _mul(rw, b) for w, rw in self.data.items()}, self.letters)
+        if not b:
+            return GplCombo.zero(self.letters)
+        return GplCombo._of({w: _mul(rw, b) for w, rw in self.data.items()}, self.letters)
 
     def theta(self) -> "GplCombo":
         """z d/dz using G'(a, w) = G(w)/(z - a)."""
@@ -465,8 +468,8 @@ class GplCombo:
         for w, r in self.data.items():
             _merge(out, w, _theta_coeffs(r))
             if w:
-                _merge(out, w[1:], _mul(r, dict(_kernel_product(1, (w[0], 1)))))
-        return GplCombo(out, self.letters)
+                _merge(out, w[1:], _mul(r, dict(_kernel_product(_Z, (w[0], 1)))))
+        return GplCombo._of(out, self.letters)
 
     def value_at_zero(self) -> Fraction:
         """Exact limit at the origin, word terms included."""
@@ -482,8 +485,9 @@ class GplCombo:
     def integrate(self) -> "GplCombo":
         """int_0^z of the combination; raises UncancelledPole if divergent.
 
-        Simple pole kernels prepend letters; z^i and (z-a)^-m with m >= 2
-        have rational antiderivatives, integrated by parts against G(w).
+        Simple pole kernels prepend letters; the other kernels (z-a)^-m,
+        z^i among them, have rational antiderivatives, integrated by parts
+        against G(w).
         The leftover integrands of each weight level are merged into one
         combination before recursing, so divergent pieces produced by
         different branches get the chance to cancel.
@@ -495,42 +499,40 @@ class GplCombo:
             pending: Dict[Word, Dict[Kernel, Fraction]] = {}
             for w, r in current.items():
                 anti: Dict[Kernel, Fraction] = {}
-                for k, c in r.items():
-                    if type(k) is int:
-                        anti[k + 1] = c / (k + 1)
-                    elif k[1] > 1:
-                        anti[(k[0], k[1] - 1)] = c / (1 - k[1])
-                    elif k[0] == 0 and not w:
+                for (a, m), c in r.items():
+                    if m != 1:
+                        anti[(a, m - 1)] = c / (1 - m)
+                    elif a == 0 and not w:
                         # pure log pieces cancel across levels or diverge
                         log_residue += c
                     else:
-                        _merge(out, (k[0],) + w, {0: c})
+                        _merge(out, (a or _LETTER0,) + w, {ONE: c})
                 if not anti:
                     continue
                 # int anti' G(w) = [anti G(w)]_0^z - int anti G'(w)
                 b = _term_series(w, anti, 0)[0]
                 _merge(out, w, anti)
                 if b != 0:
-                    _merge(out, (), {0: -b})
+                    _merge(out, (), {ONE: -b})
                 if w:
                     _merge(pending, w[1:], _mul(anti, {(w[0], 1): F(-1)}))
             current = pending
         if log_residue != 0:
             raise UncancelledPole("int dt/t of a nonzero rational part")
-        return GplCombo(out, self.letters)
+        return GplCombo._of(out, self.letters)
 
     def to_polylog(self, var="z") -> PolyLogExpr:
         """Demand constant coefficients; UnsupportedClass otherwise."""
         terms = {}
         const = F(0)
         for w, r in self.data.items():
-            if r.keys() != {0}:
+            if r.keys() != {ONE}:
                 raise UnsupportedClass(
                     f"layer is not a pure polylog combination: ({basis_ratfunc(r)}) G{w}")
             if not w:
-                const += r[0]
+                const += r[ONE]
             else:
-                terms[GplWord(w, var)] = r[0]
+                terms[GplWord(w, var)] = r[ONE]
         return PolyLogExpr(terms, const, var)
 
     def __str__(self):

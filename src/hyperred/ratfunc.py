@@ -224,4 +224,4 @@ def _z_rows(p: Poly, v: int, N: int, K: int) -> BiSeries:
     for c in p.rep[v:v + N + 1]:
         c = c[:K + 1] if p.d == 2 else (c,)
         rows.append(c + (_ZERO,) * (K + 1 - len(c)))
-    return BiSeries._trusted(tuple(rows + [(_ZERO,) * (K + 1)] * (N + 1 - len(rows))))
+    return BiSeries(rows + [(_ZERO,) * (K + 1)] * (N + 1 - len(rows)))

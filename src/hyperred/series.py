@@ -46,15 +46,6 @@ class BiSeries:
         raise AttributeError("BiSeries is immutable")
 
     @classmethod
-    def _trusted(cls, rows: tuple) -> "BiSeries":
-        """Wrap a nonempty tuple of equal-length Fraction tuples without checking it."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "rows", rows)
-        object.__setattr__(s, "z_order", len(rows) - 1)
-        object.__setattr__(s, "eps_order", len(rows[0]) - 1)
-        return s
-
-    @classmethod
     def zeros(cls, N: int, K: int):
         return cls(tuple((_ZERO,) * (K + 1) for _ in range(N + 1)))
 
@@ -77,23 +68,23 @@ class BiSeries:
 
     def __add__(self, other):
         N, K = self._common(other)
-        return BiSeries._trusted(tuple(
+        return BiSeries(tuple(
             tuple(self.rows[j][k] + other.rows[j][k] for k in range(K + 1))
             for j in range(N + 1)))
 
     def __sub__(self, other):
         N, K = self._common(other)
-        return BiSeries._trusted(tuple(
+        return BiSeries(tuple(
             tuple(self.rows[j][k] - other.rows[j][k] for k in range(K + 1))
             for j in range(N + 1)))
 
     def __neg__(self):
-        return BiSeries._trusted(tuple(tuple(-c for c in r) for r in self.rows))
+        return BiSeries(tuple(tuple(-c for c in r) for r in self.rows))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = rat(other)
-            return BiSeries._trusted(tuple(tuple(c * q for c in r) for r in self.rows))
+            return BiSeries(tuple(tuple(c * q for c in r) for r in self.rows))
         N, K = self._common(other)
         cells = [[{} for _ in range(K + 1)] for _ in range(N + 1)]
         right = _split_rows(other.rows, N, K)
@@ -109,13 +100,13 @@ class BiSeries:
                         cell = row[k1 + k2]
                         d = d1 * d2
                         cell[d] = cell.get(d, 0) + n1 * n2
-        return BiSeries._trusted(tuple(tuple(collect(c) for c in row) for row in cells))
+        return BiSeries(tuple(tuple(collect(c) for c in row) for row in cells))
 
     __rmul__ = __mul__
 
     def theta(self) -> "BiSeries":
         """z d/dz on the series."""
-        return BiSeries._trusted(tuple(tuple(c * j for c in r) for j, r in enumerate(self.rows)))
+        return BiSeries(tuple(tuple(c * j for c in r) for j, r in enumerate(self.rows)))
 
     def div_z(self, v: int) -> "BiSeries":
         """Divide by z^v; the v lowest rows must vanish."""
@@ -139,7 +130,7 @@ class BiSeries:
         """1/series; the z^0 coefficient must be invertible in eps."""
         N, K = self.z_order, self.eps_order
         rows = self.rows
-        c0 = tuple(inv_trunc(rows[0], K))
+        c0 = inv_trunc(rows[0], K)
         out = [c0]
         for j in range(1, N + 1):
             s = [_ZERO] * (K + 1)
@@ -147,7 +138,7 @@ class BiSeries:
                 for k, c in enumerate(mul_trunc(rows[i], out[j - i], K)):
                     s[k] += c
             out.append(tuple(-c for c in mul_trunc(s, c0, K)))
-        return BiSeries._trusted(tuple(out))
+        return BiSeries(tuple(out))
 
     def is_zero(self) -> bool:
         return all(c == 0 for r in self.rows for c in r)
@@ -228,7 +219,7 @@ def series_of_hyper(f: HyperFn, N: int, K: int) -> BiSeries:
             num = [c // g for c in num]
         kn, kd = kn * f.kappa.numerator, kd * f.kappa.denominator
         rows.append(tuple(Fraction(c * kn, den * kd) for c in num))
-    return BiSeries._trusted(tuple(rows))
+    return BiSeries(tuple(rows))
 
 
 def _integer_linear(x: EpsLin, j: int):
@@ -275,7 +266,7 @@ def compose_z_series(s: BiSeries, zser: Sequence[Fraction], M: int) -> BiSeries:
                 if p:
                     cell = cells[i][k]
                     cell[d] = cell.get(d, 0) + p * n
-    return BiSeries._trusted(tuple(tuple(collect(c) for c in row) for row in cells))
+    return BiSeries(tuple(tuple(collect(c) for c in row) for row in cells))
 
 
 def collect(cell: Dict[int, int]) -> Fraction:
