@@ -220,6 +220,10 @@ def run_mb(spec: JobSpec, text: str) -> int:
 def run_count_masters(spec: JobSpec, text: str, bindings) -> int:
     mb = _mb_of(parse_input(_load_expr(text)))
     hs = mb_to_hyper(mb)
+    unbound = sorted({k for t in hs.terms for x in t.fn.upper + t.fn.lower
+                      for k, _ in x.bind(bindings).j_coeffs})
+    if unbound:
+        raise ParseError(f"no value bound for {', '.join(unbound)}", 1, 1)
     L, reports = count_master_integrals(hs, bindings)
     rec = {
         "command": "count-masters",

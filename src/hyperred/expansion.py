@@ -20,7 +20,8 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NoFactorization, NotTriangular, UncancelledPole, UnsupportedClass
-from .gpl import ONE, GplCombo, PolyLogExpr, basis_ratfunc, rf_from_coeffs, rf_monomial
+from .gpl import (ONE, GplCombo, PolyLogExpr, basis_ratfunc, partial_fractions,
+                  rf_from_coeffs, rf_monomial)
 from .hyper import HyperFn
 from .ratfunc import RatFunc
 from .scalars import EpsLin, rat
@@ -392,21 +393,18 @@ def _apply_theta_poly(coeffs: Sequence[Fraction], thetas: Sequence[GplCombo],
     return acc
 
 
-def _first_order_solve(rhs: GplCombo, r1: int, r2: int) -> GplCombo:
+def _first_order_solve(rhs: GplCombo, kernel, h) -> GplCombo:
     """[(z-1) theta + z R1 - R2] psi = rhs with psi(0) = 0.
 
     psi = h int_0^z rhs(t) t^(R2-1) (t-1)^(R1-R2-1) dt,
-    h = z^(-R2) (z-1)^(R2-R1).
+    h = z^(-R2) (z-1)^(R2-R1), kernel and h given as basis dicts.
     """
-    kernel = rf_monomial(F(0), r2 - 1) * rf_monomial(F(1), r1 - r2 - 1)
-    h = rf_monomial(F(0), -r2) * rf_monomial(F(1), r2 - r1)
-    return rhs.scale_rf(kernel).integrate().scale_rf(h)
+    return rhs.scale(kernel).integrate().scale(h)
 
 
 def _peel_theta_beta(u: GplCombo, beta: int) -> GplCombo:
     """(theta + beta)^(-1) u = z^(-beta) int_0^z t^(beta-1) u dt."""
-    return u.scale_rf(rf_monomial(F(0), beta - 1)).integrate() \
-            .scale_rf(rf_monomial(F(0), -beta))
+    return u.scale({(0, 1 - beta): 1}).integrate().scale({(0, beta): 1})
 
 
 def _expand_integer_class(f: HyperFn, K: int) -> EpsilonExpansion:
@@ -422,9 +420,12 @@ def _expand_integer_class(f: HyperFn, K: int) -> EpsilonExpansion:
     U = _eps_theta_product(list(zip(A, a)))
     T0 = _eps_theta_product([(x - 1, y) for x, y in zip(B, b)])
     T = {e: [F(0)] + coeffs for e, coeffs in T0.items()}   # left theta factor
-    zf = RatFunc.z(("z",))
+    # the fixed kernels, converted to basis dicts once per call
+    kernel = rf_monomial(F(0), r2 - 1) * rf_monomial(F(1), r1 - r2 - 1)
+    h = rf_monomial(F(0), -r2) * rf_monomial(F(1), r2 - r1)
+    kernel, h = partial_fractions(kernel, letters), partial_fractions(h, letters)
 
-    omega0 = _omega0_rational(f, A, beta, r1, r2, letters)
+    omega0 = _omega0_rational(A, beta, h, letters)
     layers: List[GplCombo] = [omega0]
     thetas: List[List[GplCombo]] = [_theta_stack(omega0, P)]
     for k in range(1, K + 1):
@@ -432,10 +433,10 @@ def _expand_integer_class(f: HyperFn, K: int) -> EpsilonExpansion:
         for j in range(1, min(k, P) + 1):
             st = thetas[k - j]
             if j in U:
-                rhs = rhs - _apply_theta_poly(U[j], st, letters).scale_rf(zf)
+                rhs = rhs - _apply_theta_poly(U[j], st, letters).scale({(0, -1): 1})  # z
             if j in T:
                 rhs = rhs + _apply_theta_poly(T[j], st, letters)
-        chi = _first_order_solve(rhs, r1, r2)
+        chi = _first_order_solve(rhs, kernel, h)
         om = chi
         for bt in sorted(beta, reverse=True):
             om = _peel_theta_beta(om, bt)
@@ -467,11 +468,10 @@ def _theta_stack(c: GplCombo, P: int) -> List[GplCombo]:
     return out
 
 
-def _omega0_rational(f, A, beta, r1, r2, letters) -> GplCombo:
+def _omega0_rational(A, beta, h, letters) -> GplCombo:
     if any(x == 0 for x in A):
         return GplCombo.const(1, letters)
-    h = rf_monomial(F(0), -r2) * rf_monomial(F(1), r2 - r1)
-    om = GplCombo.rational(h, letters)
+    om = GplCombo({(): h}, letters)
     try:
         for bt in sorted(beta, reverse=True):
             om = _peel_theta_beta(om, bt)
@@ -504,7 +504,8 @@ def _expand_half_integer_gauss(f: HyperFn, K: int) -> EpsilonExpansion:
     one_minus = rf_from_coeffs([F(1), F(0), F(-1)])          # 1 - t^2
     k_t = rf_from_coeffs([F(0), F(2)]) / one_minus           # 2t/(1-t^2)
     k_flat = rf_from_coeffs([F(2)]) / one_minus              # 2/(1-t^2)
-    inv_xi = rf_monomial(F(0), -1)
+    k_t, k_flat = partial_fractions(k_t, letters), partial_fractions(k_flat, letters)
+    inv_xi = {(0, 1): 1}                                     # 1/xi
 
     u0 = GplCombo({(F(-1),): rf_from_coeffs([F(1, 2)]),
                    (F(1),): rf_from_coeffs([F(-1, 2)])}, letters)
@@ -513,12 +514,12 @@ def _expand_half_integer_gauss(f: HyperFn, K: int) -> EpsilonExpansion:
     vs = [v0]
     for k in range(1, K + 1):
         um2 = us[k - 2] if k >= 2 else GplCombo.zero(letters)
-        integrand = (vs[k - 1].scale_rf(k_t).scale_q(c - (a1 + a2))
-                     + um2.scale_rf(k_flat).scale_q(-a1 * a2))
+        integrand = (vs[k - 1].scale(k_t).scale_q(c - (a1 + a2))
+                     + um2.scale(k_flat).scale_q(-a1 * a2))
         vk = integrand.integrate()
-        vk = vk + us[k - 1].scale_rf(inv_xi).scale_q(-c)
+        vk = vk + us[k - 1].scale(inv_xi).scale_q(-c)
         vk = vk + GplCombo.const(2 * c * vs[k - 1].value_at_zero(), letters)
-        uk = vk.scale_rf(k_flat).integrate()
+        uk = vk.scale(k_flat).integrate()
         us.append(uk)
         vs.append(vk)
     layers = tuple(u.to_polylog("xi") for u in us)

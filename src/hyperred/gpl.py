@@ -4,7 +4,10 @@ Convention: G(a; z) = int_0^z dt/(t-a), G(a, w; z) = int_0^z dt/(t-a) G(w; t),
 so G(1; z) = ln(1-z) and Li2(z) = -G(0, 1; z).  Words never end in the
 letter 0 (analyticity at the origin); a required dt/t integration against
 a series with nonvanishing constant term raises UncancelledPole instead of
-producing ln(z).
+producing ln(z).  Integral letters are ints, equal and hashing equal to
+their Fractions.  The z-series of a word is a row of integer numerators
+over one positive denominator, built without gcds: its coefficients are
+nested harmonic sums, cleared by lcm(1..N) and powers of the letters.
 
 GplCombo is the working representation during iterated integration:
 rational functions of the variable multiplying words.  Every kernel has its
@@ -12,8 +15,10 @@ poles on the alphabet, so each coefficient is kept in the alphabet's
 partial-fraction basis, a dict over the kernels (z - a)^(-m) (a = 0 with
 m <= 0 giving the powers z^i), and theta, products and integration act on
 that dict in closed form; a RatFunc is converted once on the way in and
-back only for omega0, printing and messages.  Final expansion layers are
-converted to plain rational-coefficient PolyLogExpr values.
+back only for omega0, printing and messages.  Poles at the origin are
+checked on the sum over words, so they may cancel between words.  Final
+expansion layers are converted to plain rational-coefficient PolyLogExpr
+values.
 """
 
 from __future__ import annotations
@@ -21,54 +26,71 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from math import comb, lcm
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .errors import UncancelledPole, UnsupportedClass
 from .poly import Poly
 from .ratfunc import RatFunc
 from .scalars import rat
-from .series import collect, mul_trunc
+from .series import mul_trunc
 
 F = Fraction
-Word = Tuple[Fraction, ...]
-Kernel = Tuple[Fraction, int]
+Letter = Union[int, Fraction]
+Word = Tuple[Letter, ...]
+Kernel = Tuple[Letter, int]
 
 _ZVARS = ("z",)
 
 
+def _letter(a) -> Letter:
+    """An integral letter as an int, any other as a Fraction."""
+    a = a if isinstance(a, int) else rat(a)
+    return a.numerator if a.denominator == 1 else a
+
+
 def as_word(letters: Iterable) -> Word:
-    w = tuple(rat(a) for a in letters)
+    w = tuple(_letter(a) for a in letters)
     if w and w[-1] == 0:
         raise ValueError(f"word {w} ends in 0 (not analytic at the origin)")
     return w
 
 
+@lru_cache(maxsize=64)
+def _lcm_upto(N: int) -> int:
+    return lcm(*range(1, N + 1))
+
+
 # bounded; a 30 s `bench/run.py --workload expand` run fills about 2,300 entries
 @lru_cache(maxsize=16384)
-def _word_series(word: Word, N: int) -> Tuple[Fraction, ...]:
+def _word_series(word: Word, N: int) -> Tuple[int, Tuple[int, ...]]:
+    """G(word; z) to z^N as (D, nums): the coefficient of z^j is nums[j]/D, D > 0."""
     if not word:
-        return (F(1),) + (F(0),) * N
-    a, rest = word[0], word[1:]
-    u = _word_series(rest, N)
-    out = [F(0)] * (N + 1)
+        return 1, (1,) + (0,) * N
+    a, (D, u) = word[0], _word_series(word[1:], N)
+    L = _lcm_upto(N)
     if a == 0:
         if u[0] != 0:
             raise UncancelledPole(f"dt/t against constant term in G{word}")
-        for j in range(1, N + 1):
-            out[j] = u[j] / j
-    else:
-        # conv = u/(t-a) = -sum_m u t^m / a^(m+1) obeys conv_j = (conv_(j-1) - u_j)/a
-        conv = F(0)
-        for j in range(1, N + 1):
-            conv = (conv - u[j - 1]) / a
-            out[j] = conv / j
-    return tuple(out)
+        return D * L, (0,) + tuple(u[j] * (L // j) for j in range(1, N + 1))
+    # conv = u/(t-a) = -sum_m u t^m / a^(m+1) obeys conv_j = (conv_(j-1) - u_(j-1))/a
+    # and G(a, w) takes conv_j/j at z^j; for a = p/q the integers
+    # C_j = D p^j conv_j = q (C_(j-1) - u_(j-1) p^(j-1)) give
+    # conv_j/j = C_j p^(N-j) (L/j) / (D p^N L), the sign of p^N moved into the numerators
+    p, q = a.numerator, a.denominator
+    pw = [p ** k for k in range(N + 1)]
+    sign = 1 if pw[N] > 0 else -1
+    C, out = 0, [0]
+    for j in range(1, N + 1):
+        C = q * (C - u[j - 1] * pw[j - 1])
+        out.append(sign * C * pw[N - j] * (L // j))
+    return sign * D * pw[N] * L, tuple(out)
 
 
 def gpl_word_series(word, N: int) -> List[Fraction]:
     """Exact z-series of G(word; z) to order N."""
-    return list(_word_series(as_word(word), N))
+    D, nums = _word_series(as_word(word), N)
+    return [F(x, D) for x in nums]
 
 
 def shuffle_words(w1: Word, w2: Word) -> List[Word]:
@@ -179,17 +201,23 @@ class PolyLogExpr:
     __rmul__ = __mul__
 
     def series(self, N: int) -> List[Fraction]:
-        # integer numerators per denominator, one Fraction per z^j (series.collect)
-        cells = [{} for _ in range(N + 1)]
+        # one integer row per denominator c.denominator * D, then one common
+        # denominator and one Fraction per z^j
+        rows: Dict[int, List[int]] = {}
         if self.const:
-            cells[0][self.const.denominator] = self.const.numerator
+            rows[self.const.denominator] = [self.const.numerator] + [0] * N
         for w, c in self.terms.items():
-            n, d = c.numerator, c.denominator
-            for cell, x in zip(cells, _word_series(w.letters, N)):
-                if x:
-                    dx = d * x.denominator
-                    cell[dx] = cell.get(dx, 0) + n * x.numerator
-        return [collect(cell) for cell in cells]
+            D, nums = _word_series(w.letters, N)
+            d, n = c.denominator * D, c.numerator
+            row = rows.get(d)
+            rows[d] = ([n * x for x in nums] if row is None
+                       else [r + n * x for r, x in zip(row, nums)])
+        L = lcm(*rows)
+        acc = [0] * (N + 1)
+        for d, row in rows.items():
+            s = L // d
+            acc = [x + s * y for x, y in zip(acc, row)]
+        return [F(x, L) for x in acc]
 
     def __eq__(self, other):
         if not isinstance(other, PolyLogExpr):
@@ -257,10 +285,10 @@ def _coeffs_divide_root(coeffs, a):
 # ---------------------------------------------------------------------------
 # the partial-fraction basis of an alphabet: kernel (a, m) is (z - a)^(-m),
 # with m >= 1 for a letter a and any integer m for a = 0, so (0, -i) is z^i;
-# that 0 is an int, so the commonest keys hash without Fraction.__hash__
+# letters are interned by _letter, so the keys hash without Fraction.__hash__
+# on integral alphabets
 
 _ZERO = 0
-_LETTER0 = F(0)               # one shared object: equal words compare letters by identity
 ONE: Kernel = (_ZERO, 0)      # the kernel of the constant 1
 _Z: Kernel = (_ZERO, -1)
 
@@ -270,7 +298,7 @@ def partial_fractions(r: RatFunc, letters: Sequence[Fraction]) -> Dict[Kernel, F
     over the alphabet (or 0), a pole outside it raising UnsupportedClass."""
     den = list(r.den.rep)
     factors = {}
-    for a in sorted(set([_ZERO] + [rat(a) for a in letters])):
+    for a in sorted(set([_ZERO] + [_letter(a) for a in letters])):
         while len(den) > 1 and _coeffs_eval(den, a) == 0:
             den = _coeffs_divide_root(den, a)
             factors[a] = factors.get(a, 0) + 1
@@ -316,7 +344,7 @@ def _kernel_product(k1: Kernel, k2: Kernel) -> Tuple[Tuple[Kernel, Fraction], ..
         # expand each pole factor at the other's pole: (z-b)^-n around z = a and back
         for (p, mp), (q, mq) in (((a, m), (b, n)), ((b, n), (a, m))):
             for j in range(mp):
-                out[(p, mp - j)] = comb(mq + j - 1, j) * (-1) ** j / (p - q) ** (mq + j)
+                out[(p, mp - j)] = F(comb(mq + j - 1, j) * (-1) ** j, (p - q) ** (mq + j))
     return tuple((k, F(c)) for k, c in out.items() if c)
 
 
@@ -354,9 +382,9 @@ def _theta_coeffs(r: Mapping[Kernel, Fraction]) -> Dict[Kernel, Fraction]:
     return {k: c for k, c in out.items() if c}
 
 
-def _pole_series(a: Fraction, m: int, n: int) -> Tuple[Fraction, ...]:
+def _pole_series(a: Letter, m: int, n: int) -> Tuple[Fraction, ...]:
     """(z-a)^-m = (-a)^-m sum_k C(m+k-1, k) (z/a)^k to z^n, for a != 0."""
-    t = (-1 / a) ** m
+    t = F(-1, a) ** m
     out = [t]
     for k in range(1, n + 1):
         t = t * (m + k - 1) / (k * a)
@@ -364,8 +392,8 @@ def _pole_series(a: Fraction, m: int, n: int) -> Tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _term_series(w: Word, r: Mapping[Kernel, Fraction], N: int) -> List[Fraction]:
-    """z-series of r(z) G(w; z) to order N; UncancelledPole if G(w) leaves a pole of r."""
+def _laurent(w: Word, r: Mapping[Kernel, Fraction], N: int) -> Tuple[int, List[Fraction]]:
+    """(v, coefficients of z^-v .. z^N) of r(z) G(w; z), v the pole order of r at 0."""
     v = max((m for a, m in r if a == 0 and m > 0), default=0)
     M = N + v
     rc = [F(0)] * (M + 1)          # the series of z^v r(z)
@@ -375,10 +403,26 @@ def _term_series(w: Word, r: Mapping[Kernel, Fraction], N: int) -> List[Fraction
                 rc[j + v] += c * x
         elif m >= -N:
             rc[v - m] += c
-    conv = mul_trunc(rc, _word_series(w, M), M)
-    if any(conv[:v]):
-        raise UncancelledPole(f"pole of {basis_ratfunc(r)} not cancelled by G{w}")
-    return conv[v:]
+    return v, mul_trunc(rc, gpl_word_series(w, M), M)
+
+
+def _series_sum(terms: Sequence[Tuple[Word, Mapping[Kernel, Fraction]]], N: int) -> List[Fraction]:
+    """z-series of sum r(z) G(w; z) over (w, r) to order N; UncancelledPole
+    if the sum keeps a pole at 0 (poles may cancel between words)."""
+    parts = [_laurent(w, r, N) for w, r in terms]
+    V = max((v for v, _ in parts), default=0)
+    out = [F(0)] * (N + V + 1)       # z^-V .. z^N
+    for v, conv in parts:
+        for j, x in enumerate(conv, V - v):
+            out[j] += x
+    if any(out[:V]):
+        raise UncancelledPole(f"pole at 0 not cancelled in {_terms_str(terms)}")
+    return out[V:]
+
+
+def _terms_str(terms) -> str:
+    parts = [f"({basis_ratfunc(r)})*G{w}" if w else f"({basis_ratfunc(r)})" for w, r in terms]
+    return " + ".join(parts) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -389,29 +433,28 @@ class GplCombo:
     """sum_w R_w(z) G(w; z); the empty word holds the rational part.
 
     ``data`` maps each word to R_w in the alphabet's partial-fraction basis,
-    {kernel: Fraction}.  The constructor copies what it is given and also
-    accepts RatFunc values, converting them once.  The operations build
-    fresh dicts and may share the inner ones between combinations, which
-    nothing writes to after construction.
+    {kernel: Fraction}.  The constructor copies what it is given, interns
+    the letters of words and kernels, and also accepts RatFunc values,
+    converting them once.  The operations build fresh dicts and may share
+    the inner ones between combinations, which nothing writes to after
+    construction.
     """
 
     __slots__ = ("data", "letters")
 
-    def __init__(self, data: Mapping[Word, object], letters: Sequence[Fraction]):
-        letters = tuple(letters)
+    def __init__(self, data: Mapping[Word, object], letters: Sequence[Letter]):
+        letters = tuple(_letter(a) for a in letters)
         clean = {}
         for w, r in data.items():
-            if w and w[-1] == 0:
-                raise ValueError(f"trailing-zero word {w}")
             r = (partial_fractions(r, letters) if isinstance(r, RatFunc)
-                 else {k: c for k, c in r.items() if c})
+                 else {(_letter(a), m): c for (a, m), c in r.items() if c})
             if r:
-                clean[w] = r
+                clean[as_word(w)] = r
         object.__setattr__(self, "data", clean)
         object.__setattr__(self, "letters", letters)
 
     @classmethod
-    def _of(cls, data: Dict[Word, Dict[Kernel, Fraction]], letters: Tuple[Fraction, ...]):
+    def _of(cls, data: Dict[Word, Dict[Kernel, Fraction]], letters: Tuple[Letter, ...]):
         """Wrap a fresh dict of nonempty basis dicts without checking or copying it."""
         s = object.__new__(cls)
         object.__setattr__(s, "data", data)
@@ -456,11 +499,14 @@ class GplCombo:
         return GplCombo._of({w: {k: c * q for k, c in r.items()}
                              for w, r in self.data.items()}, self.letters)
 
-    def scale_rf(self, r: RatFunc):
-        b = partial_fractions(r, self.letters)
+    def scale(self, b: Mapping[Kernel, Fraction]):
+        """Multiply every coefficient by the basis dict b."""
         if not b:
             return GplCombo.zero(self.letters)
         return GplCombo._of({w: _mul(rw, b) for w, rw in self.data.items()}, self.letters)
+
+    def scale_rf(self, r: RatFunc):
+        return self.scale(partial_fractions(r, self.letters))
 
     def theta(self) -> "GplCombo":
         """z d/dz using G'(a, w) = G(w)/(z - a)."""
@@ -476,11 +522,7 @@ class GplCombo:
         return self.series(0)[0]
 
     def series(self, N: int) -> List[Fraction]:
-        out = [F(0)] * (N + 1)
-        for w, r in self.data.items():
-            for j, x in enumerate(_term_series(w, r, N)):
-                out[j] += x
-        return out
+        return _series_sum(list(self.data.items()), N)
 
     def integrate(self) -> "GplCombo":
         """int_0^z of the combination; raises UncancelledPole if divergent.
@@ -489,10 +531,13 @@ class GplCombo:
         z^i among them, have rational antiderivatives, integrated by parts
         against G(w).
         The leftover integrands of each weight level are merged into one
-        combination before recursing, so divergent pieces produced by
-        different branches get the chance to cancel.
+        combination before recursing, and the boundary value at 0 is taken
+        once, on the sum of the by-parts terms of all words and levels, so
+        divergent pieces produced by different branches get the chance to
+        cancel.
         """
         out: Dict[Word, Dict[Kernel, Fraction]] = {}
+        edge: List[Tuple[Word, Dict[Kernel, Fraction]]] = []
         log_residue = F(0)
         current = self.data
         while current:
@@ -506,19 +551,20 @@ class GplCombo:
                         # pure log pieces cancel across levels or diverge
                         log_residue += c
                     else:
-                        _merge(out, (a or _LETTER0,) + w, {ONE: c})
+                        _merge(out, (a,) + w, {ONE: c})
                 if not anti:
                     continue
                 # int anti' G(w) = [anti G(w)]_0^z - int anti G'(w)
-                b = _term_series(w, anti, 0)[0]
+                edge.append((w, anti))
                 _merge(out, w, anti)
-                if b != 0:
-                    _merge(out, (), {ONE: -b})
                 if w:
                     _merge(pending, w[1:], _mul(anti, {(w[0], 1): F(-1)}))
             current = pending
         if log_residue != 0:
             raise UncancelledPole("int dt/t of a nonzero rational part")
+        b = _series_sum(edge, 0)[0]
+        if b != 0:
+            _merge(out, (), {ONE: -b})
         return GplCombo._of(out, self.letters)
 
     def to_polylog(self, var="z") -> PolyLogExpr:
@@ -536,10 +582,6 @@ class GplCombo:
         return PolyLogExpr(terms, const, var)
 
     def __str__(self):
-        parts = []
-        for w in sorted(self.data, key=lambda w: (len(w), w)):
-            rf = basis_ratfunc(self.data[w])
-            parts.append(f"({rf})*G{w}" if w else f"({rf})")
-        return " + ".join(parts) or "0"
+        return _terms_str(sorted(self.data.items(), key=lambda wr: (len(wr[0]), wr[0])))
 
     __repr__ = __str__

@@ -60,6 +60,7 @@ JOBS = {
     "verify-stored": ["verify", str(GOLDEN / "stored.jsonl")],
     "verify-suite": ["verify", "--suite"],
     "exit-parse": ["reduce", "2F1[1/2+; 1; z]", "--basis", "2F1[1, 1; 1; z]"],
+    "exit-unbound": ["count-masters", "@c1", "--bind", "sigma1=2"],
     "exit-unsupported": ["expand", "2F1[1/3+eps, 1/5; 1/7+eps; z]", "--order", "2"],
     "exit-not-polylog": ["expand", "2F1[1+2*eps, 3*eps; 2-eps; z]", "--order", "3"],
     "exit-exceptional": ["reduce", "2F1[1, 1/3-eps; 3/2; z]",

@@ -168,7 +168,7 @@ LETTERS = (F(-3), F(-1), F(-1, 2), F(0), F(1, 2), F(1), F(2))
 def test_word_series_matches_convolution_on_short_words():
     words = [(a,) for a in LETTERS if a] + [(a, b) for a in LETTERS for b in LETTERS if b]
     for w in words:
-        assert gpl._word_series(w, 40) == _convolution_word_series(w, 40), w
+        assert gpl_word_series(w, 40) == list(_convolution_word_series(w, 40)), w
 
 
 @settings(max_examples=60, deadline=None)
@@ -176,7 +176,38 @@ def test_word_series_matches_convolution_on_short_words():
        .filter(lambda w: w[-1] != 0).map(tuple),
        st.integers(0, 40))
 def test_word_series_matches_convolution(word, N):
-    assert gpl._word_series(word, N) == _convolution_word_series(word, N)
+    assert gpl_word_series(word, N) == list(_convolution_word_series(word, N))
+
+
+def test_word_series_int_form_to_order_60():
+    # one positive denominator over integer numerators, the value exact; odd
+    # orders give a negative letter a negative p^N, whose sign D must not keep
+    rest = ((), (1,), (0, F(-1, 2)))
+    for a in (F(-3), F(-1, 2), F(1, 2), F(2)):
+        for w in [(a,) + r for r in rest] + [r + (a,) for r in rest if r]:
+            for N in (1, 8, 59, 60):
+                D, nums = gpl._word_series(gpl.as_word(w), N)
+                assert type(D) is int and D > 0 and len(nums) == N + 1, (w, N)
+                assert all(type(x) is int for x in nums), (w, N)
+                assert [F(x, D) for x in nums] == list(_convolution_word_series(w, N)), (w, N)
+
+
+def test_int_and_fraction_letters_are_one_word():
+    for letters in ((1,), (-1, 0, 1), (2, F(1, 2), -3)):
+        ints, fracs = gpl.as_word(letters), tuple(F(a) for a in letters)
+        assert [type(a) for a in ints] == [int if F(a).denominator == 1 else F
+                                            for a in letters]
+        assert ints == fracs and hash(ints) == hash(fracs)
+        gi, gf = GplWord(ints), GplWord(fracs)
+        assert gi == gf and hash(gi) == hash(gf) and str(gi) == str(gf)
+        assert gpl._word_series(ints, 12) == gpl._word_series(fracs, 12)
+        assert gpl_word_series(ints, 12) == gpl_word_series(fracs, 12)
+        assert {gi: 1}[gf] == 1
+    # combinations built from Fraction keys intern them and match int-keyed ones
+    c1 = GplCombo({(F(1), F(-1)): {(F(1), 2): F(3)}}, (F(-1), F(1)))
+    c2 = GplCombo({(1, -1): {(1, 2): F(3)}}, (-1, 1))
+    assert c1.data == c2.data and str(c1) == str(c2) and c1.series(6) == c2.series(6)
+    assert [type(a) for w in c1.data for a in w] == [int, int]
 
 
 def test_word_series_dt_over_t_against_constant_term_raises():
@@ -193,7 +224,7 @@ def _per_word_series(e, N):
     out = [F(0)] * (N + 1)
     out[0] = e.const
     for w, c in e.terms.items():
-        for j, x in enumerate(gpl._word_series(w.letters, N)):
+        for j, x in enumerate(gpl_word_series(w.letters, N)):
             out[j] += c * x
     return out
 
@@ -249,24 +280,29 @@ def _word_strategy(letters):
             .filter(lambda w: not w or w[-1] != 0).map(tuple))
 
 
-# GplCombo.series checks poles word by word and the oracle on the sum, so
-# the series, scale_rf and theta properties draw one word
-def _combo_strategy(letters, max_words=1):
+# several words, so poles that cancel only between words reach the checks
+def _combo_strategy(letters):
     return st.dictionaries(_word_strategy(letters), _basis_strategy(letters),
-                           min_size=1, max_size=max_words)
+                           min_size=1, max_size=3)
 
 
 ALPHABETS = ((F(1),), (F(-1), F(1)))
 
 
-def _oracle_series(data, N):
-    """Series of sum_w r_w G(w) through RatFunc.to_biseries; None if the sum keeps a pole."""
+def _oracle_laurent(data, N):
+    """{j: coefficient of z^j} of sum_w r_w G(w) through RatFunc.to_biseries, j <= N."""
     laurent = {}
     for w, r in data.items():
         s, v = r.to_biseries(N + r.den.degree(), 0)
         rc = [s.get(j, 0) for j in range(N + v + 1)]
         for j, x in enumerate(mul_trunc(rc, gpl_word_series(w, N + v), N + v)):
             laurent[j - v] = laurent.get(j - v, 0) + x
+    return laurent
+
+
+def _oracle_series(data, N):
+    """Series of sum_w r_w G(w); None if the sum keeps a pole."""
+    laurent = _oracle_laurent(data, N)
     if any(x for j, x in laurent.items() if j < 0):
         return None
     return [F(laurent.get(j, 0)) for j in range(N + 1)]
@@ -313,22 +349,34 @@ def test_basis_theta_is_j_times_series(data, letters):
 @settings(max_examples=120, deadline=None)
 @given(st.data(), st.sampled_from(ALPHABETS))
 def test_basis_integrate_is_antiderivative(data, letters):
-    # several words, so poles that cancel only between words reach integrate
-    d = data.draw(_combo_strategy(letters, max_words=3))
+    d = data.draw(_combo_strategy(letters))
     c = GplCombo(d, letters)
-    if any(_oracle_series({w: basis_ratfunc(r)}, 8) is None for w, r in d.items()):
-        # a pole of one word's term may cancel against another word's, which
-        # integrate (checking word by word) is allowed to refuse
-        try:
-            integral = c.integrate()
-        except UncancelledPole:
-            return
-    else:
-        # every term regular on its own: integrate must not refuse
-        integral = c.integrate()
     s = _oracle_series(_as_ratfuncs(d), 8)
-    assert s is not None
+    # poles may cancel between words: integrate refuses exactly when the
+    # summed integrand keeps a pole (a 1/z one included, since int dt/t = ln z)
+    if s is None:
+        with pytest.raises(UncancelledPole):
+            c.integrate()
+        return
+    integral = c.integrate()
     assert integral.series(8) == [F(0)] + [s[j - 1] / j for j in range(1, 9)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from(ALPHABETS))
+def test_basis_poles_cancelled_by_the_rational_part(data, letters):
+    # subtract the summed pole part on the empty word: the words' own terms
+    # keep their poles, the sum is regular, and series and integrate accept it
+    d = data.draw(_combo_strategy(letters))
+    rational = dict(d.get((), {}))
+    for j, x in _oracle_laurent(_as_ratfuncs(d), 0).items():
+        if j < 0 and x:
+            rational[(F(0), -j)] = rational.get((F(0), -j), 0) - x
+    d[()] = {k: c for k, c in rational.items() if c}
+    s = _oracle_series(_as_ratfuncs(d), 8)
+    c = GplCombo(d, letters)
+    assert c.series(8) == s
+    assert c.integrate().series(8) == [F(0)] + [s[j - 1] / j for j in range(1, 9)]
 
 
 def test_basis_integrate_covers_boundary_and_higher_poles():
@@ -381,3 +429,25 @@ def test_combo_copies_its_input():
     s = c + GplCombo.word((1,), letters)
     r[(F(1), 2)] = F(1)
     assert c.series(6) == before and (s - GplCombo.word((1,), letters)).series(6) == before
+
+
+def test_poles_cancel_between_words():
+    # G(1) + G(-1) = ln(1 - z^2) = -z^2 - z^4/2 - ..., so these are regular at 0
+    letters = (F(-1), F(1))
+    over_z2 = {(F(1),): {(F(0), 2): F(1)}, (F(-1),): {(F(0), 2): F(1)}}
+    assert GplCombo(over_z2, letters).series(3) == _oracle_series(_as_ratfuncs(over_z2), 3)
+    assert GplCombo(over_z2, letters).series(3) == [-1, 0, F(-1, 2), 0]
+    # ln(1 - z^2)/z^3 + 1/z: the by-parts boundary terms cancel between the words
+    over_z3 = {(F(1),): {(F(0), 3): F(1)}, (F(-1),): {(F(0), 3): F(1)}, (): {(F(0), 1): F(1)}}
+    # G(1)/z^3 + 1/z^2 + 1/(2z): they cancel between the levels of the by-parts recursion
+    levels = {(F(1),): {(F(0), 3): F(1)}, (): {(F(0), 2): F(1), (F(0), 1): F(1, 2)}}
+    for d in (over_z3, levels):
+        s = _oracle_series(_as_ratfuncs(d), 8)
+        got = GplCombo(d, letters).integrate().series(8)
+        assert got == [F(0)] + [s[j - 1] / j for j in range(1, 9)]
+    # a pole left in the sum is still refused
+    with pytest.raises(UncancelledPole):
+        GplCombo({(F(1),): {(F(0), 3): F(1)}, (F(-1),): {(F(0), 3): F(1)}},
+                 letters).integrate()
+    with pytest.raises(UncancelledPole):
+        GplCombo({(F(1),): {(F(0), 3): F(1)}}, letters).series(2)

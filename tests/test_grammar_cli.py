@@ -271,3 +271,10 @@ def test_cli_expand_half_integer():
     assert r.returncode == 0, r.stderr
     assert "sqrt(-z)*F in xi" in r.stdout
     assert "verified" in r.stdout
+
+
+def test_cli_count_masters_refuses_unbound_symbols():
+    r = run_cli("count-masters", "@c1", "--bind", "sigma1=2")
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.count("\n") == 1 and "Traceback" not in r.stderr
+    assert "rho, sigma2" in r.stderr
