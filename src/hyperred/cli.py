@@ -2,8 +2,9 @@
 
 Machine-readable output is line-delimited JSON with every rational encoded
 as a "num/den" string; identical jobs produce byte-identical output.
-Engine failures map to distinct exit codes: parse errors 2, unsupported
-inputs 3, exceptional or singular parameters 4, verification failures 5.
+Engine failures map to distinct exit codes: parse errors and unbound
+symbols 2, unsupported inputs 3, exceptional or singular parameters 4,
+verification failures 5.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from typing import List, Optional
 
 from .errors import (CriterionViolation, DegeneratePoles, HyperredError,
                      NoFactorization, NotIntegerShift, NotTriangular, ParseError,
-                     PoleAtEpsZero, SingularStep, UncancelledPole, UnsupportedClass,
-                     VerificationFailure)
+                     PoleAtEpsZero, SingularStep, UnboundSymbols, UncancelledPole,
+                     UnsupportedClass, VerificationFailure)
 from .expansion import (EpsilonExpansion, epsilon_expand, f3_parametrization_check,
                         gauss_flags, gauss_triangular_system, three_f2_system,
                         verify_expansion)
@@ -45,7 +46,7 @@ MAX_K = 8
 
 
 def exit_code_for(exc: BaseException) -> int:
-    if isinstance(exc, ParseError):
+    if isinstance(exc, (ParseError, UnboundSymbols)):
         return EXIT_PARSE
     if isinstance(exc, (UnsupportedClass, NoFactorization, NotTriangular,
                         DegeneratePoles, NotIntegerShift)):
@@ -220,10 +221,6 @@ def run_mb(spec: JobSpec, text: str) -> int:
 def run_count_masters(spec: JobSpec, text: str, bindings) -> int:
     mb = _mb_of(parse_input(_load_expr(text)))
     hs = mb_to_hyper(mb)
-    unbound = sorted({k for t in hs.terms for x in t.fn.upper + t.fn.lower
-                      for k, _ in x.bind(bindings).j_coeffs})
-    if unbound:
-        raise ParseError(f"no value bound for {', '.join(unbound)}", 1, 1)
     L, reports = count_master_integrals(hs, bindings)
     rec = {
         "command": "count-masters",

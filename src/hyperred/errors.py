@@ -72,5 +72,13 @@ class ParseError(HyperredError):
                          + (f" (expected {', '.join(self.expected)})" if self.expected else ""))
 
 
+class UnboundSymbols(HyperredError):
+    """A linear form still holds propagator-power symbols that were never bound."""
+
+    def __init__(self, names):
+        self.names = tuple(names)
+        super().__init__(f"no value bound for {', '.join(self.names)}")
+
+
 class VerificationFailure(HyperredError):
     """A stored or recomputed result failed its oracle comparison."""

@@ -56,11 +56,6 @@ def as_word(letters: Iterable) -> Word:
     return w
 
 
-@lru_cache(maxsize=64)
-def _lcm_upto(N: int) -> int:
-    return lcm(*range(1, N + 1))
-
-
 # bounded; a 30 s `bench/run.py --workload expand` run fills about 2,300 entries
 @lru_cache(maxsize=16384)
 def _word_series(word: Word, N: int) -> Tuple[int, Tuple[int, ...]]:
@@ -68,7 +63,7 @@ def _word_series(word: Word, N: int) -> Tuple[int, Tuple[int, ...]]:
     if not word:
         return 1, (1,) + (0,) * N
     a, (D, u) = word[0], _word_series(word[1:], N)
-    L = _lcm_upto(N)
+    L = lcm(*range(1, N + 1))
     if a == 0:
         if u[0] != 0:
             raise UncancelledPole(f"dt/t against constant term in G{word}")
@@ -473,10 +468,6 @@ class GplCombo:
         return cls({(): {ONE: rat(q)}}, letters)
 
     @classmethod
-    def rational(cls, r: RatFunc, letters):
-        return cls({(): r}, letters)
-
-    @classmethod
     def word(cls, w, letters, coeff=1):
         return cls({as_word(w): {ONE: rat(coeff)}}, letters)
 
@@ -504,9 +495,6 @@ class GplCombo:
         if not b:
             return GplCombo.zero(self.letters)
         return GplCombo._of({w: _mul(rw, b) for w, rw in self.data.items()}, self.letters)
-
-    def scale_rf(self, r: RatFunc):
-        return self.scale(partial_fractions(r, self.letters))
 
     def theta(self) -> "GplCombo":
         """z d/dz using G'(a, w) = G(w)/(z - a)."""

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Tuple
 
+from .errors import UnboundSymbols
 
 
 def rat(x) -> Fraction:
@@ -145,7 +146,7 @@ class LinearForm:
     def to_epslin(self, n_value: EpsLin = EpsLin(4, -2)) -> EpsLin:
         """Fully bind (default n = 4 - 2*eps); all j symbols must be gone."""
         if self.j_coeffs:
-            raise ValueError(f"unbound symbols {[k for k, _ in self.j_coeffs]} in {self}")
+            raise UnboundSymbols([k for k, _ in self.j_coeffs])
         return EpsLin(self.const + self.n_coeff * n_value.const,
                       self.n_coeff * n_value.eps)
 
