@@ -68,7 +68,10 @@ def enc_rat(q: Fraction) -> str:
 
 
 def dec_rat(s: str) -> Fraction:
-    return Fraction(s)
+    try:
+        return Fraction(int(s))     # enc_rat writes integers bare; int() skips the regex
+    except ValueError:
+        return Fraction(s)
 
 
 def enc_ratfunc(r: RatFunc) -> dict:

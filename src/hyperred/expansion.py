@@ -62,9 +62,6 @@ class FactorizationReport:
     candidates: Tuple[str, ...] = ()
     gauss_checks: Optional[dict] = None
 
-    def h_is_rational(self):
-        return all(e.denominator == 1 for e in self.h_exponents)
-
 
 def _xi_for_case(case: str, r1: Fraction, r2: Fraction) -> Optional[str]:
     if case == "R1=R2":

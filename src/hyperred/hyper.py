@@ -90,24 +90,6 @@ class HyperFn(Hyper[EpsLin]):
             return f"{self.kappa}*{self.var}"
         return super()._arg()
 
-    def cancel_matching(self) -> "HyperFn":
-        """Drop upper/lower pairs that are exactly equal (series-identical)."""
-        uppers = list(self.upper)
-        lowers = list(self.lower)
-        changed = True
-        while changed:
-            changed = False
-            for i, u in enumerate(uppers):
-                for j, l in enumerate(lowers):
-                    if u == l:
-                        del uppers[i]
-                        del lowers[j]
-                        changed = True
-                        break
-                if changed:
-                    break
-        return HyperFn(uppers, lowers, self.kappa, self.var)
-
 
 class SymHyperFn(Hyper[LinearForm]):
     """A hypergeometric function whose parameters are (n, j) linear forms.

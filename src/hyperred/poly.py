@@ -221,6 +221,26 @@ def _exact_div(a, b, d):
     return _trim(tuple(q), d)
 
 
+def _div_root(a, i, r, d):
+    """a / (x_i - r) if exact, else None; x_(d-1) is the top variable."""
+    if _is_zero(a, d):
+        return a
+    if i < d - 1:
+        out = []
+        for c in a:
+            q = _div_root(c, i, r, d - 1)
+            if q is None:
+                return None
+            out.append(q)
+        return tuple(out)
+    q = [None] * (len(a) - 1)
+    acc = a[-1]
+    for j in range(len(a) - 2, -1, -1):
+        q[j] = acc
+        acc = _add(a[j], _scale(acc, r, d - 1), d - 1)
+    return tuple(q) if _is_zero(acc, d - 1) else None
+
+
 def _unit_normalize(a, d):
     if _is_zero(a, d):
         return a
@@ -527,6 +547,15 @@ class Poly:
         self._check(other)
         return Poly(self.vars, _exact_div(self.rep, other.rep, self.d))
 
+    def div_root(self, name, r):
+        """self / (name - r) when that linear factor divides self, else None.
+
+        Synthetic division: its remainder is self at name = r, so a factor
+        that does not divide costs one evaluation and no exact_div.
+        """
+        q = _div_root(self.rep, self.vars.index(name), Fraction(r), self.d)
+        return None if q is None else Poly(self.vars, q)
+
     def subst(self, new_vars, mapping: Mapping[str, "Poly"]):
         """Map each variable to a polynomial over ``new_vars``."""
         values = {}
@@ -544,16 +573,6 @@ class Poly:
                 if e:
                     term = term * values[v] ** e
             acc = acc + term
-        return acc
-
-    def eval_frac(self, values: Mapping[str, Fraction]) -> Fraction:
-        acc = _ZERO
-        for exps, q in self.terms().items():
-            t = q
-            for v, e in zip(self.vars, exps):
-                if e:
-                    t *= Fraction(values[v]) ** e
-            acc += t
         return acc
 
     # display -------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from .errors import PoleAtEpsZero
 from .poly import Poly
-from .scalars import EpsLin
 from .series import BiSeries
 
 _Z = "z"
@@ -49,17 +48,6 @@ class RatFunc:
     def const(cls, vars, q):
         return cls(Poly.const(vars, q), _normalized=True)
 
-    @classmethod
-    def z(cls, vars):
-        return cls(Poly.variable(vars, _Z), _normalized=True)
-
-    @classmethod
-    def from_epslin(cls, vars, x: EpsLin):
-        p = Poly.const(vars, x.const)
-        if x.eps:
-            p = p + Poly.variable(vars, "eps").scale(x.eps)
-        return cls(p, _normalized=True)
-
     # basics ---------------------------------------------------------------
 
     @property
@@ -68,9 +56,6 @@ class RatFunc:
 
     def is_zero(self):
         return self.num.is_zero()
-
-    def is_one(self):
-        return self.num == self.den
 
     def is_polynomial(self):
         return self.den.is_const()
@@ -188,7 +173,12 @@ class RatFunc:
 
 
 def _cancel(num: Poly, den: Poly):
-    """(num, den) divided by their gcd, with no division when the gcd is 1."""
+    """(num, den) divided by their gcd, with no division when the gcd is 1.
+
+    A constant den (nonzero) is a unit, so it needs no gcd either.
+    """
+    if den.is_const():
+        return num, den
     g = num.gcd(den)
     if g.is_const() and g.const_value() == 1:
         return num, den

@@ -4,24 +4,42 @@ Functions are written as vectors over the basis column (F, theta F, ...,
 theta^(d-1) F), with theta^d F brought back by the hypergeometric ODE (the
 relation row).  When the function carries a unit upper parameter the module
 becomes affine, with a constant slot realizing the algebraic tails of the
-integer-parameter case.  A contiguous step F_shifted = (1 + theta/c) F, with
-c free of z, is the matrix I + N/c, where N is theta on the basis and its
-last row is the relation row; inverse steps invert that matrix, and a
-vanishing determinant is exactly the exceptional-parameter signal.
+integer-parameter case.
+
+Every denominator on a reduction path is a known factor, so a unit step is
+kept fraction-free as (P, factors, K): a polynomial matrix P over K times a
+product of monic factors.  The relation row is polynomial over its lead
+1 - kappa z, so the contiguous step F_shifted = (1 + theta/c) F, c free of
+z, is P = c(1 - kappa z) I + (1 - kappa z) shift + relation row, over
+{c, 1 - kappa z}.  An inverse step is the adjugate of the reverse step's
+P over its determinant.  A contiguity matrix is singular exactly where a
+parameter difference is an integer, so trial division splits that
+determinant over z, 1 - kappa z, the parameters, the lowers minus 1 and
+their differences; a vanishing determinant is the exceptional-parameter
+signal.  reduce_to_basis folds row 0 of the path product with Poly
+products alone, then divides each factor out while it divides every
+numerator.  That reaches the unique gcd-free form with S monic without a
+multivariate gcd; only a determinant factor that does not split goes
+through a gcd.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from fractions import Fraction
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NotIntegerShift, SingularStep, VerificationFailure
 from .hyper import Hyper, HyperFn
 from .poly import Poly
 from .ratfunc import RatFunc
-from .scalars import EpsLin, LinearForm
+from .scalars import EpsLin
 from .series import BiSeries, series_of_hyper
 from .theta import ThetaOp
+
+# Monic factors with their multiplicities: (P, factors, K) stands for
+# P / (K * prod f^m), K a nonzero Fraction.
+Factors = Dict[Poly, int]
 
 
 # ---------------------------------------------------------------------------
@@ -34,17 +52,15 @@ def _ring_vars(fn: Hyper):
     return ("n", "z")
 
 
-def _param_rf(vars, x) -> RatFunc:
+def _param_poly(vars, x) -> Poly:
     if isinstance(x, EpsLin):
-        return RatFunc.from_epslin(vars, x)
-    if isinstance(x, LinearForm):
-        if x.j_coeffs:
-            raise ValueError(f"bind propagator powers before reducing: {x}")
-        p = Poly.const(vars, x.const)
-        if x.n_coeff:
-            p = p + Poly.variable(vars, "n").scale(x.n_coeff)
-        return RatFunc(p, _normalized=True)
-    return RatFunc.const(vars, x)
+        name, coeff = "eps", x.eps
+    elif x.j_coeffs:
+        raise ValueError(f"bind propagator powers before reducing: {x}")
+    else:
+        name, coeff = "n", x.n_coeff
+    p = Poly.const(vars, x.const)
+    return p + Poly.variable(vars, name).scale(coeff) if coeff else p
 
 
 def _is_unit_param(x) -> bool:
@@ -53,52 +69,22 @@ def _is_unit_param(x) -> bool:
     return x.n_coeff == 0 and not x.j_coeffs and x.const == 1
 
 
-def _theta_poly(vars, roots: Sequence[RatFunc]) -> List[RatFunc]:
+def _theta_poly(roots: Sequence[Poly], one: Poly) -> List[Poly]:
     """Coefficients of prod (theta + r), the factors commuting."""
-    coeffs = [RatFunc.const(vars, 1)]
+    coeffs = [one]
     for r in roots:
-        nxt = [RatFunc.const(vars, 0)] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i] = nxt[i] + c * r
-            nxt[i + 1] = nxt[i + 1] + c
+        nxt = [c * r for c in coeffs] + [coeffs[-1]]
+        for i in range(1, len(coeffs)):
+            nxt[i] = nxt[i] + coeffs[i - 1]
         coeffs = nxt
     return coeffs
 
 
 def ode_operator(fn: Hyper) -> ThetaOp:
     """kappa z prod(theta + a_i) - theta prod(theta + b_l - 1), degree p+1."""
-    vars = _ring_vars(fn)
-    zf = RatFunc.z(vars) * fn.kappa
-    up = _theta_poly(vars, [_param_rf(vars, a) for a in fn.upper])
-    low = _theta_poly(vars, [_param_rf(vars, b) - 1 for b in fn.lower])
-    coeffs = [zf * c for c in up]
-    for i, c in enumerate(low):
-        coeffs[i + 1] = coeffs[i + 1] - c
-    return ThetaOp(coeffs)
-
-
-def unit_upper_relation(fn: Hyper, skip_index: int) -> Tuple[ThetaOp, RatFunc]:
-    """Inhomogeneous order-p relation for a function with upper parameter 1.
-
-    Returns (T, c) with T F = c, where
-    T = prod_l (theta + b_l - 1) - kappa z prod_{i != skip} (theta + a_i)
-    and c = prod_l (b_l - 1).
-    """
-    vars = _ring_vars(fn)
-    zf = RatFunc.z(vars) * fn.kappa
-    lows = [_param_rf(vars, b) - 1 for b in fn.lower]
-    low = _theta_poly(vars, lows)
-    ups = [_param_rf(vars, a) for i, a in enumerate(fn.upper) if i != skip_index]
-    up = _theta_poly(vars, ups)
-    coeffs = [RatFunc.const(vars, 0)] * (len(low))
-    for i, c in enumerate(low):
-        coeffs[i] = c
-    for i, c in enumerate(up):
-        coeffs[i] = coeffs[i] - zf * c
-    const = RatFunc.const(vars, 1)
-    for c in lows:
-        const = const * c
-    return ThetaOp(coeffs), const
+    m = QuotientModule(fn)
+    return ThetaOp([RatFunc(r, _normalized=True) for r in m.rel_num]
+                   + [RatFunc(-m.lead, _normalized=True)])
 
 
 # ---------------------------------------------------------------------------
@@ -108,27 +94,34 @@ def unit_upper_relation(fn: Hyper, skip_index: int) -> Tuple[ThetaOp, RatFunc]:
 class QuotientModule:
     """The relation that brings theta^dim F back into the basis of fn.
 
-    dim is p+1 in the generic case; with ``affine`` a unit upper parameter
-    contributes an order-p inhomogeneous relation, and theta^dim F picks
-    up a constant tail: theta^dim F = sum_i rel_vec[i] theta^i F + rel_tail.
+    theta^dim F = (sum_i rel_num[i] theta^i F + tail_num) / lead, the
+    numerators polynomial over lead = 1 - kappa z, built in closed form
+    from T = prod_l (theta + b_l - 1) - kappa z prod_i (theta + a_i), whose
+    lead coefficient is 1 - kappa z, with T F = tail_num.  Generic (dim
+    p+1): the first product carries an extra theta, so T is minus the ODE
+    and tail_num = 0.  With ``affine`` the unit upper a_skip drops from the
+    second product, giving the order-p inhomogeneous relation with
+    tail_num = prod_l (b_l - 1).
     """
 
     def __init__(self, fn: Hyper, affine_index: Optional[int] = None):
         self.affine = affine_index is not None
-        if self.affine:
-            if not _is_unit_param(fn.upper[affine_index]):
-                raise ValueError("affine reduction needs a unit upper parameter")
-            rel, const = unit_upper_relation(fn, affine_index)
-            self.dim = fn.p
-        else:
-            rel = ode_operator(fn)
-            const = RatFunc.const(_ring_vars(fn), 0)
-            self.dim = fn.p + 1
-        lead = rel.coeff(self.dim)
-        if lead.is_zero():
-            raise SingularStep(f"relation for {fn} lost its leading term")
-        self.rel_vec = [-(rel.coeff(i) / lead) for i in range(self.dim)]
-        self.rel_tail = const / lead
+        if self.affine and not _is_unit_param(fn.upper[affine_index]):
+            raise ValueError("affine reduction needs a unit upper parameter")
+        vars = _ring_vars(fn)
+        one = Poly.const(vars, 1)
+        lows = [_param_poly(vars, b) - 1 for b in fn.lower]
+        if not self.affine:
+            lows.append(Poly.zero(vars))
+        ups = [_param_poly(vars, a) for i, a in enumerate(fn.upper) if i != affine_index]
+        kz = Poly.variable(vars, "z").scale(fn.kappa)
+        T = [lo - kz * up for lo, up in zip(_theta_poly(lows, one), _theta_poly(ups, one))]
+        self.dim = len(T) - 1
+        self.lead = T[-1]
+        self.rel_num = [-t for t in T[:-1]]
+        self.tail_num = one
+        for lo in lows:
+            self.tail_num = self.tail_num * lo
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +132,11 @@ class QuotientModule:
 class OpMatrix:
     """Square matrix over rational functions of z (or one row of one).
 
-    Acts on the basis column (F, theta F, ..., theta^p F); in affine mode
-    the final slot holds the constant function 1 instead of theta^p F and
-    the bottom row is (0, ..., 0, 1).
+    The RatFunc view of a step (``step_matrix``), for tests and the public
+    API; reductions fold the polynomial (P, factors, K) form instead.  Acts
+    on the basis column (F, theta F, ..., theta^p F); in affine mode the
+    final slot holds the constant function 1 instead of theta^p F and the
+    bottom row is (0, ..., 0, 1).
     """
 
     entries: Tuple[Tuple[RatFunc, ...], ...]
@@ -212,46 +207,204 @@ class OpMatrix:
             a == b for ra, rb in zip(self.entries, other.entries) for a, b in zip(ra, rb))
 
 
+
 # ---------------------------------------------------------------------------
-# contiguous steps
+# fraction-free steps
 
 
-def _forward_matrix(fn: Hyper, which: str, index: int,
-                    affine_index: Optional[int]) -> OpMatrix:
-    """I + N/c, the matrix of F_shifted = (1 + theta/c) F for upper+1 / lower-1.
+def _add_factor(factors: Factors, f: Poly, m: int = 1) -> Fraction:
+    """Record f^m by its monic form; returns the constant split off, lead^m."""
+    if f.is_const():
+        return f.const_value() ** m
+    lf = f.lead_fraction()
+    key = f if lf == 1 else f.scale(1 / lf)
+    factors[key] = factors.get(key, 0) + m
+    return lf ** m
 
-    c is the upper parameter, or the lower one minus 1; it is free of z, so
-    theta^k (1 + theta/c) F = theta^k F + theta^(k+1) F / c.  N is theta on
-    the basis column: row k < dim-1 is e_(k+1), and the last row is the
-    relation row, with its tail in affine mode.
+
+def _factor_product(vars, K: Fraction, factors: Factors) -> Poly:
+    p = Poly.const(vars, K)
+    for f, m in factors.items():
+        p = p * f ** m
+    return p
+
+
+def _linear_root(f: Poly):
+    """(name, r) when the monic f is name - r, else None."""
+    terms = f.terms()
+    top = [e for e in terms if any(e)]
+    if len(top) != 1 or sum(top[0]) != 1:
+        return None
+    return f.vars[top[0].index(1)], -terms.get((0,) * f.d, 0)
+
+
+def _cancel(polys: List[Poly], factors: Factors) -> Tuple[List[Poly], Factors]:
+    """Divide each factor out of polys while it divides all of them.
+
+    Returns the quotients and the factors left.  A linear factor is
+    irreducible, so it is divided out, tested at its root, for as long as
+    it divides every polynomial.  Any other factor (a determinant that did
+    not split) goes through a gcd with the polynomials, and its cofactor is
+    left.  Taking the copies one at a time, what is left shares no factor
+    with the quotients: the gcd-free form.
+    """
+    polys = list(polys)
+    live = [i for i, p in enumerate(polys) if not p.is_zero()]
+    left: Factors = {}
+    for f, m in factors.items():
+        root = _linear_root(f)
+        while m:
+            if root is not None:
+                qs = []
+                for i in live:
+                    q = polys[i].div_root(*root)
+                    if q is None:
+                        break
+                    qs.append(q)
+                if len(qs) < len(live):
+                    break
+            else:
+                g = f
+                for i in live:
+                    g = g.gcd(polys[i])
+                    if g.is_const():
+                        break
+                if g.is_const():
+                    break
+                qs = [polys[i].exact_div(g) for i in live]
+                _add_factor(left, f.exact_div(g))
+            for i, q in zip(live, qs):
+                polys[i] = q
+            m -= 1
+        if m:
+            left[f] = left.get(f, 0) + m
+    return polys, left
+
+
+def _forward_step(fn: Hyper, which: str, index: int, affine_index: Optional[int]):
+    """(P, c, lead): the step F_shifted = (1 + theta/c) F is P / (c lead).
+
+    For upper+1 / lower-1, c is the upper parameter, or the lower one
+    minus 1; it is free of z, so theta^k (1 + theta/c) F = theta^k F +
+    theta^(k+1) F / c.  That is I + N/c with N theta on the basis column:
+    row k < dim-1 is e_(k+1), and the last row is the relation row, with
+    its tail in affine mode.  P = c lead (I + N/c), lead = 1 - kappa z.
     """
     module = QuotientModule(fn, affine_index)
     vars = _ring_vars(fn)
     if which == "upper":
-        c = _param_rf(vars, fn.upper[index])
+        c = _param_poly(vars, fn.upper[index])
     else:
-        c = _param_rf(vars, fn.lower[index]) - 1
+        c = _param_poly(vars, fn.lower[index]) - 1
     if c.is_zero():
         raise SingularStep(
             f"step divisor vanishes for {which}[{index}] of {fn} (exceptional)")
-    inv_c = 1 / c
-    zero = RatFunc.const(vars, 0)
-    one = RatFunc.const(vars, 1)
-    dim = module.dim
-    rows = []
+    lead, dim = module.lead, module.dim
+    size = dim + module.affine
+    P = [[Poly.zero(vars)] * size for _ in range(size)]
+    for k in range(size):
+        P[k][k] = c * lead
     for k in range(dim - 1):
-        row = [zero] * (dim + module.affine)
-        row[k], row[k + 1] = one, inv_c
-        rows.append(tuple(row))
+        P[k][k + 1] = lead
     if dim:
-        last = [inv_c * r for r in module.rel_vec]
-        last[-1] = one + last[-1]
+        last = P[dim - 1]
+        for i, r in enumerate(module.rel_num):
+            last[i] = last[i] + r
         if module.affine:
-            last.append(inv_c * module.rel_tail)
-        rows.append(tuple(last))
-    if module.affine:
-        rows.append(tuple(zero for _ in range(dim)) + (one,))
-    return OpMatrix(tuple(rows), module.affine)
+            last[dim] = module.tail_num
+    return P, c, lead
+
+
+def _det(m: List[List[Poly]]) -> Poly:
+    """Determinant by expansion along the first row, skipping zero entries."""
+    if len(m) == 1:
+        return m[0][0]
+    acc = Poly.zero(m[0][0].vars)
+    for j, e in enumerate(m[0]):
+        if not e.is_zero():
+            t = e * _det([row[:j] + row[j + 1:] for row in m[1:]])
+            acc = acc - t if j % 2 else acc + t
+    return acc
+
+
+def _adjugate(P: List[List[Poly]]):
+    """(adj P, det P); adj P[i][j] is the (j, i) cofactor."""
+    n = len(P)
+    if n == 1:
+        return [[Poly.const(P[0][0].vars, 1)]], P[0][0]
+
+    def cofactor(r, c):
+        d = _det([row[:c] + row[c + 1:] for k, row in enumerate(P) if k != r])
+        return -d if (r + c) % 2 else d
+    adj = [[cofactor(j, i) for j in range(n)] for i in range(n)]
+    det = Poly.zero(P[0][0].vars)
+    for j in range(n):
+        det = det + P[0][j] * adj[j][0]
+    return adj, det
+
+
+def _det_candidates(fn: Hyper, lead: Poly) -> List[Poly]:
+    """Monic z, 1 - kappa z, parameters, lowers minus 1 and their differences."""
+    vars = lead.vars
+    vals = ([_param_poly(vars, a) for a in fn.upper]
+            + [_param_poly(vars, b) - 1 for b in fn.lower])
+    diffs = [u - v for i, u in enumerate(vals) for v in vals[i + 1:]]
+    out: Factors = {}
+    for f in [Poly.variable(vars, "z"), lead] + vals + diffs:
+        _add_factor(out, f)
+    return list(out)
+
+
+def _inverse_step(fn: Hyper, which: str, index: int, direction: int,
+                  affine_index: Optional[int]):
+    """(P / (c lead))^-1 = c lead adj P / det P at the shifted function.
+
+    det P splits by trial division over the candidates; what does not
+    split stays one factor.  c and lead cancel against the split, and the
+    step's own common factors are divided out.
+    """
+    g = fn.shifted(which, index, direction)
+    P, c, lead = _forward_step(g, which, index, affine_index)
+    adj, det = _adjugate(P)
+    if det.is_zero():
+        value = (fn.upper if which == "upper" else fn.lower)[index]
+        raise SingularStep(
+            f"contiguous-shift matrix is singular for step {which}[{index}] {direction:+d}"
+            f" of {fn}, where {which}[{index}] = {value} (exceptional parameters)")
+    factors: Factors = {}
+    for f in _det_candidates(g, lead):
+        root = _linear_root(f)
+        while (q := det.div_root(*root)) is not None:
+            det = q
+            factors[f] = factors.get(f, 0) + 1
+    K = _add_factor(factors, det)
+    for u in (c, lead):
+        lf = u.lead_fraction()
+        f = u.scale(1 / lf)
+        if not f.is_const():
+            if not factors.get(f):
+                adj = [[e * u for e in row] for row in adj]
+                continue
+            factors[f] -= 1
+        K /= lf
+    n = len(adj)
+    flat, factors = _cancel([e for row in adj for e in row], factors)
+    return [flat[i * n:(i + 1) * n] for i in range(n)], factors, K
+
+
+def _step(fn: Hyper, which: str, index: int, direction: int,
+          affine_index: Optional[int]):
+    """(P, factors, K): basis-column(shifted fn) = P / (K prod f^m) basis-column(fn)."""
+    if which not in ("upper", "lower"):
+        raise ValueError("which must be 'upper' or 'lower'")
+    if direction not in (1, -1):
+        raise ValueError("direction must be +1 or -1")
+    if (which == "upper") != (direction == 1):
+        return _inverse_step(fn, which, index, direction, affine_index)
+    P, c, lead = _forward_step(fn, which, index, affine_index)
+    factors: Factors = {}
+    K = _add_factor(factors, c) * _add_factor(factors, lead)
+    return P, factors, K
 
 
 def step_matrix(fn: Hyper, which: str, index: int, direction: int,
@@ -259,25 +412,14 @@ def step_matrix(fn: Hyper, which: str, index: int, direction: int,
     """Matrix M with basis-column(shifted fn) = M basis-column(fn).
 
     direction +1 raises the parameter, -1 lowers it.  Upper raises and
-    lower lowers are built directly as I + N/c; the two opposite moves
-    invert the matrix of the reverse step, built at the shifted function.
+    lower lowers are built directly; the two opposite moves invert the
+    step of the reverse move, built at the shifted function.  This is the
+    RatFunc view P / (K prod f^m) of the step that reduce_to_basis folds.
     """
-    if which not in ("upper", "lower"):
-        raise ValueError("which must be 'upper' or 'lower'")
-    if direction not in (1, -1):
-        raise ValueError("direction must be +1 or -1")
-    forward = (which == "upper") == (direction == 1)
-    if forward:
-        return _forward_matrix(fn, which, index, affine_index)
-    g = fn.shifted(which, index, direction)
-    reverse = _forward_matrix(g, which, index, affine_index)
-    try:
-        return reverse.inverse()
-    except SingularStep as exc:
-        value = (fn.upper if which == "upper" else fn.lower)[index]
-        raise SingularStep(
-            f"contiguous-shift matrix is singular for step {which}[{index}] {direction:+d}"
-            f" of {fn}, where {which}[{index}] = {value} (exceptional parameters)") from exc
+    P, factors, K = _step(fn, which, index, direction, affine_index)
+    den = _factor_product(P[0][0].vars, K, factors)
+    return OpMatrix(tuple(tuple(RatFunc(e, den) for e in row) for row in P),
+                    affine_index is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +495,7 @@ def canonical_path(ups, los):
 
 def reduce_to_basis(target: Hyper, basis: Hyper,
                     path: Optional[List[Tuple[str, int, int]]] = None) -> ReductionResult:
-    """Compose unit-step matrices from basis to target and clear denominators.
+    """Fold the unit steps from basis to target and clear the denominators.
 
     Uses the affine (tail-carrying) module when basis and target share an
     unshifted unit upper parameter, realizing the integer-parameter special
@@ -368,24 +510,39 @@ def reduce_to_basis(target: Hyper, basis: Hyper,
     if path is None:
         path = canonical_path(ups, los)
     _check_path(path, ups, los)
-    vars = _ring_vars(basis)
     steps = []
     cur = basis
     for which, index, direction in path:
-        steps.append(step_matrix(cur, which, index, direction, affine_index))
+        steps.append(_step(cur, which, index, direction, affine_index))
         cur = cur.shifted(which, index, direction)
-    # row 0 of M_k ... M_1, folded from the target end as row x matrix products
-    last = steps.pop() if steps else OpMatrix.identity(vars, basis.p + 1,
-                                                        affine_index is not None)
-    acc = OpMatrix((last.row(0),), last.affine)
-    for m in reversed(steps):
-        acc = acc @ m
-    row = acc.row(0)
-    if affine_index is not None:
-        coeffs, tail = row[:-1], row[-1]
-    else:
-        coeffs, tail = row, RatFunc.const(vars, 0)
-    return _clear_and_normalize(target, basis, coeffs, tail, affine_index is not None)
+    # row 0 of M_k ... M_1 = row / (K prod f^m), folded from the target end
+    vars = _ring_vars(basis)
+    zero = Poly.zero(vars)
+    row = [Poly.const(vars, 1)] + [zero] * basis.p
+    factors: Factors = {}
+    K = Fraction(1)
+    for P, step_factors, step_K in reversed(steps):
+        out = [zero] * len(row)
+        for a, prow in zip(row, P):
+            if a.is_zero():
+                continue
+            for j, e in enumerate(prow):
+                if not e.is_zero():
+                    out[j] = out[j] + a * e
+        row = out
+        for f, m in step_factors.items():
+            factors[f] = factors.get(f, 0) + m
+        K *= step_K
+    affine = affine_index is not None
+    if not affine:
+        row.append(zero)
+    row, factors = _cancel(row, factors)
+    s = _factor_product(vars, Fraction(1), factors)
+    if K != 1:
+        row = [p.scale(1 / K) for p in row]
+    r_polys = tuple(RatFunc(p, _normalized=True) for p in row[:-1])
+    return ReductionResult(target, basis, RatFunc(s, _normalized=True), r_polys,
+                           RatFunc(row[-1], _normalized=True), affine)
 
 
 def _check_path(path, ups, los):
@@ -398,31 +555,6 @@ def _check_path(path, ups, los):
             los[index] -= direction
     if any(ups) or any(los):
         raise NotIntegerShift("shift path does not connect basis to target")
-
-
-def _clear_and_normalize(target, basis, coeffs, tail, affine) -> ReductionResult:
-    vars = coeffs[0].vars
-    den_lcm = Poly.const(vars, 1)
-    for c in list(coeffs) + [tail]:
-        g = den_lcm.gcd(c.den)
-        den_lcm = den_lcm * c.den.exact_div(g)
-    s = Poly(vars, den_lcm.rep)
-    cleared = [(c * RatFunc(s, _normalized=True)) for c in coeffs]
-    tail_c = tail * RatFunc(s, _normalized=True)
-    polys = [s] + [c.num for c in cleared] + [tail_c.num]
-    g = Poly.zero(vars)
-    for p in polys:
-        if not p.is_zero():
-            g = g.gcd(p)
-    if not g.is_zero() and not (g.is_const() and g.const_value() == 1):
-        polys = [p.exact_div(g) if not p.is_zero() else p for p in polys]
-    lf = polys[0].lead_fraction()
-    if lf != 1:
-        polys = [p.scale(1 / lf) for p in polys]
-    s_poly = RatFunc(polys[0], _normalized=True)
-    r_polys = tuple(RatFunc(p, _normalized=True) for p in polys[1:-1])
-    tail_p = RatFunc(polys[-1], _normalized=True)
-    return ReductionResult(target, basis, s_poly, r_polys, tail_p, affine)
 
 
 def verify_reduction(result: ReductionResult, N: int = 30, K: int = 2):

@@ -4,7 +4,8 @@
 Pochhammer data, an independent check of ``mb_to_hyper`` followed by
 ``series_of_hyper``.  ``RawMB``, ``canonicalize_raw`` and ``raw_v1200``
 rebuild the V1200 preset from its printed integrand in the original s
-variable.
+variable.  ``cancel_matching`` drops equal upper/lower pairs, the
+series-identical simplification the C3 bridge test checks.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction as F
 from typing import Mapping, Tuple
 
+from hyperred.hyper import HyperFn
 from hyperred.mb import MBRepr, _c, _j, _n
 from hyperred.scalars import EpsLin, LinearForm
 from hyperred.series import BiSeries, inv_trunc, mul_trunc, pochhammer_eps
@@ -115,3 +117,14 @@ def raw_v1200() -> RawMB:
         (n.scale(F(3, 2)) - al - be - sg - rho, -1),
     )
     return RawMB(num, den, "w")
+
+
+def cancel_matching(fn: HyperFn) -> HyperFn:
+    """Drop upper/lower pairs that are exactly equal (series-identical)."""
+    uppers = list(fn.upper)
+    lowers = list(fn.lower)
+    for u in list(uppers):
+        if u in lowers:
+            uppers.remove(u)
+            lowers.remove(u)
+    return HyperFn(uppers, lowers, fn.kappa, fn.var)

@@ -34,7 +34,7 @@ def test_factorization_integer_case():
     assert rep.case == "R1=R2"
     assert rep.r1 == 0 and rep.r2 == 0
     assert rep.h_exponents == (0, 0)
-    assert rep.h_is_rational()
+    assert all(e.denominator == 1 for e in rep.h_exponents)
 
 
 def test_factorization_b1_is_one_plus_a1():

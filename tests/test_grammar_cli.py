@@ -149,7 +149,7 @@ def test_cli_verify_uses_at_least_its_own_depth(tmp_path):
     # a record claiming depth 0 must not hide a wrong z^1 coefficient
     rec = json.loads(out.read_text())
     r0 = dec_ratfunc(rec["r"][0])
-    rec["r"][0] = enc_ratfunc(r0 + RatFunc.z(r0.vars))
+    rec["r"][0] = enc_ratfunc(r0 + RatFunc(Poly.variable(r0.vars, "z")))
     rec["N"] = 0
     out.write_text(json.dumps(rec) + "\n")
     assert run_cli("verify", str(out)).returncode == 5

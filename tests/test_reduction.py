@@ -10,12 +10,13 @@ from hyperred.errors import NotIntegerShift, SingularStep
 from hyperred.hyper import HyperFn, SymHyperFn
 from hyperred.poly import Poly
 from hyperred.ratfunc import RatFunc
-from hyperred.reduction import (OpMatrix, ReductionResult, _clear_and_normalize,
-                                canonical_path, count_nontrivial_basis,
-                                detect_exceptional, ode_operator, reduce_to_basis,
-                                shift_vector, step_matrix, verify_reduction)
+from hyperred.reduction import (OpMatrix, ReductionResult, _cancel, canonical_path,
+                                count_nontrivial_basis, detect_exceptional,
+                                ode_operator, reduce_to_basis, shift_vector,
+                                step_matrix, verify_reduction)
 from hyperred.scalars import EpsLin, LinearForm
 from hyperred.series import BiSeries, series_of_hyper
+from reduction_reference import clear_and_normalize, reference_reduce
 
 V = ("eps", "z")
 
@@ -40,7 +41,7 @@ def _rand_fn(rng, p):
 def test_ode_operator_2f1_coefficients():
     a, b, c = EpsLin(F(2, 5)), EpsLin(F(1, 3)), EpsLin(F(3, 2))
     L = ode_operator(HyperFn([a, b], [c]))
-    z = RatFunc.z(V)
+    z = RatFunc(Poly.variable(V, "z"))
     assert L.coeff(2) == z - 1
     assert L.coeff(1) == z * F(2, 5) + z * F(1, 3) - (F(3, 2) - 1)
     assert L.coeff(0) == z * (F(2, 5) * F(1, 3))
@@ -48,7 +49,7 @@ def test_ode_operator_2f1_coefficients():
 
 def test_ode_operator_1f0():
     L = ode_operator(HyperFn([EpsLin(F(1, 2))], []))
-    z = RatFunc.z(V)
+    z = RatFunc(Poly.variable(V, "z"))
     assert L.coeff(1) == z - 1
     assert L.coeff(0) == z * F(1, 2)
 
@@ -116,7 +117,7 @@ def _reduce_by_full_product(target, basis, affine_index=None):
         cur = cur.shifted(which, index, direction)
     row = total.row(0)
     coeffs, tail = (row[:-1], row[-1]) if affine else (row, RatFunc.const(V, 0))
-    return _clear_and_normalize(target, basis, coeffs, tail, affine)
+    return clear_and_normalize(target, basis, coeffs, tail, affine)
 
 
 _A, _B, _C = EpsLin(F(2, 5), 1), EpsLin(F(1, 3), -1), EpsLin(F(3, 2), 2)
@@ -150,6 +151,78 @@ def test_row_times_matrix_is_row_of_square_product(affine_index):
     row = OpMatrix((m.row(0),), m.affine) @ n
     assert row.size == 1 and row.affine == m.affine
     assert row.row(0) == (m @ n).row(0)
+
+
+_KAPPAS = (F(1), F(-1), F(1, 4), F(4))
+
+
+def _reps(r):
+    return (r.affine, r.s_poly.num.rep, r.s_poly.den.rep,
+            tuple((x.num.rep, x.den.rep) for x in r.r_polys),
+            r.algebraic_tail.num.rep, r.algebraic_tail.den.rep)
+
+
+@st.composite
+def _mixed_paths(draw):
+    """A 2F1 or 3F2 basis (eps or symbolic n, generic or unit-upper affine,
+    argument kappa z) and a path of up to 4 unit steps, raising or lowering."""
+    p = draw(st.sampled_from((1, 2)))
+    affine = draw(st.booleans())
+    symbolic = draw(st.booleans())
+    kappa = draw(st.sampled_from(_KAPPAS))
+
+    def param():
+        c = F(draw(st.integers(-6, 6)), draw(st.sampled_from((2, 3, 5, 7))))
+        e = F(draw(st.sampled_from((-2, -1, 1, 2))), draw(st.sampled_from((1, 2))))
+        return LinearForm(e, (), c) if symbolic else EpsLin(c, e)
+    upper = [param() for _ in range(p + 1)]
+    if affine:
+        upper[0] = LinearForm.constant(1) if symbolic else EpsLin(1)
+    basis = (SymHyperFn if symbolic else HyperFn)(upper, [param() for _ in range(p)], kappa)
+    moves = [("upper", i) for i in range(1 if affine else 0, p + 1)]
+    moves += [("lower", l) for l in range(p)]
+    path = draw(st.lists(st.tuples(st.sampled_from(moves), st.sampled_from((1, -1))),
+                         max_size=4))
+    path = [(which, index, d) for (which, index), d in path]
+    target = basis
+    for which, index, d in path:
+        target = target.shifted(which, index, d)
+    return target, basis, path
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mixed_paths())
+def test_fraction_free_fold_equals_reference_rep_for_rep(case):
+    target, basis, path = case
+    try:
+        got = reduce_to_basis(target, basis, path)
+    except SingularStep:
+        with pytest.raises(SingularStep):
+            reference_reduce(target, basis, path)
+        return
+    assert _reps(got) == _reps(reference_reduce(target, basis, path))
+
+
+def test_cancel_guard_clears_an_unsplit_factor():
+    """Negative control for the trial division: a product of two linear
+    factors recorded as one factor is not tested at a root, so only the
+    guarded gcd can split it; the clearing must still reach the gcd-free
+    form of the gcd reference."""
+    e, z = Poly.variable(V, "eps"), Poly.variable(V, "z")
+    f1, f2, lin = e + F(2, 5), z - 3, z - F(1, 2)
+    a, b = z + e, e * z + 1
+    polys = [f1 * f1 * a, f1 * f1 * f1 * b * lin, Poly.zero(V)]
+    got, left = _cancel(polys, {f1 * f2: 2, lin: 1})
+    # each copy of f1 f2 gives up f1 and leaves f2; lin does not divide a
+    assert left == {f2: 2, lin: 1}
+    assert got == [a, f1 * b * lin, Poly.zero(V)]
+    s = f2 * f2 * lin
+    assert s.gcd(got[0]).gcd(got[1]).is_const()
+    den = (f1 * f2) ** 2 * lin
+    ref = clear_and_normalize(None, None, [RatFunc(p, den) for p in polys[:-1]],
+                              RatFunc(polys[-1], den), False)
+    assert ref.s_poly.num == s
+    assert [r.num for r in ref.r_polys] == got[:-1]
 
 
 def _basis_column(fn, affine, N, K):

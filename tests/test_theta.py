@@ -19,8 +19,12 @@ def rf(c):
     return RatFunc.const(V, c)
 
 
+def eps_rf(x):
+    return RatFunc(Poly.const(V, x.const) + Poly.variable(V, "eps").scale(x.eps))
+
+
 def zf():
-    return RatFunc.z(V)
+    return RatFunc(Poly.variable(V, "z"))
 
 
 def test_theta_through_z():
@@ -95,10 +99,10 @@ def test_ode_lhs_equals_rhs_on_series():
     a, b, c = EpsLin(F(2, 5), 1), EpsLin(F(1, 3), -1), EpsLin(F(3, 2), 2)
     f = HyperFn([a, b], [c])
     s = series_of_hyper(f, 15, 3)
-    left_op = ThetaOp([RatFunc.from_epslin(V, a), rf(1)])
-    left_op = ThetaOp([RatFunc.from_epslin(V, b), rf(1)]).compose(left_op)
+    left_op = ThetaOp([eps_rf(a), rf(1)])
+    left_op = ThetaOp([eps_rf(b), rf(1)]).compose(left_op)
     lhs = left_op.apply(s).mul_z_power(1)
-    right_op = ThetaOp.theta(V).compose(ThetaOp([RatFunc.from_epslin(V, c - 1), rf(1)]))
+    right_op = ThetaOp.theta(V).compose(ThetaOp([eps_rf(c - 1), rf(1)]))
     rhs = right_op.apply(s)
     assert lhs == rhs
 
