@@ -74,6 +74,14 @@ def dec_rat(s: str) -> Fraction:
         return Fraction(s)
 
 
+def parse_rat(what: str, text: str) -> Fraction:
+    """A rational option value; a malformed one is a ParseError (exit 2)."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"{what} is not a rational number: {text!r}", 1, 1) from None
+
+
 def enc_ratfunc(r: RatFunc) -> dict:
     enc_poly = lambda p: sorted([list(e), enc_rat(c)] for e, c in p.terms().items())
     return {"vars": list(r.vars), "num": enc_poly(r.num), "den": enc_poly(r.den)}
@@ -107,8 +115,6 @@ def dec_polylog(d: dict) -> PolyLogExpr:
 
 @dataclass
 class JobSpec:
-    command: str
-    argv: List[str]
     N: int = 30
     K: int = 4
     out: Optional[str] = None
@@ -279,6 +285,10 @@ def run_expand(spec: JobSpec, text: str, order: int) -> int:
     return EXIT_OK
 
 
+def _rat_options(opts, *names):
+    return [parse_rat(f"--{name}", getattr(opts, name)) for name in names]
+
+
 def run_check_parametrization(spec: JobSpec, family: str, opts) -> int:
     if opts.q < 1:
         raise ParseError(f"--q must be >= 1, got {opts.q}", 1, 1)
@@ -287,8 +297,7 @@ def run_check_parametrization(spec: JobSpec, family: str, opts) -> int:
         lines = []
         if opts.beta is not None:
             sysd = gauss_triangular_system(opts.p1, opts.p2, opts.r, opts.q,
-                                           Fraction(opts.a1), Fraction(opts.a2),
-                                           Fraction(opts.c), Fraction(opts.beta))
+                                           *_rat_options(opts, "a1", "a2", "c", "beta"))
             rec["triangular"] = sysd.triangular
             lines.append(f"triangular with beta={opts.beta}: {sysd.triangular}")
         flags = gauss_flags(Fraction(opts.p1, opts.q), Fraction(opts.p2, opts.q),
@@ -300,8 +309,7 @@ def run_check_parametrization(spec: JobSpec, family: str, opts) -> int:
         return EXIT_OK
     if family == "3f2":
         sysd, rep = three_f2_system(opts.r, opts.p, opts.q,
-                                    Fraction(opts.a1), Fraction(opts.a2), Fraction(opts.a3),
-                                    Fraction(opts.b1), Fraction(opts.b2))
+                                    *_rat_options(opts, "a1", "a2", "a3", "b1", "b2"))
         rec = {"command": "check-parametrization", "family": "3f2",
                "deltas": [enc_rat(d) for d in sysd.deltas],
                "h_exponents": [enc_rat(e) for e in rep.h_exponents],
@@ -505,7 +513,8 @@ def _parse_bindings(pairs, extras):
         if "=" not in item:
             raise ParseError(f"binding {item!r} is not NAME=VALUE", 1, 1)
         name, val = item.split("=", 1)
-        out[name.strip()] = Fraction(val.strip())
+        name = name.strip()
+        out[name] = parse_rat(f"binding {name}", val.strip())
     return out
 
 
@@ -544,8 +553,7 @@ def main(argv=None) -> int:
         else:
             args = ap.parse_args(argv)
             extras = []
-        spec = JobSpec(command=args.command, argv=argv,
-                       N=getattr(args, "N", 30), K=getattr(args, "K", 4),
+        spec = JobSpec(N=getattr(args, "N", 30), K=getattr(args, "K", 4),
                        out=getattr(args, "out", None),
                        fmt=getattr(args, "format", None)
                        or os.environ.get("HYPERRED_FORMAT", "text"),

@@ -7,14 +7,12 @@ one).  The zero polynomial at depth >= 1 is the empty tuple, and reps never
 carry trailing zero coefficients, so structural equality is semantic
 equality.
 
-GCDs use plain Euclid for univariate reps and a primitive pseudo-remainder
-sequence for deeper ones.  In front of both sits one coprimality
-certificate: univariate images at integer points, computed mod the prime
-p = 2^61 - 1 and compared by a mod-p Euclid, can prove the inputs coprime.
-With several variables, a certificate that fails on the inputs runs again
-on their primitive parts, so a common factor that lives only in the
-contents (an eps-only factor, say) costs a content gcd, not a PRS.
-Everything is immutable and exact.
+GCDs use one primitive pseudo-remainder sequence at every depth, with no
+fast path in front of it: the reduction clears its denominators by trial
+division over known linear factors, so a traced seed-1 ``bench/run.py``
+stream counts 0 gcd calls on ``reduce`` and ``diagram`` and 50 small
+univariate ones on ``expand``.  The result is normalized to lead
+coefficient 1.  Everything is immutable and exact.
 """
 
 from __future__ import annotations
@@ -160,26 +158,6 @@ def _shift(rep, k, d):
     return (_zero(d - 1),) * k + tuple(rep)
 
 
-def _divmod_uni(a, b):
-    """Division with remainder for univariate reps (Fraction coefficients)."""
-    q = [_ZERO] * max(0, len(a) - len(b) + 1)
-    r = list(a)
-    lb = b[-1]
-    while len(r) >= len(b) and r:
-        if r[-1] == 0:
-            r.pop()
-            continue
-        k = len(r) - len(b)
-        c = r[-1] / lb
-        q[k] = c
-        for i, cb in enumerate(b):
-            r[i + k] -= c * cb
-        r.pop()
-    while r and r[-1] == 0:
-        r.pop()
-    return tuple(q), tuple(r)
-
-
 def _prem(a, b, d):
     """Pseudo-remainder of a by b in the top variable (sloppy powers)."""
     db = _degree(b)
@@ -264,92 +242,6 @@ def _rat_gcd(a: Fraction, b: Fraction) -> Fraction:
     return Fraction(gcd(a.numerator, b.numerator), lcm(a.denominator, b.denominator))
 
 
-_PROBES = (2, 3, 5, 7)
-_P = (1 << 61) - 1      # the Mersenne prime 2^61 - 1
-
-
-def _terms_mod_p(rep, d):
-    """(exponents, coefficient mod _P) of each term; None if _P divides a denominator.
-
-    A coefficient divisible by _P stays in the list as 0, so the exponents
-    still give the degrees over Q.
-    """
-    out = {}
-    _to_terms(rep, d, (), out)
-    terms = []
-    for exps, q in out.items():
-        den = q.denominator
-        if den % _P == 0:
-            return None
-        c = q.numerator if den == 1 else q.numerator * pow(den, -1, _P)
-        terms.append((exps, c % _P))
-    return terms
-
-
-def _image_mod_p(terms, k, x, deg):
-    """Coefficients mod _P of the image in variable k, every other variable set to x."""
-    pw = [1]
-    for _ in range(max(sum(e) for e, _ in terms)):
-        pw.append(pw[-1] * x)
-    out = [0] * (deg + 1)
-    for exps, c in terms:
-        e = exps[k]
-        out[e] += c * pw[sum(exps) - e]
-    return [c % _P for c in out]
-
-
-def _rem_mod_p(a, b):
-    """Remainder of a by b in F_p[x]; both lists end in a nonzero coefficient."""
-    r = list(a)
-    inv = pow(b[-1], -1, _P)
-    n = len(b)
-    while len(r) >= n:
-        c = r[-1] * inv % _P
-        off = len(r) - n
-        for i in range(n - 1):
-            r[off + i] = (r[off + i] - c * b[i]) % _P
-        r.pop()
-        while r and not r[-1]:
-            r.pop()
-    return r
-
-
-def _coprime_certified(a, b, d):
-    """True if images in Z/p prove gcd(a, b) is a unit; False is no verdict.
-
-    Let g be a common factor of positive degree in variable x.  Scale it to
-    be primitive over Z localized at p.  Every denominator of a and b is
-    prime to p, so by Gauss's lemma the cofactors a/g and b/g have no p in
-    their denominators either, and reduction mod p followed by setting the
-    other variables to a probe is a ring map that keeps a = g (a/g).  Where
-    the image of a keeps its x-degree over Q, the degrees of the images of
-    g and a/g cannot drop, so the image of g has positive degree and
-    divides both images.  A constant mod-p gcd of the images in every
-    variable that both inputs contain therefore rules g out.  A denominator
-    divisible by p, or an image whose leading coefficient vanishes mod p at
-    every probe, gives no verdict.
-    """
-    ta, tb = _terms_mod_p(a, d), _terms_mod_p(b, d)
-    if ta is None or tb is None:
-        return False
-    for k in range(d):
-        da = max(e[k] for e, _ in ta)
-        db = max(e[k] for e, _ in tb)
-        if da == 0 or db == 0:
-            continue
-        for x in _PROBES:
-            ia, ib = _image_mod_p(ta, k, x, da), _image_mod_p(tb, k, x, db)
-            if ia[-1] and ib[-1]:
-                break
-        else:
-            return False
-        while len(ib) > 1:
-            ia, ib = ib, _rem_mod_p(ia, ib)
-        if not ib:
-            return False
-    return True
-
-
 def _gcd(a, b, d):
     if d == 0:
         # rational content convention: gcd(0, b) = |b|
@@ -362,24 +254,10 @@ def _gcd(a, b, d):
         return _unit_normalize(b, d)
     if _is_zero(b, d):
         return _unit_normalize(a, d)
-    if _coprime_certified(a, b, d):
-        return _const(d, 1)
-    if d == 1:
-        # Euclid over Q, remainders kept monic to control coefficient growth
-        x, y = a, b
-        while y:
-            _, r = _divmod_uni(x, y)
-            if r:
-                lead = r[-1]
-                r = tuple(c / lead for c in r)
-            x, y = y, r
-        return _unit_normalize(x, d)
     ca, cb = _content(a, d), _content(b, d)
     pa = _exact_div_elem(a, ca, d)
     pb = _exact_div_elem(b, cb, d)
     cg = _gcd(ca, cb, d - 1)
-    if _coprime_certified(pa, pb, d):
-        return _unit_normalize((cg,), d)
     if _degree(pa) < _degree(pb):
         pa, pb = pb, pa
     while not _is_zero(pb, d):

@@ -61,6 +61,13 @@ JOBS = {
     "verify-suite": ["verify", "--suite"],
     "exit-parse": ["reduce", "2F1[1/2+; 1; z]", "--basis", "2F1[1, 1; 1; z]"],
     "exit-unbound": ["count-masters", "@c1", "--bind", "sigma1=2"],
+    "exit-bad-value": ["count-masters", "@c3", "--j1", "abc", "--j2", "1", "--sigma", "1"],
+    "exit-bad-bind": ["count-masters", "@c3", "--bind", "j1=1/0", "--j2", "1",
+                      "--sigma", "1"],
+    "exit-bad-beta": ["check-parametrization", "gauss", "--p1", "1", "--p2", "1",
+                      "--r", "-1", "--q", "2", "--beta", "x"],
+    "exit-bad-3f2": ["check-parametrization", "3f2", "--r", "1", "--p", "-1", "--q", "2",
+                     "--a1", "1/0"],
     "exit-unsupported": ["expand", "2F1[1/3+eps, 1/5; 1/7+eps; z]", "--order", "2"],
     "exit-not-polylog": ["expand", "2F1[1+2*eps, 3*eps; 2-eps; z]", "--order", "3"],
     "exit-exceptional": ["reduce", "2F1[1, 1/3-eps; 3/2; z]",

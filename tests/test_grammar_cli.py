@@ -233,6 +233,32 @@ def test_cli_check_parametrization_rejects_q_below_one(family, args):
         assert "--q must be >= 1" in r.stderr and "Traceback" not in r.stderr
 
 
+GAUSS = ["check-parametrization", "gauss", "--p1", "1", "--p2", "1", "--r", "-1", "--q", "2"]
+THREE_F2 = ["check-parametrization", "3f2", "--r", "1", "--p", "-1", "--q", "2"]
+C3 = ["count-masters", "@c3"]
+
+
+def test_cli_malformed_rationals_are_parse_errors(capsys):
+    from hyperred import cli
+    with pytest.raises(ParseError, match="--a1 is not a rational number: '1/0'"):
+        cli.parse_rat("--a1", "1/0")
+    assert cli.parse_rat("--a1", "-3/6") == F(-1, 2)
+    cases = [C3 + ["--j1", "abc", "--j2", "1", "--sigma", "1"],
+             C3 + ["--bind", "j1=1/0", "--j2", "1", "--sigma", "1"],
+             C3 + ["--bind", "j1=1", "--bind", "j2=", "--sigma", "1"]]
+    cases += [GAUSS + ["--beta", "x"]]
+    cases += [GAUSS + ["--beta", "1/2", f"--{name}", "1/0"] for name in ("a1", "a2", "c")]
+    cases += [THREE_F2 + [f"--{name}", bad] for name in ("a1", "a2", "a3", "b1", "b2")
+              for bad in ("1/0", "x")]
+    for argv in cases:
+        assert cli.main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+        assert "is not a rational number" in err, argv
+    r = run_cli(*C3, "--bind", "j1=1/0", "--j2", "1", "--sigma", "1")
+    assert r.returncode == 2 and "Traceback" not in r.stderr
+
+
 def test_cli_verify_suite():
     r = run_cli("verify", "--suite")
     assert r.returncode == 0, r.stdout + r.stderr
