@@ -234,8 +234,7 @@ def run_count_masters(spec: JobSpec, text: str, bindings) -> int:
     rec = {
         "command": "count-masters",
         "input": format_mb(mb),
-        "bindings": {k: enc_rat(Fraction(v)) if not hasattr(v, "n_coeff") else str(v)
-                     for k, v in bindings.items()},
+        "bindings": {k: enc_rat(v) for k, v in bindings.items()},
         "L": L,
         "terms": [{"fn": str(fn), "integer_uppers": list(r.integer_uppers),
                    "pairs": [list(p) for p in r.pairs]} for fn, r in reports],
@@ -336,39 +335,58 @@ def run_check_parametrization(spec: JobSpec, family: str, opts) -> int:
     raise UnsupportedClass(f"unknown family {family!r}")
 
 
+def _decode_record(rec: dict):
+    """The ReductionResult or EpsilonExpansion a stored record holds."""
+    cmd = rec.get("command")
+    if cmd == "reduce":
+        return ReductionResult(
+            target=parse_hyper(rec["target"]),
+            basis=parse_hyper(rec["basis"]),
+            s_poly=dec_ratfunc(rec["s"]),
+            r_polys=tuple(dec_ratfunc(r) for r in rec["r"]),
+            algebraic_tail=dec_ratfunc(rec["tail"]),
+            affine=rec.get("affine", False))
+    if cmd == "expand":
+        fn = parse_hyper(rec["fn"])
+        return EpsilonExpansion(
+            fn=fn, kind=rec["kind"], var=rec["var"],
+            omega0=dec_ratfunc(rec["omega0"]) if rec["omega0"] is not None else None,
+            layers=tuple(dec_polylog(l) for l in rec["layers"]))
+    raise UnsupportedClass(f"cannot verify record kind {cmd!r}")
+
+
 def run_verify_file(spec: JobSpec, path: str) -> int:
-    """Re-check stored records, never at less depth than this job's own N and K."""
+    """Re-check stored records, never at less depth than this job's own N and K.
+
+    Every record is decoded before the first check; a malformed one is a
+    ParseError naming its line (exit 2).
+    """
+    jobs = []
     with open(path) as fh:
-        payload = [json.loads(line) for line in fh if line.strip()]
-    for rec in payload:
-        cmd = rec.get("command")
-        if cmd == "reduce":
-            result = ReductionResult(
-                target=parse_hyper(rec["target"]),
-                basis=parse_hyper(rec["basis"]),
-                s_poly=dec_ratfunc(rec["s"]),
-                r_polys=tuple(dec_ratfunc(r) for r in rec["r"]),
-                algebraic_tail=dec_ratfunc(rec["tail"]),
-                affine=rec.get("affine", False))
-            ok, mism = verify_reduction(result, max(rec.get("N", 0), spec.N),
-                                        max(rec.get("K", 0), min(spec.K, 4)))
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+                jobs.append((rec, _decode_record(rec), max(int(rec.get("N", 0)), spec.N),
+                             max(int(rec.get("K", 0)), min(spec.K, 4))))
+            except (ParseError, ValueError, ZeroDivisionError, KeyError, TypeError,
+                    AttributeError) as e:
+                raise ParseError(f"malformed stored record ({type(e).__name__}: {e})",
+                                 lineno, 1) from None
+    for rec, value, N, K in jobs:
+        if isinstance(value, ReductionResult):
+            ok, mism = verify_reduction(value, N, K)
             if not ok:
                 raise VerificationFailure(
                     f"stored reduction fails oracle at (z^{mism[0]}, eps^{mism[1]})")
             print(f"reduce record ok: {rec['target']}")
-        elif cmd == "expand":
-            fn = parse_hyper(rec["fn"])
-            exp = EpsilonExpansion(
-                fn=fn, kind=rec["kind"], var=rec["var"],
-                omega0=dec_ratfunc(rec["omega0"]) if rec["omega0"] is not None else None,
-                layers=tuple(dec_polylog(l) for l in rec["layers"]))
-            ok, mism = verify_expansion(fn, exp, max(rec.get("N", 0), spec.N))
+        else:
+            ok, mism = verify_expansion(value.fn, value, N)
             if not ok:
                 raise VerificationFailure(
                     f"stored expansion fails oracle at (power {mism[0]}, eps^{mism[1]})")
             print(f"expand record ok: {rec['fn']}")
-        else:
-            raise UnsupportedClass(f"cannot verify record kind {cmd!r}")
     return EXIT_OK
 
 

@@ -23,11 +23,13 @@ from .errors import NoFactorization, NotTriangular, UncancelledPole, Unsupported
 from .gpl import (ONE, GplCombo, PolyLogExpr, basis_ratfunc, partial_fractions,
                   rf_from_coeffs, rf_monomial)
 from .hyper import HyperFn
+from .poly import Poly, theta_poly
 from .ratfunc import RatFunc
 from .scalars import EpsLin, rat
 from .series import compose_z_series, mul_trunc, series_of_hyper
 
 F = Fraction
+_EPS = ("eps",)
 
 
 # ---------------------------------------------------------------------------
@@ -358,27 +360,13 @@ def _choose_factorization(A: List[Fraction], B: List[Fraction]):
 
 def _eps_theta_product(factors):
     """prod (theta + A + a eps) as {eps power: theta coefficient list}."""
-    table = {0: [F(1)]}
-    for A, a in factors:
-        new: Dict[int, List[Fraction]] = {}
-        for e, coeffs in table.items():
-            tgt = new.setdefault(e, [F(0)] * (len(coeffs) + 1))
-            _grow(tgt, len(coeffs) + 1)
-            for i, c in enumerate(coeffs):
-                tgt[i] += c * A
-                tgt[i + 1] += c
-            if a:
-                tgt2 = new.setdefault(e + 1, [F(0)] * len(coeffs))
-                _grow(tgt2, len(coeffs))
-                for i, c in enumerate(coeffs):
-                    tgt2[i] += c * a
-        table = new
+    coeffs = theta_poly([Poly.from_terms(_EPS, {(0,): A, (1,): a}) for A, a in factors],
+                        Poly.const(_EPS, 1))
+    table: Dict[int, List[Fraction]] = {}
+    for l, c in enumerate(coeffs):
+        for (e,), q in c.terms().items():
+            table.setdefault(e, [F(0)] * len(coeffs))[l] = q
     return table
-
-
-def _grow(lst, n):
-    while len(lst) < n:
-        lst.append(F(0))
 
 
 def _apply_theta_poly(coeffs: Sequence[Fraction], thetas: Sequence[GplCombo],

@@ -257,26 +257,6 @@ def rf_monomial(a: Fraction, power: int) -> RatFunc:
     return out if power >= 0 else _rf_const(1) / out
 
 
-def _coeffs_eval(coeffs, a):
-    acc = F(0)
-    for c in reversed(coeffs):
-        acc = acc * a + c
-    return acc
-
-
-def _coeffs_divide_root(coeffs, a):
-    """Divide by (z - a), assuming a is a root; returns quotient coeffs."""
-    d = len(coeffs) - 1
-    q = [F(0)] * d
-    carry = coeffs[d]
-    for i in range(d - 1, -1, -1):
-        q[i] = carry
-        carry = coeffs[i] + a * carry
-    if carry != 0:
-        raise ValueError("not a root")
-    return q
-
-
 # ---------------------------------------------------------------------------
 # the partial-fraction basis of an alphabet: kernel (a, m) is (z - a)^(-m),
 # with m >= 1 for a letter a and any integer m for a = 0, so (0, -i) is z^i;
@@ -291,16 +271,17 @@ _Z: Kernel = (_ZERO, -1)
 def partial_fractions(r: RatFunc, letters: Sequence[Fraction]) -> Dict[Kernel, Fraction]:
     """r = sum c_i z^i + sum c/(z-a)^m as {kernel: c}: the denominator factored
     over the alphabet (or 0), a pole outside it raising UnsupportedClass."""
-    den = list(r.den.rep)
+    den = r.den
     factors = {}
     for a in sorted(set([_ZERO] + [_letter(a) for a in letters])):
-        while len(den) > 1 and _coeffs_eval(den, a) == 0:
-            den = _coeffs_divide_root(den, a)
+        while den.degree() > 0 and (q := den.div_root("z", a)) is not None:
+            den = q
             factors[a] = factors.get(a, 0) + 1
-    if len(den) != 1:
+    if den.degree() != 0:
         raise UnsupportedClass(
             f"denominator {r.den} has poles outside the alphabet {letters}")
-    out = {(_ZERO, -i): c / den[0] for i, c in enumerate(r.num.rep) if c}
+    c0 = den.const_value()
+    out = {(_ZERO, -i): c / c0 for i, c in enumerate(r.num.rep) if c}
     for a, m in factors.items():
         out = _mul(out, {(a, m): F(1)})
     return out

@@ -18,7 +18,7 @@ coefficient 1.  Everything is immutable and exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
+from typing import List, Mapping, Sequence
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -486,3 +486,13 @@ class Poly:
 
     __repr__ = __str__
 
+
+def theta_poly(roots: Sequence[Poly], one: Poly) -> List[Poly]:
+    """Coefficients in theta of prod (theta + r), the r commuting with theta."""
+    coeffs = [one]
+    for r in roots:
+        nxt = [c * r for c in coeffs] + [coeffs[-1]]
+        for i in range(1, len(coeffs)):
+            nxt[i] = nxt[i] + coeffs[i - 1]
+        coeffs = nxt
+    return coeffs

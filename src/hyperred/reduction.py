@@ -6,32 +6,31 @@ relation row).  When the function carries a unit upper parameter the module
 becomes affine, with a constant slot realizing the algebraic tails of the
 integer-parameter case.
 
-Every denominator on a reduction path is a known factor, so a unit step is
-kept fraction-free as (P, factors, K): a polynomial matrix P over K times a
-product of monic factors.  The relation row is polynomial over its lead
-1 - kappa z, so the contiguous step F_shifted = (1 + theta/c) F, c free of
-z, is P = c(1 - kappa z) I + (1 - kappa z) shift + relation row, over
-{c, 1 - kappa z}.  An inverse step is the adjugate of the reverse step's
-P over its determinant.  A contiguity matrix is singular exactly where a
-parameter difference is an integer, so trial division splits that
-determinant over z, 1 - kappa z, the parameters, the lowers minus 1 and
-their differences; a vanishing determinant is the exceptional-parameter
-signal.  reduce_to_basis folds row 0 of the path product with Poly
-products alone, then divides each factor out while it divides every
-numerator.  That reaches the unique gcd-free form with S monic without a
-multivariate gcd; only a determinant factor that does not split goes
-through a gcd.
+Every denominator on a reduction path is a known linear factor, so a unit
+step is kept fraction-free as (P, factors, K): a polynomial matrix P over K
+times a product of monic factors.  The relation row is polynomial over its
+lead 1 - kappa z, so the contiguous step F_shifted = (1 + theta/c) F, c free
+of z, is P = c(1 - kappa z) I + (1 - kappa z) shift + relation row, over
+{c, 1 - kappa z}.  An inverse step is written in closed form: dividing the
+relation on the right by theta + c leaves the remainder R = T(-c), a
+product of parameter differences (times kappa z for a lower), so its
+denominator is R (1 - kappa z)^(d-1), factored by construction (Takayama
+1989; HYPERDIRE, arXiv:1105.3565); a vanishing R is the
+exceptional-parameter signal.  reduce_to_basis folds row 0 of the path
+product with Poly products alone, then divides each factor out while it
+divides every numerator, tested at its root.  That reaches the unique
+gcd-free form with S monic without a gcd.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import NotIntegerShift, SingularStep, VerificationFailure
 from .hyper import Hyper, HyperFn
-from .poly import Poly
+from .poly import Poly, theta_poly
 from .ratfunc import RatFunc
 from .scalars import EpsLin
 from .series import BiSeries, series_of_hyper
@@ -69,17 +68,6 @@ def _is_unit_param(x) -> bool:
     return x.n_coeff == 0 and not x.j_coeffs and x.const == 1
 
 
-def _theta_poly(roots: Sequence[Poly], one: Poly) -> List[Poly]:
-    """Coefficients of prod (theta + r), the factors commuting."""
-    coeffs = [one]
-    for r in roots:
-        nxt = [c * r for c in coeffs] + [coeffs[-1]]
-        for i in range(1, len(coeffs)):
-            nxt[i] = nxt[i] + coeffs[i - 1]
-        coeffs = nxt
-    return coeffs
-
-
 def ode_operator(fn: Hyper) -> ThetaOp:
     """kappa z prod(theta + a_i) - theta prod(theta + b_l - 1), degree p+1."""
     m = QuotientModule(fn)
@@ -110,17 +98,18 @@ class QuotientModule:
             raise ValueError("affine reduction needs a unit upper parameter")
         vars = _ring_vars(fn)
         one = Poly.const(vars, 1)
-        lows = [_param_poly(vars, b) - 1 for b in fn.lower]
+        self.lows = [_param_poly(vars, b) - 1 for b in fn.lower]
         if not self.affine:
-            lows.append(Poly.zero(vars))
-        ups = [_param_poly(vars, a) for i, a in enumerate(fn.upper) if i != affine_index]
+            self.lows.append(Poly.zero(vars))
+        self.ups = [_param_poly(vars, a) for i, a in enumerate(fn.upper) if i != affine_index]
         kz = Poly.variable(vars, "z").scale(fn.kappa)
-        T = [lo - kz * up for lo, up in zip(_theta_poly(lows, one), _theta_poly(ups, one))]
+        T = [lo - kz * up for lo, up in zip(theta_poly(self.lows, one),
+                                            theta_poly(self.ups, one))]
         self.dim = len(T) - 1
         self.lead = T[-1]
         self.rel_num = [-t for t in T[:-1]]
         self.tail_num = one
-        for lo in lows:
+        for lo in self.lows:
             self.tail_num = self.tail_num * lo
 
 
@@ -230,22 +219,18 @@ def _factor_product(vars, K: Fraction, factors: Factors) -> Poly:
 
 
 def _linear_root(f: Poly):
-    """(name, r) when the monic f is name - r, else None."""
+    """(name, r) for the monic linear factor f = name - r."""
     terms = f.terms()
-    top = [e for e in terms if any(e)]
-    if len(top) != 1 or sum(top[0]) != 1:
-        return None
-    return f.vars[top[0].index(1)], -terms.get((0,) * f.d, 0)
+    (top,) = [e for e in terms if any(e)]
+    return f.vars[top.index(1)], -terms.get((0,) * f.d, 0)
 
 
 def _cancel(polys: List[Poly], factors: Factors) -> Tuple[List[Poly], Factors]:
     """Divide each factor out of polys while it divides all of them.
 
-    Returns the quotients and the factors left.  A linear factor is
-    irreducible, so it is divided out, tested at its root, for as long as
-    it divides every polynomial.  Any other factor (a determinant that did
-    not split) goes through a gcd with the polynomials, and its cofactor is
-    left.  Taking the copies one at a time, what is left shares no factor
+    Returns the quotients and the factors left.  Every factor is linear,
+    hence irreducible, so it is divided out, tested at its root, for as
+    long as it divides every polynomial; what is left then shares no factor
     with the quotients: the gcd-free form.
     """
     polys = list(polys)
@@ -254,31 +239,32 @@ def _cancel(polys: List[Poly], factors: Factors) -> Tuple[List[Poly], Factors]:
     for f, m in factors.items():
         root = _linear_root(f)
         while m:
-            if root is not None:
-                qs = []
-                for i in live:
-                    q = polys[i].div_root(*root)
-                    if q is None:
-                        break
-                    qs.append(q)
-                if len(qs) < len(live):
+            qs = []
+            for i in live:
+                q = polys[i].div_root(*root)
+                if q is None:
                     break
-            else:
-                g = f
-                for i in live:
-                    g = g.gcd(polys[i])
-                    if g.is_const():
-                        break
-                if g.is_const():
-                    break
-                qs = [polys[i].exact_div(g) for i in live]
-                _add_factor(left, f.exact_div(g))
+                qs.append(q)
+            if len(qs) < len(live):
+                break
             for i, q in zip(live, qs):
                 polys[i] = q
             m -= 1
         if m:
-            left[f] = left.get(f, 0) + m
+            left[f] = m
     return polys, left
+
+
+def _step_divisor(fn: Hyper, which: str, index: int, vars) -> Poly:
+    """c of F_shifted = (1 + theta/c) F: the upper, or the lower minus 1."""
+    if which == "upper":
+        c = _param_poly(vars, fn.upper[index])
+    else:
+        c = _param_poly(vars, fn.lower[index]) - 1
+    if c.is_zero():
+        raise SingularStep(
+            f"step divisor vanishes for {which}[{index}] of {fn} (exceptional)")
+    return c
 
 
 def _forward_step(fn: Hyper, which: str, index: int, affine_index: Optional[int]):
@@ -292,13 +278,7 @@ def _forward_step(fn: Hyper, which: str, index: int, affine_index: Optional[int]
     """
     module = QuotientModule(fn, affine_index)
     vars = _ring_vars(fn)
-    if which == "upper":
-        c = _param_poly(vars, fn.upper[index])
-    else:
-        c = _param_poly(vars, fn.lower[index]) - 1
-    if c.is_zero():
-        raise SingularStep(
-            f"step divisor vanishes for {which}[{index}] of {fn} (exceptional)")
+    c = _step_divisor(fn, which, index, vars)
     lead, dim = module.lead, module.dim
     size = dim + module.affine
     P = [[Poly.zero(vars)] * size for _ in range(size)]
@@ -315,80 +295,54 @@ def _forward_step(fn: Hyper, which: str, index: int, affine_index: Optional[int]
     return P, c, lead
 
 
-def _det(m: List[List[Poly]]) -> Poly:
-    """Determinant by expansion along the first row, skipping zero entries."""
-    if len(m) == 1:
-        return m[0][0]
-    acc = Poly.zero(m[0][0].vars)
-    for j, e in enumerate(m[0]):
-        if not e.is_zero():
-            t = e * _det([row[:j] + row[j + 1:] for row in m[1:]])
-            acc = acc - t if j % 2 else acc + t
-    return acc
-
-
-def _adjugate(P: List[List[Poly]]):
-    """(adj P, det P); adj P[i][j] is the (j, i) cofactor."""
-    n = len(P)
-    if n == 1:
-        return [[Poly.const(P[0][0].vars, 1)]], P[0][0]
-
-    def cofactor(r, c):
-        d = _det([row[:c] + row[c + 1:] for k, row in enumerate(P) if k != r])
-        return -d if (r + c) % 2 else d
-    adj = [[cofactor(j, i) for j in range(n)] for i in range(n)]
-    det = Poly.zero(P[0][0].vars)
-    for j in range(n):
-        det = det + P[0][j] * adj[j][0]
-    return adj, det
-
-
-def _det_candidates(fn: Hyper, lead: Poly) -> List[Poly]:
-    """Monic z, 1 - kappa z, parameters, lowers minus 1 and their differences."""
-    vars = lead.vars
-    vals = ([_param_poly(vars, a) for a in fn.upper]
-            + [_param_poly(vars, b) - 1 for b in fn.lower])
-    diffs = [u - v for i, u in enumerate(vals) for v in vals[i + 1:]]
-    out: Factors = {}
-    for f in [Poly.variable(vars, "z"), lead] + vals + diffs:
-        _add_factor(out, f)
-    return list(out)
-
-
 def _inverse_step(fn: Hyper, which: str, index: int, direction: int,
                   affine_index: Optional[int]):
-    """(P / (c lead))^-1 = c lead adj P / det P at the shifted function.
+    """The inverse of the reverse step M = I + N/c, built at g = fn shifted.
 
-    det P splits by trial division over the candidates; what does not
-    split stays one factor.  c and lead cancel against the split, and the
-    step's own common factors are divided out.
+    g's relation T = sum T_k theta^k (T_dim = lead, T g = tail_num) divided
+    on the right by theta + c, c free of z, is T = Q (theta + c) + R with
+    R = T(-c), and (theta + c) g = c fn, so g = (tail_num - c Q fn) / R:
+    row 0 of M^-1.  The stepped parameter is a root of one of T's two
+    products, so R is the other one: prod (low - c) for an upper, and
+    -kappa z prod (up - c) for a lower.  M is a polynomial in N and
+    e_k = e_0 N^k, so row k is row 0 times N^k, kept fraction-free over
+    R lead^k; the affine constant row stays e_const.
     """
     g = fn.shifted(which, index, direction)
-    P, c, lead = _forward_step(g, which, index, affine_index)
-    adj, det = _adjugate(P)
-    if det.is_zero():
-        value = (fn.upper if which == "upper" else fn.lower)[index]
-        raise SingularStep(
-            f"contiguous-shift matrix is singular for step {which}[{index}] {direction:+d}"
-            f" of {fn}, where {which}[{index}] = {value} (exceptional parameters)")
+    module = QuotientModule(g, affine_index)
+    vars = _ring_vars(g)
+    c = _step_divisor(g, which, index, vars)
+    lead, rel, dim = module.lead, module.rel_num, module.dim
+    if which == "upper":
+        pieces = [lo - c for lo in module.lows]
+    else:
+        pieces = [Poly.variable(vars, "z").scale(-g.kappa)] + [u - c for u in module.ups]
     factors: Factors = {}
-    for f in _det_candidates(g, lead):
-        root = _linear_root(f)
-        while (q := det.div_root(*root)) is not None:
-            det = q
-            factors[f] = factors.get(f, 0) + 1
-    K = _add_factor(factors, det)
-    for u in (c, lead):
-        lf = u.lead_fraction()
-        f = u.scale(1 / lf)
-        if not f.is_const():
-            if not factors.get(f):
-                adj = [[e * u for e in row] for row in adj]
-                continue
-            factors[f] -= 1
-        K /= lf
-    n = len(adj)
-    flat, factors = _cancel([e for row in adj for e in row], factors)
+    K = Fraction(1)
+    for f in pieces:
+        if f.is_zero():
+            value = (fn.upper if which == "upper" else fn.lower)[index]
+            raise SingularStep(
+                f"contiguous-shift matrix is singular for step {which}[{index}] {direction:+d}"
+                f" of {fn}, where {which}[{index}] = {value} (exceptional parameters)")
+        K *= _add_factor(factors, f)
+    # synthetic division: Q_(dim-1) = T_dim = lead, Q_(k-1) = T_k - c Q_k
+    Q = [lead]
+    for k in range(dim - 1, 0, -1):
+        Q.append(-rel[k] - c * Q[-1])
+    rows = [[-c * q for q in reversed(Q)] + [module.tail_num] * module.affine]
+    # (v N)_j = v_(j-1) + v_(dim-1) rel_num[j] / lead; constant slot v_(dim-1) tail_num / lead
+    for _ in range(dim - 1):
+        v = rows[-1]
+        last = v[dim - 1]
+        nxt = [last * rel[0]] + [lead * v[j - 1] + last * rel[j] for j in range(1, dim)]
+        rows.append(nxt + [last * module.tail_num] * module.affine)
+    K *= _add_factor(factors, lead, dim - 1)
+    P = [[e * lead ** (dim - 1 - k) for e in v] for k, v in enumerate(rows)]
+    if module.affine:
+        P.append([Poly.zero(vars)] * dim + [_factor_product(vars, K, factors)])
+    n = len(P)
+    flat, factors = _cancel([e for row in P for e in row], factors)
     return [flat[i * n:(i + 1) * n] for i in range(n)], factors, K
 
 

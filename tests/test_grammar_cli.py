@@ -259,6 +259,28 @@ def test_cli_malformed_rationals_are_parse_errors(capsys):
     assert r.returncode == 2 and "Traceback" not in r.stderr
 
 
+def test_cli_verify_malformed_stored_records_are_parse_errors(tmp_path, capsys):
+    """Each bad record exits 2 with one error line naming its line, and no
+    record is checked before every line has decoded."""
+    from hyperred import cli
+    good = (Path(__file__).parent / "golden" / "stored.jsonl").read_text().splitlines()[0]
+    no_s = json.loads(good)
+    del no_s["s"]
+    bad = {"ZeroDivisionError": good.replace('"1"', '"1/0"', 1),
+           "ValueError": good.replace('"1"', '"x"', 1),
+           "KeyError": json.dumps(no_s),
+           "JSONDecodeError": good[:50]}
+    for kind, line in bad.items():
+        path = tmp_path / f"{kind}.jsonl"
+        path.write_text(f"{good}\n\n{line}\n")
+        assert cli.main(["verify", str(path)]) == 2, kind
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, kind
+        assert f"malformed stored record ({kind}: " in err and "at line 3," in err, err
+    r = run_cli("verify", str(tmp_path / "KeyError.jsonl"))
+    assert r.returncode == 2 and "Traceback" not in r.stderr
+
+
 def test_cli_verify_suite():
     r = run_cli("verify", "--suite")
     assert r.returncode == 0, r.stdout + r.stderr

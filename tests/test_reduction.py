@@ -10,7 +10,7 @@ from hyperred.errors import NotIntegerShift, SingularStep
 from hyperred.hyper import HyperFn, SymHyperFn
 from hyperred.poly import Poly
 from hyperred.ratfunc import RatFunc
-from hyperred.reduction import (OpMatrix, ReductionResult, _cancel, canonical_path,
+from hyperred.reduction import (OpMatrix, ReductionResult, canonical_path,
                                 count_nontrivial_basis, detect_exceptional,
                                 ode_operator, reduce_to_basis, shift_vector,
                                 step_matrix, verify_reduction)
@@ -203,28 +203,6 @@ def test_fraction_free_fold_equals_reference_rep_for_rep(case):
     assert _reps(got) == _reps(reference_reduce(target, basis, path))
 
 
-def test_cancel_guard_clears_an_unsplit_factor():
-    """Negative control for the trial division: a product of two linear
-    factors recorded as one factor is not tested at a root, so only the
-    guarded gcd can split it; the clearing must still reach the gcd-free
-    form of the gcd reference."""
-    e, z = Poly.variable(V, "eps"), Poly.variable(V, "z")
-    f1, f2, lin = e + F(2, 5), z - 3, z - F(1, 2)
-    a, b = z + e, e * z + 1
-    polys = [f1 * f1 * a, f1 * f1 * f1 * b * lin, Poly.zero(V)]
-    got, left = _cancel(polys, {f1 * f2: 2, lin: 1})
-    # each copy of f1 f2 gives up f1 and leaves f2; lin does not divide a
-    assert left == {f2: 2, lin: 1}
-    assert got == [a, f1 * b * lin, Poly.zero(V)]
-    s = f2 * f2 * lin
-    assert s.gcd(got[0]).gcd(got[1]).is_const()
-    den = (f1 * f2) ** 2 * lin
-    ref = clear_and_normalize(None, None, [RatFunc(p, den) for p in polys[:-1]],
-                              RatFunc(polys[-1], den), False)
-    assert ref.s_poly.num == s
-    assert [r.num for r in ref.r_polys] == got[:-1]
-
-
 def _basis_column(fn, affine, N, K):
     """Series of (F, theta F, ..., theta^(d-1) F), then 1 in affine mode."""
     col = [series_of_hyper(fn, N, K)]
@@ -324,6 +302,37 @@ def test_round_trip_matrices():
             up = step_matrix(f, which, idx, 1)
             down = step_matrix(f.shifted(which, idx, 1), which, idx, -1)
             assert (down @ up) == OpMatrix.identity(V, p + 1)
+
+
+def _sym(n_coeff, c):
+    return LinearForm.n(F(n_coeff)) + LinearForm.constant(F(c))
+
+
+_UP_4F3 = [EpsLin(F(1, 3), 1), EpsLin(F(2, 5), -1), EpsLin(F(1, 7), 2), EpsLin(F(5, 4), -3)]
+_LOW_4F3 = [EpsLin(F(3, 2), 1), EpsLin(F(5, 6), -1), EpsLin(F(7, 5), 3)]
+
+
+@pytest.mark.parametrize("kappa", [F(1), F(-1), F(1, 4), F(4)], ids=["1", "-1", "1/4", "4"])
+@pytest.mark.parametrize("fn, affine_index", [
+    (HyperFn(_UP_4F3, _LOW_4F3), None),
+    (SymHyperFn([_sym(F(1, 2), F(1, 3)), _sym(F(1, 3), 0), _sym(-1, F(2, 5)),
+                 _sym(F(1, 2), F(-1, 7))],
+                [_sym(F(1, 2), F(3, 2)), _sym(1, F(-5, 6)), _sym(F(-1, 3), F(7, 5))]), None),
+    (HyperFn([EpsLin(1)] + _UP_4F3[:3], _LOW_4F3), 0),
+], ids=["4F3", "4F3-symbolic-n", "4F3-affine"])
+def test_4f3_inverse_steps_round_trip(fn, affine_index, kappa):
+    """Every inverse step (upper -1, lower +1) undoes its forward step:
+    step_matrix(down) @ step_matrix(up) is the identity."""
+    fn = type(fn)(fn.upper, fn.lower, kappa)
+    vars = ("eps", "z") if isinstance(fn, HyperFn) else ("n", "z")
+    moves = [("upper", i, 1) for i in range(4) if i != affine_index]
+    moves += [("lower", l, -1) for l in range(3)]
+    identity = OpMatrix.identity(vars, 4, affine_index is not None)
+    for which, index, forward in moves:
+        up = step_matrix(fn, which, index, forward, affine_index)
+        down = step_matrix(fn.shifted(which, index, forward), which, index, -forward,
+                           affine_index)
+        assert down @ up == identity, (which, index)
 
 
 def test_path_independence_small():
