@@ -5,7 +5,7 @@ from .errors import (CriterionViolation, DegeneratePoles, HyperredError,
                      PoleAtEpsZero, SingularStep, UncancelledPole, UnsupportedClass,
                      VerificationFailure)
 from .expansion import (EpsilonExpansion, F3Report, FactorizationReport,
-                        TriangularSystem, elementary_symmetric, epsilon_expand,
+                        TriangularSystem, epsilon_expand,
                         f3_parametrization_check, factorization_conditions,
                         gauss_triangular_system, three_f2_system, verify_expansion)
 from .gpl import GplCombo, GplWord, PolyLogExpr, gpl_word_series, shuffle_words
@@ -20,7 +20,7 @@ from .reduction import (ExceptionalReport, OpMatrix, ReductionResult,
                         count_nontrivial_basis, detect_exceptional, ode_operator,
                         reduce_to_basis, step_matrix, verify_reduction)
 from .scalars import EpsLin, LinearForm
-from .series import BiSeries, inv_pochhammer_eps, pochhammer_eps, series_of_hyper
+from .series import BiSeries, series_of_hyper
 from .theta import ThetaOp
 
 __version__ = "0.1.0"

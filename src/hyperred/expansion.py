@@ -26,29 +26,14 @@ from .hyper import HyperFn
 from .poly import Poly, theta_poly
 from .ratfunc import RatFunc
 from .scalars import EpsLin, rat
-from .series import compose_z_series, mul_trunc, series_of_hyper
+from .series import BiSeries, compose_z_series, series_of_hyper
 
 F = Fraction
 _EPS = ("eps",)
 
 
 # ---------------------------------------------------------------------------
-# symmetric functions and operator factorization data
-
-
-def elementary_symmetric(values: Sequence[Fraction], j: int) -> Fraction:
-    """Coefficient extraction from prod (z + r_k): the degree-j symmetric sum."""
-    values = [rat(v) for v in values]
-    if j < 0 or j > len(values):
-        raise ValueError(f"index {j} out of range for {len(values)} values")
-    coeffs = [F(1)]
-    for r in values:
-        nxt = [F(0)] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i] += c * r
-            nxt[i + 1] += c
-        coeffs = nxt
-    return coeffs[len(values) - j]
+# operator factorization data
 
 
 @dataclass(frozen=True)
@@ -539,32 +524,19 @@ def verify_expansion(f: HyperFn, exp: EpsilonExpansion, N: int = 30):
     """Exact comparison of every layer against the series oracle.
 
     Returns (True, None) or (False, (j, k)) for the lowest mismatching
-    z-power j (xi-power for the dressed class) and eps order k.
+    z-power j (xi-power for the dressed class), then eps order k.
     """
     K = exp.order
     oracle = series_of_hyper(f, N, K)
     if exp.kind == "direct":
-        rows = [oracle.eps_row(k) for k in range(K + 1)]
-        target_rows = []
         s0, v0 = exp.omega0.to_biseries(N, 0)
         if v0:
             raise UnsupportedClass("omega0 has a pole at the origin")
-        target_rows.append([s0.get(j, 0) for j in range(N + 1)])
-        for k in range(1, K + 1):
-            target_rows.append(exp.layers[k].series(N))
-        length = N
+        layers = [s0.eps_row(0)] + [exp.layers[k].series(N) for k in range(1, K + 1)]
     else:
         M = 2 * N
-        composed = compose_z_series(oracle, xi_z_series(M), M)
-        dress = xi_dressing_series(M)
-        rows = []
-        for k in range(K + 1):
-            raw = composed.eps_row(k)
-            rows.append(mul_trunc(raw, dress, M))
-        target_rows = [exp.layers[k].series(M) for k in range(K + 1)]
-        length = M
-    for k in range(K + 1):
-        for j in range(length + 1):
-            if rows[k][j] != target_rows[k][j]:
-                return False, (j, k)
-    return True, None
+        dress = BiSeries([(c,) + (0,) * K for c in xi_dressing_series(M)])
+        oracle = compose_z_series(oracle, xi_z_series(M), M) * dress
+        layers = [exp.layers[k].series(M) for k in range(K + 1)]
+    mism = oracle.first_mismatch(BiSeries(zip(*layers)))
+    return (mism is None), mism

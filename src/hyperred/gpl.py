@@ -8,6 +8,8 @@ producing ln(z).  Integral letters are ints, equal and hashing equal to
 their Fractions.  The z-series of a word is a row of integer numerators
 over one positive denominator, built without gcds: its coefficients are
 nested harmonic sums, cleared by lcm(1..N) and powers of the letters.
+That row is a ``BiSeries`` of eps order 0, so sums over words and
+products with kernel rows are the oracle's own integer-row operations.
 
 GplCombo is the working representation during iterated integration:
 rational functions of the variable multiplying words.  Every kernel has its
@@ -33,7 +35,7 @@ from .errors import UncancelledPole, UnsupportedClass
 from .poly import Poly
 from .ratfunc import RatFunc
 from .scalars import rat
-from .series import mul_trunc
+from .series import BiSeries, combine
 
 F = Fraction
 Letter = Union[int, Fraction]
@@ -82,10 +84,15 @@ def _word_series(word: Word, N: int) -> Tuple[int, Tuple[int, ...]]:
     return sign * D * pw[N] * L, tuple(out)
 
 
+def _word_biseries(word: Word, N: int) -> BiSeries:
+    """G(word; z) to z^N as a BiSeries in z alone (eps order 0)."""
+    D, nums = _word_series(word, N)
+    return BiSeries.from_ints(nums, D, N, 0)
+
+
 def gpl_word_series(word, N: int) -> List[Fraction]:
     """Exact z-series of G(word; z) to order N."""
-    D, nums = _word_series(as_word(word), N)
-    return [F(x, D) for x in nums]
+    return _word_biseries(as_word(word), N).eps_row(0)
 
 
 def shuffle_words(w1: Word, w2: Word) -> List[Word]:
@@ -196,23 +203,10 @@ class PolyLogExpr:
     __rmul__ = __mul__
 
     def series(self, N: int) -> List[Fraction]:
-        # one integer row per denominator c.denominator * D, then one common
-        # denominator and one Fraction per z^j
-        rows: Dict[int, List[int]] = {}
-        if self.const:
-            rows[self.const.denominator] = [self.const.numerator] + [0] * N
-        for w, c in self.terms.items():
-            D, nums = _word_series(w.letters, N)
-            d, n = c.denominator * D, c.numerator
-            row = rows.get(d)
-            rows[d] = ([n * x for x in nums] if row is None
-                       else [r + n * x for r, x in zip(row, nums)])
-        L = lcm(*rows)
-        acc = [0] * (N + 1)
-        for d, row in rows.items():
-            s = L // d
-            acc = [x + s * y for x, y in zip(acc, row)]
-        return [F(x, L) for x in acc]
+        # the constant is the coefficient of the empty word, whose series is 1
+        terms = [(self.const, _word_biseries((), N))]
+        terms += [(c, _word_biseries(w.letters, N)) for w, c in self.terms.items()]
+        return combine(terms, N, 0).eps_row(0)
 
     def __eq__(self, other):
         if not isinstance(other, PolyLogExpr):
@@ -368,32 +362,27 @@ def _pole_series(a: Letter, m: int, n: int) -> Tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _laurent(w: Word, r: Mapping[Kernel, Fraction], N: int) -> Tuple[int, List[Fraction]]:
-    """(v, coefficients of z^-v .. z^N) of r(z) G(w; z), v the pole order of r at 0."""
-    v = max((m for a, m in r if a == 0 and m > 0), default=0)
-    M = N + v
-    rc = [F(0)] * (M + 1)          # the series of z^v r(z)
+def _laurent(w: Word, r: Mapping[Kernel, Fraction], N: int, V: int) -> BiSeries:
+    """z^V r(z) G(w; z) to z^(N+V), V at least the pole order of r at 0."""
+    M = N + V
+    rc = [F(0)] * (M + 1)          # the series of z^V r(z)
     for (a, m), c in r.items():
         if a != 0:
             for j, x in enumerate(_pole_series(a, m, N)):
-                rc[j + v] += c * x
+                rc[j + V] += c * x
         elif m >= -N:
-            rc[v - m] += c
-    return v, mul_trunc(rc, gpl_word_series(w, M), M)
+            rc[V - m] += c
+    return BiSeries([(x,) for x in rc]) * _word_biseries(w, M)
 
 
 def _series_sum(terms: Sequence[Tuple[Word, Mapping[Kernel, Fraction]]], N: int) -> List[Fraction]:
     """z-series of sum r(z) G(w; z) over (w, r) to order N; UncancelledPole
     if the sum keeps a pole at 0 (poles may cancel between words)."""
-    parts = [_laurent(w, r, N) for w, r in terms]
-    V = max((v for v, _ in parts), default=0)
-    out = [F(0)] * (N + V + 1)       # z^-V .. z^N
-    for v, conv in parts:
-        for j, x in enumerate(conv, V - v):
-            out[j] += x
-    if any(out[:V]):
+    V = max((m for _, r in terms for a, m in r if a == 0 and m > 0), default=0)
+    s = combine(((1, _laurent(w, r, N, V)) for w, r in terms), N + V, 0)
+    if V and not s.crop(V - 1, 0).is_zero():
         raise UncancelledPole(f"pole at 0 not cancelled in {_terms_str(terms)}")
-    return out[V:]
+    return s.div_z(V).eps_row(0)
 
 
 def _terms_str(terms) -> str:

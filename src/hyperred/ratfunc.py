@@ -14,7 +14,6 @@ from .poly import Poly
 from .series import BiSeries
 
 _Z = "z"
-_ZERO = Fraction(0)
 
 
 class RatFunc:
@@ -154,7 +153,7 @@ class RatFunc:
             return _z_rows(self.num, 0, N, K), 0
         vn, vd = _valuation(self.num), _valuation(self.den)
         den = _z_rows(self.den, vd, N, K)
-        if den.rows[0][0] == 0:
+        if den.get(0, 0) == 0:
             raise PoleAtEpsZero(
                 f"denominator {self.den} vanishes at eps=0 after removing z^{vd}")
         s = _z_rows(self.num, vn, N, K) * den.invert()
@@ -213,5 +212,5 @@ def _z_rows(p: Poly, v: int, N: int, K: int) -> BiSeries:
     rows = []
     for c in p.rep[v:v + N + 1]:
         c = c[:K + 1] if p.d == 2 else (c,)
-        rows.append(c + (_ZERO,) * (K + 1 - len(c)))
-    return BiSeries(rows + [(_ZERO,) * (K + 1)] * (N + 1 - len(rows)))
+        rows.append(c + (0,) * (K + 1 - len(c)))
+    return BiSeries(rows + [(0,) * (K + 1)] * (N + 1 - len(rows)))

@@ -33,7 +33,7 @@ from .hyper import Hyper, HyperFn
 from .poly import Poly, theta_poly
 from .ratfunc import RatFunc
 from .scalars import EpsLin
-from .series import BiSeries, series_of_hyper
+from .series import series_of_hyper, theta_action
 from .theta import ThetaOp
 
 # Monic factors with their multiplicities: (P, factors, K) stands for
@@ -371,9 +371,15 @@ def step_matrix(fn: Hyper, which: str, index: int, direction: int,
     RatFunc view P / (K prod f^m) of the step that reduce_to_basis folds.
     """
     P, factors, K = _step(fn, which, index, direction, affine_index)
-    den = _factor_product(P[0][0].vars, K, factors)
-    return OpMatrix(tuple(tuple(RatFunc(e, den) for e in row) for row in P),
-                    affine_index is not None)
+    vars = P[0][0].vars
+
+    def entry(e: Poly) -> RatFunc:
+        # the factors left after trial division share none with e: gcd-free;
+        # a zero entry keeps no factor, so its denominator is 1
+        (e,), left = _cancel([e], factors)
+        return RatFunc(e.scale(1 / K), _factor_product(vars, 1, left), _normalized=True)
+
+    return OpMatrix(tuple(tuple(entry(e) for e in row) for row in P), affine_index is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -531,18 +537,7 @@ def verify_reduction(result: ReductionResult, N: int = 30, K: int = 2):
     if v:
         raise VerificationFailure("cleared S acquired a z pole")
     lhs = s_series * st
-    rhs = None
-    theta_pow = sb
-    for j, r in enumerate(result.r_polys):
-        if j > 0:
-            theta_pow = theta_pow.theta()
-        if r.is_zero():
-            continue
-        rs, rv = r.to_biseries(N, K)
-        piece = (rs * theta_pow).div_z(rv)
-        rhs = piece if rhs is None else rhs + piece
-    if rhs is None:
-        rhs = BiSeries.zeros(N, K)
+    rhs = theta_action(result.r_polys, sb)
     if not result.algebraic_tail.is_zero():
         ts, tv = result.algebraic_tail.to_biseries(N, K)
         rhs = rhs + ts.div_z(tv)

@@ -1,65 +1,110 @@
 """Truncated power-series arithmetic: the verification oracle's currency.
 
-A polynomial in eps truncated at eps^K is a plain tuple of K + 1 exact
-rationals, index k holding the eps^k coefficient.  ``mul_trunc`` is the one
-truncated product of such tuples and ``inv_trunc`` the one truncated
-inverse.  ``BiSeries`` is a power series in z whose rows are such tuples;
-every operation tracks the valid truncation orders and mixing truncations
-takes the minimum.  Sums of products accumulate integer numerators per
-denominator and build one Fraction per coefficient (``collect``).
+``BiSeries`` is a power series in z, truncated at z^N, whose coefficients
+are polynomials in eps truncated at eps^K.  It holds one positive integer
+denominator ``den`` over integer numerators ``nums``, row-major: the
+coefficient of z^j eps^k is nums[j (K + 1) + k] / den.  A series in z
+alone is the case K = 0, so a word series ``(D, nums)`` of ``gpl`` is a
+BiSeries as it stands.  Products are the denominator product over one
+integer truncated 2-D convolution, sums and ``combine`` bring their terms
+to the lcm of the denominators, theta, shifts and crops act on the
+integer rows, comparisons cross-multiply, and ``invert`` is a
+fraction-free recurrence on the leading integer; each result is reduced
+by one gcd.  The coefficients of the hypergeometric and the nested-sum
+series are such rows by construction (Moch, Uwer & Weinzierl,
+hep-ph/0110083).  A Fraction is built only where a coefficient is read
+out (``get``, ``eps_row``, ``rows``) or rational input is converted in
+(the constructor).  Every operation tracks the valid truncation orders;
+mixing truncations takes the minimum.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Sequence
+from typing import Iterable, List, Sequence, Tuple
 
 from .errors import PoleAtEpsZero, UncancelledPole
 from .hyper import HyperFn
-from .scalars import EpsLin, rat
-
-_ZERO = Fraction(0)
+from .scalars import EpsLin
 
 
 class BiSeries:
     """Series in z up to z_order whose coefficients are eps-truncated.
 
-    rows[j][k] is the coefficient of z^j eps^k.
+    nums[j * (eps_order + 1) + k] / den is the coefficient of z^j eps^k.
     """
 
-    __slots__ = ("z_order", "eps_order", "rows")
+    __slots__ = ("z_order", "eps_order", "den", "nums")
 
     def __init__(self, rows: Sequence[Sequence[Fraction]], z_order=None, eps_order=None):
-        rows = tuple(tuple(rat(c) for c in r) for r in rows)
+        """Rows of rationals (ints or Fractions), rows[j][k] at z^j eps^k."""
+        rows = [tuple(r) for r in rows]
         if z_order is None:
             z_order = len(rows) - 1
         if eps_order is None:
             eps_order = len(rows[0]) - 1 if rows else 0
         if len(rows) != z_order + 1 or any(len(r) != eps_order + 1 for r in rows):
             raise ValueError("row shape does not match declared truncation orders")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "z_order", z_order)
-        object.__setattr__(self, "eps_order", eps_order)
+        cells = [c for r in rows for c in r]
+        den = lcm(*(c.denominator for c in cells))
+        self._set(tuple(c.numerator * (den // c.denominator) for c in cells), den,
+                  z_order, eps_order)
+
+    def _set(self, nums, den, N, K):
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "z_order", N)
+        object.__setattr__(self, "eps_order", K)
 
     def __setattr__(self, *a):
         raise AttributeError("BiSeries is immutable")
 
     @classmethod
+    def from_ints(cls, nums: Sequence[int], den: int, N: int, K: int) -> "BiSeries":
+        """The series nums / den as it stands: den > 0, nums row-major, no gcd."""
+        s = object.__new__(cls)
+        s._set(tuple(nums), den, N, K)
+        return s
+
+    @classmethod
     def zeros(cls, N: int, K: int):
-        return cls(tuple((_ZERO,) * (K + 1) for _ in range(N + 1)))
+        return cls.from_ints((0,) * ((N + 1) * (K + 1)), 1, N, K)
+
+    @property
+    def rows(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        W = self.eps_order + 1
+        return tuple(tuple(Fraction(x, self.den) for x in self.nums[j:j + W])
+                     for j in range(0, len(self.nums), W))
 
     def get(self, j: int, k: int) -> Fraction:
-        return self.rows[j][k]
+        return Fraction(self.nums[j * (self.eps_order + 1) + k], self.den)
 
     def eps_row(self, k: int) -> List[Fraction]:
         """The z-series at a fixed power of eps."""
-        return [r[k] for r in self.rows]
+        return [Fraction(x, self.den) for x in self.nums[k::self.eps_order + 1]]
+
+    def _cells(self, N: int, K: int) -> Sequence[int]:
+        """The numerators of z^0..z^N, eps^0..eps^K, row-major."""
+        W = self.eps_order + 1
+        if K + 1 == W:
+            return self.nums[:(N + 1) * W]
+        return [x for j in range(0, (N + 1) * W, W) for x in self.nums[j:j + K + 1]]
+
+    def _terms(self, N: int, K: int):
+        """(j, [(k, numerator), ...]) for each nonzero z-row j <= N, eps^k <= K."""
+        W = self.eps_order + 1
+        out = []
+        for j in range(N + 1):
+            t = [(k, x) for k, x in enumerate(self.nums[j * W:j * W + K + 1]) if x]
+            if t:
+                out.append((j, t))
+        return out
 
     def crop(self, N: int, K: int) -> "BiSeries":
         N = min(N, self.z_order)
         K = min(K, self.eps_order)
-        return BiSeries(tuple(r[:K + 1] for r in self.rows[:N + 1]))
+        return BiSeries.from_ints(self._cells(N, K), self.den, N, K)
 
     def _common(self, other):
         N = min(self.z_order, other.z_order)
@@ -67,95 +112,107 @@ class BiSeries:
         return N, K
 
     def __add__(self, other):
-        N, K = self._common(other)
-        return BiSeries(tuple(
-            tuple(self.rows[j][k] + other.rows[j][k] for k in range(K + 1))
-            for j in range(N + 1)))
+        return combine(((1, self), (1, other)), *self._common(other))
 
     def __sub__(self, other):
-        N, K = self._common(other)
-        return BiSeries(tuple(
-            tuple(self.rows[j][k] - other.rows[j][k] for k in range(K + 1))
-            for j in range(N + 1)))
+        return combine(((1, self), (-1, other)), *self._common(other))
 
     def __neg__(self):
-        return BiSeries(tuple(tuple(-c for c in r) for r in self.rows))
+        return BiSeries.from_ints([-x for x in self.nums], self.den, self.z_order, self.eps_order)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = rat(other)
-            return BiSeries(tuple(tuple(c * q for c in r) for r in self.rows))
+            return combine(((other, self),), self.z_order, self.eps_order)
         N, K = self._common(other)
-        cells = [[{} for _ in range(K + 1)] for _ in range(N + 1)]
-        right = _split_rows(other.rows, N, K)
-        for j1, t1 in _split_rows(self.rows, N, K):
+        W = K + 1
+        out = [0] * ((N + 1) * W)
+        right = other._terms(N, K)
+        for j1, t1 in self._terms(N, K):
             for j2, t2 in right:
                 if j1 + j2 > N:
                     break
-                row = cells[j1 + j2]
-                for k1, n1, d1 in t1:
-                    for k2, n2, d2 in t2:
+                base = (j1 + j2) * W
+                for k1, n1 in t1:
+                    for k2, n2 in t2:
                         if k1 + k2 > K:
                             break
-                        cell = row[k1 + k2]
-                        d = d1 * d2
-                        cell[d] = cell.get(d, 0) + n1 * n2
-        return BiSeries(tuple(tuple(collect(c) for c in row) for row in cells))
+                        out[base + k1 + k2] += n1 * n2
+        return _reduced(out, self.den * other.den, N, K)
 
     __rmul__ = __mul__
 
     def theta(self) -> "BiSeries":
         """z d/dz on the series."""
-        return BiSeries(tuple(tuple(c * j for c in r) for j, r in enumerate(self.rows)))
+        W = self.eps_order + 1
+        nums = [x * j for j in range(self.z_order + 1) for x in self.nums[j * W:(j + 1) * W]]
+        return BiSeries.from_ints(nums, self.den, self.z_order, self.eps_order)
 
     def div_z(self, v: int) -> "BiSeries":
         """Divide by z^v; the v lowest rows must vanish."""
         if v == 0:
             return self
+        W = self.eps_order + 1
         for j in range(min(v, self.z_order + 1)):
-            if any(c != 0 for c in self.rows[j]):
+            if any(self.nums[j * W:(j + 1) * W]):
                 raise UncancelledPole(
                     f"1/z^{v} applied to series with nonzero z^{j} coefficient")
-        return BiSeries(self.rows[v:], self.z_order - v, self.eps_order)
+        return BiSeries.from_ints(self.nums[v * W:], self.den, self.z_order - v, self.eps_order)
 
     def mul_z_power(self, v: int) -> "BiSeries":
         """Multiply by z^v (v >= 0); keeps the declared z order."""
         if v == 0:
             return self
-        K = self.eps_order
-        pad = tuple((_ZERO,) * (K + 1) for _ in range(min(v, self.z_order + 1)))
-        return BiSeries((pad + self.rows)[:self.z_order + 1], self.z_order, K)
+        N, W = self.z_order, self.eps_order + 1
+        nums = ((0,) * (v * W) + self.nums)[:(N + 1) * W]
+        return BiSeries.from_ints(nums, self.den, N, self.eps_order)
 
     def invert(self) -> "BiSeries":
-        """1/series; the z^0 coefficient must be invertible in eps."""
+        """1/series; the z^0 eps^0 coefficient must not vanish.
+
+        With A = nums and a = A[0][0], the inverse of A is B[j][k] =
+        b[j][k] / a^(j+k+1) for the integers
+        b[j][k] = -sum_{(i,l) != (0,0)} A[i][l] a^(i+l-1) b[j-i][k-l].
+        """
         N, K = self.z_order, self.eps_order
-        rows = self.rows
-        c0 = inv_trunc(rows[0], K)
-        out = [c0]
-        for j in range(1, N + 1):
-            s = [_ZERO] * (K + 1)
-            for i in range(1, j + 1):
-                for k, c in enumerate(mul_trunc(rows[i], out[j - i], K)):
-                    s[k] += c
-            out.append(tuple(-c for c in mul_trunc(s, c0, K)))
-        return BiSeries(tuple(out))
+        W = K + 1
+        a = self.nums[0]
+        if a == 0:
+            raise PoleAtEpsZero("inverting a series whose z^0 eps^0 coefficient vanishes")
+        pw = [a ** e for e in range(N + K + 2)]
+        cells = [(i, l, x * pw[i + l - 1]) for i, t in self._terms(N, K) for l, x in t if i or l]
+        b = [0] * ((N + 1) * W)
+        b[0] = 1
+        for j in range(N + 1):
+            for k in range(1 if j == 0 else 0, K + 1):
+                s = 0
+                for i, l, x in cells:
+                    if i > j:
+                        break
+                    if l <= k:
+                        s += x * b[(j - i) * W + k - l]
+                b[j * W + k] = -s
+        top = N + K
+        nums = [self.den * b[j * W + k] * pw[top - j - k] for j in range(N + 1) for k in range(W)]
+        den = pw[top + 1]
+        if den < 0:
+            nums, den = [-x for x in nums], -den
+        return _reduced(nums, den, N, K)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for r in self.rows for c in r)
+        return not any(self.nums)
 
     def __eq__(self, other):
         if not isinstance(other, BiSeries):
             return NotImplemented
-        N, K = self._common(other)
-        return all(self.rows[j][:K + 1] == other.rows[j][:K + 1] for j in range(N + 1))
+        return self.first_mismatch(other) is None
 
     def first_mismatch(self, other):
-        """Lowest (j, k) where the two series differ, or None."""
+        """Lowest (j, k), z-power first, where the two series differ, or None."""
         N, K = self._common(other)
-        for j in range(N + 1):
-            for k in range(K + 1):
-                if self.rows[j][k] != other.rows[j][k]:
-                    return (j, k)
+        d1, d2 = self.den, other.den
+        for i, (x, y) in enumerate(zip(self._cells(N, K), other._cells(N, K))):
+            if x * d2 != y * d1:
+                return divmod(i, K + 1)
         return None
 
     def __str__(self):
@@ -164,25 +221,59 @@ class BiSeries:
     __repr__ = __str__
 
 
+def _reduced(nums: Sequence[int], den: int, N: int, K: int) -> BiSeries:
+    """nums / den (den > 0) divided by the gcd of all its integers."""
+    g = gcd(den, *nums)
+    if g != 1:
+        nums, den = [x // g for x in nums], den // g
+    return BiSeries.from_ints(nums, den, N, K)
+
+
+def combine(terms: Iterable[Tuple[Fraction, BiSeries]], N: int, K: int) -> BiSeries:
+    """sum q s over (q, s) pairs of a rational and a series, to orders (N, K).
+
+    Integer rows are accumulated per denominator, then brought to their
+    lcm once.
+    """
+    rows = {}
+    for q, s in terms:
+        if not q:
+            continue
+        d, n, cells = q.denominator * s.den, q.numerator, s._cells(N, K)
+        acc = rows.get(d)
+        rows[d] = ([n * x for x in cells] if acc is None
+                   else [r + n * x for r, x in zip(acc, cells)])
+    L = lcm(*rows)
+    out = [0] * ((N + 1) * (K + 1))
+    for d, acc in rows.items():
+        m = L // d
+        out = [x + m * y for x, y in zip(out, acc)]
+    return _reduced(out, L, N, K)
+
+
+def theta_action(coeffs: Sequence, s: BiSeries) -> BiSeries:
+    """sum_j r_j theta^j s for rational functions r_j of z (``RatFunc``).
+
+    Each piece r_j theta^j s is divided by z^v, v the pole order of r_j at
+    0, so the sum is valid to z-order N - max v; zero coefficients are
+    skipped and an empty sum is the zero series of s's orders.
+    """
+    N, K = s.z_order, s.eps_order
+    out = None
+    theta_pow = s
+    for j, r in enumerate(coeffs):
+        if j > 0:
+            theta_pow = theta_pow.theta()
+        if r.is_zero():
+            continue
+        rs, v = r.to_biseries(N, K)
+        piece = (rs * theta_pow).div_z(v)
+        out = piece if out is None else out + piece
+    return BiSeries.zeros(N, K) if out is None else out
+
+
 # ---------------------------------------------------------------------------
-# Pochhammer machinery and the hypergeometric series oracle
-
-
-def pochhammer_eps(x: EpsLin, j: int, K: int) -> tuple:
-    """(x)_j = prod_{m<j} (x.const + m + x.eps*eps), truncated at eps^K."""
-    out = (Fraction(1),) + (_ZERO,) * K
-    for m in range(j):
-        out = tuple(mul_trunc(out, (x.const + m, x.eps), K))
-    return out
-
-
-def inv_pochhammer_eps(x: EpsLin, j: int, K: int) -> tuple:
-    """1/(x)_j truncated at eps^K; raises PoleAtEpsZero on vanishing factors."""
-    for m in range(j):
-        if x.const + m == 0:
-            raise PoleAtEpsZero(
-                f"({x})_{j} vanishes at eps=0 (factor m={m}); inverse has an eps pole")
-    return tuple(inv_trunc(pochhammer_eps(x, j, K), K))
+# the hypergeometric series oracle
 
 
 def series_of_hyper(f: HyperFn, N: int, K: int) -> BiSeries:
@@ -193,7 +284,7 @@ def series_of_hyper(f: HyperFn, N: int, K: int) -> BiSeries:
     # term j is num[k]/den at eps^k, updated in place by one linear eps factor
     # (p0 + p1 eps)/q per parameter and reduced once per index
     num, den = [1] + [0] * K, 1
-    rows = [tuple(Fraction(c) for c in num)]
+    terms = [(num[:], 1)]
     kn, kd = 1, 1
     for j in range(N):
         for a in f.upper:
@@ -218,8 +309,13 @@ def series_of_hyper(f: HyperFn, N: int, K: int) -> BiSeries:
             den //= g
             num = [c // g for c in num]
         kn, kd = kn * f.kappa.numerator, kd * f.kappa.denominator
-        rows.append(tuple(Fraction(c * kn, den * kd) for c in num))
-    return BiSeries(tuple(rows))
+        terms.append(([c * kn for c in num], den * kd))
+    L = lcm(*(d for _, d in terms))
+    nums = []
+    for t, d in terms:
+        m = L // d
+        nums += [c * m for c in t]
+    return _reduced(nums, L, N, K)
 
 
 def _integer_linear(x: EpsLin, j: int):
@@ -238,17 +334,19 @@ def compose_z_series(s: BiSeries, zser: Sequence[Fraction], M: int) -> BiSeries:
     if zser and zser[0] != 0:
         raise ValueError("composition requires a series with zero constant term")
     K = s.eps_order
-    zs = list(zser[:M + 1]) + [_ZERO] * max(0, M + 1 - len(zser))
+    W = K + 1
+    zs = list(zser[:M + 1]) + [0] * max(0, M + 1 - len(zser))
     v = next((i for i, c in enumerate(zs) if c != 0), M + 1)
     if v >= 1 and s.z_order * v < M:
         raise ValueError(f"need z order >= {-(-M // v)} to compose to order {M}")
-    # z^j is power[i] / pd at xi^i, kept as integers over D^j
+    # z^j is power[i] / D^j at xi^i; its lowest term is at xi^(j v), so rows
+    # j <= J reach order M, and all of them go over s.den * D^J
     D = lcm(*(c.denominator for c in zs))
     zn = [(i, c.numerator * (D // c.denominator)) for i, c in enumerate(zs) if c]
-    power, pd = [1] + [0] * M, 1
-    rows = dict(_split_rows(s.rows, s.z_order, K))
-    cells = [[{} for _ in range(K + 1)] for _ in range(M + 1)]
-    for j in range(s.z_order + 1):
+    J = min(s.z_order, M // v)
+    power, scale = [1] + [0] * M, D ** J
+    out = [0] * ((M + 1) * W)
+    for j in range(J + 1):
         if j > 0:
             nxt = [0] * (M + 1)
             for a, p in enumerate(power):
@@ -257,59 +355,11 @@ def compose_z_series(s: BiSeries, zser: Sequence[Fraction], M: int) -> BiSeries:
                         if a + b > M:
                             break
                         nxt[a + b] += p * n
-            power, pd = nxt, pd * D
-            if not any(power):
-                break
-        for k, n, d in rows.get(j, ()):
-            d *= pd
-            for i, p in enumerate(power):
-                if p:
-                    cell = cells[i][k]
-                    cell[d] = cell.get(d, 0) + p * n
-    return BiSeries(tuple(tuple(collect(c) for c in row) for row in cells))
-
-
-def collect(cell: Dict[int, int]) -> Fraction:
-    """The sum of n/d over a {d: n} map of integers, normalized once."""
-    if not cell:
-        return _ZERO
-    L = lcm(*cell)
-    return Fraction(sum(n * (L // d) for d, n in cell.items()), L)
-
-
-def _split_rows(rows: Sequence[Sequence[Fraction]], N: int, K: int):
-    """(j, [(k, numerator, denominator), ...]) for each nonzero row j <= N, k <= K."""
-    out = []
-    for j, r in enumerate(rows[:N + 1]):
-        t = [(k, c.numerator, c.denominator) for k, c in enumerate(r[:K + 1]) if c]
-        if not t:
-            continue
-        out.append((j, t))
-    return out
-
-
-def mul_trunc(a: Sequence[Fraction], b: Sequence[Fraction], M: int) -> List[Fraction]:
-    """Cauchy product of two coefficient lists, truncated after index M."""
-    out = [_ZERO] * (M + 1)
-    for i, x in enumerate(a[:M + 1]):
-        if x:
-            for j in range(min(M + 1 - i, len(b))):
-                y = b[j]
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def inv_trunc(a: Sequence[Fraction], M: int) -> List[Fraction]:
-    """Inverse of a coefficient list as a series, truncated after index M."""
-    c0 = a[0]
-    if c0 == 0:
-        raise PoleAtEpsZero(f"inverting ({', '.join(map(str, a))}) whose constant term vanishes")
-    out = [1 / c0]
-    for k in range(1, M + 1):
-        s = _ZERO
-        for i in range(1, min(k, len(a) - 1) + 1):
-            if a[i]:
-                s += a[i] * out[k - i]
-        out.append(-s / c0)
-    return out
+            power, scale = nxt, scale // D
+        for k, n in enumerate(s.nums[j * W:(j + 1) * W]):
+            if n:
+                n *= scale
+                for i, p in enumerate(power):
+                    if p:
+                        out[i * W + k] += p * n
+    return _reduced(out, s.den * D ** J, M, K)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .ratfunc import RatFunc
-from .series import BiSeries
+from .series import BiSeries, theta_action
 
 
 class ThetaOp:
@@ -109,22 +109,7 @@ class ThetaOp:
 
     def apply(self, s: BiSeries) -> BiSeries:
         """Apply to a series; truncation drops by the coefficients' z poles."""
-        N, K = s.z_order, s.eps_order
-        pieces = []
-        theta_pow = s
-        for k, c in enumerate(self.coeffs):
-            if k > 0:
-                theta_pow = theta_pow.theta()
-            if c.is_zero():
-                continue
-            cs, v = c.to_biseries(N, K)
-            pieces.append((cs * theta_pow).div_z(v).crop(N - v, K))
-        if not pieces:
-            return BiSeries.zeros(N, K)
-        out = pieces[0]
-        for p in pieces[1:]:
-            out = out + p
-        return out
+        return theta_action(self.coeffs, s)
 
     def __str__(self):
         parts = []

@@ -17,7 +17,8 @@ from typing import Mapping, Tuple
 from hyperred.hyper import HyperFn
 from hyperred.mb import MBRepr, _c, _j, _n
 from hyperred.scalars import EpsLin, LinearForm
-from hyperred.series import BiSeries, inv_trunc, mul_trunc, pochhammer_eps
+from hyperred.series import BiSeries
+from series_reference import inv_trunc, mul_trunc, pochhammer_eps
 
 
 def family_series(m: MBRepr, k: int, bindings: Mapping[str, int],

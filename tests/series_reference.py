@@ -1,0 +1,149 @@
+"""Fraction reference for the series oracle, which the program never calls.
+
+``BiSeries`` keeps integer numerators over one denominator and does no
+Fraction arithmetic.  The functions here redo its operations the direct
+way, one Fraction per coefficient, on the ``rows`` read out of a series
+(rows[j][k] at z^j eps^k), so equal results are an independent check.
+``mul_trunc``/``inv_trunc`` are the truncated product and inverse of
+coefficient lists, and the Pochhammer expansions build
+``series_of_hyper``'s terms factor by factor.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import List, Sequence
+
+from hyperred.errors import PoleAtEpsZero, UncancelledPole
+from hyperred.scalars import EpsLin
+
+_ZERO = Fraction(0)
+
+
+def mul_trunc(a: Sequence[Fraction], b: Sequence[Fraction], M: int) -> List[Fraction]:
+    """Cauchy product of two coefficient lists, truncated after index M."""
+    out = [_ZERO] * (M + 1)
+    for i, x in enumerate(a[:M + 1]):
+        if x:
+            for j in range(min(M + 1 - i, len(b))):
+                y = b[j]
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def inv_trunc(a: Sequence[Fraction], M: int) -> List[Fraction]:
+    """Inverse of a coefficient list as a series, truncated after index M."""
+    c0 = a[0]
+    if c0 == 0:
+        raise PoleAtEpsZero(f"inverting ({', '.join(map(str, a))}) whose constant term vanishes")
+    out = [1 / c0]
+    for k in range(1, M + 1):
+        s = _ZERO
+        for i in range(1, min(k, len(a) - 1) + 1):
+            if a[i]:
+                s += a[i] * out[k - i]
+        out.append(-s / c0)
+    return out
+
+
+def pochhammer_eps(x: EpsLin, j: int, K: int) -> tuple:
+    """(x)_j = prod_{m<j} (x.const + m + x.eps*eps), truncated at eps^K."""
+    out = (Fraction(1),) + (_ZERO,) * K
+    for m in range(j):
+        out = tuple(mul_trunc(out, (x.const + m, x.eps), K))
+    return out
+
+
+def inv_pochhammer_eps(x: EpsLin, j: int, K: int) -> tuple:
+    """1/(x)_j truncated at eps^K; raises PoleAtEpsZero on vanishing factors."""
+    for m in range(j):
+        if x.const + m == 0:
+            raise PoleAtEpsZero(
+                f"({x})_{j} vanishes at eps=0 (factor m={m}); inverse has an eps pole")
+    return tuple(inv_trunc(pochhammer_eps(x, j, K), K))
+
+
+# ---------------------------------------------------------------------------
+# BiSeries operations on Fraction rows
+
+
+def _common(a, b):
+    return [r[:len(b[0])] for r in a[:len(b)]], [r[:len(a[0])] for r in b[:len(a)]]
+
+
+def rows_add(a, b, sign=1):
+    a, b = _common(a, b)
+    return tuple(tuple(x + sign * y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def rows_mul(a, b):
+    """The dense product, one Fraction multiply-add per term."""
+    a, b = _common(a, b)
+    N, K = len(a) - 1, len(a[0]) - 1
+    out = [[_ZERO] * (K + 1) for _ in range(N + 1)]
+    for j1 in range(N + 1):
+        for j2 in range(N + 1 - j1):
+            for k1 in range(K + 1):
+                for k2 in range(K + 1 - k1):
+                    out[j1 + j2][k1 + k2] += a[j1][k1] * b[j2][k2]
+    return tuple(tuple(r) for r in out)
+
+
+def rows_invert(a):
+    """1/a row by row: c0 = 1/a_0 and out_j = -c0 sum_{i>=1} a_i out_(j-i)."""
+    K = len(a[0]) - 1
+    c0 = inv_trunc(a[0], K)
+    out = [c0]
+    for j in range(1, len(a)):
+        s = [_ZERO] * (K + 1)
+        for i in range(1, j + 1):
+            for k, c in enumerate(mul_trunc(a[i], out[j - i], K)):
+                s[k] += c
+        out.append([-c for c in mul_trunc(s, c0, K)])
+    return tuple(tuple(r) for r in out)
+
+
+def rows_theta(a):
+    return tuple(tuple(j * x for x in r) for j, r in enumerate(a))
+
+
+def rows_div_z(a, v):
+    if any(x for r in a[:v] for x in r):
+        raise UncancelledPole(f"1/z^{v} applied to a series with a nonzero low row")
+    return a[v:]
+
+
+def rows_mul_z_power(a, v):
+    return (tuple(_ZERO for _ in a[0]),) * v + a[:len(a) - v]
+
+
+def rows_crop(a, N, K):
+    return tuple(r[:K + 1] for r in a[:N + 1])
+
+
+def rows_compose(a, zser, M):
+    """a(zser(xi)) to xi^M: one Fraction multiply-add per (power coefficient, entry)."""
+    K = len(a[0]) - 1
+    zs = list(zser[:M + 1]) + [_ZERO] * max(0, M + 1 - len(zser))
+    out = [[_ZERO] * (K + 1) for _ in range(M + 1)]
+    power = [Fraction(1)] + [_ZERO] * M
+    for j, row in enumerate(a):
+        if j > 0:
+            power = mul_trunc(power, zs, M)
+            if all(c == 0 for c in power):
+                break
+        for i, c in enumerate(power):
+            if c:
+                for k in range(K + 1):
+                    out[i][k] += c * row[k]
+    return tuple(tuple(r) for r in out)
+
+
+def rows_first_mismatch(a, b):
+    a, b = _common(a, b)
+    for j, (ra, rb) in enumerate(zip(a, b)):
+        for k, (x, y) in enumerate(zip(ra, rb)):
+            if x != y:
+                return (j, k)
+    return None

@@ -7,13 +7,28 @@ import pytest
 
 from hyperred import cli
 from hyperred.errors import (NoFactorization, NotTriangular, UnsupportedClass)
-from hyperred.expansion import (EpsilonExpansion, elementary_symmetric, epsilon_expand,
+from hyperred.expansion import (EpsilonExpansion, epsilon_expand,
                                 f3_parametrization_check, factorization_conditions,
                                 gauss_flags, gauss_triangular_system, three_f2_system,
                                 verify_expansion, xi_dressing_series, xi_z_series)
 from hyperred.gpl import GplWord, PolyLogExpr
 from hyperred.hyper import HyperFn
 from hyperred.scalars import EpsLin
+
+
+def elementary_symmetric(values, j):
+    """Reference for the root checks: the degree-j symmetric sum, from prod (z + r_k)."""
+    values = [F(v) for v in values]
+    if j < 0 or j > len(values):
+        raise ValueError(f"index {j} out of range for {len(values)} values")
+    coeffs = [F(1)]
+    for r in values:
+        nxt = [F(0)] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            nxt[i] += c * r
+            nxt[i + 1] += c
+        coeffs = nxt
+    return coeffs[len(values) - j]
 
 
 def test_elementary_symmetric():

@@ -11,7 +11,7 @@ from hyperred.errors import UncancelledPole, UnsupportedClass
 from hyperred.gpl import (GplCombo, GplWord, PolyLogExpr, basis_ratfunc,
                           gpl_word_series, partial_fractions, rf_from_coeffs,
                           rf_monomial, shuffle_words)
-from hyperred.series import mul_trunc
+from series_reference import mul_trunc
 
 
 def test_g1_is_log():

@@ -1,4 +1,5 @@
-"""Series oracle: Pochhammer expansion, hypergeometric series, truncation."""
+"""Series oracle: integer rows against the Fraction reference, hypergeometric
+series, truncation."""
 
 from fractions import Fraction as F
 
@@ -8,8 +9,11 @@ from hypothesis import given, settings, strategies as st
 from hyperred.errors import PoleAtEpsZero, UncancelledPole
 from hyperred.hyper import HyperFn
 from hyperred.scalars import EpsLin
-from hyperred.series import (BiSeries, collect, compose_z_series, inv_pochhammer_eps,
-                             inv_trunc, mul_trunc, pochhammer_eps, series_of_hyper)
+from hyperred.series import BiSeries, combine, compose_z_series, series_of_hyper
+from series_reference import (inv_pochhammer_eps, inv_trunc, mul_trunc, pochhammer_eps,
+                              rows_add, rows_compose, rows_crop, rows_div_z,
+                              rows_first_mismatch, rows_invert, rows_mul, rows_mul_z_power,
+                              rows_theta)
 
 
 def test_pochhammer_half_plus_eps():
@@ -190,19 +194,7 @@ def test_inv_trunc_is_an_inverse(a, M):
 
 
 # ---------------------------------------------------------------------------
-# bucketed product kernel against the dense 2-D product loop
-
-
-def _dense_mul(a, b):
-    """Reference: the dense product, one Fraction multiply-add per term."""
-    N, K = min(a.z_order, b.z_order), min(a.eps_order, b.eps_order)
-    out = [[F(0)] * (K + 1) for _ in range(N + 1)]
-    for j1 in range(N + 1):
-        for j2 in range(N + 1 - j1):
-            for k1 in range(K + 1):
-                for k2 in range(K + 1 - k1):
-                    out[j1 + j2][k1 + k2] += a.rows[j1][k1] * b.rows[j2][k2]
-    return BiSeries(tuple(tuple(r) for r in out))
+# the integer-row product against the dense Fraction product
 
 
 def _sparse_series(rng, N, K, zero_share):
@@ -223,49 +215,12 @@ def test_mul_matches_dense_product(Na, Ka, Nb, Kb, zero_share, seed):
     b = _sparse_series(rng, Nb, Kb, zero_share)
     got = a * b
     assert (got.z_order, got.eps_order) == (min(Na, Nb), min(Ka, Kb))
-    assert got.rows == _dense_mul(a, b).rows
+    assert got.rows == rows_mul(a.rows, b.rows)
     assert (b * a).rows == got.rows
-
-
-def test_collect_empty_is_zero():
-    assert collect({}) == 0 and isinstance(collect({}), F)
-
-
-def test_collect_mixed_signs():
-    # 1/2 - 5/6 + 7/4 = 17/12
-    got = collect({2: 1, 6: -5, 4: 7})
-    assert got == F(17, 12) and (got.numerator, got.denominator) == (17, 12)
-
-
-def test_collect_cancels_to_zero():
-    # 3/6 - 2/4 = 0; unreduced keys still normalize
-    got = collect({6: 3, 4: -2})
-    assert got == 0 and got.denominator == 1
 
 
 # ---------------------------------------------------------------------------
 # compose_z_series against the per-term Fraction loop
-
-
-def _compose_by_terms(s, zser, M):
-    """Reference: one Fraction multiply-add per (power coefficient, row entry)."""
-    K = s.eps_order
-    zs = list(zser[:M + 1]) + [F(0)] * max(0, M + 1 - len(zser))
-    out = [[F(0)] * (K + 1) for _ in range(M + 1)]
-    power = [F(1)] + [F(0)] * M
-    for j in range(s.z_order + 1):
-        if j > 0:
-            power = mul_trunc(power, zs, M)
-            if all(c == 0 for c in power):
-                break
-        row = s.rows[j]
-        for i, c in enumerate(power):
-            if c == 0:
-                continue
-            for k in range(K + 1):
-                if row[k]:
-                    out[i][k] += c * row[k]
-    return tuple(tuple(r) for r in out)
 
 
 @settings(max_examples=60, deadline=None)
@@ -280,7 +235,7 @@ def test_compose_z_series_matches_per_term_loop(N, K, v, M, zero_share, integral
                          for _ in range(rng.randint(0, M + 1))]
     if len(zser) > v:
         zser[v] = zser[v] or F(1)
-    assert compose_z_series(s, zser, M).rows == _compose_by_terms(s, zser, M)
+    assert compose_z_series(s, zser, M).rows == rows_compose(s.rows, zser, M)
 
 
 # ---------------------------------------------------------------------------
@@ -325,3 +280,80 @@ def test_series_of_hyper_lower_pole_index(lower, j):
         series_of_hyper(f, 8, 2)
     # the series up to index j has no pole yet
     assert series_of_hyper(f, j, 2).rows == _termwise_series(f, j, 2).rows
+
+
+# ---------------------------------------------------------------------------
+# integer rows against the Fraction reference, with different denominators
+# on the two sides
+
+
+_DENS = {"small": (1, 2, 3, 4, 6), "prime": (1, 5, 7, 11, 13), "power": (1, 8, 9, 16, 27)}
+
+
+def _rand_series(rng, N, K, dens, zero_share=0.3):
+    def cell():
+        return F(0) if rng.random() < zero_share else F(rng.randint(-9, 9), rng.choice(dens))
+    return BiSeries([[cell() for _ in range(K + 1)] for _ in range(N + 1)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 7), st.integers(0, 3), st.integers(0, 7), st.integers(0, 3),
+       st.sampled_from(sorted(_DENS)), st.sampled_from(sorted(_DENS)), st.integers(0, 10 ** 6))
+def test_binary_ops_match_fraction_reference(Na, Ka, Nb, Kb, da, db, seed):
+    import random
+    rng = random.Random(seed)
+    a, b = _rand_series(rng, Na, Ka, _DENS[da]), _rand_series(rng, Nb, Kb, _DENS[db])
+    assert (a * b).rows == rows_mul(a.rows, b.rows)
+    assert (a + b).rows == rows_add(a.rows, b.rows)
+    assert (a - b).rows == rows_add(a.rows, b.rows, -1)
+    assert a.first_mismatch(b) == rows_first_mismatch(a.rows, b.rows)
+    assert (a == b) == (rows_first_mismatch(a.rows, b.rows) is None)
+    p, q = F(rng.randint(-5, 5), rng.randint(1, 7)), F(rng.randint(-5, 5), rng.randint(1, 7))
+    assert (a * q).rows == (q * a).rows == tuple(tuple(q * x for x in r) for r in a.rows)
+    N, K = min(Na, Nb), min(Ka, Kb)
+    want = tuple(tuple(p * x + q * y for x, y in zip(ra, rb))
+                 for ra, rb in zip(rows_crop(a.rows, N, K), rows_crop(b.rows, N, K)))
+    assert combine(((p, a), (q, b)), N, K).rows == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 7), st.integers(0, 3), st.sampled_from(sorted(_DENS)),
+       st.integers(0, 10 ** 6))
+def test_unary_ops_match_fraction_reference(N, K, d, seed):
+    import random
+    rng = random.Random(seed)
+    a = _rand_series(rng, N, K, _DENS[d])
+    v, n, k = rng.randint(0, N + 1), rng.randint(0, N + 2), rng.randint(0, K + 1)
+    assert a.theta().rows == rows_theta(a.rows)
+    assert a.crop(n, k).rows == rows_crop(a.rows, n, k)
+    shifted = a.mul_z_power(v)
+    assert shifted.rows == rows_mul_z_power(a.rows, v)
+    assert shifted.div_z(v).rows == rows_div_z(shifted.rows, v)
+    if any(x for r in a.rows[:v] for x in r):
+        with pytest.raises(UncancelledPole):
+            a.div_z(v)
+        with pytest.raises(UncancelledPole):
+            rows_div_z(a.rows, v)
+    if a.get(0, 0) == 0:
+        with pytest.raises(PoleAtEpsZero):
+            a.invert()
+    else:
+        assert a.invert().rows == rows_invert(a.rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 7), st.integers(0, 3), st.sampled_from(sorted(_DENS)),
+       st.integers(2, 9), st.integers(0, 10 ** 6))
+def test_first_mismatch_finds_one_perturbed_cell(N, K, d, scale, seed):
+    import random
+    rng = random.Random(seed)
+    a = _rand_series(rng, N, K, _DENS[d])
+    # the same values over a denominator `scale` times larger are no mismatch
+    same = BiSeries.from_ints([x * scale for x in a.nums], a.den * scale, N, K)
+    assert a.first_mismatch(same) is None and a == same and same.rows == a.rows
+    j, k = rng.randint(0, N), rng.randint(0, K)
+    rows = [list(r) for r in a.rows]
+    rows[j][k] += F(rng.choice([-1, 1]), rng.randint(1, 30))
+    bumped = BiSeries(rows)
+    assert a.first_mismatch(bumped) == bumped.first_mismatch(a) == (j, k)
+    assert same.first_mismatch(bumped) == (j, k) and a != bumped
