@@ -1,21 +1,16 @@
 """Truncated power-series arithmetic: the verification oracle's currency.
 
-``BiSeries`` is a power series in z, truncated at z^N, whose coefficients
-are polynomials in eps truncated at eps^K.  It holds one positive integer
-denominator ``den`` over integer numerators ``nums``, row-major: the
-coefficient of z^j eps^k is nums[j (K + 1) + k] / den.  A series in z
-alone is the case K = 0, so a word series ``(D, nums)`` of ``gpl`` is a
-BiSeries as it stands.  Products are the denominator product over one
-integer truncated 2-D convolution, sums and ``combine`` bring their terms
-to the lcm of the denominators, theta, shifts and crops act on the
-integer rows, comparisons cross-multiply, and ``invert`` is a
-fraction-free recurrence on the leading integer; each result is reduced
-by one gcd.  The coefficients of the hypergeometric and the nested-sum
-series are such rows by construction (Moch, Uwer & Weinzierl,
-hep-ph/0110083).  A Fraction is built only where a coefficient is read
-out (``get``, ``eps_row``, ``rows``) or rational input is converted in
-(the constructor).  Every operation tracks the valid truncation orders;
-mixing truncations takes the minimum.
+``BiSeries`` is a series in z to z^N whose coefficients are polynomials in
+eps to eps^K, held as one positive integer denominator over row-major
+integer numerators; a series in z alone (K = 0) is a word series
+``(D, nums)`` of ``gpl`` as it stands.  Products are one integer 2-D
+convolution over the denominator product, sums (``combine``) go over the
+lcm, comparisons cross-multiply and ``invert`` is fraction-free; results
+are reduced by one gcd.  The coefficients of the hypergeometric and the
+nested-sum series are integer rows by construction (Moch, Uwer &
+Weinzierl, hep-ph/0110083).  A Fraction is built only where a coefficient
+is read out or rational input is converted in.  Mixing truncation orders
+takes the minimum.
 """
 
 from __future__ import annotations
