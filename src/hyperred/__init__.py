@@ -8,7 +8,7 @@ from .expansion import (EpsilonExpansion, F3Report, FactorizationReport,
                         TriangularSystem, epsilon_expand,
                         f3_parametrization_check, factorization_conditions,
                         gauss_triangular_system, three_f2_system, verify_expansion)
-from .gpl import GplCombo, GplWord, PolyLogExpr, gpl_word_series, shuffle_words
+from .gpl import GplCombo, PolyLogExpr, gpl_word_series, shuffle_words
 from .grammar import parse_hyper, parse_input
 from .hyper import HyperFn, SymHyperFn
 from .mb import (DiagramPreset, HyperSum, HyperTerm, MBRepr, check_dim,

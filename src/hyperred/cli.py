@@ -25,7 +25,7 @@ from .errors import (CriterionViolation, DegeneratePoles, HyperredError,
 from .expansion import (EpsilonExpansion, epsilon_expand, f3_parametrization_check,
                         gauss_flags, gauss_triangular_system, three_f2_system,
                         verify_expansion)
-from .gpl import GplWord, PolyLogExpr
+from .gpl import PolyLogExpr
 from .grammar import format_mb, parse_hyper, parse_input
 from .mb import DiagramPreset, MBRepr, count_master_integrals, mb_to_hyper
 from .poly import Poly
@@ -98,14 +98,13 @@ def enc_polylog(e: PolyLogExpr) -> dict:
     return {
         "var": e.var,
         "const": enc_rat(e.const),
-        "terms": [{"coeff": enc_rat(c), "letters": [enc_rat(a) for a in w.letters]}
+        "terms": [{"coeff": enc_rat(c), "letters": [enc_rat(a) for a in w]}
                   for w, c in e.sorted_terms()],
     }
 
 
 def dec_polylog(d: dict) -> PolyLogExpr:
-    terms = {GplWord([dec_rat(a) for a in t["letters"]], d["var"]): dec_rat(t["coeff"])
-             for t in d["terms"]}
+    terms = {tuple(dec_rat(a) for a in t["letters"]): dec_rat(t["coeff"]) for t in d["terms"]}
     return PolyLogExpr(terms, dec_rat(d["const"]), d["var"])
 
 
@@ -359,7 +358,8 @@ def run_verify_file(spec: JobSpec, path: str) -> int:
     """Re-check stored records, never at less depth than this job's own N and K.
 
     Every record is decoded before the first check; a malformed one is a
-    ParseError naming its line (exit 2).
+    ParseError naming its line (exit 2), and a record whose N or K lies
+    outside a job's own bounds is refused as a job's would be (exit 3).
     """
     jobs = []
     with open(path) as fh:
@@ -368,12 +368,14 @@ def run_verify_file(spec: JobSpec, path: str) -> int:
                 continue
             try:
                 rec = json.loads(line)
-                jobs.append((rec, _decode_record(rec), max(int(rec.get("N", 0)), spec.N),
-                             max(int(rec.get("K", 0)), min(spec.K, 4))))
+                job = (rec, _decode_record(rec), max(int(rec.get("N", 0)), spec.N),
+                       max(int(rec.get("K", 0)), min(spec.K, 4)))
             except (ParseError, ValueError, ZeroDivisionError, KeyError, TypeError,
                     AttributeError) as e:
                 raise ParseError(f"malformed stored record ({type(e).__name__}: {e})",
                                  lineno, 1) from None
+            JobSpec(N=job[2], K=job[3])
+            jobs.append(job)
     for rec, value, N, K in jobs:
         if isinstance(value, ReductionResult):
             ok, mism = verify_reduction(value, N, K)
@@ -577,7 +579,8 @@ def main(argv=None) -> int:
                        or os.environ.get("HYPERRED_FORMAT", "text"),
                        no_verify=getattr(args, "no_verify", False))
         return run_job(spec, args, extras)
-    except HyperredError as e:
+    except (HyperredError, OSError) as e:
+        # a file that cannot be read or written is EXIT_ERROR, without a traceback
         print(f"error: {e}", file=sys.stderr)
         return exit_code_for(e)
 

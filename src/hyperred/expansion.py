@@ -20,8 +20,7 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NoFactorization, NotTriangular, UncancelledPole, UnsupportedClass
-from .gpl import (ONE, GplCombo, PolyLogExpr, basis_ratfunc, partial_fractions,
-                  rf_from_coeffs, rf_monomial)
+from .gpl import ONE, GplCombo, Kernel, PolyLogExpr, basis_product, basis_ratfunc
 from .hyper import HyperFn
 from .poly import Poly, theta_poly
 from .ratfunc import RatFunc
@@ -390,10 +389,8 @@ def _expand_integer_class(f: HyperFn, K: int) -> EpsilonExpansion:
     U = _eps_theta_product(list(zip(A, a)))
     T0 = _eps_theta_product([(x - 1, y) for x, y in zip(B, b)])
     T = {e: [F(0)] + coeffs for e, coeffs in T0.items()}   # left theta factor
-    # the fixed kernels, converted to basis dicts once per call
-    kernel = rf_monomial(F(0), r2 - 1) * rf_monomial(F(1), r1 - r2 - 1)
-    h = rf_monomial(F(0), -r2) * rf_monomial(F(1), r2 - r1)
-    kernel, h = partial_fractions(kernel, letters), partial_fractions(h, letters)
+    kernel = basis_product({0: r2 - 1, 1: r1 - r2 - 1})
+    h = basis_product({0: -r2, 1: r2 - r1})
 
     omega0 = _omega0_rational(A, beta, h, letters)
     layers: List[GplCombo] = [omega0]
@@ -413,7 +410,7 @@ def _expand_integer_class(f: HyperFn, K: int) -> EpsilonExpansion:
         layers.append(om)
         thetas.append(_theta_stack(om, P))
     exprs = [c.to_polylog("z") for c in layers[1:]]
-    om0_rf = _combo_rational_part(layers[0])
+    om0_rf = basis_ratfunc(_combo_rational_part(layers[0]))
     lead = layers[0].to_polylog("z") if _is_pure(layers[0]) else PolyLogExpr({}, 0, "z")
     return EpsilonExpansion(f, "direct", "z", om0_rf, (lead,) + tuple(exprs),
                             tuple(F(x) for x in beta), F(r1), F(r2))
@@ -423,12 +420,11 @@ def _is_pure(combo: GplCombo) -> bool:
     return all(r.keys() == {ONE} for r in combo.data.values())
 
 
-def _combo_rational_part(combo: GplCombo) -> RatFunc:
+def _combo_rational_part(combo: GplCombo) -> Dict[Kernel, Fraction]:
     for w in combo.data:
         if w:
             raise UnsupportedClass("eps^0 layer is not rational")
-    r = combo.data.get(())
-    return basis_ratfunc(r) if r is not None else RatFunc.const(("z",), 0)
+    return combo.data.get((), {})
 
 
 def _theta_stack(c: GplCombo, P: int) -> List[GplCombo]:
@@ -447,11 +443,11 @@ def _omega0_rational(A, beta, h, letters) -> GplCombo:
             om = _peel_theta_beta(om, bt)
     except UncancelledPole as e:
         raise UnsupportedClass(f"eps^0 layer is not rational: {e}") from e
-    rf = _combo_rational_part(om)
-    s, v = rf.to_biseries(0, 0)
-    if v > 0 or s.get(0, 0) == 0:
+    # a pole at 0 is a kernel (0, m >= 1), the basis being unique
+    r = _combo_rational_part(om)
+    if any(a == 0 and m > 0 for a, m in r) or not (c0 := om.value_at_zero()):
         raise UnsupportedClass("eps^0 layer cannot be normalized to 1 at the origin")
-    return om.scale_q(1 / s.get(0, 0))
+    return om.scale_q(1 / c0)
 
 
 # ---------------------------------------------------------------------------
@@ -470,15 +466,12 @@ def _expand_half_integer_gauss(f: HyperFn, K: int) -> EpsilonExpansion:
     """
     a1, a2 = f.upper[0].eps, f.upper[1].eps
     c = f.lower[0].eps
-    letters = (F(-1), F(1))
-    one_minus = rf_from_coeffs([F(1), F(0), F(-1)])          # 1 - t^2
-    k_t = rf_from_coeffs([F(0), F(2)]) / one_minus           # 2t/(1-t^2)
-    k_flat = rf_from_coeffs([F(2)]) / one_minus              # 2/(1-t^2)
-    k_t, k_flat = partial_fractions(k_t, letters), partial_fractions(k_flat, letters)
-    inv_xi = {(0, 1): 1}                                     # 1/xi
+    letters = (-1, 1)
+    k_t = {(1, 1): F(-1), (-1, 1): F(-1)}       # 2t/(1-t^2) = -1/(t-1) - 1/(t+1)
+    k_flat = {(1, 1): F(-1), (-1, 1): F(1)}     # 2/(1-t^2) = -1/(t-1) + 1/(t+1)
+    inv_xi = {(0, 1): 1}                        # 1/xi
 
-    u0 = GplCombo({(F(-1),): rf_from_coeffs([F(1, 2)]),
-                   (F(1),): rf_from_coeffs([F(-1, 2)])}, letters)
+    u0 = GplCombo({(-1,): {ONE: F(1, 2)}, (1,): {ONE: F(-1, 2)}}, letters)
     v0 = GplCombo.const(F(1, 2), letters)
     us = [u0]
     vs = [v0]

@@ -16,23 +16,23 @@ rational functions of the variable multiplying words.  Every kernel has its
 poles on the alphabet, so each coefficient is kept in the alphabet's
 partial-fraction basis, a dict over the kernels (z - a)^(-m) (a = 0 with
 m <= 0 giving the powers z^i), and theta, products and integration act on
-that dict in closed form; a RatFunc is converted once on the way in and
-back only for omega0, printing and messages.  Poles at the origin are
-checked on the sum over words, so they may cancel between words.  Final
-expansion layers are converted to plain rational-coefficient PolyLogExpr
-values.
+that dict in closed form.  The expansion's fixed kernels are built in the
+basis too (``basis_product``), so no RatFunc arithmetic runs; a basis dict
+becomes a RatFunc only for omega0, printing and messages (``basis_ratfunc``,
+without a gcd).  Poles at the origin are checked on the sum over words, so
+they may cancel between words.  Final expansion layers are PolyLogExpr
+values, keyed by the same letter tuples, with rational coefficients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .errors import UncancelledPole, UnsupportedClass
-from .poly import Poly
+from .poly import Poly, _cancel, _factor_product
 from .ratfunc import RatFunc
 from .scalars import rat
 from .series import BiSeries, combine
@@ -109,43 +109,21 @@ def shuffle_words(w1: Word, w2: Word) -> List[Word]:
     return out
 
 
-@dataclass(frozen=True)
-class GplWord:
-    """A nonempty Goncharov word in a named variable."""
-
-    letters: Word
-    var: str = "z"
-
-    def __init__(self, letters, var="z"):
-        w = as_word(letters)
-        if not w:
-            raise ValueError("GplWord must be nonempty")
-        object.__setattr__(self, "letters", w)
-        object.__setattr__(self, "var", var)
-
-    @property
-    def weight(self) -> int:
-        return len(self.letters)
-
-    def __str__(self):
-        inner = ",".join(str(a) for a in self.letters)
-        return f"G({inner};{self.var})"
-
-    __repr__ = __str__
-
-
 class PolyLogExpr:
-    """Rational-linear combination of Goncharov words plus a constant."""
+    """Rational-linear combination of Goncharov words plus a constant.
+
+    ``terms`` maps nonempty words, letter tuples interned by ``as_word``,
+    to nonzero coefficients; every word is in the variable ``var``.
+    """
 
     __slots__ = ("terms", "const", "var")
 
-    def __init__(self, terms: Mapping[GplWord, Fraction] = (), const=0, var="z"):
+    def __init__(self, terms: Mapping[Word, Fraction] = (), const=0, var="z"):
         clean = {}
         for w, c in (terms.items() if isinstance(terms, Mapping) else terms):
-            if not isinstance(w, GplWord):
-                w = GplWord(w, var)
-            if w.var != var:
-                raise ValueError(f"word variable {w.var} != expression variable {var}")
+            w = as_word(w)
+            if not w:
+                raise ValueError("a PolyLogExpr word must be nonempty")
             c = rat(c)
             if c != 0:
                 clean[w] = clean.get(w, F(0)) + c
@@ -158,7 +136,7 @@ class PolyLogExpr:
 
     @property
     def weight(self) -> int:
-        return max((w.weight for w in self.terms), default=0)
+        return max(map(len, self.terms), default=0)
 
     def is_zero(self):
         return not self.terms and self.const == 0
@@ -183,7 +161,7 @@ class PolyLogExpr:
                                self.const * q, self.var)
         if self.var != other.var:
             raise ValueError("variable mismatch")
-        out: Dict[GplWord, Fraction] = {}
+        out: Dict[Word, Fraction] = {}
         const = self.const * other.const
         for w, c in self.terms.items():
             q = c * other.const
@@ -195,9 +173,8 @@ class PolyLogExpr:
                 out[w] = out.get(w, F(0)) + q
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                for s in shuffle_words(w1.letters, w2.letters):
-                    gw = GplWord(s, self.var)
-                    out[gw] = out.get(gw, F(0)) + c1 * c2
+                for s in shuffle_words(w1, w2):
+                    out[s] = out.get(s, F(0)) + c1 * c2
         return PolyLogExpr(out, const, self.var)
 
     __rmul__ = __mul__
@@ -205,7 +182,7 @@ class PolyLogExpr:
     def series(self, N: int) -> List[Fraction]:
         # the constant is the coefficient of the empty word, whose series is 1
         terms = [(self.const, _word_biseries((), N))]
-        terms += [(c, _word_biseries(w.letters, N)) for w, c in self.terms.items()]
+        terms += [(c, _word_biseries(w, N)) for w, c in self.terms.items()]
         return combine(terms, N, 0).eps_row(0)
 
     def __eq__(self, other):
@@ -218,37 +195,16 @@ class PolyLogExpr:
         return hash((frozenset(self.terms.items()), self.const, self.var))
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda wc: (wc[0].weight, wc[0].letters))
+        return sorted(self.terms.items(), key=lambda wc: (len(wc[0]), wc[0]))
 
     def __str__(self):
         parts = [] if self.const == 0 else [str(self.const)]
         for w, c in self.sorted_terms():
-            parts.append(f"{c}*{w}" if c != 1 else str(w))
+            g = f"G({','.join(map(str, w))};{self.var})"
+            parts.append(f"{c}*{g}" if c != 1 else g)
         return " + ".join(parts) or "0"
 
     __repr__ = __str__
-
-
-# ---------------------------------------------------------------------------
-# rational functions of one variable
-
-
-def _rf_const(q) -> RatFunc:
-    return RatFunc.const(_ZVARS, q)
-
-
-def rf_from_coeffs(coeffs: Sequence[Fraction]) -> RatFunc:
-    return RatFunc(Poly.from_terms(_ZVARS, {(m,): rat(c) for m, c in enumerate(coeffs) if c}),
-                   _normalized=True)
-
-
-def rf_monomial(a: Fraction, power: int) -> RatFunc:
-    """(z - a)^power as a RatFunc, any integer power."""
-    base = rf_from_coeffs([-rat(a), F(1)])
-    out = _rf_const(1)
-    for _ in range(abs(power)):
-        out = out * base
-    return out if power >= 0 else _rf_const(1) / out
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +220,8 @@ _Z: Kernel = (_ZERO, -1)
 
 def partial_fractions(r: RatFunc, letters: Sequence[Fraction]) -> Dict[Kernel, Fraction]:
     """r = sum c_i z^i + sum c/(z-a)^m as {kernel: c}: the denominator factored
-    over the alphabet (or 0), a pole outside it raising UnsupportedClass."""
+    over the alphabet (or 0), a pole outside it raising UnsupportedClass.
+    Public API without a src caller, for converting a RatFunc by hand."""
     den = r.den
     factors = {}
     for a in sorted(set([_ZERO] + [_letter(a) for a in letters])):
@@ -281,12 +238,36 @@ def partial_fractions(r: RatFunc, letters: Sequence[Fraction]) -> Dict[Kernel, F
     return out
 
 
-def basis_ratfunc(coeffs: Mapping[Kernel, Fraction]) -> RatFunc:
-    """The RatFunc of a basis dict (for omega0, printing and messages)."""
-    out = _rf_const(0)
-    for k, c in coeffs.items():
-        out = out + rf_monomial(k[0], -k[1]) * c
+def basis_product(powers: Mapping[Letter, int]) -> Dict[Kernel, Fraction]:
+    """prod (z - a)^e over powers {a: e}, any integer e, as a basis dict."""
+    out = {ONE: F(1)}
+    for a, e in powers.items():
+        a = _letter(a)
+        out = _mul(out, {(a, -e): F(1)} if a == 0 or e < 0 else
+                   {(_ZERO, -k): F(comb(e, k) * (-a) ** (e - k)) for k in range(e + 1)})
     return out
+
+
+def basis_ratfunc(coeffs: Mapping[Kernel, Fraction]) -> RatFunc:
+    """The RatFunc of a basis dict (for omega0, printing and messages).
+
+    The numerator over prod (z - a)^top_a, top_a the highest pole order at
+    a, is coprime to it unless a coefficient is 0; trial division at the
+    poles clears what those leave, so the result is normalized without a gcd.
+    """
+    top: Dict[Letter, int] = {}
+    for a, m in coeffs:
+        if m > 0:
+            top[a] = max(top.get(a, 0), m)
+    z = Poly.variable(_ZVARS, "z")
+    num = Poly.zero(_ZVARS)
+    for (a, m), c in coeffs.items():
+        term = Poly.const(_ZVARS, c)
+        for b, e in {**top, a: top.get(a, 0) - m}.items():
+            term = term * (z - b) ** e
+        num = num + term
+    (num,), left = _cancel([num], {z - a: m for a, m in top.items()})
+    return RatFunc(num, _factor_product(_ZVARS, 1, left), _normalized=True)
 
 
 # bounded; a seed-1 `bench/run.py --workload expand` stream meets 15 kernel pairs
@@ -398,21 +379,19 @@ class GplCombo:
     """sum_w R_w(z) G(w; z); the empty word holds the rational part.
 
     ``data`` maps each word to R_w in the alphabet's partial-fraction basis,
-    {kernel: Fraction}.  The constructor copies what it is given, interns
-    the letters of words and kernels, and also accepts RatFunc values,
-    converting them once.  The operations build fresh dicts and may share
-    the inner ones between combinations, which nothing writes to after
-    construction.
+    {kernel: Fraction}.  The constructor copies what it is given and
+    interns the letters of words and kernels.  The operations build fresh
+    dicts and may share the inner ones between combinations, which nothing
+    writes to after construction.
     """
 
     __slots__ = ("data", "letters")
 
-    def __init__(self, data: Mapping[Word, object], letters: Sequence[Letter]):
+    def __init__(self, data: Mapping[Word, Mapping[Kernel, Fraction]], letters: Sequence[Letter]):
         letters = tuple(_letter(a) for a in letters)
         clean = {}
         for w, r in data.items():
-            r = (partial_fractions(r, letters) if isinstance(r, RatFunc)
-                 else {(_letter(a), m): c for (a, m), c in r.items() if c})
+            r = {(_letter(a), m): c for (a, m), c in r.items() if c}
             if r:
                 clean[as_word(w)] = r
         object.__setattr__(self, "data", clean)
@@ -536,7 +515,7 @@ class GplCombo:
             if not w:
                 const += r[ONE]
             else:
-                terms[GplWord(w, var)] = r[ONE]
+                terms[w] = r[ONE]
         return PolyLogExpr(terms, const, var)
 
     def __str__(self):

@@ -107,7 +107,7 @@ def mb_to_hyper(m: MBRepr) -> HyperSum:
     for i in range(len(families)):
         for j in range(i + 1, len(families)):
             d = families[i] - families[j]
-            if d.n_coeff == 0 and not d.j_coeffs and d.const.denominator == 1:
+            if d.is_integer():
                 raise DegeneratePoles(
                     f"pole families {families[i]} and {families[j]} collide")
     sign = -1 if (1 + len(m.c_forms) + len(m.d_forms)) % 2 else 1

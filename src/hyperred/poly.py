@@ -8,17 +8,17 @@ carry trailing zero coefficients, so structural equality is semantic
 equality.
 
 GCDs use one primitive pseudo-remainder sequence at every depth, with no
-fast path in front of it: the reduction clears its denominators by trial
-division over known linear factors, so a traced seed-1 ``bench/run.py``
-stream counts 0 gcd calls on ``reduce`` and ``diagram`` and 50 small
-univariate ones on ``expand``.  The result is normalized to lead
-coefficient 1.  Everything is immutable and exact.
+fast path in front of it, normalized to lead coefficient 1.  The reduction
+and ``gpl.basis_ratfunc`` clear their denominators by trial division over
+known linear factors (``_cancel``, below), so a traced seed-1
+``bench/run.py`` stream counts 0 gcd calls on every workload.  Everything
+is immutable and exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Mapping, Sequence
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -496,3 +496,55 @@ def theta_poly(roots: Sequence[Poly], one: Poly) -> List[Poly]:
             nxt[i] = nxt[i] + coeffs[i - 1]
         coeffs = nxt
     return coeffs
+
+
+# ---------------------------------------------------------------------------
+# products of known linear factors, cleared by trial division instead of a gcd
+
+# Monic factors with their multiplicities: (P, factors, K) stands for
+# P / (K * prod f^m), K a nonzero Fraction.
+Factors = Dict[Poly, int]
+
+
+def _factor_product(vars, K: Fraction, factors: Factors) -> Poly:
+    p = Poly.const(vars, K)
+    for f, m in factors.items():
+        p = p * f ** m
+    return p
+
+
+def _linear_root(f: Poly):
+    """(name, r) for the monic linear factor f = name - r."""
+    terms = f.terms()
+    (top,) = [e for e in terms if any(e)]
+    return f.vars[top.index(1)], -terms.get((0,) * f.d, 0)
+
+
+def _cancel(polys: List[Poly], factors: Factors) -> Tuple[List[Poly], Factors]:
+    """Divide each factor out of polys while it divides all of them.
+
+    Returns the quotients and the factors left.  Every factor is linear,
+    hence irreducible, so it is divided out, tested at its root, for as
+    long as it divides every polynomial; what is left then shares no factor
+    with the quotients: the gcd-free form.
+    """
+    polys = list(polys)
+    live = [i for i, p in enumerate(polys) if not p.is_zero()]
+    left: Factors = {}
+    for f, m in factors.items():
+        root = _linear_root(f)
+        while m:
+            qs = []
+            for i in live:
+                q = polys[i].div_root(*root)
+                if q is None:
+                    break
+                qs.append(q)
+            if len(qs) < len(live):
+                break
+            for i, q in zip(live, qs):
+                polys[i] = q
+            m -= 1
+        if m:
+            left[f] = m
+    return polys, left

@@ -26,20 +26,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import NotIntegerShift, SingularStep, VerificationFailure
 from .hyper import Hyper, HyperFn
-from .poly import Poly, theta_poly
+from .poly import Factors, Poly, _cancel, _factor_product, theta_poly
 from .ratfunc import RatFunc
 from .scalars import EpsLin
 from .series import series_of_hyper, theta_action
 from .theta import ThetaOp
-
-# Monic factors with their multiplicities: (P, factors, K) stands for
-# P / (K * prod f^m), K a nonzero Fraction.
-Factors = Dict[Poly, int]
-
 
 # ---------------------------------------------------------------------------
 # parameter embedding
@@ -63,9 +58,7 @@ def _param_poly(vars, x) -> Poly:
 
 
 def _is_unit_param(x) -> bool:
-    if isinstance(x, EpsLin):
-        return x.eps == 0 and x.const == 1
-    return x.n_coeff == 0 and not x.j_coeffs and x.const == 1
+    return x.is_integer() and x.const == 1
 
 
 def ode_operator(fn: Hyper) -> ThetaOp:
@@ -209,50 +202,6 @@ def _add_factor(factors: Factors, f: Poly, m: int = 1) -> Fraction:
     key = f if lf == 1 else f.scale(1 / lf)
     factors[key] = factors.get(key, 0) + m
     return lf ** m
-
-
-def _factor_product(vars, K: Fraction, factors: Factors) -> Poly:
-    p = Poly.const(vars, K)
-    for f, m in factors.items():
-        p = p * f ** m
-    return p
-
-
-def _linear_root(f: Poly):
-    """(name, r) for the monic linear factor f = name - r."""
-    terms = f.terms()
-    (top,) = [e for e in terms if any(e)]
-    return f.vars[top.index(1)], -terms.get((0,) * f.d, 0)
-
-
-def _cancel(polys: List[Poly], factors: Factors) -> Tuple[List[Poly], Factors]:
-    """Divide each factor out of polys while it divides all of them.
-
-    Returns the quotients and the factors left.  Every factor is linear,
-    hence irreducible, so it is divided out, tested at its root, for as
-    long as it divides every polynomial; what is left then shares no factor
-    with the quotients: the gcd-free form.
-    """
-    polys = list(polys)
-    live = [i for i, p in enumerate(polys) if not p.is_zero()]
-    left: Factors = {}
-    for f, m in factors.items():
-        root = _linear_root(f)
-        while m:
-            qs = []
-            for i in live:
-                q = polys[i].div_root(*root)
-                if q is None:
-                    break
-                qs.append(q)
-            if len(qs) < len(live):
-                break
-            for i, q in zip(live, qs):
-                polys[i] = q
-            m -= 1
-        if m:
-            left[f] = m
-    return polys, left
 
 
 def _step_divisor(fn: Hyper, which: str, index: int, vars) -> Poly:
@@ -434,11 +383,7 @@ def shift_vector(target: Hyper, basis: Hyper):
 
 def _int_diff(t, b) -> int:
     d = t - b
-    if isinstance(d, EpsLin):
-        if d.eps != 0 or d.const.denominator != 1:
-            raise NotIntegerShift(f"difference {d} is not an integer")
-        return int(d.const)
-    if d.n_coeff != 0 or d.j_coeffs or d.const.denominator != 1:
+    if not d.is_integer():
         raise NotIntegerShift(f"difference {d} is not an integer")
     return int(d.const)
 

@@ -131,6 +131,10 @@ class LinearForm:
     def is_zero(self):
         return self.n_coeff == 0 and not self.j_coeffs and self.const == 0
 
+    def is_integer(self) -> bool:
+        """Integer for every n and j: no n or j part, integer constant."""
+        return self.n_coeff == 0 and not self.j_coeffs and self.const.denominator == 1
+
     def bind(self, j_values: Mapping[str, object]) -> "LinearForm":
         """Substitute values (numbers or forms) for the given j symbols."""
         left = {k: v for k, v in self.j_coeffs if k not in j_values}

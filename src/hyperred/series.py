@@ -274,7 +274,7 @@ def theta_action(coeffs: Sequence, s: BiSeries) -> BiSeries:
 def series_of_hyper(f: HyperFn, N: int, K: int) -> BiSeries:
     """The defining series of f as a BiSeries, kappa absorbed into z powers."""
     for b in f.lower:
-        if b.eps == 0 and b.const.denominator == 1 and b.const <= 0:
+        if b.is_integer() and b.const <= 0:
             raise PoleAtEpsZero(f"lower parameter {b} is a non-positive integer at eps=0")
     # term j is num[k]/den at eps^k, updated in place by one linear eps factor
     # (p0 + p1 eps)/q per parameter and reduced once per index

@@ -14,7 +14,7 @@ from hyperred.expansion import (EpsilonExpansion, epsilon_expand,
                                 f3_parametrization_check, factorization_conditions,
                                 gauss_triangular_system, three_f2_system,
                                 verify_expansion)
-from hyperred.gpl import GplWord, PolyLogExpr
+from hyperred.gpl import PolyLogExpr
 from hyperred.hyper import HyperFn
 from hyperred.mb import count_master_integrals, dressed_propagator_shift, get_preset, mb_to_hyper
 from hyperred.reduction import (ReductionResult, canonical_path, detect_exceptional,
@@ -168,7 +168,7 @@ def test_criterion_5_epsilon_expansion():
         f = HyperFn([EpsLin(0, a), EpsLin(0, b)], [EpsLin(1, c)])
         e = epsilon_expand(f, 4)
         ok, _ = verify_expansion(f, e, 30)
-        li2 = e.layers[2] == PolyLogExpr({GplWord((0, 1)): -a * b})
+        li2 = e.layers[2] == PolyLogExpr({(0, 1): -a * b})
         checks.append(ok and li2)
     f2 = HyperFn([EpsLin(1), EpsLin(0, 1)], [EpsLin(1, 1)])
     e2 = epsilon_expand(f2, 4)
@@ -232,7 +232,7 @@ def test_criterion_8_negative_controls():
     f = HyperFn([EpsLin(0, 2), EpsLin(0, 3)], [EpsLin(1, 5)])
     e = epsilon_expand(f, 2)
     bad_layers = list(e.layers)
-    bad_layers[2] = bad_layers[2] + PolyLogExpr({GplWord((1,)): F(1, 9)})
+    bad_layers[2] = bad_layers[2] + PolyLogExpr({(1,): F(1, 9)})
     bade = EpsilonExpansion(e.fn, e.kind, e.var, e.omega0, tuple(bad_layers))
     ok2, mism2 = verify_expansion(f, bade, 15)
     exp_ok = (not ok2) and mism2 == (1, 2)

@@ -11,7 +11,7 @@ from hyperred.expansion import (EpsilonExpansion, epsilon_expand,
                                 f3_parametrization_check, factorization_conditions,
                                 gauss_flags, gauss_triangular_system, three_f2_system,
                                 verify_expansion, xi_dressing_series, xi_z_series)
-from hyperred.gpl import GplWord, PolyLogExpr
+from hyperred.gpl import PolyLogExpr
 from hyperred.hyper import HyperFn
 from hyperred.scalars import EpsLin
 
@@ -152,7 +152,7 @@ def test_expand_pure_eps_gauss():
     assert e.kind == "direct"
     assert e.omega0 == 1
     assert e.layers[1].is_zero()
-    assert e.layers[2] == PolyLogExpr({GplWord((0, 1)): F(-6)})   # ab Li2(z)
+    assert e.layers[2] == PolyLogExpr({(0, 1): F(-6)})   # ab Li2(z)
     ok, mism = verify_expansion(f, e, 30)
     assert ok, mism
 
@@ -161,9 +161,9 @@ def test_expand_unit_upper():
     f = HyperFn([EpsLin(1), EpsLin(0, 1)], [EpsLin(1, 1)])
     e = epsilon_expand(f, 3)
     # eps^k coefficient of z^j is (-1)^(k+1)/j^k
-    assert e.layers[1] == PolyLogExpr({GplWord((1,)): F(-1)})
-    assert e.layers[2] == PolyLogExpr({GplWord((0, 1)): F(1)})
-    assert e.layers[3] == PolyLogExpr({GplWord((0, 0, 1)): F(-1)})
+    assert e.layers[1] == PolyLogExpr({(1,): F(-1)})
+    assert e.layers[2] == PolyLogExpr({(0, 1): F(1)})
+    assert e.layers[3] == PolyLogExpr({(0, 0, 1): F(-1)})
     ok, mism = verify_expansion(f, e, 30)
     assert ok, mism
 
@@ -194,7 +194,7 @@ def test_expand_half_integer_gauss():
     assert e.kind == "xi"
     # layer 0 of the dressed function sqrt(-z) F is artanh(xi)
     assert e.layers[0] == PolyLogExpr(
-        {GplWord((-1,), "xi"): F(1, 2), GplWord((1,), "xi"): F(-1, 2)}, 0, "xi")
+        {(-1,): F(1, 2), (1,): F(-1, 2)}, 0, "xi")
     ok, mism = verify_expansion(f, e, 25)
     assert ok, mism
     for k in range(4):
@@ -234,7 +234,7 @@ def test_verify_detects_corrupted_layer():
     f = HyperFn([EpsLin(0, 2), EpsLin(0, 3)], [EpsLin(1, 5)])
     e = epsilon_expand(f, 2)
     bad_layers = list(e.layers)
-    bad_layers[2] = bad_layers[2] + PolyLogExpr({GplWord((1,)): F(1, 7)})
+    bad_layers[2] = bad_layers[2] + PolyLogExpr({(1,): F(1, 7)})
     bad = EpsilonExpansion(e.fn, e.kind, e.var, e.omega0, tuple(bad_layers))
     ok, mism = verify_expansion(f, bad, 15)
     assert not ok
@@ -313,7 +313,7 @@ def test_pure_eps_layers_weight_homogeneous():
         e = epsilon_expand(f, 4)
         for k in range(1, 5):
             for w in e.layers[k].terms:
-                assert w.weight == k
+                assert len(w) == k
 
 
 def test_expand_4f3_pure_class():
@@ -325,7 +325,7 @@ def test_expand_4f3_pure_class():
     # four pure-eps uppers make every series term O(eps^4)
     assert all(e.layers[k].is_zero() for k in (1, 2, 3))
     # eps^4 z^j coefficient is abcd/j^4, i.e. abcd*Li4 = -abcd*G(0,0,0,1)
-    assert e.layers[4] == PolyLogExpr({GplWord((0, 0, 0, 1)): F(6)})
+    assert e.layers[4] == PolyLogExpr({(0, 0, 0, 1): F(6)})
 
 
 def test_expand_rejects_nonpure_layers():

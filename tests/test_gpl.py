@@ -8,10 +8,26 @@ from hypothesis import given, settings, strategies as st
 
 from hyperred import gpl
 from hyperred.errors import UncancelledPole, UnsupportedClass
-from hyperred.gpl import (GplCombo, GplWord, PolyLogExpr, basis_ratfunc,
-                          gpl_word_series, partial_fractions, rf_from_coeffs,
-                          rf_monomial, shuffle_words)
+from hyperred.gpl import (GplCombo, PolyLogExpr, basis_product, basis_ratfunc,
+                          gpl_word_series, partial_fractions, shuffle_words)
+from hyperred.poly import Poly
+from hyperred.ratfunc import RatFunc
 from series_reference import mul_trunc
+
+
+# RatFunc reference builders: the program builds its kernels as basis dicts
+
+
+def rf_from_coeffs(coeffs):
+    return RatFunc(Poly.from_terms(("z",), {(m,): F(c) for m, c in enumerate(coeffs) if c}))
+
+
+def rf_monomial(a, power):
+    """(z - a)^power as a RatFunc, any integer power, by RatFunc products."""
+    base, out = rf_from_coeffs([-F(a), 1]), rf_from_coeffs([1])
+    for _ in range(abs(power)):
+        out = out * base
+    return out if power >= 0 else rf_from_coeffs([1]) / out
 
 
 def test_g1_is_log():
@@ -34,14 +50,15 @@ def test_empty_expression_is_zero_series():
 
 
 def test_trailing_zero_rejected():
-    with pytest.raises(ValueError):
-        GplWord((1, 0))
-    with pytest.raises(ValueError):
-        GplWord((0,))
+    for word in ((1, 0), (0,), ()):
+        with pytest.raises(ValueError):
+            PolyLogExpr({word: F(1)})
+        with pytest.raises(ValueError):
+            PolyLogExpr([(word, F(1))])
 
 
 def test_weight():
-    e = PolyLogExpr({GplWord((0, 1)): F(2), GplWord((1,)): F(1)}, 5)
+    e = PolyLogExpr({(0, 1): F(2), (1,): F(1)}, 5)
     assert e.weight == 2
 
 
@@ -55,8 +72,8 @@ def test_shuffle_product_matches_series():
     words = [(1,), (-1,), (0, 1), (0, -1), (1, 1), (0, 0, 1)]
     for _ in range(12):
         w1, w2 = rng.choice(words), rng.choice(words)
-        e1 = PolyLogExpr({GplWord(w1): F(rng.randint(1, 3))}, rng.randint(0, 2))
-        e2 = PolyLogExpr({GplWord(w2): F(rng.randint(-3, -1))}, rng.randint(0, 1))
+        e1 = PolyLogExpr({w1: F(rng.randint(1, 3))}, rng.randint(0, 2))
+        e2 = PolyLogExpr({w2: F(rng.randint(-3, -1))}, rng.randint(0, 1))
         prod = e1 * e2
         N = 14
         s1, s2 = e1.series(N), e2.series(N)
@@ -82,15 +99,15 @@ def test_partial_fractions_rejects_foreign_pole():
 
 def test_integrate_prepends_letters():
     letters = (F(1),)
-    c = GplCombo({(): rf_monomial(F(1), -1)}, letters)
+    c = GplCombo({(): {(1, 1): F(1)}}, letters)              # 1/(z-1)
     assert c.integrate().series(8) == gpl_word_series((1,), 8)
-    c2 = GplCombo({(F(1),): rf_monomial(F(0), -1)}, letters)
+    c2 = GplCombo({(F(1),): {(0, 1): F(1)}}, letters)        # G(1;z)/z
     assert c2.integrate().series(8) == gpl_word_series((0, 1), 8)
 
 
 def test_integrate_polynomial_ibp():
     letters = (F(1),)
-    c = GplCombo({(F(1),): rf_from_coeffs([F(0), F(1)])}, letters)
+    c = GplCombo({(F(1),): {(0, -1): F(1)}}, letters)       # z G(1;z)
     got = c.integrate().series(10)
     g1 = gpl_word_series((1,), 10)
     expect = [F(0)] * 11
@@ -102,10 +119,10 @@ def test_integrate_polynomial_ibp():
 
 def test_integrate_divergent_raises():
     letters = (F(1),)
-    c = GplCombo({(): rf_monomial(F(0), -1)}, letters)   # int dt/t
+    c = GplCombo({(): {(0, 1): F(1)}}, letters)   # int dt/t
     with pytest.raises(UncancelledPole):
         c.integrate()
-    c2 = GplCombo({(F(1),): rf_monomial(F(0), -2)}, letters)  # int G(1;t)/t^2
+    c2 = GplCombo({(F(1),): {(0, 2): F(1)}}, letters)  # int G(1;t)/t^2
     with pytest.raises(UncancelledPole):
         c2.integrate()
 
@@ -122,7 +139,7 @@ def test_theta_of_combo():
 
 def test_value_at_zero_with_pole_prefactor():
     letters = (F(1),)
-    c = GplCombo({(F(1),): rf_monomial(F(0), -1)}, letters)  # G(1;z)/z
+    c = GplCombo({(F(1),): {(0, 1): F(1)}}, letters)  # G(1;z)/z
     assert c.value_at_zero() == -1
 
 
@@ -130,8 +147,8 @@ def test_to_polylog_requires_constant_coefficients():
     letters = (F(1),)
     good = GplCombo.word((1,), letters).scale_q(F(3, 2))
     e = good.to_polylog()
-    assert e == PolyLogExpr({GplWord((1,)): F(3, 2)})
-    bad = GplCombo({(F(1),): rf_from_coeffs([F(0), F(1)])}, letters)
+    assert e == PolyLogExpr({(1,): F(3, 2)})
+    bad = GplCombo({(F(1),): {(0, -1): F(1)}}, letters)     # z G(1;z)
     with pytest.raises(UnsupportedClass):
         bad.to_polylog()
 
@@ -198,11 +215,12 @@ def test_int_and_fraction_letters_are_one_word():
         assert [type(a) for a in ints] == [int if F(a).denominator == 1 else F
                                             for a in letters]
         assert ints == fracs and hash(ints) == hash(fracs)
-        gi, gf = GplWord(ints), GplWord(fracs)
+        gi, gf = PolyLogExpr({ints: 2}), PolyLogExpr({fracs: 2})
         assert gi == gf and hash(gi) == hash(gf) and str(gi) == str(gf)
+        assert [type(a) for w in gf.terms for a in w] == [type(a) for a in ints]
         assert gpl._word_series(ints, 12) == gpl._word_series(fracs, 12)
         assert gpl_word_series(ints, 12) == gpl_word_series(fracs, 12)
-        assert {gi: 1}[gf] == 1
+        assert {ints: 1}[fracs] == 1
     # combinations built from Fraction keys intern them and match int-keyed ones
     c1 = GplCombo({(F(1), F(-1)): {(F(1), 2): F(3)}}, (F(-1), F(1)))
     c2 = GplCombo({(1, -1): {(1, 2): F(3)}}, (-1, 1))
@@ -224,7 +242,7 @@ def _per_word_series(e, N):
     out = [F(0)] * (N + 1)
     out[0] = e.const
     for w, c in e.terms.items():
-        for j, x in enumerate(gpl_word_series(w.letters, N)):
+        for j, x in enumerate(gpl_word_series(w, N)):
             out[j] += c * x
     return out
 
@@ -413,6 +431,31 @@ def test_ratfunc_basis_round_trip(data, letters):
     b = partial_fractions(r, letters)
     assert basis_ratfunc(b) == r
     assert partial_fractions(basis_ratfunc(b), letters) == b
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from(ALPHABETS))
+def test_basis_ratfunc_is_the_normalized_ratfunc_sum(data, letters):
+    # kernels with coefficient 0 put their z - a into the numerator as well as
+    # into the denominator; the result must be what gcd normalization gives,
+    # compared field by field (== cross-multiplies and would accept any form)
+    d = data.draw(_basis_strategy(letters))
+    poles = st.tuples(st.sampled_from((F(0),) + letters), st.integers(1, 4))
+    d = {**{k: F(0) for k in data.draw(st.lists(poles, max_size=2))}, **d}
+    ref = rf_from_coeffs([0])
+    for (a, m), c in d.items():
+        ref = ref + rf_monomial(a, -m) * c
+    got = basis_ratfunc(d)
+    assert (got.num, got.den) == (ref.num, ref.den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.sampled_from((F(0), F(1), F(-1))), st.integers(-3, 3), max_size=3))
+def test_basis_product_matches_ratfunc_product(powers):
+    ref = rf_from_coeffs([1])
+    for a, e in powers.items():
+        ref = ref * rf_monomial(a, e)
+    assert basis_product(powers) == partial_fractions(ref, (F(-1), F(1)))
 
 
 def test_combo_copies_its_input():

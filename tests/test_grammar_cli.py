@@ -281,6 +281,37 @@ def test_cli_verify_malformed_stored_records_are_parse_errors(tmp_path, capsys):
     assert r.returncode == 2 and "Traceback" not in r.stderr
 
 
+def test_cli_verify_bounds_stored_depth(tmp_path, capsys):
+    """A record's N and K are held to a job's own bounds, and a record out of
+    them is refused (exit 3) before any record is checked."""
+    from hyperred import cli
+    good = (Path(__file__).parent / "golden" / "stored.jsonl").read_text().splitlines()[0]
+    bounds = {"N": (5000, "N must be within 1..200"), "K": (9, "K must be within 0..8")}
+    for key, (value, _) in bounds.items():
+        rec = json.loads(good)
+        rec[key] = value
+        (tmp_path / f"{key}.jsonl").write_text(f"{good}\n{json.dumps(rec)}\n")
+    # unbounded, the N = 5000 record runs for minutes: the subprocess goes first
+    r = subprocess.run([sys.executable, "-m", "hyperred.cli", "verify", str(tmp_path / "N.jsonl")],
+                       capture_output=True, text=True, timeout=20)
+    assert r.returncode == 3 and r.stdout == "" and "Traceback" not in r.stderr
+    for key, (_, message) in bounds.items():
+        assert cli.main(["verify", str(tmp_path / f"{key}.jsonl")]) == 3, key
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and message in err, (key, err)
+
+
+def test_cli_file_errors_are_one_error_line(tmp_path):
+    missing = tmp_path / "missing.txt"
+    for args in (("count-basis", f"file:{missing}"),
+                 ("verify", str(missing)),
+                 ("count-basis", "2F1[1/2+eps,1/3;3/2;z]", "--out", str(missing / "out.txt"))):
+        r = run_cli(*args)
+        assert r.returncode == 1, args
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, (args, r.stderr)
+        assert "No such file or directory" in r.stderr and "Traceback" not in r.stderr, args
+
+
 def test_cli_verify_suite():
     r = run_cli("verify", "--suite")
     assert r.returncode == 0, r.stdout + r.stderr
