@@ -4,7 +4,7 @@ Machine-readable output is line-delimited JSON with every rational encoded
 as a "num/den" string; identical jobs produce byte-identical output.
 Engine failures map to distinct exit codes: parse errors and unbound
 symbols 2, unsupported inputs 3, exceptional or singular parameters 4,
-verification failures 5.
+verification failures 5; a file that cannot be read or written exits 1.
 """
 
 from __future__ import annotations
