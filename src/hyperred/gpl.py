@@ -231,7 +231,7 @@ def partial_fractions(r: RatFunc, letters: Sequence[Fraction]) -> Dict[Kernel, F
     if den.degree() != 0:
         raise UnsupportedClass(
             f"denominator {r.den} has poles outside the alphabet {letters}")
-    c0 = den.const_value()
+    c0 = den.const_value() * r.num.den
     out = {(_ZERO, -i): c / c0 for i, c in enumerate(r.num.rep) if c}
     for a, m in factors.items():
         out = _mul(out, {(a, m): F(1)})

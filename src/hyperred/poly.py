@@ -1,41 +1,40 @@
 """Exact multivariate polynomials over Q.
 
-A polynomial in variables ``(v1, ..., vk)`` is stored as a recursive dense
-representation: depth 0 is a ``Fraction``; depth d is a tuple of depth-(d-1)
-coefficients of the powers of ``vk`` (the *last* variable is the outermost
-one).  The zero polynomial at depth >= 1 is the empty tuple, and reps never
-carry trailing zero coefficients, so structural equality is semantic
-equality.
+A polynomial in variables ``(v1, ..., vk)`` is an integer ``rep`` over one
+positive integer ``den``.  ``rep`` is recursive and dense: depth 0 is an
+``int``; depth d is a tuple of depth-(d-1) coefficients of the powers of
+``vk`` (the *last* variable is the outermost one), with no trailing zeros,
+so the zero polynomial at depth >= 1 is the empty tuple.  ``den`` is prime
+to the content of ``rep`` (the gcd of its integers) and zero has den 1, so
+structural equality is semantic equality.  Products multiply the
+denominators and sums go over their lcm; a Fraction is built only where a
+coefficient is read out or a rational comes in.
 
-GCDs use one primitive pseudo-remainder sequence at every depth, with no
-fast path in front of it, normalized to lead coefficient 1.  The reduction
-and ``gpl.basis_ratfunc`` clear their denominators by trial division over
-known linear factors (``_cancel``, below), so a traced seed-1
-``bench/run.py`` stream counts 0 gcd calls on every workload.  Everything
-is immutable and exact.
+GCDs use one primitive pseudo-remainder sequence over Z at every depth,
+with no fast path in front of it, normalized to lead coefficient 1.  The
+reduction and ``gpl.basis_ratfunc`` clear their denominators by trial
+division over known linear factors (``_cancel``, below), so a traced
+seed-1 ``bench/run.py`` stream counts 0 gcd calls on every workload.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, List, Mapping, Sequence, Tuple
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
 # raw-rep helpers; ``d`` is the nesting depth (number of variables)
 
 def _zero(d):
-    return _ZERO if d == 0 else ()
+    return 0 if d == 0 else ()
 
 
-def _const(d, q):
-    q = Fraction(q)
-    if q == 0:
+def _const(d, n):
+    if n == 0:
         return _zero(d)
-    rep = q
+    rep = n
     for _ in range(d):
         rep = (rep,)
     return rep
@@ -73,10 +72,6 @@ def _neg(a, d):
     return tuple(_neg(c, d - 1) for c in a)
 
 
-def _sub(a, b, d):
-    return _add(a, _neg(b, d), d)
-
-
 def _mul(a, b, d):
     if d == 0:
         return a * b
@@ -93,13 +88,40 @@ def _mul(a, b, d):
     return _trim(tuple(out), d)
 
 
-def _scale(a, q, d):
-    """Multiply by a Fraction."""
-    if q == 0:
+def _scale(a, n, d):
+    """Multiply by an int."""
+    if n == 1:
+        return a
+    if n == 0:
         return _zero(d)
     if d == 0:
-        return a * q
-    return tuple(_scale(c, q, d - 1) for c in a)
+        return a * n
+    return tuple(_scale(c, n, d - 1) for c in a)
+
+
+def _div_int(a, n, d):
+    """a / n for an int n, or None when some integer of a is not a multiple."""
+    if d == 0:
+        q, r = divmod(a, n)
+        return None if r else q
+    out = []
+    for c in a:
+        c = _div_int(c, n, d - 1)
+        if c is None:
+            return None
+        out.append(c)
+    return tuple(out)
+
+
+def _int_content(a, d, g=0):
+    """gcd of g and every integer of a (non-negative)."""
+    if d <= 1:
+        return gcd(g, *a) if d else gcd(g, a)
+    for c in a:
+        g = _int_content(c, d - 1, g)
+        if g == 1:
+            break
+    return g
 
 
 def _mul_elem(a, e, d):
@@ -126,10 +148,10 @@ def _degree(rep):
 
 
 def _const_rep_value(rep, d):
-    """The Fraction a constant rep stands for (0 for zero); None if not constant."""
+    """The int a constant rep stands for (0 for zero); None if not constant."""
     while d > 0:
         if not rep:
-            return _ZERO
+            return 0
         if len(rep) > 1:
             return None
         rep = rep[0]
@@ -137,7 +159,7 @@ def _const_rep_value(rep, d):
     return rep
 
 
-def _lead_fraction(rep, d):
+def _lead(rep, d):
     while d > 0:
         rep = rep[-1]
         d -= 1
@@ -148,7 +170,7 @@ def _derivative(rep, d):
     """Derivative in the top variable."""
     if len(rep) <= 1:
         return ()
-    return _trim(tuple(_scale(c, Fraction(i), d - 1) for i, c in enumerate(rep) if i), d)
+    return _trim(tuple(_scale(c, i, d - 1) for i, c in enumerate(rep) if i), d)
 
 
 def _shift(rep, k, d):
@@ -166,21 +188,22 @@ def _prem(a, b, d):
     while not _is_zero(r, d) and _degree(r) >= db:
         k = _degree(r) - db
         lr = r[-1]
-        r = _sub(_mul_elem(r, lb, d), _shift(_mul_elem(b, lr, d), k, d), d)
+        r = _add(_mul_elem(r, lb, d), _neg(_shift(_mul_elem(b, lr, d), k, d), d), d)
     return r
 
 
 def _exact_div_elem(a, e, d):
     """Divide a depth-d rep by a depth-(d-1) element, asserting exactness."""
-    if d == 1:
-        return _trim(tuple(c / e for c in a), d)
     return _trim(tuple(_exact_div(c, e, d - 1) for c in a), d)
 
 
 def _exact_div(a, b, d):
-    """Exact polynomial division; raises ZeroDivisionError / ValueError."""
+    """Exact division over Z; raises ZeroDivisionError / ValueError."""
     if d == 0:
-        return a / b
+        q, r = divmod(a, b)
+        if r:
+            raise ValueError("inexact polynomial division")
+        return q
     if _is_zero(b, d):
         raise ZeroDivisionError("polynomial division by zero")
     if _is_zero(a, d):
@@ -191,39 +214,39 @@ def _exact_div(a, b, d):
     r = a
     while not _is_zero(r, d) and _degree(r) >= db:
         k = _degree(r) - db
-        c = _exact_div(r[-1], lb, d - 1) if d > 1 else r[-1] / lb
+        c = _exact_div(r[-1], lb, d - 1)
         q[k] = c
-        r = _sub(r, _shift(_mul_elem(b, c, d), k, d), d)
+        r = _add(r, _neg(_shift(_mul_elem(b, c, d), k, d), d), d)
     if not _is_zero(r, d):
         raise ValueError("inexact polynomial division")
     return _trim(tuple(q), d)
 
 
-def _div_root(a, i, r, d):
-    """a / (x_i - r) if exact, else None; x_(d-1) is the top variable."""
+def _div_root(a, i, p, q, d):
+    """a / (q x_i - p) if exact, else None; x_(d-1) is the top variable.
+
+    q x_i - p is primitive, so a quotient is integral (Gauss's lemma).
+    Top coefficients first: a reduction row's low ones carry the factors.
+    """
     if _is_zero(a, d):
         return a
     if i < d - 1:
         out = []
-        for c in a:
-            q = _div_root(c, i, r, d - 1)
-            if q is None:
+        for c in reversed(a):
+            c = _div_root(c, i, p, q, d - 1)
+            if c is None:
                 return None
-            out.append(q)
-        return tuple(out)
-    q = [None] * (len(a) - 1)
+            out.append(c)
+        return tuple(reversed(out))
+    b = [None] * (len(a) - 1)
     acc = a[-1]
     for j in range(len(a) - 2, -1, -1):
-        q[j] = acc
-        acc = _add(a[j], _scale(acc, r, d - 1), d - 1)
-    return tuple(q) if _is_zero(acc, d - 1) else None
-
-
-def _unit_normalize(a, d):
-    if _is_zero(a, d):
-        return a
-    lf = _lead_fraction(a, d)
-    return _scale(a, 1 / lf, d)
+        acc = _div_int(acc, q, d - 1) if q != 1 else acc
+        if acc is None:
+            return None
+        b[j] = acc
+        acc = _add(a[j], _scale(acc, p, d - 1), d - 1)
+    return tuple(b) if _is_zero(acc, d - 1) else None
 
 
 def _content(a, d):
@@ -231,29 +254,19 @@ def _content(a, d):
     c = _zero(d - 1)
     for coeff in a:
         c = _gcd(c, coeff, d - 1)
-        if _const_rep_value(c, d - 1) == 1:
+        if c == _const(d - 1, 1):
             break
     return c
 
 
-def _rat_gcd(a: Fraction, b: Fraction) -> Fraction:
-    """gcd over Q normalized so primitive parts get coprime integer parts."""
-    from math import gcd, lcm
-    return Fraction(gcd(a.numerator, b.numerator), lcm(a.denominator, b.denominator))
-
-
 def _gcd(a, b, d):
+    """gcd over Z, up to sign, its integer content included."""
     if d == 0:
-        # rational content convention: gcd(0, b) = |b|
-        if a == 0:
-            return abs(b)
-        if b == 0:
-            return abs(a)
-        return _rat_gcd(a, b)
+        return gcd(a, b)
     if _is_zero(a, d):
-        return _unit_normalize(b, d)
+        return b
     if _is_zero(b, d):
-        return _unit_normalize(a, d)
+        return a
     ca, cb = _content(a, d), _content(b, d)
     pa = _exact_div_elem(a, ca, d)
     pb = _exact_div_elem(b, cb, d)
@@ -266,24 +279,24 @@ def _gcd(a, b, d):
             r = _exact_div_elem(r, _content(r, d), d)
         pa, pb = pb, r
     pa = _exact_div_elem(pa, _content(pa, d), d)
-    return _unit_normalize(_mul_elem(pa, cg, d), d)
+    return _mul_elem(pa, cg, d)
 
 
-def _to_terms(rep, d, prefix, out):
+def _to_terms(rep, d, den, prefix, out):
     if d == 0:
         if rep != 0:
-            out[prefix] = rep
+            out[prefix] = Fraction(rep, den)
         return
     for i, c in enumerate(rep):
-        _to_terms(c, d - 1, (i,) + prefix, out)
+        _to_terms(c, d - 1, den, (i,) + prefix, out)
 
 
 def _from_terms(terms, d):
     if d == 0:
-        return terms.get((), _ZERO)
+        return terms.get((), 0)
     by_exp = {}
-    for exps, q in terms.items():
-        by_exp.setdefault(exps[-1], {})[exps[:-1]] = q
+    for exps, n in terms.items():
+        by_exp.setdefault(exps[-1], {})[exps[:-1]] = n
     if not by_exp:
         return ()
     top = max(by_exp)
@@ -294,13 +307,19 @@ def _from_terms(terms, d):
 
 
 class Poly:
-    """Immutable multivariate polynomial with Fraction coefficients."""
+    """Immutable multivariate polynomial: integer rep over a positive den."""
 
-    __slots__ = ("vars", "rep")
+    __slots__ = ("vars", "rep", "den")
 
-    def __init__(self, vars: tuple, rep):
+    def __init__(self, vars: tuple, rep, den: int = 1):
+        """rep / den for an integer rep and den > 0, in the canonical form."""
+        if den != 1:
+            g = _int_content(rep, len(vars), den)
+            if g != 1:
+                rep, den = _div_int(rep, g, len(vars)), den // g
         object.__setattr__(self, "vars", tuple(vars))
         object.__setattr__(self, "rep", rep)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
@@ -313,18 +332,21 @@ class Poly:
 
     @classmethod
     def const(cls, vars, q):
-        return cls(vars, _const(len(vars), q))
+        q = Fraction(q)
+        return cls(vars, _const(len(vars), q.numerator), q.denominator)
 
     @classmethod
     def variable(cls, vars, name):
         i = tuple(vars).index(name)
         exps = tuple(1 if j == i else 0 for j in range(len(vars)))
-        return cls.from_terms(vars, {exps: _ONE})
+        return cls.from_terms(vars, {exps: 1})
 
     @classmethod
     def from_terms(cls, vars, terms: Mapping[tuple, Fraction]):
         clean = {tuple(e): Fraction(q) for e, q in terms.items() if q != 0}
-        return cls(vars, _from_terms(clean, len(vars)))
+        den = lcm(*(q.denominator for q in clean.values()))
+        ints = {e: q.numerator * (den // q.denominator) for e, q in clean.items()}
+        return cls(vars, _from_terms(ints, len(vars)), den)
 
     # queries ------------------------------------------------------------
 
@@ -339,10 +361,10 @@ class Poly:
         return _const_rep_value(self.rep, self.d) is not None
 
     def const_value(self) -> Fraction:
-        q = _const_rep_value(self.rep, self.d)
-        if q is None:
+        n = _const_rep_value(self.rep, self.d)
+        if n is None:
             raise ValueError(f"not a constant: {self}")
-        return q
+        return Fraction(n, self.den)
 
     def degree(self) -> int:
         """Degree in the last (top) variable; -1 if zero."""
@@ -351,11 +373,11 @@ class Poly:
         return _degree(self.rep)
 
     def lead_fraction(self) -> Fraction:
-        return _lead_fraction(self.rep, self.d)
+        return Fraction(_lead(self.rep, self.d), self.den)
 
     def terms(self):
         out = {}
-        _to_terms(self.rep, self.d, (), out)
+        _to_terms(self.rep, self.d, self.den, (), out)
         return out
 
     # arithmetic ---------------------------------------------------------
@@ -365,27 +387,30 @@ class Poly:
             raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
 
     def __add__(self, other):
+        """The sum over the lcm of the denominators."""
         other = self._coerce(other)
         self._check(other)
-        return Poly(self.vars, _add(self.rep, other.rep, self.d))
+        a, b, d, den = self.rep, other.rep, self.d, other.den
+        if den != self.den:
+            den = lcm(self.den, other.den)
+            a, b = _scale(a, den // self.den, d), _scale(b, den // other.den, d)
+        return Poly(self.vars, _add(a, b, d), den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        self._check(other)
-        return Poly(self.vars, _sub(self.rep, other.rep, self.d))
+        return self + -self._coerce(other)
 
     def __mul__(self, other):
         other = self._coerce(other)
         self._check(other)
-        return Poly(self.vars, _mul(self.rep, other.rep, self.d))
+        return Poly(self.vars, _mul(self.rep, other.rep, self.d), self.den * other.den)
 
     def __neg__(self):
-        return Poly(self.vars, _neg(self.rep, self.d))
+        return Poly(self.vars, _neg(self.rep, self.d), self.den)
 
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        return Poly(self.vars, _pow(self.rep, n, self.d))
+        return Poly(self.vars, _pow(self.rep, n, self.d), self.den ** n)
 
     def _coerce(self, other):
         if isinstance(other, Poly):
@@ -401,57 +426,69 @@ class Poly:
         return self._coerce(other) - self
 
     def scale(self, q):
-        return Poly(self.vars, _scale(self.rep, Fraction(q), self.d))
+        q = Fraction(q)
+        return Poly(self.vars, _scale(self.rep, q.numerator, self.d), self.den * q.denominator)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.const(self.vars, other)
-        return isinstance(other, Poly) and self.vars == other.vars and self.rep == other.rep
+        return (isinstance(other, Poly) and self.vars == other.vars
+                and self.rep == other.rep and self.den == other.den)
 
     def __hash__(self):
-        return hash((self.vars, self.rep))
+        return hash((self.vars, self.rep, self.den))
 
     # calculus / structure ----------------------------------------------
 
     def derivative_top(self):
         """d/d(top variable)."""
-        return Poly(self.vars, _derivative(self.rep, self.d))
+        return Poly(self.vars, _derivative(self.rep, self.d), self.den)
 
     def gcd(self, other):
+        """The gcd over Q with lead coefficient 1 (the rational content at depth 0)."""
         self._check(other)
-        return Poly(self.vars, _gcd(self.rep, other.rep, self.d))
+        g = _gcd(self.rep, other.rep, self.d)
+        if self.d == 0:
+            return Poly(self.vars, g, lcm(self.den, other.den))
+        lead = _lead(g, self.d) if g else 1
+        return Poly(self.vars, g if lead > 0 else _neg(g, self.d), abs(lead))
 
     def exact_div(self, other):
+        """self / other, or ValueError; over Z once other's content is off (Gauss)."""
         self._check(other)
-        return Poly(self.vars, _exact_div(self.rep, other.rep, self.d))
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        c = _int_content(other.rep, self.d)
+        q = _exact_div(self.rep, _div_int(other.rep, c, self.d), self.d)
+        return Poly(self.vars, _scale(q, other.den, self.d), self.den * c)
 
     def div_root(self, name, r):
         """self / (name - r) when that linear factor divides self, else None.
 
-        Synthetic division: its remainder is self at name = r, so a factor
-        that does not divide costs one evaluation and no exact_div.
+        Synthetic division by the primitive q name - p, r = p/q: its
+        remainder is self at name = r, so a factor that does not divide
+        costs one evaluation and no exact_div.
         """
-        q = _div_root(self.rep, self.vars.index(name), Fraction(r), self.d)
-        return None if q is None else Poly(self.vars, q)
+        r = Fraction(r)
+        b = _div_root(self.rep, self.vars.index(name), r.numerator, r.denominator, self.d)
+        if b is None:
+            return None
+        g = gcd(r.denominator, self.den)
+        return Poly(self.vars, _scale(b, r.denominator // g, self.d), self.den // g)
 
     def subst(self, new_vars, mapping: Mapping[str, "Poly"]):
-        """Map each variable to a polynomial over ``new_vars``."""
-        values = {}
-        for v in self.vars:
-            img = mapping.get(v)
-            if img is None:
-                img = Poly.variable(new_vars, v)
-            if img.vars != tuple(new_vars):
-                raise ValueError("substitution image over wrong variables")
-            values[v] = img
-        acc = Poly.zero(new_vars)
-        for exps, q in self.terms().items():
-            term = Poly.const(new_vars, q)
-            for v, e in zip(self.vars, exps):
-                if e:
-                    term = term * values[v] ** e
-            acc = acc + term
-        return acc
+        """Map each variable to a polynomial over ``new_vars``, by Horner's rule."""
+        images = [mapping.get(v) or Poly.variable(new_vars, v) for v in self.vars]
+        if any(img.vars != tuple(new_vars) for img in images):
+            raise ValueError("substitution image over wrong variables")
+        def horner(rep, d):
+            if d == 0:
+                return Poly.const(new_vars, rep)
+            acc = Poly.zero(new_vars)
+            for c in reversed(rep):
+                acc = acc * images[d - 1] + horner(c, d - 1)
+            return acc
+        return horner(self.rep, self.d).scale(Fraction(1, self.den))
 
     # display -------------------------------------------------------------
 

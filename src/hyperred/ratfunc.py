@@ -204,13 +204,15 @@ def _z_rows(p: Poly, v: int, N: int, K: int) -> BiSeries:
     """The coefficients of z^v .. z^(v+N) in p as rows of eps^0 .. eps^K.
 
     For vars (eps, z) each z-coefficient in the rep already is the tuple of
-    its eps-coefficients; for vars (z,) it is a single rational.
+    its eps-coefficients; for vars (z,) it is a single integer.  Either way
+    the integers stand over p.den, as the series' do.
     """
     extra = [x for x in p.vars[:-1] if x != "eps"]
     if extra:
         raise ValueError(f"unbound parameters {extra}; substitute them before expanding")
-    rows = []
+    nums = []
     for c in p.rep[v:v + N + 1]:
         c = c[:K + 1] if p.d == 2 else (c,)
-        rows.append(c + (0,) * (K + 1 - len(c)))
-    return BiSeries(rows + [(0,) * (K + 1)] * (N + 1 - len(rows)))
+        nums += c + (0,) * (K + 1 - len(c))
+    nums += [0] * ((N + 1) * (K + 1) - len(nums))
+    return BiSeries.from_ints(nums, p.den, N, K)

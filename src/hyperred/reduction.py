@@ -17,8 +17,9 @@ product of parameter differences (times kappa z for a lower), so its
 denominator is R (1 - kappa z)^(d-1), factored by construction (Takayama
 1989; HYPERDIRE, arXiv:1105.3565); a vanishing R is the
 exceptional-parameter signal.  reduce_to_basis folds row 0 of the path
-product with Poly products alone, then divides each factor out while it
-divides every numerator, tested at its root.  That reaches the unique
+product with Poly products alone and, after each step, divides each
+recorded factor out while it divides every numerator, tested at its root,
+so the row stays at the size of the answer.  That reaches the unique
 gcd-free form with S monic without a gcd.
 """
 
@@ -434,14 +435,13 @@ def reduce_to_basis(target: Hyper, basis: Hyper,
             for j, e in enumerate(prow):
                 if not e.is_zero():
                     out[j] = out[j] + a * e
-        row = out
         for f, m in step_factors.items():
             factors[f] = factors.get(f, 0) + m
+        row, factors = _cancel(out, factors)
         K *= step_K
     affine = affine_index is not None
     if not affine:
         row.append(zero)
-    row, factors = _cancel(row, factors)
     s = _factor_product(vars, Fraction(1), factors)
     if K != 1:
         row = [p.scale(1 / K) for p in row]

@@ -1,6 +1,7 @@
 """Ring axioms and normal forms for the polynomial / fraction tower."""
 
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from hyperred.errors import PoleAtEpsZero
 from hyperred.poly import Poly
 from hyperred.ratfunc import RatFunc
 from hyperred.series import BiSeries
+import poly_reference as ref
 from poly_reference import euclid_gcd
 
 V = ("eps", "z")
@@ -419,3 +421,79 @@ def test_to_biseries_denominator_vanishing_above_k_is_a_pole(power, K):
     z, e = zvar(), evar()
     with pytest.raises(PoleAtEpsZero):
         RatFunc(z * 3 + 1, z + e ** power).to_biseries(4, K)
+
+
+# ---------------------------------------------------------------------------
+# the integer rep over one denominator against the Fraction-leaf reference
+
+mixed_rationals = st.builds(F, st.integers(-30, 30), st.sampled_from((1, 2, 3, 4, 5, 6, 7, 9, 10, 12, 35)))
+
+
+@st.composite
+def int_polys(draw, vars, max_deg=2, max_size=4):
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, max_deg)] * len(vars)),
+                                 mixed_rationals, max_size=max_size))
+    return Poly.from_terms(vars, terms)
+
+
+def _leaves(rep, d):
+    return [rep] if d == 0 else [x for c in rep for x in _leaves(c, d - 1)]
+
+
+def _assert_canonical(p):
+    leaves = _leaves(p.rep, p.d)
+    assert all(type(x) is int for x in leaves)
+    assert type(p.den) is int and p.den > 0
+    assert gcd(p.den, *leaves) == 1
+    assert not p.is_zero() or p.den == 1
+    assert p.rep == ref.trim(p.rep, p.d)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (ValueError, ZeroDivisionError) as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("vars", [("z",), ("eps", "z"), ("n", "eps", "z")])
+def test_integer_rep_matches_fraction_leaf_reference(vars):
+    d = len(vars)
+
+    @settings(max_examples=40, deadline=None)
+    @given(int_polys(vars), int_polys(vars), mixed_rationals, st.integers(0, 3),
+           st.integers(0, d - 1), mixed_rationals,
+           st.lists(int_polys(V, max_deg=2, max_size=3), min_size=d, max_size=d))
+    def check(a, b, q, n, i, r, images):
+        A, B = ref.frac_rep(a), ref.frac_rep(b)
+        name = vars[i]
+        f = Poly.variable(vars, name) - r
+        got = [a + b, a - b, a * b, a ** n, a.scale(q), a.derivative_top(),
+               Poly.from_terms(vars, ref.to_terms(A, d)), a.gcd(b),
+               (a * f).div_root(name, r), a.subst(V, dict(zip(vars, images)))]
+        expected = [ref.add(A, B, d), ref.sub(A, B, d), ref.mul(A, B, d), ref.power(A, n, d),
+                    ref.scale(A, q, d), ref.derivative(A, d), A, ref.gcd(A, B, d),
+                    ref.div_root(ref.frac_rep(a * f), i, r, d),
+                    ref.subst(A, d, [ref.frac_rep(x) for x in images], 2)]
+        # div_root and exact_div where the divisor may not divide
+        got += [_outcome(lambda: a.div_root(name, r)), _outcome(lambda: a.exact_div(b)),
+                _outcome(lambda: (a * b).exact_div(b))]
+        expected += [ref.div_root(A, i, r, d), _outcome(lambda: ref.exact_div(A, B, d)),
+                     _outcome(lambda: ref.exact_div(ref.frac_rep(a * b), B, d))]
+        for p, e in zip(got, expected):
+            if isinstance(p, Poly):
+                _assert_canonical(p)
+                assert ref.frac_rep(p) == e
+            else:
+                assert p == e
+        assert a.terms() == ref.to_terms(A, d)
+        # equal values along different routes: the same rep, den and hash
+        routes = [((a + b) - b, a), (b * a, a * b), ((a * f).div_root(name, r), a),
+                  (Poly.from_terms(vars, a.terms()), a), (-(-a), a), (a * a, a ** 2)]
+        if q:
+            routes.append((a.scale(q).scale(1 / q), a))
+        if not b.is_zero():
+            routes.append(((a * b).exact_div(b), a))
+        for x, y in routes:
+            assert (x.rep, x.den, hash(x)) == (y.rep, y.den, hash(y))
+    check()

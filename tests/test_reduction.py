@@ -157,9 +157,10 @@ _KAPPAS = (F(1), F(-1), F(1, 4), F(4))
 
 
 def _reps(r):
-    return (r.affine, r.s_poly.num.rep, r.s_poly.den.rep,
-            tuple((x.num.rep, x.den.rep) for x in r.r_polys),
-            r.algebraic_tail.num.rep, r.algebraic_tail.den.rep)
+    rd = lambda p: (p.rep, p.den)
+    return (r.affine, rd(r.s_poly.num), rd(r.s_poly.den),
+            tuple((rd(x.num), rd(x.den)) for x in r.r_polys),
+            rd(r.algebraic_tail.num), rd(r.algebraic_tail.den))
 
 
 @st.composite
@@ -478,6 +479,29 @@ def test_reduce_4f3_single_shift():
     assert len(r.r_polys) == 4
     ok, mism = verify_reduction(r, 18, 1)
     assert ok, mism
+
+
+def test_4f3_frontier_row_is_pinned_byte_for_byte():
+    """ROADMAP's 4F3 n=4 row: every upper +4, the lowers +4, -4, +4.
+
+    Its coefficients carry products of the parameters' denominators far
+    past the golden corpus's small jobs.  The digest of str(S), the
+    str(R_j) and str(tail) was taken with Fraction-leaf polynomials and
+    the row cleared only at the end of the fold.
+    """
+    import hashlib
+    from hyperred.grammar import parse_hyper
+    basis = parse_hyper(
+        "4F3[2/5+eps, 1/3-eps, 1/7+3*eps, 2/9+eps; 3/2+2*eps, 5/4-eps, 7/3+eps; z]")
+    target = basis
+    for i in range(4):
+        target = target.shifted("upper", i, 4)
+    for l, m in enumerate((4, -4, 4)):
+        target = target.shifted("lower", l, m)
+    r = reduce_to_basis(target, basis)
+    text = "\n".join([str(r.s_poly)] + [str(x) for x in r.r_polys] + [str(r.algebraic_tail)])
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "3f082df971736b955da4483e3123d7c672c07c697ca589d1c55fdfeef4936439"
 
 
 def test_symbolic_n_reduction_c1_rho_shift():
