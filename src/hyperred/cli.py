@@ -26,7 +26,7 @@ from .expansion import (EpsilonExpansion, epsilon_expand, f3_parametrization_che
                         gauss_flags, gauss_triangular_system, three_f2_system,
                         verify_expansion)
 from .gpl import PolyLogExpr
-from .grammar import format_mb, parse_hyper, parse_input
+from .grammar import parse_hyper, parse_input
 from .mb import DiagramPreset, MBRepr, count_master_integrals, mb_to_hyper
 from .poly import Poly
 from .ratfunc import RatFunc
@@ -212,7 +212,7 @@ def run_mb(spec: JobSpec, text: str) -> int:
     mb = _mb_of(parse_input(_load_expr(text)))
     hs = mb_to_hyper(mb)
     recs = []
-    lines = [f"input: {format_mb(mb)}", f"terms: {hs.q}"]
+    lines = [f"input: {mb}", f"terms: {hs.q}"]
     for i, t in enumerate(hs.terms):
         recs.append({
             "command": "mb",
@@ -232,7 +232,7 @@ def run_count_masters(spec: JobSpec, text: str, bindings) -> int:
     L, reports = count_master_integrals(hs, bindings)
     rec = {
         "command": "count-masters",
-        "input": format_mb(mb),
+        "input": str(mb),
         "bindings": {k: enc_rat(v) for k, v in bindings.items()},
         "L": L,
         "terms": [{"fn": str(fn), "integer_uppers": list(r.integer_uppers),

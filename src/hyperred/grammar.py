@@ -307,9 +307,3 @@ def parse_hyper(text: str) -> HyperFn:
         raise ParseError("expected a hypergeometric function", 1, 1)
     return out
 
-
-def format_mb(m: MBRepr) -> str:
-    fmt = lambda fs: "[" + ", ".join(str(f) for f in fs) + "]"
-    kap = str(m.kappa) if m.kappa.denominator == 1 else f"({m.kappa})"
-    return (f"MB[{kap}*{m.var}; {fmt(m.a_forms)}; {fmt(m.b_forms)}; "
-            f"{fmt(m.c_forms)}; {fmt(m.d_forms)}]")

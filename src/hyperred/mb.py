@@ -51,9 +51,11 @@ class MBRepr:
                 len(self.c_forms), len(self.d_forms))
 
     def __str__(self):
+        """The MB[...] input form, which parse_input reads back."""
         fmt = lambda fs: "[" + ", ".join(str(f) for f in fs) + "]"
-        return (f"MB[{self.kappa}*{self.var}; A={fmt(self.a_forms)}; "
-                f"B={fmt(self.b_forms)}; C={fmt(self.c_forms)}; D={fmt(self.d_forms)}]")
+        kap = str(self.kappa) if self.kappa.denominator == 1 else f"({self.kappa})"
+        return (f"MB[{kap}*{self.var}; {fmt(self.a_forms)}; {fmt(self.b_forms)}; "
+                f"{fmt(self.c_forms)}; {fmt(self.d_forms)}]")
 
 
 def check_dim(m: MBRepr) -> bool:

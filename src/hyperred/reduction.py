@@ -9,14 +9,17 @@ integer-parameter case.
 Every denominator on a reduction path is a known linear factor, so a unit
 step is kept fraction-free as (P, factors, K): a polynomial matrix P over K
 times a product of monic factors.  The relation row is polynomial over its
-lead 1 - kappa z, so the contiguous step F_shifted = (1 + theta/c) F, c free
-of z, is P = c(1 - kappa z) I + (1 - kappa z) shift + relation row, over
-{c, 1 - kappa z}.  An inverse step is written in closed form: dividing the
-relation on the right by theta + c leaves the remainder R = T(-c), a
-product of parameter differences (times kappa z for a lower), so its
-denominator is R (1 - kappa z)^(d-1), factored by construction (Takayama
-1989; HYPERDIRE, arXiv:1105.3565); a vanishing R is the
-exceptional-parameter signal.  reduce_to_basis folds row 0 of the path
+lead 1 - kappa z, so theta's matrix on the basis column is N' / (1 - kappa z)
+with N' polynomial, and ``QuotientModule.times_n`` is the one place that
+applies it to a row.  One step builder serves both moves around N'.  The
+contiguous step F_shifted = (1 + theta/c) F, c free of z, is
+P = c(1 - kappa z) I + N' over {c, 1 - kappa z}.  The opposite move inverts
+that step in closed form: dividing the relation on the right by theta + c
+leaves the remainder R = T(-c), a product of parameter differences (times
+kappa z for a lower), so row 0 is a synthetic division over R, row k is
+row 0 times N'^k, and the denominator is R (1 - kappa z)^(d-1), factored by
+construction (Takayama 1989; HYPERDIRE, arXiv:1105.3565); a vanishing R is
+the exceptional-parameter signal.  reduce_to_basis folds row 0 of the path
 product with Poly products alone and, after each step, divides each
 recorded factor out while it divides every numerator, tested at its root,
 so the row stays at the size of the answer.  That reaches the unique
@@ -49,13 +52,12 @@ def _ring_vars(fn: Hyper):
 
 def _param_poly(vars, x) -> Poly:
     if isinstance(x, EpsLin):
-        name, coeff = "eps", x.eps
+        coeff = x.eps
     elif x.j_coeffs:
         raise ValueError(f"bind propagator powers before reducing: {x}")
     else:
-        name, coeff = "n", x.n_coeff
-    p = Poly.const(vars, x.const)
-    return p + Poly.variable(vars, name).scale(coeff) if coeff else p
+        coeff = x.n_coeff
+    return Poly.from_terms(vars, {(0, 0): x.const, (1, 0): coeff})
 
 
 def _is_unit_param(x) -> bool:
@@ -105,6 +107,17 @@ class QuotientModule:
         self.tail_num = one
         for lo in self.lows:
             self.tail_num = self.tail_num * lo
+
+    def times_n(self, w):
+        """The row w N', N' = lead N with N theta's matrix on the basis column.
+
+        (w N')_0 = w_(dim-1) rel_0 and (w N')_j = lead w_(j-1) + w_(dim-1)
+        rel_j; in affine mode the constant slot gets w_(dim-1) tail_num.
+        """
+        last = w[self.dim - 1]
+        out = [last * self.rel_num[0]]
+        out += [self.lead * w[j - 1] + last * self.rel_num[j] for j in range(1, self.dim)]
+        return out + [last * self.tail_num] * self.affine
 
 
 # ---------------------------------------------------------------------------
@@ -205,69 +218,53 @@ def _add_factor(factors: Factors, f: Poly, m: int = 1) -> Fraction:
     return lf ** m
 
 
-def _step_divisor(fn: Hyper, which: str, index: int, vars) -> Poly:
-    """c of F_shifted = (1 + theta/c) F: the upper, or the lower minus 1."""
-    if which == "upper":
-        c = _param_poly(vars, fn.upper[index])
-    else:
-        c = _param_poly(vars, fn.lower[index]) - 1
-    if c.is_zero():
-        raise SingularStep(
-            f"step divisor vanishes for {which}[{index}] of {fn} (exceptional)")
-    return c
-
-
-def _forward_step(fn: Hyper, which: str, index: int, affine_index: Optional[int]):
-    """(P, c, lead): the step F_shifted = (1 + theta/c) F is P / (c lead).
+def _step(fn: Hyper, which: str, index: int, direction: int,
+          affine_index: Optional[int]):
+    """(P, factors, K): basis-column(shifted fn) = P / (K prod f^m) basis-column(fn).
 
     For upper+1 / lower-1, c is the upper parameter, or the lower one
     minus 1; it is free of z, so theta^k (1 + theta/c) F = theta^k F +
-    theta^(k+1) F / c.  That is I + N/c with N theta on the basis column:
-    row k < dim-1 is e_(k+1), and the last row is the relation row, with
-    its tail in affine mode.  P = c lead (I + N/c), lead = 1 - kappa z.
-    """
-    module = QuotientModule(fn, affine_index)
-    vars = _ring_vars(fn)
-    c = _step_divisor(fn, which, index, vars)
-    lead, dim = module.lead, module.dim
-    size = dim + module.affine
-    P = [[Poly.zero(vars)] * size for _ in range(size)]
-    for k in range(size):
-        P[k][k] = c * lead
-    for k in range(dim - 1):
-        P[k][k + 1] = lead
-    if dim:
-        last = P[dim - 1]
-        for i, r in enumerate(module.rel_num):
-            last[i] = last[i] + r
-        if module.affine:
-            last[dim] = module.tail_num
-    return P, c, lead
+    theta^(k+1) F / c.  That is I + N/c with N theta's matrix on the basis
+    column, and P = c lead I + N' over {c, lead}, N' = lead N.
 
-
-def _inverse_step(fn: Hyper, which: str, index: int, direction: int,
-                  affine_index: Optional[int]):
-    """The inverse of the reverse step M = I + N/c, built at g = fn shifted.
-
-    g's relation T = sum T_k theta^k (T_dim = lead, T g = tail_num) divided
-    on the right by theta + c, c free of z, is T = Q (theta + c) + R with
-    R = T(-c), and (theta + c) g = c fn, so g = (tail_num - c Q fn) / R:
-    row 0 of M^-1.  The stepped parameter is a root of one of T's two
+    The opposite moves invert the reverse step M = I + N/c, built at
+    g = fn shifted.  g's relation T = sum T_k theta^k (T_dim = lead,
+    T g = tail_num) divided on the right by theta + c is T = Q (theta + c)
+    + R with R = T(-c), and (theta + c) g = c fn, so g = (tail_num - c Q fn)
+    / R: row 0 of M^-1.  The stepped parameter is a root of one of T's two
     products, so R is the other one: prod (low - c) for an upper, and
     -kappa z prod (up - c) for a lower.  M is a polynomial in N and
-    e_k = e_0 N^k, so row k is row 0 times N^k, kept fraction-free over
-    R lead^k; the affine constant row stays e_const.
+    e_k = e_0 N^k, so row k is row 0 times N'^k, over R lead^k; the affine
+    constant row stays e_const.
     """
-    g = fn.shifted(which, index, direction)
+    if which not in ("upper", "lower"):
+        raise ValueError("which must be 'upper' or 'lower'")
+    if direction not in (1, -1):
+        raise ValueError("direction must be +1 or -1")
+    forward = (which == "upper") == (direction == 1)
+    g = fn if forward else fn.shifted(which, index, direction)
     module = QuotientModule(g, affine_index)
     vars = _ring_vars(g)
-    c = _step_divisor(g, which, index, vars)
+    c = _param_poly(vars, g.upper[index]) if which == "upper" else \
+        _param_poly(vars, g.lower[index]) - 1
+    if c.is_zero():
+        raise SingularStep(
+            f"step divisor vanishes for {which}[{index}] of {g} (exceptional)")
     lead, rel, dim = module.lead, module.rel_num, module.dim
+    zero = Poly.zero(vars)
+    factors: Factors = {}
+    if forward:
+        K = _add_factor(factors, c) * _add_factor(factors, lead)
+        size, one = dim + module.affine, Poly.const(vars, 1)
+        P = [module.times_n([one if j == k else zero for j in range(size)])
+             for k in range(size)]
+        for k, row in enumerate(P):
+            row[k] = row[k] + c * lead
+        return P, factors, K
     if which == "upper":
         pieces = [lo - c for lo in module.lows]
     else:
         pieces = [Poly.variable(vars, "z").scale(-g.kappa)] + [u - c for u in module.ups]
-    factors: Factors = {}
     K = Fraction(1)
     for f in pieces:
         if f.is_zero():
@@ -281,34 +278,15 @@ def _inverse_step(fn: Hyper, which: str, index: int, direction: int,
     for k in range(dim - 1, 0, -1):
         Q.append(-rel[k] - c * Q[-1])
     rows = [[-c * q for q in reversed(Q)] + [module.tail_num] * module.affine]
-    # (v N)_j = v_(j-1) + v_(dim-1) rel_num[j] / lead; constant slot v_(dim-1) tail_num / lead
     for _ in range(dim - 1):
-        v = rows[-1]
-        last = v[dim - 1]
-        nxt = [last * rel[0]] + [lead * v[j - 1] + last * rel[j] for j in range(1, dim)]
-        rows.append(nxt + [last * module.tail_num] * module.affine)
+        rows.append(module.times_n(rows[-1]))
     K *= _add_factor(factors, lead, dim - 1)
     P = [[e * lead ** (dim - 1 - k) for e in v] for k, v in enumerate(rows)]
     if module.affine:
-        P.append([Poly.zero(vars)] * dim + [_factor_product(vars, K, factors)])
+        P.append([zero] * dim + [_factor_product(vars, K, factors)])
     n = len(P)
     flat, factors = _cancel([e for row in P for e in row], factors)
     return [flat[i * n:(i + 1) * n] for i in range(n)], factors, K
-
-
-def _step(fn: Hyper, which: str, index: int, direction: int,
-          affine_index: Optional[int]):
-    """(P, factors, K): basis-column(shifted fn) = P / (K prod f^m) basis-column(fn)."""
-    if which not in ("upper", "lower"):
-        raise ValueError("which must be 'upper' or 'lower'")
-    if direction not in (1, -1):
-        raise ValueError("direction must be +1 or -1")
-    if (which == "upper") != (direction == 1):
-        return _inverse_step(fn, which, index, direction, affine_index)
-    P, c, lead = _forward_step(fn, which, index, affine_index)
-    factors: Factors = {}
-    K = _add_factor(factors, c) * _add_factor(factors, lead)
-    return P, factors, K
 
 
 def step_matrix(fn: Hyper, which: str, index: int, direction: int,

@@ -277,19 +277,20 @@ def series_of_hyper(f: HyperFn, N: int, K: int) -> BiSeries:
         if b.is_integer() and b.const <= 0:
             raise PoleAtEpsZero(f"lower parameter {b} is a non-positive integer at eps=0")
     # term j is num[k]/den at eps^k, updated in place by one linear eps factor
-    # (p0 + p1 eps)/q per parameter and reduced once per index
+    # (p0 + j q + p1 eps)/q per parameter and reduced once per index
     num, den = [1] + [0] * K, 1
     terms = [(num[:], 1)]
     kn, kd = 1, 1
+    ups, lows = [_integer_linear(a) for a in f.upper], [_integer_linear(b) for b in f.lower]
     for j in range(N):
-        for a in f.upper:
-            p0, p1, q = _integer_linear(a, j)
+        for p0, p1, q in ups:
+            p0 += j * q
             for k in range(K, 0, -1):
                 num[k] = p0 * num[k] + p1 * num[k - 1]
             num[0] *= p0
             den *= q
-        for b in f.lower:
-            p0, p1, q = _integer_linear(b, j)
+        for b, (p0, p1, q) in zip(f.lower, lows):
+            p0 += j * q
             if p0 == 0:
                 raise PoleAtEpsZero(f"lower parameter {b} hits 0 at series index {j}")
             # o[k] = (t[k] - c1 o[k-1]) / c0, with o[k] scaled by den * p0^(k+1)
@@ -313,9 +314,9 @@ def series_of_hyper(f: HyperFn, N: int, K: int) -> BiSeries:
     return _reduced(nums, L, N, K)
 
 
-def _integer_linear(x: EpsLin, j: int):
-    """(p0, p1, q) in integers with x + j = (p0 + p1 eps)/q."""
-    c0, c1 = x.const + j, x.eps
+def _integer_linear(x: EpsLin):
+    """(p0, p1, q) in integers with x = (p0 + p1 eps)/q, so x + j = (p0 + j q + p1 eps)/q."""
+    c0, c1 = x.const, x.eps
     q = lcm(c0.denominator, c1.denominator)
     return c0.numerator * (q // c0.denominator), c1.numerator * (q // c1.denominator), q
 

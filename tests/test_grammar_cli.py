@@ -14,9 +14,9 @@ import pytest
 
 from hyperred.cli import dec_ratfunc, enc_ratfunc
 from hyperred.errors import ParseError
-from hyperred.grammar import format_mb, parse_hyper, parse_input
+from hyperred.grammar import parse_hyper, parse_input
 from hyperred.hyper import HyperFn
-from hyperred.mb import DiagramPreset, get_preset
+from hyperred.mb import PRESETS, DiagramPreset, get_preset
 from hyperred.poly import Poly
 from hyperred.ratfunc import RatFunc
 from hyperred.scalars import EpsLin
@@ -82,10 +82,10 @@ def test_round_trip_hyper():
 
 
 def test_round_trip_mb_presets():
-    for name in ("c3", "c1", "v1200"):
+    """str(MBRepr) is the MB[...] input form: every preset parses back."""
+    for name in PRESETS:
         mb = get_preset(name).mb
-        again = parse_input(format_mb(mb))
-        assert again == mb
+        assert parse_input(str(mb)) == mb, str(mb)
 
 
 def test_cli_expand_and_verify():

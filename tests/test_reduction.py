@@ -311,14 +311,15 @@ def _sym(n_coeff, c):
 
 _UP_4F3 = [EpsLin(F(1, 3), 1), EpsLin(F(2, 5), -1), EpsLin(F(1, 7), 2), EpsLin(F(5, 4), -3)]
 _LOW_4F3 = [EpsLin(F(3, 2), 1), EpsLin(F(5, 6), -1), EpsLin(F(7, 5), 3)]
+_SYM_UP_4F3 = [_sym(F(1, 2), F(1, 3)), _sym(F(1, 3), 0), _sym(-1, F(2, 5)),
+               _sym(F(1, 2), F(-1, 7))]
+_SYM_LOW_4F3 = [_sym(F(1, 2), F(3, 2)), _sym(1, F(-5, 6)), _sym(F(-1, 3), F(7, 5))]
 
 
 @pytest.mark.parametrize("kappa", [F(1), F(-1), F(1, 4), F(4)], ids=["1", "-1", "1/4", "4"])
 @pytest.mark.parametrize("fn, affine_index", [
     (HyperFn(_UP_4F3, _LOW_4F3), None),
-    (SymHyperFn([_sym(F(1, 2), F(1, 3)), _sym(F(1, 3), 0), _sym(-1, F(2, 5)),
-                 _sym(F(1, 2), F(-1, 7))],
-                [_sym(F(1, 2), F(3, 2)), _sym(1, F(-5, 6)), _sym(F(-1, 3), F(7, 5))]), None),
+    (SymHyperFn(_SYM_UP_4F3, _SYM_LOW_4F3), None),
     (HyperFn([EpsLin(1)] + _UP_4F3[:3], _LOW_4F3), 0),
 ], ids=["4F3", "4F3-symbolic-n", "4F3-affine"])
 def test_4f3_inverse_steps_round_trip(fn, affine_index, kappa):
@@ -334,6 +335,49 @@ def test_4f3_inverse_steps_round_trip(fn, affine_index, kappa):
         down = step_matrix(fn.shifted(which, index, forward), which, index, -forward,
                            affine_index)
         assert down @ up == identity, (which, index)
+
+
+def _step_grid():
+    """192 unit moves: 2F1-4F3, generic and affine, in (eps, z) and in (n, z),
+    at four kappas; each raises and lowers the last upper and the last lower.
+
+    The 2F1 (eps, z) functions carry an upper 0 and the 3F2 ones an upper
+    equal to their first lower, so a few moves end in SingularStep.
+    """
+    for kappa in (F(1), F(-1), F(1, 4), F(4)):
+        for p in (1, 2, 3):
+            up, low = list(_UP_4F3[:p + 1]), _LOW_4F3[:p]
+            up[-1] = {1: EpsLin(0), 2: low[0], 3: up[-1]}[p]
+            for cls, ups, lows, one in ((HyperFn, up, low, EpsLin(1)),
+                                        (SymHyperFn, _SYM_UP_4F3[:p + 1], _SYM_LOW_4F3[:p],
+                                         LinearForm.constant(1))):
+                for affine_index in (None, 0):
+                    fn = cls([one] + ups[1:] if affine_index == 0 else ups, lows, kappa)
+                    for which, index in (("upper", p), ("lower", p - 1)):
+                        for direction in (1, -1):
+                            yield fn, which, index, direction, affine_index
+
+
+def test_steps_are_pinned_rep_for_rep():
+    """Every (P rep/den, sorted factors, K) of the step grid, and the message
+    of each SingularStep, hashes to the digest the step builder gave when
+    the forward and the inverse moves were two separate functions."""
+    import hashlib
+    from hyperred.reduction import _step
+    h = hashlib.sha256()
+    moves = 0
+    for fn, which, index, direction, affine_index in _step_grid():
+        moves += 1
+        try:
+            P, factors, K = _step(fn, which, index, direction, affine_index)
+            item = ([[(e.rep, e.den) for e in row] for row in P],
+                    sorted((f.rep, f.den, m) for f, m in factors.items()), K)
+        except SingularStep as e:
+            item = ("SingularStep", str(e))
+        h.update(repr(item).encode())
+    assert moves == 192
+    assert h.hexdigest() == \
+        "17b80ae6af2a3c04162691f4e1d5bb1a6884f9d8c343bce36d54d01eb5612bc1"
 
 
 def test_path_independence_small():
