@@ -19,7 +19,7 @@ from .ratfunc import RatFunc
 from .reduction import (ExceptionalReport, OpMatrix, ReductionResult,
                         count_nontrivial_basis, detect_exceptional, ode_operator,
                         reduce_to_basis, step_matrix, verify_reduction)
-from .scalars import EpsLin, LinearForm
+from .scalars import EpsLin, Linear, LinearForm
 from .series import BiSeries, series_of_hyper
 from .theta import ThetaOp
 

@@ -306,8 +306,11 @@ def run_check_parametrization(spec: JobSpec, family: str, opts) -> int:
         _emit([rec], spec, lines)
         return EXIT_OK
     if family == "3f2":
-        sysd, rep = three_f2_system(opts.r, opts.p, opts.q,
-                                    *_rat_options(opts, "a1", "a2", "a3", "b1", "b2"))
+        deforms = _rat_options(opts, "a1", "a2", "a3", "b1", "b2")
+        for name, x in zip(("a1", "a2", "a3"), deforms):
+            if x == 0:
+                raise ParseError(f"--{name} must be nonzero, got {getattr(opts, name)}", 1, 1)
+        sysd, rep = three_f2_system(opts.r, opts.p, opts.q, *deforms)
         rec = {"command": "check-parametrization", "family": "3f2",
                "deltas": [enc_rat(d) for d in sysd.deltas],
                "h_exponents": [enc_rat(e) for e in rep.h_exponents],

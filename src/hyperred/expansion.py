@@ -342,9 +342,9 @@ def _choose_factorization(A: List[Fraction], B: List[Fraction]):
     return [int(x) for x in beta], int(r1), int(r2)
 
 
-def _eps_theta_product(factors):
-    """prod (theta + A + a eps) as {eps power: theta coefficient list}."""
-    coeffs = theta_poly([Poly.from_terms(_EPS, {(0,): A, (1,): a}) for A, a in factors],
+def _eps_theta_product(params: Sequence[EpsLin]):
+    """prod (theta + x) over the parameters x as {eps power: theta coefficient list}."""
+    coeffs = theta_poly([Poly.from_terms(_EPS, {(0,): x.const, (1,): x.eps}) for x in params],
                         Poly.const(_EPS, 1))
     table: Dict[int, List[Fraction]] = {}
     for l, c in enumerate(coeffs):
@@ -353,9 +353,8 @@ def _eps_theta_product(factors):
     return table
 
 
-def _apply_theta_poly(coeffs: Sequence[Fraction], thetas: Sequence[GplCombo],
-                      letters) -> GplCombo:
-    acc = GplCombo.zero(letters)
+def _apply_theta_poly(coeffs: Sequence[Fraction], thetas: Sequence[GplCombo]) -> GplCombo:
+    acc = GplCombo.zero()
     for l, c in enumerate(coeffs):
         if c:
             acc = acc + thetas[l].scale_q(c)
@@ -379,30 +378,27 @@ def _peel_theta_beta(u: GplCombo, beta: int) -> GplCombo:
 def _expand_integer_class(f: HyperFn, K: int) -> EpsilonExpansion:
     P = len(f.upper)
     A = [u.const for u in f.upper]
-    a = [u.eps for u in f.upper]
     B = [l.const for l in f.lower]
-    b = [l.eps for l in f.lower]
     if any(x.denominator == 1 and x <= 0 for x in B):
         raise UnsupportedClass("non-positive integer lower parameter")
     beta, r1, r2 = _choose_factorization(A, B)
-    letters = (F(1),)
-    U = _eps_theta_product(list(zip(A, a)))
-    T0 = _eps_theta_product([(x - 1, y) for x, y in zip(B, b)])
+    U = _eps_theta_product(f.upper)
+    T0 = _eps_theta_product([x - 1 for x in f.lower])
     T = {e: [F(0)] + coeffs for e, coeffs in T0.items()}   # left theta factor
     kernel = basis_product({0: r2 - 1, 1: r1 - r2 - 1})
     h = basis_product({0: -r2, 1: r2 - r1})
 
-    omega0 = _omega0_rational(A, beta, h, letters)
+    omega0 = _omega0_rational(A, beta, h)
     layers: List[GplCombo] = [omega0]
     thetas: List[List[GplCombo]] = [_theta_stack(omega0, P)]
     for k in range(1, K + 1):
-        rhs = GplCombo.zero(letters)
+        rhs = GplCombo.zero()
         for j in range(1, min(k, P) + 1):
             st = thetas[k - j]
             if j in U:
-                rhs = rhs - _apply_theta_poly(U[j], st, letters).scale({(0, -1): 1})  # z
+                rhs = rhs - _apply_theta_poly(U[j], st).scale({(0, -1): 1})  # z
             if j in T:
-                rhs = rhs + _apply_theta_poly(T[j], st, letters)
+                rhs = rhs + _apply_theta_poly(T[j], st)
         chi = _first_order_solve(rhs, kernel, h)
         om = chi
         for bt in sorted(beta, reverse=True):
@@ -434,10 +430,10 @@ def _theta_stack(c: GplCombo, P: int) -> List[GplCombo]:
     return out
 
 
-def _omega0_rational(A, beta, h, letters) -> GplCombo:
+def _omega0_rational(A, beta, h) -> GplCombo:
     if any(x == 0 for x in A):
-        return GplCombo.const(1, letters)
-    om = GplCombo({(): h}, letters)
+        return GplCombo.const(1)
+    om = GplCombo({(): h})
     try:
         for bt in sorted(beta, reverse=True):
             om = _peel_theta_beta(om, bt)
@@ -466,22 +462,21 @@ def _expand_half_integer_gauss(f: HyperFn, K: int) -> EpsilonExpansion:
     """
     a1, a2 = f.upper[0].eps, f.upper[1].eps
     c = f.lower[0].eps
-    letters = (-1, 1)
     k_t = {(1, 1): F(-1), (-1, 1): F(-1)}       # 2t/(1-t^2) = -1/(t-1) - 1/(t+1)
     k_flat = {(1, 1): F(-1), (-1, 1): F(1)}     # 2/(1-t^2) = -1/(t-1) + 1/(t+1)
     inv_xi = {(0, 1): 1}                        # 1/xi
 
-    u0 = GplCombo({(-1,): {ONE: F(1, 2)}, (1,): {ONE: F(-1, 2)}}, letters)
-    v0 = GplCombo.const(F(1, 2), letters)
+    u0 = GplCombo({(-1,): {ONE: F(1, 2)}, (1,): {ONE: F(-1, 2)}})
+    v0 = GplCombo.const(F(1, 2))
     us = [u0]
     vs = [v0]
     for k in range(1, K + 1):
-        um2 = us[k - 2] if k >= 2 else GplCombo.zero(letters)
+        um2 = us[k - 2] if k >= 2 else GplCombo.zero()
         integrand = (vs[k - 1].scale(k_t).scale_q(c - (a1 + a2))
                      + um2.scale(k_flat).scale_q(-a1 * a2))
         vk = integrand.integrate()
         vk = vk + us[k - 1].scale(inv_xi).scale_q(-c)
-        vk = vk + GplCombo.const(2 * c * vs[k - 1].value_at_zero(), letters)
+        vk = vk + GplCombo.const(2 * c * vs[k - 1].value_at_zero())
         uk = vk.scale(k_flat).integrate()
         us.append(uk)
         vs.append(vk)

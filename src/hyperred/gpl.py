@@ -385,40 +385,37 @@ class GplCombo:
     writes to after construction.
     """
 
-    __slots__ = ("data", "letters")
+    __slots__ = ("data",)
 
-    def __init__(self, data: Mapping[Word, Mapping[Kernel, Fraction]], letters: Sequence[Letter]):
-        letters = tuple(_letter(a) for a in letters)
+    def __init__(self, data: Mapping[Word, Mapping[Kernel, Fraction]]):
         clean = {}
         for w, r in data.items():
             r = {(_letter(a), m): c for (a, m), c in r.items() if c}
             if r:
                 clean[as_word(w)] = r
         object.__setattr__(self, "data", clean)
-        object.__setattr__(self, "letters", letters)
 
     @classmethod
-    def _of(cls, data: Dict[Word, Dict[Kernel, Fraction]], letters: Tuple[Letter, ...]):
+    def _of(cls, data: Dict[Word, Dict[Kernel, Fraction]]):
         """Wrap a fresh dict of nonempty basis dicts without checking or copying it."""
         s = object.__new__(cls)
         object.__setattr__(s, "data", data)
-        object.__setattr__(s, "letters", letters)
         return s
 
     def __setattr__(self, *a):
         raise AttributeError("GplCombo is immutable")
 
     @classmethod
-    def zero(cls, letters):
-        return cls({}, letters)
+    def zero(cls):
+        return cls({})
 
     @classmethod
-    def const(cls, q, letters):
-        return cls({(): {ONE: rat(q)}}, letters)
+    def const(cls, q):
+        return cls({(): {ONE: rat(q)}})
 
     @classmethod
-    def word(cls, w, letters, coeff=1):
-        return cls({as_word(w): {ONE: rat(coeff)}}, letters)
+    def word(cls, w, coeff=1):
+        return cls({as_word(w): {ONE: rat(coeff)}})
 
     def is_zero(self):
         return not self.data
@@ -427,7 +424,7 @@ class GplCombo:
         d = dict(self.data)
         for w, r in other.data.items():
             _merge(d, w, r)
-        return GplCombo._of(d, self.letters)
+        return GplCombo._of(d)
 
     def __sub__(self, other):
         return self + other.scale_q(-1)
@@ -435,15 +432,15 @@ class GplCombo:
     def scale_q(self, q):
         q = rat(q)
         if not q:
-            return GplCombo.zero(self.letters)
+            return GplCombo.zero()
         return GplCombo._of({w: {k: c * q for k, c in r.items()}
-                             for w, r in self.data.items()}, self.letters)
+                             for w, r in self.data.items()})
 
     def scale(self, b: Mapping[Kernel, Fraction]):
         """Multiply every coefficient by the basis dict b."""
         if not b:
-            return GplCombo.zero(self.letters)
-        return GplCombo._of({w: _mul(rw, b) for w, rw in self.data.items()}, self.letters)
+            return GplCombo.zero()
+        return GplCombo._of({w: _mul(rw, b) for w, rw in self.data.items()})
 
     def theta(self) -> "GplCombo":
         """z d/dz using G'(a, w) = G(w)/(z - a)."""
@@ -452,7 +449,7 @@ class GplCombo:
             _merge(out, w, _theta_coeffs(r))
             if w:
                 _merge(out, w[1:], _mul(r, dict(_kernel_product(_Z, (w[0], 1)))))
-        return GplCombo._of(out, self.letters)
+        return GplCombo._of(out)
 
     def value_at_zero(self) -> Fraction:
         """Exact limit at the origin, word terms included."""
@@ -502,7 +499,7 @@ class GplCombo:
         b = _series_sum(edge, 0)[0]
         if b != 0:
             _merge(out, (), {ONE: -b})
-        return GplCombo._of(out, self.letters)
+        return GplCombo._of(out)
 
     def to_polylog(self, var="z") -> PolyLogExpr:
         """Demand constant coefficients; UnsupportedClass otherwise."""

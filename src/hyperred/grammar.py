@@ -4,9 +4,10 @@
     MB[-1/4*y; [j1+j2+sigma-n/2, j1, j2, n/2-sigma]; [n/2, ...]; []; []]
     @v1200                                 named preset
 
-Parameters are exact rationals plus rational multiples of eps; MB forms
-are linear in n and the declared propagator symbols.  parse(print(x))
-round-trips for every value the engine produces.
+Each expression is read as one ``scalars.Linear`` and then its symbols
+are checked: parameters hold only eps, MB forms n and the propagator
+symbols but not eps.  parse(print(x)) round-trips for every value the
+engine produces.
 """
 
 from __future__ import annotations
@@ -17,9 +18,7 @@ from typing import List, Tuple, Union
 from .errors import ParseError
 from .hyper import HyperFn
 from .mb import MBRepr, get_preset
-from .scalars import EpsLin, LinearForm
-
-F = Fraction
+from .scalars import EpsLin, Linear, LinearForm
 
 _PUNCT = ("[", "]", "(", ")", ",", ";", "+", "-", "*", "/", "@", "=")
 
@@ -75,36 +74,6 @@ def _tokenize(text: str) -> List[_Token]:
     return toks
 
 
-class _LinExpr:
-    """A linear expression: rational coefficients per symbol plus a constant."""
-
-    __slots__ = ("coeffs", "const")
-
-    def __init__(self, coeffs=None, const=F(0)):
-        self.coeffs = dict(coeffs or {})
-        self.const = const
-
-    @classmethod
-    def constant(cls, q):
-        return cls({}, F(q))
-
-    @classmethod
-    def symbol(cls, name):
-        return cls({name: F(1)}, F(0))
-
-    def is_const(self):
-        return not any(self.coeffs.values())
-
-    def add(self, other, sign=1):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, F(0)) + sign * v
-        return _LinExpr(out, self.const + sign * other.const)
-
-    def scale(self, q):
-        return _LinExpr({k: v * q for k, v in self.coeffs.items()}, self.const * q)
-
-
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -132,14 +101,14 @@ class _Parser:
 
     # linear expressions --------------------------------------------------
 
-    def linexpr(self) -> _LinExpr:
+    def linexpr(self) -> Linear:
         acc = self.linterm()
         while self.peek().kind in ("+", "-"):
-            sign = 1 if self.next().kind == "+" else -1
-            acc = acc.add(self.linterm(), sign)
+            op = self.next().kind
+            acc = acc + self.linterm() if op == "+" else acc - self.linterm()
         return acc
 
-    def linterm(self) -> _LinExpr:
+    def linterm(self) -> Linear:
         acc = self.linunary()
         while self.peek().kind in ("*", "/"):
             op = self.next().kind
@@ -157,20 +126,20 @@ class _Parser:
                 acc = acc.scale(1 / rhs.const)
         return acc
 
-    def linunary(self) -> _LinExpr:
+    def linunary(self) -> Linear:
         if self.peek().kind in ("+", "-"):
             sign = 1 if self.next().kind == "+" else -1
             return self.linunary().scale(sign)
         return self.linatom()
 
-    def linatom(self) -> _LinExpr:
+    def linatom(self) -> Linear:
         t = self.peek()
         if t.kind == "int":
             self.next()
-            return _LinExpr.constant(int(t.text))
+            return Linear.constant(int(t.text))
         if t.kind == "name":
             self.next()
-            return _LinExpr.symbol(t.text)
+            return Linear._of(((t.text, Fraction(1)),), Fraction(0))
         if t.kind == "(":
             self.next()
             e = self.linexpr()
@@ -184,31 +153,30 @@ class _Parser:
     def epslin(self) -> EpsLin:
         t = self.peek()
         e = self.linexpr()
-        bad = [k for k, v in e.coeffs.items() if k != "eps" and v != 0]
+        bad = [k for k in e.symbols if k != "eps"]
         if bad:
             raise ParseError(f"unknown symbol {bad[0]!r} in parameter "
                              "(parameters are rational + rational*eps)",
                              t.line, t.col)
-        return EpsLin(e.const, e.coeffs.get("eps", F(0)))
+        return EpsLin._of(e.terms, e.const)
 
     def linform(self) -> LinearForm:
         t = self.peek()
         e = self.linexpr()
-        if e.coeffs.get("eps"):
+        if "eps" in e.symbols:
             raise ParseError("eps is not allowed in Mellin-Barnes forms",
                              t.line, t.col)
-        js = {k: v for k, v in e.coeffs.items() if k != "n" and v != 0}
-        return LinearForm(e.coeffs.get("n", F(0)), js, e.const)
+        return LinearForm._of(e.terms, e.const)
 
     def argument(self) -> Tuple[Fraction, str]:
         """kappa * var with a single symbolic variable."""
         t = self.peek()
         e = self.linexpr()
-        syms = [k for k, v in e.coeffs.items() if v != 0]
-        if len(syms) != 1 or e.const != 0:
+        if len(e.terms) != 1 or e.const != 0:
             raise ParseError("argument must be (rational) * variable",
                              t.line, t.col)
-        return e.coeffs[syms[0]], syms[0]
+        (var, kappa), = e.terms
+        return kappa, var
 
     def hyper(self) -> HyperFn:
         head = self.expect("int")

@@ -17,7 +17,7 @@ class Hyper(Generic[P]):
 
     Parameter order is kept as given for display; equality sorts both
     lists so functions that differ only by parameter order compare equal.
-    Subclasses fix the parameter type through ``_param``.
+    Subclasses fix the parameter type through ``param_type``.
     """
 
     upper: Tuple[P, ...]
@@ -26,8 +26,8 @@ class Hyper(Generic[P]):
     var: str = "z"
 
     def __init__(self, upper, lower, kappa=1, var="z"):
-        upper = tuple(self._param(u) for u in upper)
-        lower = tuple(self._param(l) for l in lower)
+        upper = tuple(map(self.param_type.coerce, upper))
+        lower = tuple(map(self.param_type.coerce, lower))
         if len(upper) != len(lower) + 1:
             raise ValueError(
                 f"need p+1 upper and p lower parameters, got {len(upper)} and {len(lower)}")
@@ -36,25 +36,19 @@ class Hyper(Generic[P]):
         object.__setattr__(self, "kappa", rat(kappa))
         object.__setattr__(self, "var", var)
 
-    @staticmethod
-    def _param(x) -> P:
-        raise NotImplementedError
-
     @property
     def p(self) -> int:
         return len(self.lower)
 
+    def _key(self):
+        return (tuple(sorted(u.sort_key() for u in self.upper)),
+                tuple(sorted(l.sort_key() for l in self.lower)), self.kappa, self.var)
+
     def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (sorted(u.sort_key() for u in self.upper) == sorted(u.sort_key() for u in other.upper)
-                and sorted(l.sort_key() for l in self.lower) == sorted(l.sort_key() for l in other.lower)
-                and self.kappa == other.kappa and self.var == other.var)
+        return type(other) is type(self) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((tuple(sorted(u.sort_key() for u in self.upper)),
-                     tuple(sorted(l.sort_key() for l in self.lower)),
-                     self.kappa, self.var))
+        return hash(self._key())
 
     def shifted(self, which: str, index: int, step: int):
         """New function with one parameter moved by an integer step."""
@@ -81,9 +75,7 @@ class Hyper(Generic[P]):
 class HyperFn(Hyper[EpsLin]):
     """Numeric parameters: each one is const + c*eps."""
 
-    @staticmethod
-    def _param(x) -> EpsLin:
-        return x if isinstance(x, EpsLin) else EpsLin(rat(x))
+    param_type = EpsLin
 
     def _arg(self) -> str:
         if self.kappa != 1 and self.kappa.denominator == 1:
@@ -98,13 +90,9 @@ class SymHyperFn(Hyper[LinearForm]):
     propagator powers and the space-time dimension yields a HyperFn.
     """
 
-    @staticmethod
-    def _param(x) -> LinearForm:
-        return x if isinstance(x, LinearForm) else LinearForm.constant(rat(x))
+    param_type = LinearForm
 
     def bind(self, j_values=None, n_value: EpsLin = EpsLin(4, -2)) -> HyperFn:
         """Bind propagator powers and n (default n = 4 - 2 eps)."""
-        j_values = j_values or {}
-        ups = [u.bind(j_values).to_epslin(n_value) for u in self.upper]
-        los = [l.bind(j_values).to_epslin(n_value) for l in self.lower]
-        return HyperFn(ups, los, self.kappa, self.var)
+        conv = lambda x: x.bind(j_values or {}).to_epslin(n_value)
+        return HyperFn(map(conv, self.upper), map(conv, self.lower), self.kappa, self.var)

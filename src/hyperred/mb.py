@@ -153,10 +153,7 @@ def dressed_propagator_shift(sigma_list: Sequence, q: int) -> LinearForm:
         raise ValueError("q must be a non-negative integer")
     if len(sigma_list) != q + 1:
         raise ValueError(f"need q+1 = {q + 1} exponents, got {len(sigma_list)}")
-    total = LinearForm.constant(0)
-    for s in sigma_list:
-        total = total + (s if isinstance(s, LinearForm) else LinearForm.constant(rat(s)))
-    return total - LinearForm.n(F(q, 2))
+    return sum(sigma_list, LinearForm.constant(0)) - LinearForm.n(F(q, 2))
 
 
 # ---------------------------------------------------------------------------

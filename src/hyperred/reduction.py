@@ -51,13 +51,10 @@ def _ring_vars(fn: Hyper):
 
 
 def _param_poly(vars, x) -> Poly:
-    if isinstance(x, EpsLin):
-        coeff = x.eps
-    elif x.j_coeffs:
+    """const + c*vars[0] in (vars[0], z), from a parameter linear in vars[0] alone."""
+    if any(s != vars[0] for s in x.symbols):
         raise ValueError(f"bind propagator powers before reducing: {x}")
-    else:
-        coeff = x.n_coeff
-    return Poly.from_terms(vars, {(0, 0): x.const, (1, 0): coeff})
+    return Poly.from_terms(vars, {(0, 0): x.const, (1, 0): x.coeff(vars[0])})
 
 
 def _is_unit_param(x) -> bool:
@@ -330,18 +327,15 @@ class ReductionResult:
     algebraic_tail: RatFunc
     affine: bool = False
 
-    def bind(self, j_values=None, n_value: EpsLin = EpsLin(4, -2)) -> "ReductionResult":
-        """Bind symbolic n (and propagator powers) to get a numeric result."""
+    def bind(self, n_value: EpsLin = EpsLin(4, -2)) -> "ReductionResult":
+        """Bind symbolic n to get a numeric result."""
         if isinstance(self.target, HyperFn):
             return self
-        tgt = self.target.bind(j_values or {}, n_value)
-        bas = self.basis.bind(j_values or {}, n_value)
         new_vars = ("eps", "z")
-        n_img = Poly.const(new_vars, n_value.const) + \
-            Poly.variable(new_vars, "eps").scale(n_value.eps)
-        sub = {"n": n_img}
+        sub = {"n": _param_poly(new_vars, n_value)}
         conv = lambda r: r.subst_params(new_vars, sub)
-        return ReductionResult(tgt, bas, conv(self.s_poly),
+        return ReductionResult(self.target.bind(n_value=n_value), self.basis.bind(n_value=n_value),
+                               conv(self.s_poly),
                                tuple(conv(r) for r in self.r_polys),
                                conv(self.algebraic_tail), self.affine)
 
@@ -498,12 +492,10 @@ def detect_exceptional(fn: HyperFn) -> ExceptionalReport:
     for i, u in enumerate(fn.upper):
         best = None
         for l, b in enumerate(fn.lower):
-            if l in used_lowers or u.eps != b.eps:
-                continue
-            d = u.const - b.const
-            if d.denominator == 1 and d >= 0:
-                if best is None or d < best[1]:
-                    best = (l, d)
+            d = u - b
+            if l not in used_lowers and d.is_integer() and d.const >= 0:
+                if best is None or d.const < best[1]:
+                    best = (l, d.const)
         if best is not None:
             used_lowers.add(best[0])
             pairs.append((i, best[0], int(best[1])))

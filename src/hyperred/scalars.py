@@ -1,176 +1,139 @@
-"""Exact scalar types: eps-linear parameters and (n, j) linear forms."""
+"""Exact scalars: one linear form over named symbols, and its two views.
+
+``Linear`` is const + sum c_s * s with exact rational coefficients.
+``EpsLin`` (a parameter const + c*eps) and ``LinearForm`` (a
+Mellin-Barnes form in n and the propagator powers j_k) are views of it
+that keep their own constructors, attributes and printers.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping, Tuple
 
 from .errors import UnboundSymbols
+
+_ZERO = Fraction(0)
 
 
 def rat(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
-class EpsLin:
-    """A parameter of the form const + eps_part * eps, both exact rationals."""
-
-    const: Fraction
-    eps: Fraction = Fraction(0)
-
-    def __init__(self, const, eps=0):
-        object.__setattr__(self, "const", rat(const))
-        object.__setattr__(self, "eps", rat(eps))
-
-    def __add__(self, other):
-        other = _as_epslin(other)
-        return EpsLin(self.const + other.const, self.eps + other.eps)
-
-    def __sub__(self, other):
-        other = _as_epslin(other)
-        return EpsLin(self.const - other.const, self.eps - other.eps)
-
-    def __neg__(self):
-        return EpsLin(-self.const, -self.eps)
-
-    def __radd__(self, other):
-        return self + other
-
-    def __rsub__(self, other):
-        return _as_epslin(other) - self
-
-    def scale(self, q):
-        q = rat(q)
-        return EpsLin(self.const * q, self.eps * q)
-
-    def is_zero(self) -> bool:
-        return self.const == 0 and self.eps == 0
-
-    def is_integer(self) -> bool:
-        """Integer at the eps-generic level: no eps part, integer constant."""
-        return self.eps == 0 and self.const.denominator == 1
-
-    def sort_key(self):
-        return (self.const, self.eps)
-
-    def __str__(self):
-        if self.eps == 0:
-            return str(self.const)
-        e = "eps" if self.eps == 1 else ("-eps" if self.eps == -1 else f"{self.eps}*eps")
-        if self.const == 0:
-            return e
-        return f"{self.const}+{e}" if not e.startswith("-") else f"{self.const}{e}"
+def _canonical(pairs) -> tuple:
+    """(symbol, coefficient) pairs merged by symbol, zeros dropped, sorted by symbol."""
+    merged = {}
+    for s, c in pairs:
+        c = rat(c)
+        merged[s] = merged[s] + c if s in merged else c
+    return tuple(sorted(t for t in merged.items() if t[1]))
 
 
-def _as_epslin(x) -> EpsLin:
-    if isinstance(x, EpsLin):
-        return x
-    return EpsLin(rat(x))
+class Linear:
+    """const + sum c_s * s over named symbols, exact rationals, immutable.
 
-
-@dataclass(frozen=True)
-class LinearForm:
-    """c_n * n + sum_k c_k * j_k + const, with exact rational coefficients.
-
-    ``j_coeffs`` maps propagator-power symbol names to coefficients; zero
-    coefficients are dropped so equal forms compare equal.
+    ``terms`` holds the (symbol, coefficient) pairs sorted by symbol, zero
+    coefficients dropped, so equal forms have equal fields.  Arithmetic
+    keeps the type of its form operand; equality also compares types.
     """
 
-    n_coeff: Fraction
-    j_coeffs: Tuple[Tuple[str, Fraction], ...]
-    const: Fraction
+    __slots__ = ("terms", "const")
 
-    def __init__(self, n_coeff=0, j_coeffs=(), const=0):
-        if isinstance(j_coeffs, Mapping):
-            j_coeffs = tuple(sorted(j_coeffs.items()))
-        items = tuple(sorted((name, rat(c)) for name, c in j_coeffs if rat(c) != 0))
-        object.__setattr__(self, "n_coeff", rat(n_coeff))
-        object.__setattr__(self, "j_coeffs", items)
-        object.__setattr__(self, "const", rat(const))
+    def __init__(self, coeffs=(), const=0):
+        self._set(_canonical(coeffs.items() if isinstance(coeffs, Mapping) else coeffs), rat(const))
+
+    def _set(self, terms, const):
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "const", const)
+        return self
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return (self._of, (self.terms, self.const))
+
+    @classmethod
+    def _of(cls, terms, const):
+        """A ``cls`` from canonical terms and a Fraction constant, taken as they are."""
+        return object.__new__(cls)._set(terms, const)
+
+    @classmethod
+    def from_terms(cls, coeffs, const=0):
+        """A ``cls`` from (symbol, coefficient) pairs, past the view's own constructor."""
+        return cls._of(_canonical(coeffs), rat(const))
 
     @classmethod
     def constant(cls, q):
-        return cls(0, (), q)
+        return cls._of((), rat(q))
 
     @classmethod
-    def n(cls, coeff=1):
-        return cls(coeff, (), 0)
-
-    @classmethod
-    def j(cls, name, coeff=1):
-        return cls(0, ((name, rat(coeff)),), 0)
-
-    def _jdict(self):
-        return dict(self.j_coeffs)
+    def coerce(cls, x):
+        return x if isinstance(x, cls) else cls.constant(x)
 
     def __add__(self, other):
-        other = _as_form(other)
-        js = self._jdict()
-        for k, v in other.j_coeffs:
-            js[k] = js.get(k, Fraction(0)) + v
-        return LinearForm(self.n_coeff + other.n_coeff, js, self.const + other.const)
+        other = self.coerce(other)
+        terms = _canonical(self.terms + other.terms) if other.terms else self.terms
+        return self._of(terms, self.const + other.const)
+
+    __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-_as_form(other))
+        return self + -self.coerce(other)
 
     def __rsub__(self, other):
-        return _as_form(other) - self
-
-    def __radd__(self, other):
-        return self + other
+        return -self + other
 
     def __neg__(self):
-        return LinearForm(-self.n_coeff, {k: -v for k, v in self.j_coeffs}, -self.const)
+        return self._of(tuple((s, -c) for s, c in self.terms), -self.const)
 
     def scale(self, q):
         q = rat(q)
-        return LinearForm(self.n_coeff * q, {k: v * q for k, v in self.j_coeffs}, self.const * q)
+        return self._of(tuple((s, c * q) for s, c in self.terms) if q else (), self.const * q)
 
-    def is_zero(self):
-        return self.n_coeff == 0 and not self.j_coeffs and self.const == 0
+    def coeff(self, symbol: str) -> Fraction:
+        return dict(self.terms).get(symbol, _ZERO)
+
+    @property
+    def symbols(self):
+        return tuple(s for s, _ in self.terms)
+
+    def subst(self, values: Mapping[str, object], cls=None) -> "Linear":
+        """Substitute numbers or forms for the given symbols; a ``cls``, by default this type."""
+        out = (cls or type(self))._of(tuple(t for t in self.terms if t[0] not in values), self.const)
+        for s, c in self.terms:
+            if s in values:
+                out = out + out.coerce(values[s]).scale(c)
+        return out
+
+    def is_const(self) -> bool:
+        return not self.terms
+
+    def is_zero(self) -> bool:
+        return not self.terms and self.const == 0
 
     def is_integer(self) -> bool:
-        """Integer for every n and j: no n or j part, integer constant."""
-        return self.n_coeff == 0 and not self.j_coeffs and self.const.denominator == 1
-
-    def bind(self, j_values: Mapping[str, object]) -> "LinearForm":
-        """Substitute values (numbers or forms) for the given j symbols."""
-        left = {k: v for k, v in self.j_coeffs if k not in j_values}
-        out = LinearForm(self.n_coeff, left, self.const)
-        for k, v in self.j_coeffs:
-            if k in j_values:
-                val = j_values[k]
-                if not isinstance(val, LinearForm):
-                    val = LinearForm.constant(rat(val))
-                out = out + val.scale(v)
-        return out
-
-    def to_epslin(self, n_value: EpsLin = EpsLin(4, -2)) -> EpsLin:
-        """Fully bind (default n = 4 - 2*eps); all j symbols must be gone."""
-        if self.j_coeffs:
-            raise UnboundSymbols([k for k, _ in self.j_coeffs])
-        return EpsLin(self.const + self.n_coeff * n_value.const,
-                      self.n_coeff * n_value.eps)
+        """Integer for every value of the symbols: no symbol part, integer constant."""
+        return not self.terms and self.const.denominator == 1
 
     def sort_key(self):
-        return (self.n_coeff, self.j_coeffs, self.const)
+        return (self.terms, self.const)
+
+    def __eq__(self, other):
+        return type(self) is type(other) and self.sort_key() == other.sort_key()
+
+    def __hash__(self):
+        return hash(self.sort_key())
 
     def __str__(self):
-        parts = []
-        if self.n_coeff != 0:
-            parts.append(_coeff_str(self.n_coeff, "n"))
-        for k, v in self.j_coeffs:
-            parts.append(_coeff_str(v, k))
+        """n first, then the other symbols, then a nonzero constant."""
+        parts = [_coeff_str(c, s) for s, c in sorted(self.terms, key=lambda t: t[0] != "n")]
         if self.const != 0 or not parts:
             parts.append(str(self.const))
-        out = parts[0]
-        for p in parts[1:]:
-            out += f"{p}" if p.startswith("-") else f"+{p}"
-        return out
+        return parts[0] + "".join(p if p.startswith("-") else f"+{p}" for p in parts[1:])
 
-    __repr__ = __str__
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
 
 
 def _coeff_str(c: Fraction, sym: str) -> str:
@@ -183,7 +146,61 @@ def _coeff_str(c: Fraction, sym: str) -> str:
     return f"{c.numerator}*{sym}/{c.denominator}" if c.numerator != 1 else f"{sym}/{c.denominator}"
 
 
-def _as_form(x) -> LinearForm:
-    if isinstance(x, LinearForm):
-        return x
-    return LinearForm.constant(rat(x))
+class EpsLin(Linear):
+    """A parameter of the form const + eps_part * eps, both exact rationals."""
+
+    __slots__ = ()
+
+    def __init__(self, const, eps=0):
+        super().__init__((("eps", eps),), const)
+
+    @property
+    def eps(self) -> Fraction:
+        return self.coeff("eps")
+
+    def __str__(self):
+        if self.eps == 0:
+            return str(self.const)
+        e = "eps" if self.eps == 1 else ("-eps" if self.eps == -1 else f"{self.eps}*eps")
+        if self.const == 0:
+            return e
+        return f"{self.const}+{e}" if not e.startswith("-") else f"{self.const}{e}"
+
+
+class LinearForm(Linear):
+    """c_n * n + sum_k c_k * j_k + const, with exact rational coefficients.
+
+    ``j_coeffs`` maps propagator-power symbol names to coefficients, given
+    as a mapping or as pairs.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, n_coeff=0, j_coeffs=(), const=0):
+        super().__init__((("n", n_coeff), *dict(j_coeffs).items()), const)
+
+    @property
+    def n_coeff(self) -> Fraction:
+        return self.coeff("n")
+
+    @property
+    def j_coeffs(self):
+        return tuple(t for t in self.terms if t[0] != "n")
+
+    @classmethod
+    def n(cls, coeff=1):
+        return cls(coeff)
+
+    @classmethod
+    def j(cls, name, coeff=1):
+        return cls(0, ((name, coeff),))
+
+    def bind(self, j_values: Mapping[str, object]) -> "LinearForm":
+        """Substitute values (numbers or forms) for the given j symbols."""
+        return self.subst(j_values)
+
+    def to_epslin(self, n_value: EpsLin = EpsLin(4, -2)) -> EpsLin:
+        """Fully bind (default n = 4 - 2*eps); all j symbols must be gone."""
+        if self.j_coeffs:
+            raise UnboundSymbols([k for k, _ in self.j_coeffs])
+        return self.subst({"n": n_value}, EpsLin)

@@ -68,6 +68,8 @@ JOBS = {
                       "--r", "-1", "--q", "2", "--beta", "x"],
     "exit-bad-3f2": ["check-parametrization", "3f2", "--r", "1", "--p", "-1", "--q", "2",
                      "--a1", "1/0"],
+    "exit-zero-3f2": ["check-parametrization", "3f2", "--r", "1", "--p", "-1", "--q", "2",
+                      "--a2", "0"],
     "exit-unsupported": ["expand", "2F1[1/3+eps, 1/5; 1/7+eps; z]", "--order", "2"],
     "exit-not-polylog": ["expand", "2F1[1+2*eps, 3*eps; 2-eps; z]", "--order", "3"],
     "exit-exceptional": ["reduce", "2F1[1, 1/3-eps; 3/2; z]",

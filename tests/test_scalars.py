@@ -1,0 +1,196 @@
+"""The one linear form: Linear, EpsLin and LinearForm against a plain-dict model.
+
+A form is modelled as ({symbol: coefficient} without zeros, constant).
+Every operation is checked against the model, equal values built along
+different routes must be equal and hash equal, and the parser must read
+back what the printers write.
+"""
+
+import pickle
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hyperred.errors import UnboundSymbols
+from hyperred.grammar import parse_hyper, parse_input
+from hyperred.hyper import HyperFn, SymHyperFn
+from hyperred.mb import MBRepr
+from hyperred.reduction import QuotientModule, _param_poly
+from hyperred.scalars import EpsLin, Linear, LinearForm
+
+RATS = st.one_of(st.just(F(0)), st.fractions(min_value=-4, max_value=4, max_denominator=6))
+NONZERO = RATS.filter(bool)
+J_NAMES = ("j1", "j2", "alpha", "sigma")
+SYMBOLS = ("eps", "n") + J_NAMES
+
+
+def _model(coeffs, const):
+    return {s: F(c) for s, c in coeffs.items() if c}, F(const)
+
+
+def _plus(m1, m2, q=1):
+    d = dict(m1[0])
+    for s, c in m2[0].items():
+        d[s] = d.get(s, F(0)) + q * c
+    return _model(d, m1[1] + q * m2[1])
+
+
+def _scale(m, q):
+    return _model({s: c * q for s, c in m[0].items()}, m[1] * q)
+
+
+def _subst(m, values):
+    out = _model({s: c for s, c in m[0].items() if s not in values}, m[1])
+    for s, c in m[0].items():
+        if s in values:
+            out = _plus(out, values[s], c)
+    return out
+
+
+def _assert_models(x, m):
+    assert x.symbols == tuple(sorted(m[0]))
+    assert all(x.coeff(s) == m[0].get(s, 0) for s in SYMBOLS)
+    assert x.const == m[1]
+    assert x.is_const() == (not m[0])
+    assert x.is_integer() == (not m[0] and m[1].denominator == 1)
+    assert x.is_zero() == (not m[0] and m[1] == 0)
+
+
+def _routes(cls, coeffs, const):
+    """The same value built four ways; zero coefficients and repeats included."""
+    pairs = list(coeffs.items())
+    direct = cls.from_terms(pairs, const)
+    summed = cls.constant(const)
+    for s, c in reversed(pairs):
+        summed = summed + cls.from_terms([(s, 1)]).scale(c) + cls.from_terms([(s, 3)]) \
+            - cls.from_terms([(s, 3)])
+    split = cls.from_terms(pairs + [(s, -c) for s, c in pairs] + pairs, const)
+    zeros = cls.from_terms([(s, 0) for s in SYMBOLS] + pairs, const)
+    return [direct, summed, split, zeros]
+
+
+def _coeffs(symbols):
+    return st.dictionaries(st.sampled_from(symbols), RATS, max_size=len(symbols))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_coeffs(SYMBOLS), RATS, _coeffs(SYMBOLS), RATS, RATS)
+def test_linear_matches_dict_model(c1, k1, c2, k2, q):
+    m1, m2 = _model(c1, k1), _model(c2, k2)
+    x, y = Linear(c1, k1), Linear(c2, k2)
+    _assert_models(x, m1)
+    _assert_models(x + y, _plus(m1, m2))
+    _assert_models(x - y, _plus(m1, m2, -1))
+    _assert_models(-x, _scale(m1, -1))
+    _assert_models(x.scale(q), _scale(m1, q))
+    _assert_models(x + q, _plus(m1, _model({}, q)))
+    _assert_models(q - x, _plus(_model({}, q), m1, -1))
+    values = {"n": y, "j1": q}
+    _assert_models(x.subst(values), _subst(m1, {"n": m2, "j1": _model({}, q)}))
+    # equality and hash follow the model, whatever the route
+    for a in _routes(Linear, c1, k1):
+        assert a == x and hash(a) == hash(x) and a.sort_key() == x.sort_key()
+    assert (x == y) == (m1 == m2)
+    assert x - x == Linear() and (x - x).is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(RATS, RATS, RATS, RATS, RATS)
+def test_epslin_matches_dict_model(c, e, c2, e2, q):
+    x, y = EpsLin(c, e), EpsLin(c2, e2)
+    m1, m2 = _model({"eps": e}, c), _model({"eps": e2}, c2)
+    assert (x.const, x.eps) == (c, e)
+    _assert_models(x, m1)
+    for got, want in ((x + y, _plus(m1, m2)), (x - y, _plus(m1, m2, -1)),
+                      (x.scale(q), _scale(m1, q)), (1 - x, _plus(_model({}, 1), m1, -1))):
+        assert type(got) is EpsLin
+        _assert_models(got, want)
+    routes = _routes(EpsLin, {"eps": e}, c) + [EpsLin(c) + EpsLin(0, e), parse_hyper(
+        f"2F1[{x}, 1; 1; z]").upper[0]]
+    for a in routes + [pickle.loads(pickle.dumps(x))]:
+        assert type(a) is EpsLin and a == x and hash(a) == hash(x)
+    with pytest.raises(AttributeError):
+        x.const = c + 1
+    assert (x == y) == (m1 == m2)
+    # equal fields but another view: never equal
+    assert x != Linear({"eps": e}, c) and EpsLin(c) != LinearForm.constant(c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(RATS, _coeffs(J_NAMES), RATS, _coeffs(J_NAMES), RATS, RATS, RATS)
+def test_linear_form_matches_dict_model(nc, js, c, js2, c2, n0, n1):
+    x = LinearForm(nc, js, c)
+    m = _model({"n": nc, **js}, c)
+    assert x.n_coeff == nc and x.j_coeffs == tuple(sorted(_model(js, 0)[0].items()))
+    _assert_models(x, m)
+    built = LinearForm.n(nc) + LinearForm.constant(c)
+    for s, v in js.items():
+        built = built + LinearForm.j(s, v)
+    for a in _routes(LinearForm, {"n": nc, **js}, c) + [built, LinearForm(nc, tuple(js.items()), c),
+                                                         pickle.loads(pickle.dumps(x))]:
+        assert type(a) is LinearForm and a == x and hash(a) == hash(x)
+    # bind: numbers and forms for j symbols, the rest untouched
+    y = LinearForm(0, js2, c2)
+    values = {"j1": y, "j2": n0}
+    bound = x.bind(values)
+    assert type(bound) is LinearForm
+    _assert_models(bound, _subst(m, {"j1": _model(js2, c2), "j2": _model({}, n0)}))
+    # to_epslin binds n and refuses any j symbol left
+    n_value = EpsLin(n0, n1)
+    free = LinearForm(nc, {}, c)
+    got = free.to_epslin(n_value)
+    assert type(got) is EpsLin and got == EpsLin(c + nc * n0, nc * n1)
+    if x.j_coeffs:
+        with pytest.raises(UnboundSymbols):
+            x.to_epslin(n_value)
+
+
+def _epslins():
+    return st.builds(EpsLin, RATS, RATS)
+
+
+@st.composite
+def _hyper_fns(draw):
+    p = draw(st.integers(0, 3))
+    ups = draw(st.lists(_epslins(), min_size=p + 1, max_size=p + 1))
+    los = draw(st.lists(_epslins(), min_size=p, max_size=p))
+    return HyperFn(ups, los, draw(NONZERO), draw(st.sampled_from(("z", "y", "x1"))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_hyper_fns())
+def test_parse_hyper_reads_back_the_printed_function(f):
+    g = parse_hyper(str(f))
+    assert g == f and hash(g) == hash(f) and str(g) == str(f)
+    assert g.upper == f.upper and g.lower == f.lower
+
+
+def _forms():
+    return st.builds(LinearForm, RATS, _coeffs(J_NAMES), RATS)
+
+
+@st.composite
+def _mb_forms(draw):
+    db, dc, dd = draw(st.integers(0, 2)), draw(st.integers(0, 2)), draw(st.integers(0, 1))
+    da = 1 + db + dc - dd      # dimA + dimD - dimB - dimC = 1
+    lists = [draw(st.lists(_forms(), min_size=k, max_size=k)) for k in (da, db, dc, dd)]
+    return MBRepr(draw(NONZERO), draw(st.sampled_from(("z", "y"))), *lists)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_mb_forms())
+def test_parse_input_reads_back_the_printed_mb_form(mb):
+    got = parse_input(str(mb))
+    assert got == mb and str(got) == str(mb)
+
+
+def test_param_poly_refuses_unbound_propagator_powers():
+    j = LinearForm(1, {"j1": 1}, F(1, 2))
+    with pytest.raises(ValueError, match="bind propagator powers before reducing"):
+        _param_poly(("n", "z"), j)
+    with pytest.raises(ValueError, match="bind propagator powers before reducing"):
+        QuotientModule(SymHyperFn([LinearForm.n(1), j], [LinearForm.constant(F(3, 2))]))
+    # n alone, and eps alone, embed as const + coefficient * first variable
+    for vars, x in ((("n", "z"), LinearForm(F(1, 2), {}, 3)), (("eps", "z"), EpsLin(3, F(1, 2)))):
+        assert _param_poly(vars, x).terms() == {(0, 0): 3, (1, 0): F(1, 2)}
