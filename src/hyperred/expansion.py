@@ -336,8 +336,8 @@ def _choose_factorization(A: List[Fraction], B: List[Fraction]):
         if best is None or score < best[0]:
             best = (score, betaA, r1, r2)
     if best is None:
-        raise UnsupportedClass(
-            f"no factorization with beta >= 0 and R2 >= 0 for uppers {A}, lowers {B}")
+        raise UnsupportedClass("no factorization with beta >= 0 and R2 >= 0 for uppers "
+                               f"[{', '.join(map(str, A))}], lowers [{', '.join(map(str, B))}]")
     _, beta, r1, r2 = best
     return [int(x) for x in beta], int(r1), int(r2)
 
@@ -420,7 +420,7 @@ def _combo_rational_part(combo: GplCombo) -> Dict[Kernel, Fraction]:
     for w in combo.data:
         if w:
             raise UnsupportedClass("eps^0 layer is not rational")
-    return combo.data.get((), {})
+    return combo.coeffs(())
 
 
 def _theta_stack(c: GplCombo, P: int) -> List[GplCombo]:

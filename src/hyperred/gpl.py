@@ -16,19 +16,21 @@ rational functions of the variable multiplying words.  Every kernel has its
 poles on the alphabet, so each coefficient is kept in the alphabet's
 partial-fraction basis, a dict over the kernels (z - a)^(-m) (a = 0 with
 m <= 0 giving the powers z^i), and theta, products and integration act on
-that dict in closed form.  The expansion's fixed kernels are built in the
-basis too (``basis_product``), so no RatFunc arithmetic runs; a basis dict
-becomes a RatFunc only for omega0, printing and messages (``basis_ratfunc``,
-without a gcd).  Poles at the origin are checked on the sum over words, so
-they may cancel between words.  Final expansion layers are PolyLogExpr
-values, keyed by the same letter tuples, with rational coefficients.
+that dict in closed form, on integer numerators over one denominator (the
+coefficients are nested sums with tiny denominators: Moch, Uwer & Weinzierl,
+hep-ph/0110083).  The expansion's fixed kernels are built in the basis too
+(``basis_product``), so no RatFunc arithmetic runs; a basis dict becomes a
+RatFunc only for omega0, printing and messages (``basis_ratfunc``, without
+a gcd).  Poles at the origin are checked on the sum over words, so they may
+cancel between words.  Final expansion layers are PolyLogExpr values, keyed
+by the same letter tuples, with rational coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .errors import UncancelledPole, UnsupportedClass
@@ -127,12 +129,23 @@ class PolyLogExpr:
             c = rat(c)
             if c != 0:
                 clean[w] = clean.get(w, F(0)) + c
-        object.__setattr__(self, "terms", {w: c for w, c in clean.items() if c != 0})
-        object.__setattr__(self, "const", rat(const))
-        object.__setattr__(self, "var", var)
+        self._set({w: c for w, c in clean.items() if c != 0}, rat(const), var)
+
+    def _set(self, *values):
+        for name, v in zip(self.__slots__, values):
+            object.__setattr__(self, name, v)
+        return self
+
+    @classmethod
+    def _of(cls, terms: Dict[Word, Fraction], const: Fraction, var: str):
+        """Wrap interned nonempty words with nonzero Fraction coefficients as they are."""
+        return object.__new__(cls)._set(terms, const, var)
 
     def __setattr__(self, *a):
         raise AttributeError("PolyLogExpr is immutable")
+
+    def __reduce__(self):
+        return (PolyLogExpr._of, (self.terms, self.const, self.var))
 
     @property
     def weight(self) -> int:
@@ -146,10 +159,8 @@ class PolyLogExpr:
             return PolyLogExpr(self.terms, self.const + rat(other), self.var)
         if self.var != other.var:
             raise ValueError("variable mismatch")
-        t = dict(self.terms)
-        for w, c in other.terms.items():
-            t[w] = t.get(w, F(0)) + c
-        return PolyLogExpr(t, self.const + other.const, self.var)
+        return PolyLogExpr([*self.terms.items(), *other.terms.items()],
+                           self.const + other.const, self.var)
 
     def __sub__(self, other):
         return self + (other * -1 if isinstance(other, PolyLogExpr) else -rat(other))
@@ -161,21 +172,13 @@ class PolyLogExpr:
                                self.const * q, self.var)
         if self.var != other.var:
             raise ValueError("variable mismatch")
+        # the constant is the coefficient of the empty word, the shuffle identity
         out: Dict[Word, Fraction] = {}
-        const = self.const * other.const
-        for w, c in self.terms.items():
-            q = c * other.const
-            if q:
-                out[w] = out.get(w, F(0)) + q
-        for w, c in other.terms.items():
-            q = c * self.const
-            if q:
-                out[w] = out.get(w, F(0)) + q
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
+        for w1, c1 in [((), self.const), *self.terms.items()]:
+            for w2, c2 in [((), other.const), *other.terms.items()]:
                 for s in shuffle_words(w1, w2):
                     out[s] = out.get(s, F(0)) + c1 * c2
-        return PolyLogExpr(out, const, self.var)
+        return PolyLogExpr(out, out.pop((), F(0)), self.var)
 
     __rmul__ = __mul__
 
@@ -211,11 +214,38 @@ class PolyLogExpr:
 # the partial-fraction basis of an alphabet: kernel (a, m) is (z - a)^(-m),
 # with m >= 1 for a letter a and any integer m for a = 0, so (0, -i) is z^i;
 # letters are interned by _letter, so the keys hash without Fraction.__hash__
-# on integral alphabets
+# on integral alphabets.  Inside the module a basis dict holds integer numerators.
 
 _ZERO = 0
 ONE: Kernel = (_ZERO, 0)      # the kernel of the constant 1
 _Z: Kernel = (_ZERO, -1)
+IntBasis = Dict[Kernel, int]
+Part = Tuple[Word, int, IntBasis]     # (w, D, r) stands for (r / D) G(w)
+
+
+def _over_lcm(r: Mapping[Kernel, Fraction]) -> Tuple[int, IntBasis]:
+    """A basis dict of rationals as (D, {kernel: int}), D the lcm of its denominators."""
+    r = {(_letter(a), m): rat(c) for (a, m), c in r.items() if c}
+    D = lcm(*(c.denominator for c in r.values()))
+    return D, {k: c.numerator * (D // c.denominator) for k, c in r.items()}
+
+
+def _collect(parts: Iterable[Part]) -> Tuple[int, Dict[Word, IntBasis]]:
+    """The sum of the parts as (L, {word: {kernel: int}}) over the lcm L of
+    their denominators, cancelled kernels and emptied words dropped.  The
+    parts hold no zero numerators, so a word's first part over L is shared."""
+    parts = list(parts)
+    L = lcm(*(D for _, D, _ in parts))
+    out: Dict[Word, IntBasis] = {}
+    for w, D, r in parts:
+        if (f := L // D) == 1 and w not in out:
+            out[w] = r
+            continue
+        s = dict(out.get(w, ()))
+        for k, c in r.items():
+            s[k] = s.get(k, 0) + c * f
+        out[w] = {k: c for k, c in s.items() if c}
+    return L, {w: s for w, s in out.items() if s}
 
 
 def partial_fractions(r: RatFunc, letters: Sequence[Fraction]) -> Dict[Kernel, Fraction]:
@@ -232,20 +262,19 @@ def partial_fractions(r: RatFunc, letters: Sequence[Fraction]) -> Dict[Kernel, F
         raise UnsupportedClass(
             f"denominator {r.den} has poles outside the alphabet {letters}")
     c0 = den.const_value() * r.num.den
-    out = {(_ZERO, -i): c / c0 for i, c in enumerate(r.num.rep) if c}
+    out = GplCombo({(): {(_ZERO, -i): c / c0 for i, c in enumerate(r.num.rep) if c}})
     for a, m in factors.items():
-        out = _mul(out, {(a, m): F(1)})
-    return out
+        out = out.scale({(a, m): 1})
+    return out.coeffs()
 
 
 def basis_product(powers: Mapping[Letter, int]) -> Dict[Kernel, Fraction]:
     """prod (z - a)^e over powers {a: e}, any integer e, as a basis dict."""
-    out = {ONE: F(1)}
+    out = GplCombo.const(1)
     for a, e in powers.items():
-        a = _letter(a)
-        out = _mul(out, {(a, -e): F(1)} if a == 0 or e < 0 else
-                   {(_ZERO, -k): F(comb(e, k) * (-a) ** (e - k)) for k in range(e + 1)})
-    return out
+        out = out.scale({(a, -e): 1} if a == 0 or e < 0 else
+                        {(_ZERO, -k): comb(e, k) * (-a) ** (e - k) for k in range(e + 1)})
+    return out.coeffs()
 
 
 def basis_ratfunc(coeffs: Mapping[Kernel, Fraction]) -> RatFunc:
@@ -273,11 +302,11 @@ def basis_ratfunc(coeffs: Mapping[Kernel, Fraction]) -> RatFunc:
 # bounded; a seed-1 `bench/run.py --workload expand` stream meets 15 kernel pairs
 # (40,252 hits), since the alphabets hold at most three letters
 @lru_cache(maxsize=4096)
-def _kernel_product(k1: Kernel, k2: Kernel) -> Tuple[Tuple[Kernel, Fraction], ...]:
-    """The product of two basis kernels, expanded in the basis."""
+def _kernel_product(k1: Kernel, k2: Kernel) -> Tuple[int, Tuple[Tuple[Kernel, int], ...]]:
+    """The product of two basis kernels in the basis, as (D, ((kernel, numerator), ...))."""
     (a, m), (b, n) = k1, k2
     if a == b:
-        return (((a, m + n), F(1)),)
+        return 1, (((_letter(a), m + n), 1),)
     if n <= 0:
         (a, m), (b, n) = (b, n), (a, m)
     out: Dict[Kernel, Fraction] = {}
@@ -296,79 +325,66 @@ def _kernel_product(k1: Kernel, k2: Kernel) -> Tuple[Tuple[Kernel, Fraction], ..
         for (p, mp), (q, mq) in (((a, m), (b, n)), ((b, n), (a, m))):
             for j in range(mp):
                 out[(p, mp - j)] = F(comb(mq + j - 1, j) * (-1) ** j, (p - q) ** (mq + j))
-    return tuple((k, F(c)) for k, c in out.items() if c)
+    D, r = _over_lcm(out)
+    return D, tuple(r.items())
 
 
-def _mul(r1: Mapping[Kernel, Fraction], r2: Mapping[Kernel, Fraction]) -> Dict[Kernel, Fraction]:
-    out: Dict[Kernel, Fraction] = {}
+def _mul(r1: IntBasis, r2: IntBasis) -> Tuple[int, IntBasis]:
+    """r1 r2 as (L, {kernel: int}), L the lcm of the kernel products' denominators."""
+    L, out = 1, {}
     for k1, c1 in r1.items():
         for k2, c2 in r2.items():
-            c = c1 * c2
-            for k, x in _kernel_product(k1, k2):
+            D, kp = _kernel_product(k1, k2)
+            if L % D:               # a new denominator: the sum so far goes over the lcm
+                f = D // gcd(L, D)
+                L, out = L * f, {k: c * f for k, c in out.items()}
+            c = c1 * c2 * (L // D)
+            for k, x in kp:
                 out[k] = out.get(k, 0) + c * x
-    return {k: c for k, c in out.items() if c}
+    return L, {k: c for k, c in out.items() if c}
 
 
-def _merge(out: Dict[Word, Dict[Kernel, Fraction]], w: Word, r: Mapping[Kernel, Fraction]):
-    """out[w] += r in a fresh dict, dropping cancelled kernels and emptied words."""
-    s = dict(out.get(w, ()))
-    for k, c in r.items():
-        s[k] = s.get(k, 0) + c
-    s = {k: c for k, c in s.items() if c}
-    if s:
-        out[w] = s
-    else:
-        out.pop(w, None)
-
-
-def _theta_coeffs(r: Mapping[Kernel, Fraction]) -> Dict[Kernel, Fraction]:
-    """theta (z-a)^-m = -m (z-a)^-m - m a (z-a)^-(m+1); at a = 0, theta z^i = i z^i."""
-    out: Dict[Kernel, Fraction] = {}
-    for k, c in r.items():
-        a, m = k
-        out[k] = out.get(k, 0) - m * c
+def _theta_kernels(r: IntBasis) -> Tuple[int, IntBasis]:
+    """theta (z-a)^-m = -m (z-a)^-m - m a (z-a)^-(m+1); at a = 0, theta z^i = i z^i.
+    Over D, the lcm of the letters' denominators."""
+    D = lcm(*(a.denominator for a, _ in r))
+    out: IntBasis = {}
+    for (a, m), c in r.items():
+        out[(a, m)] = out.get((a, m), 0) - m * c * D
         if a:
             nk = (a, m + 1)
-            out[nk] = out.get(nk, 0) - m * a * c
-    return {k: c for k, c in out.items() if c}
+            out[nk] = out.get(nk, 0) - m * c * a.numerator * (D // a.denominator)
+    return D, {k: c for k, c in out.items() if c}
 
 
-def _pole_series(a: Letter, m: int, n: int) -> Tuple[Fraction, ...]:
-    """(z-a)^-m = (-a)^-m sum_k C(m+k-1, k) (z/a)^k to z^n, for a != 0."""
-    t = F(-1, a) ** m
-    out = [t]
-    for k in range(1, n + 1):
-        t = t * (m + k - 1) / (k * a)
-        out.append(t)
-    return tuple(out)
-
-
-def _laurent(w: Word, r: Mapping[Kernel, Fraction], N: int, V: int) -> BiSeries:
+def _laurent(w: Word, r: IntBasis, N: int, V: int) -> BiSeries:
     """z^V r(z) G(w; z) to z^(N+V), V at least the pole order of r at 0."""
     M = N + V
     rc = [F(0)] * (M + 1)          # the series of z^V r(z)
     for (a, m), c in r.items():
-        if a != 0:
-            for j, x in enumerate(_pole_series(a, m, N)):
-                rc[j + V] += c * x
+        if a != 0:                 # (-a)^-m sum_k C(m+k-1, k) (z/a)^k
+            t = F(-1, a) ** m
+            for j in range(N + 1):
+                rc[j + V] += c * t
+                t = t * (m + j) / ((j + 1) * a)
         elif m >= -N:
             rc[V - m] += c
     return BiSeries([(x,) for x in rc]) * _word_biseries(w, M)
 
 
-def _series_sum(terms: Sequence[Tuple[Word, Mapping[Kernel, Fraction]]], N: int) -> List[Fraction]:
-    """z-series of sum r(z) G(w; z) over (w, r) to order N; UncancelledPole
+def _series_sum(terms: Sequence[Tuple[Word, IntBasis]], den: int, N: int) -> List[Fraction]:
+    """z-series of sum (r(z)/den) G(w; z) over (w, r) to order N; UncancelledPole
     if the sum keeps a pole at 0 (poles may cancel between words)."""
     V = max((m for _, r in terms for a, m in r if a == 0 and m > 0), default=0)
-    s = combine(((1, _laurent(w, r, N, V)) for w, r in terms), N + V, 0)
+    s = combine(((F(1, den), _laurent(w, r, N, V)) for w, r in terms), N + V, 0)
     if V and not s.crop(V - 1, 0).is_zero():
-        raise UncancelledPole(f"pole at 0 not cancelled in {_terms_str(terms)}")
+        raise UncancelledPole(f"pole at 0 not cancelled in {_terms_str(terms, den)}")
     return s.div_z(V).eps_row(0)
 
 
-def _terms_str(terms) -> str:
-    parts = [f"({basis_ratfunc(r)})*G{w}" if w else f"({basis_ratfunc(r)})" for w, r in terms]
-    return " + ".join(parts) or "0"
+def _terms_str(terms, den) -> str:
+    parts = [(w, basis_ratfunc({k: F(c, den) for k, c in r.items()})) for w, r in terms]
+    return " + ".join(f"({rf})*G{w}" if w else f"({rf})" for w, rf in parts) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -378,53 +394,64 @@ def _terms_str(terms) -> str:
 class GplCombo:
     """sum_w R_w(z) G(w; z); the empty word holds the rational part.
 
-    ``data`` maps each word to R_w in the alphabet's partial-fraction basis,
-    {kernel: Fraction}.  The constructor copies what it is given and
-    interns the letters of words and kernels.  The operations build fresh
-    dicts and may share the inner ones between combinations, which nothing
-    writes to after construction.
+    ``data`` maps each word to R_w's numerators in the alphabet's partial-
+    fraction basis, {kernel: int}, over one ``den`` > 0 prime to them all
+    (zero is {} over 1).  The constructor takes basis dicts of rationals,
+    copies them and interns the letters of words and kernels.  The
+    operations build fresh dicts and may share the inner ones between
+    combinations, which nothing writes to after construction.
     """
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "den")
 
     def __init__(self, data: Mapping[Word, Mapping[Kernel, Fraction]]):
-        clean = {}
-        for w, r in data.items():
-            r = {(_letter(a), m): c for (a, m), c in r.items() if c}
-            if r:
-                clean[as_word(w)] = r
-        object.__setattr__(self, "data", clean)
+        self._set(*_collect((as_word(w), *_over_lcm(r)) for w, r in data.items()))
+
+    def _set(self, den: int, data: Dict[Word, IntBasis]):
+        """Take data over den, divided by the gcd of den and every numerator."""
+        g = gcd(den, *(c for r in data.values() for c in r.values())) if den != 1 else 1
+        if g != 1:
+            data, den = {w: {k: c // g for k, c in r.items()} for w, r in data.items()}, den // g
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "den", den)
+        return self
 
     @classmethod
-    def _of(cls, data: Dict[Word, Dict[Kernel, Fraction]]):
-        """Wrap a fresh dict of nonempty basis dicts without checking or copying it."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "data", data)
-        return s
+    def _of(cls, den: int, data: Dict[Word, IntBasis]):
+        """Wrap a fresh dict of nonempty integer basis dicts over den > 0 without copying it."""
+        return object.__new__(cls)._set(den, data)
 
     def __setattr__(self, *a):
         raise AttributeError("GplCombo is immutable")
 
+    def __reduce__(self):
+        return (GplCombo._of, (self.den, self.data))
+
+    def __eq__(self, other):
+        return isinstance(other, GplCombo) and (self.den, self.data) == (other.den, other.data)
+
     @classmethod
     def zero(cls):
-        return cls({})
+        return cls._of(1, {})
 
     @classmethod
     def const(cls, q):
-        return cls({(): {ONE: rat(q)}})
+        return cls({(): {ONE: q}})
 
     @classmethod
     def word(cls, w, coeff=1):
-        return cls({as_word(w): {ONE: rat(coeff)}})
+        return cls({w: {ONE: coeff}})
 
     def is_zero(self):
         return not self.data
 
+    def coeffs(self, w: Word = ()) -> Dict[Kernel, Fraction]:
+        """R_w as a basis dict of rationals, empty for an absent word."""
+        return {k: F(c, self.den) for k, c in self.data.get(w, {}).items()}
+
     def __add__(self, other):
-        d = dict(self.data)
-        for w, r in other.data.items():
-            _merge(d, w, r)
-        return GplCombo._of(d)
+        return GplCombo._of(*_collect([(w, self.den, r) for w, r in self.data.items()]
+                                      + [(w, other.den, r) for w, r in other.data.items()]))
 
     def __sub__(self, other):
         return self + other.scale_q(-1)
@@ -433,30 +460,35 @@ class GplCombo:
         q = rat(q)
         if not q:
             return GplCombo.zero()
-        return GplCombo._of({w: {k: c * q for k, c in r.items()}
-                             for w, r in self.data.items()})
+        return GplCombo._of(self.den * q.denominator, {w: {k: c * q.numerator for k, c in r.items()}
+                                                       for w, r in self.data.items()})
 
     def scale(self, b: Mapping[Kernel, Fraction]):
         """Multiply every coefficient by the basis dict b."""
+        D, b = _over_lcm(b)
         if not b:
             return GplCombo.zero()
-        return GplCombo._of({w: _mul(rw, b) for w, rw in self.data.items()})
+        L, data = _collect((w, *_mul(r, b)) for w, r in self.data.items())
+        return GplCombo._of(self.den * D * L, data)
 
     def theta(self) -> "GplCombo":
         """z d/dz using G'(a, w) = G(w)/(z - a)."""
-        out: Dict[Word, Dict[Kernel, Fraction]] = {}
+        parts: List[Part] = []
         for w, r in self.data.items():
-            _merge(out, w, _theta_coeffs(r))
+            parts.append((w, *_theta_kernels(r)))
             if w:
-                _merge(out, w[1:], _mul(r, dict(_kernel_product(_Z, (w[0], 1)))))
-        return GplCombo._of(out)
+                Dk, kp = _kernel_product(_Z, (w[0], 1))
+                Dm, prod = _mul(r, dict(kp))
+                parts.append((w[1:], Dk * Dm, prod))
+        L, data = _collect(parts)
+        return GplCombo._of(self.den * L, data)
 
     def value_at_zero(self) -> Fraction:
         """Exact limit at the origin, word terms included."""
         return self.series(0)[0]
 
     def series(self, N: int) -> List[Fraction]:
-        return _series_sum(list(self.data.items()), N)
+        return _series_sum(list(self.data.items()), self.den, N)
 
     def integrate(self) -> "GplCombo":
         """int_0^z of the combination; raises UncancelledPole if divergent.
@@ -468,54 +500,52 @@ class GplCombo:
         combination before recursing, and the boundary value at 0 is taken
         once, on the sum of the by-parts terms of all words and levels, so
         divergent pieces produced by different branches get the chance to
-        cancel.
+        cancel.  Each level is over its own D (times ``den``).
         """
-        out: Dict[Word, Dict[Kernel, Fraction]] = {}
-        edge: List[Tuple[Word, Dict[Kernel, Fraction]]] = []
-        log_residue = F(0)
-        current = self.data
+        out, edge, logs = [], [], []      # Parts: the result, the by-parts edge, 1/t pieces
+        D, current = 1, self.data
         while current:
-            pending: Dict[Word, Dict[Kernel, Fraction]] = {}
+            pending: List[Part] = []
             for w, r in current.items():
-                anti: Dict[Kernel, Fraction] = {}
+                Lw = lcm(*(m - 1 for _, m in r if m != 1))
+                anti: IntBasis = {}
                 for (a, m), c in r.items():
                     if m != 1:
-                        anti[(a, m - 1)] = c / (1 - m)
+                        anti[(a, m - 1)] = c * (Lw // (1 - m))
                     elif a == 0 and not w:
                         # pure log pieces cancel across levels or diverge
-                        log_residue += c
+                        logs.append(((), D, {ONE: c}))
                     else:
-                        _merge(out, (a,) + w, {ONE: c})
+                        out.append(((a,) + w, D, {ONE: c}))
                 if not anti:
                     continue
                 # int anti' G(w) = [anti G(w)]_0^z - int anti G'(w)
-                edge.append((w, anti))
-                _merge(out, w, anti)
+                edge.append((w, D * Lw, anti))
+                out.append((w, D * Lw, anti))
                 if w:
-                    _merge(pending, w[1:], _mul(anti, {(w[0], 1): F(-1)}))
-            current = pending
-        if log_residue != 0:
+                    Dm, prod = _mul(anti, {(w[0], 1): -1})
+                    pending.append((w[1:], D * Lw * Dm, prod))
+            D, current = _collect(pending)
+        if _collect(logs)[1]:
             raise UncancelledPole("int dt/t of a nonzero rational part")
-        b = _series_sum(edge, 0)[0]
+        De, e = _collect(edge)
+        b = _series_sum(list(e.items()), self.den * De, 0)[0]
         if b != 0:
-            _merge(out, (), {ONE: -b})
-        return GplCombo._of(out)
+            out.append(((), b.denominator, {ONE: -b.numerator * self.den}))
+        L, data = _collect(out)
+        return GplCombo._of(self.den * L, data)
 
     def to_polylog(self, var="z") -> PolyLogExpr:
         """Demand constant coefficients; UnsupportedClass otherwise."""
-        terms = {}
-        const = F(0)
         for w, r in self.data.items():
             if r.keys() != {ONE}:
                 raise UnsupportedClass(
-                    f"layer is not a pure polylog combination: ({basis_ratfunc(r)}) G{w}")
-            if not w:
-                const += r[ONE]
-            else:
-                terms[w] = r[ONE]
-        return PolyLogExpr(terms, const, var)
+                    f"layer is not a pure polylog combination: ({basis_ratfunc(self.coeffs(w))}) G{w}")
+        # the words are interned and the coefficients nonzero already
+        terms = {w: F(r[ONE], self.den) for w, r in self.data.items()}
+        return PolyLogExpr._of(terms, terms.pop((), F(0)), var)
 
     def __str__(self):
-        return _terms_str(sorted(self.data.items(), key=lambda wr: (len(wr[0]), wr[0])))
+        return _terms_str(sorted(self.data.items(), key=lambda wr: (len(wr[0]), wr[0])), self.den)
 
     __repr__ = __str__

@@ -324,6 +324,9 @@ class Poly:
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
 
+    def __reduce__(self):
+        return (Poly, (self.vars, self.rep, self.den))
+
     # construction -----------------------------------------------------
 
     @classmethod

@@ -41,6 +41,9 @@ class RatFunc:
     def __setattr__(self, *a):
         raise AttributeError("RatFunc is immutable")
 
+    def __reduce__(self):
+        return (RatFunc, (self.num, self.den, True))
+
     # constructors ---------------------------------------------------------
 
     @classmethod

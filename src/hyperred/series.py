@@ -55,6 +55,9 @@ class BiSeries:
     def __setattr__(self, *a):
         raise AttributeError("BiSeries is immutable")
 
+    def __reduce__(self):
+        return (BiSeries.from_ints, (self.nums, self.den, self.z_order, self.eps_order))
+
     @classmethod
     def from_ints(cls, nums: Sequence[int], den: int, N: int, K: int) -> "BiSeries":
         """The series nums / den as it stands: den > 0, nums row-major, no gcd."""

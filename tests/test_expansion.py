@@ -1,6 +1,8 @@
 """Factorization classifiers and the epsilon-expansion engine."""
 
+import copy
 import json
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -11,8 +13,11 @@ from hyperred.expansion import (EpsilonExpansion, epsilon_expand,
                                 f3_parametrization_check, factorization_conditions,
                                 gauss_flags, gauss_triangular_system, three_f2_system,
                                 verify_expansion, xi_dressing_series, xi_z_series)
-from hyperred.gpl import PolyLogExpr
+from hyperred.gpl import GplCombo, PolyLogExpr
+from hyperred.grammar import parse_hyper
 from hyperred.hyper import HyperFn
+from hyperred.reduction import reduce_to_basis
+from hyperred.series import series_of_hyper
 from hyperred.scalars import EpsLin
 
 
@@ -341,3 +346,24 @@ def test_half_integer_k4_at_n30():
     e = epsilon_expand(f, 4)
     ok, mism = verify_expansion(f, e, 30)
     assert ok, mism
+
+
+def test_values_survive_pickle_and_deepcopy():
+    # every immutable value type, alone and inside the two result records
+    half = parse_hyper("2F1[1/2+eps, 1/2-2*eps; 3/2+3*eps; z]")
+    red = reduce_to_basis(parse_hyper("2F1[7/5+eps, 1/3-eps; 1/2+2*eps; z]"),
+                          parse_hyper("2F1[2/5+eps, 1/3-eps; 3/2+2*eps; z]"))
+    direct = epsilon_expand(parse_hyper("3F2[eps, -3*eps, 2*eps; 1+eps, 1-eps; z]"), 2)
+    values = [red.s_poly.num, series_of_hyper(half, 6, 2),
+              GplCombo({(1, F(1, 2)): {(2, 1): F(3, 4)}, (): {(0, 2): F(1, 6)}}),
+              epsilon_expand(half, 2).layers[2], red, epsilon_expand(half, 2), direct]
+    for v in values:
+        for c in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v)):
+            assert type(c) is type(v) and c == v, type(v).__name__
+
+
+def test_no_factorization_error_writes_rationals_as_the_grammar_does(capsys):
+    assert cli.main(["expand", "2F1[1+eps, 1+eps; 1+eps; z]", "--order", "2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("error: no factorization with beta >= 0 and R2 >= 0"
+                                 " for uppers [1, 1], lowers [1]\n")

@@ -72,6 +72,7 @@ JOBS = {
                       "--a2", "0"],
     "exit-unsupported": ["expand", "2F1[1/3+eps, 1/5; 1/7+eps; z]", "--order", "2"],
     "exit-not-polylog": ["expand", "2F1[1+2*eps, 3*eps; 2-eps; z]", "--order", "3"],
+    "exit-no-factorization": ["expand", "2F1[1+eps, 1+eps; 1+eps; z]", "--order", "2"],
     "exit-exceptional": ["reduce", "2F1[1, 1/3-eps; 3/2; z]",
                          "--basis", "2F1[0, 1/3-eps; 3/2; z]"],
     "exit-bad-stored": ["verify", str(GOLDEN / "stored-bad.jsonl")],

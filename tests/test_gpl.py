@@ -2,16 +2,18 @@
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperred import gpl
 from hyperred.errors import UncancelledPole, UnsupportedClass
-from hyperred.gpl import (GplCombo, PolyLogExpr, basis_product, basis_ratfunc,
+from hyperred.gpl import (ONE, GplCombo, PolyLogExpr, basis_product, basis_ratfunc,
                           gpl_word_series, partial_fractions, shuffle_words)
 from hyperred.poly import Poly
 from hyperred.ratfunc import RatFunc
+import gpl_reference
 from series_reference import mul_trunc
 
 
@@ -407,7 +409,11 @@ def test_basis_integrate_covers_boundary_and_higher_poles():
 def test_kernel_product_table_matches_ratfunc_products(data, letters):
     kernel = _kernel_strategy(letters)
     k1, k2 = data.draw(kernel), data.draw(kernel)
-    table = basis_ratfunc(dict(gpl._kernel_product(k1, k2)))
+    D, items = gpl._kernel_product(k1, k2)
+    assert type(D) is int and D > 0 and all(type(x) is int for _, x in items)
+    # the cache is keyed on equal int and Fraction letters, so its rows carry interned ones
+    assert all(type(a) is (int if F(a).denominator == 1 else F) for (a, _), _ in items)
+    table = basis_ratfunc({k: F(x, D) for k, x in items})
     assert table == basis_ratfunc({k1: F(1)}) * basis_ratfunc({k2: F(1)})
 
 
@@ -484,3 +490,52 @@ def test_poles_cancel_between_words():
         GplCombo({(F(1),): {(F(0), 3): F(1)}, (F(-1),): {(F(0), 3): F(1)}}).integrate()
     with pytest.raises(UncancelledPole):
         GplCombo({(F(1),): {(F(0), 3): F(1)}}).series(2)
+
+
+# ---------------------------------------------------------------------------
+# integer numerators over one denominator against the Fraction-dict reference
+
+
+REF_ALPHABETS = ((F(1),), (F(-1), F(1)), (F(0), F(1)), (F(1, 2), F(2)))
+
+
+def _rep(c):
+    """c's rep read as Fractions, after checking the integer invariants."""
+    nums = [x for r in c.data.values() for x in r.values()]
+    assert type(c.den) is int and c.den > 0 and all(c.data.values())
+    assert all(type(x) is int and x for x in nums) and gcd(c.den, *nums) == 1
+    assert all(type(a) is (int if F(a).denominator == 1 else F)
+               for w, r in c.data.items() for a in w + tuple(k[0] for k in r))
+    return {w: {k: F(x, c.den) for k, x in r.items()} for w, r in c.data.items()}
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (UncancelledPole, UnsupportedClass) as e:
+        return type(e)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), st.sampled_from(REF_ALPHABETS))
+def test_integer_combo_matches_fraction_reference(data, letters):
+    d1, d2 = data.draw(_combo_strategy(letters)), data.draw(_combo_strategy(letters))
+    b = data.draw(_basis_strategy(letters))
+    q = data.draw(st.builds(F, st.integers(-6, 6), st.integers(1, 6)))
+    pure = data.draw(st.dictionaries(_word_strategy(letters),
+                                     st.builds(F, st.integers(-6, 6).filter(bool),
+                                               st.integers(1, 6)).map(lambda c: {ONE: c}),
+                                     max_size=3))
+    c1, c2 = GplCombo(d1), GplCombo(d2)
+    assert _rep(c1) == d1 and _rep(GplCombo(pure)) == pure
+    assert _rep(c1 + c2) == gpl_reference.add(d1, d2)
+    assert _rep(c1 - c2) == gpl_reference.add(d1, gpl_reference.scale_q(d2, F(-1)))
+    assert _rep(c1.scale_q(q)) == gpl_reference.scale_q(d1, q)
+    assert _rep(c1.scale(b)) == gpl_reference.scale(d1, b)
+    assert _rep(c1.theta()) == gpl_reference.theta(d1)
+    for d in (d1, pure):
+        got, ref = _outcome(GplCombo(d).integrate), _outcome(gpl_reference.integrate, d)
+        assert (got if isinstance(got, type) else _rep(got)) == ref
+        for op in ("value_at_zero", "to_polylog"):
+            got, ref = _outcome(getattr(GplCombo(d), op)), _outcome(getattr(gpl_reference, op), d)
+            assert got == ref and type(got) is type(ref)
