@@ -10,8 +10,9 @@ Every denominator on a reduction path is a known linear factor, so a unit
 step is kept fraction-free as (P, factors, K): a polynomial matrix P over K
 times a product of monic factors.  The relation row is polynomial over its
 lead 1 - kappa z, so theta's matrix on the basis column is N' / (1 - kappa z)
-with N' polynomial, and ``QuotientModule.times_n`` is the one place that
-applies it to a row.  One step builder serves both moves around N'.  The
+with N' polynomial; its rows are lead e_(k+1) and, last, the relation row,
+and ``QuotientModule.times_n`` applies it to a row.  One step builder
+serves both moves around N'.  The
 contiguous step F_shifted = (1 + theta/c) F, c free of z, is
 P = c(1 - kappa z) I + N' over {c, 1 - kappa z}.  The opposite move inverts
 that step in closed form: dividing the relation on the right by theta + c
@@ -23,13 +24,17 @@ the exceptional-parameter signal.  reduce_to_basis folds row 0 of the path
 product with Poly products alone and, after each step, divides each
 recorded factor out while it divides every numerator, tested at its root,
 so the row stays at the size of the answer.  That reaches the unique
-gcd-free form with S monic without a gcd.
+gcd-free form with S monic without a gcd.  The bindings of one diagram
+family reduce from one basis along shared path prefixes, so the steps are
+memoized process-wide, keyed on the ordered parameters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 from typing import List, Optional, Tuple
 
 from .errors import NotIntegerShift, SingularStep, VerificationFailure
@@ -217,12 +222,33 @@ def _add_factor(factors: Factors, f: Poly, m: int = 1) -> Fraction:
 
 def _step(fn: Hyper, which: str, index: int, direction: int,
           affine_index: Optional[int]):
+    """(P, factors, K) of one unit step of fn, from the step memo.
+
+    The memo is keyed on the ordered parameters, never on fn itself: Hyper
+    equality sorts the parameter lists, and the same move on a permuted
+    list is another step.
+    """
+    return _unit_step(type(fn), fn.upper, fn.lower, fn.kappa, fn.var,
+                      which, index, direction, affine_index)
+
+
+# bounded; a 30 s `bench/run.py --workload diagram` run asks for 162 steps, 116 of
+# them hits on 40 entries, while a `reduce` run meets each of its 256 steps once
+# (about 0.6 MB of peak RSS, so 512 entries stay near 5% of that run's 24 MB)
+@lru_cache(maxsize=512)
+def _unit_step(cls, upper, lower, kappa, var, which: str, index: int, direction: int,
+               affine_index: Optional[int]):
     """(P, factors, K): basis-column(shifted fn) = P / (K prod f^m) basis-column(fn).
+
+    fn is cls(upper, lower, kappa, var).  P is a tuple of rows, factors a
+    read-only mapping and K a Fraction, so a memoized step is shared safely.
 
     For upper+1 / lower-1, c is the upper parameter, or the lower one
     minus 1; it is free of z, so theta^k (1 + theta/c) F = theta^k F +
     theta^(k+1) F / c.  That is I + N/c with N theta's matrix on the basis
-    column, and P = c lead I + N' over {c, lead}, N' = lead N.
+    column, and P = c lead I + N' over {c, lead}, N' = lead N: row k < dim-1
+    is lead e_(k+1), row dim-1 the relation row with its tail, and the
+    affine constant row zero, each plus c lead on the diagonal.
 
     The opposite moves invert the reverse step M = I + N/c, built at
     g = fn shifted.  g's relation T = sum T_k theta^k (T_dim = lead,
@@ -238,6 +264,7 @@ def _step(fn: Hyper, which: str, index: int, direction: int,
         raise ValueError("which must be 'upper' or 'lower'")
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
+    fn = cls(upper, lower, kappa, var)
     forward = (which == "upper") == (direction == 1)
     g = fn if forward else fn.shifted(which, index, direction)
     module = QuotientModule(g, affine_index)
@@ -252,12 +279,15 @@ def _step(fn: Hyper, which: str, index: int, direction: int,
     factors: Factors = {}
     if forward:
         K = _add_factor(factors, c) * _add_factor(factors, lead)
-        size, one = dim + module.affine, Poly.const(vars, 1)
-        P = [module.times_n([one if j == k else zero for j in range(size)])
-             for k in range(size)]
+        size = dim + module.affine
+        P = [[zero] * size for _ in range(size)]
+        for k in range(dim - 1):
+            P[k][k + 1] = lead
+        P[dim - 1] = rel + [module.tail_num] * module.affine
+        cl = c * lead
         for k, row in enumerate(P):
-            row[k] = row[k] + c * lead
-        return P, factors, K
+            row[k] = row[k] + cl
+        return _frozen_step(P, factors, K)
     if which == "upper":
         pieces = [lo - c for lo in module.lows]
     else:
@@ -283,7 +313,11 @@ def _step(fn: Hyper, which: str, index: int, direction: int,
         P.append([zero] * dim + [_factor_product(vars, K, factors)])
     n = len(P)
     flat, factors = _cancel([e for row in P for e in row], factors)
-    return [flat[i * n:(i + 1) * n] for i in range(n)], factors, K
+    return _frozen_step([flat[i * n:(i + 1) * n] for i in range(n)], factors, K)
+
+
+def _frozen_step(P, factors: Factors, K):
+    return tuple(map(tuple, P)), MappingProxyType(factors), Fraction(K)
 
 
 def step_matrix(fn: Hyper, which: str, index: int, direction: int,

@@ -1,7 +1,8 @@
 """Golden CLI corpus: every command's stdout bytes and exit code, replayed.
 
 Each job runs through ``cli.main`` in-process and must reproduce the
-stored stdout byte for byte, plus the stored exit code.  A refactor that
+stored stdout byte for byte, plus the stored exit code; an ``exit-*`` job
+must also reproduce its ``error:`` text on stderr.  A refactor that
 changes no behaviour leaves every entry unchanged.  After an intended
 behaviour change, rewrite the expected files with
 
@@ -83,25 +84,29 @@ CASES = [(f"{name}.{fmt}", argv + ["--format", fmt])
 
 
 def run_case(argv):
-    """(stdout bytes, exit code) of one in-process CLI job."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    """(stdout bytes, stderr bytes, exit code) of one in-process CLI job."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    return out.getvalue().encode(), code
+    return out.getvalue().encode(), err.getvalue().encode(), code
 
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
 def test_golden(name, argv):
-    stdout, code = run_case(argv)
+    stdout, stderr, code = run_case(argv)
     assert code == json.loads(EXIT_CODES.read_text())[name]
     assert stdout == (GOLDEN / f"{name}.out").read_bytes()
+    if name.startswith("exit-"):
+        assert stderr == (GOLDEN / f"{name}.err").read_bytes()
 
 
 def regenerate():
     codes = {}
     for name, argv in CASES:
-        stdout, codes[name] = run_case(argv)
+        stdout, stderr, codes[name] = run_case(argv)
         (GOLDEN / f"{name}.out").write_bytes(stdout)
+        if name.startswith("exit-"):
+            (GOLDEN / f"{name}.err").write_bytes(stderr)
     EXIT_CODES.write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
 
 

@@ -380,6 +380,65 @@ def test_steps_are_pinned_rep_for_rep():
         "17b80ae6af2a3c04162691f4e1d5bb1a6884f9d8c343bce36d54d01eb5612bc1"
 
 
+def _result_reps(r):
+    return [(p.rep, p.den) for x in (r.s_poly,) + r.r_polys + (r.algebraic_tail,)
+            for p in (x.num, x.den)]
+
+
+def test_step_memo_keys_on_parameter_order():
+    """The two 2F1s are equal Hypers (equality sorts the uppers), but their
+    upper[0] +1 steps differ: each reduces to its own cold answer while
+    the other's step sits in the memo."""
+    from hyperred.reduction import _unit_step
+    f = HyperFn([EpsLin(F(2, 5), 1), EpsLin(F(1, 3), -1)], [EpsLin(F(3, 2), 2)])
+    g = HyperFn([EpsLin(F(1, 3), -1), EpsLin(F(2, 5), 1)], [EpsLin(F(3, 2), 2)])
+    assert f == g and hash(f) == hash(g)
+    cold = []
+    for fn in (f, g):
+        _unit_step.cache_clear()
+        cold.append(_result_reps(reduce_to_basis(fn.shifted("upper", 0, 1), fn)))
+    assert cold[0] != cold[1]
+    _unit_step.cache_clear()
+    for fn, want in zip((f, g), cold):
+        r = reduce_to_basis(fn.shifted("upper", 0, 1), fn)
+        assert _result_reps(r) == want
+        ok, mism = verify_reduction(r, 20, 2)
+        assert ok, mism
+    assert _unit_step.cache_info().misses == 2
+
+
+def test_repeated_reduction_reads_its_steps_from_the_memo():
+    from hyperred.reduction import _unit_step
+    basis = HyperFn(_UP_4F3[:3], _LOW_4F3[:2])
+    path = canonical_path([1, -1, 0], [1, -1])
+    target = basis.shifted("upper", 0, 1).shifted("upper", 1, -1) \
+        .shifted("lower", 0, 1).shifted("lower", 1, -1)
+    _unit_step.cache_clear()
+    first = reduce_to_basis(target, basis)
+    assert _unit_step.cache_info()[:2] == (0, len(path))   # (hits, misses)
+    second = reduce_to_basis(target, basis)
+    assert _result_reps(second) == _result_reps(first)
+    assert _unit_step.cache_info()[:2] == (len(path), len(path))
+    step_matrix(basis, *path[0])
+    assert _unit_step.cache_info()[:2] == (len(path) + 1, len(path))
+
+
+def test_memoized_steps_are_bounded_and_immutable():
+    from hyperred.reduction import _step, _unit_step
+    assert 0 < _unit_step.cache_info().maxsize < 1 << 16
+    fn = HyperFn(_UP_4F3[:3], _LOW_4F3[:2])
+    for which, index, direction in (("upper", 0, 1), ("upper", 0, -1), ("lower", 1, 1)):
+        P, factors, K = _step(fn, which, index, direction, None)
+        assert _step(fn, which, index, direction, None)[0] is P
+        with pytest.raises(TypeError):
+            P[0][0] = P[1][1]
+        with pytest.raises(TypeError):
+            P[0] = P[1]
+        with pytest.raises(TypeError):
+            factors[next(iter(factors))] = 7
+        assert type(K) is F
+
+
 def test_path_independence_small():
     rng = random.Random(11)
     for _ in range(4):
