@@ -31,7 +31,7 @@ from .mb import DiagramPreset, MBRepr, count_master_integrals, mb_to_hyper
 from .poly import Poly
 from .ratfunc import RatFunc
 from .reduction import (ReductionResult, count_nontrivial_basis, detect_exceptional,
-                        ode_operator, reduce_to_basis, verify_reduction)
+                        ode_operator, reduce_to_basis, verify_depth, verify_reduction)
 from .series import series_of_hyper
 
 EXIT_OK = 0
@@ -362,7 +362,8 @@ def run_verify_file(spec: JobSpec, path: str) -> int:
 
     Every record is decoded before the first check; a malformed one is a
     ParseError naming its line (exit 2), and a record whose N or K lies
-    outside a job's own bounds is refused as a job's would be (exit 3).
+    outside a job's own bounds is refused as a job's would be (exit 3), as
+    is a reduce record whose verify_depth exceeds MAX_N.
     """
     jobs = []
     with open(path) as fh:
@@ -378,6 +379,10 @@ def run_verify_file(spec: JobSpec, path: str) -> int:
                 raise ParseError(f"malformed stored record ({type(e).__name__}: {e})",
                                  lineno, 1) from None
             JobSpec(N=job[2], K=job[3])
+            depth = verify_depth(job[1], job[2]) if isinstance(job[1], ReductionResult) else 0
+            if depth > MAX_N:
+                raise UnsupportedClass(f"reduce record at line {lineno} needs series depth "
+                                       f"{depth}, above {MAX_N}")
             jobs.append(job)
     for rec, value, N, K in jobs:
         if isinstance(value, ReductionResult):

@@ -3,7 +3,10 @@
 The eps=0 operator is factored as a first-order piece times prod(theta +
 beta_j); each expansion order is then one first-order solve plus theta
 peels, all performed on rational-function-weighted polylog combinations
-and integrated iteratively from the origin.
+and integrated iteratively from the origin.  One enumerator, _splits,
+lists the factorizations (beta, R1, R2) and _cases classifies each as
+R1 = R2, R1 = 0 or R2 = 0; the engine, factorization_conditions and
+three_f2_system all read their factorization from these two.
 
 Two parameter classes are supported: (a) integer constant parts whose
 factorization admits non-negative integer beta with R2 >= 0 (alphabet
@@ -16,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NoFactorization, NotTriangular, UncancelledPole, UnsupportedClass
@@ -50,16 +52,35 @@ class FactorizationReport:
 
 
 def _xi_for_case(case: str, r1: Fraction, r2: Fraction) -> Optional[str]:
-    if case == "R1=R2":
-        q = r2.denominator
-        return None if r2 == 0 else f"xi = z^(1/{q})"
-    if case == "R1=0":
-        q = r2.denominator
-        return None if r2 == 0 else f"xi = ((z-1)/z)^(1/{q})"
-    if case == "R2=0":
-        q = r1.denominator
-        return None if r1 == 0 else f"xi = (z-1)^(1/{q})"
-    return None
+    """xi = base^(1/q), q the denominator of the case's free R; None when that R is 0."""
+    r = r1 if case == "R2=0" else r2
+    base = {"R1=R2": "z", "R1=0": "((z-1)/z)", "R2=0": "(z-1)"}[case]
+    return None if r == 0 else f"xi = {base}^(1/{r.denominator})"
+
+
+CASES = ("R1=R2", "R1=0", "R2=0")
+
+
+def _splits(A: Sequence[Fraction], Bm: Sequence[Fraction]):
+    """Every (beta, R1, R2) with prod(theta + A) = prod(theta + beta) (theta + R1).
+
+    beta is a (P-1)-subset of A in A's order (the left-out index falling)
+    that Bm contains as a multiset; R1 is the left-out A, R2 the first of
+    Bm that beta leaves.
+    """
+    for i in reversed(range(len(A))):
+        beta, rest = A[:i] + A[i + 1:], list(Bm)
+        try:
+            for x in beta:
+                rest.remove(x)
+        except ValueError:
+            continue
+        yield beta, A[i], rest[0]
+
+
+def _cases(r1: Fraction, r2: Fraction) -> List[str]:
+    """The cases of CASES that (R1, R2) satisfies, in that order."""
+    return [c for c, hit in zip(CASES, (r1 == r2, r1 == 0, r2 == 0)) if hit]
 
 
 def gauss_flags(p1q: Fraction, p2q: Fraction, rq: Fraction) -> dict:
@@ -76,49 +97,33 @@ def factorization_conditions(upper: Sequence[EpsLin], lower: Sequence[EpsLin]) -
 
     The constant parts must consist of at most two nontrivial uppers
     (nonzero) and two nontrivial lowers (different from one); the rest
-    must be eps-proportional or unit.
+    must be eps-proportional or unit.  Each case takes its first split.
     """
     nontrivial_up = [u.const for u in upper if u.const != 0]
     nontrivial_lo = [l.const for l in lower if l.const != 1]
     if len(nontrivial_up) > 2 or len(nontrivial_lo) > 2:
         raise UnsupportedClass(
             "factorization analysis needs at most two nontrivial parameters per list")
-    a1 = nontrivial_up[0] if nontrivial_up else F(0)
-    a2 = nontrivial_up[1] if len(nontrivial_up) > 1 else F(0)
-    b1 = nontrivial_lo[0] if nontrivial_lo else F(1)
-    b2 = nontrivial_lo[1] if len(nontrivial_lo) > 1 else F(1)
-    bm1, bm2 = b1 - 1, b2 - 1
-    matches = []
-    if a1 + a2 == bm1 + bm2 and a1 * a2 == bm1 * bm2:
-        matches.append(("R1=R2", a2, a2, (a1,)))
-        # beta and R are the two roots of x^2-(A1+A2)x+A1A2
-    for x, y in ((a1, a2), (a2, a1)):
-        if y == 0:
-            r2 = bm1 + bm2 - x
-            if r2 * x == bm1 * bm2:
-                matches.append(("R1=0", F(0), r2, (x,)))
-            break
-    for x, y in ((bm1, bm2), (bm2, bm1)):
-        if y == 0:
-            r1 = a1 + a2 - x
-            if r1 * x == a1 * a2:
-                matches.append(("R2=0", r1, F(0), (x,)))
-            break
+    matches = {}
+    for beta, r1, r2 in _splits((nontrivial_up + [F(0), F(0)])[:2],
+                                ([b - 1 for b in nontrivial_lo] + [F(0), F(0)])[:2]):
+        for case in _cases(r1, r2):
+            matches.setdefault(case, (r1, r2, tuple(beta)))
     gauss = None
     if len(upper) == 2 and len(lower) == 1:
-        p1q, p2q = upper[0].const, upper[1].const
-        rq = 1 - lower[0].const
+        p1q, p2q, rq = upper[0].const, upper[1].const, 1 - lower[0].const
         gauss = dict(gauss_flags(p1q, p2q, rq), p_over_q=(p1q, p2q, -rq))
     if not matches:
         raise NoFactorization(
             f"no case of R1=R2 / R1=0 / R2=0 matches uppers {nontrivial_up} "
             f"lowers {nontrivial_lo}")
-    case, r1, r2, beta = matches[0]
+    candidates = tuple(c for c in CASES if c in matches)
+    r1, r2, beta = matches[candidates[0]]
     return FactorizationReport(
-        case=case, r1=r1, r2=r2, beta=tuple(beta),
+        case=candidates[0], r1=r1, r2=r2, beta=beta,
         h_exponents=(-r2, r2 - r1),
-        xi_description=_xi_for_case(case, r1, r2),
-        candidates=tuple(m[0] for m in matches),
+        xi_description=_xi_for_case(candidates[0], r1, r2),
+        candidates=candidates,
         gauss_checks=gauss)
 
 
@@ -209,19 +214,11 @@ def three_f2_system(r: int, p: int, q: int, a1, a2, a3, b1, b2):
                        "phi_k = ((z-1)/z)^(p/q) (theta + r/q) theta omega_k"),
         deltas=deltas,
     )
-    r2 = -F(p + r, q)
-    r1 = -F(r, q)
-    if r1 == r2:
-        case = "R1=R2"
-    elif r1 == 0:
-        case = "R1=0"
-    elif r2 == 0:
-        case = "R2=0"
-    else:
-        case = "none"
+    r1, r2 = -F(r, q), -F(p + r, q)
+    case = (_cases(r1, r2) + ["none"])[0]
     report = FactorizationReport(
         case=case, r1=r1, r2=r2, beta=(F(r, q),),
-        h_exponents=(F(p + r, q), -F(p, q)),
+        h_exponents=(-r2, r2 - r1),
         xi_description=(f"xi = (z/(z-1))^(1/{q})" if p == -r else None),
         candidates=(case,) if case != "none" else (),
     )
@@ -303,42 +300,24 @@ def epsilon_expand(f: HyperFn, K: int) -> EpsilonExpansion:
     consts_lo = [l.const for l in f.lower]
     if all(c.denominator == 1 for c in consts_up + consts_lo):
         return _expand_integer_class(f, K)
-    if (len(f.upper) == 2 and len(f.lower) == 1
-            and consts_up[0] == consts_up[1] == F(1, 2) and consts_lo[0] == F(3, 2)):
+    if (len(f.lower) == 1 and consts_up[0] == F(1, 2)
+            and gauss_flags(*consts_up, 1 - consts_lo[0])["lemma_iv"]):
         return _expand_half_integer_gauss(f, K)
     raise UnsupportedClass(
         f"parameters {f} fall outside the supported expansion classes")
 
 
 def _choose_factorization(A: List[Fraction], B: List[Fraction]):
-    """Pick beta (size P-1), R1, R2 with beta >= 0 and R2 >= 0."""
-    listA = sorted(A)
-    listB = sorted([F(0)] + [b - 1 for b in B])
-    P = len(listA)
-    best = None
-    for idxA in combinations(range(P), P - 1):
-        betaA = [listA[i] for i in idxA]
-        r1 = [listA[i] for i in range(P) if i not in idxA][0]
-        remB = list(listB)
-        ok = True
-        for x in betaA:
-            if x in remB:
-                remB.remove(x)
-            else:
-                ok = False
-                break
-        if not ok:
-            continue
-        r2 = remB[0]
-        if any(x < 0 for x in betaA) or r2 < 0:
-            continue
-        score = (r2 != 0, sum(betaA), abs(r1))
-        if best is None or score < best[0]:
-            best = (score, betaA, r1, r2)
-    if best is None:
+    """Pick beta (size P-1), R1, R2 with beta >= 0 and R2 >= 0.
+
+    Prefers R2 = 0, then the smallest sum of beta, then the smallest |R1|.
+    """
+    splits = [s for s in _splits(sorted(A), sorted([F(0)] + [b - 1 for b in B]))
+              if min(s[0] + [s[2]]) >= 0]
+    if not splits:
         raise UnsupportedClass("no factorization with beta >= 0 and R2 >= 0 for uppers "
                                f"[{', '.join(map(str, A))}], lowers [{', '.join(map(str, B))}]")
-    _, beta, r1, r2 = best
+    beta, r1, r2 = min(splits, key=lambda s: (s[2] != 0, sum(s[0]), abs(s[1])))
     return [int(x) for x in beta], int(r1), int(r2)
 
 
@@ -370,9 +349,11 @@ def _first_order_solve(rhs: GplCombo, kernel, h) -> GplCombo:
     return rhs.scale(kernel).integrate().scale(h)
 
 
-def _peel_theta_beta(u: GplCombo, beta: int) -> GplCombo:
-    """(theta + beta)^(-1) u = z^(-beta) int_0^z t^(beta-1) u dt."""
-    return u.scale({(0, 1 - beta): 1}).integrate().scale({(0, beta): 1})
+def _peel_theta_beta(u: GplCombo, beta: Sequence[int]) -> GplCombo:
+    """prod (theta + b)^(-1) u, each (theta + b)^(-1) u = z^(-b) int_0^z t^(b-1) u dt."""
+    for b in sorted(beta, reverse=True):
+        u = u.scale({(0, 1 - b): 1}).integrate().scale({(0, b): 1})
+    return u
 
 
 def _expand_integer_class(f: HyperFn, K: int) -> EpsilonExpansion:
@@ -399,10 +380,7 @@ def _expand_integer_class(f: HyperFn, K: int) -> EpsilonExpansion:
                 rhs = rhs - _apply_theta_poly(U[j], st).scale({(0, -1): 1})  # z
             if j in T:
                 rhs = rhs + _apply_theta_poly(T[j], st)
-        chi = _first_order_solve(rhs, kernel, h)
-        om = chi
-        for bt in sorted(beta, reverse=True):
-            om = _peel_theta_beta(om, bt)
+        om = _peel_theta_beta(_first_order_solve(rhs, kernel, h), beta)
         layers.append(om)
         thetas.append(_theta_stack(om, P))
     exprs = [c.to_polylog("z") for c in layers[1:]]
@@ -433,10 +411,8 @@ def _theta_stack(c: GplCombo, P: int) -> List[GplCombo]:
 def _omega0_rational(A, beta, h) -> GplCombo:
     if any(x == 0 for x in A):
         return GplCombo.const(1)
-    om = GplCombo({(): h})
     try:
-        for bt in sorted(beta, reverse=True):
-            om = _peel_theta_beta(om, bt)
+        om = _peel_theta_beta(GplCombo({(): h}), beta)
     except UncancelledPole as e:
         raise UnsupportedClass(f"eps^0 layer is not rational: {e}") from e
     # a pole at 0 is a kernel (0, m >= 1), the basis being unique

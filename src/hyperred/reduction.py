@@ -468,20 +468,27 @@ def _check_path(path, ups, los):
         raise NotIntegerShift("shift path does not connect basis to target")
 
 
+def verify_depth(result: ReductionResult, N: int) -> int:
+    """The z-depth verify_reduction checks: at least N and d + p + 2.
+
+    d is the highest z-degree of the numerators of S, the R_j and the
+    tail, and p the number of lower parameters, so no term of the result
+    lies beyond the checked orders.
+    """
+    parts = (result.s_poly,) + tuple(result.r_polys) + (result.algebraic_tail,)
+    return max(N, max(r.num.degree() for r in parts) + len(result.target.lower) + 2)
+
+
 def verify_reduction(result: ReductionResult, N: int = 30, K: int = 2):
     """Check S F(target) = sum R_j theta^j F(basis) + tail on the oracle.
 
     Returns (True, None) or (False, (j, k)) at the first mismatching
-    series coefficient.  Parameters must be numeric (bind symbolic n first).
-    The z-depth is at least d + p + 2, where d is the highest z-degree of
-    the numerators of S, the R_j and the tail, and p the number of lower
-    parameters, so no term of the result lies beyond the checked orders.
+    series coefficient, at z-depth verify_depth(result, N).  Parameters
+    must be numeric (bind symbolic n first).
     """
     if not isinstance(result.target, HyperFn):
         raise ValueError("bind symbolic parameters before verification")
-    parts = (result.s_poly,) + tuple(result.r_polys) + (result.algebraic_tail,)
-    d = max(r.num.degree() for r in parts)
-    N = max(N, d + len(result.target.lower) + 2)
+    N = verify_depth(result, N)
     st = series_of_hyper(result.target, N, K)
     sb = series_of_hyper(result.basis, N, K)
     s_series, v = result.s_poly.to_biseries(N, K)

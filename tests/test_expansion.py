@@ -4,10 +4,12 @@ import copy
 import json
 import pickle
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
-from hyperred import cli
+import expansion_reference
+from hyperred import cli, expansion
 from hyperred.errors import (NoFactorization, NotTriangular, UnsupportedClass)
 from hyperred.expansion import (EpsilonExpansion, epsilon_expand,
                                 f3_parametrization_check, factorization_conditions,
@@ -367,3 +369,56 @@ def test_no_factorization_error_writes_rationals_as_the_grammar_does(capsys):
     out, err = capsys.readouterr()
     assert out == "" and err == ("error: no factorization with beta >= 0 and R2 >= 0"
                                  " for uppers [1, 1], lowers [1]\n")
+
+
+# ---------------------------------------------------------------------------
+# one split enumerator against the two solvers it replaced
+
+REPORT_CONSTS = [F(0), F(1), F(-1), F(1, 2), F(3, 2), F(4, 3)]
+ENGINE_CONSTS = [F(c) for c in range(-2, 4)]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as e:      # noqa: BLE001 - the exception class is the outcome
+        return type(e)
+
+
+def _split_mismatches():
+    """Grid inputs where the report or the engine differs from the reference."""
+    bad = []
+    for p in (2, 3):
+        for consts in product(REPORT_CONSTS, repeat=2 * p - 1):
+            up = [EpsLin(c, k + 1) for k, c in enumerate(consts[:p])]
+            lo = [EpsLin(c, -k - 1) for k, c in enumerate(consts[p:])]
+            if (_outcome(factorization_conditions, up, lo)
+                    != _outcome(expansion_reference.factorization_conditions, up, lo)):
+                bad.append(("report", consts))
+        for consts in product(ENGINE_CONSTS, repeat=2 * p - 1):
+            A, B = list(consts[:p]), list(consts[p:])
+            if (_outcome(expansion._choose_factorization, A, B)
+                    != _outcome(expansion_reference.choose_factorization, A, B)):
+                bad.append(("engine", consts))
+    return bad
+
+
+def test_splits_match_the_reference_solvers():
+    assert _split_mismatches() == []
+
+
+def test_split_equivalence_fails_a_multiset_leak(monkeypatch):
+    """Negative control: a beta matched against Bm without removing its elements."""
+    def leaky_splits(A, Bm):
+        for i in reversed(range(len(A))):
+            beta, rest = A[:i] + A[i + 1:], list(Bm)
+            if all(x in Bm for x in beta):
+                for x in beta:
+                    if x in rest:
+                        rest.remove(x)
+                yield beta, A[i], rest[0]
+
+    monkeypatch.setattr(expansion, "_splits", leaky_splits)
+    bad = _split_mismatches()
+    # A = (0, 0, 0) over Bm = (0, 1, 1): beta = (0, 0) is not in Bm, only 0 is
+    assert ("engine", (0, 0, 0, 2, 2)) in bad

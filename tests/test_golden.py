@@ -14,6 +14,7 @@ and review the diff of ``tests/golden/``.
 import contextlib
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,7 @@ JOBS = {
                    "--order", "4"],
     "expand-half-integer-k4": ["expand", "2F1[1/2+2*eps, 1/2-3*eps; 3/2+5*eps; z]",
                                "--order", "4"],
+    "expand-rational-omega0": ["expand", "2F1[1+eps, 2+eps; 2+2*eps; z]", "--order", "0"],
     "check-gauss": ["check-parametrization", "gauss", "--p1", "1", "--p2", "1",
                     "--r", "-1", "--q", "2", "--beta", "1/2"],
     "check-3f2": ["check-parametrization", "3f2", "--r", "1", "--p", "-1", "--q", "2"],
@@ -77,6 +79,7 @@ JOBS = {
     "exit-exceptional": ["reduce", "2F1[1, 1/3-eps; 3/2; z]",
                          "--basis", "2F1[0, 1/3-eps; 3/2; z]"],
     "exit-bad-stored": ["verify", str(GOLDEN / "stored-bad.jsonl")],
+    "exit-budget-verify": ["verify", str(GOLDEN / "stored-deep.jsonl")],
 }
 
 CASES = [(f"{name}.{fmt}", argv + ["--format", fmt])
@@ -98,6 +101,13 @@ def test_golden(name, argv):
     assert stdout == (GOLDEN / f"{name}.out").read_bytes()
     if name.startswith("exit-"):
         assert stderr == (GOLDEN / f"{name}.err").read_bytes()
+
+
+def test_deep_stored_reduction_is_refused_before_any_series():
+    """stored-deep.jsonl is stored.jsonl with z^2000 added to S: refused while decoding."""
+    start = time.perf_counter()
+    _, _, code = run_case(JOBS["exit-budget-verify"])
+    assert code == 3 and time.perf_counter() - start < 1.0
 
 
 def regenerate():
