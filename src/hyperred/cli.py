@@ -363,7 +363,8 @@ def run_verify_file(spec: JobSpec, path: str) -> int:
     Every record is decoded before the first check; a malformed one is a
     ParseError naming its line (exit 2), and a record whose N or K lies
     outside a job's own bounds is refused as a job's would be (exit 3), as
-    is a reduce record whose verify_depth exceeds MAX_N.
+    is a reduce record whose verify_depth exceeds MAX_N and an expand
+    record whose eps order, len(layers) - 1, exceeds MAX_K.
     """
     jobs = []
     with open(path) as fh:
@@ -379,10 +380,14 @@ def run_verify_file(spec: JobSpec, path: str) -> int:
                 raise ParseError(f"malformed stored record ({type(e).__name__}: {e})",
                                  lineno, 1) from None
             JobSpec(N=job[2], K=job[3])
-            depth = verify_depth(job[1], job[2]) if isinstance(job[1], ReductionResult) else 0
-            if depth > MAX_N:
-                raise UnsupportedClass(f"reduce record at line {lineno} needs series depth "
-                                       f"{depth}, above {MAX_N}")
+            if isinstance(job[1], ReductionResult):
+                depth = verify_depth(job[1], job[2])
+                if depth > MAX_N:
+                    raise UnsupportedClass(f"reduce record at line {lineno} needs series depth "
+                                           f"{depth}, above {MAX_N}")
+            elif len(job[1].layers) - 1 > MAX_K:
+                raise UnsupportedClass(f"expand record at line {lineno} has eps order "
+                                       f"{len(job[1].layers) - 1}, above {MAX_K}")
             jobs.append(job)
     for rec, value, N, K in jobs:
         if isinstance(value, ReductionResult):

@@ -282,6 +282,27 @@ def _gcd(a, b, d):
     return _mul_elem(pa, cg, d)
 
 
+def _subst(rep, d, images, e):
+    """(rep', den') with rep'/den' = rep at x_i = images[i], a (rep, den) at depth e.
+
+    Horner's rule on integer reps: each step acc x + c goes over the lcm
+    of the two denominators, and nothing is normalized.
+    """
+    if d == 0:
+        return _const(e, rep), 1
+    x, dx = images[d - 1]
+    acc, den = _zero(e), 1
+    for c in reversed(rep):
+        c, dc = _subst(c, d - 1, images, e)
+        if _is_zero(acc, e):
+            acc, den = c, dc
+            continue
+        acc, den = _mul(acc, x, e), den * dx
+        L = lcm(den, dc)
+        acc, den = _add(_scale(acc, L // den, e), _scale(c, L // dc, e), e), L
+    return acc, den
+
+
 def _to_terms(rep, d, den, prefix, out):
     if d == 0:
         if rep != 0:
@@ -480,18 +501,12 @@ class Poly:
         return Poly(self.vars, _scale(b, r.denominator // g, self.d), self.den // g)
 
     def subst(self, new_vars, mapping: Mapping[str, "Poly"]):
-        """Map each variable to a polynomial over ``new_vars``, by Horner's rule."""
+        """Map each variable to a polynomial over ``new_vars``, by Horner's rule on the reps."""
         images = [mapping.get(v) or Poly.variable(new_vars, v) for v in self.vars]
         if any(img.vars != tuple(new_vars) for img in images):
             raise ValueError("substitution image over wrong variables")
-        def horner(rep, d):
-            if d == 0:
-                return Poly.const(new_vars, rep)
-            acc = Poly.zero(new_vars)
-            for c in reversed(rep):
-                acc = acc * images[d - 1] + horner(c, d - 1)
-            return acc
-        return horner(self.rep, self.d).scale(Fraction(1, self.den))
+        rep, den = _subst(self.rep, self.d, [(p.rep, p.den) for p in images], len(new_vars))
+        return Poly(new_vars, rep, den * self.den)
 
     # display -------------------------------------------------------------
 

@@ -9,8 +9,10 @@ reduced to "eps" only.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+
 from .errors import PoleAtEpsZero
-from .poly import Poly
+from .poly import Poly, _scale, _subst, _trim, _zero
 from .series import BiSeries
 
 _Z = "z"
@@ -136,10 +138,12 @@ class RatFunc:
                        self.den * self.den)
 
     def subst_params(self, new_vars, mapping) -> "RatFunc":
-        """Substitute parameter variables (z maps to itself)."""
-        full = dict(mapping)
-        full[_Z] = Poly.variable(new_vars, _Z)
-        return RatFunc(self.num.subst(new_vars, full), self.den.subst(new_vars, full))
+        """Substitute parameter variables by polynomials over new_vars free of z.
+
+        z maps to itself, so each z-coefficient is substituted on its own.
+        """
+        return RatFunc(_subst_below_z(self.num, new_vars, mapping),
+                       _subst_below_z(self.den, new_vars, mapping))
 
     # series ------------------------------------------------------------------
 
@@ -165,6 +169,24 @@ class RatFunc:
             s = s.mul_z_power(-v)
             v = 0
         return s, v
+
+    def z_cells(self, N: int, K: int):
+        """(cells, den, v): the function is z^(-v) sum x z^j eps^k / den to z^N eps^K.
+
+        cells lists the nonzero (j, k, x), z-power first.  A polynomial is
+        read off its rep, with no series product and v = 0; otherwise the
+        cells are those of to_biseries.
+        """
+        if not self.is_polynomial():
+            s, v = self.to_biseries(N, K)
+            W = K + 1
+            return [(i // W, i % W, x) for i, x in enumerate(s.nums) if x], s.den, v
+        p = self.num
+        _check_eps_only(p)
+        if p.d == 1:
+            return [(j, 0, x) for j, x in enumerate(p.rep[:N + 1]) if x], p.den, 0
+        return [(j, k, x) for j, c in enumerate(p.rep[:N + 1])
+                for k, x in enumerate(c[:K + 1]) if x], p.den, 0
 
     def __str__(self):
         if self.den.is_const() and self.den.const_value() == 1:
@@ -210,12 +232,31 @@ def _z_rows(p: Poly, v: int, N: int, K: int) -> BiSeries:
     its eps-coefficients; for vars (z,) it is a single integer.  Either way
     the integers stand over p.den, as the series' do.
     """
-    extra = [x for x in p.vars[:-1] if x != "eps"]
-    if extra:
-        raise ValueError(f"unbound parameters {extra}; substitute them before expanding")
+    _check_eps_only(p)
     nums = []
     for c in p.rep[v:v + N + 1]:
         c = c[:K + 1] if p.d == 2 else (c,)
         nums += c + (0,) * (K + 1 - len(c))
     nums += [0] * ((N + 1) * (K + 1) - len(nums))
     return BiSeries.from_ints(nums, p.den, N, K)
+
+
+def _check_eps_only(p: Poly):
+    extra = [x for x in p.vars[:-1] if x != "eps"]
+    if extra:
+        raise ValueError(f"unbound parameters {extra}; substitute them before expanding")
+
+
+def _subst_below_z(p: Poly, new_vars, mapping) -> Poly:
+    """p with its parameters substituted inside each z-coefficient, normalized once."""
+    e = len(new_vars) - 1
+    images = []
+    for x in p.vars[:-1]:
+        img = mapping.get(x) or Poly.variable(new_vars, x)
+        if img.vars != tuple(new_vars) or img.degree() > 0:
+            raise ValueError(f"the image of {x} must be a polynomial over {new_vars} free of z")
+        images.append((img.rep[0] if img.rep else _zero(e), img.den))
+    coeffs = [_subst(c, p.d - 1, images, e) for c in p.rep]
+    L = lcm(*(d for _, d in coeffs))
+    rep = _trim(tuple(_scale(c, L // d, e) for c, d in coeffs), e + 1)
+    return Poly(new_vars, rep, L * p.den)

@@ -100,11 +100,16 @@ class Linear:
 
     def subst(self, values: Mapping[str, object], cls=None) -> "Linear":
         """Substitute numbers or forms for the given symbols; a ``cls``, by default this type."""
-        out = (cls or type(self))._of(tuple(t for t in self.terms if t[0] not in values), self.const)
+        cls = cls or type(self)
+        pairs, const = [], self.const
         for s, c in self.terms:
-            if s in values:
-                out = out + out.coerce(values[s]).scale(c)
-        return out
+            if s not in values:
+                pairs.append((s, c))
+                continue
+            v = cls.coerce(values[s])
+            pairs += [(t, c * x) for t, x in v.terms]
+            const += c * v.const
+        return cls._of(_canonical(pairs), const)
 
     def is_const(self) -> bool:
         return not self.terms

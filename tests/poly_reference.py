@@ -1,6 +1,6 @@
 """Reference polynomial arithmetic for tests/test_poly.py that the program never calls.
 
-Two independent checks of ``hyperred.poly``:
+Three independent checks of ``hyperred.poly``:
 
 - ``euclid_gcd``: Euclid over Q on univariate polynomials, every remainder
   made monic to keep the coefficients small.  ``Poly.gcd`` runs the
@@ -11,6 +11,9 @@ Two independent checks of ``hyperred.poly``:
   over one denominator.  ``frac_rep`` reads a ``Poly`` into that form, so
   every operation of the integer representation can be compared with the
   same operation on rational leaves.
+- ``poly_object_subst``: substitution by Horner's rule over ``Poly``
+  objects, every step a normalized ``Poly``, which ``Poly.subst`` replaced
+  by Horner's rule on the integer reps with one normalization at the end.
 """
 
 from __future__ import annotations
@@ -333,3 +336,19 @@ def subst(a, d, images, d_new):
             term = mul(term, power(img, e, d_new), d_new)
         acc = add(acc, term, d_new)
     return acc
+
+
+def poly_object_subst(p: Poly, new_vars, mapping) -> Poly:
+    """Map each variable of p to a polynomial over new_vars, by Horner's rule on Polys."""
+    images = [mapping.get(v) or Poly.variable(new_vars, v) for v in p.vars]
+    if any(img.vars != tuple(new_vars) for img in images):
+        raise ValueError("substitution image over wrong variables")
+
+    def horner(rep, d):
+        if d == 0:
+            return Poly.const(new_vars, rep)
+        acc = Poly.zero(new_vars)
+        for c in reversed(rep):
+            acc = acc * images[d - 1] + horner(c, d - 1)
+        return acc
+    return horner(p.rep, p.d).scale(Fraction(1, p.den))

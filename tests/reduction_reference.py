@@ -1,4 +1,4 @@
-"""Reference reduction for tests/test_reduction.py that the program never calls.
+"""Reference reduction and check for tests/test_reduction.py that the program never calls.
 
 The rational-function path that ``reduce_to_basis`` replaced: each unit
 step is the ``RatFunc`` matrix I + N/c built from the theta-polynomial
@@ -8,18 +8,26 @@ with ``OpMatrix`` products, and the result is cleared by the lcm of the
 denominators and a multivariate gcd.  It shares no step, fold or clearing
 code with the fraction-free (P, factors) path, so equal reps are an
 independent check.
+
+``reference_verify`` is the series check that ``verify_reduction``
+replaced: S F(target) and sum R_j theta^j F(basis) + tail are built as
+``BiSeries`` products and sums (``theta_action``, ``combine``) and compared
+cell by cell with ``first_mismatch``, where ``verify_reduction``
+accumulates one integer residual.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from hyperred.errors import SingularStep
-from hyperred.hyper import Hyper
+from hyperred.errors import SingularStep, VerificationFailure
+from hyperred.hyper import Hyper, HyperFn
 from hyperred.poly import Poly
 from hyperred.ratfunc import RatFunc
 from hyperred.reduction import (OpMatrix, ReductionResult, _check_path, _is_unit_param,
-                                _param_poly, _ring_vars, canonical_path, shift_vector)
+                                _param_poly, _ring_vars, canonical_path, shift_vector,
+                                verify_depth)
+from hyperred.series import series_of_hyper, theta_action
 
 
 def _param_rf(vars, x) -> RatFunc:
@@ -150,3 +158,22 @@ def reference_reduce(target: Hyper, basis: Hyper, path=None) -> ReductionResult:
     row = acc.row(0)
     coeffs, tail = (row[:-1], row[-1]) if affine else (row, RatFunc.const(vars, 0))
     return clear_and_normalize(target, basis, coeffs, tail, affine)
+
+
+def reference_verify(result: ReductionResult, N: int = 30, K: int = 2):
+    """verify_reduction by BiSeries products, theta_action and first_mismatch."""
+    if not isinstance(result.target, HyperFn):
+        raise ValueError("bind symbolic parameters before verification")
+    N = verify_depth(result, N)
+    st = series_of_hyper(result.target, N, K)
+    sb = series_of_hyper(result.basis, N, K)
+    s_series, v = result.s_poly.to_biseries(N, K)
+    if v:
+        raise VerificationFailure("cleared S acquired a z pole")
+    lhs = s_series * st
+    rhs = theta_action(result.r_polys, sb)
+    if not result.algebraic_tail.is_zero():
+        ts, tv = result.algebraic_tail.to_biseries(N, K)
+        rhs = rhs + ts.div_z(tv)
+    mism = lhs.first_mismatch(rhs)
+    return (mism is None), mism

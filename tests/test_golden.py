@@ -80,6 +80,7 @@ JOBS = {
                          "--basis", "2F1[0, 1/3-eps; 3/2; z]"],
     "exit-bad-stored": ["verify", str(GOLDEN / "stored-bad.jsonl")],
     "exit-budget-verify": ["verify", str(GOLDEN / "stored-deep.jsonl")],
+    "exit-budget-verify-expand": ["verify", str(GOLDEN / "stored-deep-expand.jsonl")],
 }
 
 CASES = [(f"{name}.{fmt}", argv + ["--format", fmt])
@@ -108,6 +109,24 @@ def test_deep_stored_reduction_is_refused_before_any_series():
     start = time.perf_counter()
     _, _, code = run_case(JOBS["exit-budget-verify"])
     assert code == 3 and time.perf_counter() - start < 1.0
+
+
+def test_deep_stored_expansion_is_refused_before_any_series():
+    """stored-deep-expand.jsonl is stored.jsonl's expand record padded to 400 zero layers."""
+    start = time.perf_counter()
+    _, _, code = run_case(JOBS["exit-budget-verify-expand"])
+    assert code == 3 and time.perf_counter() - start < 1.0
+
+
+def test_stored_expansion_at_the_order_cap_is_still_checked(tmp_path):
+    """Padded to 9 layers (eps order 8, the cap) the record is checked, and fails it."""
+    rec = json.loads((GOLDEN / "stored.jsonl").read_text().splitlines()[1])
+    assert rec["command"] == "expand"
+    rec["layers"] += [{"const": "0", "terms": [], "var": "z"}] * (9 - len(rec["layers"]))
+    path = tmp_path / "order8.jsonl"
+    path.write_text(json.dumps(rec) + "\n")
+    _, stderr, code = run_case(["verify", str(path)])
+    assert code == 5 and b"stored expansion fails oracle" in stderr
 
 
 def regenerate():

@@ -497,3 +497,40 @@ def test_integer_rep_matches_fraction_leaf_reference(vars):
         for x, y in routes:
             assert (x.rep, x.den, hash(x)) == (y.rep, y.den, hash(y))
     check()
+
+
+@pytest.mark.parametrize("vars", [("z",), ("n", "z"), ("eps", "z"), ("n", "eps", "z")])
+def test_subst_matches_poly_object_horner(vars):
+    """Poly.subst and RatFunc.subst_params against Horner's rule over Poly objects."""
+    W = ("eps", "z")
+
+    @settings(max_examples=30, deadline=None)
+    @given(int_polys(vars), int_polys(vars).filter(lambda q: not q.is_zero()),
+           st.lists(int_polys(W, max_deg=2, max_size=3), min_size=len(vars),
+                    max_size=len(vars)),
+           st.lists(int_polys(("eps",), max_deg=2, max_size=3), min_size=len(vars),
+                    max_size=len(vars)))
+    def check(a, b, images, free):
+        got, want = a.subst(W, dict(zip(vars, images))), ref.poly_object_subst(
+            a, W, dict(zip(vars, images)))
+        _assert_canonical(got)
+        assert (got.rep, got.den) == (want.rep, want.den)
+        # parameters map to polynomials free of z; z maps to itself
+        params = {v: Poly(W, (e.rep,) if e.rep else (), e.den)
+                  for v, e in zip(vars[:-1], free)}
+        f = RatFunc(a, b)
+        full = dict(params, z=Poly.variable(W, "z"))
+        num, den = ref.poly_object_subst(f.num, W, full), ref.poly_object_subst(f.den, W, full)
+        if den.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                f.subst_params(W, params)
+            return
+        g = f.subst_params(W, params)
+        _assert_canonical(g.num)
+        assert g == RatFunc(num, den) and g.den.lead_fraction() == 1
+        if f.is_polynomial():
+            assert (g.num.rep, g.num.den, g.den) == (num.rep, num.den, Poly.const(W, 1))
+        if len(vars) > 1 and images[0].degree() > 0:
+            with pytest.raises(ValueError):
+                f.subst_params(W, {vars[0]: images[0]})
+    check()

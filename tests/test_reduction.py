@@ -6,17 +6,17 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperred.errors import NotIntegerShift, SingularStep
+from hyperred.errors import HyperredError, NotIntegerShift, SingularStep
 from hyperred.hyper import HyperFn, SymHyperFn
 from hyperred.poly import Poly
 from hyperred.ratfunc import RatFunc
 from hyperred.reduction import (OpMatrix, ReductionResult, canonical_path,
                                 count_nontrivial_basis, detect_exceptional,
                                 ode_operator, reduce_to_basis, shift_vector,
-                                step_matrix, verify_reduction)
+                                step_matrix, verify_depth, verify_reduction)
 from hyperred.scalars import EpsLin, LinearForm
 from hyperred.series import BiSeries, series_of_hyper
-from reduction_reference import clear_and_normalize, reference_reduce
+from reduction_reference import clear_and_normalize, reference_reduce, reference_verify
 
 V = ("eps", "z")
 
@@ -545,6 +545,83 @@ def test_greedy_smallest_difference():
                 [EpsLin(F(3, 2), 1)])
     rep = detect_exceptional(g)
     assert rep.pairs == ((0, 0, 1),)
+
+
+# (target, basis) text pairs: 2F1 and 3F2, generic and affine (a shared unit upper)
+_VERIFY_CASES = (
+    ("2F1[7/5+eps, 1/3-eps; 1/2+2*eps; z]", "2F1[2/5+eps, 1/3-eps; 3/2+2*eps; z]"),
+    ("2F1[7/5+eps, -2/3-eps; 5/2+2*eps; -1*z]", "2F1[2/5+eps, 1/3-eps; 3/2+2*eps; -1*z]"),
+    ("2F1[1, 4/3-eps; 1/2+2*eps; z]", "2F1[1, 1/3-eps; 3/2+2*eps; z]"),
+    ("3F2[3/2+eps, 2/3+2*eps, 1/5-eps; 7/4+eps, 1/3-2*eps; z]",
+     "3F2[1/2+eps, -1/3+2*eps, 1/5-eps; 3/4+eps, 4/3-2*eps; z]"),
+    ("3F2[1, 3/2+eps, 1/3-eps; 5/2+2*eps, 4/3+eps; z]",
+     "3F2[1, 1/2+eps, 1/3-eps; 3/2+2*eps, 4/3+eps; z]"),
+)
+_VERIFY_RESULTS = []
+
+
+def _verify_result(i):
+    from hyperred.grammar import parse_hyper
+    while len(_VERIFY_RESULTS) <= i:
+        t, b = _VERIFY_CASES[len(_VERIFY_RESULTS)]
+        _VERIFY_RESULTS.append(reduce_to_basis(parse_hyper(t), parse_hyper(b)))
+    return _VERIFY_RESULTS[i]
+
+
+def _outcome_of_check(check, r, N, K):
+    try:
+        return check(r, N, K)
+    except (HyperredError, ValueError) as e:
+        return type(e), str(e)
+
+
+_SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+
+
+@st.composite
+def _perturbed_checks(draw):
+    """(result, N, K): a numeric reduction result, exact or with entries changed.
+
+    An entry is S, an R_j or the tail.  It gains one cell x z^j eps^k, or
+    is divided by a denominator with a power of z, or by one without (a
+    series product in z_cells), or gets x z^j eps^k / z^m added (a pole
+    that theta^j may cancel).  "deep" adds eps^(K+1) / z^(p+2) to the tail,
+    which is zero to eps^K but moves the last checked row down, and a cell
+    to R_0 at exactly that row.
+    """
+    r = _verify_result(draw(st.integers(0, len(_VERIFY_CASES) - 1)))
+    N, K = draw(st.integers(4, 12)), draw(st.integers(0, 4))
+    entries = [r.s_poly, *r.r_polys, r.algebraic_tail]
+    how = draw(st.sampled_from(("exact", "cell", "divide", "pole", "deep")))
+    zp = lambda m: Poly.variable(V, "z") ** m
+    j, k, x = draw(st.integers(0, 8)), draw(st.integers(0, 5)), draw(_SMALL)
+    i = draw(st.integers(0, len(entries) - 1))
+    if how == "cell":
+        entries[i] = entries[i] + RatFunc(Poly.from_terms(V, {(k, j): x}))
+    elif how == "divide":
+        den = draw(st.sampled_from((zp(1), zp(2), zp(1) * (Poly.const(V, 1) - zp(1) * 2),
+                                    Poly.const(V, 1) + zp(1) * 3,
+                                    Poly.variable(V, "eps") + zp(1),
+                                    zp(1) * (Poly.variable(V, "eps") + 1))))
+        entries[i] = entries[i] / RatFunc(den)
+    elif how == "pole":
+        entries[i] = entries[i] + RatFunc(Poly.from_terms(V, {(k, j): x}), zp(draw(st.integers(1, 3))))
+    elif how == "deep":
+        v = r.target.p + 2
+        entries[-1] = entries[-1] + RatFunc(Poly.from_terms(V, {(K + 1, 0): 1}), zp(v))
+        top = verify_depth(ReductionResult(r.target, r.basis, entries[0], tuple(entries[1:-1]),
+                                           entries[-1], r.affine), N) - v
+        entries[1] = entries[1] + RatFunc(Poly.from_terms(V, {(min(k, K), top): x}))
+    return (ReductionResult(r.target, r.basis, entries[0], tuple(entries[1:-1]), entries[-1],
+                            r.affine), N, K)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_perturbed_checks())
+def test_one_residual_check_matches_the_series_products(case):
+    """verify_reduction against the BiSeries reference: same verdict, cell or exception."""
+    assert (_outcome_of_check(verify_reduction, *case)
+            == _outcome_of_check(reference_verify, *case))
 
 
 def _valid_series_params(fn):

@@ -150,6 +150,48 @@ def _epslins():
     return st.builds(EpsLin, RATS, RATS)
 
 
+def _sequential_subst(x, values, cls=None):
+    """Linear.subst as it was: one canonicalizing sum per substituted symbol."""
+    out = (cls or type(x))._of(tuple(t for t in x.terms if t[0] not in values), x.const)
+    for s, c in x.terms:
+        if s in values:
+            out = out + out.coerce(values[s]).scale(c)
+    return out
+
+
+def _outcome(fn):
+    try:
+        x = fn()
+    except (TypeError, ValueError) as e:
+        return type(e), str(e)
+    return type(x), x.terms, x.const
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((Linear, LinearForm, EpsLin)), _coeffs(SYMBOLS), RATS,
+       st.dictionaries(st.sampled_from(SYMBOLS + ("m",)),
+                       st.one_of(RATS, st.integers(-3, 3), st.tuples(_coeffs(SYMBOLS), RATS),
+                                 st.tuples(st.just("epslin"), RATS)), max_size=4),
+       st.booleans())
+def test_subst_merges_once_as_sequential_sums_do(cls, coeffs, const, raw, to_eps):
+    """Linear.subst against the sum per symbol: number and form values mixed.
+
+    A form value is of the form's own class, or an EpsLin, which only a
+    substitution into EpsLin accepts; the others raise the same TypeError.
+    """
+    x = cls.from_terms(coeffs.items(), const)
+    values = {}
+    for s, v in raw.items():
+        if isinstance(v, tuple) and v[0] == "epslin":
+            v = EpsLin(v[1], 1)
+        elif isinstance(v, tuple):
+            v = (EpsLin if to_eps else cls).from_terms(v[0].items(), v[1])
+        values[s] = v
+    target = EpsLin if to_eps else None
+    assert _outcome(lambda: x.subst(values, target)) == \
+        _outcome(lambda: _sequential_subst(x, values, target))
+
+
 @st.composite
 def _hyper_fns(draw):
     p = draw(st.integers(0, 3))
