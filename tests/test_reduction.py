@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperred.errors import HyperredError, NotIntegerShift, SingularStep
+from hyperred.grammar import parse_hyper
 from hyperred.hyper import HyperFn, SymHyperFn
 from hyperred.poly import Poly
 from hyperred.ratfunc import RatFunc
@@ -557,15 +559,12 @@ _VERIFY_CASES = (
     ("3F2[1, 3/2+eps, 1/3-eps; 5/2+2*eps, 4/3+eps; z]",
      "3F2[1, 1/2+eps, 1/3-eps; 3/2+2*eps, 4/3+eps; z]"),
 )
-_VERIFY_RESULTS = []
 
 
+@lru_cache(maxsize=None)
 def _verify_result(i):
-    from hyperred.grammar import parse_hyper
-    while len(_VERIFY_RESULTS) <= i:
-        t, b = _VERIFY_CASES[len(_VERIFY_RESULTS)]
-        _VERIFY_RESULTS.append(reduce_to_basis(parse_hyper(t), parse_hyper(b)))
-    return _VERIFY_RESULTS[i]
+    t, b = _VERIFY_CASES[i]
+    return reduce_to_basis(parse_hyper(t), parse_hyper(b))
 
 
 def _outcome_of_check(check, r, N, K):
@@ -592,6 +591,8 @@ def _perturbed_checks(draw):
     r = _verify_result(draw(st.integers(0, len(_VERIFY_CASES) - 1)))
     N, K = draw(st.integers(4, 12)), draw(st.integers(0, 4))
     entries = [r.s_poly, *r.r_polys, r.algebraic_tail]
+    result = lambda: ReductionResult(r.target, r.basis, entries[0], tuple(entries[1:-1]),
+                                     entries[-1], r.affine)
     how = draw(st.sampled_from(("exact", "cell", "divide", "pole", "deep")))
     zp = lambda m: Poly.variable(V, "z") ** m
     j, k, x = draw(st.integers(0, 8)), draw(st.integers(0, 5)), draw(_SMALL)
@@ -605,15 +606,14 @@ def _perturbed_checks(draw):
                                     zp(1) * (Poly.variable(V, "eps") + 1))))
         entries[i] = entries[i] / RatFunc(den)
     elif how == "pole":
-        entries[i] = entries[i] + RatFunc(Poly.from_terms(V, {(k, j): x}), zp(draw(st.integers(1, 3))))
+        m = draw(st.integers(1, 3))
+        entries[i] = entries[i] + RatFunc(Poly.from_terms(V, {(k, j): x}), zp(m))
     elif how == "deep":
         v = r.target.p + 2
         entries[-1] = entries[-1] + RatFunc(Poly.from_terms(V, {(K + 1, 0): 1}), zp(v))
-        top = verify_depth(ReductionResult(r.target, r.basis, entries[0], tuple(entries[1:-1]),
-                                           entries[-1], r.affine), N) - v
+        top = verify_depth(result(), N) - v
         entries[1] = entries[1] + RatFunc(Poly.from_terms(V, {(min(k, K), top): x}))
-    return (ReductionResult(r.target, r.basis, entries[0], tuple(entries[1:-1]), entries[-1],
-                            r.affine), N, K)
+    return result(), N, K
 
 
 @settings(max_examples=150, deadline=None)
