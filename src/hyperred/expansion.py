@@ -27,7 +27,7 @@ from .hyper import HyperFn
 from .poly import Poly, theta_poly
 from .ratfunc import RatFunc
 from .scalars import EpsLin, rat
-from .series import BiSeries, compose_z_series, series_of_hyper
+from .series import BiSeries, compose_z_series, lowest_cell, series_of_hyper, truncated_sum
 
 F = Fraction
 _EPS = ("eps",)
@@ -487,20 +487,26 @@ def xi_dressing_series(M: int) -> List[Fraction]:
 def verify_expansion(f: HyperFn, exp: EpsilonExpansion, N: int = 30):
     """Exact comparison of every layer against the series oracle.
 
-    Returns (True, None) or (False, (j, k)) for the lowest mismatching
-    z-power j (xi-power for the dressed class), then eps order k.
+    Returns (True, None) or (False, (j, k)) for the lowest nonzero cell
+    of the residual oracle minus layers, summed by ``truncated_sum``:
+    z-power j (xi-power for the dressed class) first, then eps order k.
     """
     K = exp.order
     oracle = series_of_hyper(f, N, K)
     if exp.kind == "direct":
-        s0, v0 = exp.omega0.to_biseries(N, 0)
+        cells, den, v0 = exp.omega0.z_cells(N, 0)
         if v0:
             raise UnsupportedClass("omega0 has a pole at the origin")
-        layers = [s0.eps_row(0)] + [exp.layers[k].series(N) for k in range(1, K + 1)]
+        pieces = [(1, ((0, 0, 1),), oracle.den, 0, oracle.nums), (-1, cells, den, 0, None)]
+        layers = range(1, K + 1)
     else:
-        M = 2 * N
-        dress = BiSeries([(c,) + (0,) * K for c in xi_dressing_series(M)])
-        oracle = compose_z_series(oracle, xi_z_series(M), M) * dress
-        layers = [exp.layers[k].series(M) for k in range(K + 1)]
-    mism = oracle.first_mismatch(BiSeries(zip(*layers)))
-    return (mism is None), mism
+        N = 2 * N
+        dress = BiSeries([(c,) for c in xi_dressing_series(N)])
+        oracle = compose_z_series(oracle, xi_z_series(N), N)
+        pieces = [(1, dress.cells(N, 0), dress.den * oracle.den, 0, oracle.nums)]
+        layers = range(K + 1)
+    for k in layers:
+        s = exp.layers[k].biseries(N)
+        pieces.append((-1, [(j, k, x) for j, _, x in s.cells(N, 0)], s.den, 0, None))
+    mism = lowest_cell(truncated_sum(pieces, N, K).nums, K)
+    return mism is None, mism

@@ -182,11 +182,14 @@ class PolyLogExpr:
 
     __rmul__ = __mul__
 
-    def series(self, N: int) -> List[Fraction]:
+    def biseries(self, N: int) -> BiSeries:
+        """The z-series to z^N as integers over one denominator, eps order 0."""
         # the constant is the coefficient of the empty word, whose series is 1
-        terms = [(self.const, _word_biseries((), N))]
-        terms += [(c, _word_biseries(w, N)) for w, c in self.terms.items()]
-        return combine(terms, N, 0).eps_row(0)
+        return combine(((c, _word_biseries(w, N))
+                        for w, c in [((), self.const), *self.terms.items()]), N, 0)
+
+    def series(self, N: int) -> List[Fraction]:
+        return self.biseries(N).eps_row(0)
 
     def __eq__(self, other):
         if not isinstance(other, PolyLogExpr):

@@ -163,12 +163,12 @@ class RatFunc:
         if den.get(0, 0) == 0:
             raise PoleAtEpsZero(
                 f"denominator {self.den} vanishes at eps=0 after removing z^{vd}")
-        s = _z_rows(self.num, vn, N, K) * den.invert()
-        v = vd - vn
-        if v < 0:
-            s = s.mul_z_power(-v)
-            v = 0
-        return s, v
+        # rows from z^min(vn, vd), so a zero of order vn - vd > 0 stays in them
+        return _z_rows(self.num, min(vn, vd), N, K) * den.invert(), max(vd - vn, 0)
+
+    def pole_order(self) -> int:
+        """The order of the pole at z = 0; 0 where there is none."""
+        return 0 if self.is_polynomial() else max(_valuation(self.den) - _valuation(self.num), 0)
 
     def z_cells(self, N: int, K: int):
         """(cells, den, v): the function is z^(-v) sum x z^j eps^k / den to z^N eps^K.
@@ -179,8 +179,7 @@ class RatFunc:
         """
         if not self.is_polynomial():
             s, v = self.to_biseries(N, K)
-            W = K + 1
-            return [(i // W, i % W, x) for i, x in enumerate(s.nums) if x], s.den, v
+            return s.cells(N, K), s.den, v
         p = self.num
         _check_eps_only(p)
         if p.d == 1:

@@ -29,10 +29,12 @@ family reduce from one basis along shared path prefixes, so the steps are
 memoized process-wide, keyed on the ordered parameters.
 
 verify_reduction checks a result on the series oracle as one residual
-S F(target) - sum R_j theta^j F(basis) - tail: a flat list of integers,
-one per (z^j, eps^k) cell, over one common denominator.  Each nonzero cell
-of S or an R_j adds a multiple of a column slice of the target's series or
-of theta^j of the basis's, so no series product, sum or compare is built.
+S F(target) - sum R_j theta^j F(basis) - tail, summed by the series
+kernel ``truncated_sum``: the nonzero cells of S times the target's
+integer series, the pieces of sum R_j theta^j F(basis) that
+``theta_action`` sums too, and the tail's cells, over one denominator.
+Its lowest nonzero (z^j, eps^k) cell is the verdict, so no series
+product, sum or compare is built.
 """
 
 from __future__ import annotations
@@ -40,16 +42,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from types import MappingProxyType
 from typing import List, Optional, Tuple
 
-from .errors import NotIntegerShift, SingularStep, UncancelledPole, VerificationFailure
+from .errors import NotIntegerShift, SingularStep, VerificationFailure
 from .hyper import Hyper, HyperFn
 from .poly import Factors, Poly, _cancel, _factor_product, theta_poly
 from .ratfunc import RatFunc
 from .scalars import EpsLin
-from .series import series_of_hyper
+from .series import lowest_cell, series_of_hyper, theta_pieces, truncated_sum
 from .theta import ThetaOp
 
 # ---------------------------------------------------------------------------
@@ -476,91 +477,38 @@ def _check_path(path, ups, los):
 
 
 def verify_depth(result: ReductionResult, N: int) -> int:
-    """The z-depth verify_reduction checks: at least N and d + p + 2.
+    """The z-depth verify_reduction checks: at least N and d + p + 2 + v.
 
     d is the highest z-degree of the numerators of S, the R_j and the
-    tail, and p the number of lower parameters, so no term of the result
-    lies beyond the checked orders.
+    tail, p the number of lower parameters and v the largest z-pole order
+    among the R_j and the tail.  A piece over z^v moves the last checked
+    row down by v, so no term of the result lies beyond the checked orders.
     """
     parts = (result.s_poly,) + tuple(result.r_polys) + (result.algebraic_tail,)
-    return max(N, max(r.num.degree() for r in parts) + len(result.target.lower) + 2)
+    return max(N, max(r.num.degree() for r in parts) + len(result.target.lower) + 2
+               + max(r.pole_order() for r in parts[1:]))
 
 
 def verify_reduction(result: ReductionResult, N: int = 30, K: int = 2):
     """Check S F(target) = sum R_j theta^j F(basis) + tail on the oracle.
 
     Returns (True, None) or (False, (j, k)) at the lowest nonzero cell of
-    the residual S F(target) - sum R_j theta^j F(basis) - tail, at z-depth
-    verify_depth(result, N).  The residual is one flat list of integers,
-    one per (z^j, eps^k) cell, over the lcm of the pieces' denominators.
-    Parameters must be numeric (bind symbolic n first).
+    the residual S F(target) - sum R_j theta^j F(basis) - tail, summed by
+    ``truncated_sum`` at z-depth verify_depth(result, N).  Parameters must
+    be numeric (bind symbolic n first).
     """
     if not isinstance(result.target, HyperFn):
         raise ValueError("bind symbolic parameters before verification")
     N = verify_depth(result, N)
-    W = K + 1
-    st = series_of_hyper(result.target, N, K)
-    sb = series_of_hyper(result.basis, N, K)
-    cells, den, v = result.s_poly.z_cells(N, K)
-    if v:
+    pieces = theta_pieces([result.s_poly], series_of_hyper(result.target, N, K))
+    if pieces and pieces[0][3]:
         raise VerificationFailure("cleared S acquired a z pole")
-    # (sign, cells, denominator, pole order, integer series the cells multiply)
-    pieces = [(1, cells, den * st.den, 0, st.nums)]
-    theta_pow = sb.nums
-    for j, r in enumerate(result.r_polys):
-        if j:
-            theta_pow = [x * (i // W) for i, x in enumerate(theta_pow)]
-        if r.is_zero():
-            continue
-        cells, den, v = r.z_cells(N, K)
-        if v:
-            grid = [0] * ((N + 1) * W)
-            _add_products(grid, cells, 1, theta_pow, N, W)
-            cells = _pole_free([(i // W, i % W, x) for i, x in enumerate(grid) if x], v)
-        pieces.append((-1, cells, den * sb.den, v, None if v else theta_pow))
+    pieces += theta_pieces(result.r_polys, series_of_hyper(result.basis, N, K), -1)
     if not result.algebraic_tail.is_zero():
         cells, den, v = result.algebraic_tail.z_cells(N, K)
-        pieces.append((-1, _pole_free(cells, v), den, v, None))
-    L = lcm(*(d for _, _, d, _, _ in pieces))
-    res = [0] * ((N + 1) * W)
-    for sign, cells, den, v, rows in pieces:
-        scale = sign * (L // den)
-        if rows is not None:
-            _add_products(res, cells, scale, rows, N, W)
-        else:
-            for j, k, x in cells:
-                res[(j - v) * W + k] += scale * x
-    top = N - max(v for _, _, _, v, _ in pieces)
-    i = next((i for i, x in enumerate(res[:max(top + 1, 0) * W]) if x), None)
-    return (True, None) if i is None else (False, divmod(i, W))
-
-
-def _add_products(res, cells, scale, rows, N: int, W: int):
-    """res += scale * sum x z^j eps^k rows over the (j, k, x) cells, to z^N eps^(W-1).
-
-    rows and res are row-major integer series of width W.  A cell at
-    (j, k) adds a multiple of rows' first N + 1 - j rows, with the
-    columns past W - 1 - k masked so nothing spills into the next row.
-    """
-    cols = {0: rows}
-    for j, k, x in cells:
-        col = cols.get(k)
-        if col is None:
-            col = cols[k] = [y if i % W + k < W else 0 for i, y in enumerate(rows)]
-        m, off, n = scale * x, j * W + k, (N + 1 - j) * W - k
-        res[off:off + n] = [a + m * b for a, b in zip(res[off:off + n], col)]
-
-
-def _pole_free(cells, v: int):
-    """The (j, k, x) cells of a piece over z^v, as they are.
-
-    As BiSeries.div_z does, raises UncancelledPole when a row below z^v is
-    nonzero.
-    """
-    low = [j for j, _, _ in cells if j < v]
-    if low:
-        raise UncancelledPole(f"1/z^{v} applied to series with nonzero z^{low[0]} coefficient")
-    return cells
+        pieces.append((-1, cells, den, v, None))
+    mism = lowest_cell(truncated_sum(pieces, N, K).nums, K)
+    return mism is None, mism
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@
 ``BiSeries`` is a series in z to z^N whose coefficients are polynomials in
 eps to eps^K, held as one positive integer denominator over row-major
 integer numerators; a series in z alone (K = 0) is a word series
-``(D, nums)`` of ``gpl`` as it stands.  Products are one integer 2-D
-convolution over the denominator product, sums (``combine``) go over the
-lcm, comparisons cross-multiply and ``invert`` is fraction-free; results
-are reduced by one gcd.  The coefficients of the hypergeometric and the
+``(D, nums)`` of ``gpl`` as it stands.  One integer accumulator,
+``truncated_sum``, does every truncated product of such series: products,
+``combine``, ``theta_action`` and both verifiers' residuals, whose lowest
+nonzero cell is the verdict.  ``invert`` is fraction-free; results are
+reduced by one gcd.  The coefficients of the hypergeometric and the
 nested-sum series are integer rows by construction (Moch, Uwer &
 Weinzierl, hep-ph/0110083).  A Fraction is built only where a coefficient
 is read out or rational input is converted in.  Mixing truncation orders
@@ -65,10 +66,6 @@ class BiSeries:
         s._set(tuple(nums), den, N, K)
         return s
 
-    @classmethod
-    def zeros(cls, N: int, K: int):
-        return cls.from_ints((0,) * ((N + 1) * (K + 1)), 1, N, K)
-
     @property
     def rows(self) -> Tuple[Tuple[Fraction, ...], ...]:
         W = self.eps_order + 1
@@ -89,15 +86,11 @@ class BiSeries:
             return self.nums[:(N + 1) * W]
         return [x for j in range(0, (N + 1) * W, W) for x in self.nums[j:j + K + 1]]
 
-    def _terms(self, N: int, K: int):
-        """(j, [(k, numerator), ...]) for each nonzero z-row j <= N, eps^k <= K."""
+    def cells(self, N: int, K: int):
+        """The nonzero (j, k, numerator) of z^0..z^N, eps^0..eps^K, z-power first."""
         W = self.eps_order + 1
-        out = []
-        for j in range(N + 1):
-            t = [(k, x) for k, x in enumerate(self.nums[j * W:j * W + K + 1]) if x]
-            if t:
-                out.append((j, t))
-        return out
+        return [(j, k, x) for j in range(min(N, self.z_order) + 1)
+                for k, x in enumerate(self.nums[j * W:j * W + K + 1]) if x]
 
     def crop(self, N: int, K: int) -> "BiSeries":
         N = min(N, self.z_order)
@@ -122,20 +115,12 @@ class BiSeries:
         if isinstance(other, (int, Fraction)):
             return combine(((other, self),), self.z_order, self.eps_order)
         N, K = self._common(other)
+        a, b = self._cells(N, K), other._cells(N, K)
+        if a.count(0) < b.count(0):
+            a, b = b, a
         W = K + 1
-        out = [0] * ((N + 1) * W)
-        right = other._terms(N, K)
-        for j1, t1 in self._terms(N, K):
-            for j2, t2 in right:
-                if j1 + j2 > N:
-                    break
-                base = (j1 + j2) * W
-                for k1, n1 in t1:
-                    for k2, n2 in t2:
-                        if k1 + k2 > K:
-                            break
-                        out[base + k1 + k2] += n1 * n2
-        return _reduced(out, self.den * other.den, N, K)
+        cells = [(i // W, i % W, x) for i, x in enumerate(a) if x]
+        return truncated_sum([(1, cells, self.den * other.den, 0, b)], N, K)
 
     __rmul__ = __mul__
 
@@ -150,19 +135,8 @@ class BiSeries:
         if v == 0:
             return self
         W = self.eps_order + 1
-        for j in range(min(v, self.z_order + 1)):
-            if any(self.nums[j * W:(j + 1) * W]):
-                raise UncancelledPole(
-                    f"1/z^{v} applied to series with nonzero z^{j} coefficient")
+        _check_pole(next((i // W for i, x in enumerate(self.nums[:v * W]) if x), v), v)
         return BiSeries.from_ints(self.nums[v * W:], self.den, self.z_order - v, self.eps_order)
-
-    def mul_z_power(self, v: int) -> "BiSeries":
-        """Multiply by z^v (v >= 0); keeps the declared z order."""
-        if v == 0:
-            return self
-        N, W = self.z_order, self.eps_order + 1
-        nums = ((0,) * (v * W) + self.nums)[:(N + 1) * W]
-        return BiSeries.from_ints(nums, self.den, N, self.eps_order)
 
     def invert(self) -> "BiSeries":
         """1/series; the z^0 eps^0 coefficient must not vanish.
@@ -177,7 +151,7 @@ class BiSeries:
         if a == 0:
             raise PoleAtEpsZero("inverting a series whose z^0 eps^0 coefficient vanishes")
         pw = [a ** e for e in range(N + K + 2)]
-        cells = [(i, l, x * pw[i + l - 1]) for i, t in self._terms(N, K) for l, x in t if i or l]
+        cells = [(i, l, x * pw[i + l - 1]) for i, l, x in self.cells(N, K) if i or l]
         b = [0] * ((N + 1) * W)
         b[0] = 1
         for j in range(N + 1):
@@ -208,10 +182,8 @@ class BiSeries:
         """Lowest (j, k), z-power first, where the two series differ, or None."""
         N, K = self._common(other)
         d1, d2 = self.den, other.den
-        for i, (x, y) in enumerate(zip(self._cells(N, K), other._cells(N, K))):
-            if x * d2 != y * d1:
-                return divmod(i, K + 1)
-        return None
+        return lowest_cell([x * d2 - y * d1 for x, y in
+                            zip(self._cells(N, K), other._cells(N, K))], K)
 
     def __str__(self):
         return f"BiSeries(N={self.z_order}, K={self.eps_order})"
@@ -230,8 +202,8 @@ def _reduced(nums: Sequence[int], den: int, N: int, K: int) -> BiSeries:
 def combine(terms: Iterable[Tuple[Fraction, BiSeries]], N: int, K: int) -> BiSeries:
     """sum q s over (q, s) pairs of a rational and a series, to orders (N, K).
 
-    Integer rows are accumulated per denominator, then brought to their
-    lcm once.
+    Integer rows are accumulated per denominator, so most products are by
+    small numerators, and the per-denominator sums go to truncated_sum.
     """
     rows = {}
     for q, s in terms:
@@ -241,33 +213,77 @@ def combine(terms: Iterable[Tuple[Fraction, BiSeries]], N: int, K: int) -> BiSer
         acc = rows.get(d)
         rows[d] = ([n * x for x in cells] if acc is None
                    else [r + n * x for r, x in zip(acc, cells)])
-    L = lcm(*rows)
-    out = [0] * ((N + 1) * (K + 1))
-    for d, acc in rows.items():
-        m = L // d
-        out = [x + m * y for x, y in zip(out, acc)]
-    return _reduced(out, L, N, K)
+    return truncated_sum([(1, ((0, 0, 1),), d, 0, acc) for d, acc in rows.items()], N, K)
+
+
+def truncated_sum(pieces, N: int, K: int) -> BiSeries:
+    """The sum of the pieces to z^top eps^K, as integer numerators over one denominator.
+
+    A piece (scale, cells, den, v, rows) is scale z^(-v) C / den, C the sum
+    of its nonzero cells x z^j eps^k, z-power first, times the integer
+    series rows (row-major, width K + 1, to z^N) unless rows is None.  A
+    cell at (j, k) adds a multiple of rows' first N + 1 - j rows with the
+    columns past eps^(K-k) masked.  The pieces go over the lcm of their
+    denominators; one over z^v must vanish below z^v (UncancelledPole), so
+    the sum holds to top = N minus the largest v.
+    """
+    W = K + 1
+    L = lcm(*(p[2] for p in pieces))
+    out = [0] * ((N + 1) * W)
+    for scale, cells, den, v, rows in pieces:
+        m = scale * (L // den)
+        if rows is not None:
+            # a pole piece's product is checked below z^v before it is shifted in
+            acc, f = ([0] * len(out), 1) if v else (out, m)
+            cols = {0: rows}
+            for j, k, x in cells:
+                col = cols.get(k)
+                if col is None:
+                    col = cols[k] = [y if i % W + k < W else 0 for i, y in enumerate(rows)]
+                x, off = f * x, j * W + k
+                acc[off:] = [a + x * y for a, y in zip(acc[off:], col)]
+            if not v:
+                continue
+            cells = [(i // W, i % W, x) for i, x in enumerate(acc) if x]
+        _check_pole(min((j for j, _, _ in cells), default=v), v)
+        for j, k, x in cells:
+            out[(j - v) * W + k] += m * x
+    top = N - max((p[3] for p in pieces), default=0)
+    return _reduced(out[:max(top + 1, 0) * W], L, top, K)
+
+
+def _check_pole(j: int, v: int):
+    """UncancelledPole unless z^j, the lowest nonzero row of a series over z^v, is z^v or above."""
+    if j < v:
+        raise UncancelledPole(f"1/z^{v} applied to series with nonzero z^{j} coefficient")
+
+
+def lowest_cell(nums: Sequence[int], K: int):
+    """(j, k) of the first nonzero of row-major nums of width K + 1, or None."""
+    i = next((i for i, x in enumerate(nums) if x), None)
+    return None if i is None else divmod(i, K + 1)
+
+
+def theta_pieces(coeffs: Sequence, s: BiSeries, scale: int = 1):
+    """The truncated_sum pieces of scale sum_j r_j theta^j s: the z_cells of
+    each nonzero r_j (a ``RatFunc``) over its pole order, times theta^j s."""
+    pieces = []
+    for j, r in enumerate(coeffs):
+        if j:
+            s = s.theta()
+        if not r.is_zero():
+            cells, den, v = r.z_cells(s.z_order, s.eps_order)
+            pieces.append((scale, cells, den * s.den, v, s.nums))
+    return pieces
 
 
 def theta_action(coeffs: Sequence, s: BiSeries) -> BiSeries:
     """sum_j r_j theta^j s for rational functions r_j of z (``RatFunc``).
 
-    Each piece r_j theta^j s is divided by z^v, v the pole order of r_j at
-    0, so the sum is valid to z-order N - max v; zero coefficients are
-    skipped and an empty sum is the zero series of s's orders.
+    The sum is valid to z-order N - max v, v the pole orders at 0 of the
+    nonzero r_j; an empty sum is the zero series of s's orders.
     """
-    N, K = s.z_order, s.eps_order
-    out = None
-    theta_pow = s
-    for j, r in enumerate(coeffs):
-        if j > 0:
-            theta_pow = theta_pow.theta()
-        if r.is_zero():
-            continue
-        rs, v = r.to_biseries(N, K)
-        piece = (rs * theta_pow).div_z(v)
-        out = piece if out is None else out + piece
-    return BiSeries.zeros(N, K) if out is None else out
+    return truncated_sum(theta_pieces(coeffs, s), s.z_order, s.eps_order)
 
 
 # ---------------------------------------------------------------------------

@@ -109,8 +109,9 @@ def rows_theta(a):
 
 
 def rows_div_z(a, v):
-    if any(x for r in a[:v] for x in r):
-        raise UncancelledPole(f"1/z^{v} applied to a series with a nonzero low row")
+    low = [j for j, r in enumerate(a[:v]) if any(r)]
+    if low:
+        raise UncancelledPole(f"1/z^{v} applied to series with nonzero z^{low[0]} coefficient")
     return a[v:]
 
 

@@ -81,6 +81,7 @@ JOBS = {
     "exit-bad-stored": ["verify", str(GOLDEN / "stored-bad.jsonl")],
     "exit-budget-verify": ["verify", str(GOLDEN / "stored-deep.jsonl")],
     "exit-budget-verify-expand": ["verify", str(GOLDEN / "stored-deep-expand.jsonl")],
+    "exit-pole-depth": ["verify", str(GOLDEN / "stored-pole-depth.jsonl")],
 }
 
 CASES = [(f"{name}.{fmt}", argv + ["--format", fmt])

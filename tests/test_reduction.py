@@ -1,11 +1,15 @@
 """Differential reduction: ODE operators, contiguous steps, counting."""
 
+import json
 import random
 from fractions import Fraction as F
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+from hyperred import cli
 
 from hyperred.errors import HyperredError, NotIntegerShift, SingularStep
 from hyperred.grammar import parse_hyper
@@ -19,6 +23,7 @@ from hyperred.reduction import (OpMatrix, ReductionResult, canonical_path,
 from hyperred.scalars import EpsLin, LinearForm
 from hyperred.series import BiSeries, series_of_hyper
 from reduction_reference import clear_and_normalize, reference_reduce, reference_verify
+from series_reference import rows_add, rows_div_z, rows_mul_z_power
 
 V = ("eps", "z")
 
@@ -223,10 +228,10 @@ def _apply_rows(m, col, N, K):
     for row in m.entries:
         pieces = [(e.to_biseries(N, K), s) for e, s in zip(row, col) if not e.is_zero()]
         v = max(ev for (_, ev), _ in pieces)
-        acc = BiSeries.zeros(N, K)
+        acc = tuple((F(0),) * (K + 1) for _ in range(N + 1))
         for (es, ev), s in pieces:
-            acc = acc + (es * s).mul_z_power(v - ev)
-        out.append(acc.div_z(v))
+            acc = rows_add(acc, rows_mul_z_power((es * s).rows, v - ev))
+        out.append(BiSeries(rows_div_z(acc, v)))
     return out
 
 
@@ -616,10 +621,17 @@ def _perturbed_checks(draw):
     return result(), N, K
 
 
+# golden stored-pole-depth.jsonl: R_0 + z^27 and a tail eps^5 / z^4, checked at the
+# (N, K) = (30, 4) that `hyperred verify` uses for it
+_POLE_DEPTH = (cli._decode_record(json.loads(
+    (Path(__file__).parent / "golden" / "stored-pole-depth.jsonl").read_text())), 30, 4)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_perturbed_checks())
+@example(_POLE_DEPTH)
 def test_one_residual_check_matches_the_series_products(case):
-    """verify_reduction against the BiSeries reference: same verdict, cell or exception."""
+    """verify_reduction against the Fraction-row reference: same verdict, cell or exception."""
     assert (_outcome_of_check(verify_reduction, *case)
             == _outcome_of_check(reference_verify, *case))
 

@@ -101,7 +101,7 @@ def test_ode_lhs_equals_rhs_on_series():
     s = series_of_hyper(f, 15, 3)
     left_op = ThetaOp([eps_rf(a), rf(1)])
     left_op = ThetaOp([eps_rf(b), rf(1)]).compose(left_op)
-    lhs = left_op.apply(s).mul_z_power(1)
+    lhs = left_op.left_mul(RatFunc(Poly.variable(V, "z"))).apply(s)
     right_op = ThetaOp.theta(V).compose(ThetaOp([eps_rf(c - 1), rf(1)]))
     rhs = right_op.apply(s)
     assert lhs == rhs
