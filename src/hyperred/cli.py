@@ -43,6 +43,7 @@ EXIT_VERIFY = 5
 
 MAX_N = 200
 MAX_K = 8
+REDUCE_CHECK_K = 4      # a reduction is checked to eps^min(K, REDUCE_CHECK_K)
 
 
 def exit_code_for(exc: BaseException) -> int:
@@ -147,13 +148,14 @@ def _emit(records: List[dict], spec: JobSpec, text_lines: List[str]):
     print(body)
 
 
-def run_reduce(spec: JobSpec, target_text: str, basis_text: str) -> int:
-    target = parse_hyper(_load_expr(target_text))
-    basis = parse_hyper(_load_expr(basis_text))
+def run_reduce(spec: JobSpec, args) -> int:
+    target = parse_hyper(_load_expr(args.target))
+    basis = parse_hyper(_load_expr(args.basis))
     result = reduce_to_basis(target, basis)
+    K = min(spec.K, REDUCE_CHECK_K)
     verified = None
     if not spec.no_verify:
-        ok, mism = verify_reduction(result, spec.N, min(spec.K, 4))
+        ok, mism = verify_reduction(result, spec.N, K)
         if not ok:
             raise VerificationFailure(f"reduction failed oracle at (z^{mism[0]}, eps^{mism[1]})")
         verified = True
@@ -167,7 +169,7 @@ def run_reduce(spec: JobSpec, target_text: str, basis_text: str) -> int:
         "affine": result.affine,
         "verified": bool(verified),
         "N": spec.N,
-        "K": min(spec.K, 4),
+        "K": K,
     }
     lines = [f"target: {target}", f"basis:  {basis}", f"S  = {result.s_poly}"]
     lines += [f"R{j} = {r}" for j, r in enumerate(result.r_polys)]
@@ -179,8 +181,8 @@ def run_reduce(spec: JobSpec, target_text: str, basis_text: str) -> int:
     return EXIT_OK
 
 
-def run_count_basis(spec: JobSpec, text: str) -> int:
-    fn = parse_hyper(_load_expr(text))
+def run_count_basis(spec: JobSpec, args) -> int:
+    fn = parse_hyper(_load_expr(args.fn))
     rep = detect_exceptional(fn)
     L = count_nontrivial_basis(fn)
     rec = {
@@ -208,8 +210,8 @@ def _mb_of(parsed) -> MBRepr:
     raise ParseError("expected an MB[...] spec or @preset", 1, 1)
 
 
-def run_mb(spec: JobSpec, text: str) -> int:
-    mb = _mb_of(parse_input(_load_expr(text)))
+def run_mb(spec: JobSpec, args) -> int:
+    mb = _mb_of(parse_input(_load_expr(args.input)))
     hs = mb_to_hyper(mb)
     recs = []
     lines = [f"input: {mb}", f"terms: {hs.q}"]
@@ -226,8 +228,9 @@ def run_mb(spec: JobSpec, text: str) -> int:
     return EXIT_OK
 
 
-def run_count_masters(spec: JobSpec, text: str, bindings) -> int:
-    mb = _mb_of(parse_input(_load_expr(text)))
+def run_count_masters(spec: JobSpec, args) -> int:
+    bindings = _parse_bindings(args.bind, args.extras)
+    mb = _mb_of(parse_input(_load_expr(args.input)))
     hs = mb_to_hyper(mb)
     L, reports = count_master_integrals(hs, bindings)
     rec = {
@@ -246,9 +249,11 @@ def run_count_masters(spec: JobSpec, text: str, bindings) -> int:
     return EXIT_OK
 
 
-def run_expand(spec: JobSpec, text: str, order: int) -> int:
-    fn = parse_hyper(_load_expr(text))
-    exp = epsilon_expand(fn, order)
+def run_expand(spec: JobSpec, args) -> int:
+    if not (0 <= args.order <= MAX_K):
+        raise UnsupportedClass(f"order must be within 0..{MAX_K}")
+    fn = parse_hyper(_load_expr(args.fn))
+    exp = epsilon_expand(fn, args.order)
     verified = None
     if not spec.no_verify:
         ok, mism = verify_expansion(fn, exp, spec.N)
@@ -287,10 +292,10 @@ def _rat_options(opts, *names):
     return [parse_rat(f"--{name}", getattr(opts, name)) for name in names]
 
 
-def run_check_parametrization(spec: JobSpec, family: str, opts) -> int:
+def run_check_parametrization(spec: JobSpec, opts) -> int:
     if opts.q < 1:
         raise ParseError(f"--q must be >= 1, got {opts.q}", 1, 1)
-    if family == "gauss":
+    if opts.family == "gauss":
         rec = {"command": "check-parametrization", "family": "gauss"}
         lines = []
         if opts.beta is not None:
@@ -303,9 +308,7 @@ def run_check_parametrization(spec: JobSpec, family: str, opts) -> int:
         rec.update(flags)
         lines.append(f"p1*p2=0 case: {flags['p1p2_zero']}; p1=0 case: {flags['p1_zero']}; "
                      f"beta=-r/q=p1/q=p2/q (Lemma IV) case: {flags['lemma_iv']}")
-        _emit([rec], spec, lines)
-        return EXIT_OK
-    if family == "3f2":
+    elif opts.family == "3f2":
         deforms = _rat_options(opts, "a1", "a2", "a3", "b1", "b2")
         for name, x in zip(("a1", "a2", "a3"), deforms):
             if x == 0:
@@ -318,9 +321,7 @@ def run_check_parametrization(spec: JobSpec, family: str, opts) -> int:
                "case": rep.case}
         lines = [f"h(z) = z^({rep.h_exponents[0]}) (z-1)^({rep.h_exponents[1]})",
                  f"rational parametrization exists: {opts.p == -opts.r}"]
-        _emit([rec], spec, lines)
-        return EXIT_OK
-    if family == "f3":
+    else:
         rep = f3_parametrization_check(opts.p1, opts.p2, opts.r1, opts.r2,
                                        opts.p, opts.q)
         rec = {"command": "check-parametrization", "family": "f3",
@@ -332,9 +333,8 @@ def run_check_parametrization(spec: JobSpec, family: str, opts) -> int:
         lines = [f"p_j r_j = 0 admissibility: {rep.passes}",
                  f"s1={rep.s1} s2={rep.s2} form={rep.form}"]
         lines += [f"flag: {f}" for f in rep.flags]
-        _emit([rec], spec, lines)
-        return EXIT_OK
-    raise UnsupportedClass(f"unknown family {family!r}")
+    _emit([rec], spec, lines)
+    return EXIT_OK
 
 
 def _decode_record(rec: dict):
@@ -357,8 +357,8 @@ def _decode_record(rec: dict):
     raise UnsupportedClass(f"cannot verify record kind {cmd!r}")
 
 
-def run_verify_file(spec: JobSpec, path: str) -> int:
-    """Re-check stored records, never at less depth than this job's own N and K.
+def run_verify(spec: JobSpec, args) -> int:
+    """Run the suite, or re-check stored records at no less depth than this job's N and K.
 
     Every record is decoded before the first check; a malformed one is a
     ParseError naming its line (exit 2), and a record whose N or K lies
@@ -366,15 +366,19 @@ def run_verify_file(spec: JobSpec, path: str) -> int:
     is a reduce record whose verify_depth exceeds MAX_N and an expand
     record whose eps order, len(layers) - 1, exceeds MAX_K.
     """
+    if args.suite:
+        return run_verify_suite(spec)
+    if not args.path:
+        raise UnsupportedClass("verify needs a result file or --suite")
     jobs = []
-    with open(path) as fh:
+    with open(args.path) as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
                 rec = json.loads(line)
                 job = (rec, _decode_record(rec), max(int(rec.get("N", 0)), spec.N),
-                       max(int(rec.get("K", 0)), min(spec.K, 4)))
+                       max(int(rec.get("K", 0)), min(spec.K, REDUCE_CHECK_K)))
             except (ParseError, ValueError, ZeroDivisionError, KeyError, TypeError,
                     AttributeError) as e:
                 raise ParseError(f"malformed stored record ({type(e).__name__}: {e})",
@@ -469,7 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "eps expansion of hypergeometric functions, all oracle-verified.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, run):
+        p.set_defaults(run=run)
         p.add_argument("--N", type=int, default=30, help="series verification depth")
         p.add_argument("--K", type=int, default=4, help="eps truncation order")
         p.add_argument("--format", choices=("text", "jsonl"),
@@ -480,27 +485,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target")
     p.add_argument("--basis", required=True)
     p.add_argument("--no-verify", action="store_true")
-    common(p)
+    common(p, run_reduce)
 
     p = sub.add_parser("count-basis", help="nontrivial basis count for one function")
     p.add_argument("fn")
-    common(p)
+    common(p, run_count_basis)
 
     p = sub.add_parser("mb", help="convert an MB integrand to hypergeometric terms")
     p.add_argument("input")
-    common(p)
+    common(p, run_mb)
 
     p = sub.add_parser("count-masters", help="master-integral count for a diagram")
     p.add_argument("input")
     p.add_argument("--bind", action="append", default=[],
                    metavar="NAME=VALUE", help="bind a propagator power")
-    common(p)
+    common(p, run_count_masters)
 
     p = sub.add_parser("expand", help="epsilon expansion into polylogarithms")
     p.add_argument("fn")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--no-verify", action="store_true")
-    common(p)
+    common(p, run_expand)
 
     p = sub.add_parser("check-parametrization",
                        help="rational-parametrization condition checks")
@@ -511,22 +516,22 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("a1", "a2", "c"):
         g.add_argument(f"--{name}", default="1")
     g.add_argument("--beta", default=None)
-    common(g)
+    common(g, run_check_parametrization)
     t = fam.add_parser("3f2")
     for name in ("r", "p", "q"):
         t.add_argument(f"--{name}", type=int, required=True)
     for name, dflt in (("a1", "1"), ("a2", "1"), ("a3", "1"), ("b1", "1"), ("b2", "1")):
         t.add_argument(f"--{name}", default=dflt)
-    common(t)
+    common(t, run_check_parametrization)
     f3 = fam.add_parser("f3")
     for name in ("p1", "p2", "r1", "r2", "p", "q"):
         f3.add_argument(f"--{name}", type=int, required=True)
-    common(f3)
+    common(f3, run_check_parametrization)
 
     p = sub.add_parser("verify", help="re-verify stored results or run the suite")
     p.add_argument("path", nargs="?")
     p.add_argument("--suite", action="store_true")
-    common(p)
+    common(p, run_verify)
 
     return ap
 
@@ -534,14 +539,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse_bindings(pairs, extras):
     out = {}
     items = list(pairs)
-    i = 0
-    while i < len(extras):
-        tok = extras[i]
-        if tok.startswith("--") and i + 1 < len(extras):
-            items.append(f"{tok[2:]}={extras[i + 1]}")
-            i += 2
-        else:
-            raise ParseError(f"cannot interpret extra argument {tok!r}", 1, 1)
+    for i in range(0, len(extras), 2):
+        if not extras[i].startswith("--") or i + 1 == len(extras):
+            raise ParseError(f"cannot interpret extra argument {extras[i]!r}", 1, 1)
+        items.append(f"{extras[i][2:]}={extras[i + 1]}")
     for item in items:
         if "=" not in item:
             raise ParseError(f"binding {item!r} is not NAME=VALUE", 1, 1)
@@ -551,47 +552,19 @@ def _parse_bindings(pairs, extras):
     return out
 
 
-def run_job(spec: JobSpec, args, extras=()) -> int:
-    """Dispatch one parsed job; raises engine errors for the caller to map."""
-    if args.command == "reduce":
-        return run_reduce(spec, args.target, args.basis)
-    if args.command == "count-basis":
-        return run_count_basis(spec, args.fn)
-    if args.command == "mb":
-        return run_mb(spec, args.input)
-    if args.command == "count-masters":
-        return run_count_masters(spec, args.input,
-                                 _parse_bindings(args.bind, extras))
-    if args.command == "expand":
-        if not (0 <= args.order <= MAX_K):
-            raise UnsupportedClass(f"order must be within 0..{MAX_K}")
-        return run_expand(spec, args.fn, args.order)
-    if args.command == "check-parametrization":
-        return run_check_parametrization(spec, args.family, args)
-    if args.command == "verify":
-        if args.suite:
-            return run_verify_suite(spec)
-        if not args.path:
-            raise UnsupportedClass("verify needs a result file or --suite")
-        return run_verify_file(spec, args.path)
-    raise UnsupportedClass(f"unknown command {args.command!r}")
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
     try:
-        if argv and argv[0] == "count-masters":
+        if argv and argv[0] == "count-masters":    # extra --NAME VALUE pairs are bindings
             args, extras = ap.parse_known_args(argv)
+            args.extras = extras
         else:
             args = ap.parse_args(argv)
-            extras = []
-        spec = JobSpec(N=getattr(args, "N", 30), K=getattr(args, "K", 4),
-                       out=getattr(args, "out", None),
-                       fmt=getattr(args, "format", None)
-                       or os.environ.get("HYPERRED_FORMAT", "text"),
+        spec = JobSpec(N=args.N, K=args.K, out=args.out,
+                       fmt=args.format or os.environ.get("HYPERRED_FORMAT", "text"),
                        no_verify=getattr(args, "no_verify", False))
-        return run_job(spec, args, extras)
+        return args.run(spec, args)
     except (HyperredError, OSError) as e:
         # a file that cannot be read or written is EXIT_ERROR, without a traceback
         print(f"error: {e}", file=sys.stderr)

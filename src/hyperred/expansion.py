@@ -283,9 +283,6 @@ class EpsilonExpansion:
     var: str
     omega0: Optional[RatFunc]
     layers: Tuple[PolyLogExpr, ...]
-    beta: Tuple[Fraction, ...] = ()
-    r1: Fraction = F(0)
-    r2: Fraction = F(0)
 
     @property
     def order(self):
@@ -386,8 +383,7 @@ def _expand_integer_class(f: HyperFn, K: int) -> EpsilonExpansion:
     exprs = [c.to_polylog("z") for c in layers[1:]]
     om0_rf = basis_ratfunc(_combo_rational_part(layers[0]))
     lead = layers[0].to_polylog("z") if _is_pure(layers[0]) else PolyLogExpr({}, 0, "z")
-    return EpsilonExpansion(f, "direct", "z", om0_rf, (lead,) + tuple(exprs),
-                            tuple(F(x) for x in beta), F(r1), F(r2))
+    return EpsilonExpansion(f, "direct", "z", om0_rf, (lead,) + tuple(exprs))
 
 
 def _is_pure(combo: GplCombo) -> bool:

@@ -12,6 +12,8 @@ engine produces.
 
 from __future__ import annotations
 
+import re
+from collections import namedtuple
 from fractions import Fraction
 from typing import List, Tuple, Union
 
@@ -20,63 +22,31 @@ from .hyper import HyperFn
 from .mb import MBRepr, get_preset
 from .scalars import EpsLin, Linear, LinearForm
 
-_PUNCT = ("[", "]", "(", ")", ",", ";", "+", "-", "*", "/", "@", "=")
+# kinds: "int" | "name" | a punctuation mark (its own text) | "end"
+_Token = namedtuple("_Token", "kind text line col")
 
-
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind          # "int" | "name" | punctuation | "end"
-        self.text = text
-        self.line = line
-        self.col = col
+# decimal integers, names, the punctuation marks, newlines; other whitespace
+# is skipped and any other character is an error
+_TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>[^\W\d]\w*)|(?P<punct>[][(),;+*/@=-])"
+                    r"|(?P<newline>\n)|\s|(?P<bad>.)", re.S)
 
 
 def _tokenize(text: str) -> List[_Token]:
-    toks = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            toks.append(_Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            toks.append(_Token(ch, ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Token("end", "", line, col))
+    toks, line, start = [], 1, 0          # start: the offset where the line begins
+    for m in _TOKEN.finditer(text):
+        kind, col = m.lastgroup, m.start() - start + 1
+        if kind == "newline":
+            line, start = line + 1, m.end()
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", line, col)
+        elif kind:
+            toks.append(_Token(m.group() if kind == "punct" else kind, m.group(), line, col))
+    toks.append(_Token("end", "", line, len(text) - start + 1))
     return toks
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
 
@@ -189,10 +159,8 @@ class _Parser:
             raise ParseError(f"{p1}F{p} is not a (p+1)Fp function",
                              head.line, head.col)
         self.expect("[")
-        upper = self.param_list()
-        self.expect(";")
-        lower = self.param_list()
-        self.expect(";")
+        upper = self.items(self.epslin, ";")
+        lower = self.items(self.epslin, ";")
         kappa, var = self.argument()
         self.expect("]")
         if len(upper) != p1 or len(lower) != p:
@@ -202,24 +170,15 @@ class _Parser:
                 head.line, head.col)
         return HyperFn(upper, lower, kappa, var)
 
-    def param_list(self) -> List[EpsLin]:
-        if self.peek().kind == ";":
-            return []
-        out = [self.epslin()]
-        while self.peek().kind == ",":
-            self.next()
-            out.append(self.epslin())
-        return out
-
-    def form_list(self) -> List[LinearForm]:
-        self.expect("[")
+    def items(self, read, close) -> list:
+        """read() items separated by commas, up to and including the token close."""
         out = []
-        if self.peek().kind != "]":
-            out.append(self.linform())
+        if self.peek().kind != close:
+            out.append(read())
             while self.peek().kind == ",":
                 self.next()
-                out.append(self.linform())
-        self.expect("]")
+                out.append(read())
+        self.expect(close)
         return out
 
     def mbrepr(self) -> MBRepr:
@@ -228,17 +187,14 @@ class _Parser:
             raise ParseError("expected MB[...]", head.line, head.col)
         self.expect("[")
         kappa, var = self.argument()
-        self.expect(";")
-        a = self.form_list()
-        self.expect(";")
-        b = self.form_list()
-        self.expect(";")
-        c = self.form_list()
-        self.expect(";")
-        d = self.form_list()
+        forms = []
+        for _ in range(4):
+            self.expect(";")
+            self.expect("[")
+            forms.append(self.items(self.linform, "]"))
         self.expect("]")
         try:
-            return MBRepr(kappa, var, a, b, c, d)
+            return MBRepr(kappa, var, *forms)
         except ValueError as e:
             raise ParseError(str(e), head.line, head.col) from None
 

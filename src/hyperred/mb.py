@@ -34,7 +34,7 @@ class MBRepr:
     prefactor: str = field(default="", compare=False)
 
     def __init__(self, kappa, var, a_forms, b_forms, c_forms=(), d_forms=(),
-                 prefactor="", validate=True):
+                 prefactor=""):
         object.__setattr__(self, "kappa", rat(kappa))
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "a_forms", tuple(a_forms))
@@ -42,7 +42,7 @@ class MBRepr:
         object.__setattr__(self, "c_forms", tuple(c_forms))
         object.__setattr__(self, "d_forms", tuple(d_forms))
         object.__setattr__(self, "prefactor", prefactor)
-        if validate and not check_dim(self):
+        if not check_dim(self):
             raise ValueError(
                 f"list dimensions {self.dims()} violate dimA+dimD-dimB-dimC=1")
 

@@ -63,6 +63,7 @@ JOBS = {
     "verify-stored": ["verify", str(GOLDEN / "stored.jsonl")],
     "verify-suite": ["verify", "--suite"],
     "exit-parse": ["reduce", "2F1[1/2+; 1; z]", "--basis", "2F1[1, 1; 1; z]"],
+    "exit-parse-superscript": ["count-basis", "2F1[², 1; 1; z]"],
     "exit-unbound": ["count-masters", "@c1", "--bind", "sigma1=2"],
     "exit-bad-value": ["count-masters", "@c3", "--j1", "abc", "--j2", "1", "--sigma", "1"],
     "exit-bad-bind": ["count-masters", "@c3", "--bind", "j1=1/0", "--j2", "1",

@@ -11,10 +11,12 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import grammar_reference
 from hyperred.cli import dec_ratfunc, enc_ratfunc
 from hyperred.errors import ParseError
-from hyperred.grammar import parse_hyper, parse_input
+from hyperred.grammar import _tokenize, parse_hyper, parse_input
 from hyperred.hyper import HyperFn
 from hyperred.mb import PRESETS, DiagramPreset, get_preset
 from hyperred.poly import Poly
@@ -57,6 +59,43 @@ def test_parse_error_position():
     with pytest.raises(ParseError) as e:
         parse_input("2F1[1/2+eps, -eps; 1+2*eps; z")
     assert e.value.line == 1 and e.value.column >= 28
+
+
+def _scan(tokenize, text):
+    """The (kind, text, line, col) tokens of text, or ("error", message, line, column)."""
+    try:
+        return [tuple(t) for t in tokenize(text)]
+    except ParseError as e:
+        return ("error", str(e), e.line, e.column)
+
+
+# ASCII printable characters, tab, newline, an accented letter and an Arabic-Indic digit
+SCANNER_TEXT = st.text(st.sampled_from([chr(c) for c in range(32, 127)] + ["\t", "\n", "é", "٣"]),
+                       max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SCANNER_TEXT)
+@example("2F1[1/2+eps, -eps;\n\t1+2*eps; z]")
+@example("MB[-1/4*y; [j1+j2-n/2]; [n/2]; []; []]\n@v1200 ?")
+@example("x\n\n  é٣ = 12٣4\n")
+def test_tokenize_matches_reference_scanner(text):
+    assert _scan(_tokenize, text) == _scan(grammar_reference.tokenize, text)
+
+
+@pytest.mark.parametrize("text,ours,reference", [
+    ("[²]", [("[", "[", 1, 1), ("name", "²", 1, 2), ("]", "]", 1, 3), ("end", "", 1, 4)],
+     [("[", "[", 1, 1), ("int", "²", 1, 2), ("]", "]", 1, 3), ("end", "", 1, 4)]),
+    ("1²", [("int", "1", 1, 1), ("name", "²", 1, 2), ("end", "", 1, 3)],
+     [("int", "1²", 1, 1), ("end", "", 1, 3)]),
+    ("½+eps", [("name", "½", 1, 1), ("+", "+", 1, 2), ("name", "eps", 1, 3), ("end", "", 1, 6)],
+     ("error", "unexpected character '½' at line 1, column 1", 1, 1)),
+])
+def test_tokenize_reads_non_decimal_numerals_as_names(text, ours, reference):
+    """The one intended difference from the reference: numeric characters that
+    are not decimal digits (str.isdigit accepts ², int() does not) are names."""
+    assert _scan(_tokenize, text) == ours
+    assert _scan(grammar_reference.tokenize, text) == reference
 
 
 def test_parse_mb():
@@ -357,3 +396,13 @@ def test_cli_count_masters_refuses_unbound_symbols():
     assert r.returncode == 2 and r.stdout == ""
     assert r.stderr.count("\n") == 1 and "Traceback" not in r.stderr
     assert "rho, sigma2" in r.stderr
+
+
+@pytest.mark.parametrize("extra,bad", [(["x"], "x"), (["--sigma"], "--sigma"),
+                                       (["--sigma=1"], "--sigma=1")])
+def test_cli_count_masters_refuses_extra_arguments_that_are_not_bindings(capsys, extra, bad):
+    from hyperred import cli
+    assert cli.main(C3 + ["--j1", "1", "--j2", "1"] + extra) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cannot interpret extra argument {bad!r} at line 1, column 1\n"
