@@ -38,6 +38,7 @@ from .poly import Poly, _cancel, _factor_product
 from .ratfunc import RatFunc
 from .scalars import rat
 from .series import BiSeries, combine
+from .value import Value
 
 F = Fraction
 Letter = Union[int, Fraction]
@@ -89,12 +90,7 @@ def _word_series(word: Word, N: int) -> Tuple[int, Tuple[int, ...]]:
 def _word_biseries(word: Word, N: int) -> BiSeries:
     """G(word; z) to z^N as a BiSeries in z alone (eps order 0)."""
     D, nums = _word_series(word, N)
-    return BiSeries.from_ints(nums, D, N, 0)
-
-
-def gpl_word_series(word, N: int) -> List[Fraction]:
-    """Exact z-series of G(word; z) to order N."""
-    return _word_biseries(as_word(word), N).eps_row(0)
+    return BiSeries._of(nums, D, N, 0)
 
 
 def shuffle_words(w1: Word, w2: Word) -> List[Word]:
@@ -111,11 +107,12 @@ def shuffle_words(w1: Word, w2: Word) -> List[Word]:
     return out
 
 
-class PolyLogExpr:
+class PolyLogExpr(Value):
     """Rational-linear combination of Goncharov words plus a constant.
 
     ``terms`` maps nonempty words, letter tuples interned by ``as_word``,
     to nonzero coefficients; every word is in the variable ``var``.
+    ``_of(terms, const, var)`` takes such fields as they are.
     """
 
     __slots__ = ("terms", "const", "var")
@@ -130,22 +127,6 @@ class PolyLogExpr:
             if c != 0:
                 clean[w] = clean.get(w, F(0)) + c
         self._set({w: c for w, c in clean.items() if c != 0}, rat(const), var)
-
-    def _set(self, *values):
-        for name, v in zip(self.__slots__, values):
-            object.__setattr__(self, name, v)
-        return self
-
-    @classmethod
-    def _of(cls, terms: Dict[Word, Fraction], const: Fraction, var: str):
-        """Wrap interned nonempty words with nonzero Fraction coefficients as they are."""
-        return object.__new__(cls)._set(terms, const, var)
-
-    def __setattr__(self, *a):
-        raise AttributeError("PolyLogExpr is immutable")
-
-    def __reduce__(self):
-        return (PolyLogExpr._of, (self.terms, self.const, self.var))
 
     @property
     def weight(self) -> int:
@@ -209,8 +190,6 @@ class PolyLogExpr:
             g = f"G({','.join(map(str, w))};{self.var})"
             parts.append(f"{c}*{g}" if c != 1 else g)
         return " + ".join(parts) or "0"
-
-    __repr__ = __str__
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +373,7 @@ def _terms_str(terms, den) -> str:
 # rational-function-weighted GPL combinations
 
 
-class GplCombo:
+class GplCombo(Value):
     """sum_w R_w(z) G(w; z); the empty word holds the rational part.
 
     ``data`` maps each word to R_w's numerators in the alphabet's partial-
@@ -402,10 +381,11 @@ class GplCombo:
     (zero is {} over 1).  The constructor takes basis dicts of rationals,
     copies them and interns the letters of words and kernels.  The
     operations build fresh dicts and may share the inner ones between
-    combinations, which nothing writes to after construction.
+    combinations, which nothing writes to after construction; ``_of(den,
+    data)`` wraps a fresh dict of nonempty integer basis dicts uncopied.
     """
 
-    __slots__ = ("data", "den")
+    __slots__ = ("den", "data")
 
     def __init__(self, data: Mapping[Word, Mapping[Kernel, Fraction]]):
         self._set(*_collect((as_word(w), *_over_lcm(r)) for w, r in data.items()))
@@ -415,20 +395,7 @@ class GplCombo:
         g = gcd(den, *(c for r in data.values() for c in r.values())) if den != 1 else 1
         if g != 1:
             data, den = {w: {k: c // g for k, c in r.items()} for w, r in data.items()}, den // g
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "den", den)
-        return self
-
-    @classmethod
-    def _of(cls, den: int, data: Dict[Word, IntBasis]):
-        """Wrap a fresh dict of nonempty integer basis dicts over den > 0 without copying it."""
-        return object.__new__(cls)._set(den, data)
-
-    def __setattr__(self, *a):
-        raise AttributeError("GplCombo is immutable")
-
-    def __reduce__(self):
-        return (GplCombo._of, (self.den, self.data))
+        return self._write(den, data)
 
     def __eq__(self, other):
         return isinstance(other, GplCombo) and (self.den, self.data) == (other.den, other.data)
@@ -550,5 +517,3 @@ class GplCombo:
 
     def __str__(self):
         return _terms_str(sorted(self.data.items(), key=lambda wr: (len(wr[0]), wr[0])), self.den)
-
-    __repr__ = __str__

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Generic, Tuple, TypeVar
 
-from .scalars import EpsLin, LinearForm, rat
+from .scalars import DEFAULT_N, EpsLin, LinearForm, rat
 
 P = TypeVar("P", EpsLin, LinearForm)
 
@@ -92,7 +92,7 @@ class SymHyperFn(Hyper[LinearForm]):
 
     param_type = LinearForm
 
-    def bind(self, j_values=None, n_value: EpsLin = EpsLin(4, -2)) -> HyperFn:
+    def bind(self, j_values=None, n_value: EpsLin = DEFAULT_N) -> HyperFn:
         """Bind propagator powers and n (default n = 4 - 2 eps)."""
         conv = lambda x: x.bind(j_values or {}).to_epslin(n_value)
         return HyperFn(map(conv, self.upper), map(conv, self.lower), self.kappa, self.var)

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence, Tuple
 from .errors import CriterionViolation, DegeneratePoles
 from .hyper import SymHyperFn
 from .reduction import count_nontrivial_basis, detect_exceptional
-from .scalars import EpsLin, LinearForm, rat
+from .scalars import DEFAULT_N, EpsLin, LinearForm, rat
 
 F = Fraction
 
@@ -130,7 +130,7 @@ def mb_to_hyper(m: MBRepr) -> HyperSum:
 
 
 def count_master_integrals(h: HyperSum, bindings: Mapping[str, int],
-                           n_value: EpsLin = EpsLin(4, -2)):
+                           n_value: EpsLin = DEFAULT_N):
     """Common nontrivial-basis count over all terms, plus per-term reports.
 
     Raises CriterionViolation if the terms disagree (criterion (i) says

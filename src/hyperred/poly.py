@@ -23,6 +23,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Mapping, Sequence, Tuple
 
+from .value import Value
+
 
 # ---------------------------------------------------------------------------
 # raw-rep helpers; ``d`` is the nesting depth (number of variables)
@@ -327,7 +329,7 @@ def _from_terms(terms, d):
 # ---------------------------------------------------------------------------
 
 
-class Poly:
+class Poly(Value):
     """Immutable multivariate polynomial: integer rep over a positive den."""
 
     __slots__ = ("vars", "rep", "den")
@@ -338,15 +340,7 @@ class Poly:
             g = _int_content(rep, len(vars), den)
             if g != 1:
                 rep, den = _div_int(rep, g, len(vars)), den // g
-        object.__setattr__(self, "vars", tuple(vars))
-        object.__setattr__(self, "rep", rep)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Poly is immutable")
-
-    def __reduce__(self):
-        return (Poly, (self.vars, self.rep, self.den))
+        self._set(tuple(vars), rep, den)
 
     # construction -----------------------------------------------------
 
@@ -500,14 +494,6 @@ class Poly:
         g = gcd(r.denominator, self.den)
         return Poly(self.vars, _scale(b, r.denominator // g, self.d), self.den // g)
 
-    def subst(self, new_vars, mapping: Mapping[str, "Poly"]):
-        """Map each variable to a polynomial over ``new_vars``, by Horner's rule on the reps."""
-        images = [mapping.get(v) or Poly.variable(new_vars, v) for v in self.vars]
-        if any(img.vars != tuple(new_vars) for img in images):
-            raise ValueError("substitution image over wrong variables")
-        rep, den = _subst(self.rep, self.d, [(p.rep, p.den) for p in images], len(new_vars))
-        return Poly(new_vars, rep, den * self.den)
-
     # display -------------------------------------------------------------
 
     def __str__(self):
@@ -538,8 +524,6 @@ class Poly:
         for p in pieces[1:]:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
         return out
-
-    __repr__ = __str__
 
 
 def theta_poly(roots: Sequence[Poly], one: Poly) -> List[Poly]:

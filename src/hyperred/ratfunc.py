@@ -14,11 +14,12 @@ from math import lcm
 from .errors import PoleAtEpsZero
 from .poly import Poly, _scale, _subst, _trim, _zero
 from .series import BiSeries
+from .value import Value
 
 _Z = "z"
 
 
-class RatFunc:
+class RatFunc(Value):
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly = None, _normalized=False):
@@ -37,14 +38,7 @@ class RatFunc:
                 if lf != 1:
                     num = num.scale(1 / lf)
                     den = den.scale(1 / lf)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RatFunc is immutable")
-
-    def __reduce__(self):
-        return (RatFunc, (self.num, self.den, True))
+        self._set(num, den)
 
     # constructors ---------------------------------------------------------
 
@@ -192,8 +186,6 @@ class RatFunc:
             return str(self.num)
         return f"({self.num})/({self.den})"
 
-    __repr__ = __str__
-
 
 def _cancel(num: Poly, den: Poly):
     """(num, den) divided by their gcd, with no division when the gcd is 1.
@@ -237,7 +229,7 @@ def _z_rows(p: Poly, v: int, N: int, K: int) -> BiSeries:
         c = c[:K + 1] if p.d == 2 else (c,)
         nums += c + (0,) * (K + 1 - len(c))
     nums += [0] * ((N + 1) * (K + 1) - len(nums))
-    return BiSeries.from_ints(nums, p.den, N, K)
+    return BiSeries._of(tuple(nums), p.den, N, K)
 
 
 def _check_eps_only(p: Poly):

@@ -49,7 +49,7 @@ from .errors import NotIntegerShift, SingularStep, VerificationFailure
 from .hyper import Hyper, HyperFn
 from .poly import Factors, Poly, _cancel, _factor_product, theta_poly
 from .ratfunc import RatFunc
-from .scalars import EpsLin
+from .scalars import DEFAULT_N, EpsLin
 from .series import lowest_cell, series_of_hyper, theta_pieces, truncated_sum
 from .theta import ThetaOp
 
@@ -369,7 +369,7 @@ class ReductionResult:
     algebraic_tail: RatFunc
     affine: bool = False
 
-    def bind(self, n_value: EpsLin = EpsLin(4, -2)) -> "ReductionResult":
+    def bind(self, n_value: EpsLin = DEFAULT_N) -> "ReductionResult":
         """Bind symbolic n to get a numeric result."""
         if isinstance(self.target, HyperFn):
             return self

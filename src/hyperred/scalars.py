@@ -12,6 +12,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 from .errors import UnboundSymbols
+from .value import Value
 
 _ZERO = Fraction(0)
 
@@ -29,7 +30,7 @@ def _canonical(pairs) -> tuple:
     return tuple(sorted(t for t in merged.items() if t[1]))
 
 
-class Linear:
+class Linear(Value):
     """const + sum c_s * s over named symbols, exact rationals, immutable.
 
     ``terms`` holds the (symbol, coefficient) pairs sorted by symbol, zero
@@ -41,22 +42,6 @@ class Linear:
 
     def __init__(self, coeffs=(), const=0):
         self._set(_canonical(coeffs.items() if isinstance(coeffs, Mapping) else coeffs), rat(const))
-
-    def _set(self, terms, const):
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "const", const)
-        return self
-
-    def __setattr__(self, *a):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __reduce__(self):
-        return (self._of, (self.terms, self.const))
-
-    @classmethod
-    def _of(cls, terms, const):
-        """A ``cls`` from canonical terms and a Fraction constant, taken as they are."""
-        return object.__new__(cls)._set(terms, const)
 
     @classmethod
     def from_terms(cls, coeffs, const=0):
@@ -172,6 +157,10 @@ class EpsLin(Linear):
         return f"{self.const}+{e}" if not e.startswith("-") else f"{self.const}{e}"
 
 
+# the dimension n = 4 - 2 eps, bound wherever no n is given
+DEFAULT_N = EpsLin(4, -2)
+
+
 class LinearForm(Linear):
     """c_n * n + sum_k c_k * j_k + const, with exact rational coefficients.
 
@@ -204,7 +193,7 @@ class LinearForm(Linear):
         """Substitute values (numbers or forms) for the given j symbols."""
         return self.subst(j_values)
 
-    def to_epslin(self, n_value: EpsLin = EpsLin(4, -2)) -> EpsLin:
+    def to_epslin(self, n_value: EpsLin = DEFAULT_N) -> EpsLin:
         """Fully bind (default n = 4 - 2*eps); all j symbols must be gone."""
         if self.j_coeffs:
             raise UnboundSymbols([k for k, _ in self.j_coeffs])

@@ -23,15 +23,18 @@ from typing import Iterable, List, Sequence, Tuple
 from .errors import PoleAtEpsZero, UncancelledPole
 from .hyper import HyperFn
 from .scalars import EpsLin
+from .value import Value
 
 
-class BiSeries:
+class BiSeries(Value):
     """Series in z up to z_order whose coefficients are eps-truncated.
 
-    nums[j * (eps_order + 1) + k] / den is the coefficient of z^j eps^k.
+    nums[j * (eps_order + 1) + k] / den is the coefficient of z^j eps^k;
+    ``_of(nums, den, N, K)`` takes a row-major tuple over den > 0 as it
+    stands, with no gcd.
     """
 
-    __slots__ = ("z_order", "eps_order", "den", "nums")
+    __slots__ = ("nums", "den", "z_order", "eps_order")
 
     def __init__(self, rows: Sequence[Sequence[Fraction]], z_order=None, eps_order=None):
         """Rows of rationals (ints or Fractions), rows[j][k] at z^j eps^k."""
@@ -46,25 +49,6 @@ class BiSeries:
         den = lcm(*(c.denominator for c in cells))
         self._set(tuple(c.numerator * (den // c.denominator) for c in cells), den,
                   z_order, eps_order)
-
-    def _set(self, nums, den, N, K):
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "z_order", N)
-        object.__setattr__(self, "eps_order", K)
-
-    def __setattr__(self, *a):
-        raise AttributeError("BiSeries is immutable")
-
-    def __reduce__(self):
-        return (BiSeries.from_ints, (self.nums, self.den, self.z_order, self.eps_order))
-
-    @classmethod
-    def from_ints(cls, nums: Sequence[int], den: int, N: int, K: int) -> "BiSeries":
-        """The series nums / den as it stands: den > 0, nums row-major, no gcd."""
-        s = object.__new__(cls)
-        s._set(tuple(nums), den, N, K)
-        return s
 
     @property
     def rows(self) -> Tuple[Tuple[Fraction, ...], ...]:
@@ -92,11 +76,6 @@ class BiSeries:
         return [(j, k, x) for j in range(min(N, self.z_order) + 1)
                 for k, x in enumerate(self.nums[j * W:j * W + K + 1]) if x]
 
-    def crop(self, N: int, K: int) -> "BiSeries":
-        N = min(N, self.z_order)
-        K = min(K, self.eps_order)
-        return BiSeries.from_ints(self._cells(N, K), self.den, N, K)
-
     def _common(self, other):
         N = min(self.z_order, other.z_order)
         K = min(self.eps_order, other.eps_order)
@@ -109,7 +88,7 @@ class BiSeries:
         return combine(((1, self), (-1, other)), *self._common(other))
 
     def __neg__(self):
-        return BiSeries.from_ints([-x for x in self.nums], self.den, self.z_order, self.eps_order)
+        return BiSeries._of(tuple(-x for x in self.nums), self.den, self.z_order, self.eps_order)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -127,16 +106,8 @@ class BiSeries:
     def theta(self) -> "BiSeries":
         """z d/dz on the series."""
         W = self.eps_order + 1
-        nums = [x * j for j in range(self.z_order + 1) for x in self.nums[j * W:(j + 1) * W]]
-        return BiSeries.from_ints(nums, self.den, self.z_order, self.eps_order)
-
-    def div_z(self, v: int) -> "BiSeries":
-        """Divide by z^v; the v lowest rows must vanish."""
-        if v == 0:
-            return self
-        W = self.eps_order + 1
-        _check_pole(next((i // W for i, x in enumerate(self.nums[:v * W]) if x), v), v)
-        return BiSeries.from_ints(self.nums[v * W:], self.den, self.z_order - v, self.eps_order)
+        nums = tuple(x * j for j in range(self.z_order + 1) for x in self.nums[j * W:(j + 1) * W])
+        return BiSeries._of(nums, self.den, self.z_order, self.eps_order)
 
     def invert(self) -> "BiSeries":
         """1/series; the z^0 eps^0 coefficient must not vanish.
@@ -188,15 +159,13 @@ class BiSeries:
     def __str__(self):
         return f"BiSeries(N={self.z_order}, K={self.eps_order})"
 
-    __repr__ = __str__
-
 
 def _reduced(nums: Sequence[int], den: int, N: int, K: int) -> BiSeries:
     """nums / den (den > 0) divided by the gcd of all its integers."""
     g = gcd(den, *nums)
     if g != 1:
         nums, den = [x // g for x in nums], den // g
-    return BiSeries.from_ints(nums, den, N, K)
+    return BiSeries._of(tuple(nums), den, N, K)
 
 
 def combine(terms: Iterable[Tuple[Fraction, BiSeries]], N: int, K: int) -> BiSeries:

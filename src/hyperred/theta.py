@@ -11,9 +11,10 @@ from typing import Sequence
 
 from .ratfunc import RatFunc
 from .series import BiSeries, theta_action
+from .value import Value
 
 
-class ThetaOp:
+class ThetaOp(Value):
     """sum_k coeffs[k] * theta^k with RatFunc coefficients."""
 
     __slots__ = ("coeffs",)
@@ -24,16 +25,11 @@ class ThetaOp:
             coeffs.pop()
         if not coeffs:
             raise ValueError("use ThetaOp.zero(vars) for the zero operator")
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, *a):
-        raise AttributeError("ThetaOp is immutable")
+        self._set(tuple(coeffs))
 
     @classmethod
     def zero(cls, vars):
-        op = object.__new__(cls)
-        object.__setattr__(op, "coeffs", (RatFunc.const(vars, 0),))
-        return op
+        return cls._of((RatFunc.const(vars, 0),))
 
     @classmethod
     def identity(cls, vars):
@@ -119,8 +115,6 @@ class ThetaOp:
             tp = "" if k == 0 else ("*theta" if k == 1 else f"*theta^{k}")
             parts.append(f"({c}){tp}")
         return " + ".join(parts) or "0"
-
-    __repr__ = __str__
 
 
 def _make(coeffs, vars):

@@ -17,11 +17,16 @@ from fractions import Fraction
 from math import comb
 
 from hyperred.errors import UncancelledPole, UnsupportedClass
-from hyperred.gpl import PolyLogExpr, gpl_word_series
+from hyperred.gpl import PolyLogExpr
 
 F = Fraction
 ONE = (0, 0)
 _Z = (0, -1)
+
+
+def word_series(w, N):
+    """G(w; z) to z^N as Fractions, through ``PolyLogExpr.series``; the empty word's is 1."""
+    return (PolyLogExpr({w: 1}) if w else PolyLogExpr((), 1)).series(N)
 
 
 def kernel_product(k1, k2):
@@ -125,7 +130,7 @@ def series(terms, N):
                     t = t * (m + k) / ((k + 1) * a)
             elif m >= -N:
                 rc[V - m] += c
-        g = gpl_word_series(w, M)
+        g = word_series(w, M)
         for j in range(M + 1):
             acc[j] += sum(rc[i] * g[j - i] for i in range(j + 1))
     if any(acc[:V]):

@@ -12,8 +12,9 @@ Three independent checks of ``hyperred.poly``:
   every operation of the integer representation can be compared with the
   same operation on rational leaves.
 - ``poly_object_subst``: substitution by Horner's rule over ``Poly``
-  objects, every step a normalized ``Poly``, which ``Poly.subst`` replaced
-  by Horner's rule on the integer reps with one normalization at the end.
+  objects, every step a normalized ``Poly``, which the ``_subst`` kernel
+  replaced by Horner's rule on the integer reps with one normalization at
+  the end.
 """
 
 from __future__ import annotations

@@ -18,9 +18,12 @@ from hyperred.expansion import (EpsilonExpansion, epsilon_expand,
 from hyperred.gpl import GplCombo, PolyLogExpr
 from hyperred.grammar import parse_hyper
 from hyperred.hyper import HyperFn
-from hyperred.reduction import reduce_to_basis
-from hyperred.series import series_of_hyper
-from hyperred.scalars import EpsLin
+from hyperred.poly import Poly
+from hyperred.ratfunc import RatFunc
+from hyperred.reduction import ode_operator, reduce_to_basis
+from hyperred.series import BiSeries, series_of_hyper
+from hyperred.scalars import EpsLin, Linear
+from hyperred.theta import ThetaOp
 
 
 def elementary_symmetric(values, j):
@@ -356,12 +359,35 @@ def test_values_survive_pickle_and_deepcopy():
     red = reduce_to_basis(parse_hyper("2F1[7/5+eps, 1/3-eps; 1/2+2*eps; z]"),
                           parse_hyper("2F1[2/5+eps, 1/3-eps; 3/2+2*eps; z]"))
     direct = epsilon_expand(parse_hyper("3F2[eps, -3*eps, 2*eps; 1+eps, 1-eps; z]"), 2)
-    values = [red.s_poly.num, series_of_hyper(half, 6, 2),
+    values = [red.s_poly.num, red.s_poly, series_of_hyper(half, 6, 2),
               GplCombo({(1, F(1, 2)): {(2, 1): F(3, 4)}, (): {(0, 2): F(1, 6)}}),
-              epsilon_expand(half, 2).layers[2], red, epsilon_expand(half, 2), direct]
+              epsilon_expand(half, 2).layers[2], half.upper[1], ode_operator(half),
+              red, epsilon_expand(half, 2), direct]
     for v in values:
         for c in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v)):
             assert type(c) is type(v) and c == v, type(v).__name__
+
+
+ONE_OF_EACH_VALUE_TYPE = {
+    "Poly": lambda: Poly.variable(("z",), "z"),
+    "RatFunc": lambda: RatFunc(Poly.const(("z",), 1), Poly.variable(("z",), "z")),
+    "BiSeries": lambda: BiSeries(((F(1), F(2)), (F(3), F(4)))),
+    "GplCombo": lambda: GplCombo.word((1,), F(1, 2)),
+    "PolyLogExpr": lambda: PolyLogExpr({(0, 1): 2}, 1),
+    "Linear": lambda: Linear({"n": 1}, 2),
+    "ThetaOp": lambda: ThetaOp.theta(("z",)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_OF_EACH_VALUE_TYPE))
+def test_value_fields_refuse_assignment(name):
+    v = ONE_OF_EACH_VALUE_TYPE[name]()
+    assert type(v).__name__ == name and type(v)._fields
+    before = str(v)
+    for field in type(v)._fields:
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            setattr(v, field, None)
+    assert str(v) == before
 
 
 def test_no_factorization_error_writes_rationals_as_the_grammar_does(capsys):

@@ -83,14 +83,19 @@ def test_exact_div_raises_on_inexact():
         (z + 1).exact_div(z + 2)
 
 
+def subst(p, new_vars, images):
+    """p at its variables = images (Polys over new_vars), through the ``_subst`` kernel."""
+    rep, den = poly_mod._subst(p.rep, p.d, [(q.rep, q.den) for q in images], len(new_vars))
+    return Poly(new_vars, rep, den * p.den)
+
+
 def test_subst_and_eval():
     W = ("n", "z")
     n, z = Poly.variable(W, "n"), Poly.variable(W, "z")
     p = n * n + z
-    img = p.subst(V, {"n": Poly.const(V, 4) - Poly.variable(V, "eps") * 2,
-                      "z": Poly.variable(V, "z")})
-    at = lambda q, **values: q.subst((), {v: Poly.const((), x)
-                                          for v, x in values.items()}).const_value()
+    img = subst(p, V, [Poly.const(V, 4) - Poly.variable(V, "eps") * 2, Poly.variable(V, "z")])
+    at = lambda q, **values: subst(q, (), [Poly.const((), values[v])
+                                           for v in q.vars]).const_value()
     assert at(img, eps=F(1, 2), z=F(3)) == F(9) + 3
     assert at(p, n=F(3), z=F(1, 2)) == F(19, 2)
 
@@ -470,7 +475,7 @@ def test_integer_rep_matches_fraction_leaf_reference(vars):
         f = Poly.variable(vars, name) - r
         got = [a + b, a - b, a * b, a ** n, a.scale(q), a.derivative_top(),
                Poly.from_terms(vars, ref.to_terms(A, d)), a.gcd(b),
-               (a * f).div_root(name, r), a.subst(V, dict(zip(vars, images)))]
+               (a * f).div_root(name, r), subst(a, V, images)]
         expected = [ref.add(A, B, d), ref.sub(A, B, d), ref.mul(A, B, d), ref.power(A, n, d),
                     ref.scale(A, q, d), ref.derivative(A, d), A, ref.gcd(A, B, d),
                     ref.div_root(ref.frac_rep(a * f), i, r, d),
@@ -501,7 +506,7 @@ def test_integer_rep_matches_fraction_leaf_reference(vars):
 
 @pytest.mark.parametrize("vars", [("z",), ("n", "z"), ("eps", "z"), ("n", "eps", "z")])
 def test_subst_matches_poly_object_horner(vars):
-    """Poly.subst and RatFunc.subst_params against Horner's rule over Poly objects."""
+    """The ``_subst`` kernel and RatFunc.subst_params against Horner's rule over Poly objects."""
     W = ("eps", "z")
 
     @settings(max_examples=30, deadline=None)
@@ -511,8 +516,7 @@ def test_subst_matches_poly_object_horner(vars):
            st.lists(int_polys(("eps",), max_deg=2, max_size=3), min_size=len(vars),
                     max_size=len(vars)))
     def check(a, b, images, free):
-        got, want = a.subst(W, dict(zip(vars, images))), ref.poly_object_subst(
-            a, W, dict(zip(vars, images)))
+        got, want = subst(a, W, images), ref.poly_object_subst(a, W, dict(zip(vars, images)))
         _assert_canonical(got)
         assert (got.rep, got.den) == (want.rep, want.den)
         # parameters map to polynomials free of z; z maps to itself
