@@ -88,11 +88,18 @@ def enc_ratfunc(r: RatFunc) -> dict:
     return {"vars": list(r.vars), "num": enc_poly(r.num), "den": enc_poly(r.den)}
 
 
-def dec_ratfunc(d: dict) -> RatFunc:
+def dec_ratfunc(d: dict, expect: Optional[tuple] = None) -> RatFunc:
+    """The RatFunc a record holds, over the variables ``expect`` when given.
+
+    Poly.from_terms trusts its exponents: each must be a non-negative int."""
     vars = tuple(d["vars"])
+    if expect not in (None, vars):
+        raise ValueError(f"expected variables {list(expect)}, got {list(vars)}")
+    for e, _ in d["num"] + d["den"]:
+        if len(e) != len(vars) or any(type(x) is not int or x < 0 for x in e):
+            raise ValueError(f"exponents {e} are not one non-negative integer per variable")
     mk = lambda terms: Poly.from_terms(vars, {tuple(e): dec_rat(c) for e, c in terms})
-    den_terms = d["den"]
-    return RatFunc(mk(d["num"]), mk(den_terms) if den_terms else None)
+    return RatFunc(mk(d["num"]), mk(d["den"]) if d["den"] else None)
 
 
 def enc_polylog(e: PolyLogExpr) -> dict:
@@ -338,22 +345,28 @@ def run_check_parametrization(spec: JobSpec, opts) -> int:
 
 
 def _decode_record(rec: dict):
-    """The ReductionResult or EpsilonExpansion a stored record holds."""
+    """The ReductionResult or EpsilonExpansion a stored record holds; a
+    ValueError for a shape no job writes."""
     cmd = rec.get("command")
     if cmd == "reduce":
+        piece = lambda d: dec_ratfunc(d, ("eps", "z"))
         return ReductionResult(
             target=parse_hyper(rec["target"]),
             basis=parse_hyper(rec["basis"]),
-            s_poly=dec_ratfunc(rec["s"]),
-            r_polys=tuple(dec_ratfunc(r) for r in rec["r"]),
-            algebraic_tail=dec_ratfunc(rec["tail"]),
+            s_poly=piece(rec["s"]),
+            r_polys=tuple(piece(r) for r in rec["r"]),
+            algebraic_tail=piece(rec["tail"]),
             affine=rec.get("affine", False))
     if cmd == "expand":
-        fn = parse_hyper(rec["fn"])
+        kind, omega0, layers = rec["kind"], rec["omega0"], rec["layers"]
+        if kind not in ("direct", "xi") or (omega0 is None) == (kind == "direct") or not layers:
+            raise ValueError("an expand record needs kind 'direct' with omega0 or 'xi' with"
+                             f" omega0 null, and a layer; got {kind!r}, omega0"
+                             f" {'null' if omega0 is None else 'set'}, {len(layers)} layers")
         return EpsilonExpansion(
-            fn=fn, kind=rec["kind"], var=rec["var"],
-            omega0=dec_ratfunc(rec["omega0"]) if rec["omega0"] is not None else None,
-            layers=tuple(dec_polylog(l) for l in rec["layers"]))
+            fn=parse_hyper(rec["fn"]), kind=kind, var=rec["var"],
+            omega0=dec_ratfunc(omega0, ("z",)) if omega0 is not None else None,
+            layers=tuple(dec_polylog(l) for l in layers))
     raise UnsupportedClass(f"cannot verify record kind {cmd!r}")
 
 

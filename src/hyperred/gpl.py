@@ -34,7 +34,7 @@ from math import comb, gcd, lcm
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .errors import UncancelledPole, UnsupportedClass
-from .poly import Poly, _cancel, _factor_product
+from .poly import Poly
 from .ratfunc import RatFunc
 from .scalars import rat
 from .series import BiSeries, combine
@@ -277,8 +277,7 @@ def basis_ratfunc(coeffs: Mapping[Kernel, Fraction]) -> RatFunc:
         for b, e in {**top, a: top.get(a, 0) - m}.items():
             term = term * (z - b) ** e
         num = num + term
-    (num,), left = _cancel([num], {z - a: m for a, m in top.items()})
-    return RatFunc(num, _factor_product(_ZVARS, 1, left), _normalized=True)
+    return RatFunc.over(num, {("z", a): m for a, m in top.items()})
 
 
 # bounded; a seed-1 `bench/run.py --workload expand` stream meets 15 kernel pairs

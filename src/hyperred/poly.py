@@ -12,9 +12,9 @@ coefficient is read out or a rational comes in.
 
 GCDs use one primitive pseudo-remainder sequence over Z at every depth,
 with no fast path in front of it, normalized to lead coefficient 1.  The
-reduction and ``gpl.basis_ratfunc`` clear their denominators by trial
-division over known linear factors (``_cancel``, below), so a traced
-seed-1 ``bench/run.py`` stream counts 0 gcd calls on every workload.
+reduction and ``RatFunc.over`` clear their denominators by trial division
+over known linear factors x - r, recorded by root (``_cancel``, below), so
+a traced seed-1 ``bench/run.py`` stream counts 0 gcd calls on every workload.
 """
 
 from __future__ import annotations
@@ -540,23 +540,28 @@ def theta_poly(roots: Sequence[Poly], one: Poly) -> List[Poly]:
 # ---------------------------------------------------------------------------
 # products of known linear factors, cleared by trial division instead of a gcd
 
-# Monic factors with their multiplicities: (P, factors, K) stands for
-# P / (K * prod f^m), K a nonzero Fraction.
-Factors = Dict[Poly, int]
+# Linear factors x - r keyed by (x, r), with their multiplicities: (P, factors,
+# K) stands for P / (K * prod (x - r)^m), K a nonzero Fraction.
+Factors = Dict[Tuple[str, Fraction], int]
+
+
+def _add_factor(factors: Factors, f: Poly, m: int = 1) -> Fraction:
+    """Record f^m, f = a (x - r) linear, under (x, r); returns a^m (f^m if constant)."""
+    if f.is_const():
+        return f.const_value() ** m
+    terms = f.terms()
+    b = terms.pop((0,) * f.d, 0)
+    ((e, a),) = terms.items()
+    key = (f.vars[e.index(1)], -b / a)
+    factors[key] = factors.get(key, 0) + m
+    return a ** m
 
 
 def _factor_product(vars, K: Fraction, factors: Factors) -> Poly:
     p = Poly.const(vars, K)
-    for f, m in factors.items():
-        p = p * f ** m
+    for (x, r), m in factors.items():
+        p = p * (Poly.variable(vars, x) - r) ** m
     return p
-
-
-def _linear_root(f: Poly):
-    """(name, r) for the monic linear factor f = name - r."""
-    terms = f.terms()
-    (top,) = [e for e in terms if any(e)]
-    return f.vars[top.index(1)], -terms.get((0,) * f.d, 0)
 
 
 def _cancel(polys: List[Poly], factors: Factors) -> Tuple[List[Poly], Factors]:
@@ -570,8 +575,7 @@ def _cancel(polys: List[Poly], factors: Factors) -> Tuple[List[Poly], Factors]:
     polys = list(polys)
     live = [i for i, p in enumerate(polys) if not p.is_zero()]
     left: Factors = {}
-    for f, m in factors.items():
-        root = _linear_root(f)
+    for root, m in factors.items():
         while m:
             qs = []
             for i in live:
@@ -585,5 +589,5 @@ def _cancel(polys: List[Poly], factors: Factors) -> Tuple[List[Poly], Factors]:
                 polys[i] = q
             m -= 1
         if m:
-            left[f] = m
+            left[root] = m
     return polys, left

@@ -2,8 +2,10 @@
 
 A RatFunc is a normalized fraction of polynomials whose variable tuple
 ends in "z"; the earlier variables (if any) are symbolic parameters such
-as "eps" or "n".  Expansion into a BiSeries requires the parameters to be
-reduced to "eps" only.
+as "eps" or "n".  ``RatFunc(num, den)`` divides by the gcd and makes den
+monic; ``RatFunc._of`` trusts a pair in that form, as ``RatFunc.over``
+builds one from known linear factors.  Expansion into a BiSeries requires
+the parameters to be reduced to "eps" only.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import PoleAtEpsZero
-from .poly import Poly, _scale, _subst, _trim, _zero
+from .poly import Factors, Poly, _cancel, _factor_product, _scale, _subst, _trim, _zero
 from .series import BiSeries
 from .value import Value
 
@@ -22,29 +24,31 @@ _Z = "z"
 class RatFunc(Value):
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Poly = None, _normalized=False):
+    def __init__(self, num: Poly, den: Poly = None):
         if num.vars[-1:] != (_Z,):
             raise ValueError(f"RatFunc variables must end in 'z', got {num.vars}")
         if den is None:
             den = Poly.const(num.vars, 1)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if not _normalized:
-            if num.is_zero():
-                den = Poly.const(num.vars, 1)
-            else:
-                num, den = _cancel(num, den)
-                lf = den.lead_fraction()
-                if lf != 1:
-                    num = num.scale(1 / lf)
-                    den = den.scale(1 / lf)
-        self._set(num, den)
+        self._set(*_monic(*_coprime(num, den)))
 
     # constructors ---------------------------------------------------------
 
     @classmethod
     def const(cls, vars, q):
-        return cls(Poly.const(vars, q), _normalized=True)
+        return cls._of(Poly.const(vars, q), Poly.const(vars, 1))
+
+    @classmethod
+    def over(cls, num: Poly, factors: Factors = None, K=1) -> "RatFunc":
+        """num / (K prod (x - r)^m) for factors {(x, r): m} and a nonzero K.
+
+        Trial division at the roots leaves factors prime to num: no gcd.
+        """
+        if factors:
+            (num,), factors = _cancel([num], factors)
+        num = num.scale(1 / Fraction(K)) if K != 1 else num
+        return cls._of(num, _factor_product(num.vars, 1, factors or {}))
 
     # basics ---------------------------------------------------------------
 
@@ -71,12 +75,12 @@ class RatFunc(Value):
         o = self._coerce(other)
         g = self.den.gcd(o.den)
         if g.is_const() and g.const_value() == 1:
-            return _lead_normalized(self.num * o.den + o.num * self.den,
-                                    self.den * o.den)
+            return RatFunc._of(*_monic(self.num * o.den + o.num * self.den,
+                                       self.den * o.den))
         db, dd = self.den.exact_div(g), o.den.exact_div(g)
         t = self.num * dd + o.num * db
-        t, g = _cancel(t, g)
-        return _lead_normalized(t, db * (dd * g))
+        t, g = _coprime(t, g)
+        return RatFunc._of(*_monic(t, db * (dd * g)))
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -90,24 +94,24 @@ class RatFunc(Value):
             return RatFunc.const(self.vars, 0)
         # a constant is q/1 with q != 0: scaling the other numerator keeps it normalized
         if o.is_polynomial() and o.num.is_const():
-            return RatFunc(self.num.scale(o.num.const_value()), self.den, _normalized=True)
+            return RatFunc._of(self.num.scale(o.num.const_value()), self.den)
         if self.is_polynomial() and self.num.is_const():
-            return RatFunc(o.num.scale(self.num.const_value()), o.den, _normalized=True)
-        num_a, den_b = _cancel(self.num, o.den)
-        num_b, den_a = _cancel(o.num, self.den)
-        return _lead_normalized(num_a * num_b, den_a * den_b)
+            return RatFunc._of(o.num.scale(self.num.const_value()), o.den)
+        num_a, den_b = _coprime(self.num, o.den)
+        num_b, den_a = _coprime(o.num, self.den)
+        return RatFunc._of(*_monic(num_a * num_b, den_a * den_b))
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return self * _lead_normalized(o.den, o.num)
+        return self * RatFunc._of(*_monic(o.den, o.num))
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den, _normalized=True)
+        return RatFunc._of(-self.num, self.den)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -187,12 +191,12 @@ class RatFunc(Value):
         return f"({self.num})/({self.den})"
 
 
-def _cancel(num: Poly, den: Poly):
+def _coprime(num: Poly, den: Poly):
     """(num, den) divided by their gcd, with no division when the gcd is 1.
 
-    A constant den (nonzero) is a unit, so it needs no gcd either.
+    A constant den (nonzero) is a unit and a zero num has no factor: no gcd.
     """
-    if den.is_const():
+    if den.is_const() or num.is_zero():
         return num, den
     g = num.gcd(den)
     if g.is_const() and g.const_value() == 1:
@@ -200,15 +204,12 @@ def _cancel(num: Poly, den: Poly):
     return num.exact_div(g), den.exact_div(g)
 
 
-def _lead_normalized(num: Poly, den: Poly) -> RatFunc:
-    """Wrap an already-coprime pair, scaling the denominator lead to 1."""
+def _monic(num: Poly, den: Poly):
+    """A coprime pair scaled to a den of lead 1; den is 1 when num is 0."""
     if num.is_zero():
-        return RatFunc.const(num.vars, 0)
+        return num, Poly.const(num.vars, 1)
     lf = den.lead_fraction()
-    if lf != 1:
-        num = num.scale(1 / lf)
-        den = den.scale(1 / lf)
-    return RatFunc(num, den, _normalized=True)
+    return (num, den) if lf == 1 else (num.scale(1 / lf), den.scale(1 / lf))
 
 
 def _valuation(p: Poly) -> int:

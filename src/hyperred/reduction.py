@@ -8,7 +8,8 @@ integer-parameter case.
 
 Every denominator on a reduction path is a known linear factor, so a unit
 step is kept fraction-free as (P, factors, K): a polynomial matrix P over K
-times a product of monic factors.  The relation row is polynomial over its
+times a product of linear factors (x - r)^m, each recorded by its root as
+(x, r) (``poly.Factors``).  The relation row is polynomial over its
 lead 1 - kappa z, so theta's matrix on the basis column is N' / (1 - kappa z)
 with N' polynomial; its rows are lead e_(k+1) and, last, the relation row,
 and ``QuotientModule.times_n`` applies it to a row.  One step builder
@@ -47,7 +48,7 @@ from typing import List, Optional, Tuple
 
 from .errors import NotIntegerShift, SingularStep, VerificationFailure
 from .hyper import Hyper, HyperFn
-from .poly import Factors, Poly, _cancel, _factor_product, theta_poly
+from .poly import Factors, Poly, _add_factor, _cancel, _factor_product, theta_poly
 from .ratfunc import RatFunc
 from .scalars import DEFAULT_N, EpsLin
 from .series import lowest_cell, series_of_hyper, theta_pieces, truncated_sum
@@ -77,8 +78,7 @@ def _is_unit_param(x) -> bool:
 def ode_operator(fn: Hyper) -> ThetaOp:
     """kappa z prod(theta + a_i) - theta prod(theta + b_l - 1), degree p+1."""
     m = QuotientModule(fn)
-    return ThetaOp([RatFunc(r, _normalized=True) for r in m.rel_num]
-                   + [RatFunc(-m.lead, _normalized=True)])
+    return ThetaOp([RatFunc.over(r) for r in m.rel_num + [-m.lead]])
 
 
 # ---------------------------------------------------------------------------
@@ -218,16 +218,6 @@ class OpMatrix:
 # fraction-free steps
 
 
-def _add_factor(factors: Factors, f: Poly, m: int = 1) -> Fraction:
-    """Record f^m by its monic form; returns the constant split off, lead^m."""
-    if f.is_const():
-        return f.const_value() ** m
-    lf = f.lead_fraction()
-    key = f if lf == 1 else f.scale(1 / lf)
-    factors[key] = factors.get(key, 0) + m
-    return lf ** m
-
-
 def _step(fn: Hyper, which: str, index: int, direction: int,
           affine_index: Optional[int]):
     """(P, factors, K) of one unit step of fn, from the step memo.
@@ -335,18 +325,12 @@ def step_matrix(fn: Hyper, which: str, index: int, direction: int,
     direction +1 raises the parameter, -1 lowers it.  Upper raises and
     lower lowers are built directly; the two opposite moves invert the
     step of the reverse move, built at the shifted function.  This is the
-    RatFunc view P / (K prod f^m) of the step that reduce_to_basis folds.
+    RatFunc view P / (K prod (x - r)^m) of the step that reduce_to_basis
+    folds, each entry built by ``RatFunc.over``.
     """
     P, factors, K = _step(fn, which, index, direction, affine_index)
-    vars = P[0][0].vars
-
-    def entry(e: Poly) -> RatFunc:
-        # the factors left after trial division share none with e: gcd-free;
-        # a zero entry keeps no factor, so its denominator is 1
-        (e,), left = _cancel([e], factors)
-        return RatFunc(e.scale(1 / K), _factor_product(vars, 1, left), _normalized=True)
-
-    return OpMatrix(tuple(tuple(entry(e) for e in row) for row in P), affine_index is not None)
+    return OpMatrix(tuple(tuple(RatFunc.over(e, factors, K) for e in row) for row in P),
+                    affine_index is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -456,12 +440,9 @@ def reduce_to_basis(target: Hyper, basis: Hyper,
     affine = affine_index is not None
     if not affine:
         row.append(zero)
-    s = _factor_product(vars, Fraction(1), factors)
-    if K != 1:
-        row = [p.scale(1 / K) for p in row]
-    r_polys = tuple(RatFunc(p, _normalized=True) for p in row[:-1])
-    return ReductionResult(target, basis, RatFunc(s, _normalized=True), r_polys,
-                           RatFunc(row[-1], _normalized=True), affine)
+    s = RatFunc.over(_factor_product(vars, 1, factors))
+    row = [RatFunc.over(p, K=K) for p in row]
+    return ReductionResult(target, basis, s, tuple(row[:-1]), row[-1], affine)
 
 
 def _check_path(path, ups, los):

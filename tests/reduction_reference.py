@@ -36,7 +36,7 @@ from series_reference import (rows_add, rows_div_z, rows_first_mismatch, rows_in
 
 
 def _param_rf(vars, x) -> RatFunc:
-    return RatFunc(_param_poly(vars, x), _normalized=True)
+    return RatFunc.over(_param_poly(vars, x))
 
 
 def _theta_poly(vars, roots):
@@ -123,8 +123,8 @@ def clear_and_normalize(target, basis, coeffs, tail, affine) -> ReductionResult:
         g = den_lcm.gcd(c.den)
         den_lcm = den_lcm * c.den.exact_div(g)
     s = den_lcm
-    cleared = [(c * RatFunc(s, _normalized=True)) for c in coeffs]
-    tail_c = tail * RatFunc(s, _normalized=True)
+    cleared = [(c * RatFunc.over(s)) for c in coeffs]
+    tail_c = tail * RatFunc.over(s)
     polys = [s] + [c.num for c in cleared] + [tail_c.num]
     g = Poly.zero(vars)
     for p in polys:
@@ -135,9 +135,9 @@ def clear_and_normalize(target, basis, coeffs, tail, affine) -> ReductionResult:
     lf = polys[0].lead_fraction()
     if lf != 1:
         polys = [p.scale(1 / lf) for p in polys]
-    s_poly = RatFunc(polys[0], _normalized=True)
-    r_polys = tuple(RatFunc(p, _normalized=True) for p in polys[1:-1])
-    tail_p = RatFunc(polys[-1], _normalized=True)
+    s_poly = RatFunc.over(polys[0])
+    r_polys = tuple(RatFunc.over(p) for p in polys[1:-1])
+    tail_p = RatFunc.over(polys[-1])
     return ReductionResult(target, basis, s_poly, r_polys, tail_p, affine)
 
 

@@ -300,24 +300,45 @@ def test_cli_malformed_rationals_are_parse_errors(capsys):
 
 def test_cli_verify_malformed_stored_records_are_parse_errors(tmp_path, capsys):
     """Each bad record exits 2 with one error line naming its line, and no
-    record is checked before every line has decoded."""
+    record is checked before every line has decoded.  Exponent lists, the
+    variables of reduce pieces and of omega0, and the shape of an expand
+    record are checked while decoding: Poly.from_terms would drop a bad
+    exponent, omega0's eps terms went unread, and the other records failed
+    with a traceback or were checked as the wrong class."""
     from hyperred import cli
-    good = (Path(__file__).parent / "golden" / "stored.jsonl").read_text().splitlines()[0]
+    good, expand = (Path(__file__).parent / "golden" / "stored.jsonl").read_text().splitlines()
     no_s = json.loads(good)
     del no_s["s"]
-    bad = {"ZeroDivisionError": good.replace('"1"', '"1/0"', 1),
-           "ValueError": good.replace('"1"', '"x"', 1),
-           "KeyError": json.dumps(no_s),
-           "JSONDecodeError": good[:50]}
-    for kind, line in bad.items():
-        path = tmp_path / f"{kind}.jsonl"
+
+    def edited(line, edit):
+        rec = json.loads(line)
+        edit(rec)
+        return json.dumps(rec)
+
+    bad = [("ZeroDivisionError", good.replace('"1"', '"1/0"', 1)),
+           ("ValueError", good.replace('"1"', '"x"', 1)),
+           ("KeyError", json.dumps(no_s)),
+           ("JSONDecodeError", good[:50])]
+    for exps in ([-1, 0], [0, 0, 7], [0.5, 0], [0], [True, 0]):
+        bad.append(("ValueError", edited(good, lambda r: r["s"]["num"].append([exps, "5"]))))
+    bad.append(("ValueError", edited(good, lambda r: [p.update(vars=["n", "z"])
+                                                     for p in [r["s"], r["tail"], *r["r"]]])))
+    for edit in ({"omega0": None}, {"layers": []}, {"kind": "bogus"}, {"kind": "xi"},
+                 {"omega0": {"vars": ["eps", "z"], "num": [[[0, 0], "1"], [[1, 0], "5"]], "den": []}},
+                 {"omega0": {"vars": ["n", "z"], "num": [[[0, 0], "1"], [[1, 0], "5"]], "den": []}}):
+        bad.append(("ValueError", edited(expand, lambda r: r.update(edit))))
+    for i, (kind, line) in enumerate(bad):
+        path = tmp_path / f"{i}.jsonl"
         path.write_text(f"{good}\n\n{line}\n")
-        assert cli.main(["verify", str(path)]) == 2, kind
+        assert cli.main(["verify", str(path)]) == 2, line
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, kind
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, line
         assert f"malformed stored record ({kind}: " in err and "at line 3," in err, err
-    r = run_cli("verify", str(tmp_path / "KeyError.jsonl"))
-    assert r.returncode == 2 and "Traceback" not in r.stderr
+    fresh = [i for i, (kind, line) in enumerate(bad) if kind == "KeyError" or '"layers": []' in line]
+    assert len(fresh) == 2
+    for i in fresh:
+        r = run_cli("verify", str(tmp_path / f"{i}.jsonl"))
+        assert r.returncode == 2 and "Traceback" not in r.stderr
 
 
 def test_cli_verify_bounds_stored_depth(tmp_path, capsys):

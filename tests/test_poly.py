@@ -4,9 +4,9 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from hyperred import poly as poly_mod
+from hyperred import poly as poly_mod, ratfunc as ratfunc_mod
 from hyperred.errors import PoleAtEpsZero
 from hyperred.poly import Poly
 from hyperred.ratfunc import RatFunc
@@ -338,6 +338,58 @@ def test_ratfunc_product_still_cancels_shared_factors():
     p = a * b
     assert (p.num, p.den) == (z - 2, z + 3)
     _assert_normalized(p)
+
+
+@st.composite
+def linear_fractions(draw, vars):
+    """(p, factors, K): roots from a few values, so they repeat, and p a
+    polynomial times each factor up to one more time than its multiplicity."""
+    roots = st.tuples(st.sampled_from(vars), st.sampled_from([0, 1, -2, F(1, 3), F(-5, 2)]))
+    factors = draw(st.dictionaries(roots, st.integers(1, 3), max_size=3))
+    p = draw(ring_polys(vars, max_deg=1))
+    for (x, r), m in factors.items():
+        p = p * (Poly.variable(vars, x) - r) ** draw(st.integers(0, m + 1))
+    return p, factors, draw(rationals.filter(bool))
+
+
+def _check_over_is_the_gcd_path(vars):
+    z = Poly.variable(vars, "z")
+
+    @settings(max_examples=60, deadline=None)
+    @given(linear_fractions(vars))
+    @example(((z - 1) ** 2 * (z + 2), {("z", 1): 2}, F(3)))
+    def check(case):
+        p, factors, K = case
+        den = Poly.const(vars, K)
+        for (x, r), m in factors.items():
+            den = den * (Poly.variable(vars, x) - r) ** m
+        got, want = RatFunc.over(p, factors, K), RatFunc(p, den)
+        assert (got.num, got.den) == (want.num, want.den)
+    check()
+
+
+@pytest.mark.parametrize("vars", [("eps", "z"), ("n", "z")])
+def test_over_matches_the_gcd_path(vars):
+    """RatFunc.over(p, factors, K) is RatFunc(p, K prod (x - r)^m) rep for rep."""
+    _check_over_is_the_gcd_path(vars)
+
+
+def test_over_property_fails_a_clearing_that_divides_each_factor_once(monkeypatch):
+    """Negative control: with each factor divided out at most once, a root
+    of p of order 2 leaves a common factor, and the property sees it."""
+    def cancel_once(polys, factors):
+        left = {}
+        for root, m in factors.items():
+            qs = [p.div_root(*root) for p in polys]
+            if None not in qs:
+                polys, m = qs, m - 1
+            if m:
+                left[root] = m
+        return list(polys), left
+
+    monkeypatch.setattr(ratfunc_mod, "_cancel", cancel_once)
+    with pytest.raises(AssertionError):
+        _check_over_is_the_gcd_path(("eps", "z"))
 
 
 def test_const_queries_walk_the_rep():

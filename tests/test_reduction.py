@@ -366,7 +366,7 @@ def _step_grid():
 
 
 def test_steps_are_pinned_rep_for_rep():
-    """Every (P rep/den, sorted factors, K) of the step grid, and the message
+    """Every (P rep/den, sorted monic factors, K) of the step grid, and the message
     of each SingularStep, hashes to the digest the step builder gave when
     the forward and the inverse moves were two separate functions."""
     import hashlib
@@ -377,8 +377,9 @@ def test_steps_are_pinned_rep_for_rep():
         moves += 1
         try:
             P, factors, K = _step(fn, which, index, direction, affine_index)
+            monic = [(Poly.variable(P[0][0].vars, x) - r, m) for (x, r), m in factors.items()]
             item = ([[(e.rep, e.den) for e in row] for row in P],
-                    sorted((f.rep, f.den, m) for f, m in factors.items()), K)
+                    sorted((f.rep, f.den, m) for f, m in monic), K)
         except SingularStep as e:
             item = ("SingularStep", str(e))
         h.update(repr(item).encode())
