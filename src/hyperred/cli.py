@@ -22,16 +22,16 @@ from .errors import (CriterionViolation, DegeneratePoles, HyperredError,
                      NoFactorization, NotIntegerShift, NotTriangular, ParseError,
                      PoleAtEpsZero, SingularStep, UnboundSymbols, UncancelledPole,
                      UnsupportedClass, VerificationFailure)
-from .expansion import (EpsilonExpansion, epsilon_expand, f3_parametrization_check,
-                        gauss_flags, gauss_triangular_system, three_f2_system,
-                        verify_expansion)
+from .expansion import (EpsilonExpansion, epsilon_expand, expansion_class,
+                        f3_parametrization_check, gauss_flags, gauss_triangular_system,
+                        three_f2_system, verify_expansion)
 from .gpl import PolyLogExpr
 from .grammar import parse_hyper, parse_input
 from .mb import DiagramPreset, MBRepr, count_master_integrals, mb_to_hyper
 from .poly import Poly
 from .ratfunc import RatFunc
-from .reduction import (ReductionResult, count_nontrivial_basis, detect_exceptional,
-                        ode_operator, reduce_to_basis, verify_depth, verify_reduction)
+from .reduction import (ReductionResult, detect_exceptional, ode_operator, reduce_to_basis,
+                        shift_vector, tail_upper, verify_depth, verify_reduction)
 from .series import series_of_hyper
 
 EXIT_OK = 0
@@ -91,15 +91,27 @@ def enc_ratfunc(r: RatFunc) -> dict:
 def dec_ratfunc(d: dict, expect: Optional[tuple] = None) -> RatFunc:
     """The RatFunc a record holds, over the variables ``expect`` when given.
 
-    Poly.from_terms trusts its exponents: each must be a non-negative int."""
+    Poly.from_terms trusts its exponents: each must be a non-negative int,
+    and no list may repeat."""
     vars = tuple(d["vars"])
     if expect not in (None, vars):
         raise ValueError(f"expected variables {list(expect)}, got {list(vars)}")
     for e, _ in d["num"] + d["den"]:
         if len(e) != len(vars) or any(type(x) is not int or x < 0 for x in e):
             raise ValueError(f"exponents {e} are not one non-negative integer per variable")
-    mk = lambda terms: Poly.from_terms(vars, {tuple(e): dec_rat(c) for e, c in terms})
+    mk = lambda terms: Poly.from_terms(
+        vars, _unique(((tuple(e), dec_rat(c)) for e, c in terms), "exponent list"))
     return RatFunc(mk(d["num"]), mk(d["den"]) if d["den"] else None)
+
+
+def _unique(pairs, what: str) -> dict:
+    """dict(pairs), unless two of the pairs share a key."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"{what} [{', '.join(map(str, key))}] repeats")
+        out[key] = value
+    return out
 
 
 def enc_polylog(e: PolyLogExpr) -> dict:
@@ -112,7 +124,8 @@ def enc_polylog(e: PolyLogExpr) -> dict:
 
 
 def dec_polylog(d: dict) -> PolyLogExpr:
-    terms = {tuple(dec_rat(a) for a in t["letters"]): dec_rat(t["coeff"]) for t in d["terms"]}
+    terms = _unique(((tuple(dec_rat(a) for a in t["letters"]), dec_rat(t["coeff"]))
+                     for t in d["terms"]), "word")
     return PolyLogExpr(terms, dec_rat(d["const"]), d["var"])
 
 
@@ -191,16 +204,15 @@ def run_reduce(spec: JobSpec, args) -> int:
 def run_count_basis(spec: JobSpec, args) -> int:
     fn = parse_hyper(_load_expr(args.fn))
     rep = detect_exceptional(fn)
-    L = count_nontrivial_basis(fn)
     rec = {
         "command": "count-basis",
         "fn": str(fn),
-        "L": L,
+        "L": rep.count,
         "integer_uppers": list(rep.integer_uppers),
         "pairs": [list(p) for p in rep.pairs],
         "shared_flags": list(rep.shared_flags),
     }
-    lines = [f"fn: {fn}", f"L = {L}",
+    lines = [f"fn: {fn}", f"L = {rep.count}",
              f"integer uppers: {list(rep.integer_uppers)}",
              f"cancellable pairs (upper, lower, diff): {list(rep.pairs)}"]
     if rep.shared_flags:
@@ -346,27 +358,42 @@ def run_check_parametrization(spec: JobSpec, opts) -> int:
 
 def _decode_record(rec: dict):
     """The ReductionResult or EpsilonExpansion a stored record holds; a
-    ValueError for a shape no job writes."""
+    ValueError for a shape or a field no job writes for its function, and
+    UnsupportedClass for a function the job would refuse."""
     cmd = rec.get("command")
     if cmd == "reduce":
         piece = lambda d: dec_ratfunc(d, ("eps", "z"))
+        target, basis = parse_hyper(rec["target"]), parse_hyper(rec["basis"])
+        affine = tail_upper(basis, shift_vector(target, basis)[0]) is not None
+        if rec["affine"] is not affine:
+            raise ValueError(f"affine is {json.dumps(affine)} for this target and basis,"
+                             f" got {json.dumps(rec['affine'])}")
         return ReductionResult(
-            target=parse_hyper(rec["target"]),
-            basis=parse_hyper(rec["basis"]),
+            target=target,
+            basis=basis,
             s_poly=piece(rec["s"]),
             r_polys=tuple(piece(r) for r in rec["r"]),
             algebraic_tail=piece(rec["tail"]),
-            affine=rec.get("affine", False))
+            affine=affine)
     if cmd == "expand":
         kind, omega0, layers = rec["kind"], rec["omega0"], rec["layers"]
         if kind not in ("direct", "xi") or (omega0 is None) == (kind == "direct") or not layers:
             raise ValueError("an expand record needs kind 'direct' with omega0 or 'xi' with"
                              f" omega0 null, and a layer; got {kind!r}, omega0"
                              f" {'null' if omega0 is None else 'set'}, {len(layers)} layers")
-        return EpsilonExpansion(
-            fn=parse_hyper(rec["fn"]), kind=kind, var=rec["var"],
+        fn = parse_hyper(rec["fn"])
+        if expansion_class(fn) != kind:
+            raise ValueError(f"{fn} expands as kind {expansion_class(fn)!r}, not {kind!r}")
+        var = "xi" if kind == "xi" else fn.var
+        if {rec["var"], *(l["var"] for l in layers)} != {var}:
+            raise ValueError(f"an expand record of kind {kind!r} and its layers are in {var!r}")
+        exp = EpsilonExpansion(
+            fn=fn, kind=kind, var=var,
             omega0=dec_ratfunc(omega0, ("z",)) if omega0 is not None else None,
             layers=tuple(dec_polylog(l) for l in layers))
+        if kind == "direct" and exp.layers[0] != PolyLogExpr({}, 1 if exp.omega0 == 1 else 0, var):
+            raise ValueError("a direct record's layer 0 is 1 when omega0 is 1, and 0 otherwise")
+        return exp
     raise UnsupportedClass(f"cannot verify record kind {cmd!r}")
 
 

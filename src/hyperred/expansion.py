@@ -27,7 +27,7 @@ from .hyper import HyperFn
 from .poly import Poly, theta_poly
 from .ratfunc import RatFunc
 from .scalars import EpsLin, rat
-from .series import BiSeries, compose_z_series, lowest_cell, series_of_hyper, truncated_sum
+from .series import BiSeries, lowest_cell, series_of_hyper, truncated_sum
 
 F = Fraction
 _EPS = ("eps",)
@@ -291,17 +291,21 @@ class EpsilonExpansion:
 
 def epsilon_expand(f: HyperFn, K: int) -> EpsilonExpansion:
     """Expand f to order K in eps by iterated integration."""
+    if expansion_class(f) == "direct":
+        return _expand_integer_class(f, K)
+    return _expand_half_integer_gauss(f, K)
+
+
+def expansion_class(f: HyperFn) -> str:
+    """The kind of expansion f gets, "direct" or "xi"; UnsupportedClass outside both."""
     if f.kappa != 1:
         raise UnsupportedClass("expansion requires kappa = 1 (rescale first)")
-    consts_up = [u.const for u in f.upper]
-    consts_lo = [l.const for l in f.lower]
-    if all(c.denominator == 1 for c in consts_up + consts_lo):
-        return _expand_integer_class(f, K)
-    if (len(f.lower) == 1 and consts_up[0] == F(1, 2)
-            and gauss_flags(*consts_up, 1 - consts_lo[0])["lemma_iv"]):
-        return _expand_half_integer_gauss(f, K)
-    raise UnsupportedClass(
-        f"parameters {f} fall outside the supported expansion classes")
+    up, lo = [u.const for u in f.upper], [l.const for l in f.lower]
+    if all(c.denominator == 1 for c in up + lo):
+        return "direct"
+    if len(lo) == 1 and up[0] == F(1, 2) and gauss_flags(*up, 1 - lo[0])["lemma_iv"]:
+        return "xi"
+    raise UnsupportedClass(f"parameters {f} fall outside the supported expansion classes")
 
 
 def _choose_factorization(A: List[Fraction], B: List[Fraction]):
@@ -380,10 +384,10 @@ def _expand_integer_class(f: HyperFn, K: int) -> EpsilonExpansion:
         om = _peel_theta_beta(_first_order_solve(rhs, kernel, h), beta)
         layers.append(om)
         thetas.append(_theta_stack(om, P))
-    exprs = [c.to_polylog("z") for c in layers[1:]]
+    exprs = [c.to_polylog(f.var) for c in layers[1:]]
     om0_rf = basis_ratfunc(_combo_rational_part(layers[0]))
-    lead = layers[0].to_polylog("z") if _is_pure(layers[0]) else PolyLogExpr({}, 0, "z")
-    return EpsilonExpansion(f, "direct", "z", om0_rf, (lead,) + tuple(exprs))
+    lead = layers[0].to_polylog(f.var) if _is_pure(layers[0]) else PolyLogExpr({}, 0, f.var)
+    return EpsilonExpansion(f, "direct", f.var, om0_rf, (lead,) + tuple(exprs))
 
 
 def _is_pure(combo: GplCombo) -> bool:
@@ -460,24 +464,17 @@ def _expand_half_integer_gauss(f: HyperFn, K: int) -> EpsilonExpansion:
 # verification against the series oracle
 
 
-def xi_z_series(M: int) -> List[Fraction]:
-    """z = -xi^2/(1 - xi^2) as an exact series in xi."""
-    out = [F(0)] * (M + 1)
-    for m in range(2, M + 1, 2):
-        out[m] = F(-1)
-    return out
+def xi_oracle(f: HyperFn, N: int, K: int) -> BiSeries:
+    """sqrt(-z) F / xi to t^N eps^K in t = xi^2 = z/(z-1), F a 2F1 of argument z.
 
-
-def xi_dressing_series(M: int) -> List[Fraction]:
-    """sqrt(-z) = xi (1 - xi^2)^(-1/2) as an exact series in xi."""
-    out = [F(0)] * (M + 1)
-    coef = F(1)
-    m = 0
-    while 2 * m + 1 <= M:
-        out[2 * m + 1] = coef
-        coef = coef * (2 * m + 1) / (2 * m + 2)
-        m += 1
-    return out
+    By Pfaff's transformation (DLMF 15.8.1) sqrt(-z) 2F1(a, b; c; z) =
+    xi 1F0(1/2-a;; t) 2F1(a, c-b; c; t): one product of two defining series.
+    """
+    if f.kappa != 1 or len(f.lower) != 1:
+        raise UnsupportedClass(f"the xi oracle needs a 2F1 of argument z, got {f}")
+    (a, b), (c,) = f.upper, f.lower
+    return (series_of_hyper(HyperFn([F(1, 2) - a], []), N, K)
+            * series_of_hyper(HyperFn([a, c - b], [c]), N, K))
 
 
 def verify_expansion(f: HyperFn, exp: EpsilonExpansion, N: int = 30):
@@ -486,20 +483,22 @@ def verify_expansion(f: HyperFn, exp: EpsilonExpansion, N: int = 30):
     Returns (True, None) or (False, (j, k)) for the lowest nonzero cell
     of the residual oracle minus layers, summed by ``truncated_sum``:
     z-power j (xi-power for the dressed class) first, then eps order k.
+    The dressed class is checked to xi^(2N) against ``xi_oracle`` to
+    t^(N-1), whose t^j is xi^(2j+1); even powers vanish on both sides.
     """
     K = exp.order
-    oracle = series_of_hyper(f, N, K)
     if exp.kind == "direct":
+        oracle = series_of_hyper(f, N, K)
         cells, den, v0 = exp.omega0.z_cells(N, 0)
         if v0:
             raise UnsupportedClass("omega0 has a pole at the origin")
         pieces = [(1, ((0, 0, 1),), oracle.den, 0, oracle.nums), (-1, cells, den, 0, None)]
         layers = range(1, K + 1)
     else:
+        oracle = xi_oracle(f, N - 1, K)
+        pieces = [(1, [(2 * j + 1, k, x) for j, k, x in oracle.cells(N - 1, K)],
+                   oracle.den, 0, None)]
         N = 2 * N
-        dress = BiSeries([(c,) for c in xi_dressing_series(N)])
-        oracle = compose_z_series(oracle, xi_z_series(N), N)
-        pieces = [(1, dress.cells(N, 0), dress.den * oracle.den, 0, oracle.nums)]
         layers = range(K + 1)
     for k in layers:
         s = exp.layers[k].biseries(N)

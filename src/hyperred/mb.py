@@ -15,7 +15,7 @@ from typing import Mapping, Sequence, Tuple
 
 from .errors import CriterionViolation, DegeneratePoles
 from .hyper import SymHyperFn
-from .reduction import count_nontrivial_basis, detect_exceptional
+from .reduction import detect_exceptional
 from .scalars import DEFAULT_N, EpsLin, LinearForm, rat
 
 F = Fraction
@@ -136,12 +136,9 @@ def count_master_integrals(h: HyperSum, bindings: Mapping[str, int],
     Raises CriterionViolation if the terms disagree (criterion (i) says
     they must not, so a disagreement is surfaced, never averaged away).
     """
-    counts = []
-    reports = []
-    for term in h.terms:
-        fn = term.fn.bind(bindings, n_value)
-        counts.append(count_nontrivial_basis(fn))
-        reports.append((fn, detect_exceptional(fn)))
+    fns = [term.fn.bind(bindings, n_value) for term in h.terms]
+    reports = [(fn, detect_exceptional(fn)) for fn in fns]
+    counts = [rep.count for _, rep in reports]
     if len(set(counts)) > 1:
         raise CriterionViolation(counts)
     return counts[0], reports

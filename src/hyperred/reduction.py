@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import NotIntegerShift, SingularStep, VerificationFailure
 from .hyper import Hyper, HyperFn
@@ -406,11 +406,7 @@ def reduce_to_basis(target: Hyper, basis: Hyper,
     case; the result is path independent after normalization.
     """
     ups, los = shift_vector(target, basis)
-    affine_index = None
-    for i, (t, b) in enumerate(zip(target.upper, basis.upper)):
-        if ups[i] == 0 and _is_unit_param(b):
-            affine_index = i
-            break
+    affine_index = tail_upper(basis, ups)
     if path is None:
         path = canonical_path(ups, los)
     _check_path(path, ups, los)
@@ -443,6 +439,14 @@ def reduce_to_basis(target: Hyper, basis: Hyper,
     s = RatFunc.over(_factor_product(vars, 1, factors))
     row = [RatFunc.over(p, K=K) for p in row]
     return ReductionResult(target, basis, s, tuple(row[:-1]), row[-1], affine)
+
+
+def tail_upper(basis: Hyper, ups: Sequence[int]) -> Optional[int]:
+    """The index of the first unit upper of basis that the upper shifts ups
+    (of ``shift_vector``) leave alone, whose affine module carries the tail;
+    None if there is none."""
+    return next((i for i, b in enumerate(basis.upper) if ups[i] == 0 and _is_unit_param(b)),
+                None)
 
 
 def _check_path(path, ups, los):
@@ -498,16 +502,12 @@ def verify_reduction(result: ReductionResult, N: int = 30, K: int = 2):
 
 @dataclass(frozen=True)
 class ExceptionalReport:
-    """Integer uppers, cancellable upper/lower pairs, and overlap flags."""
+    """Integer uppers, cancellable upper/lower pairs, overlap flags, basis count."""
 
     integer_uppers: Tuple[int, ...]
     pairs: Tuple[Tuple[int, int, int], ...]  # (upper index, lower index, diff)
-    shared_flags: Tuple[int, ...] = ()
-
-    @property
-    def remaining_integer_uppers(self):
-        used = {i for i, _, _ in self.pairs}
-        return tuple(i for i in self.integer_uppers if i not in used)
+    shared_flags: Tuple[int, ...]
+    count: int
 
 
 def detect_exceptional(fn: HyperFn) -> ExceptionalReport:
@@ -515,6 +515,14 @@ def detect_exceptional(fn: HyperFn) -> ExceptionalReport:
 
     Pairs are matched greedily, each upper taking the unused lower with
     the smallest non-negative integer difference (equal eps parts).
+
+    The nontrivial basis count is (p+1) - #pairs - (1 if integer uppers are
+    left unpaired).  A non-positive integer upper terminates the series, so
+    the function is rational and the count is 0.  Positive integer uppers
+    left over after pair cancellation all sit in the contiguous orbit of a
+    single unit-upper function, whose inhomogeneous relation drops the
+    order by exactly one; subtracting them individually would break
+    criterion (i) on all-integer bindings.
     """
     integer_uppers = tuple(i for i, u in enumerate(fn.upper) if u.is_integer())
     used_lowers = set()
@@ -530,21 +538,12 @@ def detect_exceptional(fn: HyperFn) -> ExceptionalReport:
             used_lowers.add(best[0])
             pairs.append((i, best[0], int(best[1])))
     shared = tuple(i for i, _, _ in pairs if i in integer_uppers)
-    return ExceptionalReport(integer_uppers, tuple(pairs), shared)
+    terminating = any(fn.upper[i].const <= 0 for i in integer_uppers)
+    unpaired = len(shared) < len(integer_uppers)
+    count = 0 if terminating else max(fn.p + 1 - len(pairs) - unpaired, 0)
+    return ExceptionalReport(integer_uppers, tuple(pairs), shared, count)
 
 
 def count_nontrivial_basis(fn: HyperFn) -> int:
-    """Nontrivial basis elements: (p+1) - #pairs - (1 if integer uppers left).
-
-    A non-positive integer upper terminates the series, so the function is
-    rational and the count is 0.  Positive integer uppers left over after
-    pair cancellation all sit in the contiguous orbit of a single
-    unit-upper function, whose inhomogeneous relation drops the order by
-    exactly one; subtracting them individually would break criterion (i)
-    on all-integer bindings.
-    """
-    rep = detect_exceptional(fn)
-    if any(fn.upper[i].const <= 0 for i in rep.integer_uppers):
-        return 0
-    L = (fn.p + 1) - len(rep.pairs) - (1 if rep.remaining_integer_uppers else 0)
-    return max(L, 0)
+    """The number of nontrivial basis elements, ``detect_exceptional(fn).count``."""
+    return detect_exceptional(fn).count

@@ -5,13 +5,13 @@ eps to eps^K, held as one positive integer denominator over row-major
 integer numerators; a series in z alone (K = 0) is a word series
 ``(D, nums)`` of ``gpl`` as it stands.  One integer accumulator,
 ``truncated_sum``, does every truncated product of such series: products,
-``combine``, ``theta_action`` and both verifiers' residuals, whose lowest
-nonzero cell is the verdict.  ``invert`` is fraction-free; results are
-reduced by one gcd.  The coefficients of the hypergeometric and the
-nested-sum series are integer rows by construction (Moch, Uwer &
-Weinzierl, hep-ph/0110083).  A Fraction is built only where a coefficient
-is read out or rational input is converted in.  Mixing truncation orders
-takes the minimum.
+``combine``, ``theta_action``, the Horner steps of ``compose_z_series``
+and both verifiers' residuals, whose lowest nonzero cell is the verdict.
+``invert`` is fraction-free; results are reduced by one gcd.  The
+coefficients of the hypergeometric and the nested-sum series are integer
+rows by construction (Moch, Uwer & Weinzierl, hep-ph/0110083).  A
+Fraction is built only where a coefficient is read out or rational input
+is converted in.  Mixing truncation orders takes the minimum.
 """
 
 from __future__ import annotations
@@ -214,17 +214,12 @@ def truncated_sum(pieces, N: int, K: int) -> BiSeries:
             if not v:
                 continue
             cells = [(i // W, i % W, x) for i, x in enumerate(acc) if x]
-        _check_pole(min((j for j, _, _ in cells), default=v), v)
+        if (low := min((j for j, _, _ in cells), default=v)) < v:
+            raise UncancelledPole(f"1/z^{v} applied to series with nonzero z^{low} coefficient")
         for j, k, x in cells:
             out[(j - v) * W + k] += m * x
     top = N - max((p[3] for p in pieces), default=0)
     return _reduced(out[:max(top + 1, 0) * W], L, top, K)
-
-
-def _check_pole(j: int, v: int):
-    """UncancelledPole unless z^j, the lowest nonzero row of a series over z^v, is z^v or above."""
-    if j < v:
-        raise UncancelledPole(f"1/z^{v} applied to series with nonzero z^{j} coefficient")
 
 
 def lowest_cell(nums: Sequence[int], K: int):
@@ -310,40 +305,20 @@ def _integer_linear(x: EpsLin):
 
 
 def compose_z_series(s: BiSeries, zser: Sequence[Fraction], M: int) -> BiSeries:
-    """Substitute z -> zser(xi) (a series with zero constant term) into s.
+    """s with z -> zser(xi), a series from xi^v (v >= 1), to xi^M if s.z_order * v >= M.
 
-    Returns a BiSeries in the new variable, valid to order M in it as long
-    as zser starts at order v >= 1 with s.z_order * v >= M.
+    Horner's rule: one truncated_sum per row of s up to z^(M // v).
     """
     if zser and zser[0] != 0:
         raise ValueError("composition requires a series with zero constant term")
-    K = s.eps_order
-    W = K + 1
-    zs = list(zser[:M + 1]) + [0] * max(0, M + 1 - len(zser))
-    v = next((i for i, c in enumerate(zs) if c != 0), M + 1)
-    if v >= 1 and s.z_order * v < M:
+    zs, K, W = zser[:M + 1], s.eps_order, s.eps_order + 1
+    v = next((i for i, c in enumerate(zs) if c), M + 1)
+    if s.z_order * v < M:
         raise ValueError(f"need z order >= {-(-M // v)} to compose to order {M}")
-    # z^j is power[i] / D^j at xi^i; its lowest term is at xi^(j v), so rows
-    # j <= J reach order M, and all of them go over s.den * D^J
     D = lcm(*(c.denominator for c in zs))
-    zn = [(i, c.numerator * (D // c.denominator)) for i, c in enumerate(zs) if c]
-    J = min(s.z_order, M // v)
-    power, scale = [1] + [0] * M, D ** J
-    out = [0] * ((M + 1) * W)
-    for j in range(J + 1):
-        if j > 0:
-            nxt = [0] * (M + 1)
-            for a, p in enumerate(power):
-                if p:
-                    for b, n in zn:
-                        if a + b > M:
-                            break
-                        nxt[a + b] += p * n
-            power, scale = nxt, scale // D
-        for k, n in enumerate(s.nums[j * W:(j + 1) * W]):
-            if n:
-                n *= scale
-                for i, p in enumerate(power):
-                    if p:
-                        out[i * W + k] += p * n
-    return _reduced(out, s.den * D ** J, M, K)
+    zn = [(i, 0, c.numerator * (D // c.denominator)) for i, c in enumerate(zs) if c]
+    acc = truncated_sum([], M, K)
+    for j in range(min(s.z_order, M // v), -1, -1):
+        row = [(0, k, x) for k, x in enumerate(s.nums[j * W:(j + 1) * W]) if x]
+        acc = truncated_sum([(1, zn, D * acc.den, 0, acc.nums), (1, row, s.den, 0, None)], M, K)
+    return acc

@@ -1,10 +1,14 @@
-"""Reference factorizations for tests/test_expansion.py that the program never calls.
+"""References for tests/test_expansion.py that the program never calls.
 
 The two solvers that ``expansion._splits`` replaced: the report's
 sum/product matching (each case solved from x + y and x y of the padded
 two-parameter shape, with its own xi text) and the engine's subset search
 over sorted parameters.  Neither shares a line with the split enumerator,
 so equal answers on a grid are an independent check.
+
+The xi oracle that Pfaff's transformation replaced: the z-series composed
+with z = -xi^2/(1 - xi^2) and dressed by sqrt(-z) = xi (1 - xi^2)^(-1/2),
+both as hand-built Fraction series.
 """
 
 from __future__ import annotations
@@ -15,7 +19,9 @@ from typing import List, Optional, Sequence
 
 from hyperred.errors import NoFactorization, UnsupportedClass
 from hyperred.expansion import FactorizationReport, gauss_flags
+from hyperred.hyper import HyperFn
 from hyperred.scalars import EpsLin
+from hyperred.series import BiSeries, compose_z_series, series_of_hyper, truncated_sum
 
 F = Fraction
 
@@ -109,3 +115,31 @@ def choose_factorization(A: List[Fraction], B: List[Fraction]):
                                f"[{', '.join(map(str, A))}], lowers [{', '.join(map(str, B))}]")
     _, beta, r1, r2 = best
     return [int(x) for x in beta], int(r1), int(r2)
+
+
+def xi_z_series(M: int) -> List[Fraction]:
+    """z = -xi^2/(1 - xi^2) as an exact series in xi."""
+    out = [F(0)] * (M + 1)
+    for m in range(2, M + 1, 2):
+        out[m] = F(-1)
+    return out
+
+
+def xi_dressing_series(M: int) -> List[Fraction]:
+    """sqrt(-z) = xi (1 - xi^2)^(-1/2) as an exact series in xi."""
+    out = [F(0)] * (M + 1)
+    coef = F(1)
+    m = 0
+    while 2 * m + 1 <= M:
+        out[2 * m + 1] = coef
+        coef = coef * (2 * m + 1) / (2 * m + 2)
+        m += 1
+    return out
+
+
+def xi_composed_oracle(f: HyperFn, N: int, K: int) -> BiSeries:
+    """sqrt(-z) F to xi^(2N) eps^K: F's z-series composed, then dressed."""
+    M = 2 * N
+    oracle = compose_z_series(series_of_hyper(f, N, K), xi_z_series(M), M)
+    dress = BiSeries([(c,) for c in xi_dressing_series(M)])
+    return truncated_sum([(1, dress.cells(M, 0), dress.den * oracle.den, 0, oracle.nums)], M, K)

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import expansion_reference
 from hyperred import cli, expansion
@@ -14,7 +15,7 @@ from hyperred.errors import (NoFactorization, NotTriangular, UnsupportedClass)
 from hyperred.expansion import (EpsilonExpansion, epsilon_expand,
                                 f3_parametrization_check, factorization_conditions,
                                 gauss_flags, gauss_triangular_system, three_f2_system,
-                                verify_expansion, xi_dressing_series, xi_z_series)
+                                verify_expansion)
 from hyperred.gpl import GplCombo, PolyLogExpr
 from hyperred.grammar import parse_hyper
 from hyperred.hyper import HyperFn
@@ -267,9 +268,9 @@ def test_shuffle_closure_of_layers():
 
 
 def test_xi_series_helpers():
-    zs = xi_z_series(8)
+    zs = expansion_reference.xi_z_series(8)
     assert zs[2] == -1 and zs[4] == -1 and zs[3] == 0
-    ds = xi_dressing_series(7)
+    ds = expansion_reference.xi_dressing_series(7)
     assert ds[1] == 1 and ds[3] == F(1, 2) and ds[5] == F(3, 8)
 
 
@@ -280,8 +281,9 @@ def test_xi_layers_reconstruct_undressed_function():
     K, N = 2, 12
     e = epsilon_expand(f, K)
     M = 2 * N
-    composed = compose_z_series(series_of_hyper(f, N, K), xi_z_series(M), M)
-    dress = xi_dressing_series(M)
+    ref = expansion_reference
+    composed = compose_z_series(series_of_hyper(f, N, K), ref.xi_z_series(M), M)
+    dress = ref.xi_dressing_series(M)
     for k in range(K + 1):
         uk = e.layers[k].series(M)
         target = composed.eps_row(k)
@@ -289,6 +291,61 @@ def test_xi_layers_reconstruct_undressed_function():
         lhs = uk
         rhs = [sum(dress[i] * target[j - i] for i in range(j + 1)) for j in range(M + 1)]
         assert lhs == rhs, k
+
+
+_Q = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def _pfaff_draws(draw, N_min=1):
+    """(f, N, K): a kappa = 1 2F1 with a != b and c off the non-positive
+    integers, a z-depth N and an eps order K."""
+    a = EpsLin(draw(_Q), draw(_Q))
+    b = draw(st.builds(EpsLin, _Q, _Q).filter(lambda b: b != a))
+    c0 = draw(_Q.filter(lambda q: q.denominator != 1 or q > 0))
+    f = HyperFn([a, b], [EpsLin(c0, draw(_Q))])
+    return f, draw(st.integers(N_min, 30)), draw(st.integers(0, 8))
+
+
+def _odd_rows(s: BiSeries, N: int, K: int):
+    """(nums, den) of the odd xi-powers of s to xi^(2N-1); its even ones must vanish."""
+    W = K + 1
+    rows = [s.nums[j * W:(j + 1) * W] for j in range(2 * N + 1)]
+    assert not any(any(r) for r in rows[::2])
+    return tuple(x for r in rows[1::2] for x in r), s.den
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pfaff_draws())
+def test_xi_oracle_is_the_composed_and_dressed_oracle(case):
+    """Pfaff's transformation in t = xi^2 gives, cell for cell, the z-series
+    composed with z = -xi^2/(1 - xi^2) and dressed by sqrt(-z)."""
+    f, N, K = case
+    t = expansion.xi_oracle(f, N - 1, K)
+    assert (t.nums, t.den) == _odd_rows(expansion_reference.xi_composed_oracle(f, N, K), N, K)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pfaff_draws(N_min=2).filter(lambda d: d[0].upper[0].const not in
+                                    (0, d[0].upper[1].const)))
+def test_xi_oracle_property_fails_with_c_minus_a(case):
+    """Negative control: with c - a for c - b the t^1 cell is off by
+    a (a - b)/c at eps^0, so the same comparison fails."""
+    f, N, K = case
+    a, _ = f.upper
+    c = f.lower[0]
+    t = (series_of_hyper(HyperFn([F(1, 2) - a], []), N - 1, K)
+         * series_of_hyper(HyperFn([a, c - a], [c]), N - 1, K))
+    assert (t.nums, t.den) != _odd_rows(expansion_reference.xi_composed_oracle(f, N, K), N, K)
+
+
+def test_xi_oracle_refuses_what_pfaff_does_not_cover():
+    f = parse_hyper("2F1[1/2+eps, 1/2-2*eps; 3/2+3*eps; z]")
+    e = epsilon_expand(f, 2)
+    for g in (parse_hyper("2F1[1/2+eps, 1/2-2*eps; 3/2+3*eps; -z]"),
+              parse_hyper("3F2[1/2+eps, 1/2-2*eps, 1; 3/2+3*eps, 1; z]")):
+        with pytest.raises(UnsupportedClass, match="xi oracle"):
+            verify_expansion(g, e)
 
 
 def test_factorization_report_satisfies_root_equations():

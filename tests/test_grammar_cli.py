@@ -323,6 +323,20 @@ def test_cli_verify_malformed_stored_records_are_parse_errors(tmp_path, capsys):
         bad.append(("ValueError", edited(good, lambda r: r["s"]["num"].append([exps, "5"]))))
     bad.append(("ValueError", edited(good, lambda r: [p.update(vars=["n", "z"])
                                                      for p in [r["s"], r["tail"], *r["r"]]])))
+    # a repeated exponent list or word, and an affine flag reduce_to_basis would not set
+    bad.append(("ValueError", edited(good, lambda r: r["s"]["num"].insert(0, [[0, 0], "7"]))))
+    bad.append(("ValueError", edited(expand, lambda r: r["layers"][2]["terms"].insert(
+        0, {"coeff": "5", "letters": ["0", "1"]}))))
+    for flag in (True, "yes"):
+        bad.append(("ValueError", edited(good, lambda r: r.update(affine=flag))))
+    bad.append(("KeyError", edited(good, lambda r: r.pop("affine"))))
+    # the variables and the layer 0 that epsilon_expand writes, and the class it assigns
+    bad.append(("ValueError", edited(expand, lambda r: r.update(var="w"))))
+    bad.append(("ValueError", edited(expand, lambda r: r["layers"][1].update(var="xi"))))
+    bad.append(("ValueError", edited(expand, lambda r: r["layers"].__setitem__(
+        0, {"const": "7", "terms": [{"coeff": "5", "letters": ["1"]}], "var": "z"}))))
+    bad.append(("ValueError", edited(expand, lambda r: r.update(
+        fn="2F1[1/2+eps, 1/2-2*eps; 3/2+3*eps; z]"))))
     for edit in ({"omega0": None}, {"layers": []}, {"kind": "bogus"}, {"kind": "xi"},
                  {"omega0": {"vars": ["eps", "z"], "num": [[[0, 0], "1"], [[1, 0], "5"]], "den": []}},
                  {"omega0": {"vars": ["n", "z"], "num": [[[0, 0], "1"], [[1, 0], "5"]], "den": []}}):
@@ -335,10 +349,58 @@ def test_cli_verify_malformed_stored_records_are_parse_errors(tmp_path, capsys):
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, line
         assert f"malformed stored record ({kind}: " in err and "at line 3," in err, err
     fresh = [i for i, (kind, line) in enumerate(bad) if kind == "KeyError" or '"layers": []' in line]
-    assert len(fresh) == 2
+    assert len(fresh) == 3
     for i in fresh:
         r = run_cli("verify", str(tmp_path / f"{i}.jsonl"))
         assert r.returncode == 2 and "Traceback" not in r.stderr
+
+
+def test_cli_verify_accepts_every_record_a_job_writes(tmp_path, capsys):
+    """The decoder's checks hold for each golden reduce and expand record,
+    affine and xi ones among them, and for a function of another variable."""
+    from hyperred import cli
+    golden = Path(__file__).parent / "golden"
+    paths = sorted(golden.glob("reduce-*.jsonl.out")) + sorted(golden.glob("expand-*.jsonl.out"))
+    assert len(paths) == 10
+    out = tmp_path / "y.jsonl"
+    assert cli.main(["expand", "2F1[2*eps, 3*eps; 1+5*eps; y]", "--order", "2",
+                     "--format", "jsonl", "--out", str(out)]) == 0
+    for path in paths + [out]:
+        capsys.readouterr()
+        assert cli.main(["verify", str(path)]) == 0, path
+        assert " record ok: " in capsys.readouterr().out, path
+
+
+def test_cli_expand_names_layers_by_the_function_variable(capsys):
+    from hyperred import cli
+    assert cli.main(["expand", "2F1[2*eps, 3*eps; 1+5*eps; y]", "--order", "2"]) == 0
+    assert "eps^2: -6*G(0,1;y)" in capsys.readouterr().out
+    assert cli.main(["expand", "2F1[2*eps, 3*eps; 1+5*eps; y]", "--order", "2",
+                     "--format", "jsonl"]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert {rec["var"]} | {l["var"] for l in rec["layers"]} == {"y"}
+
+
+def test_cli_verify_refuses_what_the_job_would_refuse(tmp_path, capsys):
+    """An expand record whose fn epsilon_expand would refuse, and a reduce
+    record whose target is no integer shift of its basis, exit 3 as the
+    job would, before any record is checked."""
+    from hyperred import cli
+    good, expand = (Path(__file__).parent / "golden" / "stored.jsonl").read_text().splitlines()
+    outside, no_shift = json.loads(expand), json.loads(good)
+    outside["fn"] = "2F1[1/3+2*eps, 3*eps; 1+5*eps; z]"
+    no_shift["target"] = "2F1[7/5+eps, 1/3-eps; 1/2+3*eps; z]"
+    for rec, message, job in (
+            (outside, "outside the supported expansion classes", ["expand", outside["fn"],
+                                                                  "--order", "2"]),
+            (no_shift, "is not an integer", ["reduce", no_shift["target"],
+                                             "--basis", no_shift["basis"]])):
+        path = tmp_path / "refused.jsonl"
+        path.write_text(f"{good}\n{json.dumps(rec)}\n")
+        assert cli.main(["verify", str(path)]) == 3, rec
+        out, err = capsys.readouterr()
+        assert out == "" and message in err, err
+        assert cli.main(job) == 3, job
 
 
 def test_cli_verify_bounds_stored_depth(tmp_path, capsys):

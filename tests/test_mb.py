@@ -160,3 +160,14 @@ def test_c1_first_term_pair_is_rho_minus_one():
         from hyperred.reduction import detect_exceptional
         rep = detect_exceptional(fn)
         assert (0, 1, rho - 1) in rep.pairs
+
+
+def test_count_master_integrals_detects_each_term_once(monkeypatch):
+    """The count is read off the one exceptional report of each term."""
+    from hyperred import mb, reduction
+    calls, detect = [], reduction.detect_exceptional
+    for module in (mb, reduction):
+        monkeypatch.setattr(module, "detect_exceptional", lambda fn: calls.append(fn) or detect(fn))
+    h = mb_to_hyper(get_preset("v1200").mb)
+    L, reports = count_master_integrals(h, {"alpha": 1, "beta": 1, "sigma": 1, "rho": 1})
+    assert L == 2 and len(calls) == len(h.terms) == len(reports)
