@@ -179,25 +179,28 @@ def run_reduce(spec: JobSpec, args) -> int:
         if not ok:
             raise VerificationFailure(f"reduction failed oracle at (z^{mism[0]}, eps^{mism[1]})")
         verified = True
-    rec = {
-        "command": "reduce",
-        "target": str(target),
-        "basis": str(basis),
-        "s": enc_ratfunc(result.s_poly),
-        "r": [enc_ratfunc(r) for r in result.r_polys],
-        "tail": enc_ratfunc(result.algebraic_tail),
-        "affine": result.affine,
-        "verified": bool(verified),
-        "N": spec.N,
-        "K": K,
-    }
+    # each format reads every coefficient of S and the R_j, so build only the one printed
+    if spec.fmt == "jsonl":
+        _emit([{
+            "command": "reduce",
+            "target": str(target),
+            "basis": str(basis),
+            "s": enc_ratfunc(result.s_poly),
+            "r": [enc_ratfunc(r) for r in result.r_polys],
+            "tail": enc_ratfunc(result.algebraic_tail),
+            "affine": result.affine,
+            "verified": bool(verified),
+            "N": spec.N,
+            "K": K,
+        }], spec, [])
+        return EXIT_OK
     lines = [f"target: {target}", f"basis:  {basis}", f"S  = {result.s_poly}"]
     lines += [f"R{j} = {r}" for j, r in enumerate(result.r_polys)]
     if not result.algebraic_tail.is_zero():
         lines.append(f"tail = {result.algebraic_tail}")
     if verified:
         lines.append(f"verified against series oracle at N={spec.N}")
-    _emit([rec], spec, lines)
+    _emit([], spec, lines)
     return EXIT_OK
 
 

@@ -324,7 +324,7 @@ def _choose_factorization(A: List[Fraction], B: List[Fraction]):
 
 def _eps_theta_product(params: Sequence[EpsLin]):
     """prod (theta + x) over the parameters x as {eps power: theta coefficient list}."""
-    coeffs = theta_poly([Poly.from_terms(_EPS, {(0,): x.const, (1,): x.eps}) for x in params],
+    coeffs = theta_poly([Poly.linear(_EPS, "eps", x.eps, x.const) for x in params],
                         Poly.const(_EPS, 1))
     table: Dict[int, List[Fraction]] = {}
     for l, c in enumerate(coeffs):

@@ -10,6 +10,14 @@ structural equality is semantic equality.  Products multiply the
 denominators and sums go over their lcm; a Fraction is built only where a
 coefficient is read out or a rational comes in.
 
+src works at two depths, (z,) and (eps, z) or (n, z), and the kernels are
+flat there: at depth 1 ``_add``, ``_neg``, ``_mul``, ``_scale``,
+``_div_int``, ``_div_root`` and ``_trim`` are single loops over ints, and
+at depth 2 ``_mul`` accumulates every product of two rows into one int
+list per power of the top variable, so the reduction's fold and its
+clearing (``_div_root`` through ``_div_int``, ``_scale`` and ``_add``)
+make no call per integer.  Deeper reps recurse down to them.
+
 GCDs use one primitive pseudo-remainder sequence over Z at every depth,
 with no fast path in front of it, normalized to lead coefficient 1.  The
 reduction and ``RatFunc.over`` clear their denominators by trial division
@@ -34,21 +42,31 @@ def _zero(d):
 
 
 def _const(d, n):
+    return _monomial(d, -1, n)
+
+
+def _monomial(d, i, n):
+    """n x_i at depth d; the constant n for i = -1."""
     if n == 0:
         return _zero(d)
     rep = n
-    for _ in range(d):
-        rep = (rep,)
+    for j in range(d):
+        rep = (_zero(j), rep) if j == i else (rep,)
     return rep
 
 
 def _trim(rep, d):
+    """rep (a tuple or list) as a tuple without trailing zeros.
+
+    A zero coefficient is falsy at every depth (0, or the empty tuple), so
+    one loop serves all of them.
+    """
     if d == 0:
         return rep
-    out = list(rep)
-    while out and _is_zero(out[-1], d - 1):
-        out.pop()
-    return tuple(out)
+    n = len(rep)
+    while n and not rep[n - 1]:
+        n -= 1
+    return tuple(rep[:n])
 
 
 def _is_zero(rep, d):
@@ -62,32 +80,61 @@ def _add(a, b, d):
         return a + b
     if len(a) < len(b):
         a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = _add(out[i], c, d - 1)
-    return _trim(tuple(out), d)
+    if d == 1:
+        out = [x + y for x, y in zip(a, b)]
+    else:
+        out = [_add(x, y, d - 1) for x, y in zip(a, b)]
+    if len(a) > len(b):
+        return tuple(out) + a[len(b):]
+    return _trim(out, d)
 
 
 def _neg(a, d):
     if d == 0:
         return -a
+    if d == 1:
+        return tuple([-c for c in a])
     return tuple(_neg(c, d - 1) for c in a)
 
 
+def _mac(out, a, b):
+    """out[i + j] += a[i] b[j] over int lists, the inner loop over the longer one."""
+    if len(a) > len(b):
+        a, b = b, a
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
 def _mul(a, b, d):
+    """The product; flat at depth 1, and at depth 2 fused into one int list per top power."""
     if d == 0:
         return a * b
     if not a or not b:
         return ()
-    out = [_zero(d - 1)] * (len(a) + len(b) - 1)
+    # the top coefficient is a product of nonzero top coefficients: no trim at the top
+    if d == 1:
+        return tuple(_mac([0] * (len(a) + len(b) - 1), a, b))
+    if d == 2:
+        rows = [[] for _ in range(len(a) + len(b) - 1)]
+        for i, ca in enumerate(a):
+            if ca:
+                for row, cb in zip(rows[i:], b):
+                    if cb:
+                        n = len(ca) + len(cb) - 1
+                        if len(row) < n:
+                            row += [0] * (n - len(row))
+                        _mac(row, ca, cb)
+        return tuple([_trim(row, 1) for row in rows])
+    out = [()] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
-        if _is_zero(ca, d - 1):
-            continue
-        for j, cb in enumerate(b):
-            if _is_zero(cb, d - 1):
-                continue
-            out[i + j] = _add(out[i + j], _mul(ca, cb, d - 1), d - 1)
-    return _trim(tuple(out), d)
+        if ca:
+            for j, cb in enumerate(b, i):
+                if cb:
+                    out[j] = _add(out[j], _mul(ca, cb, d - 1), d - 1)
+    return tuple(out)
 
 
 def _scale(a, n, d):
@@ -98,6 +145,8 @@ def _scale(a, n, d):
         return _zero(d)
     if d == 0:
         return a * n
+    if d == 1:
+        return tuple([c * n for c in a])
     return tuple(_scale(c, n, d - 1) for c in a)
 
 
@@ -106,6 +155,10 @@ def _div_int(a, n, d):
     if d == 0:
         q, r = divmod(a, n)
         return None if r else q
+    if d == 1:
+        if any(c % n for c in a):
+            return None
+        return tuple([c // n for c in a])
     out = []
     for c in a:
         c = _div_int(c, n, d - 1)
@@ -116,10 +169,14 @@ def _div_int(a, n, d):
 
 
 def _int_content(a, d, g=0):
-    """gcd of g and every integer of a (non-negative)."""
+    """gcd of g and every integer of a (non-negative).
+
+    Top coefficients first: a reduction row's low ones carry the factors
+    of its denominator, so the gcd reaches 1 sooner from the top.
+    """
     if d <= 1:
         return gcd(g, *a) if d else gcd(g, a)
-    for c in a:
+    for c in reversed(a):
         g = _int_content(c, d - 1, g)
         if g == 1:
             break
@@ -230,7 +287,7 @@ def _div_root(a, i, p, q, d):
     q x_i - p is primitive, so a quotient is integral (Gauss's lemma).
     Top coefficients first: a reduction row's low ones carry the factors.
     """
-    if _is_zero(a, d):
+    if not a:
         return a
     if i < d - 1:
         out = []
@@ -242,6 +299,15 @@ def _div_root(a, i, p, q, d):
         return tuple(reversed(out))
     b = [None] * (len(a) - 1)
     acc = a[-1]
+    if d == 1:
+        for j in range(len(a) - 2, -1, -1):
+            if q != 1:
+                acc, r = divmod(acc, q)
+                if r:
+                    return None
+            b[j] = acc
+            acc = a[j] + acc * p
+        return None if acc else tuple(b)
     for j in range(len(a) - 2, -1, -1):
         acc = _div_int(acc, q, d - 1) if q != 1 else acc
         if acc is None:
@@ -355,9 +421,16 @@ class Poly(Value):
 
     @classmethod
     def variable(cls, vars, name):
-        i = tuple(vars).index(name)
-        exps = tuple(1 if j == i else 0 for j in range(len(vars)))
-        return cls.from_terms(vars, {exps: 1})
+        return cls(vars, _monomial(len(vars), tuple(vars).index(name), 1))
+
+    @classmethod
+    def linear(cls, vars, name, a, b=0):
+        """a name + b for rationals a and b, built on the integer rep."""
+        a, b = Fraction(a), Fraction(b)
+        den, d = lcm(a.denominator, b.denominator), len(vars)
+        rep = _add(_monomial(d, tuple(vars).index(name), a.numerator * (den // a.denominator)),
+                   _const(d, b.numerator * (den // b.denominator)), d)
+        return cls(vars, rep, den)
 
     @classmethod
     def from_terms(cls, vars, terms: Mapping[tuple, Fraction]):
@@ -423,7 +496,7 @@ class Poly(Value):
         return Poly(self.vars, _mul(self.rep, other.rep, self.d), self.den * other.den)
 
     def __neg__(self):
-        return Poly(self.vars, _neg(self.rep, self.d), self.den)
+        return Poly._of(self.vars, _neg(self.rep, self.d), self.den)
 
     def __pow__(self, n):
         if n < 0:
@@ -491,8 +564,9 @@ class Poly(Value):
         b = _div_root(self.rep, self.vars.index(name), r.numerator, r.denominator, self.d)
         if b is None:
             return None
+        # b has the content of self (Gauss), prime to den, and q // g is prime to den // g
         g = gcd(r.denominator, self.den)
-        return Poly(self.vars, _scale(b, r.denominator // g, self.d), self.den // g)
+        return Poly._of(self.vars, _scale(b, r.denominator // g, self.d), self.den // g)
 
     # display -------------------------------------------------------------
 
@@ -549,18 +623,20 @@ def _add_factor(factors: Factors, f: Poly, m: int = 1) -> Fraction:
     """Record f^m, f = a (x - r) linear, under (x, r); returns a^m (f^m if constant)."""
     if f.is_const():
         return f.const_value() ** m
-    terms = f.terms()
-    b = terms.pop((0,) * f.d, 0)
-    ((e, a),) = terms.items()
-    key = (f.vars[e.index(1)], -b / a)
+    # above its variable x_(d-1) the rep of a x + b has one coefficient; at it, (b, a)
+    rep, d = f.rep, f.d
+    while len(rep) == 1:
+        rep, d = rep[0], d - 1
+    b, a = (_const_rep_value(c, d - 1) for c in rep)
+    key = (f.vars[d - 1], Fraction(-b, a))
     factors[key] = factors.get(key, 0) + m
-    return a ** m
+    return Fraction(a, f.den) ** m
 
 
 def _factor_product(vars, K: Fraction, factors: Factors) -> Poly:
     p = Poly.const(vars, K)
     for (x, r), m in factors.items():
-        p = p * (Poly.variable(vars, x) - r) ** m
+        p = p * Poly.linear(vars, x, 1, -r) ** m
     return p
 
 

@@ -68,7 +68,7 @@ def _param_poly(vars, x) -> Poly:
     """const + c*vars[0] in (vars[0], z), from a parameter linear in vars[0] alone."""
     if any(s != vars[0] for s in x.symbols):
         raise ValueError(f"bind propagator powers before reducing: {x}")
-    return Poly.from_terms(vars, {(0, 0): x.const, (1, 0): x.coeff(vars[0])})
+    return Poly.linear(vars, vars[0], x.coeff(vars[0]), x.const)
 
 
 def _is_unit_param(x) -> bool:
@@ -381,10 +381,11 @@ def shift_vector(target: Hyper, basis: Hyper):
 
 
 def _int_diff(t, b) -> int:
-    d = t - b
-    if not d.is_integer():
-        raise NotIntegerShift(f"difference {d} is not an integer")
-    return int(d.const)
+    """t - b read off the fields: equal symbol parts and constants an integer apart."""
+    c = t.const - b.const
+    if t.terms != b.terms or c.denominator != 1:
+        raise NotIntegerShift(f"difference {t - b} is not an integer")
+    return c.numerator
 
 
 def canonical_path(ups, los):

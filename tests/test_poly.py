@@ -590,3 +590,142 @@ def test_subst_matches_poly_object_horner(vars):
             with pytest.raises(ValueError):
                 f.subst_params(W, {vars[0]: images[0]})
     check()
+
+
+# ---------------------------------------------------------------------------
+# the flat depth-1 and fused depth-2 kernels against the recursive reference
+
+small_ints = st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70))
+
+
+def int_reps(d):
+    """Trimmed integer reps of depth d, zero and inner zero rows included."""
+    if d == 1:
+        return st.lists(small_ints, max_size=6).map(lambda c: ref.trim(tuple(c), 1))
+    return st.lists(int_reps(d - 1), max_size=4).map(lambda c: ref.trim(tuple(c), d))
+
+
+def _ints(rep, d):
+    """A reference result, whose integers may be Fractions of denominator 1, as ints."""
+    if d == 0:
+        assert rep.denominator == 1
+        return int(rep)
+    return tuple(_ints(c, d - 1) for c in rep)
+
+
+def _root_rep(d, i, p, q):
+    """The rep of q x_i - p at depth 1 or 2."""
+    lin = (-p, q)
+    if d == 1:
+        return lin
+    return (lin,) if i == 0 else ((-p,) if p else (), (q,))
+
+
+def _assert_int_rep(rep, d):
+    assert all(type(x) is int for x in _leaves(rep, d))
+    assert rep == ref.trim(rep, d) and type(rep) is tuple
+
+
+# (a, b, n) the properties must meet: at depth 1, sums that cancel the top
+# and products of negative coefficients; at depth 2, 1 + z times 1 - z
+# cancels a whole z row, (eps + z)(eps - z) another, and
+# (1 + eps + z)(1 - eps + z) the top eps power of one
+KERNEL_EXAMPLES = {
+    1: [((1, 2, 3), (0, 0, -3), 2), ((-1, 0, 4), (), -3), ((), (), 1)],
+    2: [(((1,), (1,)), ((1,), (-1,)), 2), (((0, 1), (1,)), ((0, 1), (-1,)), 3),
+        (((1, 1), (1,)), ((1, -1), (1,)), -1), (((), (5,)), ((2,), (), (-1, 1)), 7)],
+}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_flat_kernels_match_the_recursive_reference(d):
+    @settings(max_examples=150, deadline=None)
+    @given(int_reps(d), int_reps(d), st.integers(-40, 40).filter(bool))
+    def check(a, b, n):
+        got = [poly_mod._add(a, b, d), poly_mod._neg(a, d), poly_mod._mul(a, b, d),
+               poly_mod._scale(a, n, d), poly_mod._div_int(poly_mod._scale(a, n, d), n, d)]
+        want = [ref.add(a, b, d), ref.neg(a, d), ref.mul(a, b, d), ref.scale(a, n, d), a]
+        for x, y in zip(got, want):
+            _assert_int_rep(x, d)
+            assert x == y
+        assert poly_mod._add(a, poly_mod._neg(a, d), d) == ()
+        # a list with trailing zeros at every depth trims to the rep
+        assert poly_mod._trim(list(a) + [poly_mod._zero(d - 1)] * 3, d) == a
+        # _div_int is None exactly when some integer is not a multiple of n
+        exact = all(x % n == 0 for x in _leaves(a, d))
+        got = poly_mod._div_int(a, n, d)
+        assert (got is not None) == exact
+        if exact:
+            assert got == _ints(ref.scale(a, F(1, n), d), d)
+    for case in KERNEL_EXAMPLES[d]:
+        check = example(*case)(check)
+    check()
+
+
+@pytest.mark.parametrize("d, i", [(1, 0), (2, 0), (2, 1)])
+def test_flat_div_root_matches_the_recursive_reference(d, i):
+    @settings(max_examples=150, deadline=None)
+    @given(int_reps(d), st.integers(-7, 7), st.integers(1, 6), st.integers(-5, 5))
+    @example((), 3, 2, 0)
+    @example((1,) if d == 1 else ((1,),), 1, 1, 1)
+    def check(a, p, q, c):
+        g = gcd(p, q)
+        p, q = p // g, q // g
+        f = _root_rep(d, i, p, q)
+        # exact: a times the root's primitive linear factor divides back to a
+        prod = _ints(ref.mul(a, f, d), d)
+        got = poly_mod._div_root(prod, i, p, q, d)
+        assert got == a
+        _assert_int_rep(got, d)
+        # a + c, c != 0 a constant, is divisible only when its value at the root is 0
+        b = _ints(ref.add(prod, ref.const(d, c), d), d) if c else a
+        want = ref.div_root(b, i, F(p, q), d)
+        got = poly_mod._div_root(b, i, p, q, d)
+        if want is None:
+            assert got is None
+        else:
+            assert got == _ints(ref.scale(want, F(1, q), d), d)
+            _assert_int_rep(got, d)
+    check()
+
+
+def test_flat_kernels_inexact_cases_return_none():
+    assert poly_mod._div_int((2, 4, 5), 2, 1) is None
+    assert poly_mod._div_int(((2,), (), (4, -6, 3)), 2, 2) is None
+    assert poly_mod._div_int(((2,), (), (4, -6, 8)), 2, 2) == ((1,), (), (2, -3, 4))
+    # z^2 + 1 at z = 1, and 2z - 1 divides 2z^2 + z - 1 = (2z - 1)(z + 1) but not 2z^2 + z
+    assert poly_mod._div_root((1, 0, 1), 0, 1, 1, 1) is None
+    assert poly_mod._div_root((-1, 1, 2), 0, 1, 2, 1) == (1, 1)
+    assert poly_mod._div_root((0, 1, 2), 0, 1, 2, 1) is None
+    # the same at depth 2, in z (the top variable) and in eps
+    assert poly_mod._div_root(((-1,), (1,), (2,)), 1, 1, 2, 2) == ((1,), (1,))
+    assert poly_mod._div_root(((), (1,), (2,)), 1, 1, 2, 2) is None
+    assert poly_mod._div_root(((-1, 1, 2), (0, 1, 2)), 0, 1, 2, 2) is None
+    assert poly_mod._div_root(((-1, 1, 2), (), (-2, 2, 4)), 0, 1, 2, 2) == ((1, 1), (), (2, 2))
+    # a step of a q != 1 division that does not divide: 3z - 1 over 2z - 1 ends with
+    # remainder 0 once 3 // 2 is taken for 3 / 2; 3 does not divide the top 2 of 2z + 1
+    assert poly_mod._div_root((-1, 3), 0, 1, 2, 1) is None
+    assert poly_mod._div_root(((-1, 3),), 0, 1, 2, 2) is None
+    assert poly_mod._div_root(((-1,), (3,)), 1, 1, 2, 2) is None
+    assert poly_mod._div_root(((1,), (2,)), 1, 1, 3, 2) is None
+
+
+@pytest.mark.parametrize("vars", [("z",), ("eps", "z"), ("n", "eps", "z")])
+def test_linear_factors_are_built_on_the_integer_rep(vars):
+    """Poly.variable, Poly.linear, _add_factor and _factor_product against Poly.from_terms."""
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(vars), mixed_rationals, mixed_rationals, st.integers(1, 3))
+    def check(x, a, b, m):
+        e = tuple(int(v == x) for v in vars)
+        assert Poly.variable(vars, x) == Poly.from_terms(vars, {e: 1})
+        f = Poly.linear(vars, x, a, b)
+        assert f == Poly.from_terms(vars, {e: a, (0,) * len(vars): b})
+        _assert_canonical(f)
+        factors = {}
+        k = poly_mod._add_factor(factors, f, m)
+        if a == 0:
+            assert factors == {} and k == F(b) ** m
+            return
+        assert factors == {(x, -F(b) / a): m} and k == F(a) ** m
+        assert poly_mod._factor_product(vars, k, factors) == f ** m
+    check()

@@ -295,11 +295,21 @@ def test_singular_zero_divisor():
 def test_not_integer_shift():
     f = HyperFn([EpsLin(F(2, 5)), EpsLin(F(1, 3))], [EpsLin(F(3, 2))])
     g = HyperFn([EpsLin(F(2, 5) + F(1, 2)), EpsLin(F(1, 3))], [EpsLin(F(3, 2))])
-    with pytest.raises(NotIntegerShift):
+    with pytest.raises(NotIntegerShift, match="^difference 1/2 is not an integer$"):
         reduce_to_basis(g, f)
     h = HyperFn([EpsLin(F(2, 5), 1), EpsLin(F(1, 3))], [EpsLin(F(3, 2))])
-    with pytest.raises(NotIntegerShift):
+    with pytest.raises(NotIntegerShift, match="^difference eps is not an integer$"):
         reduce_to_basis(h, f)
+    # an integer constant part does not make up for an eps part
+    k = HyperFn([EpsLin(F(2, 5)), EpsLin(F(1, 3))], [EpsLin(F(5, 2), F(1, 3))])
+    with pytest.raises(NotIntegerShift, match=r"^difference 1\+1/3\*eps is not an integer$"):
+        reduce_to_basis(k, f)
+    with pytest.raises(NotIntegerShift, match="^parameter list lengths differ$"):
+        reduce_to_basis(HyperFn(f.upper + (EpsLin(1),), f.lower + (EpsLin(2),)), f)
+    with pytest.raises(NotIntegerShift, match="^argument descriptors differ$"):
+        reduce_to_basis(HyperFn(f.upper, f.lower, kappa=2), f)
+    assert shift_vector(HyperFn([EpsLin(F(-8, 5)), EpsLin(F(10, 3))], [EpsLin(F(1, 2))]), f) \
+        == ([-2, 3], [-1])
 
 
 def test_round_trip_matrices():
