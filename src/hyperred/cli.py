@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional
@@ -133,19 +132,12 @@ def dec_polylog(d: dict) -> PolyLogExpr:
 # job running
 
 
-@dataclass
-class JobSpec:
-    N: int = 30
-    K: int = 4
-    out: Optional[str] = None
-    fmt: str = "text"
-    no_verify: bool = False
-
-    def __post_init__(self):
-        if not (1 <= self.N <= MAX_N):
-            raise UnsupportedClass(f"series order N must be within 1..{MAX_N}")
-        if not (0 <= self.K <= MAX_K):
-            raise UnsupportedClass(f"eps order K must be within 0..{MAX_K}")
+def _check_bounds(N: int, K: int):
+    """A series depth or eps order outside a job's bounds is unsupported (exit 3)."""
+    if not (1 <= N <= MAX_N):
+        raise UnsupportedClass(f"series order N must be within 1..{MAX_N}")
+    if not (0 <= K <= MAX_K):
+        raise UnsupportedClass(f"eps order K must be within 0..{MAX_K}")
 
 
 def _load_expr(text: str) -> str:
@@ -156,31 +148,31 @@ def _load_expr(text: str) -> str:
     return text
 
 
-def _emit(records: List[dict], spec: JobSpec, text_lines: List[str]):
-    if spec.fmt == "jsonl":
+def _emit(records: List[dict], args, text_lines: List[str]):
+    if args.format == "jsonl":
         body = "\n".join(json.dumps(r, sort_keys=True, separators=(",", ":"))
                          for r in records)
     else:
         body = "\n".join(text_lines)
-    if spec.out:
-        with open(spec.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(body + "\n")
     print(body)
 
 
-def run_reduce(spec: JobSpec, args) -> int:
+def run_reduce(args) -> int:
     target = parse_hyper(_load_expr(args.target))
     basis = parse_hyper(_load_expr(args.basis))
     result = reduce_to_basis(target, basis)
-    K = min(spec.K, REDUCE_CHECK_K)
+    K = min(args.K, REDUCE_CHECK_K)
     verified = None
-    if not spec.no_verify:
-        ok, mism = verify_reduction(result, spec.N, K)
+    if not args.no_verify:
+        ok, mism = verify_reduction(result, args.N, K)
         if not ok:
             raise VerificationFailure(f"reduction failed oracle at (z^{mism[0]}, eps^{mism[1]})")
         verified = True
     # each format reads every coefficient of S and the R_j, so build only the one printed
-    if spec.fmt == "jsonl":
+    if args.format == "jsonl":
         _emit([{
             "command": "reduce",
             "target": str(target),
@@ -190,21 +182,21 @@ def run_reduce(spec: JobSpec, args) -> int:
             "tail": enc_ratfunc(result.algebraic_tail),
             "affine": result.affine,
             "verified": bool(verified),
-            "N": spec.N,
+            "N": args.N,
             "K": K,
-        }], spec, [])
+        }], args, [])
         return EXIT_OK
     lines = [f"target: {target}", f"basis:  {basis}", f"S  = {result.s_poly}"]
     lines += [f"R{j} = {r}" for j, r in enumerate(result.r_polys)]
     if not result.algebraic_tail.is_zero():
         lines.append(f"tail = {result.algebraic_tail}")
     if verified:
-        lines.append(f"verified against series oracle at N={spec.N}")
-    _emit([], spec, lines)
+        lines.append(f"verified against series oracle at N={args.N}")
+    _emit([], args, lines)
     return EXIT_OK
 
 
-def run_count_basis(spec: JobSpec, args) -> int:
+def run_count_basis(args) -> int:
     fn = parse_hyper(_load_expr(args.fn))
     rep = detect_exceptional(fn)
     rec = {
@@ -220,7 +212,7 @@ def run_count_basis(spec: JobSpec, args) -> int:
              f"cancellable pairs (upper, lower, diff): {list(rep.pairs)}"]
     if rep.shared_flags:
         lines.append(f"warning: uppers {list(rep.shared_flags)} are integer and paired")
-    _emit([rec], spec, lines)
+    _emit([rec], args, lines)
     return EXIT_OK
 
 
@@ -232,7 +224,7 @@ def _mb_of(parsed) -> MBRepr:
     raise ParseError("expected an MB[...] spec or @preset", 1, 1)
 
 
-def run_mb(spec: JobSpec, args) -> int:
+def run_mb(args) -> int:
     mb = _mb_of(parse_input(_load_expr(args.input)))
     hs = mb_to_hyper(mb)
     recs = []
@@ -246,11 +238,11 @@ def run_mb(spec: JobSpec, args) -> int:
             "fn": str(t.fn),
         })
         lines.append(f"term {i}: z^({t.power}) * {t.gamma} * {t.fn}")
-    _emit(recs, spec, lines)
+    _emit(recs, args, lines)
     return EXIT_OK
 
 
-def run_count_masters(spec: JobSpec, args) -> int:
+def run_count_masters(args) -> int:
     bindings = _parse_bindings(args.bind, args.extras)
     mb = _mb_of(parse_input(_load_expr(args.input)))
     hs = mb_to_hyper(mb)
@@ -267,24 +259,24 @@ def run_count_masters(spec: JobSpec, args) -> int:
     for fn, r in reports:
         lines.append(f"  {fn}: integer uppers {list(r.integer_uppers)}, "
                      f"pairs {list(r.pairs)}")
-    _emit([rec], spec, lines)
+    _emit([rec], args, lines)
     return EXIT_OK
 
 
-def run_expand(spec: JobSpec, args) -> int:
+def run_expand(args) -> int:
     if not (0 <= args.order <= MAX_K):
         raise UnsupportedClass(f"order must be within 0..{MAX_K}")
     fn = parse_hyper(_load_expr(args.fn))
     exp = epsilon_expand(fn, args.order)
     verified = None
-    if not spec.no_verify:
-        ok, mism = verify_expansion(fn, exp, spec.N)
+    if not args.no_verify:
+        ok, mism = verify_expansion(fn, exp, args.N)
         if not ok:
             raise VerificationFailure(
                 f"expansion failed oracle at (power {mism[0]}, eps^{mism[1]})")
         verified = True
     # each format sorts every word of every layer, so build only the one printed
-    if spec.fmt == "jsonl":
+    if args.format == "jsonl":
         _emit([{
             "command": "expand",
             "fn": str(fn),
@@ -293,20 +285,21 @@ def run_expand(spec: JobSpec, args) -> int:
             "omega0": enc_ratfunc(exp.omega0) if exp.omega0 is not None else None,
             "layers": [enc_polylog(l) for l in exp.layers],
             "verified": bool(verified),
-            "N": spec.N,
-        }], spec, [])
+            "N": args.N,
+        }], args, [])
         return EXIT_OK
     lines = [f"fn: {fn}", f"class: {exp.kind}"]
     if exp.kind == "xi":
-        lines.append("layers are for sqrt(-z)*F in xi = (z/(z-1))^(1/2)")
+        v = fn.var
+        lines.append(f"layers are for sqrt(-{v})*F in xi = ({v}/({v}-1))^(1/2)")
         lines.append(f"eps^0: {exp.layers[0]}")
     else:
         lines.append(f"eps^0: {exp.omega0}")
     for k in range(1, len(exp.layers)):
         lines.append(f"eps^{k}: {exp.layers[k]}")
     if verified:
-        lines.append(f"verified against series oracle at N={spec.N}")
-    _emit([], spec, lines)
+        lines.append(f"verified against series oracle at N={args.N}")
+    _emit([], args, lines)
     return EXIT_OK
 
 
@@ -314,7 +307,7 @@ def _rat_options(opts, *names):
     return [parse_rat(f"--{name}", getattr(opts, name)) for name in names]
 
 
-def run_check_parametrization(spec: JobSpec, opts) -> int:
+def run_check_parametrization(opts) -> int:
     if opts.q < 1:
         raise ParseError(f"--q must be >= 1, got {opts.q}", 1, 1)
     if opts.family == "gauss":
@@ -355,7 +348,7 @@ def run_check_parametrization(spec: JobSpec, opts) -> int:
         lines = [f"p_j r_j = 0 admissibility: {rep.passes}",
                  f"s1={rep.s1} s2={rep.s2} form={rep.form}"]
         lines += [f"flag: {f}" for f in rep.flags]
-    _emit([rec], spec, lines)
+    _emit([rec], opts, lines)
     return EXIT_OK
 
 
@@ -392,7 +385,7 @@ def _decode_record(rec: dict):
             raise ValueError(f"an expand record of kind {kind!r} and its layers are in {var!r}")
         exp = EpsilonExpansion(
             fn=fn, kind=kind, var=var,
-            omega0=dec_ratfunc(omega0, ("z",)) if omega0 is not None else None,
+            omega0=dec_ratfunc(omega0, (fn.var,)) if omega0 is not None else None,
             layers=tuple(dec_polylog(l) for l in layers))
         if kind == "direct" and exp.layers[0] != PolyLogExpr({}, 1 if exp.omega0 == 1 else 0, var):
             raise ValueError("a direct record's layer 0 is 1 when omega0 is 1, and 0 otherwise")
@@ -400,7 +393,7 @@ def _decode_record(rec: dict):
     raise UnsupportedClass(f"cannot verify record kind {cmd!r}")
 
 
-def run_verify(spec: JobSpec, args) -> int:
+def run_verify(args) -> int:
     """Run the suite, or re-check stored records at no less depth than this job's N and K.
 
     Every record is decoded before the first check; a malformed one is a
@@ -410,7 +403,7 @@ def run_verify(spec: JobSpec, args) -> int:
     record whose eps order, len(layers) - 1, exceeds MAX_K.
     """
     if args.suite:
-        return run_verify_suite(spec)
+        return run_verify_suite()
     if not args.path:
         raise UnsupportedClass("verify needs a result file or --suite")
     jobs = []
@@ -420,13 +413,13 @@ def run_verify(spec: JobSpec, args) -> int:
                 continue
             try:
                 rec = json.loads(line)
-                job = (rec, _decode_record(rec), max(int(rec.get("N", 0)), spec.N),
-                       max(int(rec.get("K", 0)), min(spec.K, REDUCE_CHECK_K)))
+                job = (rec, _decode_record(rec), max(int(rec.get("N", 0)), args.N),
+                       max(int(rec.get("K", 0)), min(args.K, REDUCE_CHECK_K)))
             except (ParseError, ValueError, ZeroDivisionError, KeyError, TypeError,
                     AttributeError) as e:
                 raise ParseError(f"malformed stored record ({type(e).__name__}: {e})",
                                  lineno, 1) from None
-            JobSpec(N=job[2], K=job[3])
+            _check_bounds(job[2], job[3])
             if isinstance(job[1], ReductionResult):
                 depth = verify_depth(job[1], job[2])
                 if depth > MAX_N:
@@ -452,7 +445,7 @@ def run_verify(spec: JobSpec, args) -> int:
     return EXIT_OK
 
 
-def run_verify_suite(spec: JobSpec) -> int:
+def run_verify_suite() -> int:
     """Compact oracle battery over the built-in presets and expanders."""
     failures = 0
 
@@ -604,10 +597,9 @@ def main(argv=None) -> int:
             args.extras = extras
         else:
             args = ap.parse_args(argv)
-        spec = JobSpec(N=args.N, K=args.K, out=args.out,
-                       fmt=args.format or os.environ.get("HYPERRED_FORMAT", "text"),
-                       no_verify=getattr(args, "no_verify", False))
-        return args.run(spec, args)
+        _check_bounds(args.N, args.K)
+        args.format = args.format or os.environ.get("HYPERRED_FORMAT", "text")
+        return args.run(args)
     except (HyperredError, OSError) as e:
         # a file that cannot be read or written is EXIT_ERROR, without a traceback
         print(f"error: {e}", file=sys.stderr)

@@ -385,7 +385,7 @@ def _expand_integer_class(f: HyperFn, K: int) -> EpsilonExpansion:
         layers.append(om)
         thetas.append(_theta_stack(om, P))
     exprs = [c.to_polylog(f.var) for c in layers[1:]]
-    om0_rf = basis_ratfunc(_combo_rational_part(layers[0]))
+    om0_rf = basis_ratfunc(_combo_rational_part(layers[0]), f.var)
     lead = layers[0].to_polylog(f.var) if _is_pure(layers[0]) else PolyLogExpr({}, 0, f.var)
     return EpsilonExpansion(f, "direct", f.var, om0_rf, (lead,) + tuple(exprs))
 

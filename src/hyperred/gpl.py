@@ -8,7 +8,7 @@ producing ln(z).  Integral letters are ints, equal and hashing equal to
 their Fractions.  The z-series of a word is a row of integer numerators
 over one positive denominator, built without gcds: its coefficients are
 nested harmonic sums, cleared by lcm(1..N) and powers of the letters.
-That row is a ``BiSeries`` of eps order 0, so sums over words and
+It is cached as a ``BiSeries`` of eps order 0, so sums over words and
 products with kernel rows are the oracle's own integer-row operations.
 
 GplCombo is the working representation during iterated integration:
@@ -45,8 +45,6 @@ Letter = Union[int, Fraction]
 Word = Tuple[Letter, ...]
 Kernel = Tuple[Letter, int]
 
-_ZVARS = ("z",)
-
 
 def _letter(a) -> Letter:
     """An integral letter as an int, any other as a Fraction."""
@@ -63,16 +61,17 @@ def as_word(letters: Iterable) -> Word:
 
 # bounded; a 30 s `bench/run.py --workload expand` run fills about 2,300 entries
 @lru_cache(maxsize=16384)
-def _word_series(word: Word, N: int) -> Tuple[int, Tuple[int, ...]]:
-    """G(word; z) to z^N as (D, nums): the coefficient of z^j is nums[j]/D, D > 0."""
+def _word_series(word: Word, N: int) -> BiSeries:
+    """G(word; z) to z^N as a BiSeries of eps order 0: z^j has nums[j]/den."""
     if not word:
-        return 1, (1,) + (0,) * N
-    a, (D, u) = word[0], _word_series(word[1:], N)
+        return BiSeries._of((1,) + (0,) * N, 1, N, 0)
+    a, s = word[0], _word_series(word[1:], N)
+    D, u = s.den, s.nums
     L = lcm(*range(1, N + 1))
     if a == 0:
         if u[0] != 0:
             raise UncancelledPole(f"dt/t against constant term in G{word}")
-        return D * L, (0,) + tuple(u[j] * (L // j) for j in range(1, N + 1))
+        return BiSeries._of((0,) + tuple(u[j] * (L // j) for j in range(1, N + 1)), D * L, N, 0)
     # conv = u/(t-a) = -sum_m u t^m / a^(m+1) obeys conv_j = (conv_(j-1) - u_(j-1))/a
     # and G(a, w) takes conv_j/j at z^j; for a = p/q the integers
     # C_j = D p^j conv_j = q (C_(j-1) - u_(j-1) p^(j-1)) give
@@ -84,13 +83,7 @@ def _word_series(word: Word, N: int) -> Tuple[int, Tuple[int, ...]]:
     for j in range(1, N + 1):
         C = q * (C - u[j - 1] * pw[j - 1])
         out.append(sign * C * pw[N - j] * (L // j))
-    return sign * D * pw[N] * L, tuple(out)
-
-
-def _word_biseries(word: Word, N: int) -> BiSeries:
-    """G(word; z) to z^N as a BiSeries in z alone (eps order 0)."""
-    D, nums = _word_series(word, N)
-    return BiSeries._of(nums, D, N, 0)
+    return BiSeries._of(tuple(out), sign * D * pw[N] * L, N, 0)
 
 
 def shuffle_words(w1: Word, w2: Word) -> List[Word]:
@@ -166,7 +159,7 @@ class PolyLogExpr(Value):
     def biseries(self, N: int) -> BiSeries:
         """The z-series to z^N as integers over one denominator, eps order 0."""
         # the constant is the coefficient of the empty word, whose series is 1
-        return combine(((c, _word_biseries(w, N))
+        return combine(((c, _word_series(w, N))
                         for w, c in [((), self.const), *self.terms.items()]), N, 0)
 
     def series(self, N: int) -> List[Fraction]:
@@ -237,7 +230,7 @@ def partial_fractions(r: RatFunc, letters: Sequence[Fraction]) -> Dict[Kernel, F
     den = r.den
     factors = {}
     for a in sorted(set([_ZERO] + [_letter(a) for a in letters])):
-        while den.degree() > 0 and (q := den.div_root("z", a)) is not None:
+        while den.degree() > 0 and (q := den.div_root(r.vars[-1], a)) is not None:
             den = q
             factors[a] = factors.get(a, 0) + 1
     if den.degree() != 0:
@@ -259,8 +252,8 @@ def basis_product(powers: Mapping[Letter, int]) -> Dict[Kernel, Fraction]:
     return out.coeffs()
 
 
-def basis_ratfunc(coeffs: Mapping[Kernel, Fraction]) -> RatFunc:
-    """The RatFunc of a basis dict (for omega0, printing and messages).
+def basis_ratfunc(coeffs: Mapping[Kernel, Fraction], var: str) -> RatFunc:
+    """The RatFunc in ``var`` of a basis dict (for omega0, printing and messages).
 
     The numerator over prod (z - a)^top_a, top_a the highest pole order at
     a, is coprime to it unless a coefficient is 0; trial division at the
@@ -270,14 +263,14 @@ def basis_ratfunc(coeffs: Mapping[Kernel, Fraction]) -> RatFunc:
     for a, m in coeffs:
         if m > 0:
             top[a] = max(top.get(a, 0), m)
-    z = Poly.variable(_ZVARS, "z")
-    num = Poly.zero(_ZVARS)
+    z = Poly.variable((var,), var)
+    num = Poly.zero((var,))
     for (a, m), c in coeffs.items():
-        term = Poly.const(_ZVARS, c)
+        term = Poly.const((var,), c)
         for b, e in {**top, a: top.get(a, 0) - m}.items():
             term = term * (z - b) ** e
         num = num + term
-    return RatFunc.over(num, {("z", a): m for a, m in top.items()})
+    return RatFunc.over(num, {(var, a): m for a, m in top.items()})
 
 
 # bounded; a seed-1 `bench/run.py --workload expand` stream meets 15 kernel pairs
@@ -350,7 +343,7 @@ def _laurent(w: Word, r: IntBasis, N: int, V: int) -> BiSeries:
                 t = t * (m + j) / ((j + 1) * a)
         elif m >= -N:
             rc[V - m] += c
-    return BiSeries([(x,) for x in rc]) * _word_biseries(w, M)
+    return BiSeries([(x,) for x in rc]) * _word_series(w, M)
 
 
 def _series_sum(terms: Sequence[Tuple[Word, IntBasis]], den: int, N: int) -> List[Fraction]:
@@ -364,7 +357,7 @@ def _series_sum(terms: Sequence[Tuple[Word, IntBasis]], den: int, N: int) -> Lis
 
 
 def _terms_str(terms, den) -> str:
-    parts = [(w, basis_ratfunc({k: F(c, den) for k, c in r.items()})) for w, r in terms]
+    parts = [(w, basis_ratfunc({k: F(c, den) for k, c in r.items()}, "z")) for w, r in terms]
     return " + ".join(f"({rf})*G{w}" if w else f"({rf})" for w, rf in parts) or "0"
 
 
@@ -508,8 +501,8 @@ class GplCombo(Value):
         """Demand constant coefficients; UnsupportedClass otherwise."""
         for w, r in self.data.items():
             if r.keys() != {ONE}:
-                raise UnsupportedClass(
-                    f"layer is not a pure polylog combination: ({basis_ratfunc(self.coeffs(w))}) G{w}")
+                rf = basis_ratfunc(self.coeffs(w), var)
+                raise UnsupportedClass(f"layer is not a pure polylog combination: ({rf}) G{w}")
         # the words are interned and the coefficients nonzero already
         terms = {w: F(r[ONE], self.den) for w, r in self.data.items()}
         return PolyLogExpr._of(terms, terms.pop((), F(0)), var)

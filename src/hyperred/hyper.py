@@ -2,28 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Generic, Tuple, TypeVar
-
 from .scalars import DEFAULT_N, EpsLin, LinearForm, rat
+from .value import Value
 
-P = TypeVar("P", EpsLin, LinearForm)
 
-
-@dataclass(frozen=True)
-class Hyper(Generic[P]):
+class Hyper(Value):
     """A (p+1)F_p instance: parameter lists plus argument kappa * var.
 
-    Parameter order is kept as given for display; equality sorts both
-    lists so functions that differ only by parameter order compare equal.
-    Subclasses fix the parameter type through ``param_type``.
+    ``upper`` and ``lower`` are tuples of ``param_type`` values, which
+    subclasses fix, and ``kappa`` is a Fraction.  Parameter order is kept
+    as given for display; equality sorts both lists so functions that
+    differ only by parameter order compare equal.
     """
 
-    upper: Tuple[P, ...]
-    lower: Tuple[P, ...]
-    kappa: Fraction = Fraction(1)
-    var: str = "z"
+    __slots__ = ("upper", "lower", "kappa", "var")
 
     def __init__(self, upper, lower, kappa=1, var="z"):
         upper = tuple(map(self.param_type.coerce, upper))
@@ -31,10 +23,7 @@ class Hyper(Generic[P]):
         if len(upper) != len(lower) + 1:
             raise ValueError(
                 f"need p+1 upper and p lower parameters, got {len(upper)} and {len(lower)}")
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "kappa", rat(kappa))
-        object.__setattr__(self, "var", var)
+        self._set(upper, lower, rat(kappa), var)
 
     @property
     def p(self) -> int:
@@ -69,12 +58,11 @@ class Hyper(Generic[P]):
         los = ", ".join(str(l) for l in self.lower)
         return f"{p + 1}F{p}[{ups}; {los}; {self._arg()}]"
 
-    __repr__ = __str__
 
-
-class HyperFn(Hyper[EpsLin]):
+class HyperFn(Hyper):
     """Numeric parameters: each one is const + c*eps."""
 
+    __slots__ = ()
     param_type = EpsLin
 
     def _arg(self) -> str:
@@ -83,13 +71,14 @@ class HyperFn(Hyper[EpsLin]):
         return super()._arg()
 
 
-class SymHyperFn(Hyper[LinearForm]):
+class SymHyperFn(Hyper):
     """A hypergeometric function whose parameters are (n, j) linear forms.
 
     This is the shape Mellin-Barnes conversion produces; binding the
     propagator powers and the space-time dimension yields a HyperFn.
     """
 
+    __slots__ = ()
     param_type = LinearForm
 
     def bind(self, j_values=None, n_value: EpsLin = DEFAULT_N) -> HyperFn:

@@ -9,7 +9,7 @@ from each descending numerator factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Tuple
 
@@ -17,34 +17,37 @@ from .errors import CriterionViolation, DegeneratePoles
 from .hyper import SymHyperFn
 from .reduction import detect_exceptional
 from .scalars import DEFAULT_N, EpsLin, LinearForm, rat
+from .value import Value
 
 F = Fraction
 
 
-@dataclass(frozen=True)
-class MBRepr:
-    """One-fold Mellin-Barnes integrand data."""
+class MBRepr(Value):
+    """One-fold Mellin-Barnes integrand data.
 
-    kappa: Fraction
-    var: str
-    a_forms: Tuple[LinearForm, ...]
-    b_forms: Tuple[LinearForm, ...]
-    c_forms: Tuple[LinearForm, ...]
-    d_forms: Tuple[LinearForm, ...]
-    prefactor: str = field(default="", compare=False)
+    ``kappa`` is a Fraction and the four form lists are tuples of
+    ``LinearForm``; ``prefactor`` is display text, which equality and
+    hashing ignore.
+    """
+
+    __slots__ = ("kappa", "var", "a_forms", "b_forms", "c_forms", "d_forms", "prefactor")
 
     def __init__(self, kappa, var, a_forms, b_forms, c_forms=(), d_forms=(),
                  prefactor=""):
-        object.__setattr__(self, "kappa", rat(kappa))
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "a_forms", tuple(a_forms))
-        object.__setattr__(self, "b_forms", tuple(b_forms))
-        object.__setattr__(self, "c_forms", tuple(c_forms))
-        object.__setattr__(self, "d_forms", tuple(d_forms))
-        object.__setattr__(self, "prefactor", prefactor)
+        self._set(rat(kappa), var, tuple(a_forms), tuple(b_forms), tuple(c_forms),
+                  tuple(d_forms), prefactor)
         if not check_dim(self):
             raise ValueError(
                 f"list dimensions {self.dims()} violate dimA+dimD-dimB-dimC=1")
+
+    def _key(self):
+        return (self.kappa, self.var, self.a_forms, self.b_forms, self.c_forms, self.d_forms)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def dims(self):
         return (len(self.a_forms), len(self.b_forms),

@@ -1,11 +1,11 @@
-"""Rational functions of z with coefficients in a parameter field.
+"""Rational functions of one variable with coefficients in a parameter field.
 
-A RatFunc is a normalized fraction of polynomials whose variable tuple
-ends in "z"; the earlier variables (if any) are symbolic parameters such
-as "eps" or "n".  ``RatFunc(num, den)`` divides by the gcd and makes den
-monic; ``RatFunc._of`` trusts a pair in that form, as ``RatFunc.over``
-builds one from known linear factors.  Expansion into a BiSeries requires
-the parameters to be reduced to "eps" only.
+A RatFunc is a normalized fraction of polynomials whose last variable is
+the function's variable, z below; the earlier ones (if any) are symbolic
+parameters such as "eps" or "n".  ``RatFunc(num, den)`` divides by the
+gcd and makes den monic; ``RatFunc._of`` trusts a pair in that form, as
+``RatFunc.over`` builds one from known linear factors.  Expansion into a
+BiSeries requires the parameters to be reduced to "eps" only.
 """
 
 from __future__ import annotations
@@ -18,15 +18,11 @@ from .poly import Factors, Poly, _cancel, _factor_product, _scale, _subst, _trim
 from .series import BiSeries
 from .value import Value
 
-_Z = "z"
-
 
 class RatFunc(Value):
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly = None):
-        if num.vars[-1:] != (_Z,):
-            raise ValueError(f"RatFunc variables must end in 'z', got {num.vars}")
         if den is None:
             den = Poly.const(num.vars, 1)
         if den.is_zero():
@@ -130,7 +126,7 @@ class RatFunc(Value):
 
     def theta(self) -> "RatFunc":
         """z * d/dz of the function."""
-        zp = Poly.variable(self.vars, _Z)
+        zp = Poly.variable(self.vars, self.vars[-1])
         return RatFunc(zp * (self.num.derivative_top() * self.den
                              - self.num * self.den.derivative_top()),
                        self.den * self.den)
@@ -171,19 +167,16 @@ class RatFunc(Value):
     def z_cells(self, N: int, K: int):
         """(cells, den, v): the function is z^(-v) sum x z^j eps^k / den to z^N eps^K.
 
-        cells lists the nonzero (j, k, x), z-power first.  A polynomial is
-        read off its rep, with no series product and v = 0; otherwise the
-        cells are those of to_biseries.
+        cells lists the nonzero (j, k, x), z-power first.  A polynomial's
+        rows up to its degree are read off its rep by ``_z_rows``, as
+        to_biseries reads them, with no series product and v = 0; otherwise
+        the cells are those of to_biseries.
         """
-        if not self.is_polynomial():
+        if self.is_polynomial():
+            s, v = _z_rows(self.num, 0, min(N, self.num.degree()), K), 0
+        else:
             s, v = self.to_biseries(N, K)
-            return s.cells(N, K), s.den, v
-        p = self.num
-        _check_eps_only(p)
-        if p.d == 1:
-            return [(j, 0, x) for j, x in enumerate(p.rep[:N + 1]) if x], p.den, 0
-        return [(j, k, x) for j, c in enumerate(p.rep[:N + 1])
-                for k, x in enumerate(c[:K + 1]) if x], p.den, 0
+        return s.cells(N, K), s.den, v
 
     def __str__(self):
         if self.den.is_const() and self.den.const_value() == 1:

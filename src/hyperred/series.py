@@ -2,11 +2,12 @@
 
 ``BiSeries`` is a series in z to z^N whose coefficients are polynomials in
 eps to eps^K, held as one positive integer denominator over row-major
-integer numerators; a series in z alone (K = 0) is a word series
-``(D, nums)`` of ``gpl`` as it stands.  One integer accumulator,
-``truncated_sum``, does every truncated product of such series: products,
-``combine``, ``theta_action``, the Horner steps of ``compose_z_series``
-and both verifiers' residuals, whose lowest nonzero cell is the verdict.
+integer numerators; a series in z alone (K = 0) is how ``gpl`` builds
+and caches a word's series.  One integer accumulator, ``truncated_sum``,
+does every truncated product of such series: products, ``combine``,
+``ThetaOp.apply`` (over ``theta_pieces``), the Horner steps of
+``compose_z_series`` and both verifiers' residuals, whose lowest nonzero
+cell is the verdict.
 ``invert`` is fraction-free; results are reduced by one gcd.  The
 coefficients of the hypergeometric and the nested-sum series are integer
 rows by construction (Moch, Uwer & Weinzierl, hep-ph/0110083).  A
@@ -239,15 +240,6 @@ def theta_pieces(coeffs: Sequence, s: BiSeries, scale: int = 1):
             cells, den, v = r.z_cells(s.z_order, s.eps_order)
             pieces.append((scale, cells, den * s.den, v, s.nums))
     return pieces
-
-
-def theta_action(coeffs: Sequence, s: BiSeries) -> BiSeries:
-    """sum_j r_j theta^j s for rational functions r_j of z (``RatFunc``).
-
-    The sum is valid to z-order N - max v, v the pole orders at 0 of the
-    nonzero r_j; an empty sum is the zero series of s's orders.
-    """
-    return truncated_sum(theta_pieces(coeffs, s), s.z_order, s.eps_order)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .ratfunc import RatFunc
-from .series import BiSeries, theta_action
+from .series import BiSeries, theta_pieces, truncated_sum
 from .value import Value
 
 
@@ -104,8 +104,9 @@ class ThetaOp(Value):
         return acc
 
     def apply(self, s: BiSeries) -> BiSeries:
-        """Apply to a series; truncation drops by the coefficients' z poles."""
-        return theta_action(self.coeffs, s)
+        """sum_k coeffs[k] theta^k s, valid to z-order N minus the largest pole
+        order at 0 of a nonzero coefficient; the zero operator gives zero."""
+        return truncated_sum(theta_pieces(self.coeffs, s), s.z_order, s.eps_order)
 
     def __str__(self):
         parts = []

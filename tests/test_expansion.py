@@ -18,12 +18,13 @@ from hyperred.expansion import (EpsilonExpansion, epsilon_expand,
                                 verify_expansion)
 from hyperred.gpl import GplCombo, PolyLogExpr
 from hyperred.grammar import parse_hyper
-from hyperred.hyper import HyperFn
+from hyperred.hyper import HyperFn, SymHyperFn
+from hyperred.mb import MBRepr, get_preset
 from hyperred.poly import Poly
 from hyperred.ratfunc import RatFunc
 from hyperred.reduction import ode_operator, reduce_to_basis
 from hyperred.series import BiSeries, series_of_hyper
-from hyperred.scalars import EpsLin, Linear
+from hyperred.scalars import EpsLin, Linear, LinearForm
 from hyperred.theta import ThetaOp
 
 
@@ -419,10 +420,13 @@ def test_values_survive_pickle_and_deepcopy():
     values = [red.s_poly.num, red.s_poly, series_of_hyper(half, 6, 2),
               GplCombo({(1, F(1, 2)): {(2, 1): F(3, 4)}, (): {(0, 2): F(1, 6)}}),
               epsilon_expand(half, 2).layers[2], half.upper[1], ode_operator(half),
-              red, epsilon_expand(half, 2), direct]
+              red, epsilon_expand(half, 2), direct, half, get_preset("c3").mb,
+              get_preset("c1").printed.terms[1].fn]
     for v in values:
         for c in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v)):
             assert type(c) is type(v) and c == v, type(v).__name__
+            if isinstance(v, MBRepr):
+                assert c.prefactor == v.prefactor != ""
 
 
 ONE_OF_EACH_VALUE_TYPE = {
@@ -433,6 +437,10 @@ ONE_OF_EACH_VALUE_TYPE = {
     "PolyLogExpr": lambda: PolyLogExpr({(0, 1): 2}, 1),
     "Linear": lambda: Linear({"n": 1}, 2),
     "ThetaOp": lambda: ThetaOp.theta(("z",)),
+    "HyperFn": lambda: HyperFn([F(1, 2), EpsLin(1, 2)], [EpsLin(F(3, 2), -1)], 2, "y"),
+    "SymHyperFn": lambda: SymHyperFn([LinearForm.n(1), 1], [LinearForm.j("j1")], -1, "y"),
+    "MBRepr": lambda: MBRepr(-1, "y", [LinearForm.j("j1"), 1], [LinearForm.n(F(1, 2))],
+                             prefactor="G[j1]"),
 }
 
 
@@ -445,6 +453,16 @@ def test_value_fields_refuse_assignment(name):
         with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
             setattr(v, field, None)
     assert str(v) == before
+
+
+def test_mb_repr_equality_and_hash_ignore_the_prefactor():
+    m = ONE_OF_EACH_VALUE_TYPE["MBRepr"]()
+    bare = MBRepr(m.kappa, m.var, m.a_forms, m.b_forms, m.c_forms, m.d_forms)
+    assert bare.prefactor == "" != m.prefactor
+    assert bare == m and hash(bare) == hash(m) and len({bare, m}) == 1
+    assert MBRepr(-2, "y", m.a_forms, m.b_forms) != m
+    assert MBRepr(m.kappa, "w", m.a_forms, m.b_forms) != m
+    assert MBRepr(m.kappa, m.var, m.a_forms[::-1], m.b_forms) != m
 
 
 def test_no_factorization_error_writes_rationals_as_the_grammar_does(capsys):

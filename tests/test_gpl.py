@@ -200,7 +200,9 @@ def test_word_series_int_form_to_order_60():
     for a in (F(-3), F(-1, 2), F(1, 2), F(2)):
         for w in [(a,) + r for r in rest] + [r + (a,) for r in rest if r]:
             for N in (1, 8, 59, 60):
-                D, nums = gpl._word_series(gpl.as_word(w), N)
+                s = gpl._word_series(gpl.as_word(w), N)
+                D, nums = s.den, s.nums
+                assert (s.z_order, s.eps_order) == (N, 0), (w, N)
                 assert type(D) is int and D > 0 and len(nums) == N + 1, (w, N)
                 assert all(type(x) is int for x in nums), (w, N)
                 assert [F(x, D) for x in nums] == list(_convolution_word_series(w, N)), (w, N)
@@ -215,7 +217,8 @@ def test_int_and_fraction_letters_are_one_word():
         gi, gf = PolyLogExpr({ints: 2}), PolyLogExpr({fracs: 2})
         assert gi == gf and hash(gi) == hash(gf) and str(gi) == str(gf)
         assert [type(a) for w in gf.terms for a in w] == [type(a) for a in ints]
-        assert gpl._word_series(ints, 12) == gpl._word_series(fracs, 12)
+        si, sf = gpl._word_series(ints, 12), gpl._word_series(fracs, 12)
+        assert (si.den, si.nums) == (sf.den, sf.nums)
         assert word_series(ints, 12) == word_series(fracs, 12)
         assert {ints: 1}[fracs] == 1
     # combinations built from Fraction keys intern them and match int-keyed ones
@@ -331,7 +334,7 @@ def _series_or_none(combo, N):
 
 
 def _as_ratfuncs(data):
-    return {w: basis_ratfunc(r) for w, r in data.items()}
+    return {w: basis_ratfunc(r, "z") for w, r in data.items()}
 
 
 @settings(max_examples=80, deadline=None)
@@ -345,7 +348,7 @@ def test_basis_series_matches_ratfunc_oracle(data, letters):
 @given(st.data(), st.sampled_from(ALPHABETS))
 def test_basis_scale_rf_matches_ratfunc_product(data, letters):
     d = data.draw(_combo_strategy(letters))
-    r = basis_ratfunc(data.draw(_basis_strategy(letters)))
+    r = basis_ratfunc(data.draw(_basis_strategy(letters)), "z")
     got = _series_or_none(GplCombo(d).scale(partial_fractions(r, letters)), 8)
     assert got == _oracle_series({w: rw * r for w, rw in _as_ratfuncs(d).items()}, 8)
 
@@ -414,8 +417,8 @@ def test_kernel_product_table_matches_ratfunc_products(data, letters):
     assert type(D) is int and D > 0 and all(type(x) is int for _, x in items)
     # the cache is keyed on equal int and Fraction letters, so its rows carry interned ones
     assert all(type(a) is (int if F(a).denominator == 1 else F) for (a, _), _ in items)
-    table = basis_ratfunc({k: F(x, D) for k, x in items})
-    assert table == basis_ratfunc({k1: F(1)}) * basis_ratfunc({k2: F(1)})
+    table = basis_ratfunc({k: F(x, D) for k, x in items}, "z")
+    assert table == basis_ratfunc({k1: F(1)}, "z") * basis_ratfunc({k2: F(1)}, "z")
 
 
 @settings(max_examples=100, deadline=None)
@@ -429,8 +432,8 @@ def test_ratfunc_basis_round_trip(data, letters):
     for a, m in poles:
         r = r * rf_monomial(a, -m)
     b = partial_fractions(r, letters)
-    assert basis_ratfunc(b) == r
-    assert partial_fractions(basis_ratfunc(b), letters) == b
+    assert basis_ratfunc(b, "z") == r
+    assert partial_fractions(basis_ratfunc(b, "z"), letters) == b
 
 
 @settings(max_examples=100, deadline=None)
@@ -445,7 +448,7 @@ def test_basis_ratfunc_is_the_normalized_ratfunc_sum(data, letters):
     ref = rf_from_coeffs([0])
     for (a, m), c in d.items():
         ref = ref + rf_monomial(a, -m) * c
-    got = basis_ratfunc(d)
+    got = basis_ratfunc(d, "z")
     assert (got.num, got.den) == (ref.num, ref.den)
 
 

@@ -371,7 +371,7 @@ def test_cli_verify_accepts_every_record_a_job_writes(tmp_path, capsys):
         assert " record ok: " in capsys.readouterr().out, path
 
 
-def test_cli_expand_names_layers_by_the_function_variable(capsys):
+def test_cli_expand_names_layers_by_the_function_variable(tmp_path, capsys):
     from hyperred import cli
     assert cli.main(["expand", "2F1[2*eps, 3*eps; 1+5*eps; y]", "--order", "2"]) == 0
     assert "eps^2: -6*G(0,1;y)" in capsys.readouterr().out
@@ -379,6 +379,24 @@ def test_cli_expand_names_layers_by_the_function_variable(capsys):
                      "--format", "jsonl"]) == 0
     rec = json.loads(capsys.readouterr().out)
     assert {rec["var"]} | {l["var"] for l in rec["layers"]} == {"y"}
+    # omega0 is a rational function of y, printed and recorded in y, and the
+    # record verifies; the same omega0 recorded over z is refused as malformed
+    rational = ["expand", "2F1[1+eps, 2+eps; 2+2*eps; y]", "--order", "0"]
+    assert cli.main(rational) == 0
+    assert "eps^0: (-1)/(y - 1)\n" in capsys.readouterr().out
+    out = tmp_path / "y.jsonl"
+    assert cli.main(rational + ["--format", "jsonl", "--out", str(out)]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["var"] == "y" and rec["omega0"]["vars"] == ["y"]
+    assert cli.main(["verify", str(out)]) == 0
+    assert capsys.readouterr().out == "expand record ok: 2F1[1+eps, 2+eps; 2+2*eps; y]\n"
+    rec["omega0"]["vars"] = ["z"]
+    out.write_text(json.dumps(rec) + "\n")
+    assert cli.main(["verify", str(out)]) == 2
+    assert "expected variables ['y'], got ['z']" in capsys.readouterr().err
+    # the xi banner names the function's variable
+    assert cli.main(["expand", "2F1[1/2+eps, 1/2-eps; 3/2+2*eps; w]", "--order", "1"]) == 0
+    assert "layers are for sqrt(-w)*F in xi = (w/(w-1))^(1/2)\n" in capsys.readouterr().out
 
 
 def test_cli_verify_refuses_what_the_job_would_refuse(tmp_path, capsys):
