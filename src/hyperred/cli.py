@@ -140,6 +140,13 @@ def _check_bounds(N: int, K: int):
         raise UnsupportedClass(f"eps order K must be within 0..{MAX_K}")
 
 
+def _check_depth(result: ReductionResult, N: int, what: str):
+    """A reduction whose oracle check needs a series deeper than MAX_N is unsupported (exit 3)."""
+    depth = verify_depth(result, N)
+    if depth > MAX_N:
+        raise UnsupportedClass(f"{what} needs series depth {depth}, above {MAX_N}")
+
+
 def _load_expr(text: str) -> str:
     """Expression arguments may name a file as file:PATH."""
     if text.startswith("file:"):
@@ -164,13 +171,11 @@ def run_reduce(args) -> int:
     target = parse_hyper(_load_expr(args.target))
     basis = parse_hyper(_load_expr(args.basis))
     result = reduce_to_basis(target, basis)
+    _check_depth(result, args.N, "the reduction")
     K = min(args.K, REDUCE_CHECK_K)
-    verified = None
-    if not args.no_verify:
-        ok, mism = verify_reduction(result, args.N, K)
-        if not ok:
-            raise VerificationFailure(f"reduction failed oracle at (z^{mism[0]}, eps^{mism[1]})")
-        verified = True
+    ok, mism = verify_reduction(result, args.N, K)
+    if not ok:
+        raise VerificationFailure(f"reduction failed oracle at (z^{mism[0]}, eps^{mism[1]})")
     # each format reads every coefficient of S and the R_j, so build only the one printed
     if args.format == "jsonl":
         _emit([{
@@ -181,7 +186,7 @@ def run_reduce(args) -> int:
             "r": [enc_ratfunc(r) for r in result.r_polys],
             "tail": enc_ratfunc(result.algebraic_tail),
             "affine": result.affine,
-            "verified": bool(verified),
+            "verified": True,
             "N": args.N,
             "K": K,
         }], args, [])
@@ -190,8 +195,7 @@ def run_reduce(args) -> int:
     lines += [f"R{j} = {r}" for j, r in enumerate(result.r_polys)]
     if not result.algebraic_tail.is_zero():
         lines.append(f"tail = {result.algebraic_tail}")
-    if verified:
-        lines.append(f"verified against series oracle at N={args.N}")
+    lines.append(f"verified against series oracle at N={args.N}")
     _emit([], args, lines)
     return EXIT_OK
 
@@ -243,8 +247,8 @@ def run_mb(args) -> int:
 
 
 def run_count_masters(args) -> int:
-    bindings = _parse_bindings(args.bind, args.extras)
     mb = _mb_of(parse_input(_load_expr(args.input)))
+    bindings = _parse_bindings(args.bind, mb)
     hs = mb_to_hyper(mb)
     L, reports = count_master_integrals(hs, bindings)
     rec = {
@@ -268,13 +272,9 @@ def run_expand(args) -> int:
         raise UnsupportedClass(f"order must be within 0..{MAX_K}")
     fn = parse_hyper(_load_expr(args.fn))
     exp = epsilon_expand(fn, args.order)
-    verified = None
-    if not args.no_verify:
-        ok, mism = verify_expansion(fn, exp, args.N)
-        if not ok:
-            raise VerificationFailure(
-                f"expansion failed oracle at (power {mism[0]}, eps^{mism[1]})")
-        verified = True
+    ok, mism = verify_expansion(fn, exp, args.N)
+    if not ok:
+        raise VerificationFailure(f"expansion failed oracle at (power {mism[0]}, eps^{mism[1]})")
     # each format sorts every word of every layer, so build only the one printed
     if args.format == "jsonl":
         _emit([{
@@ -284,7 +284,7 @@ def run_expand(args) -> int:
             "var": exp.var,
             "omega0": enc_ratfunc(exp.omega0) if exp.omega0 is not None else None,
             "layers": [enc_polylog(l) for l in exp.layers],
-            "verified": bool(verified),
+            "verified": True,
             "N": args.N,
         }], args, [])
         return EXIT_OK
@@ -297,8 +297,7 @@ def run_expand(args) -> int:
         lines.append(f"eps^0: {exp.omega0}")
     for k in range(1, len(exp.layers)):
         lines.append(f"eps^{k}: {exp.layers[k]}")
-    if verified:
-        lines.append(f"verified against series oracle at N={args.N}")
+    lines.append(f"verified against series oracle at N={args.N}")
     _emit([], args, lines)
     return EXIT_OK
 
@@ -358,8 +357,8 @@ def _decode_record(rec: dict):
     UnsupportedClass for a function the job would refuse."""
     cmd = rec.get("command")
     if cmd == "reduce":
-        piece = lambda d: dec_ratfunc(d, ("eps", "z"))
         target, basis = parse_hyper(rec["target"]), parse_hyper(rec["basis"])
+        piece = lambda d: dec_ratfunc(d, ("eps", target.var))
         affine = tail_upper(basis, shift_vector(target, basis)[0]) is not None
         if rec["affine"] is not affine:
             raise ValueError(f"affine is {json.dumps(affine)} for this target and basis,"
@@ -421,10 +420,7 @@ def run_verify(args) -> int:
                                  lineno, 1) from None
             _check_bounds(job[2], job[3])
             if isinstance(job[1], ReductionResult):
-                depth = verify_depth(job[1], job[2])
-                if depth > MAX_N:
-                    raise UnsupportedClass(f"reduce record at line {lineno} needs series depth "
-                                           f"{depth}, above {MAX_N}")
+                _check_depth(job[1], job[2], f"reduce record at line {lineno}")
             elif len(job[1].layers) - 1 > MAX_K:
                 raise UnsupportedClass(f"expand record at line {lineno} has eps order "
                                        f"{len(job[1].layers) - 1}, above {MAX_K}")
@@ -509,10 +505,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "eps expansion of hypergeometric functions, all oracle-verified.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, run):
+    def common(p, run, N=False, K=False):
         p.set_defaults(run=run)
-        p.add_argument("--N", type=int, default=30, help="series verification depth")
-        p.add_argument("--K", type=int, default=4, help="eps truncation order")
+        if N:
+            p.add_argument("--N", type=int, default=30, help="series verification depth")
+        if K:
+            p.add_argument("--K", type=int, default=4, help="eps order of the oracle check, "
+                           f"capped at {REDUCE_CHECK_K}")
         p.add_argument("--format", choices=("text", "jsonl"),
                        help="output format (default: $HYPERRED_FORMAT or text)")
         p.add_argument("--out", help="also write the output to this file")
@@ -520,8 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="reduce a function to a shifted basis")
     p.add_argument("target")
     p.add_argument("--basis", required=True)
-    p.add_argument("--no-verify", action="store_true")
-    common(p, run_reduce)
+    common(p, run_reduce, N=True, K=True)
 
     p = sub.add_parser("count-basis", help="nontrivial basis count for one function")
     p.add_argument("fn")
@@ -540,8 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="epsilon expansion into polylogarithms")
     p.add_argument("fn")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--no-verify", action="store_true")
-    common(p, run_expand)
+    common(p, run_expand, N=True)
 
     p = sub.add_parser("check-parametrization",
                        help="rational-parametrization condition checks")
@@ -567,37 +564,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="re-verify stored results or run the suite")
     p.add_argument("path", nargs="?")
     p.add_argument("--suite", action="store_true")
-    common(p, run_verify)
+    common(p, run_verify, N=True, K=True)
 
     return ap
 
 
-def _parse_bindings(pairs, extras):
+def _parse_bindings(pairs, mb: MBRepr):
+    """The values of NAME=VALUE pairs, each NAME a symbol of mb's forms."""
+    symbols = {s for f in mb.a_forms + mb.b_forms + mb.c_forms + mb.d_forms for s in f.symbols}
     out = {}
-    items = list(pairs)
-    for i in range(0, len(extras), 2):
-        if not extras[i].startswith("--") or i + 1 == len(extras):
-            raise ParseError(f"cannot interpret extra argument {extras[i]!r}", 1, 1)
-        items.append(f"{extras[i][2:]}={extras[i + 1]}")
-    for item in items:
+    for item in pairs:
         if "=" not in item:
             raise ParseError(f"binding {item!r} is not NAME=VALUE", 1, 1)
-        name, val = item.split("=", 1)
-        name = name.strip()
-        out[name] = parse_rat(f"binding {name}", val.strip())
+        name, val = (x.strip() for x in item.split("=", 1))
+        if name not in symbols:
+            raise ParseError(f"cannot bind {name}: the input has no symbol {name} "
+                             f"(its symbols are {', '.join(sorted(symbols))})", 1, 1)
+        out[name] = parse_rat(f"binding {name}", val)
     return out
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
     try:
-        if argv and argv[0] == "count-masters":    # extra --NAME VALUE pairs are bindings
-            args, extras = ap.parse_known_args(argv)
-            args.extras = extras
-        else:
-            args = ap.parse_args(argv)
-        _check_bounds(args.N, args.K)
+        args = ap.parse_args(argv)
+        _check_bounds(getattr(args, "N", 1), getattr(args, "K", 0))
         args.format = args.format or os.environ.get("HYPERRED_FORMAT", "text")
         return args.run(args)
     except (HyperredError, OSError) as e:

@@ -59,13 +59,12 @@ from .theta import ThetaOp
 
 
 def _ring_vars(fn: Hyper):
-    if isinstance(fn, HyperFn):
-        return ("eps", "z")
-    return ("n", "z")
+    """(eps or n, the function's variable): the ring its parameters and steps live in."""
+    return ("eps" if isinstance(fn, HyperFn) else "n", fn.var)
 
 
 def _param_poly(vars, x) -> Poly:
-    """const + c*vars[0] in (vars[0], z), from a parameter linear in vars[0] alone."""
+    """const + c*vars[0] over vars, from a parameter linear in vars[0] alone."""
     if any(s != vars[0] for s in x.symbols):
         raise ValueError(f"bind propagator powers before reducing: {x}")
     return Poly.linear(vars, vars[0], x.coeff(vars[0]), x.const)
@@ -108,7 +107,7 @@ class QuotientModule:
         if not self.affine:
             self.lows.append(Poly.zero(vars))
         self.ups = [_param_poly(vars, a) for i, a in enumerate(fn.upper) if i != affine_index]
-        kz = Poly.variable(vars, "z").scale(fn.kappa)
+        kz = Poly.variable(vars, fn.var).scale(fn.kappa)
         T = [lo - kz * up for lo, up in zip(theta_poly(self.lows, one),
                                             theta_poly(self.ups, one))]
         self.dim = len(T) - 1
@@ -289,7 +288,7 @@ def _unit_step(cls, upper, lower, kappa, var, which: str, index: int, direction:
     if which == "upper":
         pieces = [lo - c for lo in module.lows]
     else:
-        pieces = [Poly.variable(vars, "z").scale(-g.kappa)] + [u - c for u in module.ups]
+        pieces = [Poly.variable(vars, var).scale(-g.kappa)] + [u - c for u in module.ups]
     K = Fraction(1)
     for f in pieces:
         if f.is_zero():
@@ -357,7 +356,7 @@ class ReductionResult:
         """Bind symbolic n to get a numeric result."""
         if isinstance(self.target, HyperFn):
             return self
-        new_vars = ("eps", "z")
+        new_vars = ("eps", self.target.var)
         sub = {"n": _param_poly(new_vars, n_value)}
         conv = lambda r: r.subst_params(new_vars, sub)
         return ReductionResult(self.target.bind(n_value=n_value), self.basis.bind(n_value=n_value),

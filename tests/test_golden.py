@@ -35,17 +35,20 @@ JOBS = {
                       "--basis", "3F2[1, 1/2+eps, 1/3-eps; 3/2+2*eps, 4/3+eps; z]"],
     "reduce-minus-z": ["reduce", GENERIC_TARGET.replace("; z]", "; -1*z]"),
                        "--basis", GENERIC_BASIS.replace("; z]", "; -1*z]")],
+    "reduce-y": ["reduce", GENERIC_TARGET.replace("; z]", "; y]"),
+                 "--basis", GENERIC_BASIS.replace("; z]", "; y]")],
     "count-basis": ["count-basis", "3F2[1, 1/2+eps, -eps; 2-eps, 1+eps; z]"],
     "mb-raw": ["mb", "MB[-1*y; [rho+sigma1+sigma2-n/2, sigma1, sigma2]; [n/2]; "
                      "[n/2-sigma1-sigma2]; []]"],
     "mb-c3": ["mb", "@c3"],
     "mb-c1": ["mb", "@c1"],
     "mb-v1200": ["mb", "@v1200"],
-    "count-masters-c3": ["count-masters", "@c3", "--j1", "1", "--j2", "1", "--sigma", "1"],
-    "count-masters-c1": ["count-masters", "@c1", "--sigma1", "1", "--sigma2", "2",
-                         "--rho", "1"],
-    "count-masters-v1200": ["count-masters", "@v1200", "--alpha", "1", "--beta", "2",
-                            "--sigma", "1", "--rho", "1"],
+    "count-masters-c3": ["count-masters", "@c3", "--bind", "j1=1", "--bind", "j2=1",
+                         "--bind", "sigma=1"],
+    "count-masters-c1": ["count-masters", "@c1", "--bind", "sigma1=1", "--bind", "sigma2=2",
+                         "--bind", "rho=1"],
+    "count-masters-v1200": ["count-masters", "@v1200", "--bind", "alpha=1", "--bind", "beta=2",
+                            "--bind", "sigma=1", "--bind", "rho=1"],
     "expand-integer": ["expand", "2F1[2*eps, 3*eps; 1+5*eps; z]", "--order", "4"],
     "expand-half-integer": ["expand", HALF_INTEGER, "--order", "3"],
     "expand-unit-upper": ["expand", "2F1[1+2*eps, 3*eps; 1-eps; z]", "--order", "3"],
@@ -65,9 +68,12 @@ JOBS = {
     "exit-parse": ["reduce", "2F1[1/2+; 1; z]", "--basis", "2F1[1, 1; 1; z]"],
     "exit-parse-superscript": ["count-basis", "2F1[², 1; 1; z]"],
     "exit-unbound": ["count-masters", "@c1", "--bind", "sigma1=2"],
-    "exit-bad-value": ["count-masters", "@c3", "--j1", "abc", "--j2", "1", "--sigma", "1"],
-    "exit-bad-bind": ["count-masters", "@c3", "--bind", "j1=1/0", "--j2", "1",
-                      "--sigma", "1"],
+    "exit-bad-value": ["count-masters", "@c3", "--bind", "j1=abc", "--bind", "j2=1",
+                       "--bind", "sigma=1"],
+    "exit-bad-bind": ["count-masters", "@c3", "--bind", "j1=1/0", "--bind", "j2=1",
+                      "--bind", "sigma=1"],
+    "exit-unknown-bind": ["count-masters", "@c3", "--bind", "j1=1", "--bind", "j2=1",
+                          "--bind", "sigma=1", "--bind", "foo=2"],
     "exit-bad-beta": ["check-parametrization", "gauss", "--p1", "1", "--p2", "1",
                       "--r", "-1", "--q", "2", "--beta", "x"],
     "exit-bad-3f2": ["check-parametrization", "3f2", "--r", "1", "--p", "-1", "--q", "2",

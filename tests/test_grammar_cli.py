@@ -1,5 +1,6 @@
 """Input grammar round-trips and the command-line contract."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -135,7 +136,7 @@ def test_cli_expand_and_verify():
 
 
 def test_cli_count_masters_presets():
-    r = run_cli("count-masters", "@c3", "--j1", "1", "--j2", "1", "--sigma", "1")
+    r = run_cli("count-masters", "@c3", "--bind", "j1=1", "--bind", "j2=1", "--bind", "sigma=1")
     assert r.returncode == 0, r.stderr
     assert "L = 2" in r.stdout
 
@@ -225,7 +226,8 @@ def test_cli_main_back_to_back_matches_fresh_runs(monkeypatch):
             (["reduce", "2F1[1/2+; 1; z]", "--basis", "2F1[1, 1; 1; z]"], None),
             (["count-masters", "@c1", "--bind", "sigma1=2", "--bind", "sigma2=1",
               "--bind", "rho=3"], {"HYPERRED_FORMAT": "jsonl"}),
-            (["count-masters", "@c1", "--sigma1", "1", "--sigma2", "2", "--rho", "1"], None)]
+            (["count-masters", "@c1", "--bind", "sigma1=1", "--bind", "sigma2=2",
+              "--bind", "rho=1"], None)]
     monkeypatch.delenv("HYPERRED_FORMAT", raising=False)
     for argv, env in jobs:
         for k, v in (env or {}).items():
@@ -282,9 +284,9 @@ def test_cli_malformed_rationals_are_parse_errors(capsys):
     with pytest.raises(ParseError, match="--a1 is not a rational number: '1/0'"):
         cli.parse_rat("--a1", "1/0")
     assert cli.parse_rat("--a1", "-3/6") == F(-1, 2)
-    cases = [C3 + ["--j1", "abc", "--j2", "1", "--sigma", "1"],
-             C3 + ["--bind", "j1=1/0", "--j2", "1", "--sigma", "1"],
-             C3 + ["--bind", "j1=1", "--bind", "j2=", "--sigma", "1"]]
+    cases = [C3 + ["--bind", "j1=abc", "--bind", "j2=1", "--bind", "sigma=1"],
+             C3 + ["--bind", "j1=1/0", "--bind", "j2=1", "--bind", "sigma=1"],
+             C3 + ["--bind", "j1=1", "--bind", "j2=", "--bind", "sigma=1"]]
     cases += [GAUSS + ["--beta", "x"]]
     cases += [GAUSS + ["--beta", "1/2", f"--{name}", "1/0"] for name in ("a1", "a2", "c")]
     cases += [THREE_F2 + [f"--{name}", bad] for name in ("a1", "a2", "a3", "b1", "b2")
@@ -294,7 +296,7 @@ def test_cli_malformed_rationals_are_parse_errors(capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
         assert "is not a rational number" in err, argv
-    r = run_cli(*C3, "--bind", "j1=1/0", "--j2", "1", "--sigma", "1")
+    r = run_cli(*C3, "--bind", "j1=1/0", "--bind", "j2=1", "--bind", "sigma=1")
     assert r.returncode == 2 and "Traceback" not in r.stderr
 
 
@@ -361,7 +363,7 @@ def test_cli_verify_accepts_every_record_a_job_writes(tmp_path, capsys):
     from hyperred import cli
     golden = Path(__file__).parent / "golden"
     paths = sorted(golden.glob("reduce-*.jsonl.out")) + sorted(golden.glob("expand-*.jsonl.out"))
-    assert len(paths) == 10
+    assert len(paths) == 11
     out = tmp_path / "y.jsonl"
     assert cli.main(["expand", "2F1[2*eps, 3*eps; 1+5*eps; y]", "--order", "2",
                      "--format", "jsonl", "--out", str(out)]) == 0
@@ -499,11 +501,95 @@ def test_cli_count_masters_refuses_unbound_symbols():
     assert "rho, sigma2" in r.stderr
 
 
-@pytest.mark.parametrize("extra,bad", [(["x"], "x"), (["--sigma"], "--sigma"),
-                                       (["--sigma=1"], "--sigma=1")])
-def test_cli_count_masters_refuses_extra_arguments_that_are_not_bindings(capsys, extra, bad):
+@pytest.mark.parametrize("extra", [["--j1", "1"], ["x"], ["--sigma"], ["--sigma=1"]],
+                         ids=["nameval", "bare", "flag", "flagvalue"])
+def test_cli_count_masters_refuses_arguments_that_are_not_bind(extra):
+    """Bindings come only as --bind NAME=VALUE; argparse refuses anything else."""
+    r = run_cli(*C3, "--bind", "j2=1", "--bind", "sigma=1", *extra)
+    assert r.returncode == 2 and r.stdout == "" and "Traceback" not in r.stderr
+    assert r.stderr.endswith(f"error: unrecognized arguments: {' '.join(extra)}\n"), r.stderr
+
+
+def test_cli_count_masters_refuses_a_symbol_the_input_lacks(capsys):
+    """A binding must name a symbol of the MB forms: a preset's symbols, or a raw input's."""
     from hyperred import cli
-    assert cli.main(C3 + ["--j1", "1", "--j2", "1"] + extra) == 2
+    for name in PRESETS:
+        preset = get_preset(name)
+        forms = preset.mb.a_forms + preset.mb.b_forms + preset.mb.c_forms + preset.mb.d_forms
+        assert {s for f in forms for s in f.symbols} == set(preset.symbols), name
+    raw = ["count-masters", "MB[-1*y; [rho+sigma1+sigma2-n/2, sigma1, sigma2]; [n/2]; "
+                            "[n/2-sigma1-sigma2]; []]", "--bind", "sigma1=1", "--bind", "sigma2=2"]
+    assert cli.main(raw + ["--bind", "rho=1"]) == 0
+    assert "L = " in capsys.readouterr().out
+    assert cli.main(raw + ["--bind", "rho=1", "--bind", "j1=1"]) == 2
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err == f"error: cannot interpret extra argument {bad!r} at line 1, column 1\n"
+    assert out == "" and err == ("error: cannot bind j1: the input has no symbol j1 (its symbols"
+                                 " are n, rho, sigma1, sigma2) at line 1, column 1\n")
+
+
+def _leaf_options(parser, command=()):
+    """{command words: option strings} for each leaf parser under parser."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {" ".join(command): {s for a in parser._actions for s in a.option_strings}}
+    return {k: v for name, p in subs[0].choices.items()
+            for k, v in _leaf_options(p, command + (name,)).items()}
+
+
+def test_cli_each_command_declares_only_the_options_it_reads():
+    """--N only where a series depth is read, --K only where a reduction's eps order is."""
+    from hyperred import cli
+    out = {"-h", "--help", "--format", "--out"}
+    assert _leaf_options(cli.build_parser()) == {
+        "reduce": out | {"--basis", "--N", "--K"},
+        "count-basis": out,
+        "mb": out,
+        "count-masters": out | {"--bind"},
+        "expand": out | {"--order", "--N"},
+        "check-parametrization gauss": out | {"--p1", "--p2", "--r", "--q", "--a1", "--a2",
+                                              "--c", "--beta"},
+        "check-parametrization 3f2": out | {"--r", "--p", "--q", "--a1", "--a2", "--a3",
+                                            "--b1", "--b2"},
+        "check-parametrization f3": out | {"--p1", "--p2", "--r1", "--r2", "--p", "--q"},
+        "verify": out | {"--suite", "--N", "--K"},
+    }
+
+
+def test_cli_reduce_works_in_the_function_variable(tmp_path, capsys):
+    """A y-function's pieces are printed and recorded in y; its record verifies,
+    and the same record over z is refused as malformed."""
+    from hyperred import cli
+    golden = Path(__file__).parent / "golden"
+    assert "S  = eps^2*y - eps^2 + " in (golden / "reduce-y.text.out").read_text()
+    rec = json.loads((golden / "reduce-y.jsonl.out").read_text())
+    assert all(p["vars"] == ["eps", "y"] for p in [rec["s"], rec["tail"], *rec["r"]])
+    assert cli.main(["verify", str(golden / "reduce-y.jsonl.out")]) == 0
+    assert capsys.readouterr().out == f"reduce record ok: {rec['target']}\n"
+    for p in [rec["s"], rec["tail"], *rec["r"]]:
+        p["vars"] = ["eps", "z"]
+    out = tmp_path / "z.jsonl"
+    out.write_text(json.dumps(rec) + "\n")
+    assert cli.main(["verify", str(out)]) == 2
+    assert "expected variables ['eps', 'y'], got ['eps', 'z']" in capsys.readouterr().err
+
+
+def test_cli_reduce_refuses_a_check_deeper_than_verify_allows(tmp_path, capsys, monkeypatch):
+    """reduce exits 3, as verify does on its record, when the check needs a
+    series deeper than MAX_N; a reduction within it still writes a record
+    that verifies."""
+    from hyperred import cli
+    basis = "2F1[2/5+eps, 1/3-eps; 3/2+2*eps; z]"
+    deep = ["reduce", "2F1[27/5+eps, 1/3-eps; 1/2+2*eps; z]", "--basis", basis]
+    out = tmp_path / "deep.jsonl"
+    assert cli.main(deep + ["--N", "6", "--format", "jsonl", "--out", str(out)]) == 0
+    monkeypatch.setattr(cli, "MAX_N", 6)
+    capsys.readouterr()
+    assert cli.main(["verify", str(out), "--N", "6"]) == 3
+    assert "reduce record at line 1 needs series depth 8, above 6" in capsys.readouterr().err
+    assert cli.main(deep + ["--N", "6"]) == 3
+    out_text, err = capsys.readouterr()
+    assert out_text == "" and err == "error: the reduction needs series depth 8, above 6\n"
+    shallow = tmp_path / "shallow.jsonl"
+    assert cli.main(["reduce", "2F1[7/5+eps, 1/3-eps; 1/2+2*eps; z]", "--basis", basis,
+                     "--N", "6", "--format", "jsonl", "--out", str(shallow)]) == 0
+    assert cli.main(["verify", str(shallow), "--N", "6"]) == 0
