@@ -16,13 +16,18 @@ flat there: at depth 1 ``_add``, ``_neg``, ``_mul``, ``_scale``,
 at depth 2 ``_mul`` accumulates every product of two rows into one int
 list per power of the top variable, so the reduction's fold and its
 clearing (``_div_root`` through ``_div_int``, ``_scale`` and ``_add``)
-make no call per integer.  Deeper reps recurse down to them.
+make no call per integer.  Deeper reps recurse down to them.  The
+reduction calls these kernels on integer reps directly, with its constant
+denominators in one int, so it builds no Poly and scans no content per
+operation; a Poly's normalizing gcd of den with the integers of rep
+(``_int_content``) runs where a value is built.
 
 GCDs use one primitive pseudo-remainder sequence over Z at every depth,
 with no fast path in front of it, normalized to lead coefficient 1.  The
 reduction and ``RatFunc.over`` clear their denominators by trial division
-over known linear factors x - r, recorded by root (``_cancel``, below), so
-a traced seed-1 ``bench/run.py`` stream counts 0 gcd calls on every workload.
+over known linear factors q x - p, recorded by root (``_cancel``, below),
+so a traced seed-1 ``bench/run.py`` stream counts 0 gcd calls on every
+workload.
 """
 
 from __future__ import annotations
@@ -169,11 +174,7 @@ def _div_int(a, n, d):
 
 
 def _int_content(a, d, g=0):
-    """gcd of g and every integer of a (non-negative).
-
-    Top coefficients first: a reduction row's low ones carry the factors
-    of its denominator, so the gcd reaches 1 sooner from the top.
-    """
+    """gcd of g and every integer of a (non-negative), stopping at 1."""
     if d <= 1:
         return gcd(g, *a) if d else gcd(g, a)
     for c in reversed(a):
@@ -614,56 +615,81 @@ def theta_poly(roots: Sequence[Poly], one: Poly) -> List[Poly]:
 # ---------------------------------------------------------------------------
 # products of known linear factors, cleared by trial division instead of a gcd
 
-# Linear factors x - r keyed by (x, r), with their multiplicities: (P, factors,
-# K) stands for P / (K * prod (x - r)^m), K a nonzero Fraction.
+# Linear factors x - r keyed by (x, r), with their multiplicities.  On integer
+# reps, (P, factors, K) stands for P / (K * prod (q x - p)^m), r = p/q, with
+# q x - p primitive and K a nonzero int; RatFunc.over reads the monic form.
 Factors = Dict[Tuple[str, Fraction], int]
 
 
-def _add_factor(factors: Factors, f: Poly, m: int = 1) -> Fraction:
-    """Record f^m, f = a (x - r) linear, under (x, r); returns a^m (f^m if constant)."""
-    if f.is_const():
-        return f.const_value() ** m
-    # above its variable x_(d-1) the rep of a x + b has one coefficient; at it, (b, a)
-    rep, d = f.rep, f.d
-    while len(rep) == 1:
-        rep, d = rep[0], d - 1
-    b, a = (_const_rep_value(c, d - 1) for c in rep)
-    key = (f.vars[d - 1], Fraction(-b, a))
+def _add_factor(factors: Factors, x: str, a: int, b: int, m: int = 1) -> int:
+    """Record (a x + b)^m under (x, -b/a); returns the int k^m with a x + b = k (q x - p).
+
+    For a = 0 nothing is recorded and b^m is returned.
+    """
+    if a == 0:
+        return b ** m
+    key = (x, Fraction(-b, a))
     factors[key] = factors.get(key, 0) + m
-    return Fraction(a, f.den) ** m
+    return (a // key[1].denominator) ** m
 
 
-def _factor_product(vars, K: Fraction, factors: Factors) -> Poly:
-    p = Poly.const(vars, K)
+def _factor_product(vars, factors: Factors):
+    """The integer rep of prod (q x - p)^m: primitive (Gauss), its lead coefficient prod q^m."""
+    d = len(vars)
+    out = _const(d, 1)
     for (x, r), m in factors.items():
-        p = p * Poly.linear(vars, x, 1, -r) ** m
-    return p
+        f = _add(_monomial(d, vars.index(x), r.denominator), _const(d, -r.numerator), d)
+        out = _mul(out, _pow(f, m, d), d)
+    return out
 
 
-def _cancel(polys: List[Poly], factors: Factors) -> Tuple[List[Poly], Factors]:
-    """Divide each factor out of polys while it divides all of them.
+def _monic_product(vars, factors: Factors) -> Poly:
+    """prod (x - r)^m: the primitive ``_factor_product`` over its lead prod q^m."""
+    lead = 1
+    for (_, r), m in factors.items():
+        lead *= r.denominator ** m
+    return Poly._of(tuple(vars), _factor_product(vars, factors), lead)
+
+
+def _cancel(reps, vars, factors: Factors, roots=None):
+    """Divide each factor out of integer reps while it divides all of them.
 
     Returns the quotients and the factors left.  Every factor is linear,
-    hence irreducible, so it is divided out, tested at its root, for as
-    long as it divides every polynomial; what is left then shares no factor
-    with the quotients: the gcd-free form.
+    hence irreducible, so it is divided out, tested at its root by
+    ``_div_root`` over its primitive form q x - p, for as long as it
+    divides every rep; what is left then shares no factor with the
+    quotients: the gcd-free form.  The quotients stay integral (Gauss).
+
+    ``roots`` (None: all) are the only factors tried; the others are
+    kept whole.  The reduction's fold passes the roots of the step it has
+    just applied (``reduction._unit_step``): the linear factors of det P
+    and the step's own factors, which it must try whatever det P is.
+    That is sound for a factor f carried from earlier steps, which the
+    clearing after the last one left, so f does not divide the row: if f
+    divided row P, row mod f would be a nonzero vector over the domain
+    Q[vars] / (f) with (row mod f)(P mod f) = 0, so P mod f would be
+    singular and f would divide det P.
     """
-    polys = list(polys)
-    live = [i for i, p in enumerate(polys) if not p.is_zero()]
+    reps = list(reps)
+    d = len(vars)
+    live = [i for i, a in enumerate(reps) if a]
     left: Factors = {}
-    for root, m in factors.items():
-        while m:
-            qs = []
-            for i in live:
-                q = polys[i].div_root(*root)
-                if q is None:
+    for key, m in factors.items():
+        if roots is None or key in roots:
+            x, r = key
+            i, p, q = vars.index(x), r.numerator, r.denominator
+            while m:
+                qs = []
+                for j in live:
+                    b = _div_root(reps[j], i, p, q, d)
+                    if b is None:
+                        break
+                    qs.append(b)
+                if len(qs) < len(live):
                     break
-                qs.append(q)
-            if len(qs) < len(live):
-                break
-            for i, q in zip(live, qs):
-                polys[i] = q
-            m -= 1
+                for j, b in zip(live, qs):
+                    reps[j] = b
+                m -= 1
         if m:
-            left[root] = m
-    return polys, left
+            left[key] = m
+    return reps, left

@@ -11,10 +11,10 @@ BiSeries requires the parameters to be reduced to "eps" only.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import PoleAtEpsZero
-from .poly import Factors, Poly, _cancel, _factor_product, _scale, _subst, _trim, _zero
+from .poly import Factors, Poly, _cancel, _monic_product, _neg, _scale, _subst, _trim, _zero
 from .series import BiSeries
 from .value import Value
 
@@ -39,12 +39,24 @@ class RatFunc(Value):
     def over(cls, num: Poly, factors: Factors = None, K=1) -> "RatFunc":
         """num / (K prod (x - r)^m) for factors {(x, r): m} and a nonzero K.
 
-        Trial division at the roots leaves factors prime to num: no gcd.
+        Trial division at the roots (``_cancel``) leaves factors prime to
+        num: no gcd.  Each division by the primitive q x - p = q (x - r)
+        leaves q on the quotient.
         """
-        if factors:
-            (num,), factors = _cancel([num], factors)
-        num = num.scale(1 / Fraction(K)) if K != 1 else num
-        return cls._of(num, _factor_product(num.vars, 1, factors or {}))
+        factors = factors or {}
+        (rep,), left = _cancel([num.rep], num.vars, factors)
+        K = Fraction(K)
+        for (x, r), m in factors.items():
+            K /= r.denominator ** (m - left.get((x, r), 0))
+        if K < 0:
+            rep, K = _neg(rep, num.d), -K
+        if K.numerator == 1:
+            # rep keeps num's content, prime to num.den (Gauss): only K's denominator can share
+            g = gcd(K.denominator, num.den)
+            num = Poly._of(num.vars, _scale(rep, K.denominator // g, num.d), num.den // g)
+        else:
+            num = Poly(num.vars, _scale(rep, K.denominator, num.d), num.den * K.numerator)
+        return cls._of(num, _monic_product(num.vars, left))
 
     # basics ---------------------------------------------------------------
 

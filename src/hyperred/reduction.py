@@ -7,27 +7,28 @@ becomes affine, with a constant slot realizing the algebraic tails of the
 integer-parameter case.
 
 Every denominator on a reduction path is a known linear factor, so a unit
-step is kept fraction-free as (P, factors, K): a polynomial matrix P over K
-times a product of linear factors (x - r)^m, each recorded by its root as
-(x, r) (``poly.Factors``).  The relation row is polynomial over its
-lead 1 - kappa z, so theta's matrix on the basis column is N' / (1 - kappa z)
-with N' polynomial; its rows are lead e_(k+1) and, last, the relation row,
-and ``QuotientModule.times_n`` applies it to a row.  One step builder
-serves both moves around N'.  The
-contiguous step F_shifted = (1 + theta/c) F, c free of z, is
-P = c(1 - kappa z) I + N' over {c, 1 - kappa z}.  The opposite move inverts
-that step in closed form: dividing the relation on the right by theta + c
-leaves the remainder R = T(-c), a product of parameter differences (times
-kappa z for a lower), so row 0 is a synthetic division over R, row k is
-row 0 times N'^k, and the denominator is R (1 - kappa z)^(d-1), factored by
-construction (Takayama 1989; HYPERDIRE, arXiv:1105.3565); a vanishing R is
-the exceptional-parameter signal.  reduce_to_basis folds row 0 of the path
-product with Poly products alone and, after each step, divides each
-recorded factor out while it divides every numerator, tested at its root,
-so the row stays at the size of the answer.  That reaches the unique
-gcd-free form with S monic without a gcd.  The bindings of one diagram
-family reduce from one basis along shared path prefixes, so the steps are
-memoized process-wide, keyed on the ordered parameters.
+step is kept fraction-free on integer reps as (P, factors, K): an integer
+polynomial matrix P over an int K times a product of primitive linear
+factors (q x - p)^m, each recorded by its root as (x, p/q) (``poly.Factors``).
+Each parameter enters as integers (p0 + p1 v) / q, v = eps or n, and every
+constant denominator lands in K.  theta's matrix on the basis column is
+N' / lead with N' integral (``QuotientModule``), and one step builder
+(``_unit_step``) serves the forward move P = c lead I + N' over {c, lead}
+and, inverting it in closed form over the remainder R = T(-c) (Takayama
+1989; HYPERDIRE, arXiv:1105.3565), the opposite one; a vanishing R is the
+exceptional-parameter signal.
+
+reduce_to_basis folds row 0 of the path product on integer reps through
+poly's flat kernels alone, with no Poly, Fraction or content scan per
+operation, and after each step divides recorded factors out while they
+divide every entry, tested at their roots (``_cancel``).  A factor carried
+from an earlier step is tried again only at a step whose det P vanishes
+on it, from roots each memoized step records in closed form.  That
+reaches the unique gcd-free form with S monic without a gcd; the R_j and
+the tail are put over their own denominators as the answer leaves the
+module.  The bindings of one diagram family reduce from one basis along
+shared path prefixes, so the steps are memoized process-wide, keyed on
+the ordered parameters.
 
 verify_reduction checks a result on the series oracle as one residual
 S F(target) - sum R_j theta^j F(basis) - tail, summed by the series
@@ -41,14 +42,15 @@ product, sum or compare is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import NotIntegerShift, SingularStep, VerificationFailure
 from .hyper import Hyper, HyperFn
-from .poly import Factors, Poly, _add_factor, _cancel, _factor_product, theta_poly
+from .poly import (Factors, Poly, _add, _add_factor, _cancel, _const, _div_int, _factor_product,
+                   _int_content, _monic_product, _monomial, _mul, _neg, _pow, _scale, _trim)
 from .ratfunc import RatFunc
 from .scalars import DEFAULT_N, EpsLin
 from .series import lowest_cell, series_of_hyper, theta_pieces, truncated_sum
@@ -63,11 +65,24 @@ def _ring_vars(fn: Hyper):
     return ("eps" if isinstance(fn, HyperFn) else "n", fn.var)
 
 
-def _param_poly(vars, x) -> Poly:
-    """const + c*vars[0] over vars, from a parameter linear in vars[0] alone."""
+def _int_param(vars, x):
+    """(p0, p1, q) in integers with x = (p0 + p1 vars[0]) / q, gcd(p0, p1, q) = 1."""
     if any(s != vars[0] for s in x.symbols):
         raise ValueError(f"bind propagator powers before reducing: {x}")
-    return Poly.linear(vars, vars[0], x.coeff(vars[0]), x.const)
+    c0, c1 = x.const, x.coeff(vars[0])
+    q = lcm(c0.denominator, c1.denominator)
+    return c0.numerator * (q // c0.denominator), c1.numerator * (q // c1.denominator), q
+
+
+def _param_poly(vars, x) -> Poly:
+    """const + c*vars[0] over vars, from a parameter linear in vars[0] alone."""
+    p0, p1, q = _int_param(vars, x)
+    return Poly(vars, _line(0, p1, p0), q)
+
+
+def _line(i, a, b):
+    """The rep of a x_i + b over the two variables of a reduction ring."""
+    return _add(_monomial(2, i, a), _const(2, b), 2)
 
 
 def _is_unit_param(x) -> bool:
@@ -77,24 +92,49 @@ def _is_unit_param(x) -> bool:
 def ode_operator(fn: Hyper) -> ThetaOp:
     """kappa z prod(theta + a_i) - theta prod(theta + b_l - 1), degree p+1."""
     m = QuotientModule(fn)
-    return ThetaOp([RatFunc.over(r) for r in m.rel_num + [-m.lead]])
+    vars = _ring_vars(fn)
+    # the module's -T is this operator times L, the constant term of its lead
+    L = m.lead_line[1]
+    return ThetaOp([RatFunc.over(Poly._of(vars, r, 1), K=L)
+                    for r in m.rel_num + [_neg(m.lead, 2)]])
 
 
 # ---------------------------------------------------------------------------
 # quotient module
 
 
+def _theta_product(params):
+    """(the theta-coefficients of prod (q theta + p0 + p1 v), prod q) for integer
+    params (p0, p1, q); each coefficient is a rep in v alone."""
+    coeffs, D = [(1,)], 1
+    for p0, p1, q in params:
+        r = _trim((p0, p1), 1)
+        nxt = [_mul(c, r, 1) for c in coeffs] + [()]
+        for i, c in enumerate(coeffs):
+            nxt[i + 1] = _add(nxt[i + 1], _scale(c, q, 1), 1)
+        coeffs, D = nxt, D * q
+    return coeffs, D
+
+
 class QuotientModule:
     """The relation that brings theta^dim F back into the basis of fn.
 
-    theta^dim F = (sum_i rel_num[i] theta^i F + tail_num) / lead, the
-    numerators polynomial over lead = 1 - kappa z, built in closed form
-    from T = prod_l (theta + b_l - 1) - kappa z prod_i (theta + a_i), whose
-    lead coefficient is 1 - kappa z, with T F = tail_num.  Generic (dim
-    p+1): the first product carries an extra theta, so T is minus the ODE
-    and tail_num = 0.  With ``affine`` the unit upper a_skip drops from the
-    second product, giving the order-p inhomogeneous relation with
-    tail_num = prod_l (b_l - 1).
+    theta^dim F = (sum_i rel_num[i] theta^i F + tail_num) / lead, integer
+    reps over (v, x) (v = eps or n, x the function's variable) built in
+    closed form from T = sum_k T_k theta^k, T F = tail_num, a primitive
+    integer multiple of prod_l (theta + b_l - 1) - kappa x prod_i (theta + a_i),
+    whose lead coefficient is a multiple of 1 - kappa x.  Each parameter
+    enters as integers (p0 + p1 v) / q (``lows`` and ``ups`` hold them,
+    b_l - 1 for a lower), so with A and B the theta-products of q theta +
+    p0 + p1 v over lows and ups, and Dlo, Dup the products of their q,
+    T = alpha A - beta x B for alpha = Dup kd / h and beta = Dlo kn / h,
+    kappa = kn / kd and h = gcd(Dup kd, Dlo kn).  A and B are primitive
+    (Gauss) and so is T, and lead = -beta Dup x + alpha Dlo, kept as the
+    pair ``lead_line``.
+    Generic (dim p+1): lows carries an extra 0, so T is a multiple of minus
+    the ODE and tail_num = 0.  With ``affine`` the unit upper a_skip drops
+    from ups, giving the order-p inhomogeneous relation with tail_num =
+    alpha prod_l (p0 + p1 v) = alpha A_0.
     """
 
     def __init__(self, fn: Hyper, affine_index: Optional[int] = None):
@@ -102,20 +142,21 @@ class QuotientModule:
         if self.affine and not _is_unit_param(fn.upper[affine_index]):
             raise ValueError("affine reduction needs a unit upper parameter")
         vars = _ring_vars(fn)
-        one = Poly.const(vars, 1)
-        self.lows = [_param_poly(vars, b) - 1 for b in fn.lower]
+        self.lows = [(p0 - q, p1, q) for p0, p1, q in (_int_param(vars, b) for b in fn.lower)]
         if not self.affine:
-            self.lows.append(Poly.zero(vars))
-        self.ups = [_param_poly(vars, a) for i, a in enumerate(fn.upper) if i != affine_index]
-        kz = Poly.variable(vars, fn.var).scale(fn.kappa)
-        T = [lo - kz * up for lo, up in zip(theta_poly(self.lows, one),
-                                            theta_poly(self.ups, one))]
+            self.lows.append((0, 0, 1))
+        self.ups = [_int_param(vars, a) for i, a in enumerate(fn.upper) if i != affine_index]
+        (A, Dlo), (B, Dup) = _theta_product(self.lows), _theta_product(self.ups)
+        kn, kd = fn.kappa.numerator, fn.kappa.denominator
+        h = gcd(Dup * kd, Dlo * kn)
+        self.alpha, self.beta = Dup * kd // h, Dlo * kn // h
+        T = [_trim((_scale(a, self.alpha, 1), _scale(b, -self.beta, 1)), 2)
+             for a, b in zip(A, B)]
         self.dim = len(T) - 1
         self.lead = T[-1]
-        self.rel_num = [-t for t in T[:-1]]
-        self.tail_num = one
-        for lo in self.lows:
-            self.tail_num = self.tail_num * lo
+        self.lead_line = (-self.beta * Dup, self.alpha * Dlo)
+        self.rel_num = [_neg(t, 2) for t in T[:-1]]
+        self.tail_num = _trim((_scale(A[0], self.alpha, 1),), 2)
 
     def times_n(self, w):
         """The row w N', N' = lead N with N theta's matrix on the basis column.
@@ -124,9 +165,10 @@ class QuotientModule:
         rel_j; in affine mode the constant slot gets w_(dim-1) tail_num.
         """
         last = w[self.dim - 1]
-        out = [last * self.rel_num[0]]
-        out += [self.lead * w[j - 1] + last * self.rel_num[j] for j in range(1, self.dim)]
-        return out + [last * self.tail_num] * self.affine
+        out = [_mul(last, self.rel_num[0], 2)]
+        out += [_add(_mul(self.lead, w[j - 1], 2), _mul(last, self.rel_num[j], 2), 2)
+                for j in range(1, self.dim)]
+        return out + [_mul(last, self.tail_num, 2)] * self.affine
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +261,7 @@ class OpMatrix:
 
 def _step(fn: Hyper, which: str, index: int, direction: int,
           affine_index: Optional[int]):
-    """(P, factors, K) of one unit step of fn, from the step memo.
+    """(P, factors, K, roots) of one unit step of fn, from the step memo.
 
     The memo is keyed on the ordered parameters, never on fn itself: Hyper
     equality sorts the parameter lists, and the same move on a permuted
@@ -235,27 +277,45 @@ def _step(fn: Hyper, which: str, index: int, direction: int,
 @lru_cache(maxsize=512)
 def _unit_step(cls, upper, lower, kappa, var, which: str, index: int, direction: int,
                affine_index: Optional[int]):
-    """(P, factors, K): basis-column(shifted fn) = P / (K prod f^m) basis-column(fn).
+    """(P, factors, K, roots): basis-column(shifted fn) = P / (K prod (q x - p)^m) basis-column(fn).
 
-    fn is cls(upper, lower, kappa, var).  P is a tuple of rows, factors a
-    read-only mapping and K a Fraction, so a memoized step is shared safely.
+    fn is cls(upper, lower, kappa, var).  P is a tuple of rows of integer
+    reps over (v, x), factors a read-only mapping {(x, p/q): m}, K an int
+    and roots a frozenset of factor keys, or None, so a memoized step is
+    shared safely.  roots are the linear factors of det P and the step's
+    own factors; None where det P is identically zero (``_cancel``).
 
-    For upper+1 / lower-1, c is the upper parameter, or the lower one
-    minus 1; it is free of z, so theta^k (1 + theta/c) F = theta^k F +
-    theta^(k+1) F / c.  That is I + N/c with N theta's matrix on the basis
-    column, and P = c lead I + N' over {c, lead}, N' = lead N: row k < dim-1
-    is lead e_(k+1), row dim-1 the relation row with its tail, and the
-    affine constant row zero, each plus c lead on the diagonal.
+    Both moves are built at g (fn for a forward move, fn shifted for the
+    opposite one) from the parameter c, the upper one or the lower one
+    minus 1, written cn / cq with cn = c0 + c1 v.  c is free of x, so
+    theta^k (1 + theta/c) g = theta^k g + theta^(k+1) g / c: the forward
+    step is M = I + N/c, N theta's matrix on the basis column, and with
+    N' = lead N (row k < dim-1 is lead e_(k+1), row dim-1 the relation row
+    with its tail, the affine constant row zero) P = cn lead/s I + cq/s N'
+    over cn lead/s, s = gcd(cq, content of lead), primitive for dim > 1.
 
-    The opposite moves invert the reverse step M = I + N/c, built at
-    g = fn shifted.  g's relation T = sum T_k theta^k (T_dim = lead,
-    T g = tail_num) divided on the right by theta + c is T = Q (theta + c)
-    + R with R = T(-c), and (theta + c) g = c fn, so g = (tail_num - c Q fn)
-    / R: row 0 of M^-1.  The stepped parameter is a root of one of T's two
-    products, so R is the other one: prod (low - c) for an upper, and
-    -kappa z prod (up - c) for a lower.  M is a polynomial in N and
-    e_k = e_0 N^k, so row k is row 0 times N'^k, over R lead^k; the affine
-    constant row stays e_const.
+    The opposite moves invert the reverse step M at g.  g's relation T
+    divided on the right by theta + c is T = Q (theta + c) + R with
+    R = T(-c), and (theta + c) g = c fn, so g = (tail_num - c Q fn) / R:
+    row 0 of M^-1.  The stepped parameter is a root of one of T's two
+    products, so R is the other one: alpha prod (low - c) for an upper and
+    -beta x prod (up - c) for a lower (``QuotientModule``), each difference
+    (cq (p0 + p1 v) - q cn) / (q cq), so cq^dim R is a constant times a
+    product of integer linear pieces.  Scaling Q_k by cq^(dim-1-k) keeps
+    the synthetic division integral: row 0 is (-cq^k cn Q_k ...,
+    cq^dim tail_num) over cq^dim R, row k is row 0 times N'^k over
+    cq^dim R lead^k (M is a polynomial in N and e_k = e_0 N^k), and the
+    affine constant row stays e_const.  The denominator is factored by
+    construction (Takayama 1989; HYPERDIRE, arXiv:1105.3565), and a
+    vanishing piece of R is the exceptional-parameter signal.  Its
+    constants leave a content on P, which one gcd with K divides out of
+    P and K here, once per memoized step, so the fold carries none of it.
+
+    det (I + N/c) = det (c I + N) / c^dim = (-1)^dim T(-c) / (lead c^dim),
+    T(-c) / lead being the characteristic polynomial of N at -c, and the
+    affine constant slot adds the eigenvalue 0.  So for both moves det P
+    is a product of powers of c, lead and the pieces of R (identically
+    zero when a piece is), and their roots are the step's roots.
     """
     if which not in ("upper", "lower"):
         raise ValueError("which must be 'upper' or 'lower'")
@@ -266,55 +326,70 @@ def _unit_step(cls, upper, lower, kappa, var, which: str, index: int, direction:
     g = fn if forward else fn.shifted(which, index, direction)
     module = QuotientModule(g, affine_index)
     vars = _ring_vars(g)
-    c = _param_poly(vars, g.upper[index]) if which == "upper" else \
-        _param_poly(vars, g.lower[index]) - 1
-    if c.is_zero():
+    c0, c1, cq = _int_param(vars, g.upper[index]) if which == "upper" else module.lows[index]
+    if not (c0 or c1):
         raise SingularStep(
             f"step divisor vanishes for {which}[{index}] of {g} (exceptional)")
     lead, rel, dim = module.lead, module.rel_num, module.dim
-    zero = Poly.zero(vars)
+    a, b = module.lead_line
+    # cq^dim R as a product of pieces (x, a, b), a x + b each
+    if which == "upper":
+        params, pieces = module.lows, [(vars[0], 0, module.alpha)]
+    else:
+        params, pieces = module.ups, [(var, -module.beta, 0)]
+    pieces += [(vars[0], p1 * cq - c1 * q, p0 * cq - c0 * q) for p0, p1, q in params]
+    singular = any(not (pa or pb) for _, pa, pb in pieces)
+    roots = {}
+    for x, pa, pb in pieces + [(vars[0], c1, c0), (var, a, b)]:
+        _add_factor(roots, x, pa, pb)
+    roots = None if singular else frozenset(roots)
     factors: Factors = {}
     if forward:
-        K = _add_factor(factors, c) * _add_factor(factors, lead)
+        s = gcd(cq, a, b)
+        K = _add_factor(factors, vars[0], c1, c0) * _add_factor(factors, var, a // s, b // s)
         size = dim + module.affine
-        P = [[zero] * size for _ in range(size)]
+        P = [[()] * size for _ in range(size)]
         for k in range(dim - 1):
-            P[k][k + 1] = lead
-        P[dim - 1] = rel + [module.tail_num] * module.affine
-        cl = c * lead
+            P[k][k + 1] = _scale(lead, cq // s, 2)
+        P[dim - 1] = [_scale(e, cq // s, 2) for e in rel + [module.tail_num] * module.affine]
+        cl = _mul(_line(0, c1, c0), _line(1, a // s, b // s), 2)
         for k, row in enumerate(P):
-            row[k] = row[k] + cl
-        return _frozen_step(P, factors, K)
-    if which == "upper":
-        pieces = [lo - c for lo in module.lows]
-    else:
-        pieces = [Poly.variable(vars, var).scale(-g.kappa)] + [u - c for u in module.ups]
-    K = Fraction(1)
-    for f in pieces:
-        if f.is_zero():
-            value = (fn.upper if which == "upper" else fn.lower)[index]
-            raise SingularStep(
-                f"contiguous-shift matrix is singular for step {which}[{index}] {direction:+d}"
-                f" of {fn}, where {which}[{index}] = {value} (exceptional parameters)")
-        K *= _add_factor(factors, f)
-    # synthetic division: Q_(dim-1) = T_dim = lead, Q_(k-1) = T_k - c Q_k
+            row[k] = _add(row[k], cl, 2)
+        return _frozen_step(P, factors, K, roots)
+    if singular:
+        value = (fn.upper if which == "upper" else fn.lower)[index]
+        raise SingularStep(
+            f"contiguous-shift matrix is singular for step {which}[{index}] {direction:+d}"
+            f" of {fn}, where {which}[{index}] = {value} (exceptional parameters)")
+    K = 1
+    for x, pa, pb in pieces:
+        K *= _add_factor(factors, x, pa, pb)
+    # synthetic division by theta + c, Q_k scaled by cq^(dim-1-k):
+    # Q_(dim-1) = lead, Q_(k-1) = cq^(dim-k) T_k - cn Q_k
+    cn = _line(0, c1, c0)
     Q = [lead]
     for k in range(dim - 1, 0, -1):
-        Q.append(-rel[k] - c * Q[-1])
-    rows = [[-c * q for q in reversed(Q)] + [module.tail_num] * module.affine]
+        Q.append(_add(_scale(rel[k], -cq ** (dim - k), 2), _neg(_mul(cn, Q[-1], 2), 2), 2))
+    rows = [[_scale(_mul(cn, q, 2), -cq ** k, 2) for k, q in enumerate(reversed(Q))]
+            + [_scale(module.tail_num, cq ** dim, 2)] * module.affine]
     for _ in range(dim - 1):
         rows.append(module.times_n(rows[-1]))
-    K *= _add_factor(factors, lead, dim - 1)
-    P = [[e * lead ** (dim - 1 - k) for e in v] for k, v in enumerate(rows)]
+    K *= _add_factor(factors, var, a, b, dim - 1)
+    P = [[_mul(e, _pow(lead, dim - 1 - k, 2), 2) for e in v] for k, v in enumerate(rows)]
     if module.affine:
-        P.append([zero] * dim + [_factor_product(vars, K, factors)])
+        P.append([()] * dim + [_scale(_factor_product(vars, factors), K, 2)])
     n = len(P)
-    flat, factors = _cancel([e for row in P for e in row], factors)
-    return _frozen_step([flat[i * n:(i + 1) * n] for i in range(n)], factors, K)
+    flat, factors = _cancel([e for row in P for e in row], vars, factors)
+    content = abs(K)
+    for e in flat:
+        content = _int_content(e, 2, content)
+    flat = [_div_int(e, content, 2) for e in flat]
+    K //= content
+    return _frozen_step([flat[i * n:(i + 1) * n] for i in range(n)], factors, K, roots)
 
 
-def _frozen_step(P, factors: Factors, K):
-    return tuple(map(tuple, P)), MappingProxyType(factors), Fraction(K)
+def _frozen_step(P, factors: Factors, K: int, roots):
+    return tuple(map(tuple, P)), MappingProxyType(factors), K, roots
 
 
 def step_matrix(fn: Hyper, which: str, index: int, direction: int,
@@ -324,12 +399,14 @@ def step_matrix(fn: Hyper, which: str, index: int, direction: int,
     direction +1 raises the parameter, -1 lowers it.  Upper raises and
     lower lowers are built directly; the two opposite moves invert the
     step of the reverse move, built at the shifted function.  This is the
-    RatFunc view P / (K prod (x - r)^m) of the step that reduce_to_basis
+    RatFunc view P / (K prod (q x - p)^m) of the step that reduce_to_basis
     folds, each entry built by ``RatFunc.over``.
     """
-    P, factors, K = _step(fn, which, index, direction, affine_index)
-    return OpMatrix(tuple(tuple(RatFunc.over(e, factors, K) for e in row) for row in P),
-                    affine_index is not None)
+    P, factors, K, _ = _step(fn, which, index, direction, affine_index)
+    vars = _ring_vars(fn)
+    K *= _monic_product(vars, factors).den   # prod q^m, as q x - p = q (x - r)
+    return OpMatrix(tuple(tuple(RatFunc.over(Poly._of(vars, e, 1), factors, K) for e in row)
+                          for row in P), affine_index is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -415,30 +492,28 @@ def reduce_to_basis(target: Hyper, basis: Hyper,
     for which, index, direction in path:
         steps.append(_step(cur, which, index, direction, affine_index))
         cur = cur.shifted(which, index, direction)
-    # row 0 of M_k ... M_1 = row / (K prod f^m), folded from the target end
+    # row 0 of M_k ... M_1 = row / (K prod (q x - p)^m), folded from the target end
     vars = _ring_vars(basis)
-    zero = Poly.zero(vars)
-    row = [Poly.const(vars, 1)] + [zero] * basis.p
+    row = [_const(2, 1)] + [()] * basis.p
     factors: Factors = {}
-    K = Fraction(1)
-    for P, step_factors, step_K in reversed(steps):
-        out = [zero] * len(row)
+    K = 1
+    for P, step_factors, step_K, roots in reversed(steps):
+        out = [()] * len(row)
         for a, prow in zip(row, P):
-            if a.is_zero():
-                continue
-            for j, e in enumerate(prow):
-                if not e.is_zero():
-                    out[j] = out[j] + a * e
+            if a:
+                for j, e in enumerate(prow):
+                    if e:
+                        out[j] = _add(out[j], _mul(a, e, 2), 2)
         for f, m in step_factors.items():
             factors[f] = factors.get(f, 0) + m
-        row, factors = _cancel(out, factors)
+        row, factors = _cancel(out, vars, factors, roots)
         K *= step_K
-    affine = affine_index is not None
-    if not affine:
-        row.append(zero)
-    s = RatFunc.over(_factor_product(vars, 1, factors))
-    row = [RatFunc.over(p, K=K) for p in row]
-    return ReductionResult(target, basis, s, tuple(row[:-1]), row[-1], affine)
+    # S = prod (x - r)^m = prod (q x - p)^m / prod q^m, so R_j = row_j / (K prod q^m)
+    s = _monic_product(vars, factors)
+    row = [RatFunc.over(Poly._of(vars, p, 1), K=K * s.den) for p in row]
+    tail = row.pop() if affine_index is not None else RatFunc.const(vars, 0)
+    return ReductionResult(target, basis, RatFunc._of(s, Poly.const(vars, 1)), tuple(row),
+                           tail, affine_index is not None)
 
 
 def tail_upper(basis: Hyper, ups: Sequence[int]) -> Optional[int]:

@@ -377,15 +377,16 @@ def test_over_matches_the_gcd_path(vars):
 def test_over_property_fails_a_clearing_that_divides_each_factor_once(monkeypatch):
     """Negative control: with each factor divided out at most once, a root
     of p of order 2 leaves a common factor, and the property sees it."""
-    def cancel_once(polys, factors):
+    def cancel_once(reps, vars, factors, roots=None):
         left = {}
-        for root, m in factors.items():
-            qs = [p.div_root(*root) for p in polys]
+        for (x, r), m in factors.items():
+            qs = [poly_mod._div_root(a, vars.index(x), r.numerator, r.denominator, len(vars))
+                  for a in reps]
             if None not in qs:
-                polys, m = qs, m - 1
+                reps, m = qs, m - 1
             if m:
-                left[root] = m
-        return list(polys), left
+                left[(x, r)] = m
+        return list(reps), left
 
     monkeypatch.setattr(ratfunc_mod, "_cancel", cancel_once)
     with pytest.raises(AssertionError):
@@ -712,20 +713,27 @@ def test_flat_kernels_inexact_cases_return_none():
 
 @pytest.mark.parametrize("vars", [("z",), ("eps", "z"), ("n", "eps", "z")])
 def test_linear_factors_are_built_on_the_integer_rep(vars):
-    """Poly.variable, Poly.linear, _add_factor and _factor_product against Poly.from_terms."""
+    """Poly.variable, Poly.linear, _add_factor, _factor_product and _monic_product
+    against Poly.from_terms."""
     @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from(vars), mixed_rationals, mixed_rationals, st.integers(1, 3))
-    def check(x, a, b, m):
+    @given(st.sampled_from(vars), mixed_rationals, mixed_rationals, st.integers(1, 3),
+           st.integers(-30, 30), st.integers(-30, 30))
+    def check(x, a, b, m, ia, ib):
         e = tuple(int(v == x) for v in vars)
         assert Poly.variable(vars, x) == Poly.from_terms(vars, {e: 1})
         f = Poly.linear(vars, x, a, b)
         assert f == Poly.from_terms(vars, {e: a, (0,) * len(vars): b})
         _assert_canonical(f)
+        # on integers: (ia x + ib)^m = k^m prod (q x - p)^m, and prod (x - r)^m monic
         factors = {}
-        k = poly_mod._add_factor(factors, f, m)
-        if a == 0:
-            assert factors == {} and k == F(b) ** m
+        k = poly_mod._add_factor(factors, x, ia, ib, m)
+        if ia == 0:
+            assert factors == {} and k == ib ** m
             return
-        assert factors == {(x, -F(b) / a): m} and k == F(a) ** m
-        assert poly_mod._factor_product(vars, k, factors) == f ** m
+        assert factors == {(x, F(-ib, ia)): m}
+        prim = Poly(vars, poly_mod._factor_product(vars, factors))
+        assert prim.scale(k) == Poly.linear(vars, x, ia, ib) ** m
+        monic = poly_mod._monic_product(vars, factors)
+        _assert_canonical(monic)
+        assert monic == Poly.linear(vars, x, 1, F(ib, ia)) ** m
     check()

@@ -376,26 +376,25 @@ def _step_grid():
 
 
 def test_steps_are_pinned_rep_for_rep():
-    """Every (P rep/den, sorted monic factors, K) of the step grid, and the message
-    of each SingularStep, hashes to the digest the step builder gave when
-    the forward and the inverse moves were two separate functions."""
+    """The step_matrix view of every move of the step grid (each RatFunc entry's
+    num and den reps, free of how the step scales its integer P and K) and
+    the message of each SingularStep hash to the digest the rational-
+    parameter step builder gave."""
     import hashlib
-    from hyperred.reduction import _step
     h = hashlib.sha256()
     moves = 0
     for fn, which, index, direction, affine_index in _step_grid():
         moves += 1
         try:
-            P, factors, K = _step(fn, which, index, direction, affine_index)
-            monic = [(Poly.variable(P[0][0].vars, x) - r, m) for (x, r), m in factors.items()]
-            item = ([[(e.rep, e.den) for e in row] for row in P],
-                    sorted((f.rep, f.den, m) for f, m in monic), K)
+            M = step_matrix(fn, which, index, direction, affine_index)
+            item = [[(e.num.rep, e.num.den, e.den.rep, e.den.den) for e in row]
+                    for row in M.entries]
         except SingularStep as e:
             item = ("SingularStep", str(e))
         h.update(repr(item).encode())
     assert moves == 192
     assert h.hexdigest() == \
-        "17b80ae6af2a3c04162691f4e1d5bb1a6884f9d8c343bce36d54d01eb5612bc1"
+        "6722d10e50d4054c9ffa2a485ac688efca13c7453a6d38ac06bbb973044ec162"
 
 
 def _result_reps(r):
@@ -446,7 +445,7 @@ def test_memoized_steps_are_bounded_and_immutable():
     assert 0 < _unit_step.cache_info().maxsize < 1 << 16
     fn = HyperFn(_UP_4F3[:3], _LOW_4F3[:2])
     for which, index, direction in (("upper", 0, 1), ("upper", 0, -1), ("lower", 1, 1)):
-        P, factors, K = _step(fn, which, index, direction, None)
+        P, factors, K, roots = _step(fn, which, index, direction, None)
         assert _step(fn, which, index, direction, None)[0] is P
         with pytest.raises(TypeError):
             P[0][0] = P[1][1]
@@ -454,7 +453,101 @@ def test_memoized_steps_are_bounded_and_immutable():
             P[0] = P[1]
         with pytest.raises(TypeError):
             factors[next(iter(factors))] = 7
-        assert type(K) is F
+        assert type(K) is int and type(roots) is frozenset
+        assert all(type(e) is tuple for row in P for e in row)
+
+
+def test_step_roots_hold_own_factors_and_every_root_of_det_p():
+    """The retry rule's input: over the step grid, each memoized step's roots
+    hold its own factors and every x = r where det P vanishes (det P by
+    Leibniz on the integer reps, tried at every root any step records), and
+    roots is None exactly where det P is identically zero."""
+    from itertools import permutations
+    from hyperred.reduction import _ring_vars, _step
+    steps, pool = [], set()
+    for fn, which, index, direction, affine_index in _step_grid():
+        try:
+            P, factors, K, roots = _step(fn, which, index, direction, affine_index)
+        except SingularStep:
+            continue
+        steps.append((_ring_vars(fn), P, factors, roots))
+        pool |= set(factors) | set(roots or ())
+    assert len(steps) > 150
+    for vars, P, factors, roots in steps:
+        n = len(P)
+        det = Poly.zero(vars)
+        for perm in permutations(range(n)):
+            sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+            term = Poly.const(vars, sign)
+            for i in range(n):
+                term = term * Poly(vars, P[i][perm[i]])
+            det = det + term
+        assert (roots is None) == det.is_zero()
+        if roots is not None:
+            assert set(factors) <= roots
+            assert all(det.div_root(x, r) is None
+                       for x, r in pool - roots if x in vars), (vars, P)
+
+
+@pytest.mark.parametrize("text", [
+    "3F2[2/5+eps, 1/3-eps, 1/7+3*eps; 3/2+2*eps, 5/4-eps; z]",
+    "4F3[2/5+eps, 1/3-eps, 1/7+3*eps, 2/9+eps; 3/2+2*eps, 5/4-eps, 7/3+eps; z]"],
+    ids=["3F2", "4F3"])
+def test_fold_retries_carried_factors_where_det_p_vanishes(text):
+    """The smallest frontier rows (each upper +1, the lowers +1, -1, +1 in
+    turn): factors carried from earlier steps clear at steps that do not
+    add them, so a fold that never retries a carried factor, or retries
+    only the step's own factors, leaves a common factor in S and the R_j
+    that the gcd path of the reference does not."""
+    basis = parse_hyper(text)
+    target = basis
+    for i in range(len(basis.upper)):
+        target = target.shifted("upper", i, 1)
+    for l in range(len(basis.lower)):
+        target = target.shifted("lower", l, (-1) ** l)
+    assert _reps(reduce_to_basis(target, basis)) == _reps(reference_reduce(target, basis))
+
+
+def _c3_term_row():
+    """Term 0 of @c3 with symbolic n, its propagator powers 2 over 1: over (n, y)."""
+    from hyperred.grammar import parse_input
+    from hyperred.mb import mb_to_hyper
+    preset = parse_input("@c3")
+    fn = mb_to_hyper(preset.mb).terms[0].fn
+    powers = [s for s in preset.symbols if s != "n"]
+
+    def bound(value):
+        values = dict.fromkeys(powers, value)
+        return SymHyperFn([u.bind(values) for u in fn.upper],
+                          [l.bind(values) for l in fn.lower], fn.kappa, fn.var)
+    return bound(2), bound(1)
+
+
+def test_reduction_scans_content_only_as_its_answer_leaves(monkeypatch):
+    """Once its steps are memoized, reduce_to_basis runs ``poly._int_content``
+    only to put each R_j and the tail over its own denominator: the fold's
+    products, sums and clearing on integer reps scan no content.  A numeric
+    3F2 row, a unit-upper (affine) row and the @c3 row over (n, y)."""
+    from hyperred import poly as poly_mod
+    three = HyperFn(_UP_4F3[:3], _LOW_4F3[:2])
+    affine = HyperFn([EpsLin(1)] + _UP_4F3[1:3], _LOW_4F3[:2])
+    rows = [(three.shifted("upper", 0, 2).shifted("lower", 1, -2), three),
+            (affine.shifted("upper", 1, 2).shifted("lower", 0, 1), affine),
+            _c3_term_row()]
+    calls = []
+    scan = poly_mod._int_content
+    for target, basis in rows:
+        want = reduce_to_basis(target, basis)
+        # a scan recurses into each z-coefficient; count the calls on whole reps
+        monkeypatch.setattr(poly_mod, "_int_content",
+                            lambda a, d, g=0: calls.append(d == 2) or scan(a, d, g))
+        got = reduce_to_basis(target, basis)
+        monkeypatch.setattr(poly_mod, "_int_content", scan)
+        assert _reps(got) == _reps(want)
+        assert sum(calls) <= len(got.r_polys) + got.affine, (target, sum(calls))
+        calls.clear()
+    assert rows[1][0].upper[0] == EpsLin(1) and reduce_to_basis(*rows[1]).affine
+    assert reduce_to_basis(*rows[2]).s_poly.vars == ("n", "y")
 
 
 def test_path_independence_small():
