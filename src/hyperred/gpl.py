@@ -348,8 +348,15 @@ def _laurent(w: Word, r: IntBasis, N: int, V: int) -> BiSeries:
 
 def _series_sum(terms: Sequence[Tuple[Word, IntBasis]], den: int, N: int) -> List[Fraction]:
     """z-series of sum (r(z)/den) G(w; z) over (w, r) to order N; UncancelledPole
-    if the sum keeps a pole at 0 (poles may cancel between words)."""
+    if the sum keeps a pole at 0 (poles may cancel between words).  With no
+    pole at 0, order 0 is read off the empty word's kernels, and no series
+    is built."""
     V = max((m for _, r in terms for a, m in r if a == 0 and m > 0), default=0)
+    if not (V or N):
+        # nonempty words vanish at 0, (z - a)^-m is (-a)^-m there and z^i is [i = 0]
+        at0 = sum((c * (F(-1, a) ** m if a else m == 0)
+                   for w, r in terms if not w for (a, m), c in r.items()), F(0))
+        return [at0 / den]
     s = combine(((F(1, den), _laurent(w, r, N, V)) for w, r in terms), N + V, 0)
     if any(s.nums[:V]):                 # eps order 0: nums holds one numerator per row
         raise UncancelledPole(f"pole at 0 not cancelled in {_terms_str(terms, den)}")

@@ -7,10 +7,15 @@ and caches a word's series.  One integer accumulator, ``truncated_sum``,
 does every truncated product of such series: products, ``combine``,
 ``ThetaOp.apply`` (over ``theta_pieces``), the Horner steps of
 ``compose_z_series`` and both verifiers' residuals, whose lowest nonzero
-cell is the verdict.
-``invert`` is fraction-free; results are reduced by one gcd.  The
-coefficients of the hypergeometric and the nested-sum series are integer
-rows by construction (Moch, Uwer & Weinzierl, hep-ph/0110083).  A
+cell is the verdict.  It accumulates eps-major, one integer list per
+power of eps, so a cell at eps^k meets only the series' columns up to
+eps^(K-k), and interleaves the rows once at the end.
+``invert`` is fraction-free.  ``truncated_sum`` and ``invert`` reduce
+their results by one gcd; ``series_of_hyper`` cancels each index's new
+factor only and leaves its result unreduced, since every caller sums or
+multiplies it, which reduces, or compares values.  The coefficients of
+the hypergeometric and the nested-sum series are integer rows by
+construction (Moch, Uwer & Weinzierl, hep-ph/0110083).  A
 Fraction is built only where a coefficient is read out or rational input
 is converted in.  Mixing truncation orders takes the minimum.
 """
@@ -191,36 +196,40 @@ def truncated_sum(pieces, N: int, K: int) -> BiSeries:
 
     A piece (scale, cells, den, v, rows) is scale z^(-v) C / den, C the sum
     of its nonzero cells x z^j eps^k, z-power first, times the integer
-    series rows (row-major, width K + 1, to z^N) unless rows is None.  A
-    cell at (j, k) adds a multiple of rows' first N + 1 - j rows with the
-    columns past eps^(K-k) masked.  The pieces go over the lcm of their
-    denominators; one over z^v must vanish below z^v (UncancelledPole), so
-    the sum holds to top = N minus the largest v.
+    series rows (row-major, width K + 1, to z^N) unless rows is None.  The
+    sum is accumulated eps-major, one integer list per power of eps, and
+    rows' columns are read as rows[e::K + 1]: a cell at (j, k) adds x times
+    column e to eps^(k+e) from z^j on, for each e <= K - k.  The pieces go
+    over the lcm of their denominators; one over z^v must vanish below z^v
+    (UncancelledPole), so the sum holds to top = N minus the largest v.
+    The result is reduced by one gcd.
     """
     W = K + 1
     L = lcm(*(p[2] for p in pieces))
-    out = [0] * ((N + 1) * W)
+    out = [[0] * (N + 1) for _ in range(W)]
     for scale, cells, den, v, rows in pieces:
         m = scale * (L // den)
         if rows is not None:
             # a pole piece's product is checked below z^v before it is shifted in
-            acc, f = ([0] * len(out), 1) if v else (out, m)
-            cols = {0: rows}
+            acc, f = ([[0] * (N + 1) for _ in range(W)], 1) if v else (out, m)
+            cols = [rows[e::W] for e in range(W)]
             for j, k, x in cells:
-                col = cols.get(k)
-                if col is None:
-                    col = cols[k] = [y if i % W + k < W else 0 for i, y in enumerate(rows)]
-                x, off = f * x, j * W + k
-                acc[off:] = [a + x * y for a, y in zip(acc[off:], col)]
+                x *= f
+                for o, col in zip(acc[k:], cols):
+                    o[j:] = [a + x * y for a, y in zip(o[j:], col)]
             if not v:
                 continue
-            cells = [(i // W, i % W, x) for i, x in enumerate(acc) if x]
+            cells = [(j, k, x) for k, o in enumerate(acc) for j, x in enumerate(o) if x]
         if (low := min((j for j, _, _ in cells), default=v)) < v:
             raise UncancelledPole(f"1/z^{v} applied to series with nonzero z^{low} coefficient")
         for j, k, x in cells:
-            out[(j - v) * W + k] += m * x
+            out[k][j - v] += m * x
     top = N - max((p[3] for p in pieces), default=0)
-    return _reduced(out[:max(top + 1, 0) * W], L, top, K)
+    height = max(top + 1, 0)
+    nums = [0] * (height * W)
+    for k, o in enumerate(out):
+        nums[k::W] = o[:height]
+    return _reduced(nums, L, top, K)
 
 
 def lowest_cell(nums: Sequence[int], K: int):
@@ -247,23 +256,33 @@ def theta_pieces(coeffs: Sequence, s: BiSeries, scale: int = 1):
 
 
 def series_of_hyper(f: HyperFn, N: int, K: int) -> BiSeries:
-    """The defining series of f as a BiSeries, kappa absorbed into z powers."""
+    """The defining series of f as a BiSeries, kappa absorbed into z powers.
+
+    The result is nums / den with den > 0, not reduced: every caller either
+    sums it in ``truncated_sum`` or multiplies it, which reduce their own
+    results, or compares values.
+    """
     for b in f.lower:
         if b.is_integer() and b.const <= 0:
             raise PoleAtEpsZero(f"lower parameter {b} is a non-positive integer at eps=0")
-    # term j is num[k]/den at eps^k, updated in place by one linear eps factor
-    # (p0 + j q + p1 eps)/q per parameter and reduced once per index
-    num, den = [1] + [0] * K, 1
-    terms = [(num[:], 1)]
-    kn, kd = 1, 1
+    # term j is num[k]/D_j at eps^k, updated in place by one linear eps factor
+    # (p0 + j q + p1 eps)/q per parameter and by kappa; index j's new
+    # denominator m_j is cancelled against num alone, so D_(j+1) = D_j m_j
+    # with the cancelled m_j, and term j is put over D_N by the suffix
+    # product of the m_i, i >= j
+    W = K + 1
+    num = [1] + [0] * K
+    nums, ms = num[:], []
+    kn, kd = f.kappa.numerator, f.kappa.denominator
     ups, lows = [_integer_linear(a) for a in f.upper], [_integer_linear(b) for b in f.lower]
     for j in range(N):
+        m = (j + 1) * kd
         for p0, p1, q in ups:
             p0 += j * q
             for k in range(K, 0, -1):
                 num[k] = p0 * num[k] + p1 * num[k - 1]
             num[0] *= p0
-            den *= q
+            m *= q
         for b, (p0, p1, q) in zip(f.lower, lows):
             p0 += j * q
             if p0 == 0:
@@ -273,20 +292,25 @@ def series_of_hyper(f: HyperFn, N: int, K: int) -> BiSeries:
             for k in range(K + 1):
                 o = q * num[k] * p0 ** k - p1 * o
                 num[k] = o * p0 ** (K - k)
-            den *= p0 ** (K + 1)
-        den *= j + 1
-        g = gcd(den, *num)
+            m *= p0 ** (K + 1)
+        # kappa's numerator and the sign of m go into num, so den > 0
+        c = kn if m > 0 else -kn
+        if c != 1:
+            num = [x * c for x in num]
+        m = abs(m)
+        g = gcd(m, *num)
         if g != 1:
-            den //= g
-            num = [c // g for c in num]
-        kn, kd = kn * f.kappa.numerator, kd * f.kappa.denominator
-        terms.append(([c * kn for c in num], den * kd))
-    L = lcm(*(d for _, d in terms))
-    nums = []
-    for t, d in terms:
-        m = L // d
-        nums += [c * m for c in t]
-    return _reduced(nums, L, N, K)
+            m //= g
+            num = [x // g for x in num]
+        ms.append(m)
+        nums += num
+    # rescale in place, from the last term down: term j by m_j ... m_(N-1)
+    d = 1
+    for j in range(N - 1, -1, -1):
+        d *= ms[j]
+        for i in range(j * W, j * W + W):
+            nums[i] *= d
+    return BiSeries._of(tuple(nums), d, N, K)
 
 
 def _integer_linear(x: EpsLin):

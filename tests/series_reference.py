@@ -6,16 +6,20 @@ way, one Fraction per coefficient, on the ``rows`` read out of a series
 (rows[j][k] at z^j eps^k), so equal results are an independent check.
 ``mul_trunc``/``inv_trunc`` are the truncated product and inverse of
 coefficient lists, and the Pochhammer expansions build
-``series_of_hyper``'s terms factor by factor.
+``series_of_hyper``'s terms factor by factor.  ``truncated_sum_row_major``
+is ``truncated_sum`` accumulated row-major, with masked columns, for a
+byte-for-byte comparison of its integer results.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import List, Sequence
 
 from hyperred.errors import PoleAtEpsZero, UncancelledPole
 from hyperred.scalars import EpsLin
+from hyperred.series import BiSeries
 
 _ZERO = Fraction(0)
 
@@ -148,3 +152,34 @@ def rows_first_mismatch(a, b):
             if x != y:
                 return (j, k)
     return None
+
+
+def truncated_sum_row_major(pieces, N, K):
+    """``truncated_sum`` on one row-major list: a cell at (j, k) adds a
+    multiple of the series' first N + 1 - j rows, with the columns past
+    eps^(K-k) masked to zero."""
+    W = K + 1
+    L = lcm(*(p[2] for p in pieces))
+    out = [0] * ((N + 1) * W)
+    for scale, cells, den, v, rows in pieces:
+        m = scale * (L // den)
+        if rows is not None:
+            acc, f = ([0] * len(out), 1) if v else (out, m)
+            cols = {0: rows}
+            for j, k, x in cells:
+                col = cols.get(k)
+                if col is None:
+                    col = cols[k] = [y if i % W + k < W else 0 for i, y in enumerate(rows)]
+                x, off = f * x, j * W + k
+                acc[off:] = [a + x * y for a, y in zip(acc[off:], col)]
+            if not v:
+                continue
+            cells = [(i // W, i % W, x) for i, x in enumerate(acc) if x]
+        if (low := min((j for j, _, _ in cells), default=v)) < v:
+            raise UncancelledPole(f"1/z^{v} applied to series with nonzero z^{low} coefficient")
+        for j, k, x in cells:
+            out[(j - v) * W + k] += m * x
+    top = N - max((p[3] for p in pieces), default=0)
+    nums = out[:max(top + 1, 0) * W]
+    g = gcd(L, *nums)
+    return BiSeries._of(tuple(x // g for x in nums), L // g, top, K)

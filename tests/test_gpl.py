@@ -543,3 +543,31 @@ def test_integer_combo_matches_fraction_reference(data, letters):
         for op in ("value_at_zero", "to_polylog"):
             got, ref = _outcome(getattr(GplCombo(d), op)), _outcome(getattr(gpl_reference, op), d)
             assert got == ref and type(got) is type(ref)
+
+
+# ---------------------------------------------------------------------------
+# the value at the origin without building a series
+
+
+def test_value_at_origin_reads_the_empty_words_kernels():
+    # 3/(z - 2) + 1 + 5 z^2 + 7 G(1; z) at 0: 3 (-1/2) + 1
+    d = {(): {(F(2), 1): F(3), ONE: F(1), (F(0), -2): F(5)}, (F(1),): {ONE: F(7)}}
+    c = GplCombo(d)
+    got = gpl._series_sum(list(c.data.items()), c.den, 0)
+    assert got == [F(-1, 2)] and type(got[0]) is F
+    # a pole at 0 keeps the series path and its check
+    with pytest.raises(UncancelledPole):
+        GplCombo({(F(1),): {(F(0), 3): F(1)}}).value_at_zero()
+    assert GplCombo({(F(1),): {(F(0), 1): F(1)}}).value_at_zero() == -1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(REF_ALPHABETS))
+def test_value_at_origin_matches_series_path(data, letters):
+    c = GplCombo(data.draw(_combo_strategy(letters)))
+    terms = list(c.data.items())
+    # N = 1 builds every word's series; its z^0 coefficient is the value at 0
+    got = _outcome(gpl._series_sum, terms, c.den, 0)
+    ref = _outcome(lambda: gpl._series_sum(terms, c.den, 1)[:1])
+    assert got == ref
+    assert got is UncancelledPole or type(got[0]) is F

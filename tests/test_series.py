@@ -2,17 +2,18 @@
 series, truncation."""
 
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperred.errors import PoleAtEpsZero
+from hyperred.errors import PoleAtEpsZero, UncancelledPole
 from hyperred.hyper import HyperFn
 from hyperred.scalars import EpsLin
-from hyperred.series import BiSeries, combine, compose_z_series, series_of_hyper
+from hyperred.series import BiSeries, combine, compose_z_series, series_of_hyper, truncated_sum
 from series_reference import (inv_pochhammer_eps, inv_trunc, mul_trunc, pochhammer_eps,
                               rows_add, rows_compose, rows_crop, rows_first_mismatch,
-                              rows_invert, rows_mul, rows_theta)
+                              rows_invert, rows_mul, rows_theta, truncated_sum_row_major)
 
 
 def test_pochhammer_half_plus_eps():
@@ -267,10 +268,128 @@ def test_series_of_hyper_matches_termwise_product(upper, lower, kappa):
                                      (EpsLin(-4, -2), 4)])
 def test_series_of_hyper_lower_pole_index(lower, j):
     f = HyperFn([EpsLin(F(1, 2), 1), 1], [lower])
-    with pytest.raises(PoleAtEpsZero, match=f"hits 0 at series index {j}$"):
+    with pytest.raises(PoleAtEpsZero) as e:
         series_of_hyper(f, 8, 2)
+    assert str(e.value) == f"lower parameter {lower} hits 0 at series index {j}"
     # the series up to index j has no pole yet
     assert series_of_hyper(f, j, 2).rows == _termwise_series(f, j, 2).rows
+
+
+@pytest.mark.parametrize("upper,lower,kappa,K", [
+    # a negative lower p0 with K + 1 odd makes an index's new denominator negative
+    ([EpsLin(F(1, 3), 1), EpsLin(2, -1)], [EpsLin(F(-7, 2), 2)], F(1), 2),
+    ([EpsLin(F(1, 3), 1), EpsLin(2), EpsLin(F(-1, 5), 1)],
+     [EpsLin(F(-9, 4), -1), EpsLin(F(1, 2), 3)], F(1), 4),
+    ([EpsLin(F(1, 3), 1), EpsLin(1)], [EpsLin(F(-5, 3))], F(1), 0),
+    # kappa < 0 with |kappa| != 1
+    ([EpsLin(F(2, 5), 1), EpsLin(F(1, 3), -1)], [EpsLin(F(3, 2), 2)], F(-3, 2), 3),
+    ([EpsLin(F(2, 5), 1), EpsLin(F(-7, 3), -1)], [EpsLin(F(-11, 2), 2)], F(-4), 2),
+    ([EpsLin(1), EpsLin(F(1, 2), 1)], [EpsLin(F(-1, 3), 1)], F(-2, 7), 4),
+])
+def test_series_of_hyper_rep_matches_termwise_reference(upper, lower, kappa, K):
+    f = HyperFn(upper, lower, kappa=kappa)
+    s, ref = series_of_hyper(f, 12, K), _termwise_series(f, 12, K)
+    assert s == ref and s.rows == ref.rows
+    assert type(s.den) is int and s.den > 0 and (s.z_order, s.eps_order) == (12, K)
+
+
+def test_series_of_hyper_numeric_rows_to_depth_200():
+    # 2F1(1, 1; 2; z) = -ln(1 - z)/z and 2F1(1/2, 1/2; 3/2; z) = arcsin(sqrt z)/sqrt z
+    cases = ((HyperFn([1, 1], [2]), lambda j: F(1, j + 1)),
+             (HyperFn([1, 1], [2], kappa=-1), lambda j: F((-1) ** j, j + 1)),
+             (HyperFn([F(1, 2), F(1, 2)], [F(3, 2)]),
+              lambda j: F(comb(2 * j, j), 4 ** j * (2 * j + 1))))
+    for f, coeff in cases:
+        s = series_of_hyper(f, 200, 0)
+        assert s.rows == tuple((coeff(j),) for j in range(201)) and s.den > 0
+
+
+@pytest.mark.parametrize("lower", [-3, 0])
+def test_series_of_hyper_nonpositive_integer_lower_text(lower):
+    with pytest.raises(PoleAtEpsZero) as e:
+        series_of_hyper(HyperFn([EpsLin(F(1, 2), 1), 1], [EpsLin(lower)]), 8, 2)
+    assert str(e.value) == f"lower parameter {lower} is a non-positive integer at eps=0"
+
+
+# ---------------------------------------------------------------------------
+# truncated_sum against the row-major loop with masked columns
+
+
+def _random_pieces(rng, N, K):
+    """Pieces of every kind: polynomial cells alone or times an integer series,
+    scale -1 among the scales, and pole pieces whose low rows may not vanish."""
+    W, pieces = K + 1, []
+    for _ in range(rng.randint(1, 4)):
+        v = min(rng.choice((0, 0, 1, 2)), N)
+        low = v if rng.random() < 0.8 else 0
+        cells = {(rng.randint(low, N), rng.randint(0, K)): rng.randint(-9, 9) or 1
+                 for _ in range(rng.randint(0, 4))}
+        if rng.random() < 0.5:
+            cells[rng.randint(low, N), K] = rng.choice((-1, 1, 7))
+        cells = [(j, k, x) for (j, k), x in sorted(cells.items())]
+        rows = None
+        if rng.random() < 0.6:
+            rows = [0 if rng.random() < 0.3 else rng.randint(-99, 99) for _ in range((N + 1) * W)]
+            if v and low == v:
+                # so the product vanishes below z^v
+                cells = [(j, k, x) for j, k, x in cells if j >= v]
+        pieces.append((rng.choice((1, -1, 3)), cells, rng.choice((1, 2, 6, 35)), v, rows))
+    return pieces
+
+
+def _sum_outcome(kernel, pieces, N, K):
+    try:
+        s = kernel(pieces, N, K)
+    except UncancelledPole as e:
+        return str(e)
+    return s.nums, s.den, s.z_order, s.eps_order
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 7), st.integers(0, 4), st.integers(0, 10 ** 6))
+def test_truncated_sum_matches_row_major_reference(N, K, seed):
+    import random
+    pieces = _random_pieces(random.Random(seed), N, K)
+    got = _sum_outcome(truncated_sum, pieces, N, K)
+    assert got == _sum_outcome(truncated_sum_row_major, pieces, N, K)
+    assert isinstance(got, str) or type(got[0]) is tuple
+
+
+def test_truncated_sum_pole_piece_cases():
+    rows = [1, 2, 3, 4, 5, 6]                      # N = 2, K = 1
+    # a product that vanishes below z^1 enters shifted down by one row
+    good = [(1, [(1, 1, 2)], 3, 1, rows), (-1, [(2, 0, 1)], 1, 1, None)]
+    assert truncated_sum(good, 2, 1).rows == ((0, F(2, 3)), (-1, 2))
+    for pieces in (good, [(1, [(0, 1, 1)], 1, 1, rows)], [(-1, [(0, 0, 5)], 2, 2, None)]):
+        got = _sum_outcome(truncated_sum, pieces, 2, 1)
+        assert got == _sum_outcome(truncated_sum_row_major, pieces, 2, 1)
+    with pytest.raises(UncancelledPole, match=r"^1/z\^1 applied to series with nonzero z\^0 coefficient$"):
+        truncated_sum([(1, [(0, 1, 1)], 1, 1, rows)], 2, 1)
+
+
+def test_truncated_sum_is_byte_identical_on_the_checks(monkeypatch):
+    """Every truncated_sum of a reduction check, an expansion check and a
+    ThetaOp application equals the row-major loop's, rep for rep."""
+    from hyperred import expansion, reduction, series, theta
+    from hyperred.grammar import parse_hyper
+    calls = []
+
+    def checked(pieces, N, K):
+        got = _sum_outcome(truncated_sum, pieces, N, K)
+        calls.append(got == _sum_outcome(truncated_sum_row_major, pieces, N, K))
+        if isinstance(got, str):
+            raise UncancelledPole(got)
+        return BiSeries._of(*got)
+
+    for mod in (series, theta, reduction, expansion):
+        monkeypatch.setattr(mod, "truncated_sum", checked)
+    f = parse_hyper("3F2[2/5+eps, 1/3-eps, 1/7+3*eps; 3/2+2*eps, 5/4-eps; z]")
+    target = f.shifted("upper", 0, 2).shifted("lower", 1, -1)
+    assert reduction.verify_reduction(reduction.reduce_to_basis(target, f), N=12, K=4)[0]
+    assert reduction.ode_operator(f).apply(series_of_hyper(f, 10, 4)).is_zero()
+    half = parse_hyper("2F1[1/2+eps, 1/2-2*eps; 3/2+3*eps; z]")
+    assert expansion.verify_expansion(half, expansion.epsilon_expand(half, 3), N=8)[0]
+    assert len(calls) > 20 and all(calls)
 
 
 # ---------------------------------------------------------------------------
