@@ -16,9 +16,8 @@ from .mb import (DiagramPreset, HyperSum, HyperTerm, MBRepr, check_dim,
                  mb_to_hyper)
 from .poly import Poly
 from .ratfunc import RatFunc
-from .reduction import (ExceptionalReport, OpMatrix, ReductionResult,
-                        count_nontrivial_basis, detect_exceptional, ode_operator,
-                        reduce_to_basis, step_matrix, verify_reduction)
+from .reduction import (ExceptionalReport, OpMatrix, ReductionResult, detect_exceptional,
+                        ode_operator, reduce_to_basis, step_matrix, verify_reduction)
 from .scalars import EpsLin, Linear, LinearForm
 from .series import BiSeries, series_of_hyper
 from .theta import ThetaOp

@@ -100,7 +100,7 @@ def dec_ratfunc(d: dict, expect: Optional[tuple] = None) -> RatFunc:
             raise ValueError(f"exponents {e} are not one non-negative integer per variable")
     mk = lambda terms: Poly.from_terms(
         vars, _unique(((tuple(e), dec_rat(c)) for e, c in terms), "exponent list"))
-    return RatFunc(mk(d["num"]), mk(d["den"]) if d["den"] else None)
+    return RatFunc(mk(d["num"]), mk(d["den"]))
 
 
 def _unique(pairs, what: str) -> dict:

@@ -24,13 +24,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import NoFactorization, NotTriangular, UncancelledPole, UnsupportedClass
 from .gpl import ONE, GplCombo, Kernel, PolyLogExpr, basis_product, basis_ratfunc
 from .hyper import HyperFn
-from .poly import Poly, theta_poly
+from .poly import _theta_product
 from .ratfunc import RatFunc
 from .scalars import EpsLin, rat
 from .series import BiSeries, lowest_cell, series_of_hyper, truncated_sum
 
 F = Fraction
-_EPS = ("eps",)
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +322,18 @@ def _choose_factorization(A: List[Fraction], B: List[Fraction]):
 
 
 def _eps_theta_product(params: Sequence[EpsLin]):
-    """prod (theta + x) over the parameters x as {eps power: theta coefficient list}."""
-    coeffs = theta_poly([Poly.linear(_EPS, "eps", x.eps, x.const) for x in params],
-                        Poly.const(_EPS, 1))
+    """prod (theta + x) over the parameters x as {eps power: theta coefficient list}.
+
+    prod (q theta + p0 + p1 eps) over their ``int_line`` forms is D prod
+    (theta + x), D the product of the q; only eps powers with a nonzero
+    entry are kept.
+    """
+    coeffs, D = _theta_product([x.int_line("eps") for x in params])
     table: Dict[int, List[Fraction]] = {}
     for l, c in enumerate(coeffs):
-        for (e,), q in c.terms().items():
-            table.setdefault(e, [F(0)] * len(coeffs))[l] = q
+        for e, n in enumerate(c):
+            if n:
+                table.setdefault(e, [F(0)] * len(coeffs))[l] = F(n, D)
     return table
 
 

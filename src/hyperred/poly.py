@@ -20,7 +20,10 @@ make no call per integer.  Deeper reps recurse down to them.  The
 reduction calls these kernels on integer reps directly, with its constant
 denominators in one int, so it builds no Poly and scans no content per
 operation; a Poly's normalizing gcd of den with the integers of rep
-(``_int_content``) runs where a value is built.
+(``_int_content``) runs where a value is built.  ``_theta_product`` is
+the one expansion of prod (q theta + p0 + p1 v) over the integer forms
+of linear parameters (``Linear.int_line``), for the reduction's relation
+row and the expansion's eps-theta tables.
 
 GCDs use one primitive pseudo-remainder sequence over Z at every depth,
 with no fast path in front of it, normalized to lead coefficient 1.  The
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Tuple
 
 from .value import Value
 
@@ -351,27 +354,6 @@ def _gcd(a, b, d):
     return _mul_elem(pa, cg, d)
 
 
-def _subst(rep, d, images, e):
-    """(rep', den') with rep'/den' = rep at x_i = images[i], a (rep, den) at depth e.
-
-    Horner's rule on integer reps: each step acc x + c goes over the lcm
-    of the two denominators, and nothing is normalized.
-    """
-    if d == 0:
-        return _const(e, rep), 1
-    x, dx = images[d - 1]
-    acc, den = _zero(e), 1
-    for c in reversed(rep):
-        c, dc = _subst(c, d - 1, images, e)
-        if _is_zero(acc, e):
-            acc, den = c, dc
-            continue
-        acc, den = _mul(acc, x, e), den * dx
-        L = lcm(den, dc)
-        acc, den = _add(_scale(acc, L // den, e), _scale(c, L // dc, e), e), L
-    return acc, den
-
-
 def _to_terms(rep, d, den, prefix, out):
     if d == 0:
         if rep != 0:
@@ -423,15 +405,6 @@ class Poly(Value):
     @classmethod
     def variable(cls, vars, name):
         return cls(vars, _monomial(len(vars), tuple(vars).index(name), 1))
-
-    @classmethod
-    def linear(cls, vars, name, a, b=0):
-        """a name + b for rationals a and b, built on the integer rep."""
-        a, b = Fraction(a), Fraction(b)
-        den, d = lcm(a.denominator, b.denominator), len(vars)
-        rep = _add(_monomial(d, tuple(vars).index(name), a.numerator * (den // a.denominator)),
-                   _const(d, b.numerator * (den // b.denominator)), d)
-        return cls(vars, rep, den)
 
     @classmethod
     def from_terms(cls, vars, terms: Mapping[tuple, Fraction]):
@@ -601,15 +574,17 @@ class Poly(Value):
         return out
 
 
-def theta_poly(roots: Sequence[Poly], one: Poly) -> List[Poly]:
-    """Coefficients in theta of prod (theta + r), the r commuting with theta."""
-    coeffs = [one]
-    for r in roots:
-        nxt = [c * r for c in coeffs] + [coeffs[-1]]
-        for i in range(1, len(coeffs)):
-            nxt[i] = nxt[i] + coeffs[i - 1]
-        coeffs = nxt
-    return coeffs
+def _theta_product(params):
+    """(the theta-coefficients of prod (q theta + p0 + p1 v), prod q) for integer
+    params (p0, p1, q); each coefficient is a rep in v alone."""
+    coeffs, D = [(1,)], 1
+    for p0, p1, q in params:
+        r = _trim((p0, p1), 1)
+        nxt = [_mul(c, r, 1) for c in coeffs] + [()]
+        for i, c in enumerate(coeffs):
+            nxt[i + 1] = _add(nxt[i + 1], _scale(c, q, 1), 1)
+        coeffs, D = nxt, D * q
+    return coeffs, D
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ BiSeries requires the parameters to be reduced to "eps" only.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import PoleAtEpsZero
-from .poly import Factors, Poly, _cancel, _monic_product, _neg, _scale, _subst, _trim, _zero
+from .poly import Factors, Poly, _cancel, _monic_product, _neg, _scale
 from .series import BiSeries
 from .value import Value
 
@@ -143,14 +143,6 @@ class RatFunc(Value):
                              - self.num * self.den.derivative_top()),
                        self.den * self.den)
 
-    def subst_params(self, new_vars, mapping) -> "RatFunc":
-        """Substitute parameter variables by polynomials over new_vars free of z.
-
-        z maps to itself, so each z-coefficient is substituted on its own.
-        """
-        return RatFunc(_subst_below_z(self.num, new_vars, mapping),
-                       _subst_below_z(self.den, new_vars, mapping))
-
     # series ------------------------------------------------------------------
 
     def to_biseries(self, N: int, K: int):
@@ -242,18 +234,3 @@ def _check_eps_only(p: Poly):
     extra = [x for x in p.vars[:-1] if x != "eps"]
     if extra:
         raise ValueError(f"unbound parameters {extra}; substitute them before expanding")
-
-
-def _subst_below_z(p: Poly, new_vars, mapping) -> Poly:
-    """p with its parameters substituted inside each z-coefficient, normalized once."""
-    e = len(new_vars) - 1
-    images = []
-    for x in p.vars[:-1]:
-        img = mapping.get(x) or Poly.variable(new_vars, x)
-        if img.vars != tuple(new_vars) or img.degree() > 0:
-            raise ValueError(f"the image of {x} must be a polynomial over {new_vars} free of z")
-        images.append((img.rep[0] if img.rep else _zero(e), img.den))
-    coeffs = [_subst(c, p.d - 1, images, e) for c in p.rep]
-    L = lcm(*(d for _, d in coeffs))
-    rep = _trim(tuple(_scale(c, L // d, e) for c, d in coeffs), e + 1)
-    return Poly(new_vars, rep, L * p.den)

@@ -10,12 +10,13 @@ Every denominator on a reduction path is a known linear factor, so a unit
 step is kept fraction-free on integer reps as (P, factors, K): an integer
 polynomial matrix P over an int K times a product of primitive linear
 factors (q x - p)^m, each recorded by its root as (x, p/q) (``poly.Factors``).
-Each parameter enters as integers (p0 + p1 v) / q, v = eps or n, and every
-constant denominator lands in K.  theta's matrix on the basis column is
-N' / lead with N' integral (``QuotientModule``), and one step builder
-(``_unit_step``) serves the forward move P = c lead I + N' over {c, lead}
-and, inverting it in closed form over the remainder R = T(-c) (Takayama
-1989; HYPERDIRE, arXiv:1105.3565), the opposite one; a vanishing R is the
+Each parameter enters as its integer form (p0 + p1 v) / q, v = eps or n
+(``Linear.int_line``), and every constant denominator lands in K.
+theta's matrix on the basis column is N' / lead with N' integral
+(``QuotientModule``), and one step builder (``_unit_step``) serves the
+forward move P = c lead I + N' over {c, lead} and, inverting it in
+closed form over the remainder R = T(-c) (Takayama 1989; HYPERDIRE,
+arXiv:1105.3565), the opposite one; a vanishing R is the
 exceptional-parameter signal.
 
 reduce_to_basis folds row 0 of the path product on integer reps through
@@ -43,14 +44,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from types import MappingProxyType
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import NotIntegerShift, SingularStep, VerificationFailure
 from .hyper import Hyper, HyperFn
 from .poly import (Factors, Poly, _add, _add_factor, _cancel, _const, _div_int, _factor_product,
-                   _int_content, _monic_product, _monomial, _mul, _neg, _pow, _scale, _trim)
+                   _int_content, _monic_product, _monomial, _mul, _neg, _pow, _scale,
+                   _theta_product, _trim)
 from .ratfunc import RatFunc
 from .scalars import DEFAULT_N, EpsLin
 from .series import lowest_cell, series_of_hyper, theta_pieces, truncated_sum
@@ -63,21 +65,6 @@ from .theta import ThetaOp
 def _ring_vars(fn: Hyper):
     """(eps or n, the function's variable): the ring its parameters and steps live in."""
     return ("eps" if isinstance(fn, HyperFn) else "n", fn.var)
-
-
-def _int_param(vars, x):
-    """(p0, p1, q) in integers with x = (p0 + p1 vars[0]) / q, gcd(p0, p1, q) = 1."""
-    if any(s != vars[0] for s in x.symbols):
-        raise ValueError(f"bind propagator powers before reducing: {x}")
-    c0, c1 = x.const, x.coeff(vars[0])
-    q = lcm(c0.denominator, c1.denominator)
-    return c0.numerator * (q // c0.denominator), c1.numerator * (q // c1.denominator), q
-
-
-def _param_poly(vars, x) -> Poly:
-    """const + c*vars[0] over vars, from a parameter linear in vars[0] alone."""
-    p0, p1, q = _int_param(vars, x)
-    return Poly(vars, _line(0, p1, p0), q)
 
 
 def _line(i, a, b):
@@ -103,19 +90,6 @@ def ode_operator(fn: Hyper) -> ThetaOp:
 # quotient module
 
 
-def _theta_product(params):
-    """(the theta-coefficients of prod (q theta + p0 + p1 v), prod q) for integer
-    params (p0, p1, q); each coefficient is a rep in v alone."""
-    coeffs, D = [(1,)], 1
-    for p0, p1, q in params:
-        r = _trim((p0, p1), 1)
-        nxt = [_mul(c, r, 1) for c in coeffs] + [()]
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] = _add(nxt[i + 1], _scale(c, q, 1), 1)
-        coeffs, D = nxt, D * q
-    return coeffs, D
-
-
 class QuotientModule:
     """The relation that brings theta^dim F back into the basis of fn.
 
@@ -126,11 +100,11 @@ class QuotientModule:
     whose lead coefficient is a multiple of 1 - kappa x.  Each parameter
     enters as integers (p0 + p1 v) / q (``lows`` and ``ups`` hold them,
     b_l - 1 for a lower), so with A and B the theta-products of q theta +
-    p0 + p1 v over lows and ups, and Dlo, Dup the products of their q,
-    T = alpha A - beta x B for alpha = Dup kd / h and beta = Dlo kn / h,
-    kappa = kn / kd and h = gcd(Dup kd, Dlo kn).  A and B are primitive
-    (Gauss) and so is T, and lead = -beta Dup x + alpha Dlo, kept as the
-    pair ``lead_line``.
+    p0 + p1 v over lows and ups (``poly._theta_product``), and Dlo, Dup the
+    products of their q, T = alpha A - beta x B for alpha = Dup kd / h and
+    beta = Dlo kn / h, kappa = kn / kd and h = gcd(Dup kd, Dlo kn).  A and
+    B are primitive (Gauss) and so is T, and lead = -beta Dup x + alpha Dlo,
+    kept as the pair ``lead_line``.
     Generic (dim p+1): lows carries an extra 0, so T is a multiple of minus
     the ODE and tail_num = 0.  With ``affine`` the unit upper a_skip drops
     from ups, giving the order-p inhomogeneous relation with tail_num =
@@ -142,10 +116,10 @@ class QuotientModule:
         if self.affine and not _is_unit_param(fn.upper[affine_index]):
             raise ValueError("affine reduction needs a unit upper parameter")
         vars = _ring_vars(fn)
-        self.lows = [(p0 - q, p1, q) for p0, p1, q in (_int_param(vars, b) for b in fn.lower)]
+        self.lows = [(p0 - q, p1, q) for p0, p1, q in (b.int_line(vars[0]) for b in fn.lower)]
         if not self.affine:
             self.lows.append((0, 0, 1))
-        self.ups = [_int_param(vars, a) for i, a in enumerate(fn.upper) if i != affine_index]
+        self.ups = [a.int_line(vars[0]) for i, a in enumerate(fn.upper) if i != affine_index]
         (A, Dlo), (B, Dup) = _theta_product(self.lows), _theta_product(self.ups)
         kn, kd = fn.kappa.numerator, fn.kappa.denominator
         h = gcd(Dup * kd, Dlo * kn)
@@ -326,7 +300,7 @@ def _unit_step(cls, upper, lower, kappa, var, which: str, index: int, direction:
     g = fn if forward else fn.shifted(which, index, direction)
     module = QuotientModule(g, affine_index)
     vars = _ring_vars(g)
-    c0, c1, cq = _int_param(vars, g.upper[index]) if which == "upper" else module.lows[index]
+    c0, c1, cq = g.upper[index].int_line(vars[0]) if which == "upper" else module.lows[index]
     if not (c0 or c1):
         raise SingularStep(
             f"step divisor vanishes for {which}[{index}] of {g} (exceptional)")
@@ -430,12 +404,29 @@ class ReductionResult:
     affine: bool = False
 
     def bind(self, n_value: EpsLin = DEFAULT_N) -> "ReductionResult":
-        """Bind symbolic n to get a numeric result."""
+        """Bind symbolic n to get a numeric result.
+
+        With n = (p0 + p1 eps) / q (``int_line``), each z-coefficient
+        sum c_i n^i of a numerator or denominator becomes, by Horner's rule
+        on integers, sum c_i (p0 + p1 eps)^i q^(D-i) over q^D, D the top
+        n-degree of the polynomial, which is normalized once.
+        """
         if isinstance(self.target, HyperFn):
             return self
-        new_vars = ("eps", self.target.var)
-        sub = {"n": _param_poly(new_vars, n_value)}
-        conv = lambda r: r.subst_params(new_vars, sub)
+        p0, p1, q = n_value.int_line("eps")
+        vars, line = ("eps", self.target.var), _trim((p0, p1), 1)
+
+        def poly(p: Poly) -> Poly:
+            D = max(map(len, p.rep), default=1) - 1
+            rows = []
+            for c in p.rep:
+                acc = ()
+                for i in range(len(c) - 1, -1, -1):
+                    acc = _add(_mul(acc, line, 1), _const(1, c[i] * q ** (D - i)), 1)
+                rows.append(acc)
+            return Poly(vars, _trim(rows, 2), p.den * q ** D)
+
+        conv = lambda r: RatFunc(poly(r.num), poly(r.den))
         return ReductionResult(self.target.bind(n_value=n_value), self.basis.bind(n_value=n_value),
                                conv(self.s_poly),
                                tuple(conv(r) for r in self.r_polys),
@@ -617,8 +608,3 @@ def detect_exceptional(fn: HyperFn) -> ExceptionalReport:
     unpaired = len(shared) < len(integer_uppers)
     count = 0 if terminating else max(fn.p + 1 - len(pairs) - unpaired, 0)
     return ExceptionalReport(integer_uppers, tuple(pairs), shared, count)
-
-
-def count_nontrivial_basis(fn: HyperFn) -> int:
-    """The number of nontrivial basis elements, ``detect_exceptional(fn).count``."""
-    return detect_exceptional(fn).count

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from math import lcm
 
 from .errors import UnboundSymbols
 from .value import Value
@@ -82,6 +83,18 @@ class Linear(Value):
     @property
     def symbols(self):
         return tuple(s for s, _ in self.terms)
+
+    def int_line(self, symbol: str):
+        """(p0, p1, q) in integers with self = (p0 + p1 symbol) / q, q > 0, gcd 1.
+
+        The one integer form of a parameter linear in eps or n; a form that
+        holds another symbol is refused.
+        """
+        if any(s != symbol for s in self.symbols):
+            raise ValueError(f"bind propagator powers before reducing: {self}")
+        c0, c1 = self.const, self.coeff(symbol)
+        q = lcm(c0.denominator, c1.denominator)
+        return c0.numerator * (q // c0.denominator), c1.numerator * (q // c1.denominator), q
 
     def subst(self, values: Mapping[str, object], cls=None) -> "Linear":
         """Substitute numbers or forms for the given symbols; a ``cls``, by default this type."""

@@ -28,7 +28,6 @@ from typing import Iterable, List, Sequence, Tuple
 
 from .errors import PoleAtEpsZero, UncancelledPole
 from .hyper import HyperFn
-from .scalars import EpsLin
 from .value import Value
 
 
@@ -266,7 +265,8 @@ def series_of_hyper(f: HyperFn, N: int, K: int) -> BiSeries:
         if b.is_integer() and b.const <= 0:
             raise PoleAtEpsZero(f"lower parameter {b} is a non-positive integer at eps=0")
     # term j is num[k]/D_j at eps^k, updated in place by one linear eps factor
-    # (p0 + j q + p1 eps)/q per parameter and by kappa; index j's new
+    # x + j = (p0 + j q + p1 eps)/q per parameter x, (p0, p1, q) its
+    # ``int_line``, and by kappa; index j's new
     # denominator m_j is cancelled against num alone, so D_(j+1) = D_j m_j
     # with the cancelled m_j, and term j is put over D_N by the suffix
     # product of the m_i, i >= j
@@ -274,7 +274,7 @@ def series_of_hyper(f: HyperFn, N: int, K: int) -> BiSeries:
     num = [1] + [0] * K
     nums, ms = num[:], []
     kn, kd = f.kappa.numerator, f.kappa.denominator
-    ups, lows = [_integer_linear(a) for a in f.upper], [_integer_linear(b) for b in f.lower]
+    ups, lows = [a.int_line("eps") for a in f.upper], [b.int_line("eps") for b in f.lower]
     for j in range(N):
         m = (j + 1) * kd
         for p0, p1, q in ups:
@@ -311,13 +311,6 @@ def series_of_hyper(f: HyperFn, N: int, K: int) -> BiSeries:
         for i in range(j * W, j * W + W):
             nums[i] *= d
     return BiSeries._of(tuple(nums), d, N, K)
-
-
-def _integer_linear(x: EpsLin):
-    """(p0, p1, q) in integers with x = (p0 + p1 eps)/q, so x + j = (p0 + j q + p1 eps)/q."""
-    c0, c1 = x.const, x.eps
-    q = lcm(c0.denominator, c1.denominator)
-    return c0.numerator * (q // c0.denominator), c1.numerator * (q // c1.denominator), q
 
 
 def compose_z_series(s: BiSeries, zser: Sequence[Fraction], M: int) -> BiSeries:

@@ -1,4 +1,5 @@
-"""Reference polynomial arithmetic for tests/test_poly.py that the program never calls.
+"""Reference polynomial arithmetic that the program never calls, for the tests
+of ``poly`` and of ``ReductionResult.bind``.
 
 Three independent checks of ``hyperred.poly``:
 
@@ -12,9 +13,8 @@ Three independent checks of ``hyperred.poly``:
   every operation of the integer representation can be compared with the
   same operation on rational leaves.
 - ``poly_object_subst``: substitution by Horner's rule over ``Poly``
-  objects, every step a normalized ``Poly``, which the ``_subst`` kernel
-  replaced by Horner's rule on the integer reps with one normalization at
-  the end.
+  objects, every step a normalized ``Poly``; ``ReductionResult.bind`` runs
+  Horner's rule on the integer reps with one normalization at the end.
 """
 
 from __future__ import annotations

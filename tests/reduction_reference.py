@@ -29,14 +29,15 @@ from hyperred.hyper import Hyper, HyperFn
 from hyperred.poly import Poly
 from hyperred.ratfunc import RatFunc
 from hyperred.reduction import (OpMatrix, ReductionResult, _check_path, _is_unit_param,
-                                _param_poly, _ring_vars, canonical_path, shift_vector)
+                                _ring_vars, canonical_path, shift_vector)
 from hyperred.series import series_of_hyper
 from series_reference import (rows_add, rows_div_z, rows_first_mismatch, rows_invert,
                               rows_mul, rows_mul_z_power, rows_theta)
 
 
 def _param_rf(vars, x) -> RatFunc:
-    return RatFunc.over(_param_poly(vars, x))
+    """const + c vars[0] over vars, from a parameter linear in vars[0] alone."""
+    return RatFunc(Poly.from_terms(vars, {(0, 0): x.const, (1, 0): x.coeff(vars[0])}))
 
 
 def _theta_poly(vars, roots):

@@ -190,6 +190,17 @@ def test_expand_weight_bound_and_boundary():
         assert e.layers[k].const == 0          # omega_k(0) = 0
 
 
+def test_expand_integer_class_with_rational_eps_coefficients():
+    """Parameters whose eps parts have denominators: prod (theta + x) is read
+    off the integer theta-product of q theta + p0 + p1 eps over prod q."""
+    for f in (HyperFn([EpsLin(1, F(1, 2)), EpsLin(0, F(2, 3))], [EpsLin(1, F(-3, 4))]),
+              HyperFn([EpsLin(0, F(1, 2)), EpsLin(0, F(-5, 3)), EpsLin(0, 3)],
+                      [EpsLin(1, F(1, 6)), EpsLin(1, F(7, 2))])):
+        e = epsilon_expand(f, 3)
+        ok, mism = verify_expansion(f, e, 20)
+        assert ok, (f, mism)
+
+
 def test_expand_3f2_pure():
     f = HyperFn([EpsLin(0, 1), EpsLin(0, 2), EpsLin(0, -1)],
                 [EpsLin(1, 1), EpsLin(1, 3)])

@@ -325,6 +325,8 @@ def test_cli_verify_malformed_stored_records_are_parse_errors(tmp_path, capsys):
         bad.append(("ValueError", edited(good, lambda r: r["s"]["num"].append([exps, "5"]))))
     bad.append(("ValueError", edited(good, lambda r: [p.update(vars=["n", "z"])
                                                      for p in [r["s"], r["tail"], *r["r"]]])))
+    # "den": [] encodes the zero polynomial, not the denominator 1
+    bad.append(("ZeroDivisionError", edited(good, lambda r: r["r"][0].update(den=[]))))
     # a repeated exponent list or word, and an affine flag reduce_to_basis would not set
     bad.append(("ValueError", edited(good, lambda r: r["s"]["num"].insert(0, [[0, 0], "7"]))))
     bad.append(("ValueError", edited(expand, lambda r: r["layers"][2]["terms"].insert(

@@ -83,19 +83,13 @@ def test_exact_div_raises_on_inexact():
         (z + 1).exact_div(z + 2)
 
 
-def subst(p, new_vars, images):
-    """p at its variables = images (Polys over new_vars), through the ``_subst`` kernel."""
-    rep, den = poly_mod._subst(p.rep, p.d, [(q.rep, q.den) for q in images], len(new_vars))
-    return Poly(new_vars, rep, den * p.den)
-
-
 def test_subst_and_eval():
     W = ("n", "z")
     n, z = Poly.variable(W, "n"), Poly.variable(W, "z")
     p = n * n + z
-    img = subst(p, V, [Poly.const(V, 4) - Poly.variable(V, "eps") * 2, Poly.variable(V, "z")])
-    at = lambda q, **values: subst(q, (), [Poly.const((), values[v])
-                                           for v in q.vars]).const_value()
+    img = ref.poly_object_subst(p, V, {"n": Poly.const(V, 4) - Poly.variable(V, "eps") * 2})
+    at = lambda q, **values: ref.poly_object_subst(
+        q, (), {v: Poly.const((), values[v]) for v in q.vars}).const_value()
     assert at(img, eps=F(1, 2), z=F(3)) == F(9) + 3
     assert at(p, n=F(3), z=F(1, 2)) == F(19, 2)
 
@@ -528,7 +522,7 @@ def test_integer_rep_matches_fraction_leaf_reference(vars):
         f = Poly.variable(vars, name) - r
         got = [a + b, a - b, a * b, a ** n, a.scale(q), a.derivative_top(),
                Poly.from_terms(vars, ref.to_terms(A, d)), a.gcd(b),
-               (a * f).div_root(name, r), subst(a, V, images)]
+               (a * f).div_root(name, r), ref.poly_object_subst(a, V, dict(zip(vars, images)))]
         expected = [ref.add(A, B, d), ref.sub(A, B, d), ref.mul(A, B, d), ref.power(A, n, d),
                     ref.scale(A, q, d), ref.derivative(A, d), A, ref.gcd(A, B, d),
                     ref.div_root(ref.frac_rep(a * f), i, r, d),
@@ -554,42 +548,6 @@ def test_integer_rep_matches_fraction_leaf_reference(vars):
             routes.append(((a * b).exact_div(b), a))
         for x, y in routes:
             assert (x.rep, x.den, hash(x)) == (y.rep, y.den, hash(y))
-    check()
-
-
-@pytest.mark.parametrize("vars", [("z",), ("n", "z"), ("eps", "z"), ("n", "eps", "z")])
-def test_subst_matches_poly_object_horner(vars):
-    """The ``_subst`` kernel and RatFunc.subst_params against Horner's rule over Poly objects."""
-    W = ("eps", "z")
-
-    @settings(max_examples=30, deadline=None)
-    @given(int_polys(vars), int_polys(vars).filter(lambda q: not q.is_zero()),
-           st.lists(int_polys(W, max_deg=2, max_size=3), min_size=len(vars),
-                    max_size=len(vars)),
-           st.lists(int_polys(("eps",), max_deg=2, max_size=3), min_size=len(vars),
-                    max_size=len(vars)))
-    def check(a, b, images, free):
-        got, want = subst(a, W, images), ref.poly_object_subst(a, W, dict(zip(vars, images)))
-        _assert_canonical(got)
-        assert (got.rep, got.den) == (want.rep, want.den)
-        # parameters map to polynomials free of z; z maps to itself
-        params = {v: Poly(W, (e.rep,) if e.rep else (), e.den)
-                  for v, e in zip(vars[:-1], free)}
-        f = RatFunc(a, b)
-        full = dict(params, z=Poly.variable(W, "z"))
-        num, den = ref.poly_object_subst(f.num, W, full), ref.poly_object_subst(f.den, W, full)
-        if den.is_zero():
-            with pytest.raises(ZeroDivisionError):
-                f.subst_params(W, params)
-            return
-        g = f.subst_params(W, params)
-        _assert_canonical(g.num)
-        assert g == RatFunc(num, den) and g.den.lead_fraction() == 1
-        if f.is_polynomial():
-            assert (g.num.rep, g.num.den, g.den) == (num.rep, num.den, Poly.const(W, 1))
-        if len(vars) > 1 and images[0].degree() > 0:
-            with pytest.raises(ValueError):
-                f.subst_params(W, {vars[0]: images[0]})
     check()
 
 
@@ -713,15 +671,16 @@ def test_flat_kernels_inexact_cases_return_none():
 
 @pytest.mark.parametrize("vars", [("z",), ("eps", "z"), ("n", "eps", "z")])
 def test_linear_factors_are_built_on_the_integer_rep(vars):
-    """Poly.variable, Poly.linear, _add_factor, _factor_product and _monic_product
-    against Poly.from_terms."""
+    """Poly.variable, _add_factor, _factor_product and _monic_product against
+    Poly.from_terms, and lines a x + b built from Poly.variable, scale and +."""
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(vars), mixed_rationals, mixed_rationals, st.integers(1, 3),
            st.integers(-30, 30), st.integers(-30, 30))
     def check(x, a, b, m, ia, ib):
         e = tuple(int(v == x) for v in vars)
         assert Poly.variable(vars, x) == Poly.from_terms(vars, {e: 1})
-        f = Poly.linear(vars, x, a, b)
+        line = lambda a, b: Poly.variable(vars, x).scale(a) + b
+        f = line(a, b)
         assert f == Poly.from_terms(vars, {e: a, (0,) * len(vars): b})
         _assert_canonical(f)
         # on integers: (ia x + ib)^m = k^m prod (q x - p)^m, and prod (x - r)^m monic
@@ -732,8 +691,8 @@ def test_linear_factors_are_built_on_the_integer_rep(vars):
             return
         assert factors == {(x, F(-ib, ia)): m}
         prim = Poly(vars, poly_mod._factor_product(vars, factors))
-        assert prim.scale(k) == Poly.linear(vars, x, ia, ib) ** m
+        assert prim.scale(k) == line(ia, ib) ** m
         monic = poly_mod._monic_product(vars, factors)
         _assert_canonical(monic)
-        assert monic == Poly.linear(vars, x, 1, F(ib, ia)) ** m
+        assert monic == line(1, F(ib, ia)) ** m
     check()

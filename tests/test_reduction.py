@@ -16,12 +16,12 @@ from hyperred.grammar import parse_hyper
 from hyperred.hyper import HyperFn, SymHyperFn
 from hyperred.poly import Poly
 from hyperred.ratfunc import RatFunc
-from hyperred.reduction import (OpMatrix, ReductionResult, canonical_path,
-                                count_nontrivial_basis, detect_exceptional,
+from hyperred.reduction import (OpMatrix, ReductionResult, canonical_path, detect_exceptional,
                                 ode_operator, reduce_to_basis, shift_vector,
                                 step_matrix, verify_depth, verify_reduction)
 from hyperred.scalars import EpsLin, LinearForm
 from hyperred.series import BiSeries, series_of_hyper
+from poly_reference import poly_object_subst
 from reduction_reference import clear_and_normalize, reference_reduce, reference_verify
 from series_reference import rows_add, rows_div_z, rows_mul_z_power
 
@@ -568,15 +568,19 @@ def test_path_independence_small():
         assert ok, mism
 
 
-def test_affine_reduction_with_tail():
-    # C3-type target at j1=j2=1, q=0, sigma=1 after cancelling the unit pair:
-    # 3F2(3-n/2, 1, n/2-1; n/2, 3/2) over basis with {1, theta} plus a tail
+def _affine_n_row():
+    """C3-type target at j1=j2=1, q=0, sigma=1 after cancelling the unit pair:
+    3F2(3-n/2, 1, n/2-1; n/2, 3/2) over a basis with {1, theta} plus a tail."""
     n2 = LinearForm.n(F(1, 2))
     one = LinearForm.constant(1)
     tgt = SymHyperFn([LinearForm.constant(3) - n2, one, n2 - 1],
                      [n2, LinearForm.constant(F(3, 2))])
     bas = SymHyperFn([one - n2, one, n2 - 1], [n2, LinearForm.constant(F(1, 2))])
-    r = reduce_to_basis(tgt, bas)
+    return tgt, bas
+
+
+def test_affine_reduction_with_tail():
+    r = reduce_to_basis(*_affine_n_row())
     assert r.affine
     assert len(r.r_polys) == 2          # basis {1, theta}
     assert not r.algebraic_tail.is_zero()
@@ -639,11 +643,11 @@ def test_detect_exceptional_examples():
 def test_count_nontrivial_basis():
     # generic 2F1 -> 2
     f = HyperFn([EpsLin(F(2, 5), 1), EpsLin(F(1, 3))], [EpsLin(F(3, 2))])
-    assert count_nontrivial_basis(f) == 2
+    assert detect_exceptional(f).count == 2
     # C3 4F3 at n = 4 - 2 eps, j1 = j2 = sigma = 1 -> 2
     g = HyperFn([EpsLin(1, 1), EpsLin(1), EpsLin(1), EpsLin(1, -1)],
                 [EpsLin(2, -1), EpsLin(1), EpsLin(F(3, 2))])
-    assert count_nontrivial_basis(g) == 2
+    assert detect_exceptional(g).count == 2
 
 
 def test_greedy_smallest_difference():
@@ -815,3 +819,40 @@ def test_symbolic_n_reduction_c1_rho_shift():
     # bind at a generic dimension (n = 4 - 2 eps makes these lowers degenerate)
     ok, mism = verify_reduction(r.bind(n_value=EpsLin(F(7, 3), -2)), 25, 2)
     assert ok, mism
+
+
+def test_bind_matches_poly_object_horner():
+    """ReductionResult.bind against Horner's rule over Poly objects
+    (``poly_reference.poly_object_subst``) on symbolic-n results of n-degree
+    >= 2, the @c3 row, the affine row and a result whose R_0 has a
+    denominator in n, at n = c - 2 eps with q = 1 and q > 1 and at a
+    constant n: the same canonical num and den.  Binding at another n gives
+    another result, and a denominator that vanishes at n is refused."""
+    parts = lambda r: (r.s_poly,) + r.r_polys + (r.algebraic_tail,)
+    n_degree = lambda r: max(len(c) for p in (r.num, r.den) for c in p.rep) - 1
+    c3, affine = reduce_to_basis(*_c3_term_row()), reduce_to_basis(*_affine_n_row())
+    W = ("n", "y")
+    n, y = Poly.variable(W, "n"), Poly.variable(W, "y")
+    R0 = c3.r_polys[0] / RatFunc(n * n * y - n * 3 + y * F(1, 2), n * y + F(2, 3))
+    mixed = ReductionResult(c3.target, c3.basis, c3.s_poly, (R0,) + c3.r_polys[1:],
+                            c3.algebraic_tail, c3.affine)
+    assert any(len(c) > 1 for c in R0.den.rep)   # a denominator in n
+    for r in (c3, affine, mixed):
+        assert max(map(n_degree, parts(r))) >= 2
+        V = ("eps", r.target.var)
+        bound = {}
+        for n_value in (EpsLin(5, -2), EpsLin(F(37, 7), -2), EpsLin(F(9, 2))):
+            b = bound[n_value] = r.bind(n_value)
+            image = {"n": Poly.const(V, n_value.const) + Poly.variable(V, "eps").scale(n_value.eps)}
+            for got, p in zip(parts(b), parts(r)):
+                want = RatFunc(poly_object_subst(p.num, V, image), poly_object_subst(p.den, V, image))
+                assert (got.num, got.den) == (want.num, want.den)
+            assert (b.target, b.basis) == (r.target.bind(n_value=n_value),
+                                           r.basis.bind(n_value=n_value))
+        # the negative control: each n gives other pieces
+        assert len({parts(b) for b in bound.values()}) == len(bound)
+    # a denominator that vanishes at the bound n is refused
+    zero = ReductionResult(c3.target, c3.basis, c3.s_poly, (R0 / RatFunc(n - 5),) + c3.r_polys[1:],
+                           c3.algebraic_tail, c3.affine)
+    with pytest.raises(ZeroDivisionError, match="^zero denominator$"):
+        zero.bind(EpsLin(5))

@@ -16,7 +16,7 @@ from hyperred.errors import UnboundSymbols
 from hyperred.grammar import parse_hyper, parse_input
 from hyperred.hyper import HyperFn, SymHyperFn
 from hyperred.mb import MBRepr
-from hyperred.reduction import QuotientModule, _param_poly
+from hyperred.reduction import QuotientModule
 from hyperred.scalars import EpsLin, Linear, LinearForm
 
 RATS = st.one_of(st.just(F(0)), st.fractions(min_value=-4, max_value=4, max_denominator=6))
@@ -228,11 +228,21 @@ def test_parse_input_reads_back_the_printed_mb_form(mb):
 
 
 def test_param_poly_refuses_unbound_propagator_powers():
+    """``Linear.int_line``, the one integer form of a parameter, refuses a
+    form with another symbol, and reads (p0, p1, q), q > 0 and gcd 1."""
     j = LinearForm(1, {"j1": 1}, F(1, 2))
     with pytest.raises(ValueError, match="bind propagator powers before reducing"):
-        _param_poly(("n", "z"), j)
+        j.int_line("n")
     with pytest.raises(ValueError, match="bind propagator powers before reducing"):
         QuotientModule(SymHyperFn([LinearForm.n(1), j], [LinearForm.constant(F(3, 2))]))
-    # n alone, and eps alone, embed as const + coefficient * first variable
-    for vars, x in ((("n", "z"), LinearForm(F(1, 2), {}, 3)), (("eps", "z"), EpsLin(3, F(1, 2)))):
-        assert _param_poly(vars, x).terms() == {(0, 0): 3, (1, 0): F(1, 2)}
+    with pytest.raises(ValueError, match="bind propagator powers before reducing"):
+        EpsLin(3, 1).int_line("n")
+    # n alone, and eps alone: x = (p0 + p1 v) / q
+    for x, v, want in ((LinearForm(F(1, 2), {}, 3), "n", (6, 1, 2)),
+                       (EpsLin(3, F(1, 2)), "eps", (6, 1, 2)),
+                       (LinearForm(F(-2, 3), {}, F(5, 4)), "n", (15, -8, 12)),
+                       (EpsLin(F(-7, 6), F(4, 9)), "eps", (-21, 8, 18)),
+                       (EpsLin(F(5, 3)), "eps", (5, 0, 3)),
+                       (LinearForm.n(2), "n", (0, 2, 1)),
+                       (EpsLin(0), "eps", (0, 0, 1))):
+        assert x.int_line(v) == want
