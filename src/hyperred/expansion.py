@@ -337,7 +337,7 @@ def _eps_theta_product(params: Sequence[EpsLin]):
     return table
 
 
-def _apply_theta_poly(coeffs: Sequence[Fraction], thetas: Sequence[GplCombo]) -> GplCombo:
+def _apply_theta_coeffs(coeffs: Sequence[Fraction], thetas: Sequence[GplCombo]) -> GplCombo:
     acc = GplCombo.zero()
     for l, c in enumerate(coeffs):
         if c:
@@ -382,9 +382,9 @@ def _expand_integer_class(f: HyperFn, K: int) -> EpsilonExpansion:
         for j in range(1, min(k, P) + 1):
             st = thetas[k - j]
             if j in U:
-                rhs = rhs - _apply_theta_poly(U[j], st).scale({(0, -1): 1})  # z
+                rhs = rhs - _apply_theta_coeffs(U[j], st).scale({(0, -1): 1})  # z
             if j in T:
-                rhs = rhs + _apply_theta_poly(T[j], st)
+                rhs = rhs + _apply_theta_coeffs(T[j], st)
         om = _peel_theta_beta(_first_order_solve(rhs, kernel, h), beta)
         layers.append(om)
         thetas.append(_theta_stack(om, P))
