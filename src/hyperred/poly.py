@@ -542,6 +542,28 @@ class Poly(Value):
         g = gcd(r.denominator, self.den)
         return Poly._of(self.vars, _scale(b, r.denominator // g, self.d), self.den // g)
 
+    def at_line(self, p0: int, p1: int, q: int, var: str = "eps") -> "Poly":
+        """self at its first variable x = (p0 + p1 var) / q, over (var,) + vars[1:].
+
+        By Horner's rule on integers each coefficient sum c_i x^i becomes
+        sum c_i (p0 + p1 var)^i q^(D-i) over q^D, D the top degree in x,
+        which is normalized once.
+        """
+        line = _trim((p0, p1), 1)
+
+        def top(rep, d):
+            return len(rep) - 1 if d == 1 else max((top(c, d - 1) for c in rep), default=-1)
+        D = max(top(self.rep, self.d), 0)
+
+        def horner(rep, d):
+            if d > 1:
+                return _trim([horner(c, d - 1) for c in rep], d)
+            acc = ()
+            for i in range(len(rep) - 1, -1, -1):
+                acc = _add(_mul(acc, line, 1), _const(1, rep[i] * q ** (D - i)), 1)
+            return acc
+        return Poly((var,) + self.vars[1:], horner(self.rep, self.d), self.den * q ** D)
+
     # display -------------------------------------------------------------
 
     def __str__(self):

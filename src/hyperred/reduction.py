@@ -406,27 +406,13 @@ class ReductionResult:
     def bind(self, n_value: EpsLin = DEFAULT_N) -> "ReductionResult":
         """Bind symbolic n to get a numeric result.
 
-        With n = (p0 + p1 eps) / q (``int_line``), each z-coefficient
-        sum c_i n^i of a numerator or denominator becomes, by Horner's rule
-        on integers, sum c_i (p0 + p1 eps)^i q^(D-i) over q^D, D the top
-        n-degree of the polynomial, which is normalized once.
+        With n = (p0 + p1 eps) / q (``int_line``), each numerator and
+        denominator is bound by Horner's rule on integers (``Poly.at_line``).
         """
         if isinstance(self.target, HyperFn):
             return self
         p0, p1, q = n_value.int_line("eps")
-        vars, line = ("eps", self.target.var), _trim((p0, p1), 1)
-
-        def poly(p: Poly) -> Poly:
-            D = max(map(len, p.rep), default=1) - 1
-            rows = []
-            for c in p.rep:
-                acc = ()
-                for i in range(len(c) - 1, -1, -1):
-                    acc = _add(_mul(acc, line, 1), _const(1, c[i] * q ** (D - i)), 1)
-                rows.append(acc)
-            return Poly(vars, _trim(rows, 2), p.den * q ** D)
-
-        conv = lambda r: RatFunc(poly(r.num), poly(r.den))
+        conv = lambda r: RatFunc(r.num.at_line(p0, p1, q), r.den.at_line(p0, p1, q))
         return ReductionResult(self.target.bind(n_value=n_value), self.basis.bind(n_value=n_value),
                                conv(self.s_poly),
                                tuple(conv(r) for r in self.r_polys),

@@ -551,6 +551,26 @@ def test_integer_rep_matches_fraction_leaf_reference(vars):
     check()
 
 
+@pytest.mark.parametrize("vars", [("z",), ("n", "z"), ("eps", "z"), ("n", "eps", "z")])
+def test_subst_matches_poly_object_horner(vars):
+    """Poly.at_line, the first variable at (p0 + p1 t) / q, against Horner's
+    rule over Poly objects: the same canonical rep and den, and a ring map."""
+    W = ("t",) + vars[1:]
+
+    @settings(max_examples=30, deadline=None)
+    @given(int_polys(vars), int_polys(vars), st.integers(-30, 30), st.integers(-30, 30),
+           st.integers(1, 12))
+    @example(Poly.variable(vars, vars[0]) ** 2 - 4, Poly.const(vars, 1), 2, 0, 1)
+    def check(a, b, p0, p1, q):
+        got = a.at_line(p0, p1, q, "t")
+        line = (Poly.const(W, p0) + Poly.variable(W, "t").scale(p1)).scale(F(1, q))
+        want = ref.poly_object_subst(a, W, {vars[0]: line})
+        _assert_canonical(got)
+        assert (got.vars, got.rep, got.den) == (want.vars, want.rep, want.den)
+        assert (a * b).at_line(p0, p1, q, "t") == got * b.at_line(p0, p1, q, "t")
+    check()
+
+
 # ---------------------------------------------------------------------------
 # the flat depth-1 and fused depth-2 kernels against the recursive reference
 
