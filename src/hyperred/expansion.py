@@ -337,14 +337,6 @@ def _eps_theta_product(params: Sequence[EpsLin]):
     return table
 
 
-def _apply_theta_coeffs(coeffs: Sequence[Fraction], thetas: Sequence[GplCombo]) -> GplCombo:
-    acc = GplCombo.zero()
-    for l, c in enumerate(coeffs):
-        if c:
-            acc = acc + thetas[l].scale_q(c)
-    return acc
-
-
 def _first_order_solve(rhs: GplCombo, kernel, h) -> GplCombo:
     """[(z-1) theta + z R1 - R2] psi = rhs with psi(0) = 0.
 
@@ -378,14 +370,13 @@ def _expand_integer_class(f: HyperFn, K: int) -> EpsilonExpansion:
     layers: List[GplCombo] = [omega0]
     thetas: List[List[GplCombo]] = [_theta_stack(omega0, P)]
     for k in range(1, K + 1):
-        rhs = GplCombo.zero()
+        # rhs = sum_j (T_j(theta) - z U_j(theta)) omega_(k-j), one sum
+        rhs = []
         for j in range(1, min(k, P) + 1):
             st = thetas[k - j]
-            if j in U:
-                rhs = rhs - _apply_theta_coeffs(U[j], st).scale({(0, -1): 1})  # z
-            if j in T:
-                rhs = rhs + _apply_theta_coeffs(T[j], st)
-        om = _peel_theta_beta(_first_order_solve(rhs, kernel, h), beta)
+            rhs += [(1, x.scale({(0, -1): -c})) for c, x in zip(U.get(j, ()), st) if c]
+            rhs += [(c, x) for c, x in zip(T.get(j, ()), st) if c]
+        om = _peel_theta_beta(_first_order_solve(GplCombo.combine(rhs), kernel, h), beta)
         layers.append(om)
         thetas.append(_theta_stack(om, P))
     exprs = [c.to_polylog(f.var) for c in layers[1:]]
@@ -442,9 +433,13 @@ def _expand_half_integer_gauss(f: HyperFn, K: int) -> EpsilonExpansion:
     """
     a1, a2 = f.upper[0].eps, f.upper[1].eps
     c = f.lower[0].eps
-    k_t = {(1, 1): F(-1), (-1, 1): F(-1)}       # 2t/(1-t^2) = -1/(t-1) - 1/(t+1)
     k_flat = {(1, 1): F(-1), (-1, 1): F(1)}     # 2/(1-t^2) = -1/(t-1) + 1/(t+1)
-    inv_xi = {(0, 1): 1}                        # 1/xi
+    # v_k's integrand kernels with their factors c - (a1+a2) and -a1 a2 folded in,
+    # 2t/(1-t^2) = -1/(t-1) - 1/(t+1)
+    s, p = c - (a1 + a2), a1 * a2
+    k_v = {(1, 1): -s, (-1, 1): -s}
+    k_u = {(1, 1): p, (-1, 1): -p}
+    one = GplCombo.const(1)
 
     u0 = GplCombo({(-1,): {ONE: F(1, 2)}, (1,): {ONE: F(-1, 2)}})
     v0 = GplCombo.const(F(1, 2))
@@ -452,11 +447,10 @@ def _expand_half_integer_gauss(f: HyperFn, K: int) -> EpsilonExpansion:
     vs = [v0]
     for k in range(1, K + 1):
         um2 = us[k - 2] if k >= 2 else GplCombo.zero()
-        integrand = (vs[k - 1].scale(k_t).scale_q(c - (a1 + a2))
-                     + um2.scale(k_flat).scale_q(-a1 * a2))
-        vk = integrand.integrate()
-        vk = vk + us[k - 1].scale(inv_xi).scale_q(-c)
-        vk = vk + GplCombo.const(2 * c * vs[k - 1].value_at_zero())
+        integrand = GplCombo.combine([(1, vs[k - 1].scale(k_v)), (1, um2.scale(k_u))])
+        vk = GplCombo.combine([(1, integrand.integrate()),
+                               (1, us[k - 1].scale({(0, 1): -c})),     # -c u_(k-1)/xi
+                               (2 * c * vs[k - 1].value_at_zero(), one)])
         uk = vk.scale(k_flat).integrate()
         us.append(uk)
         vs.append(vk)

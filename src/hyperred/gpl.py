@@ -7,9 +7,12 @@ a series with nonvanishing constant term raises UncancelledPole instead of
 producing ln(z).  Integral letters are ints, equal and hashing equal to
 their Fractions.  The z-series of a word is a row of integer numerators
 over one positive denominator, built without gcds: its coefficients are
-nested harmonic sums, cleared by lcm(1..N) and powers of the letters.
+nested harmonic sums, cleared by lcm(1..N) and powers of the letters,
+the factor of each coefficient tabulated once per letter numerator and N.
 It is cached as a ``BiSeries`` of eps order 0, so sums over words and
 products with kernel rows are the oracle's own integer-row operations.
+A word with n nonzero letters is O(z^n), so a sum to order N with a pole
+of order V at 0 builds no series for a word with more than N + V of them.
 
 GplCombo is the working representation during iterated integration:
 rational functions of the variable multiplying words.  Every kernel has its
@@ -21,7 +24,8 @@ coefficients are nested sums with tiny denominators: Moch, Uwer & Weinzierl,
 hep-ph/0110083).  The expansion's fixed kernels are built in the basis too
 (``basis_product``), so no RatFunc arithmetic runs; a basis dict becomes a
 RatFunc only for omega0, printing and messages (``basis_ratfunc``, without
-a gcd).  Poles at the origin are checked on the sum over words, so they may
+a gcd).  ``GplCombo.combine`` sums q c over many terms with one collect.
+Poles at the origin are checked on the sum over words, so they may
 cancel between words.  Final expansion layers are PolyLogExpr values, keyed
 by the same letter tuples, with rational coefficients.
 """
@@ -31,6 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
+from operator import mul
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .errors import UncancelledPole, UnsupportedClass
@@ -59,7 +64,24 @@ def as_word(letters: Iterable) -> Word:
     return w
 
 
-# bounded; a 30 s `bench/run.py --workload expand` run fills about 2,300 entries
+# bounded; one entry per letter numerator and order, 8 in a 30 s
+# `bench/run.py --workload expand` run
+@lru_cache(maxsize=256)
+def _letter_factors(p: int, N: int) -> Tuple[Tuple[int, ...], Tuple[int, ...], int]:
+    """The integers a word series with first letter of numerator p needs at order N:
+    (p^0..p^(N-1), the factors of z^1..z^N, the factor of the denominator).
+    With L = lcm(1..N) and sign that of p^N, z^j takes sign p^(N-j) (L/j) and
+    the denominator sign p^N L; for p = 0 they are L/j and L."""
+    L = lcm(*range(1, N + 1))
+    if p == 0:
+        return (), tuple(L // j for j in range(1, N + 1)), L
+    pw = [p ** k for k in range(N + 1)]
+    sign = 1 if pw[N] > 0 else -1
+    return (tuple(pw[:N]), tuple(sign * pw[N - j] * (L // j) for j in range(1, N + 1)),
+            sign * pw[N] * L)
+
+
+# bounded; a 30 s `bench/run.py --workload expand` run fills about 2,262 entries
 @lru_cache(maxsize=16384)
 def _word_series(word: Word, N: int) -> BiSeries:
     """G(word; z) to z^N as a BiSeries of eps order 0: z^j has nums[j]/den."""
@@ -67,23 +89,21 @@ def _word_series(word: Word, N: int) -> BiSeries:
         return BiSeries._of((1,) + (0,) * N, 1, N, 0)
     a, s = word[0], _word_series(word[1:], N)
     D, u = s.den, s.nums
-    L = lcm(*range(1, N + 1))
-    if a == 0:
+    p, q = a.numerator, a.denominator
+    pw, f, d = _letter_factors(p, N)
+    if p == 0:
         if u[0] != 0:
             raise UncancelledPole(f"dt/t against constant term in G{word}")
-        return BiSeries._of((0,) + tuple(u[j] * (L // j) for j in range(1, N + 1)), D * L, N, 0)
+        return BiSeries._of((0,) + tuple(map(mul, u[1:], f)), D * d, N, 0)
     # conv = u/(t-a) = -sum_m u t^m / a^(m+1) obeys conv_j = (conv_(j-1) - u_(j-1))/a
     # and G(a, w) takes conv_j/j at z^j; for a = p/q the integers
     # C_j = D p^j conv_j = q (C_(j-1) - u_(j-1) p^(j-1)) give
     # conv_j/j = C_j p^(N-j) (L/j) / (D p^N L), the sign of p^N moved into the numerators
-    p, q = a.numerator, a.denominator
-    pw = [p ** k for k in range(N + 1)]
-    sign = 1 if pw[N] > 0 else -1
     C, out = 0, [0]
-    for j in range(1, N + 1):
-        C = q * (C - u[j - 1] * pw[j - 1])
-        out.append(sign * C * pw[N - j] * (L // j))
-    return BiSeries._of(tuple(out), sign * D * pw[N] * L, N, 0)
+    for x, y, g in zip(u, pw, f):
+        C = q * (C - x * y)
+        out.append(C * g)
+    return BiSeries._of(tuple(out), D * d, N, 0)
 
 
 def shuffle_words(w1: Word, w2: Word) -> List[Word]:
@@ -350,14 +370,17 @@ def _series_sum(terms: Sequence[Tuple[Word, IntBasis]], den: int, N: int) -> Lis
     """z-series of sum (r(z)/den) G(w; z) over (w, r) to order N; UncancelledPole
     if the sum keeps a pole at 0 (poles may cancel between words).  With no
     pole at 0, order 0 is read off the empty word's kernels, and no series
-    is built."""
+    is built.  G(w; z) = O(z^n) for a word with n nonzero letters, so a word
+    with more than N + V of them, V the pole order at 0, adds nothing below
+    z^(N+1) nor to the pole and builds no series."""
     V = max((m for _, r in terms for a, m in r if a == 0 and m > 0), default=0)
     if not (V or N):
         # nonempty words vanish at 0, (z - a)^-m is (-a)^-m there and z^i is [i = 0]
         at0 = sum((c * (F(-1, a) ** m if a else m == 0)
                    for w, r in terms if not w for (a, m), c in r.items()), F(0))
         return [at0 / den]
-    s = combine(((F(1, den), _laurent(w, r, N, V)) for w, r in terms), N + V, 0)
+    s = combine(((F(1, den), _laurent(w, r, N, V)) for w, r in terms
+                 if len(w) - w.count(0) <= N + V), N + V, 0)
     if any(s.nums[:V]):                 # eps order 0: nums holds one numerator per row
         raise UncancelledPole(f"pole at 0 not cancelled in {_terms_str(terms, den)}")
     return s.eps_row(0)[V:]
@@ -418,19 +441,26 @@ class GplCombo(Value):
         """R_w as a basis dict of rationals, empty for an absent word."""
         return {k: F(c, self.den) for k, c in self.data.get(w, {}).items()}
 
+    @classmethod
+    def combine(cls, terms: Iterable[Tuple[Fraction, "GplCombo"]]) -> "GplCombo":
+        """sum q c over (q, c) pairs of a rational and a combination, by one _collect."""
+        parts: List[Part] = []
+        for q, c in terms:
+            q = rat(q)
+            if q:
+                n, d = q.numerator, c.den * q.denominator
+                parts += [(w, d, r if n == 1 else {k: x * n for k, x in r.items()})
+                          for w, r in c.data.items()]
+        return cls._of(*_collect(parts))
+
     def __add__(self, other):
-        return GplCombo._of(*_collect([(w, self.den, r) for w, r in self.data.items()]
-                                      + [(w, other.den, r) for w, r in other.data.items()]))
+        return GplCombo.combine(((1, self), (1, other)))
 
     def __sub__(self, other):
-        return self + other.scale_q(-1)
+        return GplCombo.combine(((1, self), (-1, other)))
 
     def scale_q(self, q):
-        q = rat(q)
-        if not q:
-            return GplCombo.zero()
-        return GplCombo._of(self.den * q.denominator, {w: {k: c * q.numerator for k, c in r.items()}
-                                                       for w, r in self.data.items()})
+        return GplCombo.combine(((q, self),))
 
     def scale(self, b: Mapping[Kernel, Fraction]):
         """Multiply every coefficient by the basis dict b."""

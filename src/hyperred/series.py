@@ -176,17 +176,20 @@ def _reduced(nums: Sequence[int], den: int, N: int, K: int) -> BiSeries:
 def combine(terms: Iterable[Tuple[Fraction, BiSeries]], N: int, K: int) -> BiSeries:
     """sum q s over (q, s) pairs of a rational and a series, to orders (N, K).
 
-    Integer rows are accumulated per denominator, so most products are by
-    small numerators, and the per-denominator sums go to truncated_sum.
+    The series of one (denominator, numerator) group are added first and the
+    group's sum is multiplied once, a group at a time, into one integer row
+    per denominator; the per-denominator sums go to truncated_sum.
     """
-    rows = {}
+    groups = {}
     for q, s in terms:
-        if not q:
-            continue
-        d, n, cells = q.denominator * s.den, q.numerator, s._cells(N, K)
+        if q:
+            groups.setdefault((q.denominator * s.den, q.numerator), []).append(s._cells(N, K))
+    rows = {}
+    for (d, n), cells in groups.items():
+        g = cells[0] if len(cells) == 1 else list(map(sum, zip(*cells)))
         acc = rows.get(d)
-        rows[d] = ([n * x for x in cells] if acc is None
-                   else [r + n * x for r, x in zip(acc, cells)])
+        rows[d] = ([n * x for x in g] if acc is None
+                   else [r + n * x for r, x in zip(acc, g)])
     return truncated_sum([(1, ((0, 0, 1),), d, 0, acc) for d, acc in rows.items()], N, K)
 
 

@@ -8,13 +8,17 @@ product table, ``mul``, ``merge`` and ``theta_coeffs`` are the old
 have no zero coefficients and no empty basis dicts, and neither have the
 results, so a result equals ``GplCombo``'s rep read as Fractions exactly
 when the two agree.  ``series`` expands each term directly to its Laurent
-series, without ``BiSeries`` products.
+series, without ``BiSeries`` products.  ``word_series_rep`` is the integer
+word-series kernel as it was before its per-coefficient factors were
+tabulated, three products and a floor division per coefficient, for a
+rep-for-rep comparison.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, lcm
 
 from hyperred.errors import UncancelledPole, UnsupportedClass
 from hyperred.gpl import PolyLogExpr
@@ -27,6 +31,27 @@ _Z = (0, -1)
 def word_series(w, N):
     """G(w; z) to z^N as Fractions, through ``PolyLogExpr.series``; the empty word's is 1."""
     return (PolyLogExpr({w: 1}) if w else PolyLogExpr((), 1)).series(N)
+
+
+@lru_cache(maxsize=4096)
+def word_series_rep(word, N):
+    """G(word; z) to z^N as (nums, den): z^j is nums[j]/den, den > 0."""
+    if not word:
+        return (1,) + (0,) * N, 1
+    a, (u, D) = Fraction(word[0]), word_series_rep(word[1:], N)
+    L = lcm(*range(1, N + 1))
+    if a == 0:
+        if u[0] != 0:
+            raise UncancelledPole(f"dt/t against constant term in G{word}")
+        return (0,) + tuple(u[j] * (L // j) for j in range(1, N + 1)), D * L
+    p, q = a.numerator, a.denominator
+    pw = [p ** k for k in range(N + 1)]
+    sign = 1 if pw[N] > 0 else -1
+    C, out = 0, [0]
+    for j in range(1, N + 1):
+        C = q * (C - u[j - 1] * pw[j - 1])
+        out.append(sign * C * pw[N - j] * (L // j))
+    return tuple(out), sign * D * pw[N] * L
 
 
 def kernel_product(k1, k2):

@@ -8,7 +8,9 @@ way, one Fraction per coefficient, on the ``rows`` read out of a series
 coefficient lists, and the Pochhammer expansions build
 ``series_of_hyper``'s terms factor by factor.  ``truncated_sum_row_major``
 is ``truncated_sum`` accumulated row-major, with masked columns, for a
-byte-for-byte comparison of its integer results.
+byte-for-byte comparison of its integer results, and ``combine_per_term``
+is ``combine`` with one product per term instead of one per group of
+equal coefficients.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import List, Sequence
 
 from hyperred.errors import PoleAtEpsZero, UncancelledPole
 from hyperred.scalars import EpsLin
-from hyperred.series import BiSeries
+from hyperred.series import BiSeries, truncated_sum
 
 _ZERO = Fraction(0)
 
@@ -183,3 +185,17 @@ def truncated_sum_row_major(pieces, N, K):
     nums = out[:max(top + 1, 0) * W]
     g = gcd(L, *nums)
     return BiSeries._of(tuple(x // g for x in nums), L // g, top, K)
+
+
+def combine_per_term(terms, N, K):
+    """sum q s over (q, s) pairs: each term's integer row times its numerator,
+    accumulated per denominator, the per-denominator rows to ``truncated_sum``."""
+    rows = {}
+    for q, s in terms:
+        if not q:
+            continue
+        d, n, cells = q.denominator * s.den, q.numerator, s._cells(N, K)
+        acc = rows.get(d)
+        rows[d] = ([n * x for x in cells] if acc is None
+                   else [r + n * x for r, x in zip(acc, cells)])
+    return truncated_sum([(1, ((0, 0, 1),), d, 0, acc) for d, acc in rows.items()], N, K)

@@ -228,6 +228,20 @@ def test_int_and_fraction_letters_are_one_word():
     assert [type(a) for w in c1.data for a in w] == [int, int]
 
 
+REP_LETTERS = (-1, 0, 1, 2, -3, F(1, 2), F(-2, 3))
+
+
+def test_word_series_rep_matches_per_coefficient_kernel():
+    # the tabulated factors give the reps of three products and a floor division per coefficient
+    words = [()]
+    for _ in range(4):
+        words = [(a,) + w for a in REP_LETTERS for w in words if a or w]
+        for N in (0, 1, 2, 30, 60):
+            for w in words:
+                s = gpl._word_series(gpl.as_word(w), N)
+                assert (s.nums, s.den) == gpl_reference.word_series_rep(w, N), (w, N)
+
+
 def test_word_series_dt_over_t_against_constant_term_raises():
     for w in ((F(0),), (F(2), F(0))):
         with pytest.raises(UncancelledPole):
@@ -571,3 +585,83 @@ def test_value_at_origin_matches_series_path(data, letters):
     ref = _outcome(lambda: gpl._series_sum(terms, c.den, 1)[:1])
     assert got == ref
     assert got is UncancelledPole or type(got[0]) is F
+
+
+# ---------------------------------------------------------------------------
+# the origin skip: a word with more nonzero letters than N + V builds no series
+
+
+def test_series_sum_keeps_a_word_at_the_order_bound():
+    # z^-2 G(1, 1; z) = z^-2 ln(1 - z)^2 / 2 = 1/2 + z/2 + ...: two nonzero letters, N + V = 2
+    c = GplCombo({(1, 1): {(0, 2): 1}})
+    assert c.value_at_zero() == F(1, 2)
+    assert c.series(1) == gpl_reference.series({(1, 1): {(0, 2): F(1)}}, 1) == [F(1, 2), F(1, 2)]
+
+
+def test_series_sum_builds_no_series_past_the_order_bound():
+    # G(w) with three nonzero letters is O(z^3): z^-1 G(w) vanishes at 0 and z^-2 G(w) at order 0
+    w = (F(5, 7), 0, F(5, 7), F(5, 7))
+    before = gpl._word_series.cache_info().misses
+    assert GplCombo({w: {(0, 1): 1}}).value_at_zero() == 0
+    assert GplCombo({w: {(0, 2): 1, (0, -1): 3}}).series(0) == [0]
+    assert gpl._word_series.cache_info().misses == before
+
+
+def _pole_free(d, V):
+    """d plus the empty word's kernels that cancel its pole of order V at 0."""
+    if not V:
+        return d
+    low = gpl_reference.series(gpl_reference.scale(d, {(0, -V): F(1)}), V - 1)
+    out = {w: dict(r) for w, r in d.items()}
+    gpl_reference.merge(out, (), {(F(0), V - i): -x for i, x in enumerate(low) if x})
+    return out
+
+
+_SKIP_LETTERS = (F(1), F(-1), F(1, 2))
+_SKIP_KERNELS = st.one_of(st.tuples(st.just(F(0)), st.integers(-2, 2)),
+                          st.tuples(st.sampled_from(_SKIP_LETTERS), st.integers(1, 2)))
+_SKIP_WORDS = (st.lists(st.sampled_from((F(0),) + _SKIP_LETTERS), max_size=5)
+               .filter(lambda w: not w or w[-1] != 0).map(tuple))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(_SKIP_WORDS, st.dictionaries(
+           _SKIP_KERNELS, st.builds(F, st.integers(-6, 6).filter(bool), st.integers(1, 5)),
+           min_size=1, max_size=3), min_size=1, max_size=4),
+       st.integers(0, 2), st.booleans())
+def test_series_sum_with_origin_skip_matches_reference(d, N, cancel):
+    """Poles of order V <= 2 at 0, cancelled between words or not, N <= 2: the
+    value, or UncancelledPole with the message naming every term."""
+    V = max((m for r in d.values() for a, m in r if a == 0 and m > 0), default=0)
+    if cancel:
+        d = _pole_free(d, V)
+    c = GplCombo(d)
+    terms = list(c.data.items())
+    ref = _outcome(gpl_reference.series, d, N)
+    try:
+        got = gpl._series_sum(terms, c.den, N)
+    except UncancelledPole as e:
+        assert ref is UncancelledPole
+        assert str(e) == f"pole at 0 not cancelled in {gpl._terms_str(terms, c.den)}"
+    else:
+        assert got == ref
+    assert ref is not UncancelledPole or not cancel
+
+
+# ---------------------------------------------------------------------------
+# one _collect for a sum of q c against chained scale_q and +
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from(REF_ALPHABETS))
+def test_one_collect_combination_matches_chained_ops(data, letters):
+    ds = data.draw(st.lists(_combo_strategy(letters), max_size=4))
+    ds += data.draw(st.lists(st.sampled_from(ds), max_size=2)) if ds else []   # repeated terms
+    qs = st.one_of(st.integers(-3, 3), st.builds(F, st.integers(-6, 6), st.integers(1, 6)))
+    terms = [(data.draw(qs), GplCombo(d)) for d in ds]
+    got, chained, ref = GplCombo.combine(terms), GplCombo.zero(), {}
+    for (q, c), d in zip(terms, ds):
+        chained = chained + c.scale_q(q)
+        ref = gpl_reference.add(ref, gpl_reference.scale_q(d, q))
+    assert (got.den, got.data) == (chained.den, chained.data)
+    assert _rep(got) == ref

@@ -13,7 +13,8 @@ from hyperred.scalars import EpsLin
 from hyperred.series import BiSeries, combine, compose_z_series, series_of_hyper, truncated_sum
 from series_reference import (inv_pochhammer_eps, inv_trunc, mul_trunc, pochhammer_eps,
                               rows_add, rows_compose, rows_crop, rows_first_mismatch,
-                              rows_invert, rows_mul, rows_theta, truncated_sum_row_major)
+                              rows_invert, rows_mul, rows_theta, truncated_sum_row_major,
+                              combine_per_term)
 
 
 def test_pochhammer_half_plus_eps():
@@ -368,8 +369,8 @@ def test_truncated_sum_pole_piece_cases():
 
 
 def test_truncated_sum_is_byte_identical_on_the_checks(monkeypatch):
-    """Every truncated_sum of a reduction check, an expansion check and a
-    ThetaOp application equals the row-major loop's, rep for rep."""
+    """Every truncated_sum of a reduction check, the checks of both expansion
+    classes and a ThetaOp application equals the row-major loop's, rep for rep."""
     from hyperred import expansion, reduction, series, theta
     from hyperred.grammar import parse_hyper
     calls = []
@@ -389,6 +390,8 @@ def test_truncated_sum_is_byte_identical_on_the_checks(monkeypatch):
     assert reduction.ode_operator(f).apply(series_of_hyper(f, 10, 4)).is_zero()
     half = parse_hyper("2F1[1/2+eps, 1/2-2*eps; 3/2+3*eps; z]")
     assert expansion.verify_expansion(half, expansion.epsilon_expand(half, 3), N=8)[0]
+    direct = parse_hyper("3F2[1+2*eps, -eps, 3*eps; 1+eps, 1-2*eps; z]")
+    assert expansion.verify_expansion(direct, expansion.epsilon_expand(direct, 4), N=8)[0]
     assert len(calls) > 20 and all(calls)
 
 
@@ -424,6 +427,21 @@ def test_binary_ops_match_fraction_reference(Na, Ka, Nb, Kb, da, db, seed):
     want = tuple(tuple(p * x + q * y for x, y in zip(ra, rb))
                  for ra, rb in zip(rows_crop(a.rows, N, K), rows_crop(b.rows, N, K)))
     assert combine(((p, a), (q, b)), N, K).rows == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 3), st.integers(0, 12), st.integers(0, 10 ** 6))
+def test_combine_groups_equal_coefficients_rep_for_rep(N, K, n_terms, seed):
+    """Grouped combine against one product per term: repeated coefficients and
+    series, int and zero q, several denominators, eps orders above 0."""
+    import random
+    rng = random.Random(seed)
+    pool = [_rand_series(rng, N + rng.randint(0, 2), K + rng.randint(0, 1), _DENS[d])
+            for d in sorted(_DENS)]
+    qs = (0, 1, -1, 3, F(0), F(1, 2), F(-1, 2), F(3, 2), F(2, 3), F(7, 4))
+    terms = [(rng.choice(qs), rng.choice(pool)) for _ in range(n_terms)]
+    got, ref = combine(terms, N, K), combine_per_term(terms, N, K)
+    assert (got.nums, got.den, got.z_order, got.eps_order) == (ref.nums, ref.den, N, K)
 
 
 @settings(max_examples=80, deadline=None)
