@@ -132,19 +132,32 @@ def dec_polylog(d: dict) -> PolyLogExpr:
 # job running
 
 
-def _check_bounds(N: int, K: int):
-    """A series depth or eps order outside a job's bounds is unsupported (exit 3)."""
-    if not (1 <= N <= MAX_N):
-        raise UnsupportedClass(f"series order N must be within 1..{MAX_N}")
-    if not (0 <= K <= MAX_K):
-        raise UnsupportedClass(f"eps order K must be within 0..{MAX_K}")
+def _check_bounds(N: int, K: int, what: str = "the job", value=None):
+    """The one exit-3 gate: a check at series depth N outside 1..MAX_N, or at
+    eps order K outside 0..MAX_K, is unsupported.  Given a ReductionResult,
+    N is its verify_depth; given an EpsilonExpansion, K is len(layers) - 1."""
+    if isinstance(value, ReductionResult):
+        N = verify_depth(value, N)
+    elif value is not None:
+        K = len(value.layers) - 1
+    for name, x, low, high in (("needs series depth", N, 1, MAX_N),
+                               ("has eps order", K, 0, MAX_K)):
+        if not low <= x <= high:
+            raise UnsupportedClass(f"{what} {name} {x}, "
+                                   + (f"above {high}" if x > high else f"below {low}"))
 
 
-def _check_depth(result: ReductionResult, N: int, what: str):
-    """A reduction whose oracle check needs a series deeper than MAX_N is unsupported (exit 3)."""
-    depth = verify_depth(result, N)
-    if depth > MAX_N:
-        raise UnsupportedClass(f"{what} needs series depth {depth}, above {MAX_N}")
+def _check_oracle(value, N: int, K: int, whose: str):
+    """Check a ReductionResult at (N, K), or every layer of an EpsilonExpansion
+    at N, on the series oracle; a mismatch is a VerificationFailure (exit 5)."""
+    if isinstance(value, ReductionResult):
+        ok, mism = verify_reduction(value, N, K)
+        what, at = "reduction", "z^"
+    else:
+        ok, mism = verify_expansion(value.fn, value, N)
+        what, at = "expansion", "power "
+    if not ok:
+        raise VerificationFailure(f"{whose} {what} fails oracle at ({at}{mism[0]}, eps^{mism[1]})")
 
 
 def _load_expr(text: str) -> str:
@@ -167,37 +180,37 @@ def _emit(records: List[dict], args, text_lines: List[str]):
     print(body)
 
 
-def run_reduce(args) -> int:
-    target = parse_hyper(_load_expr(args.target))
-    basis = parse_hyper(_load_expr(args.basis))
-    result = reduce_to_basis(target, basis)
-    _check_depth(result, args.N, "the reduction")
-    K = min(args.K, REDUCE_CHECK_K)
-    ok, mism = verify_reduction(result, args.N, K)
-    if not ok:
-        raise VerificationFailure(f"reduction failed oracle at (z^{mism[0]}, eps^{mism[1]})")
-    # each format reads every coefficient of S and the R_j, so build only the one printed
+def _print_checked(value, args, K: int) -> int:
+    """Gate, check and print a fresh reduction or expansion.  Each format
+    reads every coefficient of the result, so build only the one printed."""
+    reduction = isinstance(value, ReductionResult)
+    _check_bounds(args.N, K, "the reduction" if reduction else "the expansion", value)
+    _check_oracle(value, args.N, K, "the")
     if args.format == "jsonl":
-        _emit([{
-            "command": "reduce",
-            "target": str(target),
-            "basis": str(basis),
-            "s": enc_ratfunc(result.s_poly),
-            "r": [enc_ratfunc(r) for r in result.r_polys],
-            "tail": enc_ratfunc(result.algebraic_tail),
-            "affine": result.affine,
-            "verified": True,
-            "N": args.N,
-            "K": K,
-        }], args, [])
+        _emit([_encode_record(value, args.N, K)], args, [])
         return EXIT_OK
-    lines = [f"target: {target}", f"basis:  {basis}", f"S  = {result.s_poly}"]
-    lines += [f"R{j} = {r}" for j, r in enumerate(result.r_polys)]
-    if not result.algebraic_tail.is_zero():
-        lines.append(f"tail = {result.algebraic_tail}")
-    lines.append(f"verified against series oracle at N={args.N}")
-    _emit([], args, lines)
+    if reduction:
+        lines = [f"target: {value.target}", f"basis:  {value.basis}", f"S  = {value.s_poly}"]
+        lines += [f"R{j} = {r}" for j, r in enumerate(value.r_polys)]
+        if not value.algebraic_tail.is_zero():
+            lines.append(f"tail = {value.algebraic_tail}")
+    else:
+        lines = [f"fn: {value.fn}", f"class: {value.kind}"]
+        if value.kind == "xi":
+            v = value.fn.var
+            lines.append(f"layers are for sqrt(-{v})*F in xi = ({v}/({v}-1))^(1/2)")
+            lines.append(f"eps^0: {value.layers[0]}")
+        else:
+            lines.append(f"eps^0: {value.omega0}")
+        lines += [f"eps^{k}: {value.layers[k]}" for k in range(1, len(value.layers))]
+    _emit([], args, lines + [f"verified against series oracle at N={args.N}"])
     return EXIT_OK
+
+
+def run_reduce(args) -> int:
+    result = reduce_to_basis(parse_hyper(_load_expr(args.target)),
+                             parse_hyper(_load_expr(args.basis)))
+    return _print_checked(result, args, min(args.K, REDUCE_CHECK_K))
 
 
 def run_count_basis(args) -> int:
@@ -268,42 +281,7 @@ def run_count_masters(args) -> int:
 
 
 def run_expand(args) -> int:
-    if not (0 <= args.order <= MAX_K):
-        raise UnsupportedClass(f"order must be within 0..{MAX_K}")
-    fn = parse_hyper(_load_expr(args.fn))
-    exp = epsilon_expand(fn, args.order)
-    ok, mism = verify_expansion(fn, exp, args.N)
-    if not ok:
-        raise VerificationFailure(f"expansion failed oracle at (power {mism[0]}, eps^{mism[1]})")
-    # each format sorts every word of every layer, so build only the one printed
-    if args.format == "jsonl":
-        _emit([{
-            "command": "expand",
-            "fn": str(fn),
-            "kind": exp.kind,
-            "var": exp.var,
-            "omega0": enc_ratfunc(exp.omega0) if exp.omega0 is not None else None,
-            "layers": [enc_polylog(l) for l in exp.layers],
-            "verified": True,
-            "N": args.N,
-        }], args, [])
-        return EXIT_OK
-    lines = [f"fn: {fn}", f"class: {exp.kind}"]
-    if exp.kind == "xi":
-        v = fn.var
-        lines.append(f"layers are for sqrt(-{v})*F in xi = ({v}/({v}-1))^(1/2)")
-        lines.append(f"eps^0: {exp.layers[0]}")
-    else:
-        lines.append(f"eps^0: {exp.omega0}")
-    for k in range(1, len(exp.layers)):
-        lines.append(f"eps^{k}: {exp.layers[k]}")
-    lines.append(f"verified against series oracle at N={args.N}")
-    _emit([], args, lines)
-    return EXIT_OK
-
-
-def _rat_options(opts, *names):
-    return [parse_rat(f"--{name}", getattr(opts, name)) for name in names]
+    return _print_checked(epsilon_expand(parse_hyper(_load_expr(args.fn)), args.K), args, args.K)
 
 
 def run_check_parametrization(opts) -> int:
@@ -314,7 +292,7 @@ def run_check_parametrization(opts) -> int:
         lines = []
         if opts.beta is not None:
             sysd = gauss_triangular_system(opts.p1, opts.p2, opts.r, opts.q,
-                                           *_rat_options(opts, "a1", "a2", "c", "beta"))
+                                           parse_rat("--beta", opts.beta))
             rec["triangular"] = sysd.triangular
             lines.append(f"triangular with beta={opts.beta}: {sysd.triangular}")
         flags = gauss_flags(Fraction(opts.p1, opts.q), Fraction(opts.p2, opts.q),
@@ -323,7 +301,8 @@ def run_check_parametrization(opts) -> int:
         lines.append(f"p1*p2=0 case: {flags['p1p2_zero']}; p1=0 case: {flags['p1_zero']}; "
                      f"beta=-r/q=p1/q=p2/q (Lemma IV) case: {flags['lemma_iv']}")
     elif opts.family == "3f2":
-        deforms = _rat_options(opts, "a1", "a2", "a3", "b1", "b2")
+        deforms = [parse_rat(f"--{name}", getattr(opts, name))
+                   for name in ("a1", "a2", "a3", "b1", "b2")]
         for name, x in zip(("a1", "a2", "a3"), deforms):
             if x == 0:
                 raise ParseError(f"--{name} must be nonzero, got {getattr(opts, name)}", 1, 1)
@@ -351,10 +330,24 @@ def run_check_parametrization(opts) -> int:
     return EXIT_OK
 
 
+def _encode_record(value, N: int, K: int) -> dict:
+    """The record of a reduction checked at (N, K) or an expansion checked at N
+    (its eps order is len(layers) - 1); _decode_record is its inverse."""
+    if isinstance(value, ReductionResult):
+        return {"command": "reduce", "target": str(value.target), "basis": str(value.basis),
+                "s": enc_ratfunc(value.s_poly), "r": [enc_ratfunc(r) for r in value.r_polys],
+                "tail": enc_ratfunc(value.algebraic_tail), "affine": value.affine,
+                "verified": True, "N": N, "K": K}
+    return {"command": "expand", "fn": str(value.fn), "kind": value.kind, "var": value.var,
+            "omega0": enc_ratfunc(value.omega0) if value.omega0 is not None else None,
+            "layers": [enc_polylog(l) for l in value.layers], "verified": True, "N": N}
+
+
 def _decode_record(rec: dict):
     """The ReductionResult or EpsilonExpansion a stored record holds; a
     ValueError for a shape or a field no job writes for its function, and
-    UnsupportedClass for a function the job would refuse."""
+    UnsupportedClass for a function the job would refuse.  The record's N
+    and K are not read: the verifier checks at its own depth."""
     cmd = rec.get("command")
     if cmd == "reduce":
         target, basis = parse_hyper(rec["target"]), parse_hyper(rec["basis"])
@@ -393,18 +386,18 @@ def _decode_record(rec: dict):
 
 
 def run_verify(args) -> int:
-    """Run the suite, or re-check stored records at no less depth than this job's N and K.
+    """Run the suite, or re-check stored records at this job's N and min(K, 4).
 
     Every record is decoded before the first check; a malformed one is a
-    ParseError naming its line (exit 2), and a record whose N or K lies
-    outside a job's own bounds is refused as a job's would be (exit 3), as
-    is a reduce record whose verify_depth exceeds MAX_N and an expand
-    record whose eps order, len(layers) - 1, exceeds MAX_K.
+    ParseError naming its line (exit 2), and one whose check would run past
+    a job's bounds (a reduce record's verify_depth above MAX_N, an expand
+    record's eps order above MAX_K) is refused as a job's would be (exit 3).
     """
     if args.suite:
         return run_verify_suite()
     if not args.path:
         raise UnsupportedClass("verify needs a result file or --suite")
+    K = min(args.K, REDUCE_CHECK_K)
     jobs = []
     with open(args.path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -412,32 +405,17 @@ def run_verify(args) -> int:
                 continue
             try:
                 rec = json.loads(line)
-                job = (rec, _decode_record(rec), max(int(rec.get("N", 0)), args.N),
-                       max(int(rec.get("K", 0)), min(args.K, REDUCE_CHECK_K)))
+                value = _decode_record(rec)
             except (ParseError, ValueError, ZeroDivisionError, KeyError, TypeError,
                     AttributeError) as e:
                 raise ParseError(f"malformed stored record ({type(e).__name__}: {e})",
                                  lineno, 1) from None
-            _check_bounds(job[2], job[3])
-            if isinstance(job[1], ReductionResult):
-                _check_depth(job[1], job[2], f"reduce record at line {lineno}")
-            elif len(job[1].layers) - 1 > MAX_K:
-                raise UnsupportedClass(f"expand record at line {lineno} has eps order "
-                                       f"{len(job[1].layers) - 1}, above {MAX_K}")
-            jobs.append(job)
-    for rec, value, N, K in jobs:
-        if isinstance(value, ReductionResult):
-            ok, mism = verify_reduction(value, N, K)
-            if not ok:
-                raise VerificationFailure(
-                    f"stored reduction fails oracle at (z^{mism[0]}, eps^{mism[1]})")
-            print(f"reduce record ok: {rec['target']}")
-        else:
-            ok, mism = verify_expansion(value.fn, value, N)
-            if not ok:
-                raise VerificationFailure(
-                    f"stored expansion fails oracle at (power {mism[0]}, eps^{mism[1]})")
-            print(f"expand record ok: {rec['fn']}")
+            _check_bounds(args.N, K, f"{rec['command']} record at line {lineno}", value)
+            jobs.append((rec, value))
+    for rec, value in jobs:
+        _check_oracle(value, args.N, K, "stored")
+        name = rec["target"] if isinstance(value, ReductionResult) else rec["fn"]
+        print(f"{rec['command']} record ok: {name}")
     return EXIT_OK
 
 
@@ -463,15 +441,11 @@ def run_verify_suite() -> int:
     def reduce_check():
         basis = parse_hyper("2F1[2/5+eps, 1/3-eps; 3/2+2*eps; z]")
         target = parse_hyper("2F1[7/5+eps, 1/3-eps; 1/2+2*eps; z]")
-        ok, _ = verify_reduction(reduce_to_basis(target, basis), 20, 2)
-        if not ok:
-            raise VerificationFailure("reduction identity failed")
+        _check_oracle(reduce_to_basis(target, basis), 20, 2, "the")
 
     def expand_check():
         f = parse_hyper("2F1[2*eps, 3*eps; 1+5*eps; z]")
-        ok, _ = verify_expansion(f, epsilon_expand(f, 3), 20)
-        if not ok:
-            raise VerificationFailure("expansion failed")
+        _check_oracle(epsilon_expand(f, 3), 20, 3, "the")
 
     def masters_check():
         from .mb import get_preset
@@ -502,10 +476,11 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hyperred",
         description="Differential reduction, Mellin-Barnes conversion, and "
-                    "eps expansion of hypergeometric functions, all oracle-verified.")
+                    "eps expansion of hypergeometric functions; reduce, expand and "
+                    "verify check their results on the series oracle.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, run, N=False, K=False):
+    def common(p, run, N=False, K=False, out=True):
         p.set_defaults(run=run)
         if N:
             p.add_argument("--N", type=int, default=30, help="series verification depth")
@@ -514,7 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
                            f"capped at {REDUCE_CHECK_K}")
         p.add_argument("--format", choices=("text", "jsonl"),
                        help="output format (default: $HYPERRED_FORMAT or text)")
-        p.add_argument("--out", help="also write the output to this file")
+        if out:
+            p.add_argument("--out", help="also write the output to this file")
 
     p = sub.add_parser("reduce", help="reduce a function to a shifted basis")
     p.add_argument("target")
@@ -537,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="epsilon expansion into polylogarithms")
     p.add_argument("fn")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", dest="K", type=int, required=True)
     common(p, run_expand, N=True)
 
     p = sub.add_parser("check-parametrization",
@@ -546,8 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
     g = fam.add_parser("gauss")
     for name in ("p1", "p2", "r", "q"):
         g.add_argument(f"--{name}", type=int, required=True)
-    for name in ("a1", "a2", "c"):
-        g.add_argument(f"--{name}", default="1")
     g.add_argument("--beta", default=None)
     common(g, run_check_parametrization)
     t = fam.add_parser("3f2")
@@ -564,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="re-verify stored results or run the suite")
     p.add_argument("path", nargs="?")
     p.add_argument("--suite", action="store_true")
-    common(p, run_verify, N=True, K=True)
+    common(p, run_verify, N=True, K=True, out=False)
 
     return ap
 

@@ -132,53 +132,25 @@ def factorization_conditions(upper: Sequence[EpsLin], lower: Sequence[EpsLin]) -
 
 @dataclass(frozen=True)
 class TriangularSystem:
-    """First-order layered system data: lhs operator and rhs coefficients.
+    """A layered first-order system: whether it is triangular, and for
+    3F2 its four coupling coefficients delta_1..delta_4."""
 
-    rhs maps (unknown name, layer offset) to (constant coefficient,
-    coefficient of 1/z); the lhs is (1-z) d/dz + drift - pole/z acting on
-    the top unknown.
-    """
-
-    order: int
-    unknowns: Tuple[str, ...]
-    beta: Fraction
-    lhs_drift: Fraction
-    lhs_pole: Fraction
-    rhs: Dict[Tuple[str, int], Tuple[Fraction, Fraction]]
     triangular: bool
-    bracket: Tuple[Fraction, Fraction]
-    substitutions: Tuple[str, ...] = ()
     deltas: Tuple[Fraction, ...] = ()
 
 
-def gauss_triangular_system(p1: int, p2: int, r: int, q: int,
-                            a1, a2, c, beta) -> TriangularSystem:
+def gauss_triangular_system(p1: int, p2: int, r: int, q: int, beta) -> TriangularSystem:
     """The (omega_k, rho_k) system for the deformed Gauss function.
 
     Raises NotTriangular unless the omega_k coupling bracket
     (beta - p1/q)(beta - p2/q) - beta(beta + r/q)/z vanishes identically.
     """
-    a1, a2, c, beta = rat(a1), rat(a2), rat(c), rat(beta)
+    beta = rat(beta)
     c1 = (beta - F(p1, q)) * (beta - F(p2, q))
     c2 = beta * (beta + F(r, q))
-    system = TriangularSystem(
-        order=2,
-        unknowns=("omega", "rho"),
-        beta=beta,
-        lhs_drift=beta - F(p1 + p2, q),
-        lhs_pole=beta + F(r, q),
-        rhs={
-            ("rho", 1): (a1 + a2, -c),
-            ("omega", 1): (-(a1 * (beta - F(p2, q)) + a2 * (beta - F(p1, q))), c * beta),
-            ("omega", 2): (a1 * a2, F(0)),
-        },
-        triangular=(c1 == 0 and c2 == 0),
-        bracket=(c1, c2),
-        substitutions=(f"omega_k = z^({F(r,q)}) pi_k", f"rho_k = (1-z)^({-F(p2,q)}) sigma_k"),
-    )
-    if not system.triangular:
+    if c1 != 0 or c2 != 0:
         raise NotTriangular((c1, c2))
-    return system
+    return TriangularSystem(triangular=True)
 
 
 def three_f2_system(r: int, p: int, q: int, a1, a2, a3, b1, b2):
@@ -190,29 +162,8 @@ def three_f2_system(r: int, p: int, q: int, a1, a2, a3, b1, b2):
     a1, a2, a3, b1, b2 = (rat(x) for x in (a1, a2, a3, b1, b2))
     if a1 == 0 or a2 == 0 or a3 == 0:
         raise ValueError("the three upper deformations must be nonzero")
-    deltas = (-a1 * F(r, q),
-              a1 * a2 + a1 * a3 + a2 * a3,
-              b1 * F(p + r, q),
-              -b1 * b2)
-    system = TriangularSystem(
-        order=3,
-        unknowns=("omega", "sigma", "phi"),
-        beta=F(r, q),
-        lhs_drift=F(0),
-        lhs_pole=F(p, q),
-        rhs={
-            ("phi", 1): (a1 + a2 + a3, -(b1 + b2)),
-            ("omega", 2): (a2 * a3 * F(r, q), F(0)),
-            ("omega", 3): (a1 * a2 * a3, F(0)),
-            ("sigma", 1): (deltas[0], deltas[2]),
-            ("sigma", 2): (deltas[1], deltas[3]),
-        },
-        triangular=True,
-        bracket=(F(0), F(0)),
-        substitutions=("sigma_k = z^(r/q) theta omega_k",
-                       "phi_k = ((z-1)/z)^(p/q) (theta + r/q) theta omega_k"),
-        deltas=deltas,
-    )
+    system = TriangularSystem(triangular=True, deltas=(
+        -a1 * F(r, q), a1 * a2 + a1 * a3 + a2 * a3, b1 * F(p + r, q), -b1 * b2))
     r1, r2 = -F(r, q), -F(p + r, q)
     case = (_cases(r1, r2) + ["none"])[0]
     report = FactorizationReport(

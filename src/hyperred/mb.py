@@ -168,7 +168,6 @@ class DiagramPreset:
     symbols: Tuple[str, ...]
     mb: MBRepr
     printed: HyperSum
-    notes: str = ""
 
 
 def _n(c=1):
@@ -197,8 +196,7 @@ def preset_c3() -> DiagramPreset:
         power=_c(0),
         gamma=GammaProduct(upper, ()),
         fn=SymHyperFn(upper, lower, F(1, 4), "y")),))
-    return DiagramPreset("c3", ("n", "j1", "j2", "sigma"), mb, printed,
-                         notes="y = (p1-p2)^2/m^2")
+    return DiagramPreset("c3", ("n", "j1", "j2", "sigma"), mb, printed)
 
 
 def preset_c1() -> DiagramPreset:
@@ -219,12 +217,12 @@ def preset_c1() -> DiagramPreset:
         fn=SymHyperFn((rho, n2 - s1, n2 - s2),
                       (_n(1) - s1 - s2, n2 - s1 - s2 + 1), F(-1), "y"))
     printed = HyperSum((t0, t1))
-    return DiagramPreset("c1", ("n", "sigma1", "sigma2", "rho"), mb, printed,
-                         notes="y = (p1-p2)^2/m^2")
+    return DiagramPreset("c1", ("n", "sigma1", "sigma2", "rho"), mb, printed)
 
 
 def preset_v1200() -> DiagramPreset:
-    """Two-loop sunset-type self energy; argument 4*w, w = m^2/M^2."""
+    """Two-loop sunset-type self energy; argument 4*w, w = m^2/M^2; the raw MB
+    is canonicalized with t = n/2-alpha-sigma-s."""
     n = _n(1)
     n2 = _n(F(1, 2))
     al, be, sg, rho = _j("alpha"), _j("beta"), _j("sigma"), _j("rho")
@@ -246,8 +244,7 @@ def preset_v1200() -> DiagramPreset:
                        rho.scale(F(1, 2)), (rho + 1).scale(F(1, 2))),
                       (n2, be + rho, _c(1) + be + rho - n2), F(4), "w"))
     printed = HyperSum((t0, t1))
-    return DiagramPreset("v1200", ("n", "alpha", "beta", "sigma", "rho"), mb, printed,
-                         notes="w = m^2/M^2; raw MB canonicalized with t = n/2-alpha-sigma-s")
+    return DiagramPreset("v1200", ("n", "alpha", "beta", "sigma", "rho"), mb, printed)
 
 
 PRESETS = {

@@ -519,7 +519,9 @@ def verify_depth(result: ReductionResult, N: int) -> int:
     d is the highest z-degree of the numerators of S, the R_j and the
     tail, p the number of lower parameters and v the largest z-pole order
     among the R_j and the tail.  A piece over z^v moves the last checked
-    row down by v, so no term of the result lies beyond the checked orders.
+    row down by v.  The depth catches one edited cell past the degree, but
+    it proves nothing: a coordinated (Hermite-Pade) edit of S and the R_j
+    within the degree box passes it (ROADMAP item 15).
     """
     parts = (result.s_poly,) + tuple(result.r_polys) + (result.algebraic_tail,)
     return max(N, max(r.num.degree() for r in parts) + len(result.target.lower) + 2

@@ -115,12 +115,12 @@ def test_factorization_none():
 
 
 def test_gauss_triangular_cases():
-    s = gauss_triangular_system(0, 2, 1, 3, 1, 1, 1, 0)   # p1 p2 = 0, beta = 0
+    s = gauss_triangular_system(0, 2, 1, 3, 0)   # p1 p2 = 0, beta = 0
     assert s.triangular
-    s = gauss_triangular_system(1, 5, -1, 2, 1, 1, 1, F(1, 2))  # beta = -r/q = p1/q
+    s = gauss_triangular_system(1, 5, -1, 2, F(1, 2))  # beta = -r/q = p1/q
     assert s.triangular
     with pytest.raises(NotTriangular) as exc:
-        gauss_triangular_system(1, 2, 3, 3, 1, 1, 1, 0)
+        gauss_triangular_system(1, 2, 3, 3, 0)
     c1, c2 = exc.value.bracket
     assert c1 == F(1, 3) * F(2, 3) and c2 == 0
 
