@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Sequence, Tuple
 
 from .errors import CriterionViolation, DegeneratePoles
@@ -100,8 +101,13 @@ class HyperSum:
         return len(self.terms)
 
 
+# bounded; a diagram job converts its preset's one MBRepr, which the cache
+# keys on every field but the unread prefactor, so a stream of jobs over the
+# three presets converts each once
+@lru_cache(maxsize=16)
 def mb_to_hyper(m: MBRepr) -> HyperSum:
-    """Residue closure of an MBRepr into its hypergeometric sum.
+    """Residue closure of an MBRepr into its hypergeometric sum, which is immutable
+    and shared by equal MBReprs.
 
     Family k sits at t = C_k + m (C_0 = 0 for the explicit Gamma(-t)); the
     sign bookkeeping of the descending factors flips the argument by
@@ -254,7 +260,9 @@ PRESETS = {
 }
 
 
+@lru_cache(maxsize=len(PRESETS))
 def get_preset(name: str) -> DiagramPreset:
+    """The named preset, built on first use and then shared (it is immutable)."""
     try:
         return PRESETS[name]()
     except KeyError:

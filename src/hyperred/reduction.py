@@ -35,7 +35,8 @@ verify_reduction checks a result on the series oracle as one residual
 S F(target) - sum R_j theta^j F(basis) - tail, summed by the series
 kernel ``truncated_sum``: the nonzero cells of S times the target's
 integer series, the ``theta_pieces`` of sum R_j theta^j F(basis), as
-``ThetaOp.apply`` sums them, and the tail's cells, over one denominator.
+``ThetaOp.apply`` sums them (the R_j with no z-pole as one piece, one
+product per cell), and the tail's cells, over one denominator.
 Its lowest nonzero (z^j, eps^k) cell is the verdict, so no series
 product, sum or compare is built.
 """

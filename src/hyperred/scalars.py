@@ -97,17 +97,30 @@ class Linear(Value):
         return c0.numerator * (q // c0.denominator), c1.numerator * (q // c1.denominator), q
 
     def subst(self, values: Mapping[str, object], cls=None) -> "Linear":
-        """Substitute numbers or forms for the given symbols; a ``cls``, by default this type."""
+        """Substitute numbers or forms for the given symbols; a ``cls``, by default this type.
+
+        A number adds c v to the constant and keeps the other terms as they
+        are, already canonical, so only a form value's terms are merged and
+        sorted; a substitution that touches no symbol returns self.
+        """
         cls = cls or type(self)
-        pairs, const = [], self.const
+        pairs, const, forms = [], self.const, []
         for s, c in self.terms:
             if s not in values:
                 pairs.append((s, c))
                 continue
-            v = cls.coerce(values[s])
-            pairs += [(t, c * x) for t, x in v.terms]
-            const += c * v.const
-        return cls._of(_canonical(pairs), const)
+            v = values[s]
+            if isinstance(v, Linear):
+                v = cls.coerce(v)
+                forms += [(t, c * x) for t, x in v.terms]
+                const += c * v.const
+            else:
+                const += c * rat(v)
+        if forms:
+            return cls._of(_canonical(pairs + forms), const)
+        if cls is type(self) and len(pairs) == len(self.terms):
+            return self
+        return cls._of(tuple(pairs), const)
 
     def is_const(self) -> bool:
         return not self.terms

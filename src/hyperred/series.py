@@ -9,10 +9,14 @@ does every truncated product of such series: products, ``combine``,
 ``compose_z_series`` and both verifiers' residuals, whose lowest nonzero
 cell is the verdict.  It accumulates eps-major, one integer list per
 power of eps, so a cell at eps^k meets only the series' columns up to
-eps^(K-k), and interleaves the rows once at the end.
-``invert`` is fraction-free.  ``truncated_sum`` and ``invert`` reduce
-their results by one gcd; ``series_of_hyper`` cancels each index's new
-factor only and leaves its result unreduced, since every caller sums or
+eps^(K-k), and interleaves the rows once at the end.  A cell may hold a
+tuple of numerators x_i for sum_i x_i theta^i, which ``theta_pieces``
+builds for the r_j with no z-pole, so a sum of r_j theta^j s makes one
+product per cell.  ``invert`` is fraction-free.  ``truncated_sum`` and
+``invert`` reduce their results by one gcd.  ``series_of_hyper`` drops
+the upper/lower pairs that cancel and folds kappa and the eps-free
+parameters into one scalar per index, cancels each index's new factor
+only and leaves its result unreduced, since every caller sums or
 multiplies it, which reduces, or compares values.  The coefficients of
 the hypergeometric and the nested-sum series are integer rows by
 construction (Moch, Uwer & Weinzierl, hep-ph/0110083).  A
@@ -198,13 +202,16 @@ def truncated_sum(pieces, N: int, K: int) -> BiSeries:
 
     A piece (scale, cells, den, v, rows) is scale z^(-v) C / den, C the sum
     of its nonzero cells x z^j eps^k, z-power first, times the integer
-    series rows (row-major, width K + 1, to z^N) unless rows is None.  The
-    sum is accumulated eps-major, one integer list per power of eps, and
-    rows' columns are read as rows[e::K + 1]: a cell at (j, k) adds x times
-    column e to eps^(k+e) from z^j on, for each e <= K - k.  The pieces go
-    over the lcm of their denominators; one over z^v must vanish below z^v
-    (UncancelledPole), so the sum holds to top = N minus the largest v.
-    The result is reduced by one gcd.
+    series rows (row-major, width K + 1, to z^N) unless rows is None.  A
+    cell times rows may hold a tuple (x_0, ..., x_p) for x: it stands for
+    sum_i x_i t^i at row t of the series, evaluated by Horner's rule once
+    per row, so sum_i x_i theta^i of the series costs one product per row
+    (``theta_pieces``).  The sum is accumulated eps-major, one integer list
+    per power of eps, and rows' columns are read as rows[e::K + 1]: a cell
+    at (j, k) adds x times column e to eps^(k+e) from z^j on, for each
+    e <= K - k.  The pieces go over the lcm of their denominators; one over
+    z^v must vanish below z^v (UncancelledPole), so the sum holds to
+    top = N minus the largest v.  The result is reduced by one gcd.
     """
     W = K + 1
     L = lcm(*(p[2] for p in pieces))
@@ -216,6 +223,14 @@ def truncated_sum(pieces, N: int, K: int) -> BiSeries:
             acc, f = ([[0] * (N + 1) for _ in range(W)], 1) if v else (out, m)
             cols = [rows[e::W] for e in range(W)]
             for j, k, x in cells:
+                if type(x) is tuple:
+                    xs = [f * x[-1]] * (N + 1 - j)
+                    for c in x[-2::-1]:
+                        c *= f
+                        xs = [h * t + c for t, h in enumerate(xs)]
+                    for o, col in zip(acc[k:], cols):
+                        o[j:] = [a + w * y for a, w, y in zip(o[j:], xs, col)]
+                    continue
                 x *= f
                 for o, col in zip(acc[k:], cols):
                     o[j:] = [a + x * y for a, y in zip(o[j:], col)]
@@ -241,15 +256,38 @@ def lowest_cell(nums: Sequence[int], K: int):
 
 
 def theta_pieces(coeffs: Sequence, s: BiSeries, scale: int = 1):
-    """The truncated_sum pieces of scale sum_j r_j theta^j s: the z_cells of
-    each nonzero r_j (a ``RatFunc``) over its pole order, times theta^j s."""
-    pieces = []
+    """The truncated_sum pieces of scale sum_j r_j theta^j s, each r_j a ``RatFunc``.
+
+    The nonzero r_j with no pole at z = 0 go over one denominator as one
+    piece times s itself, whose cell at z^i eps^k holds the tuple
+    (x_0, ..., x_p) of their numerators there: truncated_sum reads it as
+    sum_j x_j t^j at row t of s, t^j being theta^j's factor, so a cell
+    makes one product with s however many r_j there are, and no theta^j s
+    is built.  Each r_j with a pole of order v at 0 stays its own piece
+    over z^v, its cells holding x_j alone in that tuple, so truncated_sum
+    checks it below z^v as it stands.  Where only r_0 is nonzero a cell
+    holds its numerator itself.
+    """
+    N, K = s.z_order, s.eps_order
+    pieces, flat = [], []
     for j, r in enumerate(coeffs):
-        if j:
-            s = s.theta()
-        if not r.is_zero():
-            cells, den, v = r.z_cells(s.z_order, s.eps_order)
-            pieces.append((scale, cells, den * s.den, v, s.nums))
+        if r.is_zero():
+            continue
+        cells, den, v = r.z_cells(N, K)
+        if v:
+            pieces.append((scale, [(i, k, (0,) * j + (x,) if j else x) for i, k, x in cells],
+                           den * s.den, v, s.nums))
+        else:
+            flat.append((j, cells, den))
+    if flat:
+        D, p = lcm(*(den for _, _, den in flat)), flat[-1][0]
+        merged = {}
+        for j, cells, den in flat:
+            f = D // den
+            for i, k, x in cells:
+                merged.setdefault((i, k), [0] * (p + 1))[j] = f * x
+        pieces.append((scale, [(i, k, tuple(x) if p else x[0])
+                               for (i, k), x in sorted(merged.items())], D * s.den, 0, s.nums))
     return pieces
 
 
@@ -260,6 +298,10 @@ def theta_pieces(coeffs: Sequence, s: BiSeries, scale: int = 1):
 def series_of_hyper(f: HyperFn, N: int, K: int) -> BiSeries:
     """The defining series of f as a BiSeries, kappa absorbed into z powers.
 
+    Each upper parameter equal to a lower one (as a multiset, by ``EpsLin``
+    equality) cancels from every term, after every lower's pole checks,
+    and an eps-free parameter enters each index's new factor as a scalar,
+    so only the parameters that carry eps make a pass over the eps cells.
     The result is nums / den with den > 0, not reduced: every caller either
     sums it in ``truncated_sum`` or multiplies it, which reduce their own
     results, or compares values.
@@ -267,40 +309,64 @@ def series_of_hyper(f: HyperFn, N: int, K: int) -> BiSeries:
     for b in f.lower:
         if b.is_integer() and b.const <= 0:
             raise PoleAtEpsZero(f"lower parameter {b} is a non-positive integer at eps=0")
-    # term j is num[k]/D_j at eps^k, updated in place by one linear eps factor
-    # x + j = (p0 + j q + p1 eps)/q per parameter x, (p0, p1, q) its
-    # ``int_line``, and by kappa; index j's new
-    # denominator m_j is cancelled against num alone, so D_(j+1) = D_j m_j
+    lines = [b.int_line("eps") for b in f.lower]
+    # the first index at which a lower's p0 + j q vanishes, the first lower at that index
+    hit = min(((-p0 // q, i) for i, (p0, _, q) in enumerate(lines) if p0 <= 0 and p0 % q == 0),
+              default=(N, 0))
+    if hit[0] < N:
+        raise PoleAtEpsZero(f"lower parameter {f.lower[hit[1]]} hits 0 at series index {hit[0]}")
+    uppers, lows = list(f.upper), []
+    for b, line in zip(f.lower, lines):
+        if b in uppers:
+            uppers.remove(b)
+        else:
+            lows.append(line)
+    ups = [a.int_line("eps") for a in uppers]
+    # term j is num[k]/D_j at eps^k.  Index j's new factor is kappa/(j + 1)
+    # times x + j = (p0 + j q + p1 eps)/q for each upper x and its inverse
+    # for each lower, (p0, p1, q) the parameter's ``int_line``.  kappa and
+    # the eps-free factors go into a scalar c over m; one with eps updates
+    # num in place.  m is cancelled against num alone, so D_(j+1) = D_j m_j
     # with the cancelled m_j, and term j is put over D_N by the suffix
     # product of the m_i, i >= j
     W = K + 1
     num = [1] + [0] * K
     nums, ms = num[:], []
     kn, kd = f.kappa.numerator, f.kappa.denominator
-    ups, lows = [a.int_line("eps") for a in f.upper], [b.int_line("eps") for b in f.lower]
+    up0 = [(p0, q) for p0, p1, q in ups if not p1]
+    low0 = [(p0, q) for p0, p1, q in lows if not p1]
+    up1 = [t for t in ups if t[1]]
+    low1 = [t for t in lows if t[1]]
     for j in range(N):
-        m = (j + 1) * kd
-        for p0, p1, q in ups:
+        c, m = kn, (j + 1) * kd
+        for p0, q in up0:
+            c *= p0 + j * q
+            m *= q
+        for p0, q in low0:
+            c *= q
+            m *= p0 + j * q
+        for p0, p1, q in up1:
             p0 += j * q
             for k in range(K, 0, -1):
                 num[k] = p0 * num[k] + p1 * num[k - 1]
             num[0] *= p0
             m *= q
-        for b, (p0, p1, q) in zip(f.lower, lows):
+        for p0, p1, q in low1:
             p0 += j * q
-            if p0 == 0:
-                raise PoleAtEpsZero(f"lower parameter {b} hits 0 at series index {j}")
+            pw = [1]
+            for _ in range(K):
+                pw.append(pw[-1] * p0)
             # o[k] = (t[k] - c1 o[k-1]) / c0, with o[k] scaled by den * p0^(k+1)
             o = 0
-            for k in range(K + 1):
-                o = q * num[k] * p0 ** k - p1 * o
-                num[k] = o * p0 ** (K - k)
-            m *= p0 ** (K + 1)
-        # kappa's numerator and the sign of m go into num, so den > 0
-        c = kn if m > 0 else -kn
+            for k in range(W):
+                o = q * num[k] * pw[k] - p1 * o
+                num[k] = o * pw[K - k]
+            m *= pw[K] * p0
+        # the sign of m goes into num, so den > 0
+        if m < 0:
+            c, m = -c, -m
         if c != 1:
             num = [x * c for x in num]
-        m = abs(m)
         g = gcd(m, *num)
         if g != 1:
             m //= g

@@ -10,7 +10,11 @@ coefficient lists, and the Pochhammer expansions build
 is ``truncated_sum`` accumulated row-major, with masked columns, for a
 byte-for-byte comparison of its integer results, and ``combine_per_term``
 is ``combine`` with one product per term instead of one per group of
-equal coefficients.
+equal coefficients.  ``series_of_hyper_per_parameter`` and
+``theta_pieces_per_j`` are the integer kernels before pair cancellation,
+eps-free scalars and tuple cells: one pass per parameter and index, and
+one piece over theta^j s per nonzero r_j.  The program's results must
+equal theirs rep for rep.
 """
 
 from __future__ import annotations
@@ -159,7 +163,8 @@ def rows_first_mismatch(a, b):
 def truncated_sum_row_major(pieces, N, K):
     """``truncated_sum`` on one row-major list: a cell at (j, k) adds a
     multiple of the series' first N + 1 - j rows, with the columns past
-    eps^(K-k) masked to zero."""
+    eps^(K-k) masked to zero; a tuple cell's multiple of row t is
+    sum_e x_e t^e."""
     W = K + 1
     L = lcm(*(p[2] for p in pieces))
     out = [0] * ((N + 1) * W)
@@ -172,8 +177,11 @@ def truncated_sum_row_major(pieces, N, K):
                 col = cols.get(k)
                 if col is None:
                     col = cols[k] = [y if i % W + k < W else 0 for i, y in enumerate(rows)]
-                x, off = f * x, j * W + k
-                acc[off:] = [a + x * y for a, y in zip(acc[off:], col)]
+                off = j * W + k
+                # a tuple x is sum_e x_e t^e at row t of the series, summed power by power
+                xs = ([f * sum(c * (i // W) ** e for e, c in enumerate(x)) for i in range(len(col))]
+                      if isinstance(x, tuple) else [f * x] * len(col))
+                acc[off:] = [a + w * y for a, w, y in zip(acc[off:], xs, col)]
             if not v:
                 continue
             cells = [(i // W, i % W, x) for i, x in enumerate(acc) if x]
@@ -199,3 +207,79 @@ def combine_per_term(terms, N, K):
         rows[d] = ([n * x for x in cells] if acc is None
                    else [r + n * x for r, x in zip(acc, cells)])
     return truncated_sum([(1, ((0, 0, 1),), d, 0, acc) for d, acc in rows.items()], N, K)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernels as they were before pair cancellation and tuple cells
+
+
+def series_of_hyper_per_parameter(f, N: int, K: int) -> BiSeries:
+    """``series_of_hyper`` with one pass over the eps cells per parameter and index.
+
+    No upper/lower pair cancels and no eps-free parameter becomes a scalar:
+    every parameter updates the term in place, and every lower is checked
+    for a zero at every index as the loop meets it.
+    """
+    for b in f.lower:
+        if b.is_integer() and b.const <= 0:
+            raise PoleAtEpsZero(f"lower parameter {b} is a non-positive integer at eps=0")
+    # term j is num[k]/D_j at eps^k, updated in place by one linear eps factor
+    # x + j = (p0 + j q + p1 eps)/q per parameter x, (p0, p1, q) its
+    # ``int_line``, and by kappa; index j's new
+    # denominator m_j is cancelled against num alone, so D_(j+1) = D_j m_j
+    # with the cancelled m_j, and term j is put over D_N by the suffix
+    # product of the m_i, i >= j
+    W = K + 1
+    num = [1] + [0] * K
+    nums, ms = num[:], []
+    kn, kd = f.kappa.numerator, f.kappa.denominator
+    ups, lows = [a.int_line("eps") for a in f.upper], [b.int_line("eps") for b in f.lower]
+    for j in range(N):
+        m = (j + 1) * kd
+        for p0, p1, q in ups:
+            p0 += j * q
+            for k in range(K, 0, -1):
+                num[k] = p0 * num[k] + p1 * num[k - 1]
+            num[0] *= p0
+            m *= q
+        for b, (p0, p1, q) in zip(f.lower, lows):
+            p0 += j * q
+            if p0 == 0:
+                raise PoleAtEpsZero(f"lower parameter {b} hits 0 at series index {j}")
+            # o[k] = (t[k] - c1 o[k-1]) / c0, with o[k] scaled by den * p0^(k+1)
+            o = 0
+            for k in range(K + 1):
+                o = q * num[k] * p0 ** k - p1 * o
+                num[k] = o * p0 ** (K - k)
+            m *= p0 ** (K + 1)
+        # kappa's numerator and the sign of m go into num, so den > 0
+        c = kn if m > 0 else -kn
+        if c != 1:
+            num = [x * c for x in num]
+        m = abs(m)
+        g = gcd(m, *num)
+        if g != 1:
+            m //= g
+            num = [x // g for x in num]
+        ms.append(m)
+        nums += num
+    # rescale in place, from the last term down: term j by m_j ... m_(N-1)
+    d = 1
+    for j in range(N - 1, -1, -1):
+        d *= ms[j]
+        for i in range(j * W, j * W + W):
+            nums[i] *= d
+    return BiSeries._of(tuple(nums), d, N, K)
+
+
+def theta_pieces_per_j(coeffs: Sequence, s: BiSeries, scale: int = 1):
+    """``theta_pieces`` with one piece per nonzero r_j: the z_cells of r_j
+    (a ``RatFunc``) over its pole order, times theta^j s built row by row."""
+    pieces = []
+    for j, r in enumerate(coeffs):
+        if j:
+            s = s.theta()
+        if not r.is_zero():
+            cells, den, v = r.z_cells(s.z_order, s.eps_order)
+            pieces.append((scale, cells, den * s.den, v, s.nums))
+    return pieces

@@ -31,6 +31,7 @@ HALF_INTEGER = "2F1[1/2+eps, 1/2-eps; 3/2+2*eps; z]"
 # name -> argv without --format; every job runs in both formats
 JOBS = {
     "reduce-generic": ["reduce", GENERIC_TARGET, "--basis", GENERIC_BASIS],
+    "reduce-generic-k2": ["reduce", GENERIC_TARGET, "--basis", GENERIC_BASIS, "--K", "2"],
     "reduce-affine": ["reduce", "3F2[1, 3/2+eps, 1/3-eps; 5/2+2*eps, 4/3+eps; z]",
                       "--basis", "3F2[1, 1/2+eps, 1/3-eps; 3/2+2*eps, 4/3+eps; z]"],
     "reduce-minus-z": ["reduce", GENERIC_TARGET.replace("; z]", "; -1*z]"),

@@ -364,7 +364,7 @@ def test_cli_verify_accepts_every_record_a_job_writes(tmp_path, capsys):
     from hyperred import cli
     golden = Path(__file__).parent / "golden"
     paths = sorted(golden.glob("reduce-*.jsonl.out")) + sorted(golden.glob("expand-*.jsonl.out"))
-    assert len(paths) == 11
+    assert len(paths) == 12
     out = tmp_path / "y.jsonl"
     assert cli.main(["expand", "2F1[2*eps, 3*eps; 1+5*eps; y]", "--order", "2",
                      "--format", "jsonl", "--out", str(out)]) == 0
@@ -445,7 +445,7 @@ def test_cli_record_codec_round_trips_every_golden_record():
     from hyperred import cli
     golden = Path(__file__).parent / "golden"
     paths = sorted(golden.glob("reduce-*.jsonl.out")) + sorted(golden.glob("expand-*.jsonl.out"))
-    assert len(paths) == 11
+    assert len(paths) == 12
     for path in paths:
         line = path.read_text().rstrip("\n")
         rec = json.loads(line)

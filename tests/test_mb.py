@@ -171,3 +171,21 @@ def test_count_master_integrals_detects_each_term_once(monkeypatch):
     h = mb_to_hyper(get_preset("v1200").mb)
     L, reports = count_master_integrals(h, {"alpha": 1, "beta": 1, "sigma": 1, "rho": 1})
     assert L == 2 and len(calls) == len(h.terms) == len(reports)
+
+
+def test_get_preset_builds_each_preset_once(capsys):
+    """A preset is built on first use and then shared: the same object, equal
+    to a fresh build; an unknown name keeps its KeyError and @nope exits 2."""
+    from hyperred import cli
+    from hyperred.mb import PRESETS
+    for name, build in PRESETS.items():
+        p = get_preset(name)
+        assert get_preset(name) is p
+        fresh = build()
+        assert p.mb == fresh.mb and p.printed == fresh.printed and p.symbols == fresh.symbols
+    with pytest.raises(KeyError) as e:
+        get_preset("nope")
+    assert e.value.args == ("unknown preset 'nope'; have ['c1', 'c3', 'v1200']",)
+    capsys.readouterr()
+    assert cli.main(["mb", "@nope"]) == 2
+    assert "unknown preset @nope" in capsys.readouterr().err
