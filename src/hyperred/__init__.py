@@ -4,8 +4,7 @@ from .errors import (CriterionViolation, DegeneratePoles, HyperredError,
                      NoFactorization, NotIntegerShift, NotTriangular, ParseError,
                      PoleAtEpsZero, SingularStep, UncancelledPole, UnsupportedClass,
                      VerificationFailure)
-from .expansion import (EpsilonExpansion, F3Report, FactorizationReport,
-                        TriangularSystem, epsilon_expand,
+from .expansion import (EpsilonExpansion, F3Report, FactorizationReport, epsilon_expand,
                         f3_parametrization_check, factorization_conditions,
                         gauss_triangular_system, three_f2_system, verify_expansion)
 from .gpl import GplCombo, PolyLogExpr, shuffle_words

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -21,7 +20,7 @@ from .errors import (CriterionViolation, DegeneratePoles, HyperredError,
                      NoFactorization, NotIntegerShift, NotTriangular, ParseError,
                      PoleAtEpsZero, SingularStep, UnboundSymbols, UncancelledPole,
                      UnsupportedClass, VerificationFailure)
-from .expansion import (EpsilonExpansion, epsilon_expand, expansion_class,
+from .expansion import (EpsilonExpansion, direct_layer0, epsilon_expand, expansion_class,
                         f3_parametrization_check, gauss_flags, gauss_triangular_system,
                         three_f2_system, verify_expansion)
 from .gpl import PolyLogExpr
@@ -291,10 +290,11 @@ def run_check_parametrization(opts) -> int:
         rec = {"command": "check-parametrization", "family": "gauss"}
         lines = []
         if opts.beta is not None:
-            sysd = gauss_triangular_system(opts.p1, opts.p2, opts.r, opts.q,
-                                           parse_rat("--beta", opts.beta))
-            rec["triangular"] = sysd.triangular
-            lines.append(f"triangular with beta={opts.beta}: {sysd.triangular}")
+            # any other beta raises NotTriangular (exit 3)
+            gauss_triangular_system(opts.p1, opts.p2, opts.r, opts.q,
+                                    parse_rat("--beta", opts.beta))
+            rec["triangular"] = True
+            lines.append(f"triangular with beta={opts.beta}: True")
         flags = gauss_flags(Fraction(opts.p1, opts.q), Fraction(opts.p2, opts.q),
                             Fraction(opts.r, opts.q))
         rec.update(flags)
@@ -306,14 +306,15 @@ def run_check_parametrization(opts) -> int:
         for name, x in zip(("a1", "a2", "a3"), deforms):
             if x == 0:
                 raise ParseError(f"--{name} must be nonzero, got {getattr(opts, name)}", 1, 1)
-        sysd, rep = three_f2_system(opts.r, opts.p, opts.q, *deforms)
+        deltas, rep = three_f2_system(opts.r, opts.p, opts.q, *deforms)
+        rational = rep.xi_description is not None
         rec = {"command": "check-parametrization", "family": "3f2",
-               "deltas": [enc_rat(d) for d in sysd.deltas],
+               "deltas": [enc_rat(d) for d in deltas],
                "h_exponents": [enc_rat(e) for e in rep.h_exponents],
-               "rational_parametrization": opts.p == -opts.r,
+               "rational_parametrization": rational,
                "case": rep.case}
         lines = [f"h(z) = z^({rep.h_exponents[0]}) (z-1)^({rep.h_exponents[1]})",
-                 f"rational parametrization exists: {opts.p == -opts.r}"]
+                 f"rational parametrization exists: {rational}"]
     else:
         rep = f3_parametrization_check(opts.p1, opts.p2, opts.r1, opts.r2,
                                        opts.p, opts.q)
@@ -379,7 +380,7 @@ def _decode_record(rec: dict):
             fn=fn, kind=kind, var=var,
             omega0=dec_ratfunc(omega0, (fn.var,)) if omega0 is not None else None,
             layers=tuple(dec_polylog(l) for l in layers))
-        if kind == "direct" and exp.layers[0] != PolyLogExpr({}, 1 if exp.omega0 == 1 else 0, var):
+        if kind == "direct" and exp.layers[0] != direct_layer0(exp.omega0, var):
             raise ValueError("a direct record's layer 0 is 1 when omega0 is 1, and 0 otherwise")
         return exp
     raise UnsupportedClass(f"cannot verify record kind {cmd!r}")
@@ -480,16 +481,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "verify check their results on the series oracle.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, run, N=False, K=False, out=True):
+    def common(p, run, N=False, K=False, emits=True):
         p.set_defaults(run=run)
         if N:
             p.add_argument("--N", type=int, default=30, help="series verification depth")
         if K:
             p.add_argument("--K", type=int, default=4, help="eps order of the oracle check, "
                            f"capped at {REDUCE_CHECK_K}")
-        p.add_argument("--format", choices=("text", "jsonl"),
-                       help="output format (default: $HYPERRED_FORMAT or text)")
-        if out:
+        if emits:       # a command that prints through _emit
+            p.add_argument("--format", choices=("text", "jsonl"), default="text",
+                           help="output format")
             p.add_argument("--out", help="also write the output to this file")
 
     p = sub.add_parser("reduce", help="reduce a function to a shifted basis")
@@ -538,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="re-verify stored results or run the suite")
     p.add_argument("path", nargs="?")
     p.add_argument("--suite", action="store_true")
-    common(p, run_verify, N=True, K=True, out=False)
+    common(p, run_verify, N=True, K=True, emits=False)
 
     return ap
 
@@ -563,7 +564,6 @@ def main(argv=None) -> int:
     try:
         args = ap.parse_args(argv)
         _check_bounds(getattr(args, "N", 1), getattr(args, "K", 0))
-        args.format = args.format or os.environ.get("HYPERRED_FORMAT", "text")
         return args.run(args)
     except (HyperredError, OSError) as e:
         # a file that cannot be read or written is EXIT_ERROR, without a traceback

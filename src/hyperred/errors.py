@@ -40,9 +40,9 @@ class DegeneratePoles(HyperredError):
 class CriterionViolation(HyperredError):
     """Terms of one diagram disagree on the nontrivial-basis count."""
 
-    def __init__(self, counts, message=None):
+    def __init__(self, counts):
         self.counts = list(counts)
-        super().__init__(message or f"terms disagree on basis count: {self.counts}")
+        super().__init__(f"terms disagree on basis count: {self.counts}")
 
 
 class NoFactorization(HyperredError):
@@ -52,9 +52,9 @@ class NoFactorization(HyperredError):
 class NotTriangular(HyperredError):
     """The first-order system does not become triangular for this beta."""
 
-    def __init__(self, bracket, message=None):
+    def __init__(self, bracket):
         self.bracket = bracket
-        super().__init__(message or f"non-vanishing coupling bracket: {bracket}")
+        super().__init__(f"non-vanishing coupling bracket: {bracket}")
 
 
 class UnsupportedClass(HyperredError):

@@ -127,20 +127,11 @@ def factorization_conditions(upper: Sequence[EpsLin], lower: Sequence[EpsLin]) -
 
 
 # ---------------------------------------------------------------------------
-# triangular systems (structure reports)
+# triangular systems
 
 
-@dataclass(frozen=True)
-class TriangularSystem:
-    """A layered first-order system: whether it is triangular, and for
-    3F2 its four coupling coefficients delta_1..delta_4."""
-
-    triangular: bool
-    deltas: Tuple[Fraction, ...] = ()
-
-
-def gauss_triangular_system(p1: int, p2: int, r: int, q: int, beta) -> TriangularSystem:
-    """The (omega_k, rho_k) system for the deformed Gauss function.
+def gauss_triangular_system(p1: int, p2: int, r: int, q: int, beta) -> None:
+    """Check the (omega_k, rho_k) system for the deformed Gauss function.
 
     Raises NotTriangular unless the omega_k coupling bracket
     (beta - p1/q)(beta - p2/q) - beta(beta + r/q)/z vanishes identically.
@@ -150,20 +141,19 @@ def gauss_triangular_system(p1: int, p2: int, r: int, q: int, beta) -> Triangula
     c2 = beta * (beta + F(r, q))
     if c1 != 0 or c2 != 0:
         raise NotTriangular((c1, c2))
-    return TriangularSystem(triangular=True)
 
 
 def three_f2_system(r: int, p: int, q: int, a1, a2, a3, b1, b2):
     """Three-layer system for 3F2(r/q+a1 e, a2 e, a3 e; 1+r/q+b1 e, 1-p/q+b2 e).
 
-    Returns (TriangularSystem, FactorizationReport); the rational
-    parametrization exists exactly when p = -r.
+    Returns (deltas, FactorizationReport), deltas its four coupling
+    coefficients delta_1..delta_4; the rational parametrization exists,
+    and the report names its xi, exactly when p = -r.
     """
     a1, a2, a3, b1, b2 = (rat(x) for x in (a1, a2, a3, b1, b2))
     if a1 == 0 or a2 == 0 or a3 == 0:
         raise ValueError("the three upper deformations must be nonzero")
-    system = TriangularSystem(triangular=True, deltas=(
-        -a1 * F(r, q), a1 * a2 + a1 * a3 + a2 * a3, b1 * F(p + r, q), -b1 * b2))
+    deltas = (-a1 * F(r, q), a1 * a2 + a1 * a3 + a2 * a3, b1 * F(p + r, q), -b1 * b2)
     r1, r2 = -F(r, q), -F(p + r, q)
     case = (_cases(r1, r2) + ["none"])[0]
     report = FactorizationReport(
@@ -172,7 +162,7 @@ def three_f2_system(r: int, p: int, q: int, a1, a2, a3, b1, b2):
         xi_description=(f"xi = (z/(z-1))^(1/{q})" if p == -r else None),
         candidates=(case,) if case != "none" else (),
     )
-    return system, report
+    return deltas, report
 
 
 @dataclass(frozen=True)
@@ -332,12 +322,14 @@ def _expand_integer_class(f: HyperFn, K: int) -> EpsilonExpansion:
         thetas.append(_theta_stack(om, P))
     exprs = [c.to_polylog(f.var) for c in layers[1:]]
     om0_rf = basis_ratfunc(_combo_rational_part(layers[0]), f.var)
-    lead = layers[0].to_polylog(f.var) if _is_pure(layers[0]) else PolyLogExpr({}, 0, f.var)
-    return EpsilonExpansion(f, "direct", f.var, om0_rf, (lead,) + tuple(exprs))
+    return EpsilonExpansion(f, "direct", f.var, om0_rf,
+                            (direct_layer0(om0_rf, f.var),) + tuple(exprs))
 
 
-def _is_pure(combo: GplCombo) -> bool:
-    return all(r.keys() == {ONE} for r in combo.data.values())
+def direct_layer0(omega0: RatFunc, var: str) -> PolyLogExpr:
+    """Layer 0 of a direct expansion: 1 when omega0 is 1, else 0 (omega0 holds it);
+    a normalized RatFunc is 1 exactly when num == den, with no products to compare."""
+    return PolyLogExpr({}, 1 if omega0.num == omega0.den else 0, var)
 
 
 def _combo_rational_part(combo: GplCombo) -> Dict[Kernel, Fraction]:

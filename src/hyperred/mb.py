@@ -17,26 +17,21 @@ from typing import Mapping, Sequence, Tuple
 from .errors import CriterionViolation, DegeneratePoles
 from .hyper import SymHyperFn
 from .reduction import detect_exceptional
-from .scalars import DEFAULT_N, EpsLin, LinearForm, rat
+from .scalars import LinearForm, rat
 from .value import Value
 
 F = Fraction
 
 
 class MBRepr(Value):
-    """One-fold Mellin-Barnes integrand data.
+    """One-fold Mellin-Barnes integrand data: ``kappa`` is a Fraction and the
+    four form lists are tuples of ``LinearForm``."""
 
-    ``kappa`` is a Fraction and the four form lists are tuples of
-    ``LinearForm``; ``prefactor`` is display text, which equality and
-    hashing ignore.
-    """
+    __slots__ = ("kappa", "var", "a_forms", "b_forms", "c_forms", "d_forms")
 
-    __slots__ = ("kappa", "var", "a_forms", "b_forms", "c_forms", "d_forms", "prefactor")
-
-    def __init__(self, kappa, var, a_forms, b_forms, c_forms=(), d_forms=(),
-                 prefactor=""):
+    def __init__(self, kappa, var, a_forms, b_forms, c_forms=(), d_forms=()):
         self._set(rat(kappa), var, tuple(a_forms), tuple(b_forms), tuple(c_forms),
-                  tuple(d_forms), prefactor)
+                  tuple(d_forms))
         if not check_dim(self):
             raise ValueError(
                 f"list dimensions {self.dims()} violate dimA+dimD-dimB-dimC=1")
@@ -101,9 +96,8 @@ class HyperSum:
         return len(self.terms)
 
 
-# bounded; a diagram job converts its preset's one MBRepr, which the cache
-# keys on every field but the unread prefactor, so a stream of jobs over the
-# three presets converts each once
+# bounded; a diagram job converts its preset's one MBRepr, so a stream of
+# jobs over the three presets converts each once
 @lru_cache(maxsize=16)
 def mb_to_hyper(m: MBRepr) -> HyperSum:
     """Residue closure of an MBRepr into its hypergeometric sum, which is immutable
@@ -138,14 +132,13 @@ def mb_to_hyper(m: MBRepr) -> HyperSum:
     return HyperSum(tuple(terms))
 
 
-def count_master_integrals(h: HyperSum, bindings: Mapping[str, int],
-                           n_value: EpsLin = DEFAULT_N):
-    """Common nontrivial-basis count over all terms, plus per-term reports.
+def count_master_integrals(h: HyperSum, bindings: Mapping[str, int]):
+    """Common nontrivial-basis count over all terms at n = DEFAULT_N, plus per-term reports.
 
     Raises CriterionViolation if the terms disagree (criterion (i) says
     they must not, so a disagreement is surfaced, never averaged away).
     """
-    fns = [term.fn.bind(bindings, n_value) for term in h.terms]
+    fns = [term.fn.bind(bindings) for term in h.terms]
     reports = [(fn, detect_exceptional(fn)) for fn in fns]
     counts = [rep.count for _, rep in reports]
     if len(set(counts)) > 1:
@@ -170,7 +163,6 @@ def dressed_propagator_shift(sigma_list: Sequence, q: int) -> LinearForm:
 class DiagramPreset:
     """A built-in diagram: MB data plus the printed hypergeometric form."""
 
-    name: str
     symbols: Tuple[str, ...]
     mb: MBRepr
     printed: HyperSum
@@ -189,20 +181,20 @@ def _c(q):
 
 
 def preset_c3() -> DiagramPreset:
-    """One-loop vertex with two massive lines; argument y/4, y=(p1-p2)^2/m^2."""
+    """One-loop vertex with two massive lines; argument y/4, y=(p1-p2)^2/m^2;
+    the sum's prefactor is G[j1+j2+sigma-n/2] G[n/2-sigma] / (G[j1+j2] G[n/2])."""
     n2 = _n(F(1, 2))
     j1, j2 = _j("j1"), _j("j2")
     j12 = j1 + j2
     sg = _j("sigma")
     upper = (j12 + sg - n2, j1, j2, n2 - sg)
     lower = (n2, j12.scale(F(1, 2)), (j12 + 1).scale(F(1, 2)))
-    mb = MBRepr(F(-1, 4), "y", upper, lower, (), (),
-                prefactor="G[j1+j2+sigma-n/2] G[n/2-sigma] / (G[j1+j2] G[n/2])")
+    mb = MBRepr(F(-1, 4), "y", upper, lower, (), ())
     printed = HyperSum((HyperTerm(
         power=_c(0),
         gamma=GammaProduct(upper, ()),
         fn=SymHyperFn(upper, lower, F(1, 4), "y")),))
-    return DiagramPreset("c3", ("n", "j1", "j2", "sigma"), mb, printed)
+    return DiagramPreset(("n", "j1", "j2", "sigma"), mb, printed)
 
 
 def preset_c1() -> DiagramPreset:
@@ -223,7 +215,7 @@ def preset_c1() -> DiagramPreset:
         fn=SymHyperFn((rho, n2 - s1, n2 - s2),
                       (_n(1) - s1 - s2, n2 - s1 - s2 + 1), F(-1), "y"))
     printed = HyperSum((t0, t1))
-    return DiagramPreset("c1", ("n", "sigma1", "sigma2", "rho"), mb, printed)
+    return DiagramPreset(("n", "sigma1", "sigma2", "rho"), mb, printed)
 
 
 def preset_v1200() -> DiagramPreset:
@@ -250,7 +242,7 @@ def preset_v1200() -> DiagramPreset:
                        rho.scale(F(1, 2)), (rho + 1).scale(F(1, 2))),
                       (n2, be + rho, _c(1) + be + rho - n2), F(4), "w"))
     printed = HyperSum((t0, t1))
-    return DiagramPreset("v1200", ("n", "alpha", "beta", "sigma", "rho"), mb, printed)
+    return DiagramPreset(("n", "alpha", "beta", "sigma", "rho"), mb, printed)
 
 
 PRESETS = {

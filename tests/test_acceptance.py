@@ -197,7 +197,7 @@ def test_criterion_6_criterion_i_on_presets():
 
 def test_criterion_7_parametrization_classifiers():
     """Lemma IV family accepted, violations rejected; p=-r; p_j r_j = 0."""
-    sys_ok = gauss_triangular_system(1, 1, -1, 2, F(1, 2)).triangular
+    sys_ok = gauss_triangular_system(1, 1, -1, 2, F(1, 2)) is None   # NotTriangular otherwise
     rep = factorization_conditions(
         [EpsLin(F(1, 2), 1), EpsLin(F(1, 2), 2)], [EpsLin(F(3, 2), 1)])
     lemma_ok = rep.gauss_checks["lemma_iv"]

@@ -115,10 +115,9 @@ def test_factorization_none():
 
 
 def test_gauss_triangular_cases():
-    s = gauss_triangular_system(0, 2, 1, 3, 0)   # p1 p2 = 0, beta = 0
-    assert s.triangular
-    s = gauss_triangular_system(1, 5, -1, 2, F(1, 2))  # beta = -r/q = p1/q
-    assert s.triangular
+    # a triangular system returns; any other raises NotTriangular
+    assert gauss_triangular_system(0, 2, 1, 3, 0) is None           # p1 p2 = 0, beta = 0
+    assert gauss_triangular_system(1, 5, -1, 2, F(1, 2)) is None    # beta = -r/q = p1/q
     with pytest.raises(NotTriangular) as exc:
         gauss_triangular_system(1, 2, 3, 3, 0)
     c1, c2 = exc.value.bracket
@@ -128,17 +127,30 @@ def test_gauss_triangular_cases():
 def test_three_f2_system_deltas():
     a1, a2, a3, b1, b2 = F(2), F(3), F(5), F(7), F(11)
     r, p, q = 1, -1, 2
-    system, rep = three_f2_system(r, p, q, a1, a2, a3, b1, b2)
-    assert system.deltas == (-a1 * F(r, q),
-                             a1 * a2 + a1 * a3 + a2 * a3,
-                             b1 * F(p + r, q),
-                             -b1 * b2)
+    deltas, rep = three_f2_system(r, p, q, a1, a2, a3, b1, b2)
+    assert deltas == (-a1 * F(r, q),
+                      a1 * a2 + a1 * a3 + a2 * a3,
+                      b1 * F(p + r, q),
+                      -b1 * b2)
     assert rep.h_exponents == (F(p + r, q), -F(p, q))
     assert rep.xi_description is not None          # p = -r
     _, rep2 = three_f2_system(1, 1, 2, a1, a2, a3, b1, b2)
     assert rep2.xi_description is None             # p != -r
     sys3, rep3 = three_f2_system(0, 0, 2, a1, a2, a3, b1, b2)
     assert rep3.h_exponents == (0, 0)              # integer case, h = 1
+
+
+def test_three_f2_rational_parametrization_flag_is_the_reports(capsys):
+    """check-parametrization 3f2 reads its flag off the report: xi is named
+    exactly when p = -r, in the record and in the text."""
+    for r, p, q in product(range(-2, 3), range(-2, 3), (1, 2, 3)):
+        _, rep = three_f2_system(r, p, q, 1, 1, 1, 1, 1)
+        assert (rep.xi_description is not None) == (p == -r), (r, p, q)
+        argv = ["check-parametrization", "3f2", "--r", str(r), "--p", str(p), "--q", str(q)]
+        assert cli.main(argv + ["--format", "jsonl"]) == 0
+        assert json.loads(capsys.readouterr().out)["rational_parametrization"] == (p == -r)
+        assert cli.main(argv) == 0
+        assert f"rational parametrization exists: {p == -r}\n" in capsys.readouterr().out
 
 
 def test_three_f2_requires_nonzero_deformations():
@@ -436,8 +448,6 @@ def test_values_survive_pickle_and_deepcopy():
     for v in values:
         for c in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v)):
             assert type(c) is type(v) and c == v, type(v).__name__
-            if isinstance(v, MBRepr):
-                assert c.prefactor == v.prefactor != ""
 
 
 ONE_OF_EACH_VALUE_TYPE = {
@@ -450,8 +460,7 @@ ONE_OF_EACH_VALUE_TYPE = {
     "ThetaOp": lambda: ThetaOp.theta(("z",)),
     "HyperFn": lambda: HyperFn([F(1, 2), EpsLin(1, 2)], [EpsLin(F(3, 2), -1)], 2, "y"),
     "SymHyperFn": lambda: SymHyperFn([LinearForm.n(1), 1], [LinearForm.j("j1")], -1, "y"),
-    "MBRepr": lambda: MBRepr(-1, "y", [LinearForm.j("j1"), 1], [LinearForm.n(F(1, 2))],
-                             prefactor="G[j1]"),
+    "MBRepr": lambda: MBRepr(-1, "y", [LinearForm.j("j1"), 1], [LinearForm.n(F(1, 2))]),
 }
 
 
@@ -466,11 +475,11 @@ def test_value_fields_refuse_assignment(name):
     assert str(v) == before
 
 
-def test_mb_repr_equality_and_hash_ignore_the_prefactor():
+def test_mb_repr_equality_and_hash_read_every_field():
+    # mb_to_hyper's cache keys on MBRepr equality, so no field may be left out of it
     m = ONE_OF_EACH_VALUE_TYPE["MBRepr"]()
-    bare = MBRepr(m.kappa, m.var, m.a_forms, m.b_forms, m.c_forms, m.d_forms)
-    assert bare.prefactor == "" != m.prefactor
-    assert bare == m and hash(bare) == hash(m) and len({bare, m}) == 1
+    same = MBRepr(m.kappa, m.var, m.a_forms, m.b_forms, m.c_forms, m.d_forms)
+    assert same == m and hash(same) == hash(m) and len({same, m}) == 1
     assert MBRepr(-2, "y", m.a_forms, m.b_forms) != m
     assert MBRepr(m.kappa, "w", m.a_forms, m.b_forms) != m
     assert MBRepr(m.kappa, m.var, m.a_forms[::-1], m.b_forms) != m

@@ -28,7 +28,9 @@ GENERIC_TARGET = "2F1[7/5+eps, 1/3-eps; 1/2+2*eps; z]"
 GENERIC_BASIS = "2F1[2/5+eps, 1/3-eps; 3/2+2*eps; z]"
 HALF_INTEGER = "2F1[1/2+eps, 1/2-eps; 3/2+2*eps; z]"
 
-# name -> argv without --format; every job runs in both formats
+# name -> argv without --format; every job runs in both formats, but verify,
+# whose lines are the same in both and which declares no --format, runs
+# without it under both names
 JOBS = {
     "reduce-generic": ["reduce", GENERIC_TARGET, "--basis", GENERIC_BASIS],
     "reduce-generic-k2": ["reduce", GENERIC_TARGET, "--basis", GENERIC_BASIS, "--K", "2"],
@@ -92,7 +94,7 @@ JOBS = {
     "exit-pole-depth": ["verify", str(GOLDEN / "stored-pole-depth.jsonl")],
 }
 
-CASES = [(f"{name}.{fmt}", argv + ["--format", fmt])
+CASES = [(f"{name}.{fmt}", argv + (["--format", fmt] if argv[0] != "verify" else []))
          for name, argv in JOBS.items() for fmt in ("text", "jsonl")]
 
 

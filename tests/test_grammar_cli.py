@@ -4,7 +4,6 @@ import argparse
 import contextlib
 import io
 import json
-import os
 import random
 import subprocess
 import sys
@@ -25,12 +24,9 @@ from hyperred.ratfunc import RatFunc
 from hyperred.scalars import EpsLin
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "hyperred.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
 
 
 def test_parse_basic():
@@ -208,36 +204,23 @@ def test_cli_verify_refuses_denominator_vanishing_above_stored_k(tmp_path):
     assert run_cli("verify", str(out)).returncode == 4
 
 
-def test_cli_env_format(tmp_path):
-    r = run_cli("count-basis", "2F1[1/2+eps,-eps;1+2*eps;z]",
-                env_extra={"HYPERRED_FORMAT": "jsonl"})
-    assert r.returncode == 0
-    rec = json.loads(r.stdout.strip())
-    assert rec["L"] == 2
-
-
-def test_cli_main_back_to_back_matches_fresh_runs(monkeypatch):
-    # cli.main builds its parser once per process: a spare --bind, the env
-    # format or an error must not carry over into the next job
+def test_cli_main_back_to_back_matches_fresh_runs():
+    # cli.main builds its parser once per process: a spare --bind, a format
+    # or an error must not carry over into the next job
     from hyperred import cli
-    jobs = [(["count-masters", "@c1", "--bind", "sigma1=1", "--bind", "sigma2=2",
-              "--bind", "rho=1", "--bind", "spare=5", "--format", "jsonl"], None),
-            (["expand", "2F1[2*eps, 3*eps; 1+5*eps; z]", "--order", "2"], None),
-            (["reduce", "2F1[1/2+; 1; z]", "--basis", "2F1[1, 1; 1; z]"], None),
-            (["count-masters", "@c1", "--bind", "sigma1=2", "--bind", "sigma2=1",
-              "--bind", "rho=3"], {"HYPERRED_FORMAT": "jsonl"}),
-            (["count-masters", "@c1", "--bind", "sigma1=1", "--bind", "sigma2=2",
-              "--bind", "rho=1"], None)]
-    monkeypatch.delenv("HYPERRED_FORMAT", raising=False)
-    for argv, env in jobs:
-        for k, v in (env or {}).items():
-            monkeypatch.setenv(k, v)
+    jobs = [["count-masters", "@c1", "--bind", "sigma1=1", "--bind", "sigma2=2",
+             "--bind", "rho=1", "--bind", "spare=5", "--format", "jsonl"],
+            ["expand", "2F1[2*eps, 3*eps; 1+5*eps; z]", "--order", "2"],
+            ["reduce", "2F1[1/2+; 1; z]", "--basis", "2F1[1, 1; 1; z]"],
+            ["count-masters", "@c1", "--bind", "sigma1=2", "--bind", "sigma2=1",
+             "--bind", "rho=3", "--format", "jsonl"],
+            ["count-masters", "@c1", "--bind", "sigma1=1", "--bind", "sigma2=2",
+             "--bind", "rho=1"]]
+    for argv in jobs:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(list(argv))
-        for k in env or {}:
-            monkeypatch.delenv(k)
-        fresh = run_cli(*argv, env_extra=env)
+        fresh = run_cli(*argv)
         assert (out.getvalue(), code) == (fresh.stdout, fresh.returncode), argv
 
 
@@ -340,6 +323,10 @@ def test_cli_verify_malformed_stored_records_are_parse_errors(tmp_path, capsys):
         0, {"const": "7", "terms": [{"coeff": "5", "letters": ["1"]}], "var": "z"}))))
     bad.append(("ValueError", edited(expand, lambda r: r.update(
         fn="2F1[1/2+eps, 1/2-2*eps; 3/2+3*eps; z]"))))
+    # a direct layer 0 is 1 exactly when omega0 is 1: 0 under omega0 = 1, 1 under another
+    rational = (Path(__file__).parent / "golden" / "expand-rational-omega0.jsonl.out").read_text()
+    bad.append(("ValueError", edited(expand, lambda r: r["layers"][0].update(const="0"))))
+    bad.append(("ValueError", edited(rational, lambda r: r["layers"][0].update(const="1"))))
     for edit in ({"omega0": None}, {"layers": []}, {"kind": "bogus"}, {"kind": "xi"},
                  {"omega0": {"vars": ["eps", "z"], "num": [[[0, 0], "1"], [[1, 0], "5"]], "den": []}},
                  {"omega0": {"vars": ["n", "z"], "num": [[[0, 0], "1"], [[1, 0], "5"]], "den": []}}):
@@ -574,8 +561,7 @@ def _leaf_options(parser, command=()):
 def test_cli_each_command_declares_only_the_options_it_reads():
     """--N only where a series depth is read, --K only where a reduction's eps order is."""
     from hyperred import cli
-    fmt = {"-h", "--help", "--format"}
-    out = fmt | {"--out"}
+    out = {"-h", "--help", "--format", "--out"}
     assert _leaf_options(cli.build_parser()) == {
         "reduce": out | {"--basis", "--N", "--K"},
         "count-basis": out,
@@ -586,7 +572,7 @@ def test_cli_each_command_declares_only_the_options_it_reads():
         "check-parametrization 3f2": out | {"--r", "--p", "--q", "--a1", "--a2", "--a3",
                                             "--b1", "--b2"},
         "check-parametrization f3": out | {"--p1", "--p2", "--r1", "--r2", "--p", "--q"},
-        "verify": fmt | {"--suite", "--N", "--K"},
+        "verify": {"-h", "--help", "--suite", "--N", "--K"},
     }
 
 
@@ -596,6 +582,13 @@ def test_cli_verify_refuses_out(tmp_path):
     r = run_cli("verify", str(stored), "--out", str(tmp_path / "x"))
     assert r.returncode == 2 and r.stdout == "" and "unrecognized arguments: --out" in r.stderr
     assert not (tmp_path / "x").exists()
+
+
+def test_cli_verify_refuses_format():
+    """verify's lines are the same in every format, so --format is refused (exit 2)."""
+    stored = Path(__file__).parent / "golden" / "stored.jsonl"
+    r = run_cli("verify", str(stored), "--format", "jsonl")
+    assert r.returncode == 2 and r.stdout == "" and "unrecognized arguments: --format" in r.stderr
 
 
 def test_cli_reduce_works_in_the_function_variable(tmp_path, capsys):
