@@ -426,23 +426,22 @@ def verify_expansion(f: HyperFn, exp: EpsilonExpansion, N: int = 30):
     z-power j (xi-power for the dressed class) first, then eps order k.
     The dressed class is checked to xi^(2N) against ``xi_oracle`` to
     t^(N-1), whose t^j is xi^(2j+1); even powers vanish on both sides.
+    An omega0 with a pole at z = 0 is refused (UnsupportedClass).
     """
     K = exp.order
     if exp.kind == "direct":
         oracle = series_of_hyper(f, N, K)
-        cells, den, v0 = exp.omega0.z_cells(N, 0)
-        if v0:
-            raise UnsupportedClass("omega0 has a pole at the origin")
-        pieces = [(1, ((0, 0, 1),), oracle.den, 0, oracle.nums), (-1, cells, den, 0, None)]
+        pieces = [(1, ((0, 0, 1),), oracle.den, oracle.nums),
+                  (-1, *exp.omega0.z_cells(N, 0), None)]
         layers = range(1, K + 1)
     else:
         oracle = xi_oracle(f, N - 1, K)
         pieces = [(1, [(2 * j + 1, k, x) for j, k, x in oracle.cells(N - 1, K)],
-                   oracle.den, 0, None)]
+                   oracle.den, None)]
         N = 2 * N
         layers = range(K + 1)
     for k in layers:
         s = exp.layers[k].biseries(N)
-        pieces.append((-1, [(j, k, x) for j, _, x in s.cells(N, 0)], s.den, 0, None))
+        pieces.append((-1, [(j, k, x) for j, _, x in s.cells(N, 0)], s.den, None))
     mism = lowest_cell(truncated_sum(pieces, N, K).nums, K)
     return mism is None, mism

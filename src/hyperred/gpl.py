@@ -32,11 +32,12 @@ by the same letter tuples, with rational coefficients.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
 from operator import mul
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from .errors import UncancelledPole, UnsupportedClass
 from .poly import Poly

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import PoleAtEpsZero
+from .errors import PoleAtEpsZero, UnsupportedClass
 from .poly import Factors, Poly, _cancel, _monic_product, _neg, _scale
 from .series import BiSeries
 from .value import Value
@@ -164,23 +164,23 @@ class RatFunc(Value):
         # rows from z^min(vn, vd), so a zero of order vn - vd > 0 stays in them
         return _z_rows(self.num, min(vn, vd), N, K) * den.invert(), max(vd - vn, 0)
 
-    def pole_order(self) -> int:
-        """The order of the pole at z = 0; 0 where there is none."""
-        return 0 if self.is_polynomial() else max(_valuation(self.den) - _valuation(self.num), 0)
-
     def z_cells(self, N: int, K: int):
-        """(cells, den, v): the function is z^(-v) sum x z^j eps^k / den to z^N eps^K.
+        """(cells, den): the function is sum x z^j eps^k / den to z^N eps^K.
 
-        cells lists the nonzero (j, k, x), z-power first.  A polynomial's
-        rows up to its degree are read off its rep by ``_z_rows``, as
-        to_biseries reads them, with no series product and v = 0; otherwise
-        the cells are those of to_biseries.
+        cells lists the nonzero (j, k, x), z-power first.  A function with a
+        pole at z = 0, whose normalized den has a zero z^0 row, is refused
+        here (UnsupportedClass) before any series is built: the oracle sums
+        pole-free pieces only.  A polynomial's rows up to its degree are
+        read off its rep by ``_z_rows``, as to_biseries reads them, with no
+        series product; otherwise the cells are those of to_biseries.
         """
         if self.is_polynomial():
-            s, v = _z_rows(self.num, 0, min(N, self.num.degree()), K), 0
+            s = _z_rows(self.num, 0, min(N, self.num.degree()), K)
+        elif not self.den.rep[0]:
+            raise UnsupportedClass(f"piece {self} has a pole at z = 0")
         else:
-            s, v = self.to_biseries(N, K)
-        return s.cells(N, K), s.den, v
+            s = self.to_biseries(N, K)[0]
+        return s.cells(N, K), s.den
 
     def __str__(self):
         if self.den.is_const() and self.den.const_value() == 1:

@@ -35,8 +35,9 @@ verify_reduction checks a result on the series oracle as one residual
 S F(target) - sum R_j theta^j F(basis) - tail, summed by the series
 kernel ``truncated_sum``: the nonzero cells of S times the target's
 integer series, the ``theta_pieces`` of sum R_j theta^j F(basis), as
-``ThetaOp.apply`` sums them (the R_j with no z-pole as one piece, one
-product per cell), and the tail's cells, over one denominator.
+``ThetaOp.apply`` sums them (the R_j as one piece, one product per
+cell), and the tail's cells, over one denominator.  Every piece is a
+polynomial; ``RatFunc.z_cells`` refuses one with a pole at z = 0.
 Its lowest nonzero (z^j, eps^k) cell is the verdict, so no series
 product, sum or compare is built.
 """
@@ -49,7 +50,7 @@ from math import gcd
 from types import MappingProxyType
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import NotIntegerShift, SingularStep, VerificationFailure
+from .errors import NotIntegerShift, SingularStep
 from .hyper import Hyper, HyperFn
 from .poly import (Factors, Poly, _add, _add_factor, _cancel, _const, _div_int, _factor_product,
                    _int_content, _monic_product, _monomial, _mul, _neg, _pow, _scale,
@@ -515,18 +516,16 @@ def _check_path(path, ups, los):
 
 
 def verify_depth(result: ReductionResult, N: int) -> int:
-    """The z-depth verify_reduction checks: at least N and d + p + 2 + v.
+    """The z-depth verify_reduction checks: at least N and d + p + 2.
 
-    d is the highest z-degree of the numerators of S, the R_j and the
-    tail, p the number of lower parameters and v the largest z-pole order
-    among the R_j and the tail.  A piece over z^v moves the last checked
-    row down by v.  The depth catches one edited cell past the degree, but
-    it proves nothing: a coordinated (Hermite-Pade) edit of S and the R_j
-    within the degree box passes it (ROADMAP item 15).
+    d is the highest z-degree of S, the R_j and the tail, which are
+    pole-free, and p the number of lower parameters.  The depth catches
+    one edited cell past the degree, but it proves nothing: a coordinated
+    (Hermite-Pade) edit of S and the R_j within the degree box passes it
+    (ROADMAP item 15).
     """
     parts = (result.s_poly,) + tuple(result.r_polys) + (result.algebraic_tail,)
-    return max(N, max(r.num.degree() for r in parts) + len(result.target.lower) + 2
-               + max(r.pole_order() for r in parts[1:]))
+    return max(N, max(r.num.degree() for r in parts) + len(result.target.lower) + 2)
 
 
 def verify_reduction(result: ReductionResult, N: int = 30, K: int = 2):
@@ -534,19 +533,17 @@ def verify_reduction(result: ReductionResult, N: int = 30, K: int = 2):
 
     Returns (True, None) or (False, (j, k)) at the lowest nonzero cell of
     the residual S F(target) - sum R_j theta^j F(basis) - tail, summed by
-    ``truncated_sum`` at z-depth verify_depth(result, N).  Parameters must
-    be numeric (bind symbolic n first).
+    ``truncated_sum`` at z-depth verify_depth(result, N); a piece with a
+    pole at z = 0 is refused (UnsupportedClass).  Parameters must be
+    numeric (bind symbolic n first).
     """
     if not isinstance(result.target, HyperFn):
         raise ValueError("bind symbolic parameters before verification")
     N = verify_depth(result, N)
     pieces = theta_pieces([result.s_poly], series_of_hyper(result.target, N, K))
-    if pieces and pieces[0][3]:
-        raise VerificationFailure("cleared S acquired a z pole")
     pieces += theta_pieces(result.r_polys, series_of_hyper(result.basis, N, K), -1)
     if not result.algebraic_tail.is_zero():
-        cells, den, v = result.algebraic_tail.z_cells(N, K)
-        pieces.append((-1, cells, den, v, None))
+        pieces.append((-1, *result.algebraic_tail.z_cells(N, K), None))
     mism = lowest_cell(truncated_sum(pieces, N, K).nums, K)
     return mism is None, mism
 

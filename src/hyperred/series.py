@@ -9,9 +9,11 @@ does every truncated product of such series: products, ``combine``,
 ``compose_z_series`` and both verifiers' residuals, whose lowest nonzero
 cell is the verdict.  It accumulates eps-major, one integer list per
 power of eps, so a cell at eps^k meets only the series' columns up to
-eps^(K-k), and interleaves the rows once at the end.  A cell may hold a
-tuple of numerators x_i for sum_i x_i theta^i, which ``theta_pieces``
-builds for the r_j with no z-pole, so a sum of r_j theta^j s makes one
+eps^(K-k), and interleaves the rows once at the end.  Every piece is
+pole-free, since ``RatFunc.z_cells`` refuses a rational function with a
+pole at z = 0, so a sum holds to the z-depth of its series.  A cell may
+hold a tuple of numerators x_i for sum_i x_i theta^i, which
+``theta_pieces`` builds from the r_j, so a sum of r_j theta^j s makes one
 product per cell.  ``invert`` is fraction-free.  ``truncated_sum`` and
 ``invert`` reduce their results by one gcd.  ``series_of_hyper`` drops
 the upper/lower pairs that cancel and folds kappa and the eps-free
@@ -30,7 +32,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, List, Sequence, Tuple
 
-from .errors import PoleAtEpsZero, UncancelledPole
+from .errors import PoleAtEpsZero
 from .hyper import HyperFn
 from .value import Value
 
@@ -108,7 +110,7 @@ class BiSeries(Value):
             a, b = b, a
         W = K + 1
         cells = [(i // W, i % W, x) for i, x in enumerate(a) if x]
-        return truncated_sum([(1, cells, self.den * other.den, 0, b)], N, K)
+        return truncated_sum([(1, cells, self.den * other.den, b)], N, K)
 
     __rmul__ = __mul__
 
@@ -194,59 +196,50 @@ def combine(terms: Iterable[Tuple[Fraction, BiSeries]], N: int, K: int) -> BiSer
         acc = rows.get(d)
         rows[d] = ([n * x for x in g] if acc is None
                    else [r + n * x for r, x in zip(acc, g)])
-    return truncated_sum([(1, ((0, 0, 1),), d, 0, acc) for d, acc in rows.items()], N, K)
+    return truncated_sum([(1, ((0, 0, 1),), d, acc) for d, acc in rows.items()], N, K)
 
 
 def truncated_sum(pieces, N: int, K: int) -> BiSeries:
-    """The sum of the pieces to z^top eps^K, as integer numerators over one denominator.
+    """The sum of the pieces to z^N eps^K, as integer numerators over one denominator.
 
-    A piece (scale, cells, den, v, rows) is scale z^(-v) C / den, C the sum
-    of its nonzero cells x z^j eps^k, z-power first, times the integer
-    series rows (row-major, width K + 1, to z^N) unless rows is None.  A
-    cell times rows may hold a tuple (x_0, ..., x_p) for x: it stands for
+    A piece (scale, cells, den, rows) is scale C / den, C the sum of its
+    nonzero cells x z^j eps^k, z-power first, times the integer series
+    rows (row-major, width K + 1, to z^N) unless rows is None.  A cell
+    times rows may hold a tuple (x_0, ..., x_p) for x: it stands for
     sum_i x_i t^i at row t of the series, evaluated by Horner's rule once
     per row, so sum_i x_i theta^i of the series costs one product per row
     (``theta_pieces``).  The sum is accumulated eps-major, one integer list
     per power of eps, and rows' columns are read as rows[e::K + 1]: a cell
     at (j, k) adds x times column e to eps^(k+e) from z^j on, for each
-    e <= K - k.  The pieces go over the lcm of their denominators; one over
-    z^v must vanish below z^v (UncancelledPole), so the sum holds to
-    top = N minus the largest v.  The result is reduced by one gcd.
+    e <= K - k.  The pieces go over the lcm of their denominators, and
+    the result is reduced by one gcd.
     """
     W = K + 1
     L = lcm(*(p[2] for p in pieces))
     out = [[0] * (N + 1) for _ in range(W)]
-    for scale, cells, den, v, rows in pieces:
+    for scale, cells, den, rows in pieces:
         m = scale * (L // den)
-        if rows is not None:
-            # a pole piece's product is checked below z^v before it is shifted in
-            acc, f = ([[0] * (N + 1) for _ in range(W)], 1) if v else (out, m)
-            cols = [rows[e::W] for e in range(W)]
+        if rows is None:
             for j, k, x in cells:
-                if type(x) is tuple:
-                    xs = [f * x[-1]] * (N + 1 - j)
-                    for c in x[-2::-1]:
-                        c *= f
-                        xs = [h * t + c for t, h in enumerate(xs)]
-                    for o, col in zip(acc[k:], cols):
-                        o[j:] = [a + w * y for a, w, y in zip(o[j:], xs, col)]
-                    continue
-                x *= f
-                for o, col in zip(acc[k:], cols):
-                    o[j:] = [a + x * y for a, y in zip(o[j:], col)]
-            if not v:
-                continue
-            cells = [(j, k, x) for k, o in enumerate(acc) for j, x in enumerate(o) if x]
-        if (low := min((j for j, _, _ in cells), default=v)) < v:
-            raise UncancelledPole(f"1/z^{v} applied to series with nonzero z^{low} coefficient")
+                out[k][j] += m * x
+            continue
+        cols = [rows[e::W] for e in range(W)]
         for j, k, x in cells:
-            out[k][j - v] += m * x
-    top = N - max((p[3] for p in pieces), default=0)
-    height = max(top + 1, 0)
-    nums = [0] * (height * W)
+            if type(x) is tuple:
+                xs = [m * x[-1]] * (N + 1 - j)
+                for c in x[-2::-1]:
+                    c *= m
+                    xs = [h * t + c for t, h in enumerate(xs)]
+                for o, col in zip(out[k:], cols):
+                    o[j:] = [a + w * y for a, w, y in zip(o[j:], xs, col)]
+                continue
+            x *= m
+            for o, col in zip(out[k:], cols):
+                o[j:] = [a + x * y for a, y in zip(o[j:], col)]
+    nums = [0] * ((N + 1) * W)
     for k, o in enumerate(out):
-        nums[k::W] = o[:height]
-    return _reduced(nums, L, top, K)
+        nums[k::W] = o
+    return _reduced(nums, L, N, K)
 
 
 def lowest_cell(nums: Sequence[int], K: int):
@@ -258,37 +251,27 @@ def lowest_cell(nums: Sequence[int], K: int):
 def theta_pieces(coeffs: Sequence, s: BiSeries, scale: int = 1):
     """The truncated_sum pieces of scale sum_j r_j theta^j s, each r_j a ``RatFunc``.
 
-    The nonzero r_j with no pole at z = 0 go over one denominator as one
-    piece times s itself, whose cell at z^i eps^k holds the tuple
-    (x_0, ..., x_p) of their numerators there: truncated_sum reads it as
-    sum_j x_j t^j at row t of s, t^j being theta^j's factor, so a cell
-    makes one product with s however many r_j there are, and no theta^j s
-    is built.  Each r_j with a pole of order v at 0 stays its own piece
-    over z^v, its cells holding x_j alone in that tuple, so truncated_sum
-    checks it below z^v as it stands.  Where only r_0 is nonzero a cell
-    holds its numerator itself.
+    The nonzero r_j go over one denominator as one piece times s itself,
+    whose cell at z^i eps^k holds the tuple (x_0, ..., x_p) of their
+    numerators there: truncated_sum reads it as sum_j x_j t^j at row t of
+    s, t^j being theta^j's factor, so a cell makes one product with s
+    however many r_j there are, and no theta^j s is built.  Where only r_0
+    is nonzero a cell holds its numerator itself.  An r_j with a pole at
+    z = 0 is refused by its ``z_cells``; with no nonzero r_j there is no
+    piece.
     """
     N, K = s.z_order, s.eps_order
-    pieces, flat = [], []
-    for j, r in enumerate(coeffs):
-        if r.is_zero():
-            continue
-        cells, den, v = r.z_cells(N, K)
-        if v:
-            pieces.append((scale, [(i, k, (0,) * j + (x,) if j else x) for i, k, x in cells],
-                           den * s.den, v, s.nums))
-        else:
-            flat.append((j, cells, den))
-    if flat:
-        D, p = lcm(*(den for _, _, den in flat)), flat[-1][0]
-        merged = {}
-        for j, cells, den in flat:
-            f = D // den
-            for i, k, x in cells:
-                merged.setdefault((i, k), [0] * (p + 1))[j] = f * x
-        pieces.append((scale, [(i, k, tuple(x) if p else x[0])
-                               for (i, k), x in sorted(merged.items())], D * s.den, 0, s.nums))
-    return pieces
+    flat = [(j, *r.z_cells(N, K)) for j, r in enumerate(coeffs) if not r.is_zero()]
+    if not flat:
+        return []
+    D, p = lcm(*(den for _, _, den in flat)), flat[-1][0]
+    merged = {}
+    for j, cells, den in flat:
+        f = D // den
+        for i, k, x in cells:
+            merged.setdefault((i, k), [0] * (p + 1))[j] = f * x
+    return [(scale, [(i, k, tuple(x) if p else x[0]) for (i, k), x in sorted(merged.items())],
+             D * s.den, s.nums)]
 
 
 # ---------------------------------------------------------------------------
@@ -398,5 +381,5 @@ def compose_z_series(s: BiSeries, zser: Sequence[Fraction], M: int) -> BiSeries:
     acc = truncated_sum([], M, K)
     for j in range(min(s.z_order, M // v), -1, -1):
         row = [(0, k, x) for k, x in enumerate(s.nums[j * W:(j + 1) * W]) if x]
-        acc = truncated_sum([(1, zn, D * acc.den, 0, acc.nums), (1, row, s.den, 0, None)], M, K)
+        acc = truncated_sum([(1, zn, D * acc.den, acc.nums), (1, row, s.den, None)], M, K)
     return acc

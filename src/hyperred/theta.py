@@ -104,8 +104,9 @@ class ThetaOp(Value):
         return acc
 
     def apply(self, s: BiSeries) -> BiSeries:
-        """sum_k coeffs[k] theta^k s, valid to z-order N minus the largest pole
-        order at 0 of a nonzero coefficient; the zero operator gives zero."""
+        """sum_k coeffs[k] theta^k s to the z-order of s; the zero operator
+        gives zero, and a coefficient with a pole at z = 0 is refused
+        (UnsupportedClass, from ``RatFunc.z_cells``)."""
         return truncated_sum(theta_pieces(self.coeffs, s), s.z_order, s.eps_order)
 
     def __str__(self):

@@ -142,4 +142,4 @@ def xi_composed_oracle(f: HyperFn, N: int, K: int) -> BiSeries:
     M = 2 * N
     oracle = compose_z_series(series_of_hyper(f, N, K), xi_z_series(M), M)
     dress = BiSeries([(c,) for c in xi_dressing_series(M)])
-    return truncated_sum([(1, dress.cells(M, 0), dress.den * oracle.den, 0, oracle.nums)], M, K)
+    return truncated_sum([(1, dress.cells(M, 0), dress.den * oracle.den, oracle.nums)], M, K)

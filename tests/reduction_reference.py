@@ -12,8 +12,8 @@ independent check.
 ``reference_verify`` is ``verify_reduction`` on the Fraction rows of
 ``tests/series_reference.py``: S, the R_j and the tail are expanded by a
 Fraction inverse of their denominators, S F(target) and sum R_j theta^j
-F(basis) + tail are built with ``rows_mul``, ``rows_theta``,
-``rows_div_z`` and ``rows_add``, and compared cell by cell with
+F(basis) + tail are built with ``rows_mul``, ``rows_theta`` and
+``rows_add``, and compared cell by cell with
 ``rows_first_mismatch``, where ``verify_reduction`` accumulates one
 integer residual in ``series.truncated_sum``.  Only the defining series
 of the two functions (``series_of_hyper``) is shared.
@@ -24,15 +24,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from hyperred.errors import PoleAtEpsZero, SingularStep, VerificationFailure
+from hyperred.errors import PoleAtEpsZero, SingularStep, UnsupportedClass
 from hyperred.hyper import Hyper, HyperFn
 from hyperred.poly import Poly
 from hyperred.ratfunc import RatFunc
 from hyperred.reduction import (OpMatrix, ReductionResult, _check_path, _is_unit_param,
                                 _ring_vars, canonical_path, shift_vector)
 from hyperred.series import series_of_hyper
-from series_reference import (rows_add, rows_div_z, rows_first_mismatch, rows_invert,
-                              rows_mul, rows_mul_z_power, rows_theta)
+from series_reference import (rows_add, rows_first_mismatch, rows_invert, rows_mul,
+                              rows_theta)
 
 
 def _param_rf(vars, x) -> RatFunc:
@@ -181,45 +181,40 @@ def _rows_from(p: Poly, lo: int, N: int, K: int):
 
 
 def _series_rows(r: RatFunc, N: int, K: int):
-    """(rows, v): r = z^(-v) rows to z^N eps^K, by a Fraction inverse of r's denominator."""
+    """r's rows to z^N eps^K, by a Fraction inverse of r's denominator; a
+    piece with a pole at z = 0 is refused."""
     if r.is_zero():
-        return _rows_from(r.num, 0, N, K), 0
-    vn, vd = _z_valuation(r.num), _z_valuation(r.den)
-    den = _rows_from(r.den, vd, N, K)
+        return _rows_from(r.num, 0, N, K)
+    if _z_valuation(r.den):
+        raise UnsupportedClass(f"piece {r} has a pole at z = 0")
+    den = _rows_from(r.den, 0, N, K)
     if den[0][0] == 0:
-        raise PoleAtEpsZero(f"denominator {r.den} vanishes at eps=0 after removing z^{vd}")
-    rows = rows_mul(_rows_from(r.num, vn, N, K), rows_invert(den))
-    v = vd - vn
-    return (rows, v) if v >= 0 else (rows_mul_z_power(rows, -v), 0)
+        raise PoleAtEpsZero(f"denominator {r.den} vanishes at eps=0 after removing z^0")
+    return rows_mul(_rows_from(r.num, 0, N, K), rows_invert(den))
 
 
 def reference_depth(result: ReductionResult, N: int) -> int:
-    """At least N, and d + p + 2 plus the largest z-pole order of the R_j and the tail."""
+    """At least N and d + p + 2."""
     parts = [result.s_poly, *result.r_polys, result.algebraic_tail]
-    poles = [_z_valuation(r.den) - _z_valuation(r.num) for r in parts[1:] if not r.is_zero()]
     d = max(max((e[-1] for e in r.num.terms()), default=-1) for r in parts)
-    return max(N, d + len(result.target.lower) + 2 + max(poles + [0]))
+    return max(N, d + len(result.target.lower) + 2)
 
 
 def reference_verify(result: ReductionResult, N: int = 30, K: int = 2):
-    """verify_reduction by Fraction row products, theta, div_z, sums and compare."""
+    """verify_reduction by Fraction row products, theta, sums and compare."""
     if not isinstance(result.target, HyperFn):
         raise ValueError("bind symbolic parameters before verification")
     N = reference_depth(result, N)
     st = series_of_hyper(result.target, N, K).rows
     theta_pow = series_of_hyper(result.basis, N, K).rows
-    s_rows, v = _series_rows(result.s_poly, N, K)
-    if v:
-        raise VerificationFailure("cleared S acquired a z pole")
-    lhs = rows_mul(s_rows, st)
+    lhs = rows_mul(_series_rows(result.s_poly, N, K), st)
     rhs = tuple((Fraction(0),) * (K + 1) for _ in range(N + 1))
     for j, r in enumerate(result.r_polys):
         if j:
             theta_pow = rows_theta(theta_pow)
         if not r.is_zero():
-            rows, v = _series_rows(r, N, K)
-            rhs = rows_add(rhs, rows_div_z(rows_mul(rows, theta_pow), v))
+            rhs = rows_add(rhs, rows_mul(_series_rows(r, N, K), theta_pow))
     if not result.algebraic_tail.is_zero():
-        rhs = rows_add(rhs, rows_div_z(*_series_rows(result.algebraic_tail, N, K)))
+        rhs = rows_add(rhs, _series_rows(result.algebraic_tail, N, K))
     mism = rows_first_mismatch(lhs, rhs)
     return (mism is None), mism

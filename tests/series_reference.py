@@ -168,31 +168,24 @@ def truncated_sum_row_major(pieces, N, K):
     W = K + 1
     L = lcm(*(p[2] for p in pieces))
     out = [0] * ((N + 1) * W)
-    for scale, cells, den, v, rows in pieces:
+    for scale, cells, den, rows in pieces:
         m = scale * (L // den)
-        if rows is not None:
-            acc, f = ([0] * len(out), 1) if v else (out, m)
-            cols = {0: rows}
+        if rows is None:
             for j, k, x in cells:
-                col = cols.get(k)
-                if col is None:
-                    col = cols[k] = [y if i % W + k < W else 0 for i, y in enumerate(rows)]
-                off = j * W + k
-                # a tuple x is sum_e x_e t^e at row t of the series, summed power by power
-                xs = ([f * sum(c * (i // W) ** e for e, c in enumerate(x)) for i in range(len(col))]
-                      if isinstance(x, tuple) else [f * x] * len(col))
-                acc[off:] = [a + w * y for a, w, y in zip(acc[off:], xs, col)]
-            if not v:
-                continue
-            cells = [(i // W, i % W, x) for i, x in enumerate(acc) if x]
-        if (low := min((j for j, _, _ in cells), default=v)) < v:
-            raise UncancelledPole(f"1/z^{v} applied to series with nonzero z^{low} coefficient")
+                out[j * W + k] += m * x
+            continue
+        cols = {0: rows}
         for j, k, x in cells:
-            out[(j - v) * W + k] += m * x
-    top = N - max((p[3] for p in pieces), default=0)
-    nums = out[:max(top + 1, 0) * W]
-    g = gcd(L, *nums)
-    return BiSeries._of(tuple(x // g for x in nums), L // g, top, K)
+            col = cols.get(k)
+            if col is None:
+                col = cols[k] = [y if i % W + k < W else 0 for i, y in enumerate(rows)]
+            off = j * W + k
+            # a tuple x is sum_e x_e t^e at row t of the series, summed power by power
+            xs = ([m * sum(c * (i // W) ** e for e, c in enumerate(x)) for i in range(len(col))]
+                  if isinstance(x, tuple) else [m * x] * len(col))
+            out[off:] = [a + w * y for a, w, y in zip(out[off:], xs, col)]
+    g = gcd(L, *out)
+    return BiSeries._of(tuple(x // g for x in out), L // g, N, K)
 
 
 def combine_per_term(terms, N, K):
@@ -206,7 +199,7 @@ def combine_per_term(terms, N, K):
         acc = rows.get(d)
         rows[d] = ([n * x for x in cells] if acc is None
                    else [r + n * x for r, x in zip(acc, cells)])
-    return truncated_sum([(1, ((0, 0, 1),), d, 0, acc) for d, acc in rows.items()], N, K)
+    return truncated_sum([(1, ((0, 0, 1),), d, acc) for d, acc in rows.items()], N, K)
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +267,12 @@ def series_of_hyper_per_parameter(f, N: int, K: int) -> BiSeries:
 
 def theta_pieces_per_j(coeffs: Sequence, s: BiSeries, scale: int = 1):
     """``theta_pieces`` with one piece per nonzero r_j: the z_cells of r_j
-    (a ``RatFunc``) over its pole order, times theta^j s built row by row."""
+    (a ``RatFunc``) times theta^j s built row by row."""
     pieces = []
     for j, r in enumerate(coeffs):
         if j:
             s = s.theta()
         if not r.is_zero():
-            cells, den, v = r.z_cells(s.z_order, s.eps_order)
-            pieces.append((scale, cells, den * s.den, v, s.nums))
+            cells, den = r.z_cells(s.z_order, s.eps_order)
+            pieces.append((scale, cells, den * s.den, s.nums))
     return pieces

@@ -3,6 +3,7 @@
 import copy
 import json
 import pickle
+import re
 from fractions import Fraction as F
 from itertools import product
 
@@ -274,6 +275,18 @@ def test_verify_detects_corrupted_layer():
     ok, mism = verify_expansion(f, bad, 15)
     assert not ok
     assert mism == (1, 2)    # lowest affected order: z^1 at eps^2
+
+
+def test_verify_refuses_an_omega0_with_a_pole_at_the_origin():
+    """omega0 over z is refused (UnsupportedClass, exit 3), naming it."""
+    f = HyperFn([EpsLin(0, 2), EpsLin(0, 3)], [EpsLin(1, 5)])
+    e = epsilon_expand(f, 2)
+    omega0 = e.omega0 / RatFunc(Poly.variable(e.omega0.vars, "z"))
+    bad = EpsilonExpansion(e.fn, e.kind, e.var, omega0, e.layers)
+    with pytest.raises(UnsupportedClass,
+                       match=rf"^piece {re.escape(str(omega0))} has a pole at z = 0$") as exc:
+        verify_expansion(f, bad, 15)
+    assert cli.exit_code_for(exc.value) == 3
 
 
 def test_shuffle_closure_of_layers():

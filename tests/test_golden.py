@@ -140,6 +140,23 @@ def test_stored_expansion_at_the_order_cap_is_still_checked(tmp_path):
     assert code == 5 and b"stored expansion fails oracle" in stderr
 
 
+def test_stored_reduction_edited_past_its_degree_fails_without_the_pole_tail(tmp_path):
+    """stored-pole-depth.jsonl is stored.jsonl's reduce record with z^27 added to
+    R_0 and a tail eps^5 / z^4, which is refused (exit 3).  Without that tail
+    the record is checked, and the edit is caught at (z^27, eps^0)."""
+    stored = next(r for r in map(json.loads, (GOLDEN / "stored.jsonl").read_text().splitlines())
+                  if r["command"] == "reduce")
+    rec = json.loads((GOLDEN / "stored-pole-depth.jsonl").read_text())
+    assert rec["r"][0]["num"] == stored["r"][0]["num"] + [[[0, 27], "1"]]
+    assert rec["tail"] != stored["tail"]
+    rec["tail"] = stored["tail"]
+    assert rec == {**stored, "r": rec["r"]}
+    path = tmp_path / "pole-free.jsonl"
+    path.write_text(json.dumps(rec) + "\n")
+    _, stderr, code = run_case(["verify", str(path)])
+    assert (code, stderr) == (5, b"error: stored reduction fails oracle at (z^27, eps^0)\n")
+
+
 def regenerate():
     codes = {}
     for name, argv in CASES:

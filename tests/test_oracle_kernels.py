@@ -4,7 +4,7 @@
 parameters into a scalar, and ``theta_pieces`` sums the pole-free r_j
 theta^j F as one piece of tuple cells.  Both must give the results of
 ``series_of_hyper_per_parameter`` and ``theta_pieces_per_j`` rep for rep,
-and raise the same ``PoleAtEpsZero`` and ``UncancelledPole`` texts, on
+and raise the same ``PoleAtEpsZero`` and ``UnsupportedClass`` texts, on
 hand-made cases, on the golden records and on every oracle call of one
 round of each benchmark stream.
 """
@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperred import cli, expansion, reduction
-from hyperred.errors import HyperredError, PoleAtEpsZero, UncancelledPole
+from hyperred.errors import HyperredError, PoleAtEpsZero, UnsupportedClass
 from hyperred.grammar import parse_hyper
 from hyperred.hyper import HyperFn, SymHyperFn
 from hyperred.mb import count_master_integrals, get_preset, mb_to_hyper
@@ -136,17 +136,17 @@ def test_two_lowers_that_hit_zero_name_the_reference_one(text, named):
 
 
 def _residual(result, N, K, pieces):
-    """verify_reduction's residual at its depth, the theta pieces built by ``pieces``."""
+    """verify_reduction's residual at its depth, the theta pieces built by
+    ``pieces``, or the text of the refusal of a piece with a pole at z = 0."""
     N = verify_depth(result, N)
-    ps = pieces([result.s_poly], series_of_hyper(result.target, N, K))
-    ps += pieces(result.r_polys, series_of_hyper(result.basis, N, K), -1)
-    if not result.algebraic_tail.is_zero():
-        cells, den, v = result.algebraic_tail.z_cells(N, K)
-        ps.append((-1, cells, den, v, None))
     try:
-        s = truncated_sum(ps, N, K)
-    except UncancelledPole as e:
+        ps = pieces([result.s_poly], series_of_hyper(result.target, N, K))
+        ps += pieces(result.r_polys, series_of_hyper(result.basis, N, K), -1)
+        if not result.algebraic_tail.is_zero():
+            ps.append((-1, *result.algebraic_tail.z_cells(N, K), None))
+    except UnsupportedClass as e:
         return str(e)
+    s = truncated_sum(ps, N, K)
     return s.nums, s.den, s.z_order, s.eps_order
 
 
@@ -156,7 +156,7 @@ def _assert_residual_matches(result, N=30, K=4):
     got = _residual(result, N, K, theta_pieces)
     assert got == _residual(result, N, K, theta_pieces_per_j)
     if isinstance(got, str):
-        with pytest.raises(UncancelledPole, match=f"^{re.escape(got)}$"):
+        with pytest.raises(UnsupportedClass, match=f"^{re.escape(got)}$"):
             verify_reduction(result, N, K)
     else:
         mism = lowest_cell(got[0], K)
@@ -187,18 +187,19 @@ def test_residual_matches_on_the_golden_records():
 
 
 def test_residual_matches_on_edited_pole_and_zero_pieces():
-    """Hand-made R_j: a z-pole that theta cancels, one that it does not, an
-    edit that the check catches, and R_j set to zero."""
+    """Hand-made R_j: a z-pole that theta would cancel and ones that it
+    would not, each refused as it stands, edits that the check catches,
+    and R_j set to zero."""
     generic = cli._decode_record(json.loads((GOLDEN / "reduce-generic.jsonl.out").read_text()))
     vars = generic.s_poly.vars
     z, e = (Poly.variable(vars, x) for x in ("z", "eps"))
     one = Poly.const(vars, 1)
-    outcomes = [_assert_residual_matches(_edited(generic, j, extra)) for j, extra in (
-        (1, RatFunc(one, z)), (1, RatFunc(e * 3, z * z)), (0, RatFunc(one, z)),
-        (0, RatFunc(e * e * z)), (1, RatFunc(e ** 4 * z ** 3)))]
+    edits = ((1, RatFunc(one, z)), (1, RatFunc(e * 3, z * z)), (0, RatFunc(one, z)),
+             (0, RatFunc(e * e * z)), (1, RatFunc(e ** 4 * z ** 3)))
+    outcomes = [_assert_residual_matches(_edited(generic, j, extra)) for j, extra in edits]
+    refusal = [f"piece {generic.r_polys[j] + extra} has a pole at z = 0" for j, extra in edits[:3]]
     assert [o if isinstance(o, str) else lowest_cell(o[0], 4) for o in outcomes] == [
-        (0, 0), "1/z^2 applied to series with nonzero z^1 coefficient",
-        "1/z^1 applied to series with nonzero z^0 coefficient", (1, 2), (4, 4)]
+        *refusal, (1, 2), (4, 4)]
     for j, r in enumerate(generic.r_polys):
         zeroed = _assert_residual_matches(_edited(generic, j, -r))
         assert lowest_cell(zeroed[0], 4) is not None

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction as F
 from functools import lru_cache
 from pathlib import Path
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hyperred import cli
 
-from hyperred.errors import HyperredError, NotIntegerShift, SingularStep
+from hyperred.errors import HyperredError, NotIntegerShift, SingularStep, UnsupportedClass
 from hyperred.grammar import parse_hyper
 from hyperred.hyper import HyperFn, SymHyperFn
 from hyperred.poly import Poly
@@ -22,7 +23,8 @@ from hyperred.reduction import (OpMatrix, ReductionResult, canonical_path, detec
 from hyperred.scalars import EpsLin, LinearForm
 from hyperred.series import BiSeries, series_of_hyper
 from poly_reference import poly_object_subst
-from reduction_reference import clear_and_normalize, reference_reduce, reference_verify
+from reduction_reference import (_z_valuation, clear_and_normalize, reference_reduce,
+                                 reference_verify)
 from series_reference import rows_add, rows_div_z, rows_mul_z_power
 
 V = ("eps", "z")
@@ -692,14 +694,17 @@ _SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
 
 @st.composite
 def _perturbed_checks(draw):
-    """(result, N, K): a numeric reduction result, exact or with entries changed.
+    """(result, N, K, refused): a numeric reduction result, exact or with
+    entries changed, and whether an entry now has a pole at z = 0.
 
     An entry is S, an R_j or the tail.  It gains one cell x z^j eps^k, or
-    is divided by a denominator with a power of z, or by one without (a
-    series product in z_cells), or gets x z^j eps^k / z^m added (a pole
-    that theta^j may cancel).  "deep" adds eps^(K+1) / z^(p+2) to the tail,
-    which is zero to eps^K but moves the last checked row down, and a cell
-    to R_0 at exactly that row.
+    is divided by a denominator with a power of z (a pole unless the entry
+    vanishes to that order at z = 0), or by one without (a series product
+    in z_cells), or gets x z^j eps^k / z^m added with j < m (a pole, even
+    where theta^j would cancel it).  "deep" adds eps^(K+1) / z^(p+2) to the
+    tail, which is zero to eps^K, and a cell to R_0 at the row that such a
+    piece over z^(p+2) would hide below the checked depth.  Every pole is
+    refused, on both sides.
     """
     r = _verify_result(draw(st.integers(0, len(_VERIFY_CASES) - 1)))
     N, K = draw(st.integers(4, 12)), draw(st.integers(0, 4))
@@ -710,38 +715,63 @@ def _perturbed_checks(draw):
     zp = lambda m: Poly.variable(V, "z") ** m
     j, k, x = draw(st.integers(0, 8)), draw(st.integers(0, 5)), draw(_SMALL)
     i = draw(st.integers(0, len(entries) - 1))
+    refused = how in ("pole", "deep")
     if how == "cell":
         entries[i] = entries[i] + RatFunc(Poly.from_terms(V, {(k, j): x}))
     elif how == "divide":
-        den = draw(st.sampled_from((zp(1), zp(2), zp(1) * (Poly.const(V, 1) - zp(1) * 2),
-                                    Poly.const(V, 1) + zp(1) * 3,
-                                    Poly.variable(V, "eps") + zp(1),
-                                    zp(1) * (Poly.variable(V, "eps") + 1))))
+        # (denominator, its power of z)
+        den, m = draw(st.sampled_from(((zp(1), 1), (zp(2), 2),
+                                       (zp(1) * (Poly.const(V, 1) - zp(1) * 2), 1),
+                                       (Poly.const(V, 1) + zp(1) * 3, 0),
+                                       (Poly.variable(V, "eps") + zp(1), 0),
+                                       (zp(1) * (Poly.variable(V, "eps") + 1), 1))))
+        refused = not entries[i].is_zero() and _z_valuation(entries[i].num) < m
         entries[i] = entries[i] / RatFunc(den)
     elif how == "pole":
         m = draw(st.integers(1, 3))
-        entries[i] = entries[i] + RatFunc(Poly.from_terms(V, {(k, j): x}), zp(m))
+        entries[i] = entries[i] + RatFunc(Poly.from_terms(V, {(k, j % m): x}), zp(m))
     elif how == "deep":
         v = r.target.p + 2
         entries[-1] = entries[-1] + RatFunc(Poly.from_terms(V, {(K + 1, 0): 1}), zp(v))
         top = verify_depth(result(), N) - v
         entries[1] = entries[1] + RatFunc(Poly.from_terms(V, {(min(k, K), top): x}))
-    return result(), N, K
+    return result(), N, K, refused
 
 
 # golden stored-pole-depth.jsonl: R_0 + z^27 and a tail eps^5 / z^4, checked at the
-# (N, K) = (30, 4) that `hyperred verify` uses for it
+# (N, K) = (30, 4) that `hyperred verify` uses for it, and refused for the tail's pole
 _POLE_DEPTH = (cli._decode_record(json.loads(
-    (Path(__file__).parent / "golden" / "stored-pole-depth.jsonl").read_text())), 30, 4)
+    (Path(__file__).parent / "golden" / "stored-pole-depth.jsonl").read_text())), 30, 4, True)
 
 
 @settings(max_examples=150, deadline=None)
 @given(_perturbed_checks())
 @example(_POLE_DEPTH)
 def test_one_residual_check_matches_the_series_products(case):
-    """verify_reduction against the Fraction-row reference: same verdict, cell or exception."""
-    assert (_outcome_of_check(verify_reduction, *case)
-            == _outcome_of_check(reference_verify, *case))
+    """verify_reduction against the Fraction-row reference: same verdict, cell
+    or exception, and the refusal (UnsupportedClass) exactly where an entry
+    has a pole at z = 0."""
+    *case, refused = case
+    got = _outcome_of_check(verify_reduction, *case)
+    assert got == _outcome_of_check(reference_verify, *case)
+    assert (got[0] is UnsupportedClass) == refused, got
+    if refused:
+        assert got[1].startswith("piece (") and got[1].endswith(") has a pole at z = 0")
+
+
+def test_verify_refuses_a_pole_in_any_piece():
+    """1/z added to S, to each R_j or to the tail is refused, naming the piece."""
+    r = _verify_result(4)
+    assert r.affine
+    entries = [r.s_poly, *r.r_polys, r.algebraic_tail]
+    for i in range(len(entries)):
+        edited = list(entries)
+        edited[i] = edited[i] + RatFunc(Poly.const(V, 1), Poly.variable(V, "z"))
+        bad = ReductionResult(r.target, r.basis, edited[0], tuple(edited[1:-1]), edited[-1],
+                              r.affine)
+        with pytest.raises(UnsupportedClass,
+                           match=rf"^piece {re.escape(str(edited[i]))} has a pole at z = 0$"):
+            verify_reduction(bad, 12, 2)
 
 
 def _valid_series_params(fn):
@@ -767,6 +797,8 @@ def test_reduction_verifies_randomized(seed):
         r = reduce_to_basis(tgt, f)
     except SingularStep:
         return
+    # the one refusal of a z-pole relies on this: every piece is a polynomial
+    assert all(p.is_polynomial() for p in (r.s_poly, *r.r_polys, r.algebraic_tail))
     ok, mism = verify_reduction(r, 20, 1)
     assert ok, (f, mism)
 

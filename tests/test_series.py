@@ -1,16 +1,20 @@
 """Series oracle: integer rows against the Fraction reference, hypergeometric
 series, truncation."""
 
+import re
 from fractions import Fraction as F
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperred.errors import PoleAtEpsZero, UncancelledPole
+from hyperred.errors import PoleAtEpsZero, UnsupportedClass
 from hyperred.hyper import HyperFn
+from hyperred.poly import Poly
+from hyperred.ratfunc import RatFunc
 from hyperred.scalars import EpsLin
-from hyperred.series import BiSeries, combine, compose_z_series, series_of_hyper, truncated_sum
+from hyperred.series import (BiSeries, combine, compose_z_series, series_of_hyper,
+                             theta_pieces, truncated_sum)
 from series_reference import (inv_pochhammer_eps, inv_trunc, mul_trunc, pochhammer_eps,
                               rows_add, rows_compose, rows_crop, rows_first_mismatch,
                               rows_invert, rows_mul, rows_theta, truncated_sum_row_major,
@@ -317,32 +321,24 @@ def test_series_of_hyper_nonpositive_integer_lower_text(lower):
 
 
 def _random_pieces(rng, N, K):
-    """Pieces of every kind: polynomial cells alone or times an integer series,
-    scale -1 among the scales, and pole pieces whose low rows may not vanish."""
+    """Pieces of every kind: polynomial cells alone or times an integer
+    series, scale -1 among the scales, cells at k = K."""
     W, pieces = K + 1, []
     for _ in range(rng.randint(1, 4)):
-        v = min(rng.choice((0, 0, 1, 2)), N)
-        low = v if rng.random() < 0.8 else 0
-        cells = {(rng.randint(low, N), rng.randint(0, K)): rng.randint(-9, 9) or 1
+        cells = {(rng.randint(0, N), rng.randint(0, K)): rng.randint(-9, 9) or 1
                  for _ in range(rng.randint(0, 4))}
         if rng.random() < 0.5:
-            cells[rng.randint(low, N), K] = rng.choice((-1, 1, 7))
+            cells[rng.randint(0, N), K] = rng.choice((-1, 1, 7))
         cells = [(j, k, x) for (j, k), x in sorted(cells.items())]
         rows = None
         if rng.random() < 0.6:
             rows = [0 if rng.random() < 0.3 else rng.randint(-99, 99) for _ in range((N + 1) * W)]
-            if v and low == v:
-                # so the product vanishes below z^v
-                cells = [(j, k, x) for j, k, x in cells if j >= v]
-        pieces.append((rng.choice((1, -1, 3)), cells, rng.choice((1, 2, 6, 35)), v, rows))
+        pieces.append((rng.choice((1, -1, 3)), cells, rng.choice((1, 2, 6, 35)), rows))
     return pieces
 
 
 def _sum_outcome(kernel, pieces, N, K):
-    try:
-        s = kernel(pieces, N, K)
-    except UncancelledPole as e:
-        return str(e)
+    s = kernel(pieces, N, K)
     return s.nums, s.den, s.z_order, s.eps_order
 
 
@@ -353,19 +349,25 @@ def test_truncated_sum_matches_row_major_reference(N, K, seed):
     pieces = _random_pieces(random.Random(seed), N, K)
     got = _sum_outcome(truncated_sum, pieces, N, K)
     assert got == _sum_outcome(truncated_sum_row_major, pieces, N, K)
-    assert isinstance(got, str) or type(got[0]) is tuple
+    assert type(got[0]) is tuple and got[2] == N
 
 
 def test_truncated_sum_pole_piece_cases():
-    rows = [1, 2, 3, 4, 5, 6]                      # N = 2, K = 1
-    # a product that vanishes below z^1 enters shifted down by one row
-    good = [(1, [(1, 1, 2)], 3, 1, rows), (-1, [(2, 0, 1)], 1, 1, None)]
-    assert truncated_sum(good, 2, 1).rows == ((0, F(2, 3)), (-1, 2))
-    for pieces in (good, [(1, [(0, 1, 1)], 1, 1, rows)], [(-1, [(0, 0, 5)], 2, 2, None)]):
-        got = _sum_outcome(truncated_sum, pieces, 2, 1)
-        assert got == _sum_outcome(truncated_sum_row_major, pieces, 2, 1)
-    with pytest.raises(UncancelledPole, match=r"^1/z\^1 applied to series with nonzero z\^0 coefficient$"):
-        truncated_sum([(1, [(0, 1, 1)], 1, 1, rows)], 2, 1)
+    """A rational function with a pole at z = 0 never becomes a piece: its
+    z_cells refuses it, also where theta^j s vanishes below the pole.  One
+    whose denominator has a nonzero z^0 row is taken as its series, and the
+    sum keeps the series' z-depth."""
+    V = ("eps", "z")
+    z, one = Poly.variable(V, "z"), Poly.const(V, 1)
+    s = BiSeries(((F(0), F(0)), (F(2), F(1)), (F(3), F(0))))     # N = 2, K = 1
+    for j, r in ((0, RatFunc(one, z)), (1, RatFunc(one, z)), (2, RatFunc(z + 1, z * z))):
+        with pytest.raises(UnsupportedClass,
+                           match=rf"^piece {re.escape(str(r))} has a pole at z = 0$"):
+            theta_pieces([RatFunc.const(V, 0)] * j + [r], s)
+    r = RatFunc(one, z * 3 + 1)
+    (piece,) = theta_pieces([r], s)
+    got = truncated_sum([piece], 2, 1)
+    assert got == s * r.to_biseries(2, 1)[0] and got.z_order == 2
 
 
 def test_truncated_sum_is_byte_identical_on_the_checks(monkeypatch):
@@ -378,8 +380,6 @@ def test_truncated_sum_is_byte_identical_on_the_checks(monkeypatch):
     def checked(pieces, N, K):
         got = _sum_outcome(truncated_sum, pieces, N, K)
         calls.append(got == _sum_outcome(truncated_sum_row_major, pieces, N, K))
-        if isinstance(got, str):
-            raise UncancelledPole(got)
         return BiSeries._of(*got)
 
     for mod in (series, theta, reduction, expansion):

@@ -108,16 +108,13 @@ def test_ode_lhs_equals_rhs_on_series():
 
 
 def test_apply_pole_coefficient():
-    # (1/z) acting on a series with vanishing constant term is fine
+    # a 1/z coefficient is refused, whether or not the series vanishes at z^0
+    from hyperred.errors import UnsupportedClass
     from hyperred.series import BiSeries
-    s = BiSeries(((F(0),), (F(2),), (F(3),)))
     op = ThetaOp([RatFunc(Poly.const(V, 1), Poly.variable(V, "z"))])
-    out = op.apply(s)
-    assert out.get(0, 0) == 2 and out.get(1, 0) == 3
-    from hyperred.errors import UncancelledPole
-    t = BiSeries(((F(1),), (F(0),), (F(0),)))
-    with pytest.raises(UncancelledPole):
-        op.apply(t)
+    for s in (BiSeries(((F(0),), (F(2),), (F(3),))), BiSeries(((F(1),), (F(0),), (F(0),)))):
+        with pytest.raises(UnsupportedClass, match=r"^piece \(1\)/\(z\) has a pole at z = 0$"):
+            op.apply(s)
 
 
 @settings(max_examples=20, deadline=None)
