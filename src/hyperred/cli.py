@@ -389,10 +389,11 @@ def _decode_record(rec: dict):
 def run_verify(args) -> int:
     """Run the suite, or re-check stored records at this job's N and min(K, 4).
 
-    Every record is decoded before the first check; a malformed one is a
-    ParseError naming its line (exit 2), and one whose check would run past
-    a job's bounds (a reduce record's verify_depth above MAX_N, an expand
-    record's eps order above MAX_K) is refused as a job's would be (exit 3).
+    Every record is decoded before the first check; a malformed one, or a
+    file with no record (at line 1), is a ParseError naming its line (exit
+    2), and one whose check would run past a job's bounds (a reduce
+    record's verify_depth above MAX_N, an expand record's eps order above
+    MAX_K) is refused as a job's would be (exit 3).
     """
     if args.suite:
         return run_verify_suite()
@@ -413,6 +414,8 @@ def run_verify(args) -> int:
                                  lineno, 1) from None
             _check_bounds(args.N, K, f"{rec['command']} record at line {lineno}", value)
             jobs.append((rec, value))
+    if not jobs:
+        raise ParseError("malformed stored file (no record)", 1, 1)
     for rec, value in jobs:
         _check_oracle(value, args.N, K, "stored")
         name = rec["target"] if isinstance(value, ReductionResult) else rec["fn"]
@@ -545,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_bindings(pairs, mb: MBRepr):
-    """The values of NAME=VALUE pairs, each NAME a symbol of mb's forms."""
+    """The values of NAME=VALUE pairs, each NAME a symbol of mb's forms, once."""
     symbols = {s for f in mb.a_forms + mb.b_forms + mb.c_forms + mb.d_forms for s in f.symbols}
     out = {}
     for item in pairs:
@@ -555,6 +558,8 @@ def _parse_bindings(pairs, mb: MBRepr):
         if name not in symbols:
             raise ParseError(f"cannot bind {name}: the input has no symbol {name} "
                              f"(its symbols are {', '.join(sorted(symbols))})", 1, 1)
+        if name in out:
+            raise ParseError(f"binding {name} repeats", 1, 1)
         out[name] = parse_rat(f"binding {name}", val)
     return out
 

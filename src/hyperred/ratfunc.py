@@ -4,8 +4,10 @@ A RatFunc is a normalized fraction of polynomials whose last variable is
 the function's variable, z below; the earlier ones (if any) are symbolic
 parameters such as "eps" or "n".  ``RatFunc(num, den)`` divides by the
 gcd and makes den monic; ``RatFunc._of`` trusts a pair in that form, as
-``RatFunc.over`` builds one from known linear factors.  Expansion into a
-BiSeries requires the parameters to be reduced to "eps" only.
+``RatFunc.over`` builds one from known linear factors.  ``to_biseries``
+is the one reader of a function's series: it needs the parameters
+reduced to "eps" only, and it refuses a pole at z = 0, since the oracle
+sums pole-free pieces only.
 """
 
 from __future__ import annotations
@@ -145,41 +147,35 @@ class RatFunc(Value):
 
     # series ------------------------------------------------------------------
 
-    def to_biseries(self, N: int, K: int):
-        """Expand as z^(-v) * S with S a BiSeries valid to z-order N.
+    def to_biseries(self, N: int, K: int) -> BiSeries:
+        """The series of the function to z^N eps^K: num's rows times the
+        inverse of den's.
 
-        Returns (S, v).  Parameters other than eps must have been bound.
-        The z-valuations are those of the exact coefficients, so a lowest
-        denominator row that vanishes at eps = 0 raises PoleAtEpsZero even
-        when its eps terms all lie above eps^K.
+        Parameters other than eps must have been bound.  A function with a
+        pole at z = 0, whose normalized den has a zero z^0 row, is refused
+        (UnsupportedClass): the oracle sums pole-free pieces only.  The
+        z^0 row is read off the exact den, so one that vanishes at eps = 0
+        raises PoleAtEpsZero even when its eps terms all lie above eps^K.
         """
-        if self.is_polynomial():
-            # a normalized constant denominator is 1: the series is the numerator
-            return _z_rows(self.num, 0, N, K), 0
-        vn, vd = _valuation(self.num), _valuation(self.den)
-        den = _z_rows(self.den, vd, N, K)
+        if not self.den.rep[0]:
+            raise UnsupportedClass(f"piece {self} has a pole at z = 0")
+        den = _z_rows(self.den, N, K)
         if den.get(0, 0) == 0:
-            raise PoleAtEpsZero(
-                f"denominator {self.den} vanishes at eps=0 after removing z^{vd}")
-        # rows from z^min(vn, vd), so a zero of order vn - vd > 0 stays in them
-        return _z_rows(self.num, min(vn, vd), N, K) * den.invert(), max(vd - vn, 0)
+            raise PoleAtEpsZero(f"denominator {self.den} vanishes at eps=0")
+        return _z_rows(self.num, N, K) * den.invert()
 
     def z_cells(self, N: int, K: int):
         """(cells, den): the function is sum x z^j eps^k / den to z^N eps^K.
 
-        cells lists the nonzero (j, k, x), z-power first.  A function with a
-        pole at z = 0, whose normalized den has a zero z^0 row, is refused
-        here (UnsupportedClass) before any series is built: the oracle sums
-        pole-free pieces only.  A polynomial's rows up to its degree are
-        read off its rep by ``_z_rows``, as to_biseries reads them, with no
-        series product; otherwise the cells are those of to_biseries.
+        cells lists the nonzero (j, k, x), z-power first.  A polynomial's
+        rows up to its degree are read off its rep by ``_z_rows``, with no
+        series product; otherwise the cells are those of to_biseries, which
+        refuses a pole at z = 0 before it builds any series.
         """
         if self.is_polynomial():
-            s = _z_rows(self.num, 0, min(N, self.num.degree()), K)
-        elif not self.den.rep[0]:
-            raise UnsupportedClass(f"piece {self} has a pole at z = 0")
+            s = _z_rows(self.num, min(N, self.num.degree()), K)
         else:
-            s = self.to_biseries(N, K)[0]
+            s = self.to_biseries(N, K)
         return s.cells(N, K), s.den
 
     def __str__(self):
@@ -209,13 +205,8 @@ def _monic(num: Poly, den: Poly):
     return (num, den) if lf == 1 else (num.scale(1 / lf), den.scale(1 / lf))
 
 
-def _valuation(p: Poly) -> int:
-    """Lowest power of z with a nonzero coefficient in a nonzero p."""
-    return next(j for j, c in enumerate(p.rep) if c)
-
-
-def _z_rows(p: Poly, v: int, N: int, K: int) -> BiSeries:
-    """The coefficients of z^v .. z^(v+N) in p as rows of eps^0 .. eps^K.
+def _z_rows(p: Poly, N: int, K: int) -> BiSeries:
+    """The coefficients of z^0 .. z^N in p as rows of eps^0 .. eps^K.
 
     For vars (eps, z) each z-coefficient in the rep already is the tuple of
     its eps-coefficients; for vars (z,) it is a single integer.  Either way
@@ -223,7 +214,7 @@ def _z_rows(p: Poly, v: int, N: int, K: int) -> BiSeries:
     """
     _check_eps_only(p)
     nums = []
-    for c in p.rep[v:v + N + 1]:
+    for c in p.rep[:N + 1]:
         c = c[:K + 1] if p.d == 2 else (c,)
         nums += c + (0,) * (K + 1 - len(c))
     nums += [0] * ((N + 1) * (K + 1) - len(nums))

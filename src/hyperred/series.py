@@ -10,8 +10,9 @@ does every truncated product of such series: products, ``combine``,
 cell is the verdict.  It accumulates eps-major, one integer list per
 power of eps, so a cell at eps^k meets only the series' columns up to
 eps^(K-k), and interleaves the rows once at the end.  Every piece is
-pole-free, since ``RatFunc.z_cells`` refuses a rational function with a
-pole at z = 0, so a sum holds to the z-depth of its series.  A cell may
+pole-free, since ``RatFunc.to_biseries``, the one reader of a rational
+function's series, refuses a pole at z = 0, so a sum holds to the
+z-depth of its series.  A cell may
 hold a tuple of numerators x_i for sum_i x_i theta^i, which
 ``theta_pieces`` builds from the r_j, so a sum of r_j theta^j s makes one
 product per cell.  ``invert`` is fraction-free.  ``truncated_sum`` and

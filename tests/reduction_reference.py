@@ -189,7 +189,7 @@ def _series_rows(r: RatFunc, N: int, K: int):
         raise UnsupportedClass(f"piece {r} has a pole at z = 0")
     den = _rows_from(r.den, 0, N, K)
     if den[0][0] == 0:
-        raise PoleAtEpsZero(f"denominator {r.den} vanishes at eps=0 after removing z^0")
+        raise PoleAtEpsZero(f"denominator {r.den} vanishes at eps=0")
     return rows_mul(_rows_from(r.num, 0, N, K), rows_invert(den))
 
 

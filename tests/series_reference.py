@@ -14,7 +14,10 @@ equal coefficients.  ``series_of_hyper_per_parameter`` and
 ``theta_pieces_per_j`` are the integer kernels before pair cancellation,
 eps-free scalars and tuple cells: one pass per parameter and index, and
 one piece over theta^j s per nonzero r_j.  The program's results must
-equal theirs rep for rep.
+equal theirs rep for rep.  ``to_biseries_laurent`` reads a rational
+function with a pole at z = 0 as z^(-v) S, which the program refuses to
+do: step-matrix entries and word coefficients carry 1/z poles that
+cancel only in a sum.
 """
 
 from __future__ import annotations
@@ -276,3 +279,29 @@ def theta_pieces_per_j(coeffs: Sequence, s: BiSeries, scale: int = 1):
             cells, den = r.z_cells(s.z_order, s.eps_order)
             pieces.append((scale, cells, den * s.den, s.nums))
     return pieces
+
+
+def to_biseries_laurent(r, N: int, K: int):
+    """(S, v) with r = z^(-v) S and S a BiSeries valid to z-order N.
+
+    The rows of num and den are read from z^min(vn, vd) and z^vd, their
+    z-valuations vn and vd, so a zero of order vn - vd > 0 stays in S.
+    Parameters other than eps must have been bound.
+    """
+    assert r.vars[:-1] in ((), ("eps",)), r.vars
+
+    def rows(p, lo):
+        out = [[_ZERO] * (K + 1) for _ in range(N + 1)]
+        for (*e, j), c in p.terms().items():
+            k = e[0] if e else 0
+            if lo <= j <= lo + N and k <= K:
+                out[j - lo][k] += c
+        return BiSeries(tuple(map(tuple, out)))
+
+    if r.is_polynomial():
+        return rows(r.num, 0), 0
+    vn, vd = (min(e[-1] for e in p.terms()) for p in (r.num, r.den))
+    den = rows(r.den, vd)
+    if den.get(0, 0) == 0:
+        raise PoleAtEpsZero(f"denominator {r.den} vanishes at eps=0 after removing z^{vd}")
+    return rows(r.num, min(vn, vd)) * den.invert(), max(vd - vn, 0)

@@ -67,6 +67,8 @@ JOBS = {
     "check-f3": ["check-parametrization", "f3", "--p1", "1", "--p2", "0", "--r1", "0",
                  "--r2", "1", "--p", "0", "--q", "2"],
     "verify-stored": ["verify", str(GOLDEN / "stored.jsonl")],
+    # the record expand-rational-omega0 writes, whose omega0 is 1/(1 - z)
+    "verify-stored-rational": ["verify", str(GOLDEN / "expand-rational-omega0.jsonl.out")],
     "verify-suite": ["verify", "--suite"],
     "exit-parse": ["reduce", "2F1[1/2+; 1; z]", "--basis", "2F1[1, 1; 1; z]"],
     "exit-parse-superscript": ["count-basis", "2F1[², 1; 1; z]"],
@@ -75,6 +77,8 @@ JOBS = {
                        "--bind", "sigma=1"],
     "exit-bad-bind": ["count-masters", "@c3", "--bind", "j1=1/0", "--bind", "j2=1",
                       "--bind", "sigma=1"],
+    "exit-repeat-bind": ["count-masters", "@c3", "--bind", "j1=1", "--bind", "j1=2",
+                         "--bind", "j2=1", "--bind", "sigma=1"],
     "exit-unknown-bind": ["count-masters", "@c3", "--bind", "j1=1", "--bind", "j2=1",
                           "--bind", "sigma=1", "--bind", "foo=2"],
     "exit-bad-beta": ["check-parametrization", "gauss", "--p1", "1", "--p2", "1",
@@ -89,6 +93,7 @@ JOBS = {
     "exit-exceptional": ["reduce", "2F1[1, 1/3-eps; 3/2; z]",
                          "--basis", "2F1[0, 1/3-eps; 3/2; z]"],
     "exit-bad-stored": ["verify", str(GOLDEN / "stored-bad.jsonl")],
+    "exit-empty-stored": ["verify", str(GOLDEN / "stored-empty.jsonl")],
     "exit-budget-verify": ["verify", str(GOLDEN / "stored-deep.jsonl")],
     "exit-budget-verify-expand": ["verify", str(GOLDEN / "stored-deep-expand.jsonl")],
     "exit-pole-depth": ["verify", str(GOLDEN / "stored-pole-depth.jsonl")],
@@ -155,6 +160,27 @@ def test_stored_reduction_edited_past_its_degree_fails_without_the_pole_tail(tmp
     path.write_text(json.dumps(rec) + "\n")
     _, stderr, code = run_case(["verify", str(path)])
     assert (code, stderr) == (5, b"error: stored reduction fails oracle at (z^27, eps^0)\n")
+
+
+def test_stored_rational_omega0_edited_fails(tmp_path):
+    """verify-stored-rational's record with omega0's numerator doubled, 2/(1 - z),
+    reads through the quotient series and fails the oracle."""
+    rec = json.loads(Path(JOBS["verify-stored-rational"][1]).read_text())
+    assert rec["omega0"]["num"] == [[[0], "-1"]]
+    rec["omega0"]["num"] = [[[0], "-2"]]
+    path = tmp_path / "omega0-doubled.jsonl"
+    path.write_text(json.dumps(rec) + "\n")
+    _, stderr, code = run_case(["verify", str(path)])
+    assert code == 5 and stderr.startswith(b"error: stored expansion fails oracle at")
+
+
+def test_stored_file_with_no_record_is_malformed(tmp_path):
+    """An empty file is refused as stored-empty.jsonl, blank lines only, is."""
+    path = tmp_path / "empty.jsonl"
+    path.write_text("")
+    stdout, stderr, code = run_case(["verify", str(path)])
+    assert (stdout, code) == (b"", 2)
+    assert stderr == (GOLDEN / "exit-empty-stored.text.err").read_bytes()
 
 
 def regenerate():

@@ -15,7 +15,7 @@ from hyperred.poly import Poly
 from hyperred.ratfunc import RatFunc
 import gpl_reference
 from gpl_reference import word_series
-from series_reference import mul_trunc
+from series_reference import mul_trunc, to_biseries_laurent
 
 
 # RatFunc reference builders: the program builds its kernels as basis dicts
@@ -322,10 +322,10 @@ ALPHABETS = ((F(1),), (F(-1), F(1)))
 
 
 def _oracle_laurent(data, N):
-    """{j: coefficient of z^j} of sum_w r_w G(w) through RatFunc.to_biseries, j <= N."""
+    """{j: coefficient of z^j} of sum_w r_w G(w) through to_biseries_laurent, j <= N."""
     laurent = {}
     for w, r in data.items():
-        s, v = r.to_biseries(N + r.den.degree(), 0)
+        s, v = to_biseries_laurent(r, N + r.den.degree(), 0)
         rc = [s.get(j, 0) for j in range(N + v + 1)]
         for j, x in enumerate(mul_trunc(rc, word_series(w, N + v), N + v)):
             laurent[j - v] = laurent.get(j - v, 0) + x

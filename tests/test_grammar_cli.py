@@ -465,6 +465,42 @@ def test_cli_verify_catches_an_edit_above_the_checked_eps_order(tmp_path):
     assert cli.main(["verify", str(_generic_with_r0_plus(tmp_path, 5))]) == 5
 
 
+def _generic_over_one_minus_z(tmp_path):
+    """reduce-generic's record with S, every R_j and the tail divided by 1 - z,
+    as (record path, decoded ReductionResult).  The relation holds as before,
+    S stays a polynomial (it has the factor z - 1) and each R_j is over z - 1."""
+    rec = json.loads((Path(__file__).parent / "golden" / "reduce-generic.jsonl.out").read_text())
+    vars = tuple(rec["s"]["vars"])
+    d = RatFunc(Poly.const(vars, 1) - Poly.variable(vars, "z"))
+    for key in ("s", "tail"):
+        rec[key] = enc_ratfunc(dec_ratfunc(rec[key]) / d)
+    rec["r"] = [enc_ratfunc(dec_ratfunc(r) / d) for r in rec["r"]]
+    path = tmp_path / "over-one-minus-z.jsonl"
+    path.write_text(json.dumps(rec) + "\n")
+    from hyperred import cli
+    return path, cli._decode_record(rec)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 15")
+def test_reduction_with_non_polynomial_pieces_is_refused(tmp_path):
+    """S, R_j and tail over 1 - z verify today, though reduce_to_basis only
+    returns polynomials; the check should refuse them (exit 3)."""
+    from hyperred.errors import UnsupportedClass
+    from hyperred.reduction import verify_reduction
+    _, result = _generic_over_one_minus_z(tmp_path)
+    assert not any(r.is_polynomial() for r in result.r_polys)
+    with pytest.raises(UnsupportedClass):
+        verify_reduction(result, 30, 4)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 15")
+def test_cli_verify_refuses_a_record_with_non_polynomial_pieces(tmp_path):
+    """The same pieces in a stored record print "reduce record ok" today."""
+    from hyperred import cli
+    path, _ = _generic_over_one_minus_z(tmp_path)
+    assert cli.main(["verify", str(path)]) == 3
+
+
 def test_cli_file_errors_are_one_error_line(tmp_path):
     missing = tmp_path / "missing.txt"
     for args in (("count-basis", f"file:{missing}"),

@@ -1,5 +1,6 @@
 """Ring axioms and normal forms for the polynomial / fraction tower."""
 
+import re
 from fractions import Fraction as F
 from math import gcd
 
@@ -7,12 +8,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hyperred import poly as poly_mod, ratfunc as ratfunc_mod
-from hyperred.errors import PoleAtEpsZero
+from hyperred.errors import PoleAtEpsZero, UnsupportedClass
 from hyperred.poly import Poly
 from hyperred.ratfunc import RatFunc
 from hyperred.series import BiSeries
 import poly_reference as ref
 from poly_reference import euclid_gcd
+from series_reference import to_biseries_laurent
 
 V = ("eps", "z")
 
@@ -399,13 +401,13 @@ def test_const_queries_walk_the_rep():
     assert Poly.const((), F(3)).is_const() and Poly.const((), F(3)).const_value() == 3
 
 
-def _series_by_terms(p, N, K, shift=0):
-    """Reference: z^shift * p as a BiSeries to (N, K), read off Poly.terms()."""
+def _series_by_terms(p, N, K):
+    """Reference: p as a BiSeries to (N, K), read off Poly.terms()."""
     rows = [[F(0)] * (K + 1) for _ in range(N + 1)]
     for exps, q in p.terms().items():
         k, j = exps if len(exps) == 2 else (0, exps[0])
-        if j + shift <= N and k <= K:
-            rows[j + shift][k] = q
+        if j <= N and k <= K:
+            rows[j][k] = q
     return BiSeries(tuple(tuple(r) for r in rows))
 
 
@@ -420,8 +422,8 @@ def test_polynomial_to_biseries_equals_inversion_path(p, v, NK):
     N, K = NK
     r = RatFunc(p * zvar() ** v)
     assert r.is_polynomial()
-    s, sv = r.to_biseries(N, K)
-    assert sv == 0 and (s.z_order, s.eps_order) == (N, K)
+    s = r.to_biseries(N, K)
+    assert (s.z_order, s.eps_order) == (N, K)
     if p.is_zero():
         assert s.is_zero()
     else:
@@ -431,8 +433,7 @@ def test_polynomial_to_biseries_equals_inversion_path(p, v, NK):
 def test_polynomial_to_biseries_truncates_past_n():
     # z^2 + 3 eps z^5 at N = 4: only the z^2 row survives
     r = RatFunc(zvar() ** 2 + evar() * zvar() ** 5 * 3)
-    s, v = r.to_biseries(4, 1)
-    assert v == 0
+    s = r.to_biseries(4, 1)
     assert s.rows == tuple((F(int(j == 2)), F(0)) for j in range(5))
 
 
@@ -447,22 +448,23 @@ def eps_heavy_polys(draw, vars):
 
 @pytest.mark.parametrize("vars", [("z",), ("eps", "z")])
 def test_to_biseries_times_denominator_is_numerator(vars):
-    def valuation(p):
-        return min(e[-1] for e in p.terms())
-
     @settings(max_examples=60, deadline=None)
     @given(eps_heavy_polys(vars), eps_heavy_polys(vars), st.integers(0, 6), st.integers(0, 2))
     def check(num, den, N, K):
         r = RatFunc(num, den)
-        vd = valuation(r.den)
-        if r.den.terms().get((0, vd)[-len(vars):], 0) == 0:
-            # the lowest z-row of the denominator vanishes at eps = 0
-            with pytest.raises(PoleAtEpsZero):
+        if min(e[-1] for e in r.den.terms()) > 0:
+            with pytest.raises(UnsupportedClass,
+                               match=rf"^piece {re.escape(str(r))} has a pole at z = 0$"):
                 r.to_biseries(N, K)
             return
-        s, v = r.to_biseries(N, K)
-        assert v == max(0, vd - valuation(r.num))
-        assert s * _series_by_terms(r.den, N, K) == _series_by_terms(r.num, N, K, v)
+        if r.den.terms().get((0, 0)[-len(vars):], 0) == 0:
+            # the z^0 row of the denominator vanishes at eps = 0
+            with pytest.raises(PoleAtEpsZero, match=r"^denominator .* vanishes at eps=0$"):
+                r.to_biseries(N, K)
+            return
+        s = r.to_biseries(N, K)
+        assert s * _series_by_terms(r.den, N, K) == _series_by_terms(r.num, N, K)
+        assert (s, 0) == to_biseries_laurent(r, N, K)
     check()
 
 
@@ -471,7 +473,7 @@ def test_to_biseries_denominator_vanishing_above_k_is_a_pole(power, K):
     # (3z + 1)/(z + eps^p) has an eps pole at every z order, whether or not
     # eps^p survives truncation at eps^K
     z, e = zvar(), evar()
-    with pytest.raises(PoleAtEpsZero):
+    with pytest.raises(PoleAtEpsZero, match=r"^denominator .* vanishes at eps=0$"):
         RatFunc(z * 3 + 1, z + e ** power).to_biseries(4, K)
 
 

@@ -25,7 +25,7 @@ from hyperred.series import BiSeries, series_of_hyper
 from poly_reference import poly_object_subst
 from reduction_reference import (_z_valuation, clear_and_normalize, reference_reduce,
                                  reference_verify)
-from series_reference import rows_add, rows_div_z, rows_mul_z_power
+from series_reference import rows_add, rows_div_z, rows_mul_z_power, to_biseries_laurent
 
 V = ("eps", "z")
 
@@ -228,7 +228,7 @@ def _apply_rows(m, col, N, K):
     since single entries carry 1/z poles that cancel only in the row sum."""
     out = []
     for row in m.entries:
-        pieces = [(e.to_biseries(N, K), s) for e, s in zip(row, col) if not e.is_zero()]
+        pieces = [(to_biseries_laurent(e, N, K), s) for e, s in zip(row, col) if not e.is_zero()]
         v = max(ev for (_, ev), _ in pieces)
         acc = tuple((F(0),) * (K + 1) for _ in range(N + 1))
         for (es, ev), s in pieces:

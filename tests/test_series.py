@@ -354,7 +354,7 @@ def test_truncated_sum_matches_row_major_reference(N, K, seed):
 
 def test_truncated_sum_pole_piece_cases():
     """A rational function with a pole at z = 0 never becomes a piece: its
-    z_cells refuses it, also where theta^j s vanishes below the pole.  One
+    to_biseries refuses it, also where theta^j s vanishes below the pole.  One
     whose denominator has a nonzero z^0 row is taken as its series, and the
     sum keeps the series' z-depth."""
     V = ("eps", "z")
@@ -367,7 +367,7 @@ def test_truncated_sum_pole_piece_cases():
     r = RatFunc(one, z * 3 + 1)
     (piece,) = theta_pieces([r], s)
     got = truncated_sum([piece], 2, 1)
-    assert got == s * r.to_biseries(2, 1)[0] and got.z_order == 2
+    assert got == s * r.to_biseries(2, 1) and got.z_order == 2
 
 
 def test_truncated_sum_is_byte_identical_on_the_checks(monkeypatch):
