@@ -540,8 +540,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(f3, run_check_parametrization)
 
     p = sub.add_parser("verify", help="re-verify stored results or run the suite")
-    p.add_argument("path", nargs="?")
-    p.add_argument("--suite", action="store_true")
+    path_or_suite = p.add_mutually_exclusive_group()   # the suite reads no file
+    path_or_suite.add_argument("path", nargs="?")
+    path_or_suite.add_argument("--suite", action="store_true")
     common(p, run_verify, N=True, K=True, emits=False)
 
     return ap

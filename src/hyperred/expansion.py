@@ -17,7 +17,6 @@ alphabet {-1, 0, 1} after dressing the function by sqrt(-z).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -28,6 +27,7 @@ from .poly import _theta_product
 from .ratfunc import RatFunc
 from .scalars import EpsLin, rat
 from .series import BiSeries, lowest_cell, series_of_hyper, truncated_sum
+from .value import Value
 
 F = Fraction
 
@@ -36,18 +36,17 @@ F = Fraction
 # operator factorization data
 
 
-@dataclass(frozen=True)
-class FactorizationReport:
-    """Outcome of matching R1/R2/beta against the three known cases."""
+class FactorizationReport(Value):
+    """Outcome of matching R1/R2/beta against the three known cases: ``case``
+    is "R1=R2", "R1=0", "R2=0" or "none", and h = z^e0 (z-1)^e1 for
+    ``h_exponents`` (e0, e1)."""
 
-    case: str                      # "R1=R2" | "R1=0" | "R2=0" | "none"
-    r1: Optional[Fraction]
-    r2: Optional[Fraction]
-    beta: Tuple[Fraction, ...]
-    h_exponents: Tuple[Fraction, Fraction]   # h = z^e0 (z-1)^e1
-    xi_description: Optional[str]
-    candidates: Tuple[str, ...] = ()
-    gauss_checks: Optional[dict] = None
+    __slots__ = ("case", "r1", "r2", "beta", "h_exponents", "xi_description", "candidates",
+                 "gauss_checks")
+
+    def __init__(self, case, r1, r2, beta, h_exponents, xi_description, candidates=(),
+                 gauss_checks=None):
+        self._set(case, r1, r2, beta, h_exponents, xi_description, candidates, gauss_checks)
 
 
 def _xi_for_case(case: str, r1: Fraction, r2: Fraction) -> Optional[str]:
@@ -165,18 +164,15 @@ def three_f2_system(r: int, p: int, q: int, a1, a2, a3, b1, b2):
     return deltas, report
 
 
-@dataclass(frozen=True)
-class F3Report:
-    """Admissibility data for the two-variable F3 parameter check."""
+class F3Report(Value):
+    """Admissibility data for the two-variable F3 parameter check: the
+    exponents of x^e0 (x-1)^e1 in h1 and h2, and of x, y and (xy-x-y) in H."""
 
-    passes: bool
-    s1: int
-    s2: int
-    h1_exponents: Tuple[Fraction, Fraction]       # x^e0 (x-1)^e1
-    h2_exponents: Tuple[Fraction, Fraction]
-    H_exponents: Tuple[Fraction, Fraction, Fraction]  # x, y, (xy-x-y)
-    form: Optional[int]
-    flags: Tuple[str, ...] = ()
+    __slots__ = ("passes", "s1", "s2", "h1_exponents", "h2_exponents", "H_exponents", "form",
+                 "flags")
+
+    def __init__(self, passes, s1, s2, h1_exponents, h2_exponents, H_exponents, form, flags=()):
+        self._set(passes, s1, s2, h1_exponents, h2_exponents, H_exponents, form, flags)
 
 
 def f3_parametrization_check(p1: int, p2: int, r1: int, r2: int,
@@ -209,8 +205,7 @@ def f3_parametrization_check(p1: int, p2: int, r1: int, r2: int,
 # the expansion engine
 
 
-@dataclass(frozen=True)
-class EpsilonExpansion:
+class EpsilonExpansion(Value):
     """Layered expansion result; layers[k] is the eps^k coefficient.
 
     kind "direct": layers live in the function's own variable and layer 0
@@ -218,11 +213,11 @@ class EpsilonExpansion:
     dressed function sqrt(-z) F in the variable xi = (z/(z-1))^(1/2).
     """
 
-    fn: HyperFn
-    kind: str                      # "direct" | "xi"
-    var: str
-    omega0: Optional[RatFunc]
-    layers: Tuple[PolyLogExpr, ...]
+    __slots__ = ("fn", "kind", "var", "omega0", "layers")
+
+    def __init__(self, fn: HyperFn, kind: str, var: str, omega0: Optional[RatFunc],
+                 layers: Tuple[PolyLogExpr, ...]):
+        self._set(fn, kind, var, omega0, layers)
 
     @property
     def order(self):

@@ -9,7 +9,6 @@ from each descending numerator factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence, Tuple
@@ -36,15 +35,6 @@ class MBRepr(Value):
             raise ValueError(
                 f"list dimensions {self.dims()} violate dimA+dimD-dimB-dimC=1")
 
-    def _key(self):
-        return (self.kappa, self.var, self.a_forms, self.b_forms, self.c_forms, self.d_forms)
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
     def dims(self):
         return (len(self.a_forms), len(self.b_forms),
                 len(self.c_forms), len(self.d_forms))
@@ -63,33 +53,38 @@ def check_dim(m: MBRepr) -> bool:
     return da + dd - db - dc == 1
 
 
-@dataclass(frozen=True)
-class GammaProduct:
+class GammaProduct(Value):
     """Symbolic prod Gamma(num_i)/prod Gamma(den_j), recorded for display."""
 
-    num: Tuple[LinearForm, ...]
-    den: Tuple[LinearForm, ...]
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: Tuple[LinearForm, ...], den: Tuple[LinearForm, ...]):
+        self._set(num, den)
 
     def __str__(self):
         num = " ".join(f"G[{f}]" for f in self.num) or "1"
         den = " ".join(f"G[{f}]" for f in self.den)
         return f"{num} / ({den})" if den else num
 
+    __repr__ = Value.__str__   # the display form is str; repr names the fields
 
-@dataclass(frozen=True)
-class HyperTerm:
+
+class HyperTerm(Value):
     """One pole family: z^power * gamma-prefactor * hypergeometric term."""
 
-    power: LinearForm
-    gamma: GammaProduct
-    fn: SymHyperFn
+    __slots__ = ("power", "gamma", "fn")
+
+    def __init__(self, power: LinearForm, gamma: GammaProduct, fn: SymHyperFn):
+        self._set(power, gamma, fn)
 
 
-@dataclass(frozen=True)
-class HyperSum:
+class HyperSum(Value):
     """Sum over pole families produced by closing the contour right."""
 
-    terms: Tuple[HyperTerm, ...]
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Tuple[HyperTerm, ...]):
+        self._set(terms)
 
     @property
     def q(self) -> int:
@@ -159,13 +154,13 @@ def dressed_propagator_shift(sigma_list: Sequence, q: int) -> LinearForm:
 # diagram presets
 
 
-@dataclass(frozen=True)
-class DiagramPreset:
+class DiagramPreset(Value):
     """A built-in diagram: MB data plus the printed hypergeometric form."""
 
-    symbols: Tuple[str, ...]
-    mb: MBRepr
-    printed: HyperSum
+    __slots__ = ("symbols", "mb", "printed")
+
+    def __init__(self, symbols: Tuple[str, ...], mb: MBRepr, printed: HyperSum):
+        self._set(symbols, mb, printed)
 
 
 def _n(c=1):

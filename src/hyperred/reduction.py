@@ -36,21 +36,21 @@ S F(target) - sum R_j theta^j F(basis) - tail, summed by the series
 kernel ``truncated_sum``: the nonzero cells of S times the target's
 integer series, the ``theta_pieces`` of sum R_j theta^j F(basis), as
 ``ThetaOp.apply`` sums them (the R_j as one piece, one product per
-cell), and the tail's cells, over one denominator.  Every piece is a
-polynomial; ``RatFunc.z_cells`` refuses one with a pole at z = 0.
+cell), and the tail's cells, over one denominator.  Every piece must be
+a polynomial: ``RatFunc.z_cells`` refuses one with a pole at z = 0, and
+verify_reduction any other denominator in z.
 Its lowest nonzero (z^j, eps^k) cell is the verdict, so no series
 product, sum or compare is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from types import MappingProxyType
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import NotIntegerShift, SingularStep
+from .errors import NotIntegerShift, SingularStep, UnsupportedClass
 from .hyper import Hyper, HyperFn
 from .poly import (Factors, Poly, _add, _add_factor, _cancel, _const, _div_int, _factor_product,
                    _int_content, _monic_product, _monomial, _mul, _neg, _pow, _scale,
@@ -59,6 +59,7 @@ from .ratfunc import RatFunc
 from .scalars import DEFAULT_N, EpsLin
 from .series import lowest_cell, series_of_hyper, theta_pieces, truncated_sum
 from .theta import ThetaOp
+from .value import Value
 
 # ---------------------------------------------------------------------------
 # parameter embedding
@@ -151,8 +152,7 @@ class QuotientModule:
 # matrices over rational functions
 
 
-@dataclass(frozen=True)
-class OpMatrix:
+class OpMatrix(Value):
     """Square matrix over rational functions of z (or one row of one).
 
     The RatFunc view of a step (``step_matrix``), for tests and the public
@@ -162,8 +162,10 @@ class OpMatrix:
     bottom row is (0, ..., 0, 1).
     """
 
-    entries: Tuple[Tuple[RatFunc, ...], ...]
-    affine: bool = False
+    __slots__ = ("entries", "affine")
+
+    def __init__(self, entries: Tuple[Tuple[RatFunc, ...], ...], affine: bool = False):
+        self._set(entries, affine)
 
     @property
     def size(self):
@@ -222,12 +224,6 @@ class OpMatrix:
 
     def row(self, i):
         return self.entries[i]
-
-    def __eq__(self, other):
-        if not isinstance(other, OpMatrix):
-            return NotImplemented
-        return self.size == other.size and all(
-            a == b for ra, rb in zip(self.entries, other.entries) for a, b in zip(ra, rb))
 
 
 
@@ -389,8 +385,7 @@ def step_matrix(fn: Hyper, which: str, index: int, direction: int,
 # full reduction
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(Value):
     """S F(target) = sum_j r_polys[j] theta^j F(basis) + algebraic_tail.
 
     s_poly, r_polys and the tail are cleared of denominators and globally
@@ -398,12 +393,11 @@ class ReductionResult:
     reductions produced along different shift paths compare equal.
     """
 
-    target: Hyper
-    basis: Hyper
-    s_poly: RatFunc
-    r_polys: Tuple[RatFunc, ...]
-    algebraic_tail: RatFunc
-    affine: bool = False
+    __slots__ = ("target", "basis", "s_poly", "r_polys", "algebraic_tail", "affine")
+
+    def __init__(self, target: Hyper, basis: Hyper, s_poly: RatFunc, r_polys: Tuple[RatFunc, ...],
+                 algebraic_tail: RatFunc, affine: bool = False):
+        self._set(target, basis, s_poly, r_polys, algebraic_tail, affine)
 
     def bind(self, n_value: EpsLin = DEFAULT_N) -> "ReductionResult":
         """Bind symbolic n to get a numeric result.
@@ -533,9 +527,12 @@ def verify_reduction(result: ReductionResult, N: int = 30, K: int = 2):
 
     Returns (True, None) or (False, (j, k)) at the lowest nonzero cell of
     the residual S F(target) - sum R_j theta^j F(basis) - tail, summed by
-    ``truncated_sum`` at z-depth verify_depth(result, N); a piece with a
-    pole at z = 0 is refused (UnsupportedClass).  Parameters must be
-    numeric (bind symbolic n first).
+    ``truncated_sum`` at z-depth verify_depth(result, N).  Every piece must
+    be a polynomial in z: reading the pieces refuses a pole at z = 0
+    (UnsupportedClass) or a z^0 row of a denominator that vanishes at
+    eps = 0 (PoleAtEpsZero), and then any other denominator in z is
+    refused (UnsupportedClass): reduce_to_basis returns polynomials only.
+    Parameters must be numeric (bind symbolic n first).
     """
     if not isinstance(result.target, HyperFn):
         raise ValueError("bind symbolic parameters before verification")
@@ -544,6 +541,9 @@ def verify_reduction(result: ReductionResult, N: int = 30, K: int = 2):
     pieces += theta_pieces(result.r_polys, series_of_hyper(result.basis, N, K), -1)
     if not result.algebraic_tail.is_zero():
         pieces.append((-1, *result.algebraic_tail.z_cells(N, K), None))
+    for r in (result.s_poly, *result.r_polys, result.algebraic_tail):
+        if r.den.degree() > 0:
+            raise UnsupportedClass(f"piece {r} is not a polynomial in {r.vars[-1]}")
     mism = lowest_cell(truncated_sum(pieces, N, K).nums, K)
     return mism is None, mism
 
@@ -552,14 +552,13 @@ def verify_reduction(result: ReductionResult, N: int = 30, K: int = 2):
 # exceptional parameters and basis counting
 
 
-@dataclass(frozen=True)
-class ExceptionalReport:
-    """Integer uppers, cancellable upper/lower pairs, overlap flags, basis count."""
+class ExceptionalReport(Value):
+    """Integer uppers, (upper, lower, diff) cancellable pairs, overlap flags, basis count."""
 
-    integer_uppers: Tuple[int, ...]
-    pairs: Tuple[Tuple[int, int, int], ...]  # (upper index, lower index, diff)
-    shared_flags: Tuple[int, ...]
-    count: int
+    __slots__ = ("integer_uppers", "pairs", "shared_flags", "count")
+
+    def __init__(self, integer_uppers, pairs, shared_flags, count):
+        self._set(integer_uppers, pairs, shared_flags, count)
 
 
 def detect_exceptional(fn: HyperFn) -> ExceptionalReport:

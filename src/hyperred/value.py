@@ -4,7 +4,10 @@ A ``Value`` subclass declares its fields as ``__slots__`` and writes them
 once, at construction, through ``_set``; any later assignment raises.
 ``_of`` builds a value from its fields past the normalizing constructor,
 and pickling and deep copies rebuild through it, so every value can be
-shared across threads and processes.
+shared across threads and processes.  The result records
+(``ReductionResult``, ``EpsilonExpansion``, ``HyperSum``, ...) take the
+defaults: equal by type and fields, hashed by their fields, and printed as
+``Type(field=value, ...)``; the descriptors and the algebra define their own.
 """
 
 from __future__ import annotations
@@ -45,8 +48,23 @@ class Value:
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    __delattr__ = __setattr__
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
     def __reduce__(self):
-        return (type(self)._of, tuple(getattr(self, name) for name in self._fields))
+        return (type(self)._of, self._values())
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __str__(self):
+        fields = (f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({', '.join(fields)})"
 
     def __repr__(self):
         return str(self)

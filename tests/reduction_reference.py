@@ -201,7 +201,9 @@ def reference_depth(result: ReductionResult, N: int) -> int:
 
 
 def reference_verify(result: ReductionResult, N: int = 30, K: int = 2):
-    """verify_reduction by Fraction row products, theta, sums and compare."""
+    """verify_reduction by Fraction row products, theta, sums and compare; after
+    every piece is read (refusing a pole at z = 0), a piece with any other
+    denominator in z is refused."""
     if not isinstance(result.target, HyperFn):
         raise ValueError("bind symbolic parameters before verification")
     N = reference_depth(result, N)
@@ -216,5 +218,8 @@ def reference_verify(result: ReductionResult, N: int = 30, K: int = 2):
             rhs = rows_add(rhs, rows_mul(_series_rows(r, N, K), theta_pow))
     if not result.algebraic_tail.is_zero():
         rhs = rows_add(rhs, _series_rows(result.algebraic_tail, N, K))
+    for r in (result.s_poly, *result.r_polys, result.algebraic_tail):
+        if any(e[-1] for e in r.den.terms()):
+            raise UnsupportedClass(f"piece {r} is not a polynomial in z")
     mism = rows_first_mismatch(lhs, rhs)
     return (mism is None), mism

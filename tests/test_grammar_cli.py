@@ -145,7 +145,7 @@ def test_cli_exit_codes():
     r = run_cli("reduce", "2F1[1/3,1/5;-1+eps;z]", "--basis", "2F1[1/3,1/5;-2+eps;z]")
     assert r.returncode == 4
     r = run_cli("verify", "/nonexistent/x", "--suite")
-    assert r.returncode == 0 or r.returncode == 5   # --suite ignores the path
+    assert r.returncode == 2   # the suite reads no file: a path with --suite is refused
 
 
 def test_cli_deterministic_jsonl():
@@ -481,24 +481,25 @@ def _generic_over_one_minus_z(tmp_path):
     return path, cli._decode_record(rec)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 15")
 def test_reduction_with_non_polynomial_pieces_is_refused(tmp_path):
-    """S, R_j and tail over 1 - z verify today, though reduce_to_basis only
-    returns polynomials; the check should refuse them (exit 3)."""
+    """S, R_j and tail over 1 - z satisfy the relation on every series cell,
+    but reduce_to_basis only returns polynomials: the check refuses them
+    (exit 3)."""
     from hyperred.errors import UnsupportedClass
     from hyperred.reduction import verify_reduction
     _, result = _generic_over_one_minus_z(tmp_path)
     assert not any(r.is_polynomial() for r in result.r_polys)
-    with pytest.raises(UnsupportedClass):
+    with pytest.raises(UnsupportedClass, match=r"^piece .* is not a polynomial in z$"):
         verify_reduction(result, 30, 4)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 15")
-def test_cli_verify_refuses_a_record_with_non_polynomial_pieces(tmp_path):
-    """The same pieces in a stored record print "reduce record ok" today."""
+def test_cli_verify_refuses_a_record_with_non_polynomial_pieces(tmp_path, capsys):
+    """The same pieces in a stored record are refused, not "reduce record ok"."""
     from hyperred import cli
     path, _ = _generic_over_one_minus_z(tmp_path)
     assert cli.main(["verify", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: piece ") and "is not a polynomial in z" in err
 
 
 def test_cli_file_errors_are_one_error_line(tmp_path):
@@ -516,6 +517,17 @@ def test_cli_verify_suite():
     r = run_cli("verify", "--suite")
     assert r.returncode == 0, r.stdout + r.stderr
     assert r.stdout.count("PASS") == 4
+
+
+def test_cli_verify_refuses_a_path_with_suite():
+    """--suite runs the built-in checks and reads no file, so a path with it is
+    refused (exit 2) before the suite runs, in either order, not ignored; the
+    file alone verifies (exit 0)."""
+    stored = str(Path(__file__).parent / "golden" / "stored.jsonl")
+    for args in ((stored, "--suite"), ("--suite", stored)):
+        r = run_cli("verify", *args)
+        assert r.returncode == 2 and r.stdout == "", args
+        assert "not allowed with argument" in r.stderr and "Traceback" not in r.stderr, args
 
 
 def test_cli_order_bounds():

@@ -695,16 +695,18 @@ _SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
 @st.composite
 def _perturbed_checks(draw):
     """(result, N, K, refused): a numeric reduction result, exact or with
-    entries changed, and whether an entry now has a pole at z = 0.
+    entries changed, and whether an entry now has a pole at z = 0 or is
+    not a polynomial in z.
 
     An entry is S, an R_j or the tail.  It gains one cell x z^j eps^k, or
     is divided by a denominator with a power of z (a pole unless the entry
-    vanishes to that order at z = 0), or by one without (a series product
-    in z_cells), or gets x z^j eps^k / z^m added with j < m (a pole, even
-    where theta^j would cancel it).  "deep" adds eps^(K+1) / z^(p+2) to the
-    tail, which is zero to eps^K, and a cell to R_0 at the row that such a
-    piece over z^(p+2) would hide below the checked depth.  Every pole is
-    refused, on both sides.
+    vanishes to that order at z = 0), or by one with a factor prime to z
+    (not a polynomial, unless its z^0 row vanishes at eps = 0, which is
+    PoleAtEpsZero), or gets x z^j eps^k / z^m added with j < m (a pole,
+    even where theta^j would cancel it).  "deep" adds eps^(K+1) / z^(p+2)
+    to the tail, which is zero to eps^K, and a cell to R_0 at the row that
+    such a piece over z^(p+2) would hide below the checked depth.  Every
+    pole and every other denominator in z is refused, on both sides.
     """
     r = _verify_result(draw(st.integers(0, len(_VERIFY_CASES) - 1)))
     N, K = draw(st.integers(4, 12)), draw(st.integers(0, 4))
@@ -719,13 +721,14 @@ def _perturbed_checks(draw):
     if how == "cell":
         entries[i] = entries[i] + RatFunc(Poly.from_terms(V, {(k, j): x}))
     elif how == "divide":
-        # (denominator, its power of z)
-        den, m = draw(st.sampled_from(((zp(1), 1), (zp(2), 2),
-                                       (zp(1) * (Poly.const(V, 1) - zp(1) * 2), 1),
-                                       (Poly.const(V, 1) + zp(1) * 3, 0),
-                                       (Poly.variable(V, "eps") + zp(1), 0),
-                                       (zp(1) * (Poly.variable(V, "eps") + 1), 1))))
-        refused = not entries[i].is_zero() and _z_valuation(entries[i].num) < m
+        # (denominator, its power of z, whether it has a factor in z prime to z that
+        # no entry shares and whose z^0 row is nonzero at eps = 0)
+        den, m, prime = draw(st.sampled_from(((zp(1), 1, False), (zp(2), 2, False),
+                                              (zp(1) * (Poly.const(V, 1) - zp(1) * 2), 1, True),
+                                              (Poly.const(V, 1) + zp(1) * 3, 0, True),
+                                              (Poly.variable(V, "eps") + zp(1), 0, False),
+                                              (zp(1) * (Poly.variable(V, "eps") + 1), 1, False))))
+        refused = not entries[i].is_zero() and (_z_valuation(entries[i].num) < m or prime)
         entries[i] = entries[i] / RatFunc(den)
     elif how == "pole":
         m = draw(st.integers(1, 3))
@@ -743,20 +746,29 @@ def _perturbed_checks(draw):
 _POLE_DEPTH = (cli._decode_record(json.loads(
     (Path(__file__).parent / "golden" / "stored-pole-depth.jsonl").read_text())), 30, 4, True)
 
+# the reduce-generic result with R_0 over 1 + 3z: no pole at z = 0, but not a polynomial
+_R = _verify_result(0)
+_NOT_POLYNOMIAL = (ReductionResult(
+    _R.target, _R.basis, _R.s_poly,
+    (_R.r_polys[0] / RatFunc(Poly.const(V, 1) + Poly.variable(V, "z") * 3),) + _R.r_polys[1:],
+    _R.algebraic_tail, _R.affine), 12, 2, True)
+
 
 @settings(max_examples=150, deadline=None)
 @given(_perturbed_checks())
 @example(_POLE_DEPTH)
+@example(_NOT_POLYNOMIAL)
 def test_one_residual_check_matches_the_series_products(case):
     """verify_reduction against the Fraction-row reference: same verdict, cell
     or exception, and the refusal (UnsupportedClass) exactly where an entry
-    has a pole at z = 0."""
+    has a pole at z = 0 or another denominator in z."""
     *case, refused = case
     got = _outcome_of_check(verify_reduction, *case)
     assert got == _outcome_of_check(reference_verify, *case)
     assert (got[0] is UnsupportedClass) == refused, got
     if refused:
-        assert got[1].startswith("piece (") and got[1].endswith(") has a pole at z = 0")
+        assert got[1].startswith("piece (")
+        assert got[1].endswith((") has a pole at z = 0", ") is not a polynomial in z"))
 
 
 def test_verify_refuses_a_pole_in_any_piece():
