@@ -397,8 +397,6 @@ def run_verify(args) -> int:
     """
     if args.suite:
         return run_verify_suite()
-    if not args.path:
-        raise UnsupportedClass("verify needs a result file or --suite")
     K = min(args.K, REDUCE_CHECK_K)
     jobs = []
     with open(args.path) as fh:
@@ -540,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(f3, run_check_parametrization)
 
     p = sub.add_parser("verify", help="re-verify stored results or run the suite")
-    path_or_suite = p.add_mutually_exclusive_group()   # the suite reads no file
+    path_or_suite = p.add_mutually_exclusive_group(required=True)   # the suite reads no file
     path_or_suite.add_argument("path", nargs="?")
     path_or_suite.add_argument("--suite", action="store_true")
     common(p, run_verify, N=True, K=True, emits=False)

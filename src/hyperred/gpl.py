@@ -186,12 +186,6 @@ class PolyLogExpr(Value):
     def series(self, N: int) -> List[Fraction]:
         return self.biseries(N).eps_row(0)
 
-    def __eq__(self, other):
-        if not isinstance(other, PolyLogExpr):
-            return NotImplemented
-        return (self.var == other.var and self.const == other.const
-                and self.terms == other.terms)
-
     def __hash__(self):
         return hash((frozenset(self.terms.items()), self.const, self.var))
 
@@ -409,6 +403,7 @@ class GplCombo(Value):
     """
 
     __slots__ = ("den", "data")
+    __hash__ = None   # data is a dict
 
     def __init__(self, data: Mapping[Word, Mapping[Kernel, Fraction]]):
         self._set(*_collect((as_word(w), *_over_lcm(r)) for w, r in data.items()))
@@ -419,9 +414,6 @@ class GplCombo(Value):
         if g != 1:
             data, den = {w: {k: c // g for k, c in r.items()} for w, r in data.items()}, den // g
         return self._write(den, data)
-
-    def __eq__(self, other):
-        return isinstance(other, GplCombo) and (self.den, self.data) == (other.den, other.data)
 
     @classmethod
     def zero(cls):

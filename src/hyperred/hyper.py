@@ -10,9 +10,9 @@ class Hyper(Value):
     """A (p+1)F_p instance: parameter lists plus argument kappa * var.
 
     ``upper`` and ``lower`` are tuples of ``param_type`` values, which
-    subclasses fix, and ``kappa`` is a Fraction.  Parameter order is kept
-    as given for display; equality sorts both lists so functions that
-    differ only by parameter order compare equal.
+    subclasses fix, and ``kappa`` is a Fraction.  Equality and hashing are
+    ``Value``'s, field by field, so parameter order counts: two equal
+    functions print alike and step alike.
     """
 
     __slots__ = ("upper", "lower", "kappa", "var")
@@ -28,16 +28,6 @@ class Hyper(Value):
     @property
     def p(self) -> int:
         return len(self.lower)
-
-    def _key(self):
-        return (tuple(sorted(u.sort_key() for u in self.upper)),
-                tuple(sorted(l.sort_key() for l in self.lower)), self.kappa, self.var)
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def shifted(self, which: str, index: int, step: int):
         """New function with one parameter moved by an integer step."""

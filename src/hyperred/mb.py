@@ -163,30 +163,18 @@ class DiagramPreset(Value):
         self._set(symbols, mb, printed)
 
 
-def _n(c=1):
-    return LinearForm.n(c)
-
-
-def _j(name, c=1):
-    return LinearForm.j(name, c)
-
-
-def _c(q):
-    return LinearForm.constant(q)
-
-
 def preset_c3() -> DiagramPreset:
     """One-loop vertex with two massive lines; argument y/4, y=(p1-p2)^2/m^2;
     the sum's prefactor is G[j1+j2+sigma-n/2] G[n/2-sigma] / (G[j1+j2] G[n/2])."""
-    n2 = _n(F(1, 2))
-    j1, j2 = _j("j1"), _j("j2")
+    n2 = LinearForm.n(F(1, 2))
+    j1, j2 = map(LinearForm.j, ("j1", "j2"))
     j12 = j1 + j2
-    sg = _j("sigma")
+    sg = LinearForm.j("sigma")
     upper = (j12 + sg - n2, j1, j2, n2 - sg)
     lower = (n2, j12.scale(F(1, 2)), (j12 + 1).scale(F(1, 2)))
     mb = MBRepr(F(-1, 4), "y", upper, lower, (), ())
     printed = HyperSum((HyperTerm(
-        power=_c(0),
+        power=LinearForm.constant(0),
         gamma=GammaProduct(upper, ()),
         fn=SymHyperFn(upper, lower, F(1, 4), "y")),))
     return DiagramPreset(("n", "j1", "j2", "sigma"), mb, printed)
@@ -194,21 +182,21 @@ def preset_c3() -> DiagramPreset:
 
 def preset_c1() -> DiagramPreset:
     """One-loop vertex with one massive line; argument -y, y=(p1-p2)^2/m^2."""
-    n2 = _n(F(1, 2))
-    s1, s2, rho = _j("sigma1"), _j("sigma2"), _j("rho")
+    n2 = LinearForm.n(F(1, 2))
+    s1, s2, rho = map(LinearForm.j, ("sigma1", "sigma2", "rho"))
     a = (rho + s1 + s2 - n2, s1, s2)
     b = (n2,)
     c = (n2 - s1 - s2,)
     mb = MBRepr(F(-1), "y", a, b, c, ())
     t0 = HyperTerm(
-        power=_c(0),
+        power=LinearForm.constant(0),
         gamma=GammaProduct(a + (c[0],), b),
-        fn=SymHyperFn(a, (n2, _c(1) + s1 + s2 - n2), F(-1), "y"))
+        fn=SymHyperFn(a, (n2, s1 + s2 - n2 + 1), F(-1), "y"))
     t1 = HyperTerm(
         power=c[0],
-        gamma=GammaProduct((n2 - s1, n2 - s2, s1 + s2 - n2), (_n(1) - s1 - s2,)),
+        gamma=GammaProduct((n2 - s1, n2 - s2, s1 + s2 - n2), (LinearForm.n(1) - s1 - s2,)),
         fn=SymHyperFn((rho, n2 - s1, n2 - s2),
-                      (_n(1) - s1 - s2, n2 - s1 - s2 + 1), F(-1), "y"))
+                      (LinearForm.n(1) - s1 - s2, n2 - s1 - s2 + 1), F(-1), "y"))
     printed = HyperSum((t0, t1))
     return DiagramPreset(("n", "sigma1", "sigma2", "rho"), mb, printed)
 
@@ -216,16 +204,16 @@ def preset_c1() -> DiagramPreset:
 def preset_v1200() -> DiagramPreset:
     """Two-loop sunset-type self energy; argument 4*w, w = m^2/M^2; the raw MB
     is canonicalized with t = n/2-alpha-sigma-s."""
-    n = _n(1)
-    n2 = _n(F(1, 2))
-    al, be, sg, rho = _j("alpha"), _j("beta"), _j("sigma"), _j("rho")
+    n = LinearForm.n(1)
+    n2 = LinearForm.n(F(1, 2))
+    al, be, sg, rho = map(LinearForm.j, ("alpha", "beta", "sigma", "rho"))
     a = (al, al + sg - n2, (n - rho).scale(F(1, 2)) - be,
          (n + 1 - rho).scale(F(1, 2)) - be)
     b = (n2, n - be - rho)
     c = (be + rho - n2,)
     mb = MBRepr(F(4), "w", a, b, c, ())
     t0 = HyperTerm(
-        power=_c(0),
+        power=LinearForm.constant(0),
         gamma=GammaProduct((al, al + sg - n2, be + rho - n2, n - be.scale(2) - rho),
                            (rho, n - be - rho)),
         fn=SymHyperFn(a, (n2, n - be - rho, n2 + 1 - be - rho), F(4), "w"))
@@ -235,7 +223,7 @@ def preset_v1200() -> DiagramPreset:
                            (be + rho,)),
         fn=SymHyperFn((al + be + sg + rho - n, al + be + rho - n2,
                        rho.scale(F(1, 2)), (rho + 1).scale(F(1, 2))),
-                      (n2, be + rho, _c(1) + be + rho - n2), F(4), "w"))
+                      (n2, be + rho, be + rho - n2 + 1), F(4), "w"))
     printed = HyperSum((t0, t1))
     return DiagramPreset(("n", "alpha", "beta", "sigma", "rho"), mb, printed)
 

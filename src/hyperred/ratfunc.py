@@ -127,11 +127,12 @@ class RatFunc(Value):
     __rmul__ = __mul__
 
     def __eq__(self, other):
+        """Equal fields: every constructor yields the one normal form."""
         if isinstance(other, (int, Fraction, Poly)):
             other = self._coerce(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return self.num * other.den == other.num * self.den
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((self.num, self.den))

@@ -29,7 +29,7 @@ reaches the unique gcd-free form with S monic without a gcd; the R_j and
 the tail are put over their own denominators as the answer leaves the
 module.  The bindings of one diagram family reduce from one basis along
 shared path prefixes, so the steps are memoized process-wide, keyed on
-the ordered parameters.
+the function, whose equality keeps its parameters in order.
 
 verify_reduction checks a result on the series oracle as one residual
 S F(target) - sum R_j theta^j F(basis) - tail, summed by the series
@@ -231,31 +231,21 @@ class OpMatrix(Value):
 # fraction-free steps
 
 
-def _step(fn: Hyper, which: str, index: int, direction: int,
-          affine_index: Optional[int]):
-    """(P, factors, K, roots) of one unit step of fn, from the step memo.
-
-    The memo is keyed on the ordered parameters, never on fn itself: Hyper
-    equality sorts the parameter lists, and the same move on a permuted
-    list is another step.
-    """
-    return _unit_step(type(fn), fn.upper, fn.lower, fn.kappa, fn.var,
-                      which, index, direction, affine_index)
-
-
 # bounded; a 30 s `bench/run.py --workload diagram` run asks for 162 steps, 116 of
 # them hits on 40 entries, while a `reduce` run meets each of its 256 steps once
 # (about 0.6 MB of peak RSS, so 512 entries stay near 5% of that run's 24 MB)
 @lru_cache(maxsize=512)
-def _unit_step(cls, upper, lower, kappa, var, which: str, index: int, direction: int,
+def _unit_step(fn: Hyper, which: str, index: int, direction: int,
                affine_index: Optional[int]):
     """(P, factors, K, roots): basis-column(shifted fn) = P / (K prod (q x - p)^m) basis-column(fn).
 
-    fn is cls(upper, lower, kappa, var).  P is a tuple of rows of integer
-    reps over (v, x), factors a read-only mapping {(x, p/q): m}, K an int
-    and roots a frozenset of factor keys, or None, so a memoized step is
-    shared safely.  roots are the linear factors of det P and the step's
-    own factors; None where det P is identically zero (``_cancel``).
+    The memo keys on fn itself: Hyper equality is field by field, so equal
+    functions list their parameters in one order and take one step.  P is
+    a tuple of rows of integer reps over (v, x), factors a read-only
+    mapping {(x, p/q): m}, K an int and roots a frozenset of factor keys,
+    or None, so a memoized step is shared safely.  roots are the linear
+    factors of det P and the step's own factors; None where det P is
+    identically zero (``_cancel``).
 
     Both moves are built at g (fn for a forward move, fn shifted for the
     opposite one) from the parameter c, the upper one or the lower one
@@ -293,7 +283,6 @@ def _unit_step(cls, upper, lower, kappa, var, which: str, index: int, direction:
         raise ValueError("which must be 'upper' or 'lower'")
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
-    fn = cls(upper, lower, kappa, var)
     forward = (which == "upper") == (direction == 1)
     g = fn if forward else fn.shifted(which, index, direction)
     module = QuotientModule(g, affine_index)
@@ -308,17 +297,17 @@ def _unit_step(cls, upper, lower, kappa, var, which: str, index: int, direction:
     if which == "upper":
         params, pieces = module.lows, [(vars[0], 0, module.alpha)]
     else:
-        params, pieces = module.ups, [(var, -module.beta, 0)]
+        params, pieces = module.ups, [(fn.var, -module.beta, 0)]
     pieces += [(vars[0], p1 * cq - c1 * q, p0 * cq - c0 * q) for p0, p1, q in params]
     singular = any(not (pa or pb) for _, pa, pb in pieces)
     roots = {}
-    for x, pa, pb in pieces + [(vars[0], c1, c0), (var, a, b)]:
+    for x, pa, pb in pieces + [(vars[0], c1, c0), (fn.var, a, b)]:
         _add_factor(roots, x, pa, pb)
     roots = None if singular else frozenset(roots)
     factors: Factors = {}
     if forward:
         s = gcd(cq, a, b)
-        K = _add_factor(factors, vars[0], c1, c0) * _add_factor(factors, var, a // s, b // s)
+        K = _add_factor(factors, vars[0], c1, c0) * _add_factor(factors, fn.var, a // s, b // s)
         size = dim + module.affine
         P = [[()] * size for _ in range(size)]
         for k in range(dim - 1):
@@ -346,7 +335,7 @@ def _unit_step(cls, upper, lower, kappa, var, which: str, index: int, direction:
             + [_scale(module.tail_num, cq ** dim, 2)] * module.affine]
     for _ in range(dim - 1):
         rows.append(module.times_n(rows[-1]))
-    K *= _add_factor(factors, var, a, b, dim - 1)
+    K *= _add_factor(factors, fn.var, a, b, dim - 1)
     P = [[_mul(e, _pow(lead, dim - 1 - k, 2), 2) for e in v] for k, v in enumerate(rows)]
     if module.affine:
         P.append([()] * dim + [_scale(_factor_product(vars, factors), K, 2)])
@@ -374,7 +363,7 @@ def step_matrix(fn: Hyper, which: str, index: int, direction: int,
     RatFunc view P / (K prod (q x - p)^m) of the step that reduce_to_basis
     folds, each entry built by ``RatFunc.over``.
     """
-    P, factors, K, _ = _step(fn, which, index, direction, affine_index)
+    P, factors, K, _ = _unit_step(fn, which, index, direction, affine_index)
     vars = _ring_vars(fn)
     K *= _monic_product(vars, factors).den   # prod q^m, as q x - p = q (x - r)
     return OpMatrix(tuple(tuple(RatFunc.over(Poly._of(vars, e, 1), factors, K) for e in row)
@@ -463,7 +452,7 @@ def reduce_to_basis(target: Hyper, basis: Hyper,
     steps = []
     cur = basis
     for which, index, direction in path:
-        steps.append(_step(cur, which, index, direction, affine_index))
+        steps.append(_unit_step(cur, which, index, direction, affine_index))
         cur = cur.shifted(which, index, direction)
     # row 0 of M_k ... M_1 = row / (K prod (q x - p)^m), folded from the target end
     vars = _ring_vars(basis)

@@ -74,15 +74,6 @@ class ThetaOp(Value):
         """Multiply by a function on the left (commutes with nothing)."""
         return _make([r * c for c in self.coeffs], self.vars)
 
-    def __eq__(self, other):
-        if not isinstance(other, ThetaOp):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return all(self.coeff(k) == other.coeff(k) for k in range(n))
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def theta_shift(self) -> "ThetaOp":
         """theta composed with self: applies theta . R = R theta + theta(R)."""
         vars = self.vars

@@ -4,10 +4,15 @@ A ``Value`` subclass declares its fields as ``__slots__`` and writes them
 once, at construction, through ``_set``; any later assignment raises.
 ``_of`` builds a value from its fields past the normalizing constructor,
 and pickling and deep copies rebuild through it, so every value can be
-shared across threads and processes.  The result records
-(``ReductionResult``, ``EpsilonExpansion``, ``HyperSum``, ...) take the
-defaults: equal by type and fields, hashed by their fields, and printed as
-``Type(field=value, ...)``; the descriptors and the algebra define their own.
+shared across threads and processes.  Values whose fields are canonical
+take the defaults, equal by type and fields and hashed by their fields:
+the result records (``ReductionResult``, ``EpsilonExpansion``,
+``HyperSum``, ...), which also print as ``Type(field=value, ...)``, and
+``Hyper``, ``MBRepr``, ``ThetaOp``, ``GplCombo`` (unhashable, as its
+data is a dict) and ``PolyLogExpr`` (which hashes its dict of terms
+itself).  ``Poly`` and ``RatFunc`` define their own equality, which
+coerces numbers, ``Linear`` a faster copy of the defaults, and
+``BiSeries`` a truncation-aware one.
 """
 
 from __future__ import annotations

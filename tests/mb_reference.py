@@ -15,7 +15,7 @@ from fractions import Fraction as F
 from typing import Mapping, Tuple
 
 from hyperred.hyper import HyperFn
-from hyperred.mb import MBRepr, _c, _j, _n
+from hyperred.mb import MBRepr
 from hyperred.scalars import EpsLin, LinearForm
 from hyperred.series import BiSeries
 from series_reference import inv_trunc, mul_trunc, pochhammer_eps
@@ -103,11 +103,11 @@ def canonicalize_raw(raw: RawMB, shift: LinearForm) -> MBRepr:
 
 def raw_v1200() -> RawMB:
     """The printed V1200 integrand in its original s variable."""
-    n = _n(1)
-    n2 = _n(F(1, 2))
-    al, be, sg, rho = _j("alpha"), _j("beta"), _j("sigma"), _j("rho")
+    n = LinearForm.n(1)
+    n2 = LinearForm.n(F(1, 2))
+    al, be, sg, rho = map(LinearForm.j, ("alpha", "beta", "sigma", "rho"))
     num = (
-        (_c(0), -1),                                       # Gamma(-s)
+        (LinearForm.constant(0), -1),                      # Gamma(-s)
         (n2 - sg, -1),
         (n.scale(2) - al.scale(2) - be.scale(2) - sg.scale(2) - rho, -2),
         (al + be + sg + rho - n, 1),

@@ -530,6 +530,14 @@ def test_cli_verify_refuses_a_path_with_suite():
         assert "not allowed with argument" in r.stderr and "Traceback" not in r.stderr, args
 
 
+def test_cli_verify_needs_a_path_or_suite():
+    """verify with neither a path nor --suite is a usage error (exit 2)."""
+    r = run_cli("verify")
+    assert r.returncode == 2 and r.stdout == "", r.stderr
+    assert "one of the arguments path --suite is required" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_cli_order_bounds():
     r = run_cli("expand", "2F1[2*eps,3*eps;1+5*eps;z]", "--order", "2", "--N", "9999")
     assert r.returncode == 3

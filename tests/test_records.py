@@ -4,21 +4,30 @@ Each record is built with the constructor its frozen dataclass had (the
 same parameter names, order and defaults), compares equal by type and
 fields, hashes by its fields where they hash, refuses assignment, survives
 pickle and deepcopy, and has a ``repr`` that names its type and fields.
+Every ``Value`` type in src that writes its own ``__eq__`` writes its own
+``__hash__`` too, unless ``UNHASHABLE`` lists it.
 """
 
 import copy
+import importlib
 import inspect
 import pickle
+import pkgutil
 
 import pytest
 
+import hyperred
 from hyperred.expansion import (EpsilonExpansion, F3Report, FactorizationReport,
                                 epsilon_expand, f3_parametrization_check,
                                 factorization_conditions)
+from hyperred.gpl import GplCombo
 from hyperred.grammar import parse_hyper
+from hyperred.hyper import HyperFn
 from hyperred.mb import DiagramPreset, GammaProduct, HyperSum, HyperTerm, get_preset, mb_to_hyper
+from hyperred.ratfunc import RatFunc
 from hyperred.reduction import (ExceptionalReport, OpMatrix, ReductionResult, detect_exceptional,
                                 reduce_to_basis, step_matrix)
+from hyperred.series import BiSeries
 from hyperred.value import Value
 
 GENERIC_TARGET = "2F1[7/5+eps, 1/3-eps; 1/2+2*eps; z]"
@@ -191,3 +200,33 @@ def test_records_are_equal_across_construction_paths():
     rebuilt = HyperSum(tuple(printed.terms))
     assert rebuilt is not printed and rebuilt == printed and hash(rebuilt) == hash(printed)
     assert GammaProduct((), ()) == GammaProduct(den=(), num=()) and str(GammaProduct((), ())) == "1"
+
+
+# equal-by-value types that cannot hash: a BiSeries is equal to the same
+# series at another truncation, with other cells past it, and a GplCombo
+# holds its coefficients in a dict
+UNHASHABLE = {BiSeries, GplCombo}
+
+
+def _value_classes():
+    for m in pkgutil.iter_modules(hyperred.__path__):
+        importlib.import_module(f"hyperred.{m.name}")
+    todo, seen = [Value], []
+    while todo:
+        cls = todo.pop()
+        seen.append(cls)
+        todo += cls.__subclasses__()
+    return [c for c in seen if c.__module__.startswith("hyperred.")]
+
+
+def test_a_value_that_defines_eq_defines_hash():
+    """Python sets __hash__ to None in a class that defines __eq__ alone, so
+    a Value type that writes its own equality writes its own hash too,
+    unless it is listed as unhashable."""
+    classes = _value_classes()
+    assert {Value, RatFunc, BiSeries, HyperFn} <= set(classes)
+    for cls in classes:
+        if "__eq__" in cls.__dict__ and cls not in UNHASHABLE:
+            assert cls.__dict__.get("__hash__") is not None, cls
+    for cls in UNHASHABLE:
+        assert cls.__hash__ is None, cls

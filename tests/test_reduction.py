@@ -405,13 +405,13 @@ def _result_reps(r):
 
 
 def test_step_memo_keys_on_parameter_order():
-    """The two 2F1s are equal Hypers (equality sorts the uppers), but their
-    upper[0] +1 steps differ: each reduces to its own cold answer while
-    the other's step sits in the memo."""
+    """The two 2F1s differ only in the order of their uppers, so they are
+    different Hypers and their upper[0] +1 steps differ: each reduces to
+    its own cold answer while the other's step sits in the memo."""
     from hyperred.reduction import _unit_step
     f = HyperFn([EpsLin(F(2, 5), 1), EpsLin(F(1, 3), -1)], [EpsLin(F(3, 2), 2)])
     g = HyperFn([EpsLin(F(1, 3), -1), EpsLin(F(2, 5), 1)], [EpsLin(F(3, 2), 2)])
-    assert f == g and hash(f) == hash(g)
+    assert f != g
     cold = []
     for fn in (f, g):
         _unit_step.cache_clear()
@@ -424,6 +424,99 @@ def test_step_memo_keys_on_parameter_order():
         ok, mism = verify_reduction(r, 20, 2)
         assert ok, mism
     assert _unit_step.cache_info().misses == 2
+
+
+@st.composite
+def _hyper_pairs(draw):
+    """Two HyperFns over one pool of two parameters and one argument kappa
+    z, the second often a permutation of the first's lists."""
+    p = draw(st.sampled_from((1, 2)))
+    pool = [EpsLin(F(draw(st.sampled_from((-5, -1, 1, 2, 7))), draw(st.sampled_from((2, 3)))),
+                   draw(st.sampled_from((-1, 1, 2)))) for _ in range(2)]
+    kappa = draw(st.sampled_from(_KAPPAS))
+    params = lambda n: draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    f = HyperFn(params(p + 1), params(p), kappa)
+    if draw(st.booleans()):
+        return f, HyperFn(draw(st.permutations(f.upper)), draw(st.permutations(f.lower)), kappa)
+    return f, HyperFn(params(p + 1), params(p), draw(st.sampled_from(_KAPPAS)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_hyper_pairs())
+def test_equal_hypers_print_alike_and_step_alike(pair):
+    """Hyper equality is field equality: two functions are equal exactly when
+    they print alike, equal ones hash alike and shift to equal functions,
+    and the step memo answers the second of two equal functions."""
+    from hyperred.reduction import _unit_step
+    f, g = pair
+    assert (f == g) == (str(f) == str(g))
+    if f == g:
+        assert hash(f) == hash(g)
+        for which, n in (("upper", f.p + 1), ("lower", f.p)):
+            assert all(f.shifted(which, i, d) == g.shifted(which, i, d)
+                       for i in range(n) for d in (1, -1))
+    _unit_step.cache_clear()
+    _unit_step(f, "upper", 0, 1, None)
+    _unit_step(g, "upper", 0, 1, None)
+    assert _unit_step.cache_info()[:2] == ((1, 1) if f == g else (0, 2))   # (hits, misses)
+
+
+def test_a_reparsed_function_reduces_from_the_memo():
+    """parse_hyper(str(f)) is f: reducing it again after f reads every step
+    from the memo and gives an equal result."""
+    from hyperred.reduction import _unit_step
+    for text, ups, los in (
+            ("2F1[2/5+eps, 1/3-eps; 3/2+2*eps; z]", [1, -1], [1]),
+            ("3F2[1, 1/2+eps, -1/3-eps; 5/3-eps, 1/4+eps; -1/4*z]", [0, 1, 0], [-1, 1]),
+            ("2F1[1/7-2*eps, 3/5+eps; 1/2+eps; 4*z]", [0, 2], [-1])):
+        f = target = parse_hyper(text)
+        for step in canonical_path(ups, los):
+            target = target.shifted(*step)
+        _unit_step.cache_clear()
+        first = reduce_to_basis(target, f)
+        misses = _unit_step.cache_info().misses
+        g = parse_hyper(str(f))
+        assert g == f and hash(g) == hash(f) and g is not f
+        again = reduce_to_basis(parse_hyper(str(target)), g)
+        assert _unit_step.cache_info()[:2] == (misses, misses), text   # (hits, misses)
+        assert again == first
+
+
+def _assert_normal_form(r):
+    """r's fields are what the normalizing constructor gives, from its
+    polynomials rebuilt by their terms."""
+    rebuild = lambda p: Poly.from_terms(p.vars, p.terms())
+    n = RatFunc(rebuild(r.num), rebuild(r.den))
+    assert (r.num, r.den) == (n.num, n.den), str(r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mixed_paths())
+def test_every_ratfunc_built_is_in_normal_form(case):
+    """RatFunc equality compares fields, so every constructor must yield the
+    one normal form: reduction pieces, bound pieces, step entries (built by
+    RatFunc.over), the record codec's round trip and arithmetic on them."""
+    from hyperred.reduction import tail_upper
+    target, basis, path = case
+    try:
+        r = reduce_to_basis(target, basis, path)
+    except SingularStep:
+        return
+    pieces = [r.s_poly, *r.r_polys, r.algebraic_tail]
+    bound = r.bind()
+    pieces += [bound.s_poly, *bound.r_polys, bound.algebraic_tail]
+    if path:
+        affine_index = tail_upper(basis, shift_vector(target, basis)[0])
+        m = step_matrix(basis, *path[0], affine_index)
+        pieces += [e for row in m.entries for e in row]
+    a, b = pieces[-1], pieces[-2]
+    c = RatFunc.const(a.vars, F(-2, 3))
+    for x, y in ((a, b), (b, a), (a, c), (c, a), (a, a)):
+        pieces += [x + y, x - y, x * y] + ([x / y] if not y.is_zero() else [])
+    pieces += [a.theta(), -a]
+    pieces += [cli.dec_ratfunc(cli.enc_ratfunc(x)) for x in pieces]
+    for x in pieces:
+        _assert_normal_form(x)
 
 
 def test_repeated_reduction_reads_its_steps_from_the_memo():
@@ -443,12 +536,12 @@ def test_repeated_reduction_reads_its_steps_from_the_memo():
 
 
 def test_memoized_steps_are_bounded_and_immutable():
-    from hyperred.reduction import _step, _unit_step
+    from hyperred.reduction import _unit_step
     assert 0 < _unit_step.cache_info().maxsize < 1 << 16
     fn = HyperFn(_UP_4F3[:3], _LOW_4F3[:2])
     for which, index, direction in (("upper", 0, 1), ("upper", 0, -1), ("lower", 1, 1)):
-        P, factors, K, roots = _step(fn, which, index, direction, None)
-        assert _step(fn, which, index, direction, None)[0] is P
+        P, factors, K, roots = _unit_step(fn, which, index, direction, None)
+        assert _unit_step(fn, which, index, direction, None)[0] is P
         with pytest.raises(TypeError):
             P[0][0] = P[1][1]
         with pytest.raises(TypeError):
@@ -465,11 +558,11 @@ def test_step_roots_hold_own_factors_and_every_root_of_det_p():
     Leibniz on the integer reps, tried at every root any step records), and
     roots is None exactly where det P is identically zero."""
     from itertools import permutations
-    from hyperred.reduction import _ring_vars, _step
+    from hyperred.reduction import _ring_vars, _unit_step
     steps, pool = [], set()
     for fn, which, index, direction, affine_index in _step_grid():
         try:
-            P, factors, K, roots = _step(fn, which, index, direction, affine_index)
+            P, factors, K, roots = _unit_step(fn, which, index, direction, affine_index)
         except SingularStep:
             continue
         steps.append((_ring_vars(fn), P, factors, roots))
