@@ -78,7 +78,7 @@ def parse_rat(what: str, text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"{what} is not a rational number: {text!r}", 1, 1) from None
+        raise ParseError(f"{what} is not a rational number: {text!r}") from None
 
 
 def enc_ratfunc(r: RatFunc) -> dict:
@@ -285,7 +285,7 @@ def run_expand(args) -> int:
 
 def run_check_parametrization(opts) -> int:
     if opts.q < 1:
-        raise ParseError(f"--q must be >= 1, got {opts.q}", 1, 1)
+        raise ParseError(f"--q must be >= 1, got {opts.q}")
     if opts.family == "gauss":
         rec = {"command": "check-parametrization", "family": "gauss"}
         lines = []
@@ -305,7 +305,7 @@ def run_check_parametrization(opts) -> int:
                    for name in ("a1", "a2", "a3", "b1", "b2")]
         for name, x in zip(("a1", "a2", "a3"), deforms):
             if x == 0:
-                raise ParseError(f"--{name} must be nonzero, got {getattr(opts, name)}", 1, 1)
+                raise ParseError(f"--{name} must be nonzero, got {getattr(opts, name)}")
         deltas, rep = three_f2_system(opts.r, opts.p, opts.q, *deforms)
         rational = rep.xi_description is not None
         rec = {"command": "check-parametrization", "family": "3f2",
@@ -552,13 +552,13 @@ def _parse_bindings(pairs, mb: MBRepr):
     out = {}
     for item in pairs:
         if "=" not in item:
-            raise ParseError(f"binding {item!r} is not NAME=VALUE", 1, 1)
+            raise ParseError(f"binding {item!r} is not NAME=VALUE")
         name, val = (x.strip() for x in item.split("=", 1))
         if name not in symbols:
             raise ParseError(f"cannot bind {name}: the input has no symbol {name} "
-                             f"(its symbols are {', '.join(sorted(symbols))})", 1, 1)
+                             f"(its symbols are {', '.join(sorted(symbols))})")
         if name in out:
-            raise ParseError(f"binding {name} repeats", 1, 1)
+            raise ParseError(f"binding {name} repeats")
         out[name] = parse_rat(f"binding {name}", val)
     return out
 

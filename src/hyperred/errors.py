@@ -62,13 +62,13 @@ class UnsupportedClass(HyperredError):
 
 
 class ParseError(HyperredError):
-    """Input text does not conform to the grammar."""
+    """Input text off the grammar (at its line and column), or a malformed option value."""
 
-    def __init__(self, message, line, column, expected=()):
+    def __init__(self, message, line=None, column=None, expected=()):
         self.line = line
         self.column = column
         self.expected = tuple(expected)
-        super().__init__(f"{message} at line {line}, column {column}"
+        super().__init__(message + (f" at line {line}, column {column}" if line is not None else "")
                          + (f" (expected {', '.join(self.expected)})" if self.expected else ""))
 
 

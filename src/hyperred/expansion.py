@@ -18,7 +18,7 @@ alphabet {-1, 0, 1} after dressing the function by sqrt(-z).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .errors import NoFactorization, NotTriangular, UncancelledPole, UnsupportedClass
 from .gpl import ONE, GplCombo, Kernel, PolyLogExpr, basis_product, basis_ratfunc
@@ -43,10 +43,7 @@ class FactorizationReport(Value):
 
     __slots__ = ("case", "r1", "r2", "beta", "h_exponents", "xi_description", "candidates",
                  "gauss_checks")
-
-    def __init__(self, case, r1, r2, beta, h_exponents, xi_description, candidates=(),
-                 gauss_checks=None):
-        self._set(case, r1, r2, beta, h_exponents, xi_description, candidates, gauss_checks)
+    _defaults = ((), None)
 
 
 def _xi_for_case(case: str, r1: Fraction, r2: Fraction) -> Optional[str]:
@@ -170,9 +167,7 @@ class F3Report(Value):
 
     __slots__ = ("passes", "s1", "s2", "h1_exponents", "h2_exponents", "H_exponents", "form",
                  "flags")
-
-    def __init__(self, passes, s1, s2, h1_exponents, h2_exponents, H_exponents, form, flags=()):
-        self._set(passes, s1, s2, h1_exponents, h2_exponents, H_exponents, form, flags)
+    _defaults = ((),)
 
 
 def f3_parametrization_check(p1: int, p2: int, r1: int, r2: int,
@@ -214,10 +209,6 @@ class EpsilonExpansion(Value):
     """
 
     __slots__ = ("fn", "kind", "var", "omega0", "layers")
-
-    def __init__(self, fn: HyperFn, kind: str, var: str, omega0: Optional[RatFunc],
-                 layers: Tuple[PolyLogExpr, ...]):
-        self._set(fn, kind, var, omega0, layers)
 
     @property
     def order(self):

@@ -35,12 +35,12 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 from operator import mul
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from .errors import UncancelledPole, UnsupportedClass
-from .poly import Poly
+from .poly import Poly, _cancel
 from .ratfunc import RatFunc
 from .scalars import rat
 from .series import BiSeries, combine
@@ -240,20 +240,19 @@ def _collect(parts: Iterable[Part]) -> Tuple[int, Dict[Word, IntBasis]]:
 
 def partial_fractions(r: RatFunc, letters: Sequence[Fraction]) -> Dict[Kernel, Fraction]:
     """r = sum c_i z^i + sum c/(z-a)^m as {kernel: c}: the denominator factored
-    over the alphabet (or 0), a pole outside it raising UnsupportedClass.
+    over the alphabet (or 0) by ``_cancel``, a pole outside it raising
+    UnsupportedClass; as q z - p = q (z - a), the constant left is rest prod q^m.
     Public API without a src caller, for converting a RatFunc by hand."""
-    den = r.den
-    factors = {}
-    for a in sorted(set([_ZERO] + [_letter(a) for a in letters])):
-        while den.degree() > 0 and (q := den.div_root(r.vars[-1], a)) is not None:
-            den = q
-            factors[a] = factors.get(a, 0) + 1
-    if den.degree() != 0:
+    z, deg = r.vars[-1], r.den.degree()
+    roots = sorted(set([_ZERO] + [_letter(a) for a in letters]))
+    (rest,), left = _cancel([r.den.rep], r.vars, {(z, a): deg for a in roots})
+    if len(rest) != 1:
         raise UnsupportedClass(
             f"denominator {r.den} has poles outside the alphabet {letters}")
-    c0 = den.const_value() * r.num.den
+    poles = {a: deg - n for a in roots if (n := left.get((z, a), 0)) < deg}
+    c0 = F(rest[0] * prod(a.denominator ** m for a, m in poles.items()), r.den.den) * r.num.den
     out = GplCombo({(): {(_ZERO, -i): c / c0 for i, c in enumerate(r.num.rep) if c}})
-    for a, m in factors.items():
+    for a, m in poles.items():
         out = out.scale({(a, m): 1})
     return out.coeffs()
 
@@ -413,7 +412,7 @@ class GplCombo(Value):
         g = gcd(den, *(c for r in data.values() for c in r.values())) if den != 1 else 1
         if g != 1:
             data, den = {w: {k: c // g for k, c in r.items()} for w, r in data.items()}, den // g
-        return self._write(den, data)
+        self._write(den, data)
 
     @classmethod
     def zero(cls):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence, Tuple
+from typing import Mapping, Sequence
 
 from .errors import CriterionViolation, DegeneratePoles
 from .hyper import SymHyperFn
@@ -58,9 +58,6 @@ class GammaProduct(Value):
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Tuple[LinearForm, ...], den: Tuple[LinearForm, ...]):
-        self._set(num, den)
-
     def __str__(self):
         num = " ".join(f"G[{f}]" for f in self.num) or "1"
         den = " ".join(f"G[{f}]" for f in self.den)
@@ -74,17 +71,11 @@ class HyperTerm(Value):
 
     __slots__ = ("power", "gamma", "fn")
 
-    def __init__(self, power: LinearForm, gamma: GammaProduct, fn: SymHyperFn):
-        self._set(power, gamma, fn)
-
 
 class HyperSum(Value):
     """Sum over pole families produced by closing the contour right."""
 
     __slots__ = ("terms",)
-
-    def __init__(self, terms: Tuple[HyperTerm, ...]):
-        self._set(terms)
 
     @property
     def q(self) -> int:
@@ -158,9 +149,6 @@ class DiagramPreset(Value):
     """A built-in diagram: MB data plus the printed hypergeometric form."""
 
     __slots__ = ("symbols", "mb", "printed")
-
-    def __init__(self, symbols: Tuple[str, ...], mb: MBRepr, printed: HyperSum):
-        self._set(symbols, mb, printed)
 
 
 def preset_c3() -> DiagramPreset:

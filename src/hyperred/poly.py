@@ -4,9 +4,11 @@ A polynomial in variables ``(v1, ..., vk)`` is an integer ``rep`` over one
 positive integer ``den``.  ``rep`` is recursive and dense: depth 0 is an
 ``int``; depth d is a tuple of depth-(d-1) coefficients of the powers of
 ``vk`` (the *last* variable is the outermost one), with no trailing zeros,
-so the zero polynomial at depth >= 1 is the empty tuple.  ``den`` is prime
-to the content of ``rep`` (the gcd of its integers) and zero has den 1, so
-structural equality is semantic equality.  Products multiply the
+so the zero polynomial at depth >= 1 is the empty tuple: a zero rep is
+falsy at every depth, and the kernels test it so.  ``den`` is prime to the
+content of ``rep`` (the gcd of its integers) and zero has den 1, so
+structural equality is semantic equality; ``Poly(vars, rep, den)`` is the
+one place that divides that gcd out.  Products multiply the
 denominators and sums go over their lcm; a Fraction is built only where a
 coefficient is read out or a rational comes in.
 
@@ -30,7 +32,9 @@ with no fast path in front of it, normalized to lead coefficient 1.  The
 reduction and ``RatFunc.over`` clear their denominators by trial division
 over known linear factors q x - p, recorded by root (``_cancel``, below),
 so a traced seed-1 ``bench/run.py`` stream counts 0 gcd calls on every
-workload.
+workload; ``gpl.partial_fractions`` factors a denominator over its
+alphabet through ``_cancel`` too.  ``_cancel`` and its ``_div_root`` are
+the one division by a linear factor.
 """
 
 from __future__ import annotations
@@ -64,23 +68,13 @@ def _monomial(d, i, n):
 
 
 def _trim(rep, d):
-    """rep (a tuple or list) as a tuple without trailing zeros.
-
-    A zero coefficient is falsy at every depth (0, or the empty tuple), so
-    one loop serves all of them.
-    """
+    """rep (a tuple or list) as a tuple without trailing zeros, at any depth."""
     if d == 0:
         return rep
     n = len(rep)
     while n and not rep[n - 1]:
         n -= 1
     return tuple(rep[:n])
-
-
-def _is_zero(rep, d):
-    if d == 0:
-        return rep == 0
-    return len(rep) == 0
 
 
 def _add(a, b, d):
@@ -189,7 +183,7 @@ def _int_content(a, d, g=0):
 
 def _mul_elem(a, e, d):
     """Multiply a depth-d rep by a depth-(d-1) element coefficient-wise."""
-    if _is_zero(e, d - 1):
+    if not e:
         return ()
     return _trim(tuple(_mul(c, e, d - 1) for c in a), d)
 
@@ -248,7 +242,7 @@ def _prem(a, b, d):
     db = _degree(b)
     lb = b[-1]
     r = a
-    while not _is_zero(r, d) and _degree(r) >= db:
+    while r and _degree(r) >= db:
         k = _degree(r) - db
         lr = r[-1]
         r = _add(_mul_elem(r, lb, d), _neg(_shift(_mul_elem(b, lr, d), k, d), d), d)
@@ -267,20 +261,20 @@ def _exact_div(a, b, d):
         if r:
             raise ValueError("inexact polynomial division")
         return q
-    if _is_zero(b, d):
+    if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    if _is_zero(a, d):
+    if not a:
         return ()
     db = _degree(b)
     lb = b[-1]
     q = [_zero(d - 1)] * (len(a) - db)
     r = a
-    while not _is_zero(r, d) and _degree(r) >= db:
+    while r and _degree(r) >= db:
         k = _degree(r) - db
         c = _exact_div(r[-1], lb, d - 1)
         q[k] = c
         r = _add(r, _neg(_shift(_mul_elem(b, c, d), k, d), d), d)
-    if not _is_zero(r, d):
+    if r:
         raise ValueError("inexact polynomial division")
     return _trim(tuple(q), d)
 
@@ -318,7 +312,7 @@ def _div_root(a, i, p, q, d):
             return None
         b[j] = acc
         acc = _add(a[j], _scale(acc, p, d - 1), d - 1)
-    return tuple(b) if _is_zero(acc, d - 1) else None
+    return None if acc else tuple(b)
 
 
 def _content(a, d):
@@ -335,9 +329,9 @@ def _gcd(a, b, d):
     """gcd over Z, up to sign, its integer content included."""
     if d == 0:
         return gcd(a, b)
-    if _is_zero(a, d):
+    if not a:
         return b
-    if _is_zero(b, d):
+    if not b:
         return a
     ca, cb = _content(a, d), _content(b, d)
     pa = _exact_div_elem(a, ca, d)
@@ -345,9 +339,9 @@ def _gcd(a, b, d):
     cg = _gcd(ca, cb, d - 1)
     if _degree(pa) < _degree(pb):
         pa, pb = pb, pa
-    while not _is_zero(pb, d):
+    while pb:
         r = _prem(pa, pb, d)
-        if not _is_zero(r, d):
+        if r:
             r = _exact_div_elem(r, _content(r, d), d)
         pa, pb = pb, r
     pa = _exact_div_elem(pa, _content(pa, d), d)
@@ -420,7 +414,7 @@ class Poly(Value):
         return len(self.vars)
 
     def is_zero(self):
-        return _is_zero(self.rep, self.d)
+        return not self.rep
 
     def is_const(self):
         return _const_rep_value(self.rep, self.d) is not None
@@ -526,21 +520,6 @@ class Poly(Value):
         c = _int_content(other.rep, self.d)
         q = _exact_div(self.rep, _div_int(other.rep, c, self.d), self.d)
         return Poly(self.vars, _scale(q, other.den, self.d), self.den * c)
-
-    def div_root(self, name, r):
-        """self / (name - r) when that linear factor divides self, else None.
-
-        Synthetic division by the primitive q name - p, r = p/q: its
-        remainder is self at name = r, so a factor that does not divide
-        costs one evaluation and no exact_div.
-        """
-        r = Fraction(r)
-        b = _div_root(self.rep, self.vars.index(name), r.numerator, r.denominator, self.d)
-        if b is None:
-            return None
-        # b has the content of self (Gauss), prime to den, and q // g is prime to den // g
-        g = gcd(r.denominator, self.den)
-        return Poly._of(self.vars, _scale(b, r.denominator // g, self.d), self.den // g)
 
     def at_line(self, p0: int, p1: int, q: int, var: str = "eps") -> "Poly":
         """self at its first variable x = (p0 + p1 var) / q, over (var,) + vars[1:].

@@ -13,7 +13,6 @@ sums pole-free pieces only.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .errors import PoleAtEpsZero, UnsupportedClass
 from .poly import Factors, Poly, _cancel, _monic_product, _neg, _scale
@@ -43,7 +42,8 @@ class RatFunc(Value):
 
         Trial division at the roots (``_cancel``) leaves factors prime to
         num: no gcd.  Each division by the primitive q x - p = q (x - r)
-        leaves q on the quotient.
+        leaves q on the quotient.  The numerator is built by ``Poly``,
+        which divides out what its integers share with its denominator.
         """
         factors = factors or {}
         (rep,), left = _cancel([num.rep], num.vars, factors)
@@ -52,12 +52,7 @@ class RatFunc(Value):
             K /= r.denominator ** (m - left.get((x, r), 0))
         if K < 0:
             rep, K = _neg(rep, num.d), -K
-        if K.numerator == 1:
-            # rep keeps num's content, prime to num.den (Gauss): only K's denominator can share
-            g = gcd(K.denominator, num.den)
-            num = Poly._of(num.vars, _scale(rep, K.denominator // g, num.d), num.den // g)
-        else:
-            num = Poly(num.vars, _scale(rep, K.denominator, num.d), num.den * K.numerator)
+        num = Poly(num.vars, _scale(rep, K.denominator, num.d), num.den * K.numerator)
         return cls._of(num, _monic_product(num.vars, left))
 
     # basics ---------------------------------------------------------------

@@ -163,9 +163,7 @@ class OpMatrix(Value):
     """
 
     __slots__ = ("entries", "affine")
-
-    def __init__(self, entries: Tuple[Tuple[RatFunc, ...], ...], affine: bool = False):
-        self._set(entries, affine)
+    _defaults = (False,)
 
     @property
     def size(self):
@@ -383,10 +381,7 @@ class ReductionResult(Value):
     """
 
     __slots__ = ("target", "basis", "s_poly", "r_polys", "algebraic_tail", "affine")
-
-    def __init__(self, target: Hyper, basis: Hyper, s_poly: RatFunc, r_polys: Tuple[RatFunc, ...],
-                 algebraic_tail: RatFunc, affine: bool = False):
-        self._set(target, basis, s_poly, r_polys, algebraic_tail, affine)
+    _defaults = (False,)
 
     def bind(self, n_value: EpsLin = DEFAULT_N) -> "ReductionResult":
         """Bind symbolic n to get a numeric result.
@@ -517,22 +512,26 @@ def verify_reduction(result: ReductionResult, N: int = 30, K: int = 2):
     Returns (True, None) or (False, (j, k)) at the lowest nonzero cell of
     the residual S F(target) - sum R_j theta^j F(basis) - tail, summed by
     ``truncated_sum`` at z-depth verify_depth(result, N).  Every piece must
-    be a polynomial in z: reading the pieces refuses a pole at z = 0
+    be a polynomial in z, and that is checked before any series is built:
+    reading each other piece to z^0 refuses a pole at z = 0
     (UnsupportedClass) or a z^0 row of a denominator that vanishes at
-    eps = 0 (PoleAtEpsZero), and then any other denominator in z is
-    refused (UnsupportedClass): reduce_to_basis returns polynomials only.
+    eps = 0 (PoleAtEpsZero), and then the first such piece is refused
+    (UnsupportedClass): reduce_to_basis returns polynomials only.
     Parameters must be numeric (bind symbolic n first).
     """
     if not isinstance(result.target, HyperFn):
         raise ValueError("bind symbolic parameters before verification")
+    poles = [r for r in (result.s_poly, *result.r_polys, result.algebraic_tail)
+             if r.den.degree() > 0]
+    for r in poles:
+        r.to_biseries(0, K)
+    if poles:
+        raise UnsupportedClass(f"piece {poles[0]} is not a polynomial in {poles[0].vars[-1]}")
     N = verify_depth(result, N)
     pieces = theta_pieces([result.s_poly], series_of_hyper(result.target, N, K))
     pieces += theta_pieces(result.r_polys, series_of_hyper(result.basis, N, K), -1)
     if not result.algebraic_tail.is_zero():
         pieces.append((-1, *result.algebraic_tail.z_cells(N, K), None))
-    for r in (result.s_poly, *result.r_polys, result.algebraic_tail):
-        if r.den.degree() > 0:
-            raise UnsupportedClass(f"piece {r} is not a polynomial in {r.vars[-1]}")
     mism = lowest_cell(truncated_sum(pieces, N, K).nums, K)
     return mism is None, mism
 
@@ -545,9 +544,6 @@ class ExceptionalReport(Value):
     """Integer uppers, (upper, lower, diff) cancellable pairs, overlap flags, basis count."""
 
     __slots__ = ("integer_uppers", "pairs", "shared_flags", "count")
-
-    def __init__(self, integer_uppers, pairs, shared_flags, count):
-        self._set(integer_uppers, pairs, shared_flags, count)
 
 
 def detect_exceptional(fn: HyperFn) -> ExceptionalReport:

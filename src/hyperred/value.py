@@ -2,6 +2,9 @@
 
 A ``Value`` subclass declares its fields as ``__slots__`` and writes them
 once, at construction, through ``_set``; any later assignment raises.
+A subclass that adds fields and writes no ``__init__`` (the result
+records) takes the compiled writer as its constructor, its parameters the
+slots in order and its trailing defaults ``_defaults``.
 ``_of`` builds a value from its fields past the normalizing constructor,
 and pickling and deep copies rebuild through it, so every value can be
 shared across threads and processes.  Values whose fields are canonical
@@ -21,13 +24,14 @@ from __future__ import annotations
 class Value:
     """An immutable value whose fields are its slots along the class chain.
 
-    ``_set(*fields)`` writes the fields in ``_fields`` order and returns
-    self.  It is the compiled ``_write`` unless the class normalizes its
-    fields there, ending in ``self._write``.
+    ``_set(*fields)`` writes the fields in ``_fields`` order.  It is the
+    compiled ``_write`` unless the class normalizes its fields there,
+    ending in ``self._write``.
     """
 
     __slots__ = ()
     _fields = ()
+    _defaults = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -40,15 +44,20 @@ class Value:
             # microsecond more per value
             ns = {f"_put_{f}": getattr(cls, f).__set__ for f in cls._fields}
             body = "".join(f"    _put_{f}(self, {f})\n" for f in cls._fields)
-            exec(f"def _write(self, {', '.join(cls._fields)}):\n{body}    return self\n", ns)
+            exec(f"def _write(self, {', '.join(cls._fields)}):\n{body}", ns)
             cls._write = ns["_write"]
             if "_set" not in cls.__dict__:
                 cls._set = cls._write
+            if "__init__" not in cls.__dict__:
+                cls._write.__defaults__ = cls._defaults
+                cls.__init__ = cls._write
 
     @classmethod
     def _of(cls, *values):
         """A value from its fields in ``_fields`` order, past the constructor."""
-        return object.__new__(cls)._set(*values)
+        self = object.__new__(cls)
+        self._set(*values)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")

@@ -318,7 +318,7 @@ def _combo_strategy(letters):
                            min_size=1, max_size=3)
 
 
-ALPHABETS = ((F(1),), (F(-1), F(1)))
+ALPHABETS = ((F(1),), (F(-1), F(1)), (F(1, 2), F(-2, 3)))
 
 
 def _oracle_laurent(data, N):

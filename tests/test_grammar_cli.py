@@ -502,6 +502,28 @@ def test_cli_verify_refuses_a_record_with_non_polynomial_pieces(tmp_path, capsys
     assert out == "" and err.startswith("error: piece ") and "is not a polynomial in z" in err
 
 
+def test_cli_verify_refuses_non_polynomial_pieces_before_any_series(tmp_path, capsys,
+                                                                     monkeypatch):
+    """The refusal reads each such piece to z^0 only and builds neither
+    function's series: it exits 3 with series_of_hyper made to fail."""
+    from hyperred import cli, reduction
+
+    def no_series(*args):
+        raise RuntimeError("series_of_hyper called")
+    depths = []
+    to_biseries = RatFunc.to_biseries
+
+    def recorded(self, N, K):
+        depths.append(N)
+        return to_biseries(self, N, K)
+    monkeypatch.setattr(reduction, "series_of_hyper", no_series)
+    monkeypatch.setattr(RatFunc, "to_biseries", recorded)
+    path, _ = _generic_over_one_minus_z(tmp_path)
+    assert cli.main(["verify", str(path)]) == 3
+    assert "is not a polynomial in z" in capsys.readouterr().err
+    assert depths and set(depths) == {0}
+
+
 def test_cli_file_errors_are_one_error_line(tmp_path):
     missing = tmp_path / "missing.txt"
     for args in (("count-basis", f"file:{missing}"),
@@ -602,7 +624,7 @@ def test_cli_count_masters_refuses_a_symbol_the_input_lacks(capsys):
     assert cli.main(raw + ["--bind", "rho=1", "--bind", "j1=1"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == ("error: cannot bind j1: the input has no symbol j1 (its symbols"
-                                 " are n, rho, sigma1, sigma2) at line 1, column 1\n")
+                                 " are n, rho, sigma1, sigma2)\n")
 
 
 def _leaf_options(parser, command=()):

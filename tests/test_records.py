@@ -5,14 +5,18 @@ same parameter names, order and defaults), compares equal by type and
 fields, hashes by its fields where they hash, refuses assignment, survives
 pickle and deepcopy, and has a ``repr`` that names its type and fields.
 Every ``Value`` type in src that writes its own ``__eq__`` writes its own
-``__hash__`` too, unless ``UNHASHABLE`` lists it.
+``__hash__`` too, unless ``UNHASHABLE`` lists it.  A record's constructor is
+the writer ``Value`` compiles from its slots, and no ``Value`` type in src
+writes a constructor that only forwards its parameters to ``_set``.
 """
 
+import ast
 import copy
 import importlib
 import inspect
 import pickle
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +99,12 @@ def test_constructor_keeps_the_dataclass_signature(cls):
     assert [(p.name, p.default) for p in params] == SIGNATURES[cls]
     assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
     assert cls._fields == tuple(name for name, _ in SIGNATURES[cls])
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=lambda c: c.__name__)
+def test_constructor_is_the_writer_compiled_from_the_slots(cls):
+    """Value installs the writer only where the class body has no __init__."""
+    assert cls.__init__ is cls._write
 
 
 @pytest.mark.parametrize("cls", TYPES, ids=lambda c: c.__name__)
@@ -230,3 +240,34 @@ def test_a_value_that_defines_eq_defines_hash():
             assert cls.__dict__.get("__hash__") is not None, cls
     for cls in UNHASHABLE:
         assert cls.__hash__ is None, cls
+
+
+def _forwarding_constructors(source):
+    """Classes in source whose __init__ is one ``self._set`` of its own parameters in order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            for f in node.body:
+                if isinstance(f, ast.FunctionDef) and f.name == "__init__":
+                    body = [s for s in f.body
+                            if not (isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant))]
+                    call = f"self._set({', '.join(a.arg for a in f.args.args[1:])})"
+                    if (len(body) == 1 and isinstance(body[0], ast.Expr)
+                            and ast.unparse(body[0].value) == call):
+                        found.append(node.name)
+    return found
+
+
+def test_no_value_type_writes_a_forwarding_constructor():
+    """Such a constructor restates the slots; Value compiles it from them."""
+    old = ("class OpMatrix(Value):\n"
+           "    __slots__ = ('entries', 'affine')\n\n"
+           "    def __init__(self, entries, affine=False):\n"
+           "        \"The matrix.\"\n"
+           "        self._set(entries, affine)\n")
+    assert _forwarding_constructors(old) == ["OpMatrix"]
+    assert _forwarding_constructors(old.replace("(entries, affine)", "(affine, entries)")) == []
+    values = {c.__name__ for c in _value_classes()}
+    found = [name for path in sorted(Path(hyperred.__file__).parent.glob("*.py"))
+             for name in _forwarding_constructors(path.read_text()) if name in values]
+    assert found == []

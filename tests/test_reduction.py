@@ -15,7 +15,7 @@ from hyperred import cli
 from hyperred.errors import HyperredError, NotIntegerShift, SingularStep, UnsupportedClass
 from hyperred.grammar import parse_hyper
 from hyperred.hyper import HyperFn, SymHyperFn
-from hyperred.poly import Poly
+from hyperred.poly import Poly, _div_root
 from hyperred.ratfunc import RatFunc
 from hyperred.reduction import (OpMatrix, ReductionResult, canonical_path, detect_exceptional,
                                 ode_operator, reduce_to_basis, shift_vector,
@@ -580,7 +580,8 @@ def test_step_roots_hold_own_factors_and_every_root_of_det_p():
         assert (roots is None) == det.is_zero()
         if roots is not None:
             assert set(factors) <= roots
-            assert all(det.div_root(x, r) is None
+            assert all(_div_root(det.rep, vars.index(x), r.numerator, r.denominator,
+                                 len(vars)) is None
                        for x, r in pool - roots if x in vars), (vars, P)
 
 
