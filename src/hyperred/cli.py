@@ -14,6 +14,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import List, Optional
 
 from .errors import (CriterionViolation, DegeneratePoles, HyperredError,
@@ -23,10 +24,10 @@ from .errors import (CriterionViolation, DegeneratePoles, HyperredError,
 from .expansion import (EpsilonExpansion, direct_layer0, epsilon_expand, expansion_class,
                         f3_parametrization_check, gauss_flags, gauss_triangular_system,
                         three_f2_system, verify_expansion)
-from .gpl import PolyLogExpr
+from .gpl import PolyLogExpr, _letter
 from .grammar import parse_hyper, parse_input
 from .mb import DiagramPreset, MBRepr, count_master_integrals, mb_to_hyper
-from .poly import Poly
+from .poly import Poly, _from_terms
 from .ratfunc import RatFunc
 from .reduction import (ReductionResult, detect_exceptional, ode_operator, reduce_to_basis,
                         shift_vector, tail_upper, verify_depth, verify_reduction)
@@ -62,15 +63,22 @@ def exit_code_for(exc: BaseException) -> int:
 # exact-value encoding
 
 
-def enc_rat(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
+# a record rational: str prints an int as n, and a Fraction as n/d, or as n when d is 1
+enc_rat = str
+
+
+def _dec_ints(s: str):
+    """(n, d) of a record rational n or n/d, in ASCII decimal digits with an
+    optional minus on n; a zero d raises ZeroDivisionError where it divides."""
+    n, slash, d = s.partition("/")
+    digits = n[1:] if n[:1] == "-" else n
+    if not (digits.isdigit() and digits.isascii() and (not slash or d.isdigit() and d.isascii())):
+        raise ValueError(f"{s!r} is not a rational n or n/d in decimal digits")
+    return int(n), int(d) if slash else 1
 
 
 def dec_rat(s: str) -> Fraction:
-    try:
-        return Fraction(int(s))     # enc_rat writes integers bare; int() skips the regex
-    except ValueError:
-        return Fraction(s)
+    return Fraction(*_dec_ints(s))
 
 
 def parse_rat(what: str, text: str) -> Fraction:
@@ -82,23 +90,38 @@ def parse_rat(what: str, text: str) -> Fraction:
 
 
 def enc_ratfunc(r: RatFunc) -> dict:
-    enc_poly = lambda p: sorted([list(e), enc_rat(c)] for e, c in p.terms().items())
-    return {"vars": list(r.vars), "num": enc_poly(r.num), "den": enc_poly(r.den)}
+    return {"vars": list(r.vars), "num": _enc_poly(r.num), "den": _enc_poly(r.den)}
+
+
+def _enc_poly(p: Poly) -> list:
+    """p's [exponents, coefficient] pairs, sorted, off its rep: one gcd per coefficient."""
+    terms, den = [((), p.rep)], p.den
+    for _ in range(p.d):        # the outermost rep level is the last variable
+        terms = [((i,) + e, c) for e, rep in terms for i, c in enumerate(rep) if c]
+    terms.sort()
+    out = []
+    for e, c in terms:
+        g = gcd(c, den)
+        out.append([list(e), f"{c // g}/{den // g}" if g != den else str(c // g)])
+    return out
 
 
 def dec_ratfunc(d: dict, expect: Optional[tuple] = None) -> RatFunc:
-    """The RatFunc a record holds, over the variables ``expect`` when given.
-
-    Poly.from_terms trusts its exponents: each must be a non-negative int,
-    and no list may repeat."""
+    """The RatFunc a record holds, over the variables ``expect`` when given, each
+    polynomial read as integers over the lcm of its denominators.  _from_terms
+    trusts its exponents: each must be a non-negative int, and no list may repeat."""
     vars = tuple(d["vars"])
     if expect not in (None, vars):
         raise ValueError(f"expected variables {list(expect)}, got {list(vars)}")
     for e, _ in d["num"] + d["den"]:
         if len(e) != len(vars) or any(type(x) is not int or x < 0 for x in e):
             raise ValueError(f"exponents {e} are not one non-negative integer per variable")
-    mk = lambda terms: Poly.from_terms(
-        vars, _unique(((tuple(e), dec_rat(c)) for e, c in terms), "exponent list"))
+
+    def mk(terms):
+        ratios = _unique(((tuple(e), _dec_ints(c)) for e, c in terms), "exponent list")
+        den = lcm(*(q for _, q in ratios.values()))
+        ints = {e: p * (den // q) for e, (p, q) in ratios.items()}
+        return Poly(vars, _from_terms(ints, len(vars)), den)
     return RatFunc(mk(d["num"]), mk(d["den"]))
 
 
@@ -113,16 +136,15 @@ def _unique(pairs, what: str) -> dict:
 
 
 def enc_polylog(e: PolyLogExpr) -> dict:
-    return {
-        "var": e.var,
-        "const": enc_rat(e.const),
-        "terms": [{"coeff": enc_rat(c), "letters": [enc_rat(a) for a in w]}
-                  for w, c in e.sorted_terms()],
-    }
+    return {"var": e.var, "const": enc_rat(e.const),
+            "terms": [{"coeff": enc_rat(c), "letters": list(map(enc_rat, w))}
+                      for w, c in e.sorted_terms()]}
 
 
 def dec_polylog(d: dict) -> PolyLogExpr:
-    terms = _unique(((tuple(dec_rat(a) for a in t["letters"]), dec_rat(t["coeff"]))
+    # each distinct letter is read once, as as_word keeps it (an integral one an int)
+    letter = {s: _letter(dec_rat(s)) for s in {s for t in d["terms"] for s in t["letters"]}}
+    terms = _unique(((tuple(map(letter.__getitem__, t["letters"])), dec_rat(t["coeff"]))
                      for t in d["terms"]), "word")
     return PolyLogExpr(terms, dec_rat(d["const"]), d["var"])
 

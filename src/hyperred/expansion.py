@@ -268,15 +268,20 @@ def _first_order_solve(rhs: GplCombo, kernel, h) -> GplCombo:
     """[(z-1) theta + z R1 - R2] psi = rhs with psi(0) = 0.
 
     psi = h int_0^z rhs(t) t^(R2-1) (t-1)^(R1-R2-1) dt,
-    h = z^(-R2) (z-1)^(R2-R1), kernel and h given as basis dicts.
+    h = z^(-R2) (z-1)^(R2-R1), kernel and h given as basis dicts; h is 1 when
+    R1 = R2 = 0, and then scales nothing.
     """
-    return rhs.scale(kernel).integrate().scale(h)
+    psi = rhs.scale(kernel).integrate()
+    return psi if h == {ONE: 1} else psi.scale(h)
 
 
 def _peel_theta_beta(u: GplCombo, beta: Sequence[int]) -> GplCombo:
-    """prod (theta + b)^(-1) u, each (theta + b)^(-1) u = z^(-b) int_0^z t^(b-1) u dt."""
+    """prod (theta + b)^(-1) u, each (theta + b)^(-1) u = z^(-b) int_0^z t^(b-1) u dt
+    (z^0 = 1 scales nothing)."""
     for b in sorted(beta, reverse=True):
-        u = u.scale({(0, 1 - b): 1}).integrate().scale({(0, b): 1})
+        u = u.scale({(0, 1 - b): 1}).integrate()
+        if b:
+            u = u.scale({(0, b): 1})
     return u
 
 

@@ -258,11 +258,13 @@ def partial_fractions(r: RatFunc, letters: Sequence[Fraction]) -> Dict[Kernel, F
 
 
 def basis_product(powers: Mapping[Letter, int]) -> Dict[Kernel, Fraction]:
-    """prod (z - a)^e over powers {a: e}, any integer e, as a basis dict."""
+    """prod (z - a)^e over powers {a: e}, any integer e, as a basis dict; a zero
+    power is a factor 1 and scales nothing."""
     out = GplCombo.const(1)
     for a, e in powers.items():
-        out = out.scale({(a, -e): 1} if a == 0 or e < 0 else
-                        {(_ZERO, -k): comb(e, k) * (-a) ** (e - k) for k in range(e + 1)})
+        if e:
+            out = out.scale({(a, -e): 1} if a == 0 or e < 0 else
+                            {(_ZERO, -k): comb(e, k) * (-a) ** (e - k) for k in range(e + 1)})
     return out.coeffs()
 
 

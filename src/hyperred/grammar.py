@@ -4,34 +4,31 @@
     MB[-1/4*y; [j1+j2+sigma-n/2, j1, j2, n/2-sigma]; [n/2, ...]; []; []]
     @v1200                                 named preset
 
-Each expression is read as one ``scalars.Linear`` and then its symbols
-are checked: parameters hold only eps, MB forms n and the propagator
-symbols but not eps.  parse(print(x)) round-trips for every value the
-engine produces.
+Each expression is folded as integer numerators over one positive
+denominator, a Fraction built once per field of the value, and its symbols
+are checked: parameters hold only eps, MB forms n and the propagator symbols
+but not eps.  parse(print(x)) round-trips for every value the engine produces.
 """
 
 from __future__ import annotations
 
 import re
-from collections import namedtuple
 from fractions import Fraction
-from typing import List, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from .errors import ParseError
 from .hyper import HyperFn
 from .mb import MBRepr, get_preset
-from .scalars import EpsLin, Linear, LinearForm
+from .scalars import EpsLin, LinearForm
 
-# kinds: "int" | "name" | a punctuation mark (its own text) | "end"
-_Token = namedtuple("_Token", "kind text line col")
-
-# decimal integers, names, the punctuation marks, newlines; other whitespace
-# is skipped and any other character is an error
+# tokens are (kind, text, line, col), kind "int", "name", a punctuation mark (its
+# own text) or "end": decimal integers, names, the punctuation marks; newlines
+# count lines, other whitespace is skipped and any other character is an error
 _TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>[^\W\d]\w*)|(?P<punct>[][(),;+*/@=-])"
                     r"|(?P<newline>\n)|\s|(?P<bad>.)", re.S)
 
 
-def _tokenize(text: str) -> List[_Token]:
+def _tokenize(text: str) -> List[tuple]:
     toks, line, start = [], 1, 0          # start: the offset where the line begins
     for m in _TOKEN.finditer(text):
         kind, col = m.lastgroup, m.start() - start + 1
@@ -40,9 +37,19 @@ def _tokenize(text: str) -> List[_Token]:
         elif kind == "bad":
             raise ParseError(f"unexpected character {m.group()!r}", line, col)
         elif kind:
-            toks.append(_Token(m.group() if kind == "punct" else kind, m.group(), line, col))
-    toks.append(_Token("end", "", line, len(text) - start + 1))
+            toks.append((m.group() if kind == "punct" else kind, m.group(), line, col))
+    toks.append(("end", "", line, len(text) - start + 1))
     return toks
+
+
+def _is_const(nums: Dict[str, int]) -> bool:
+    return not any(v for s, v in nums.items() if s)
+
+
+def _fields(nums: Dict[str, int], den: int):
+    """A Linear's fields: nonzero (symbol, Fraction) pairs by symbol, and the constant."""
+    terms = sorted((s, Fraction(v, den)) for s, v in nums.items() if v and s)
+    return tuple(terms), Fraction(nums.get("", 0), den)
 
 
 class _Parser:
@@ -50,114 +57,104 @@ class _Parser:
         self.toks = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.toks[self.pos]
-
-    def next(self) -> _Token:
+    def expect(self, kind) -> tuple:
         t = self.toks[self.pos]
+        if t[0] != kind:
+            raise ParseError(f"unexpected {t[1] or 'end of input'!r}", *t[2:], expected=(kind,))
         self.pos += 1
         return t
 
-    def expect(self, kind) -> _Token:
-        t = self.peek()
-        if t.kind != kind:
-            raise ParseError(f"unexpected {t.text or 'end of input'!r}",
-                             t.line, t.col, expected=(kind,))
-        return self.next()
-
     def fail(self, msg, expected=()):
-        t = self.peek()
-        raise ParseError(msg, t.line, t.col, expected=expected)
+        _, _, line, col = self.toks[self.pos]
+        raise ParseError(msg, line, col, expected=expected)
 
-    # linear expressions --------------------------------------------------
+    # linear expressions: (nums, den) stands for sum nums[s] * s / den, the
+    # constant under the symbol "", with den > 0; zero numerators may stay
 
-    def linexpr(self) -> Linear:
-        acc = self.linterm()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            acc = acc + self.linterm() if op == "+" else acc - self.linterm()
-        return acc
+    def linexpr(self) -> tuple:
+        nums, den = self.linterm()
+        while (op := self.toks[self.pos][0]) in ("+", "-"):
+            self.pos += 1
+            rhs, rden = self.linterm()
+            f = 1 if op == "+" else -1      # nums / den + f rhs / den, over one den
+            if rden != den:
+                nums, f, den = {s: v * rden for s, v in nums.items()}, f * den, den * rden
+            for s, v in rhs.items():
+                nums[s] = nums.get(s, 0) + f * v
+        return nums, den
 
-    def linterm(self) -> Linear:
-        acc = self.linunary()
-        while self.peek().kind in ("*", "/"):
-            op = self.next().kind
-            rhs = self.linunary()
-            if op == "*":
-                if rhs.is_const():
-                    acc = acc.scale(rhs.const)
-                elif acc.is_const():
-                    acc = rhs.scale(acc.const)
-                else:
+    def linterm(self) -> tuple:
+        nums, den = self.linunary()
+        while (op := self.toks[self.pos][0]) in ("*", "/"):
+            self.pos += 1
+            rhs, rden = self.linunary()
+            if op == "*" and not _is_const(rhs):        # a constant factor on the left
+                if not _is_const(nums):
                     self.fail("product of two non-constant expressions")
-            else:
-                if not rhs.is_const() or rhs.const == 0:
-                    self.fail("division requires a nonzero constant divisor")
-                acc = acc.scale(1 / rhs.const)
-        return acc
+                nums, den, rhs, rden = rhs, rden, nums, den
+            m = rhs.get("", 0)                          # times or over m / rden
+            if op == "/" and (not _is_const(rhs) or not m):
+                self.fail("division requires a nonzero constant divisor")
+            m, d = (m, rden) if op == "*" else (rden, m) if m > 0 else (-rden, -m)
+            nums, den = {s: v * m for s, v in nums.items()}, den * d
+        return nums, den
 
-    def linunary(self) -> Linear:
-        if self.peek().kind in ("+", "-"):
-            sign = 1 if self.next().kind == "+" else -1
-            return self.linunary().scale(sign)
+    def linunary(self) -> tuple:
+        sign = self.toks[self.pos][0]
+        if sign in ("+", "-"):
+            self.pos += 1
+            nums, den = self.linunary()
+            return ({s: -v for s, v in nums.items()} if sign == "-" else nums), den
         return self.linatom()
 
-    def linatom(self) -> Linear:
-        t = self.peek()
-        if t.kind == "int":
-            self.next()
-            return Linear.constant(int(t.text))
-        if t.kind == "name":
-            self.next()
-            return Linear._of(((t.text, Fraction(1)),), Fraction(0))
-        if t.kind == "(":
-            self.next()
-            e = self.linexpr()
-            self.expect(")")
-            return e
-        self.fail("expected a number, symbol, or parenthesized expression",
-                  expected=("int", "name", "("))
+    def linatom(self) -> tuple:
+        kind, text, _, _ = self.toks[self.pos]
+        if kind not in ("int", "name", "("):
+            self.fail("expected a number, symbol, or parenthesized expression",
+                      expected=("int", "name", "("))
+        self.pos += 1
+        if kind != "(":
+            return ({"": int(text)} if kind == "int" else {text: 1}), 1
+        e = self.linexpr()
+        self.expect(")")
+        return e
 
     # structured values -----------------------------------------------------
 
     def epslin(self) -> EpsLin:
-        t = self.peek()
-        e = self.linexpr()
-        bad = [k for k in e.symbols if k != "eps"]
+        _, _, line, col = self.toks[self.pos]
+        nums, den = self.linexpr()
+        bad = sorted(s for s, v in nums.items() if v and s not in ("", "eps"))
         if bad:
             raise ParseError(f"unknown symbol {bad[0]!r} in parameter "
-                             "(parameters are rational + rational*eps)",
-                             t.line, t.col)
-        return EpsLin._of(e.terms, e.const)
+                             "(parameters are rational + rational*eps)", line, col)
+        return EpsLin._of(*_fields(nums, den))
 
     def linform(self) -> LinearForm:
-        t = self.peek()
-        e = self.linexpr()
-        if "eps" in e.symbols:
-            raise ParseError("eps is not allowed in Mellin-Barnes forms",
-                             t.line, t.col)
-        return LinearForm._of(e.terms, e.const)
+        _, _, line, col = self.toks[self.pos]
+        nums, den = self.linexpr()
+        if nums.get("eps"):
+            raise ParseError("eps is not allowed in Mellin-Barnes forms", line, col)
+        return LinearForm._of(*_fields(nums, den))
 
     def argument(self) -> Tuple[Fraction, str]:
         """kappa * var with a single symbolic variable."""
-        t = self.peek()
-        e = self.linexpr()
-        if len(e.terms) != 1 or e.const != 0:
-            raise ParseError("argument must be (rational) * variable",
-                             t.line, t.col)
-        (var, kappa), = e.terms
+        _, _, line, col = self.toks[self.pos]
+        terms, const = _fields(*self.linexpr())
+        if len(terms) != 1 or const:
+            raise ParseError("argument must be (rational) * variable", line, col)
+        (var, kappa), = terms
         return kappa, var
 
     def hyper(self) -> HyperFn:
-        head = self.expect("int")
-        p1 = int(head.text)
-        fname = self.expect("name")
-        if not (fname.text.startswith("F") and fname.text[1:].isdigit()):
-            raise ParseError("expected pFq head like 2F1", fname.line, fname.col)
-        p = int(fname.text[1:])
+        _, head, line, col = self.expect("int")
+        p1 = int(head)
+        _, fname, fline, fcol = self.expect("name")
+        if not (fname.startswith("F") and fname[1:].isdigit()):
+            raise ParseError("expected pFq head like 2F1", fline, fcol)
+        p = int(fname[1:])
         if p1 != p + 1:
-            raise ParseError(f"{p1}F{p} is not a (p+1)Fp function",
-                             head.line, head.col)
+            raise ParseError(f"{p1}F{p} is not a (p+1)Fp function", line, col)
         self.expect("[")
         upper = self.items(self.epslin, ";")
         lower = self.items(self.epslin, ";")
@@ -166,25 +163,24 @@ class _Parser:
         if len(upper) != p1 or len(lower) != p:
             raise ParseError(
                 f"arity mismatch: {p1}F{p} needs {p1} upper and {p} lower "
-                f"parameters, got {len(upper)} and {len(lower)}",
-                head.line, head.col)
+                f"parameters, got {len(upper)} and {len(lower)}", line, col)
         return HyperFn(upper, lower, kappa, var)
 
     def items(self, read, close) -> list:
         """read() items separated by commas, up to and including the token close."""
         out = []
-        if self.peek().kind != close:
+        if self.toks[self.pos][0] != close:
             out.append(read())
-            while self.peek().kind == ",":
-                self.next()
+            while self.toks[self.pos][0] == ",":
+                self.pos += 1
                 out.append(read())
         self.expect(close)
         return out
 
     def mbrepr(self) -> MBRepr:
-        head = self.expect("name")
-        if head.text != "MB":
-            raise ParseError("expected MB[...]", head.line, head.col)
+        _, head, line, col = self.expect("name")
+        if head != "MB":
+            raise ParseError("expected MB[...]", line, col)
         self.expect("[")
         kappa, var = self.argument()
         forms = []
@@ -196,32 +192,32 @@ class _Parser:
         try:
             return MBRepr(kappa, var, *forms)
         except ValueError as e:
-            raise ParseError(str(e), head.line, head.col) from None
+            raise ParseError(str(e), line, col) from None
 
     def preset(self):
         self.expect("@")
-        name = self.expect("name")
+        _, name, line, col = self.expect("name")
         try:
-            return get_preset(name.text)
+            return get_preset(name)
         except KeyError as e:
-            raise ParseError(f"unknown preset @{name.text}", name.line, name.col) from None
+            raise ParseError(f"unknown preset @{name}", line, col) from None
 
 
 def parse_input(text: str) -> Union[HyperFn, MBRepr, "DiagramPreset"]:
     """Parse a hypergeometric spec, an MB spec, or a @preset reference."""
     p = _Parser(text)
-    t = p.peek()
-    if t.kind == "@":
+    kind, text, _, _ = p.toks[0]
+    if kind == "@":
         out = p.preset()
-    elif t.kind == "name" and t.text == "MB":
+    elif kind == "name" and text == "MB":
         out = p.mbrepr()
-    elif t.kind == "int":
+    elif kind == "int":
         out = p.hyper()
     else:
         p.fail("expected pFq[...], MB[...], or @preset", expected=("int", "name", "@"))
-    end = p.peek()
-    if end.kind != "end":
-        raise ParseError(f"trailing input {end.text!r}", end.line, end.col)
+    kind, text, line, col = p.toks[p.pos]
+    if kind != "end":
+        raise ParseError(f"trailing input {text!r}", line, col)
     return out
 
 
@@ -230,4 +226,3 @@ def parse_hyper(text: str) -> HyperFn:
     if not isinstance(out, HyperFn):
         raise ParseError("expected a hypergeometric function", 1, 1)
     return out
-
