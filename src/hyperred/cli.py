@@ -569,16 +569,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_bindings(pairs, mb: MBRepr):
-    """The values of NAME=VALUE pairs, each NAME a symbol of mb's forms, once."""
+    """The values of NAME=VALUE pairs, each NAME a symbol of mb's forms but n, once."""
     symbols = {s for f in mb.a_forms + mb.b_forms + mb.c_forms + mb.d_forms for s in f.symbols}
     out = {}
     for item in pairs:
         if "=" not in item:
             raise ParseError(f"binding {item!r} is not NAME=VALUE")
         name, val = (x.strip() for x in item.split("=", 1))
+        if name == "n":
+            raise ParseError("cannot bind n: it is the dimension, n = 4 - 2*eps")
         if name not in symbols:
             raise ParseError(f"cannot bind {name}: the input has no symbol {name} "
-                             f"(its symbols are {', '.join(sorted(symbols))})")
+                             f"(its symbols are {', '.join(sorted(symbols - {'n'}))})")
         if name in out:
             raise ParseError(f"binding {name} repeats")
         out[name] = parse_rat(f"binding {name}", val)

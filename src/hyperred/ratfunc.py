@@ -3,11 +3,14 @@
 A RatFunc is a normalized fraction of polynomials whose last variable is
 the function's variable, z below; the earlier ones (if any) are symbolic
 parameters such as "eps" or "n".  ``RatFunc(num, den)`` divides by the
-gcd and makes den monic; ``RatFunc._of`` trusts a pair in that form, as
-``RatFunc.over`` builds one from known linear factors.  ``to_biseries``
-is the one reader of a function's series: it needs the parameters
-reduced to "eps" only, and it refuses a pole at z = 0, since the oracle
-sums pole-free pieces only.
+gcd and makes den monic, the one normalization; ``RatFunc._of`` trusts a
+pair in that form, as ``RatFunc.over`` builds one from known linear
+factors.  A sum runs the constructor on its numerator over the gcd of the
+denominators, a product on each numerator over the other's denominator,
+and what is left is coprime (Henrici), so they build through ``_of`` too.
+``to_biseries`` is the one reader of a function's series: it needs the
+parameters reduced to "eps" only, and it refuses a pole at z = 0, since
+the oracle sums pole-free pieces only.
 """
 
 from __future__ import annotations
@@ -24,11 +27,21 @@ class RatFunc(Value):
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly = None):
+        """num / den over their gcd, den of lead 1; a constant den is a unit: no gcd."""
         if den is None:
             den = Poly.const(num.vars, 1)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        self._set(*_monic(*_coprime(num, den)))
+        if num.is_zero():
+            den = Poly.const(num.vars, 1)
+        elif not den.is_const():
+            g = num.gcd(den)
+            if not g.is_const():
+                num, den = num.exact_div(g), den.exact_div(g)
+        lf = den.lead_fraction()
+        if lf != 1:
+            num, den = num.scale(1 / lf), den.scale(1 / lf)
+        self._set(num, den)
 
     # constructors ---------------------------------------------------------
 
@@ -79,13 +92,9 @@ class RatFunc(Value):
     def __add__(self, other):
         o = self._coerce(other)
         g = self.den.gcd(o.den)
-        if g.is_const() and g.const_value() == 1:
-            return RatFunc._of(*_monic(self.num * o.den + o.num * self.den,
-                                       self.den * o.den))
-        db, dd = self.den.exact_div(g), o.den.exact_div(g)
-        t = self.num * dd + o.num * db
-        t, g = _coprime(t, g)
-        return RatFunc._of(*_monic(t, db * (dd * g)))
+        b, d = self.den.exact_div(g), o.den.exact_div(g)
+        t = RatFunc(self.num * d + o.num * b, g)
+        return RatFunc._of(t.num, b * d * t.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -95,22 +104,14 @@ class RatFunc(Value):
 
     def __mul__(self, other):
         o = self._coerce(other)
-        if self.is_zero() or o.is_zero():
-            return RatFunc.const(self.vars, 0)
-        # a constant is q/1 with q != 0: scaling the other numerator keeps it normalized
-        if o.is_polynomial() and o.num.is_const():
-            return RatFunc._of(self.num.scale(o.num.const_value()), self.den)
-        if self.is_polynomial() and self.num.is_const():
-            return RatFunc._of(o.num.scale(self.num.const_value()), o.den)
-        num_a, den_b = _coprime(self.num, o.den)
-        num_b, den_a = _coprime(o.num, self.den)
-        return RatFunc._of(*_monic(num_a * num_b, den_a * den_b))
+        a, b = RatFunc(self.num, o.den), RatFunc(o.num, self.den)
+        return RatFunc._of(a.num * b.num, a.den * b.den)
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return self * RatFunc._of(*_monic(o.den, o.num))
+        return self * RatFunc(o.den, o.num)
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -178,27 +179,6 @@ class RatFunc(Value):
         if self.den.is_const() and self.den.const_value() == 1:
             return str(self.num)
         return f"({self.num})/({self.den})"
-
-
-def _coprime(num: Poly, den: Poly):
-    """(num, den) divided by their gcd, with no division when the gcd is 1.
-
-    A constant den (nonzero) is a unit and a zero num has no factor: no gcd.
-    """
-    if den.is_const() or num.is_zero():
-        return num, den
-    g = num.gcd(den)
-    if g.is_const() and g.const_value() == 1:
-        return num, den
-    return num.exact_div(g), den.exact_div(g)
-
-
-def _monic(num: Poly, den: Poly):
-    """A coprime pair scaled to a den of lead 1; den is 1 when num is 0."""
-    if num.is_zero():
-        return num, Poly.const(num.vars, 1)
-    lf = den.lead_fraction()
-    return (num, den) if lf == 1 else (num.scale(1 / lf), den.scale(1 / lf))
 
 
 def _z_rows(p: Poly, N: int, K: int) -> BiSeries:

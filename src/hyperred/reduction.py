@@ -50,7 +50,7 @@ from math import gcd
 from types import MappingProxyType
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import NotIntegerShift, SingularStep, UnsupportedClass
+from .errors import NotIntegerShift, SingularStep, UnsupportedClass, VerificationFailure
 from .hyper import Hyper, HyperFn
 from .poly import (Factors, Poly, _add, _add_factor, _cancel, _const, _div_int, _factor_product,
                    _int_content, _monic_product, _monomial, _mul, _neg, _pow, _scale,
@@ -516,7 +516,8 @@ def verify_reduction(result: ReductionResult, N: int = 30, K: int = 2):
     reading each other piece to z^0 refuses a pole at z = 0
     (UnsupportedClass) or a z^0 row of a denominator that vanishes at
     eps = 0 (PoleAtEpsZero), and then the first such piece is refused
-    (UnsupportedClass): reduce_to_basis returns polynomials only.
+    (UnsupportedClass): reduce_to_basis returns polynomials only.  Then a
+    zero S, which says nothing of F(target), fails (VerificationFailure).
     Parameters must be numeric (bind symbolic n first).
     """
     if not isinstance(result.target, HyperFn):
@@ -527,6 +528,8 @@ def verify_reduction(result: ReductionResult, N: int = 30, K: int = 2):
         r.to_biseries(0, K)
     if poles:
         raise UnsupportedClass(f"piece {poles[0]} is not a polynomial in {poles[0].vars[-1]}")
+    if result.s_poly.is_zero():
+        raise VerificationFailure("S is zero, so the reduction says nothing about F(target)")
     N = verify_depth(result, N)
     pieces = theta_pieces([result.s_poly], series_of_hyper(result.target, N, K))
     pieces += theta_pieces(result.r_polys, series_of_hyper(result.basis, N, K), -1)

@@ -135,12 +135,6 @@ class Linear(Value):
     def sort_key(self):
         return (self.terms, self.const)
 
-    def __eq__(self, other):
-        return type(self) is type(other) and self.sort_key() == other.sort_key()
-
-    def __hash__(self):
-        return hash(self.sort_key())
-
     def __str__(self):
         """n first, then the other symbols, then a nonzero constant."""
         parts = [_coeff_str(c, s) for s, c in sorted(self.terms, key=lambda t: t[0] != "n")]

@@ -15,21 +15,22 @@ from .value import Value
 
 
 class ThetaOp(Value):
-    """sum_k coeffs[k] * theta^k with RatFunc coefficients."""
+    """sum_k coeffs[k] * theta^k with RatFunc coefficients, trailing zeros
+    trimmed down to one: the zero operator is ``(0,)``, of degree -1."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[RatFunc]):
         coeffs = list(coeffs)
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
         if not coeffs:
-            raise ValueError("use ThetaOp.zero(vars) for the zero operator")
+            raise ValueError("an operator needs at least one coefficient")
+        while len(coeffs) > 1 and coeffs[-1].is_zero():
+            coeffs.pop()
         self._set(tuple(coeffs))
 
     @classmethod
     def zero(cls, vars):
-        return cls._of((RatFunc.const(vars, 0),))
+        return cls([RatFunc.const(vars, 0)])
 
     @classmethod
     def identity(cls, vars):
@@ -45,9 +46,7 @@ class ThetaOp(Value):
 
     @property
     def degree(self) -> int:
-        if len(self.coeffs) == 1 and self.coeffs[0].is_zero():
-            return -1
-        return len(self.coeffs) - 1
+        return -1 if self.is_zero() else len(self.coeffs) - 1
 
     def coeff(self, k: int) -> RatFunc:
         if k < len(self.coeffs):
@@ -55,33 +54,29 @@ class ThetaOp(Value):
         return RatFunc.const(self.vars, 0)
 
     def is_zero(self):
-        return self.degree == -1
+        return self.coeffs[-1].is_zero()
 
     def __add__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))
-        out = [self.coeff(k) + other.coeff(k) for k in range(n)]
-        return _make(out, self.vars)
+        return ThetaOp([self.coeff(k) + other.coeff(k) for k in range(n)])
 
     def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [self.coeff(k) - other.coeff(k) for k in range(n)]
-        return _make(out, self.vars)
+        return self + -other
 
     def __neg__(self):
-        return _make([-c for c in self.coeffs], self.vars)
+        return ThetaOp([-c for c in self.coeffs])
 
     def left_mul(self, r: RatFunc) -> "ThetaOp":
         """Multiply by a function on the left (commutes with nothing)."""
-        return _make([r * c for c in self.coeffs], self.vars)
+        return ThetaOp([r * c for c in self.coeffs])
 
     def theta_shift(self) -> "ThetaOp":
         """theta composed with self: applies theta . R = R theta + theta(R)."""
-        vars = self.vars
-        out = [RatFunc.const(vars, 0)] * (len(self.coeffs) + 1)
+        out = [RatFunc.const(self.vars, 0)] * (len(self.coeffs) + 1)
         for j, b in enumerate(self.coeffs):
             out[j] = out[j] + b.theta()
             out[j + 1] = out[j + 1] + b
-        return _make(out, vars)
+        return ThetaOp(out)
 
     def compose(self, other: "ThetaOp") -> "ThetaOp":
         """self after other, under theta.z = z.(theta+1)."""
@@ -90,8 +85,7 @@ class ThetaOp(Value):
         for k, a in enumerate(self.coeffs):
             if k > 0:
                 cur = cur.theta_shift()
-            if not a.is_zero():
-                acc = acc + cur.left_mul(a)
+            acc = acc + cur.left_mul(a)
         return acc
 
     def apply(self, s: BiSeries) -> BiSeries:
@@ -109,8 +103,3 @@ class ThetaOp(Value):
             parts.append(f"({c}){tp}")
         return " + ".join(parts) or "0"
 
-
-def _make(coeffs, vars):
-    if all(c.is_zero() for c in coeffs):
-        return ThetaOp.zero(vars)
-    return ThetaOp(coeffs)

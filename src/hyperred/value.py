@@ -11,11 +11,11 @@ shared across threads and processes.  Values whose fields are canonical
 take the defaults, equal by type and fields and hashed by their fields:
 the result records (``ReductionResult``, ``EpsilonExpansion``,
 ``HyperSum``, ...), which also print as ``Type(field=value, ...)``, and
-``Hyper``, ``MBRepr``, ``ThetaOp``, ``GplCombo`` (unhashable, as its
-data is a dict) and ``PolyLogExpr`` (which hashes its dict of terms
-itself).  ``Poly`` and ``RatFunc`` define their own equality, which
-coerces numbers, ``Linear`` a faster copy of the defaults, and
-``BiSeries`` a truncation-aware one.
+``Hyper``, ``MBRepr``, ``ThetaOp``, ``Linear`` and its views,
+``GplCombo`` (unhashable, as its data is a dict) and ``PolyLogExpr``
+(which hashes its dict of terms itself).  ``Poly`` and ``RatFunc``
+define their own equality, which coerces numbers, and ``BiSeries`` a
+truncation-aware one.
 """
 
 from __future__ import annotations
@@ -38,14 +38,16 @@ class Value:
         cls._fields = tuple(name for c in reversed(cls.__mro__)
                             for name in c.__dict__.get("__slots__", ()))
         if cls.__dict__.get("__slots__"):
-            # one writer per class that adds fields, each slot's setter bound in,
-            # compiled as namedtuple compiles its __new__: a job builds tens of
-            # thousands of values, and a loop over the fields costs about half a
-            # microsecond more per value
+            # one writer and one reader per class that adds fields, the writer
+            # with each slot's setter bound in, compiled as namedtuple compiles
+            # its __new__: a job builds and compares tens of thousands of values,
+            # and a loop over the fields costs about half a microsecond more each
             ns = {f"_put_{f}": getattr(cls, f).__set__ for f in cls._fields}
             body = "".join(f"    _put_{f}(self, {f})\n" for f in cls._fields)
-            exec(f"def _write(self, {', '.join(cls._fields)}):\n{body}", ns)
-            cls._write = ns["_write"]
+            fields = "".join(f"self.{f}, " for f in cls._fields)
+            exec(f"def _write(self, {', '.join(cls._fields)}):\n{body}"
+                 f"def _values(self):\n    return ({fields})\n", ns)
+            cls._write, cls._values = ns["_write"], ns["_values"]
             if "_set" not in cls.__dict__:
                 cls._set = cls._write
             if "__init__" not in cls.__dict__:
@@ -63,9 +65,6 @@ class Value:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     __delattr__ = __setattr__
-
-    def _values(self):
-        return tuple(getattr(self, name) for name in self._fields)
 
     def __reduce__(self):
         return (type(self)._of, self._values())

@@ -81,6 +81,8 @@ JOBS = {
                          "--bind", "j2=1", "--bind", "sigma=1"],
     "exit-unknown-bind": ["count-masters", "@c3", "--bind", "j1=1", "--bind", "j2=1",
                           "--bind", "sigma=1", "--bind", "foo=2"],
+    "exit-bind-n": ["count-masters", "@c3", "--bind", "n=3", "--bind", "j1=1", "--bind", "j2=1",
+                    "--bind", "sigma=1"],
     "exit-bad-beta": ["check-parametrization", "gauss", "--p1", "1", "--p2", "1",
                       "--r", "-1", "--q", "2", "--beta", "x"],
     "exit-bad-3f2": ["check-parametrization", "3f2", "--r", "1", "--p", "-1", "--q", "2",
@@ -160,6 +162,19 @@ def test_stored_reduction_edited_past_its_degree_fails_without_the_pole_tail(tmp
     path.write_text(json.dumps(rec) + "\n")
     _, stderr, code = run_case(["verify", str(path)])
     assert (code, stderr) == (5, b"error: stored reduction fails oracle at (z^27, eps^0)\n")
+
+
+def test_stored_reduction_with_zero_pieces_fails(tmp_path):
+    """stored.jsonl's reduce record with S, every R_j and the tail set to zero:
+    0 = 0 holds at every cell, but a zero S says nothing, so it fails (exit 5)."""
+    rec = json.loads((GOLDEN / "stored.jsonl").read_text().splitlines()[0])
+    assert rec["command"] == "reduce" and rec["s"]["num"]
+    for piece in (rec["s"], *rec["r"], rec["tail"]):
+        piece["num"] = []
+    path = tmp_path / "zeroed.jsonl"
+    path.write_text(json.dumps(rec) + "\n")
+    _, stderr, code = run_case(["verify", str(path)])
+    assert (code, stderr) == (5, b"error: S is zero, so the reduction says nothing about F(target)\n")
 
 
 def test_stored_rational_omega0_edited_fails(tmp_path):

@@ -611,7 +611,7 @@ def test_cli_count_masters_refuses_arguments_that_are_not_bind(extra):
 
 
 def test_cli_count_masters_refuses_a_symbol_the_input_lacks(capsys):
-    """A binding must name a symbol of the MB forms: a preset's symbols, or a raw input's."""
+    """A binding must name a symbol of the MB forms other than n: a preset's, or a raw input's."""
     from hyperred import cli
     for name in PRESETS:
         preset = get_preset(name)
@@ -624,7 +624,11 @@ def test_cli_count_masters_refuses_a_symbol_the_input_lacks(capsys):
     assert cli.main(raw + ["--bind", "rho=1", "--bind", "j1=1"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == ("error: cannot bind j1: the input has no symbol j1 (its symbols"
-                                 " are n, rho, sigma1, sigma2)\n")
+                                 " are rho, sigma1, sigma2)\n")
+    # n is a symbol of the forms, but masters are counted at n = 4 - 2*eps
+    assert cli.main(raw + ["--bind", "rho=1", "--bind", "n=4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: cannot bind n: it is the dimension, n = 4 - 2*eps\n"
 
 
 def _leaf_options(parser, command=()):

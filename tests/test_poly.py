@@ -1,5 +1,6 @@
 """Ring axioms and normal forms for the polynomial / fraction tower."""
 
+import random
 import re
 from fractions import Fraction as F
 from math import gcd
@@ -281,7 +282,7 @@ def test_depth_one_gcd_finds_a_shared_linear_factor():
 
 
 # ---------------------------------------------------------------------------
-# RatFunc products: constant and unit-gcd fast paths
+# RatFunc arithmetic: values at points, and the normal form of each result
 
 
 PRODUCT_RINGS = [("z",), ("eps", "z"), ("n", "eps", "z")]
@@ -304,15 +305,42 @@ def _assert_normalized(r):
     assert r.num.gcd(r.den) == 1
 
 
+def _value_at(p, point):
+    """p at a point, one value per variable, summed off Poly.terms()."""
+    total = F(0)
+    for exps, q in p.terms().items():
+        for x, e in zip(point, exps):
+            q *= x ** e
+        total += q
+    return total
+
+
 @pytest.mark.parametrize("vars", PRODUCT_RINGS)
-def test_ratfunc_product_matches_normalizing_constructor(vars):
+def test_ratfunc_arithmetic_matches_values_at_points(vars):
+    """(a op b)(x) == a(x) op b(x) for +, -, * and / at seeded rational
+    points that zero no denominator, and the results are normalized."""
     @settings(max_examples=40, deadline=None)
-    @given(ratfuncs(vars), ratfuncs(vars))
-    def check(a, b):
-        for p in (a * b, b * a):
-            expected = RatFunc(a.num * b.num, a.den * b.den)
-            assert (p.num, p.den) == (expected.num, expected.den)
-            _assert_normalized(p)
+    @given(ratfuncs(vars), ratfuncs(vars), st.integers(0, 2**32))
+    def check(a, b, seed):
+        rng = random.Random(seed)
+        ops = [(a + b, lambda x, y: x + y), (a - b, lambda x, y: x - y),
+               (b - a, lambda x, y: y - x), (a * b, lambda x, y: x * y),
+               (b * a, lambda x, y: x * y)]
+        if not b.is_zero():
+            ops.append((a / b, lambda x, y: x / y))
+        # the gcd that checks a sum over (n, eps, z) can run for tens of seconds
+        for r, _ in ops[3 if len(vars) == 3 else 0:]:
+            _assert_normalized(r)
+        checked = 0
+        while checked < 3:
+            point = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in vars]
+            dens = [_value_at(r.den, point) for r in (a, b, *(r for r, _ in ops))]
+            if 0 in dens or (not b.is_zero() and _value_at(b.num, point) == 0):
+                continue
+            x, y = (_value_at(r.num, point) / d for r, d in zip((a, b), dens))
+            for (r, op), d in zip(ops, dens[2:]):
+                assert _value_at(r.num, point) / d == op(x, y)
+            checked += 1
     check()
 
 

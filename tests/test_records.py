@@ -7,7 +7,9 @@ pickle and deepcopy, and has a ``repr`` that names its type and fields.
 Every ``Value`` type in src that writes its own ``__eq__`` writes its own
 ``__hash__`` too, unless ``UNHASHABLE`` lists it.  A record's constructor is
 the writer ``Value`` compiles from its slots, and no ``Value`` type in src
-writes a constructor that only forwards its parameters to ``_set``.
+writes a constructor that only forwards its parameters to ``_set``.  Every
+type's ``_values()``, compiled with the writer, reads its fields, and
+``Linear`` and its views take ``Value``'s equality.
 """
 
 import ast
@@ -16,6 +18,7 @@ import importlib
 import inspect
 import pickle
 import pkgutil
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -31,6 +34,7 @@ from hyperred.mb import DiagramPreset, GammaProduct, HyperSum, HyperTerm, get_pr
 from hyperred.ratfunc import RatFunc
 from hyperred.reduction import (ExceptionalReport, OpMatrix, ReductionResult, detect_exceptional,
                                 reduce_to_basis, step_matrix)
+from hyperred.scalars import EpsLin, Linear, LinearForm
 from hyperred.series import BiSeries
 from hyperred.value import Value
 
@@ -240,6 +244,30 @@ def test_a_value_that_defines_eq_defines_hash():
             assert cls.__dict__.get("__hash__") is not None, cls
     for cls in UNHASHABLE:
         assert cls.__hash__ is None, cls
+
+
+def test_values_reads_the_fields_of_every_value_type():
+    """_values() is compiled with the writer: the fields in _fields order, as getattr reads them."""
+    assert "_values" not in Value.__dict__
+    for cls in _value_classes():
+        if cls is Value:
+            continue
+        assert cls._fields, cls
+        fields = tuple(object() for _ in cls._fields)
+        x = object.__new__(cls)
+        cls._write(x, *fields)
+        assert x._values() == tuple(getattr(x, name) for name in cls._fields), cls
+        assert all(a is b for a, b in zip(x._values(), fields)), cls
+
+
+def test_linear_forms_take_the_value_equality():
+    """Linear and its views compare and hash as Value does, by type and fields."""
+    for cls in (Linear, EpsLin, LinearForm):
+        assert "__eq__" not in cls.__dict__ and "__hash__" not in cls.__dict__, cls
+    a, b = EpsLin(F(1, 2), 3), Linear({"eps": 3}, F(1, 2))
+    assert a.terms == b.terms and a.const == b.const and a != b
+    assert hash(a) == hash((a.terms, a.const)) == hash(b)
+    assert EpsLin(F(1, 2), 3) == a and {a: 1}[EpsLin(F(2, 4), 3)] == 1
 
 
 def _forwarding_constructors(source):

@@ -12,7 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from hyperred import cli
 
-from hyperred.errors import HyperredError, NotIntegerShift, SingularStep, UnsupportedClass
+from hyperred.errors import (HyperredError, NotIntegerShift, SingularStep, UnsupportedClass,
+                             VerificationFailure)
 from hyperred.grammar import parse_hyper
 from hyperred.hyper import HyperFn, SymHyperFn
 from hyperred.poly import Poly, _div_root
@@ -878,6 +879,24 @@ def test_verify_refuses_a_pole_in_any_piece():
         with pytest.raises(UnsupportedClass,
                            match=rf"^piece {re.escape(str(edited[i]))} has a pole at z = 0$"):
             verify_reduction(bad, 12, 2)
+
+
+def test_verify_refuses_a_zero_s():
+    """S = 0 says nothing about F(target), whatever the R_j and the tail hold:
+    refused after the pole refusals, naming S.  The result itself passes, and
+    so does every piece scaled by 2, a true identity that reduce never writes."""
+    r = _verify_result(4)
+    zero = RatFunc.const(V, 0)
+    pole = RatFunc(Poly.const(V, 1), Poly.variable(V, "z"))
+    for rs, tail in ((r.r_polys, r.algebraic_tail), ((zero,) * len(r.r_polys), zero)):
+        bad = ReductionResult(r.target, r.basis, zero, rs, tail, r.affine)
+        with pytest.raises(VerificationFailure, match=r"^S is zero"):
+            verify_reduction(bad, 12, 2)
+        with pytest.raises(UnsupportedClass):
+            verify_reduction(ReductionResult(r.target, r.basis, zero, rs, pole, r.affine), 12, 2)
+    doubled = ReductionResult(r.target, r.basis, r.s_poly * 2, tuple(x * 2 for x in r.r_polys),
+                              r.algebraic_tail * 2, r.affine)
+    assert verify_reduction(r, 12, 2) == verify_reduction(doubled, 12, 2) == (True, None)
 
 
 def _valid_series_params(fn):

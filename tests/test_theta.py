@@ -126,3 +126,20 @@ def test_product_degree_additive(a, b):
     prod = a.compose(b)
     if not (a.coeffs[-1] * b.coeffs[-1]).is_zero():
         assert prod.degree == a.degree + b.degree
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_ops())
+def test_zero_operator_is_one_zero_coefficient(p):
+    """The constructor trims trailing zeros down to one coefficient, so
+    p - p, ThetaOp([0, 0]) and ThetaOp.zero are the one zero operator."""
+    zero = ThetaOp.zero(V)
+    assert zero.coeffs == (rf(0),) and zero.degree == -1 and zero.is_zero()
+    for op in (p - p, ThetaOp([rf(0), rf(0)]), p + -p, p.left_mul(rf(0))):
+        assert op == zero and op.degree == -1 and str(op) == "0"
+    assert ThetaOp([rf(2), rf(0)]) == ThetaOp([rf(2)])
+
+
+def test_an_operator_needs_a_coefficient():
+    with pytest.raises(ValueError):
+        ThetaOp([])
