@@ -24,7 +24,7 @@ from .errors import (CriterionViolation, DegeneratePoles, HyperredError,
 from .expansion import (EpsilonExpansion, direct_layer0, epsilon_expand, expansion_class,
                         f3_parametrization_check, gauss_flags, gauss_triangular_system,
                         three_f2_system, verify_expansion)
-from .gpl import PolyLogExpr, _letter
+from .gpl import PolyLogExpr, _letter, term_word
 from .grammar import parse_hyper, parse_input
 from .mb import DiagramPreset, MBRepr, count_master_integrals, mb_to_hyper
 from .poly import Poly, _from_terms
@@ -142,11 +142,14 @@ def enc_polylog(e: PolyLogExpr) -> dict:
 
 
 def dec_polylog(d: dict) -> PolyLogExpr:
-    # each distinct letter is read once, as as_word keeps it (an integral one an int)
+    # past the constructor, with its checks: each letter read once, as as_word keeps it
     letter = {s: _letter(dec_rat(s)) for s in {s for t in d["terms"] for s in t["letters"]}}
     terms = _unique(((tuple(map(letter.__getitem__, t["letters"])), dec_rat(t["coeff"]))
                      for t in d["terms"]), "word")
-    return PolyLogExpr(terms, dec_rat(d["const"]), d["var"])
+    const, var = dec_rat(d["const"]), d["var"]
+    for w in terms:
+        term_word(w)
+    return PolyLogExpr._of({w: c for w, c in terms.items() if c}, const, var)   # zeros dropped
 
 
 # ---------------------------------------------------------------------------

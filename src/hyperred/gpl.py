@@ -60,7 +60,14 @@ def _letter(a) -> Letter:
 
 def as_word(letters: Iterable) -> Word:
     w = tuple(_letter(a) for a in letters)
-    if w and w[-1] == 0:
+    return term_word(w) if w else w
+
+
+def term_word(w: Word) -> Word:
+    """w, if it can be the word of a PolyLogExpr term: nonempty, not ending in 0."""
+    if not w:
+        raise ValueError("a PolyLogExpr word must be nonempty")
+    if w[-1] == 0:
         raise ValueError(f"word {w} ends in 0 (not analytic at the origin)")
     return w
 
@@ -85,26 +92,32 @@ def _letter_factors(p: int, N: int) -> Tuple[Tuple[int, ...], Tuple[int, ...], i
 # bounded; a 30 s `bench/run.py --workload expand` run fills about 2,262 entries
 @lru_cache(maxsize=16384)
 def _word_series(word: Word, N: int) -> BiSeries:
-    """G(word; z) to z^N as a BiSeries of eps order 0: z^j has nums[j]/den."""
-    if not word:
-        return BiSeries._of((1,) + (0,) * N, 1, N, 0)
-    a, s = word[0], _word_series(word[1:], N)
-    D, u = s.den, s.nums
-    p, q = a.numerator, a.denominator
-    pw, f, d = _letter_factors(p, N)
-    if p == 0:
-        if u[0] != 0:
-            raise UncancelledPole(f"dt/t against constant term in G{word}")
-        return BiSeries._of((0,) + tuple(map(mul, u[1:], f)), D * d, N, 0)
-    # conv = u/(t-a) = -sum_m u t^m / a^(m+1) obeys conv_j = (conv_(j-1) - u_(j-1))/a
-    # and G(a, w) takes conv_j/j at z^j; for a = p/q the integers
-    # C_j = D p^j conv_j = q (C_(j-1) - u_(j-1) p^(j-1)) give
-    # conv_j/j = C_j p^(N-j) (L/j) / (D p^N L), the sign of p^N moved into the numerators
-    C, out = 0, [0]
-    for x, y, g in zip(u, pw, f):
-        C = q * (C - x * y)
-        out.append(C * g)
-    return BiSeries._of(tuple(out), D * d, N, 0)
+    """G(word; z) to z^N as a BiSeries of eps order 0: z^j has nums[j]/den.
+
+    A word of 1 to 64 letters (an expansion at eps order K writes K + 1 at
+    most) prepends its first letter to its suffix's cached series; a longer
+    one, only ever a stored record's, is built in one loop, no call per letter."""
+    cached = 0 < len(word) <= 64
+    s = _word_series(word[1:], N) if cached else BiSeries._of((1,) + (0,) * N, 1, N, 0)
+    for i in reversed(range(1 if cached else len(word))):
+        D, u = s.den, s.nums
+        p, q = word[i].numerator, word[i].denominator
+        pw, f, d = _letter_factors(p, N)
+        if p == 0:
+            if u[0] != 0:
+                raise UncancelledPole(f"dt/t against constant term in G{word[i:]}")
+            s = BiSeries._of((0,) + tuple(map(mul, u[1:], f)), D * d, N, 0)
+            continue
+        # conv = u/(t-a) = -sum_m u t^m / a^(m+1) obeys conv_j = (conv_(j-1) - u_(j-1))/a
+        # and G(a, w) takes conv_j/j at z^j; for a = p/q the integers
+        # C_j = D p^j conv_j = q (C_(j-1) - u_(j-1) p^(j-1)) give
+        # conv_j/j = C_j p^(N-j) (L/j) / (D p^N L), the sign of p^N moved into the numerators
+        C, out = 0, [0]
+        for x, y, g in zip(u, pw, f):
+            C = q * (C - x * y)
+            out.append(C * g)
+        s = BiSeries._of(tuple(out), D * d, N, 0)
+    return s
 
 
 def shuffle_words(w1: Word, w2: Word) -> List[Word]:
@@ -124,8 +137,9 @@ def shuffle_words(w1: Word, w2: Word) -> List[Word]:
 class PolyLogExpr(Value):
     """Rational-linear combination of Goncharov words plus a constant.
 
-    ``terms`` maps nonempty words, letter tuples interned by ``as_word``,
-    to nonzero coefficients; every word is in the variable ``var``.
+    ``terms`` maps words, letter tuples interned by ``as_word``, nonempty
+    and not ending in 0 (``term_word``), to nonzero coefficients; every
+    word is in the variable ``var``.
     ``_of(terms, const, var)`` takes such fields as they are.
     """
 
@@ -134,9 +148,7 @@ class PolyLogExpr(Value):
     def __init__(self, terms: Mapping[Word, Fraction] = (), const=0, var="z"):
         clean = {}
         for w, c in (terms.items() if isinstance(terms, Mapping) else terms):
-            w = as_word(w)
-            if not w:
-                raise ValueError("a PolyLogExpr word must be nonempty")
+            w = term_word(tuple(map(_letter, w)))
             c = rat(c)
             if c != 0:
                 clean[w] = clean.get(w, F(0)) + c
@@ -179,9 +191,11 @@ class PolyLogExpr(Value):
 
     def biseries(self, N: int) -> BiSeries:
         """The z-series to z^N as integers over one denominator, eps order 0."""
-        # the constant is the coefficient of the empty word, whose series is 1
+        # the constant is the coefficient of the empty word, whose series is 1;
+        # a word with more than N nonzero letters is O(z^(N+1)) and builds none
         return combine(((c, _word_series(w, N))
-                        for w, c in [((), self.const), *self.terms.items()]), N, 0)
+                        for w, c in [((), self.const), *self.terms.items()]
+                        if len(w) - w.count(0) <= N), N, 0)
 
     def series(self, N: int) -> List[Fraction]:
         return self.biseries(N).eps_row(0)

@@ -31,13 +31,11 @@ class Hyper(Value):
 
     def shifted(self, which: str, index: int, step: int):
         """New function with one parameter moved by an integer step."""
-        if which == "upper":
-            ps = list(self.upper)
-            ps[index] = ps[index] + step
-            return type(self)(ps, self.lower, self.kappa, self.var)
-        ps = list(self.lower)
-        ps[index] = ps[index] + step
-        return type(self)(self.upper, ps, self.kappa, self.var)
+        up = which == "upper"
+        ps = self.upper if up else self.lower
+        x = ps[index]
+        ps = ps[:index] + (x._of(x.terms, x.const + step),) + ps[index + 1:]
+        return self._of(*((ps, self.lower) if up else (self.upper, ps)), self.kappa, self.var)
 
     def _arg(self) -> str:
         return self.var if self.kappa == 1 else f"({self.kappa})*{self.var}"
@@ -72,6 +70,6 @@ class SymHyperFn(Hyper):
     param_type = LinearForm
 
     def bind(self, j_values=None, n_value: EpsLin = DEFAULT_N) -> HyperFn:
-        """Bind propagator powers and n (default n = 4 - 2 eps)."""
-        conv = lambda x: x.bind(j_values or {}).to_epslin(n_value)
-        return HyperFn(map(conv, self.upper), map(conv, self.lower), self.kappa, self.var)
+        """Bind propagator powers and n (default 4 - 2 eps), one ``to_epslin`` per parameter."""
+        conv = lambda ps: tuple(x.to_epslin(n_value, j_values) for x in ps)
+        return HyperFn._of(conv(self.upper), conv(self.lower), self.kappa, self.var)

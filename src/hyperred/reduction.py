@@ -406,19 +406,22 @@ def shift_vector(target: Hyper, basis: Hyper):
     if target.kappa != basis.kappa or target.var != basis.var:
         raise NotIntegerShift("argument descriptors differ")
     ups, los = [], []
-    for t, b in zip(target.upper, basis.upper):
-        ups.append(_int_diff(t, b))
-    for t, b in zip(target.lower, basis.lower):
-        los.append(_int_diff(t, b))
+    for ts, bs, out in ((target.upper, basis.upper, ups), (target.lower, basis.lower, los)):
+        for t, b in zip(ts, bs):
+            out.append(_int_diff(t, b))
+            if out[-1] is None:
+                raise NotIntegerShift(f"difference {t - b} is not an integer")
     return ups, los
 
 
-def _int_diff(t, b) -> int:
-    """t - b read off the fields: equal symbol parts and constants an integer apart."""
-    c = t.const - b.const
-    if t.terms != b.terms or c.denominator != 1:
-        raise NotIntegerShift(f"difference {t - b} is not an integer")
-    return c.numerator
+def _int_diff(t, b) -> Optional[int]:
+    """t - b as an int read off the fields, or None: equal symbol parts, and
+    constants of one reduced denominator whose numerators differ by a multiple of it."""
+    p, q = t.const, b.const
+    d, r = divmod(p.numerator - q.numerator, p.denominator)
+    if r or t.terms != b.terms or p.denominator != q.denominator:
+        return None
+    return d
 
 
 def canonical_path(ups, los):
@@ -567,15 +570,12 @@ def detect_exceptional(fn: HyperFn) -> ExceptionalReport:
     used_lowers = set()
     pairs = []
     for i, u in enumerate(fn.upper):
-        best = None
-        for l, b in enumerate(fn.lower):
-            d = u - b
-            if l not in used_lowers and d.is_integer() and d.const >= 0:
-                if best is None or d.const < best[1]:
-                    best = (l, d.const)
-        if best is not None:
-            used_lowers.add(best[0])
-            pairs.append((i, best[0], int(best[1])))
+        diffs = [(d, l) for l, b in enumerate(fn.lower) if l not in used_lowers
+                 for d in (_int_diff(u, b),) if d is not None and d >= 0]
+        if diffs:
+            d, l = min(diffs)
+            used_lowers.add(l)
+            pairs.append((i, l, d))
     shared = tuple(i for i, _, _ in pairs if i in integer_uppers)
     terminating = any(fn.upper[i].const <= 0 for i in integer_uppers)
     unpaired = len(shared) < len(integer_uppers)

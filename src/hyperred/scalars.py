@@ -87,40 +87,47 @@ class Linear(Value):
     def int_line(self, symbol: str):
         """(p0, p1, q) in integers with self = (p0 + p1 symbol) / q, q > 0, gcd 1.
 
-        The one integer form of a parameter linear in eps or n; a form that
-        holds another symbol is refused.
+        The one integer form of a parameter linear in eps or n, read off the
+        two fields; a form that holds another symbol is refused.
         """
-        if any(s != symbol for s in self.symbols):
+        t = self.terms
+        if len(t) > 1 or t and t[0][0] != symbol:
             raise ValueError(f"bind propagator powers before reducing: {self}")
-        c0, c1 = self.const, self.coeff(symbol)
+        c0, c1 = self.const, t[0][1] if t else 0
         q = lcm(c0.denominator, c1.denominator)
         return c0.numerator * (q // c0.denominator), c1.numerator * (q // c1.denominator), q
 
     def subst(self, values: Mapping[str, object], cls=None) -> "Linear":
         """Substitute numbers or forms for the given symbols; a ``cls``, by default this type.
 
-        A number adds c v to the constant and keeps the other terms as they
-        are, already canonical, so only a form value's terms are merged and
-        sorted; a substitution that touches no symbol returns self.
-        """
-        cls = cls or type(self)
-        pairs, const, forms = [], self.const, []
+        One integer pass: each c v (v a number or a form's constant) goes into
+        one integer numerator over one denominator, made a Fraction at the end;
+        the terms left and each form's scaled terms are canonical, so they are
+        merged and sorted only when two of them contribute.  A substitution
+        that touches no symbol returns self."""
+        cls, kept, sources = cls or type(self), [], []
+        num, den = self.const.numerator, self.const.denominator
         for s, c in self.terms:
             if s not in values:
-                pairs.append((s, c))
+                kept.append((s, c))
                 continue
             v = values[s]
             if isinstance(v, Linear):
                 v = cls.coerce(v)
-                forms += [(t, c * x) for t, x in v.terms]
-                const += c * v.const
-            else:
-                const += c * rat(v)
-        if forms:
-            return cls._of(_canonical(pairs + forms), const)
-        if cls is type(self) and len(pairs) == len(self.terms):
+                if v.terms:
+                    sources.append(tuple((t, c * x) for t, x in v.terms))
+                v = v.const
+            elif not isinstance(v, (int, Fraction)):
+                v = rat(v)
+            p, q = c.numerator * v.numerator, c.denominator * v.denominator
+            num, den = num * q + p * den, den * q
+        if len(kept) == len(self.terms) and cls is type(self):
             return self
-        return cls._of(tuple(pairs), const)
+        if kept:
+            sources.append(kept)
+        terms = (_canonical(t for src in sources for t in src) if len(sources) > 1
+                 else tuple(sources[0]) if sources else ())
+        return cls._of(terms, Fraction(num, den))
 
     def is_const(self) -> bool:
         return not self.terms
@@ -193,14 +200,6 @@ class LinearForm(Linear):
     def __init__(self, n_coeff=0, j_coeffs=(), const=0):
         super().__init__((("n", n_coeff), *dict(j_coeffs).items()), const)
 
-    @property
-    def n_coeff(self) -> Fraction:
-        return self.coeff("n")
-
-    @property
-    def j_coeffs(self):
-        return tuple(t for t in self.terms if t[0] != "n")
-
     @classmethod
     def n(cls, coeff=1):
         return cls(coeff)
@@ -213,8 +212,15 @@ class LinearForm(Linear):
         """Substitute values (numbers or forms) for the given j symbols."""
         return self.subst(j_values)
 
-    def to_epslin(self, n_value: EpsLin = DEFAULT_N) -> EpsLin:
-        """Fully bind (default n = 4 - 2*eps); all j symbols must be gone."""
-        if self.j_coeffs:
-            raise UnboundSymbols([k for k, _ in self.j_coeffs])
-        return self.subst({"n": n_value}, EpsLin)
+    def to_epslin(self, n_value: EpsLin = DEFAULT_N, j_values=None) -> EpsLin:
+        """Bind the j symbols to j_values and n to n_value (default n = 4 - 2*eps): numbers
+        and n in one ``subst`` pass straight to EpsLin, a form value (which may bring in
+        n or j symbols) first and n after.  UnboundSymbols names every j symbol left."""
+        if j_values and any(isinstance(v, Linear) for v in j_values.values()):
+            return self.subst(j_values).to_epslin(n_value)
+        values = {"n": n_value, **(j_values or {})}
+        out = self.subst(values, EpsLin)
+        left = [s for s, _ in self.terms if s not in values]
+        if left:
+            raise UnboundSymbols(left)
+        return out

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -359,6 +360,62 @@ def test_cli_verify_accepts_every_record_a_job_writes(tmp_path, capsys):
         capsys.readouterr()
         assert cli.main(["verify", str(path)]) == 0, path
         assert " record ok: " in capsys.readouterr().out, path
+
+
+def test_dec_polylog_reads_back_every_golden_layer_and_refuses_bad_words(tmp_path, capsys):
+    """dec_polylog builds the layer past PolyLogExpr's constructor, so it must
+    give the value that constructor gives for every layer a job writes, drop
+    a zero coefficient as the constructor does, and refuse an empty word or a
+    word ending in 0 with the constructor's texts (exit 2 from verify)."""
+    from hyperred import cli
+    from hyperred.gpl import PolyLogExpr
+    golden = Path(__file__).parent / "golden"
+    lines = [l for p in sorted(golden.glob("expand-*.jsonl.out")) for l in p.read_text().splitlines()]
+    lines += [l for l in (golden / "stored.jsonl").read_text().splitlines() if '"expand"' in l]
+    layers = [l for line in lines for l in json.loads(line)["layers"]]
+    assert len(lines) == 8 and len(layers) == 32
+    for d in layers:
+        e = cli.dec_polylog(d)
+        want = PolyLogExpr({tuple(map(cli.dec_rat, t["letters"])): cli.dec_rat(t["coeff"])
+                            for t in d["terms"]}, cli.dec_rat(d["const"]), d["var"])
+        assert e == want and cli.dec_polylog(cli.enc_polylog(e)) == e
+        assert cli.enc_polylog(e) == d
+    zero = {"const": "0", "var": "z", "terms": [{"coeff": "0", "letters": ["1"]},
+                                                {"coeff": "2", "letters": ["0", "1"]}]}
+    assert cli.dec_polylog(zero).terms == {(0, 1): 2}
+    good = (golden / "expand-integer.jsonl.out").read_text()
+    for letters, text in (([], "a PolyLogExpr word must be nonempty"),
+                          (["1", "0"], "word (1, 0) ends in 0 (not analytic at the origin)")):
+        bad = {"const": "0", "var": "z", "terms": [{"coeff": "1", "letters": letters}]}
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            cli.dec_polylog(bad)
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            PolyLogExpr({tuple(map(int, letters)): 1})
+        rec = json.loads(good)
+        rec["layers"][4]["terms"].append({"coeff": "1", "letters": letters})
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(rec) + "\n")
+        capsys.readouterr()
+        assert cli.main(["verify", str(path)]) == 2
+        assert f"malformed stored record (ValueError: {text})" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("letters, code", [(["1"] * 600, 0), (["0", "1"] * 300, 0),
+                                           (["0"] * 599 + ["1"], 5)],
+                         ids=["ones", "alternating", "zeros-then-one"])
+def test_cli_verify_reads_a_600_letter_word_without_recursing(tmp_path, letters, code):
+    """A stored word of 600 letters is input: verify must not recurse once per
+    letter.  A word with more nonzero letters than the checked depth is
+    O(z^(N+1)) and adds nothing to the series (item 10 closes that gap); one
+    nonzero letter after 599 zeros is read, and its eps^4 edit fails."""
+    rec = json.loads((Path(__file__).parent / "golden" / "expand-integer.jsonl.out").read_text())
+    rec["layers"][4]["terms"].append({"coeff": "1", "letters": letters})
+    path = tmp_path / "long.jsonl"
+    path.write_text(json.dumps(rec) + "\n")
+    r = run_cli("verify", str(path))
+    assert r.returncode == code and "Traceback" not in r.stderr, r.stderr
+    if code:
+        assert r.stderr == "error: stored expansion fails oracle at (power 1, eps^4)\n"
 
 
 def test_cli_expand_names_layers_by_the_function_variable(tmp_path, capsys):

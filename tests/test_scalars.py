@@ -7,17 +7,20 @@ back what the printers write.
 """
 
 import pickle
+import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperred.errors import UnboundSymbols
+from hyperred.errors import NotIntegerShift, UnboundSymbols
 from hyperred.grammar import parse_hyper, parse_input
 from hyperred.hyper import HyperFn, SymHyperFn
 from hyperred.mb import MBRepr
-from hyperred.reduction import QuotientModule
+from hyperred.reduction import QuotientModule, detect_exceptional, shift_vector
 from hyperred.scalars import EpsLin, Linear, LinearForm
+from scalars_reference import (reference_bind_fn, reference_detect_exceptional,
+                               reference_int_line, reference_subst, reference_to_epslin)
 
 RATS = st.one_of(st.just(F(0)), st.fractions(min_value=-4, max_value=4, max_denominator=6))
 NONZERO = RATS.filter(bool)
@@ -122,7 +125,7 @@ def test_epslin_matches_dict_model(c, e, c2, e2, q):
 def test_linear_form_matches_dict_model(nc, js, c, js2, c2, n0, n1):
     x = LinearForm(nc, js, c)
     m = _model({"n": nc, **js}, c)
-    assert x.n_coeff == nc and x.j_coeffs == tuple(sorted(_model(js, 0)[0].items()))
+    assert x.coeff("n") == nc and x.terms == tuple(sorted(_model({"n": nc, **js}, 0)[0].items()))
     _assert_models(x, m)
     built = LinearForm.n(nc) + LinearForm.constant(c)
     for s, v in js.items():
@@ -141,7 +144,7 @@ def test_linear_form_matches_dict_model(nc, js, c, js2, c2, n0, n1):
     free = LinearForm(nc, {}, c)
     got = free.to_epslin(n_value)
     assert type(got) is EpsLin and got == EpsLin(c + nc * n0, nc * n1)
-    if x.j_coeffs:
+    if set(x.symbols) - {"n"}:
         with pytest.raises(UnboundSymbols):
             x.to_epslin(n_value)
 
@@ -190,6 +193,105 @@ def test_subst_merges_once_as_sequential_sums_do(cls, coeffs, const, raw, to_eps
     target = EpsLin if to_eps else None
     assert _outcome(lambda: x.subst(values, target)) == \
         _outcome(lambda: _sequential_subst(x, values, target))
+
+
+BIND_NAMES = ("j1", "j2", "sigma")
+
+
+def _bind_forms():
+    """LinearForms over n and the powers, rational coefficients."""
+    return st.builds(lambda cs, c: LinearForm.from_terms(cs.items(), c),
+                     _coeffs(("n",) + BIND_NAMES), RATS)
+
+
+def _fields(fn):
+    """A value's fields with their types, an int_line, or the refusal (type, text, names)."""
+    try:
+        x = fn()
+    except (UnboundSymbols, TypeError, ValueError) as e:
+        return type(e), str(e), getattr(e, "names", None)
+    if isinstance(x, tuple):
+        return x
+    if isinstance(x, HyperFn):
+        return type(x), [_fields(lambda: p) for p in x.upper + x.lower], x.kappa, x.var
+    return type(x), [(s, c, type(c)) for s, c in x.terms], x.const, type(x.const)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bind_forms(),
+       st.dictionaries(st.sampled_from(BIND_NAMES + ("n",)),
+                       st.one_of(st.integers(-3, 3), RATS, _bind_forms()), max_size=3),
+       _epslins(), st.lists(_bind_forms(), min_size=1, max_size=5))
+def test_one_integer_pass_binds_as_the_fraction_route(x, j_values, n_value, params):
+    """subst, bind, to_epslin and SymHyperFn.bind against the Fraction route
+    of tests/scalars_reference.py: field-equal results (type, terms,
+    const, their coefficient types), equal UnboundSymbols for a missing
+    power and equal int_line texts for a symbol other than n or eps."""
+    assert _fields(lambda: x.subst(j_values)) == _fields(lambda: reference_subst(x, j_values))
+    assert _fields(lambda: x.subst(j_values, EpsLin)) == \
+        _fields(lambda: reference_subst(x, j_values, EpsLin))
+    assert _fields(lambda: x.bind(j_values)) == _fields(lambda: reference_subst(x, j_values))
+    for got in (x, x.bind(j_values)):
+        assert _fields(lambda: got.int_line("n")) == _fields(lambda: reference_int_line(got, "n"))
+    if not any(isinstance(v, LinearForm) for v in j_values.values()):
+        got = x.subst({"n": 1, **j_values}, EpsLin)
+        assert _fields(lambda: got.int_line("eps")) == \
+            _fields(lambda: reference_int_line(got, "eps"))
+    assert _fields(lambda: x.to_epslin(n_value, j_values)) == \
+        _fields(lambda: reference_to_epslin(x, n_value, j_values))
+    assert _fields(lambda: x.to_epslin(n_value)) == _fields(lambda: reference_to_epslin(x, n_value))
+    numbers = {s: v for s, v in j_values.items() if not isinstance(v, Linear)}
+    k = (len(params) - 1) // 2
+    fn = SymHyperFn(params[:k + 1], params[k + 1:2 * k + 1])
+    for values in (j_values, numbers, dict.fromkeys(BIND_NAMES, 2)):
+        assert _fields(lambda: fn.bind(values, n_value)) == \
+            _fields(lambda: reference_bind_fn(fn, values, n_value))
+
+
+OFFSETS = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=7))
+
+
+@st.composite
+def _paired_fns(draw):
+    """HyperFns whose lowers are often an upper moved by an integer or by a
+    fraction (so the constants may share a denominator and still differ by
+    a non-integer, as 5/7 and -3/7 do), some uppers integers."""
+    p = draw(st.integers(0, 3))
+    ups = [EpsLin(draw(st.integers(-2, 3))) if draw(st.booleans()) else draw(_epslins())
+           for _ in range(p + 1)]
+    los = []
+    for _ in range(p):
+        u = draw(st.sampled_from(ups))
+        los.append(u - draw(OFFSETS) if draw(st.integers(0, 3)) else draw(_epslins()))
+    return HyperFn(ups, los)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_paired_fns(), st.data())
+def test_integer_differences_read_off_the_fields_as_subtraction_does(fn, data):
+    """detect_exceptional's report equals the Linear-subtraction one; a shifted
+    function (``Hyper.shifted``, built past the constructor) equals the one
+    the constructor builds, and shift_vector reads the shift back."""
+    assert detect_exceptional(fn) == reference_detect_exceptional(fn)
+    which = data.draw(st.sampled_from(("upper", "lower") if fn.p else ("upper",)))
+    index = data.draw(st.integers(0, len(getattr(fn, which)) - 1))
+    step = data.draw(st.integers(-3, 3))
+    g = fn.shifted(which, index, step)
+    ps = list(getattr(fn, which))
+    ps[index] = ps[index] + step
+    assert g == (HyperFn(ps, fn.lower) if which == "upper" else HyperFn(fn.upper, ps))
+    ups, los = shift_vector(g, fn)
+    assert (ups if which == "upper" else los)[index] == step
+    assert sum(map(abs, ups + los)) == abs(step)
+    moved = data.draw(st.one_of(_epslins(), OFFSETS.map(lambda k: fn.upper[0] + k)))
+    h = HyperFn([moved, *fn.upper[1:]], fn.lower)
+    d = moved - fn.upper[0]
+    if d.is_integer():
+        assert shift_vector(h, fn)[0][0] == d.const
+    else:
+        text = f"^difference {re.escape(str(d))} is not an integer$"
+        with pytest.raises(NotIntegerShift, match=text):
+            shift_vector(h, fn)
 
 
 @st.composite
