@@ -42,6 +42,10 @@ EXIT_VERIFY = 5
 
 MAX_N = 200
 MAX_K = 8
+# a stored polynomial's exponents: ten times the deepest check, so a record
+# past the depth bound by that much still meets its own gate, while
+# RatFunc's gcd never runs on a degree that takes it seconds
+MAX_EXPONENT = 10 * MAX_N
 REDUCE_CHECK_K = 4      # a reduction is checked to eps^min(K, REDUCE_CHECK_K)
 
 
@@ -109,13 +113,17 @@ def _enc_poly(p: Poly) -> list:
 def dec_ratfunc(d: dict, expect: Optional[tuple] = None) -> RatFunc:
     """The RatFunc a record holds, over the variables ``expect`` when given, each
     polynomial read as integers over the lcm of its denominators.  _from_terms
-    trusts its exponents: each must be a non-negative int, and no list may repeat."""
+    trusts its exponents: each must be a non-negative int, and no list may repeat.
+    An exponent above MAX_EXPONENT is unsupported, refused before any gcd."""
     vars = tuple(d["vars"])
     if expect not in (None, vars):
         raise ValueError(f"expected variables {list(expect)}, got {list(vars)}")
     for e, _ in d["num"] + d["den"]:
         if len(e) != len(vars) or any(type(x) is not int or x < 0 for x in e):
             raise ValueError(f"exponents {e} are not one non-negative integer per variable")
+        if max(e, default=0) > MAX_EXPONENT:
+            raise UnsupportedClass(f"a stored polynomial has exponent {max(e)}, "
+                                   f"above {MAX_EXPONENT}")
 
     def mk(terms):
         ratios = _unique(((tuple(e), _dec_ints(c)) for e, c in terms), "exponent list")

@@ -9,8 +9,16 @@ their Fractions.  The z-series of a word is a row of integer numerators
 over one positive denominator, built without gcds: its coefficients are
 nested harmonic sums, cleared by lcm(1..N) and powers of the letters,
 the factor of each coefficient tabulated once per letter numerator and N.
-It is cached as a ``BiSeries`` of eps order 0, so sums over words and
-products with kernel rows are the oracle's own integer-row operations.
+One letter kernel, ``_letter_step``, integrates a series against
+dt/(t - a): a word's series is its first letter's step on its suffix's.
+A word's series is cached as a ``BiSeries`` of eps order 0, so sums over
+words and products with kernel rows are the oracle's own integer-row
+operations.
+``PolyLogExpr.biseries`` sums a layer through first letters, Horner's
+rule one level deep: the words that start with a are summed over their
+suffixes' cached series, unreduced, and take one step of a, so the
+cache never holds the words of a layer's longest length; the layer's
+sum is left unreduced for the verifier, which reduces its residual once.
 A word with n nonzero letters is O(z^n), so a sum to order N with a pole
 of order V at 0 builds no series for a word with more than N + V of them.
 
@@ -43,7 +51,7 @@ from .errors import UncancelledPole, UnsupportedClass
 from .poly import Poly, _cancel
 from .ratfunc import RatFunc
 from .scalars import rat
-from .series import BiSeries, combine
+from .series import BiSeries, combine, summed
 from .value import Value
 
 F = Fraction
@@ -76,7 +84,7 @@ def term_word(w: Word) -> Word:
 # `bench/run.py --workload expand` run
 @lru_cache(maxsize=256)
 def _letter_factors(p: int, N: int) -> Tuple[Tuple[int, ...], Tuple[int, ...], int]:
-    """The integers a word series with first letter of numerator p needs at order N:
+    """The integers a letter step with letter numerator p needs at order N:
     (p^0..p^(N-1), the factors of z^1..z^N, the factor of the denominator).
     With L = lcm(1..N) and sign that of p^N, z^j takes sign p^(N-j) (L/j) and
     the denominator sign p^N L; for p = 0 they are L/j and L."""
@@ -89,34 +97,44 @@ def _letter_factors(p: int, N: int) -> Tuple[Tuple[int, ...], Tuple[int, ...], i
             sign * pw[N] * L)
 
 
-# bounded; a 30 s `bench/run.py --workload expand` run fills about 2,262 entries
+def _letter_step(a: Letter, s: BiSeries, N: int) -> BiSeries:
+    """int_0^z dt/(t - a) s(t) to z^N, s a series of eps order 0 (G(w) gives
+    G(a, w)), not reduced: the one letter kernel of the word series.  For
+    a = 0, s must vanish at 0, else UncancelledPole."""
+    D, u = s.den, s.nums
+    p, q = a.numerator, a.denominator
+    pw, f, d = _letter_factors(p, N)
+    if p == 0:
+        if u[0] != 0:
+            raise UncancelledPole("dt/t against constant term")
+        return BiSeries._of((0,) + tuple(map(mul, u[1:], f)), D * d, N, 0)
+    # conv = u/(t-a) = -sum_m u t^m / a^(m+1) obeys conv_j = (conv_(j-1) - u_(j-1))/a
+    # and G(a, w) takes conv_j/j at z^j; for a = p/q the integers
+    # C_j = D p^j conv_j = q (C_(j-1) - u_(j-1) p^(j-1)) give
+    # conv_j/j = C_j p^(N-j) (L/j) / (D p^N L), the sign of p^N moved into the numerators
+    C, out = 0, [0]
+    for x, y, g in zip(u, pw, f):
+        C = q * (C - x * y)
+        out.append(C * g)
+    return BiSeries._of(tuple(out), D * d, N, 0)
+
+
+# bounded; a 30 s `bench/run.py --workload expand` run fills about 773 entries
 @lru_cache(maxsize=16384)
 def _word_series(word: Word, N: int) -> BiSeries:
     """G(word; z) to z^N as a BiSeries of eps order 0: z^j has nums[j]/den.
 
     A word of 1 to 64 letters (an expansion at eps order K writes K + 1 at
-    most) prepends its first letter to its suffix's cached series; a longer
-    one, only ever a stored record's, is built in one loop, no call per letter."""
+    most) takes one letter step from its suffix's cached series; a longer
+    one, only ever a stored record's, is built by one loop of letter steps
+    from its last letter, with no recursion."""
     cached = 0 < len(word) <= 64
     s = _word_series(word[1:], N) if cached else BiSeries._of((1,) + (0,) * N, 1, N, 0)
     for i in reversed(range(1 if cached else len(word))):
-        D, u = s.den, s.nums
-        p, q = word[i].numerator, word[i].denominator
-        pw, f, d = _letter_factors(p, N)
-        if p == 0:
-            if u[0] != 0:
-                raise UncancelledPole(f"dt/t against constant term in G{word[i:]}")
-            s = BiSeries._of((0,) + tuple(map(mul, u[1:], f)), D * d, N, 0)
-            continue
-        # conv = u/(t-a) = -sum_m u t^m / a^(m+1) obeys conv_j = (conv_(j-1) - u_(j-1))/a
-        # and G(a, w) takes conv_j/j at z^j; for a = p/q the integers
-        # C_j = D p^j conv_j = q (C_(j-1) - u_(j-1) p^(j-1)) give
-        # conv_j/j = C_j p^(N-j) (L/j) / (D p^N L), the sign of p^N moved into the numerators
-        C, out = 0, [0]
-        for x, y, g in zip(u, pw, f):
-            C = q * (C - x * y)
-            out.append(C * g)
-        s = BiSeries._of(tuple(out), D * d, N, 0)
+        try:
+            s = _letter_step(word[i], s, N)
+        except UncancelledPole:
+            raise UncancelledPole(f"dt/t against constant term in G{word[i:]}") from None
     return s
 
 
@@ -190,12 +208,26 @@ class PolyLogExpr(Value):
     __rmul__ = __mul__
 
     def biseries(self, N: int) -> BiSeries:
-        """The z-series to z^N as integers over one denominator, eps order 0."""
-        # the constant is the coefficient of the empty word, whose series is 1;
-        # a word with more than N nonzero letters is O(z^(N+1)) and builds none
-        return combine(((c, _word_series(w, N))
-                        for w, c in [((), self.const), *self.terms.items()]
-                        if len(w) - w.count(0) <= N), N, 0)
+        """The z-series to z^N, eps order 0, over the lcm of its parts'
+        denominators, not reduced: the verifier reduces its residual once.
+
+        Horner's first level: sum_w c_w G(w) = c_() + sum_a I_a(sum_w' c_(a w') G(w')),
+        I_a the letter step, so only the suffixes w' read the word-series
+        cache, and each first letter's sum goes unreduced into its step; a
+        letter that starts one word takes that word's own series.  A word
+        with more than N nonzero letters is O(z^(N+1)) and adds nothing."""
+        groups: Dict[Letter, List[Tuple[Fraction, Word]]] = {}
+        for w, c in self.terms.items():
+            if len(w) - w.count(0) <= N:
+                groups.setdefault(w[0], []).append((c, w))
+        parts = [(self.const, _word_series((), N))]
+        for a, g in groups.items():
+            if len(g) == 1:
+                parts.append((g[0][0], _word_series(g[0][1], N)))
+            else:
+                s = summed([(c, _word_series(w[1:], N)) for c, w in g], N, 0)
+                parts.append((1, _letter_step(a, s, N)))
+        return summed(parts, N, 0)
 
     def series(self, N: int) -> List[Fraction]:
         return self.biseries(N).eps_row(0)

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 from .errors import CriterionViolation, DegeneratePoles
 from .hyper import SymHyperFn
-from .reduction import detect_exceptional
+from .reduction import _int_diff, detect_exceptional
 from .scalars import LinearForm, rat
 from .value import Value
 
@@ -97,8 +97,7 @@ def mb_to_hyper(m: MBRepr) -> HyperSum:
     families = [zero] + list(m.c_forms)
     for i in range(len(families)):
         for j in range(i + 1, len(families)):
-            d = families[i] - families[j]
-            if d.is_integer():
+            if _int_diff(families[i], families[j]) is not None:
                 raise DegeneratePoles(
                     f"pole families {families[i]} and {families[j]} collide")
     sign = -1 if (1 + len(m.c_forms) + len(m.d_forms)) % 2 else 1

@@ -3,8 +3,10 @@
 ``BiSeries`` is a series in z to z^N whose coefficients are polynomials in
 eps to eps^K, held as one positive integer denominator over row-major
 integer numerators; a series in z alone (K = 0) is how ``gpl`` builds
-and caches a word's series.  One integer accumulator, ``truncated_sum``,
-does every truncated product of such series: products, ``combine``,
+and caches a word's series.  ``summed`` adds q s over many series as
+integer rows over the lcm of their denominators, with no gcd, and
+``combine`` reduces that sum by one gcd.  One integer accumulator,
+``truncated_sum``, does every truncated product of such series: products,
 ``ThetaOp.apply`` (over ``theta_pieces``), the Horner steps of
 ``compose_z_series`` and both verifiers' residuals, whose lowest nonzero
 cell is the verdict.  It accumulates eps-major, one integer list per
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, sub
 from typing import Iterable, List, Sequence, Tuple
 
 from .errors import PoleAtEpsZero
@@ -181,23 +184,32 @@ def _reduced(nums: Sequence[int], den: int, N: int, K: int) -> BiSeries:
 
 
 def combine(terms: Iterable[Tuple[Fraction, BiSeries]], N: int, K: int) -> BiSeries:
-    """sum q s over (q, s) pairs of a rational and a series, to orders (N, K).
+    """sum q s over (q, s) pairs of a rational and a series, to orders (N, K),
+    reduced by one gcd."""
+    s = summed(terms, N, K)
+    return _reduced(s.nums, s.den, N, K)
 
-    The series of one (denominator, numerator) group are added first and the
-    group's sum is multiplied once, a group at a time, into one integer row
-    per denominator; the per-denominator sums go to truncated_sum.
+
+def summed(terms: Iterable[Tuple[Fraction, BiSeries]], N: int, K: int) -> BiSeries:
+    """sum q s as ``combine`` takes it, not reduced: over the lcm L of the q s denominators.
+
+    The series of one group, one denominator d and one numerator n up to
+    sign, are added, or subtracted where the sign differs from the first's,
+    and the group's sum is multiplied once, by +-n L/d, into one integer row.
     """
     groups = {}
     for q, s in terms:
         if q:
-            groups.setdefault((q.denominator * s.den, q.numerator), []).append(s._cells(N, K))
-    rows = {}
-    for (d, n), cells in groups.items():
-        g = cells[0] if len(cells) == 1 else list(map(sum, zip(*cells)))
-        acc = rows.get(d)
-        rows[d] = ([n * x for x in g] if acc is None
-                   else [r + n * x for r, x in zip(acc, g)])
-    return truncated_sum([(1, ((0, 0, 1),), d, acc) for d, acc in rows.items()], N, K)
+            groups.setdefault((q.denominator * s.den, abs(q.numerator)), []).append(
+                (q.numerator > 0, s._cells(N, K)))
+    L = lcm(*(d for d, _ in groups))
+    out = [0] * ((N + 1) * (K + 1))
+    for (d, n), ((pos, g), *rest) in groups.items():
+        for p, row in rest:
+            g = list(map(add if p is pos else sub, g, row))
+        m = (n if pos else -n) * (L // d)
+        out = [o + m * x for o, x in zip(out, g)]
+    return BiSeries._of(tuple(out), L, N, K)
 
 
 def truncated_sum(pieces, N: int, K: int) -> BiSeries:

@@ -5,12 +5,14 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from hyperred import gpl
+from hyperred import gpl, series
 from hyperred.errors import UncancelledPole, UnsupportedClass
+from hyperred.expansion import epsilon_expand, verify_expansion
 from hyperred.gpl import (ONE, GplCombo, PolyLogExpr, basis_product, basis_ratfunc,
                           partial_fractions, shuffle_words)
+from hyperred.grammar import parse_hyper
 from hyperred.poly import Poly
 from hyperred.ratfunc import RatFunc
 import gpl_reference
@@ -243,9 +245,14 @@ def test_word_series_rep_matches_per_coefficient_kernel():
 
 
 def test_word_series_dt_over_t_against_constant_term_raises():
-    for w in ((F(0),), (F(2), F(0))):
-        with pytest.raises(UncancelledPole):
+    """The message names the word whose dt/t step diverges, as the reference's
+    does; a word past the cached length is built by the same letter steps."""
+    for w in ((F(0),), (F(2), F(0)), (F(1),) * 70 + (F(0), F(0))):
+        with pytest.raises(UncancelledPole) as got:
             gpl._word_series(w, 6)
+        with pytest.raises(UncancelledPole) as want:
+            gpl_reference.word_series_rep(w, 6)
+        assert str(got.value) == str(want.value) == f"dt/t against constant term in G{(F(0),)}"
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +296,68 @@ def test_polylog_series_cancels_to_zero():
     got = PolyLogExpr({(1,): 1, (-1,): 1}).series(6)
     assert got == [0, 0, -1, 0, F(-1, 2), 0, F(-1, 3)]
     assert all(c.denominator == 1 for c in got[1::2])
+
+
+# ---------------------------------------------------------------------------
+# PolyLogExpr.biseries through first letters against the per-word combine
+
+
+def _per_word_combine(e, N):
+    """sum c G(w) as one combine of the full words' own series, each word with
+    at most N nonzero letters, the constant on the empty word's series 1."""
+    return series.combine(((c, gpl._word_series(w, N))
+                           for w, c in [((), e.const), *e.terms.items()]
+                           if len(w) - w.count(0) <= N), N, 0)
+
+
+_FIRST_LETTER_LETTERS = [F(0), F(1), F(-1), F(1, 2), F(3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.sampled_from(_FIRST_LETTER_LETTERS), min_size=1, max_size=5),
+                          st.builds(F, st.integers(-9, 9), st.integers(1, 15))),
+                max_size=10),
+       st.builds(F, st.integers(-5, 5).filter(bool), st.integers(1, 7)),
+       st.integers(0, 8))
+# first letter 0 starting three words, one-word groups at 1/2 and 3, and
+# (1, 1, 1, 1) with more nonzero letters than N = 3
+@example([((F(0), F(1)), F(2)), ((F(0), F(0), F(-1)), F(-1, 3)), ((F(0), F(3), F(1)), F(5, 4)),
+          ((F(1, 2), F(1)), F(7)), ((F(3),), F(-2, 9)), ((F(1), F(1), F(1), F(1)), F(1, 5)),
+          ((F(1), F(-1)), F(3))],
+         F(7, 3), 3)
+def test_biseries_reduces_to_the_per_word_combine_rep_for_rep(words, const, N):
+    e = PolyLogExpr([(w, c) for w, c in words if w[-1] != 0], const)
+    s = e.biseries(N)
+    got, want = series._reduced(s.nums, s.den, N, 0), _per_word_combine(e, N)
+    assert (got.nums, got.den) == (want.nums, want.den)
+
+
+_XI = "2F1[1/2+eps, 1/2-2*eps; 3/2+3*eps; z]"
+
+
+def test_xi_check_caches_no_word_of_its_longest_layer(monkeypatch):
+    """An order-6 check's layers hold words of 7 letters; the cache is asked
+    only for their suffixes, of 6 letters at most."""
+    f = parse_hyper(_XI)
+    exp = epsilon_expand(f, 6)
+    asked, cached = set(), gpl._word_series
+    monkeypatch.setattr(gpl, "_word_series", lambda w, N: asked.add(w) or cached(w, N))
+    assert verify_expansion(f, exp, N=30) == (True, None)
+    assert max(len(w) for layer in exp.layers for w in layer.terms) == 7
+    assert max(map(len, asked)) == 6
+
+
+def test_xi_check_at_max_k_fits_the_word_series_cache():
+    """An order-8 check run twice in one process misses the cache 0 times the
+    second time: the words it reads fit under the bound."""
+    f = parse_hyper(_XI)
+    exp = epsilon_expand(f, 8)
+    gpl._word_series.cache_clear()
+    assert verify_expansion(f, exp, N=30) == (True, None)
+    info = gpl._word_series.cache_info()
+    assert info.currsize < info.maxsize
+    assert verify_expansion(f, exp, N=30) == (True, None)
+    assert gpl._word_series.cache_info().misses == info.misses
 
 
 # ---------------------------------------------------------------------------

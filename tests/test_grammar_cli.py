@@ -418,6 +418,60 @@ def test_cli_verify_reads_a_600_letter_word_without_recursing(tmp_path, letters,
         assert r.stderr == "error: stored expansion fails oracle at (power 1, eps^4)\n"
 
 
+def _stored_reduce_with_s(tmp_path, key, exponents):
+    """The golden stored reduce record with S's num or den set to one monomial."""
+    rec = json.loads((Path(__file__).parent / "golden" / "stored.jsonl").read_text().splitlines()[0])
+    rec["s"][key] = [[list(exponents), "1"]]
+    path = tmp_path / "exponent.jsonl"
+    path.write_text(json.dumps(rec) + "\n")
+    return path
+
+
+def test_cli_verify_refuses_an_exponent_above_the_cap_before_any_gcd(monkeypatch, capsys, tmp_path):
+    """S over eps^10000 ran the decoder's gcd for seconds before exit 4; above
+    MAX_EXPONENT it is unsupported (exit 3), the message names the cap, and
+    no polynomial gcd runs."""
+    from hyperred import cli
+    assert cli.MAX_EXPONENT == 10 * cli.MAX_N
+
+    def no_gcd(*args):
+        raise AssertionError("a polynomial gcd ran")
+    monkeypatch.setattr(Poly, "gcd", no_gcd)
+    assert cli.main(["verify", str(_stored_reduce_with_s(tmp_path, "den", (10000, 0)))]) == 3
+    assert capsys.readouterr().err == (f"error: a stored polynomial has exponent 10000,"
+                                       f" above {cli.MAX_EXPONENT}\n")
+
+
+def test_cli_verify_cap_is_inclusive(capsys, tmp_path):
+    """z^MAX_EXPONENT in S decodes, and the depth gate names its depth; one
+    more is refused by the cap."""
+    from hyperred import cli
+    assert cli.main(["verify", str(_stored_reduce_with_s(tmp_path, "num", (0, cli.MAX_EXPONENT)))]) == 3
+    assert capsys.readouterr().err == (f"error: reduce record at line 1 needs series depth"
+                                       f" {cli.MAX_EXPONENT + 3}, above {cli.MAX_N}\n")
+    assert cli.main(["verify", str(_stored_reduce_with_s(tmp_path, "num", (0, cli.MAX_EXPONENT + 1)))]) == 3
+    assert capsys.readouterr().err == (f"error: a stored polynomial has exponent"
+                                       f" {cli.MAX_EXPONENT + 1}, above {cli.MAX_EXPONENT}\n")
+
+
+def test_frontier_reduce_records_stay_under_the_exponent_cap():
+    """The records reduce writes for the frontier's 2F1 n=40 and 3F2 n=16 rows
+    (the largest the CI guard reduces) keep every exponent far under the cap."""
+    from hyperred import cli
+    from hyperred.reduction import reduce_to_basis
+    for text, ups, los, top in (("2F1[2/5+eps, 1/3-eps; 3/2+2*eps; z]", (40, 40), (-40,), 120),
+                                ("3F2[2/5+eps, 1/3-eps, 1/7+3*eps; 3/2+2*eps, 5/4-eps; z]",
+                                 (16,) * 3, (16, -16), 62)):
+        basis = target = parse_hyper(text)
+        for which, shifts in (("upper", ups), ("lower", los)):
+            for i, m in enumerate(shifts):
+                target = target.shifted(which, i, m)
+        rec = cli._encode_record(reduce_to_basis(target, basis), 30, 4)
+        pieces = [rec["s"], rec["tail"], *rec["r"]]
+        assert max(x for d in pieces for e, _ in d["num"] + d["den"] for x in e) == top
+        assert top * 10 < cli.MAX_EXPONENT
+
+
 def test_cli_expand_names_layers_by_the_function_variable(tmp_path, capsys):
     from hyperred import cli
     assert cli.main(["expand", "2F1[2*eps, 3*eps; 1+5*eps; y]", "--order", "2"]) == 0

@@ -62,8 +62,19 @@ def test_degenerate_poles():
     m = MBRepr(1, "z",
                [LinearForm.constant(F(1, 3)), LinearForm.constant(F(1, 5))],
                [], [LinearForm.constant(2)], [])
-    with pytest.raises(DegeneratePoles):
+    with pytest.raises(DegeneratePoles, match=r"^pole families 0 and 2 collide$"):
         mb_to_hyper(m)
+
+
+def test_degenerate_poles_need_an_integer_difference_of_equal_symbol_parts():
+    # n/2 + 1/3 and n/2 - 5/3 differ by 2: their pole families collide
+    a = [LinearForm.constant(F(1, 3)), LinearForm.constant(F(1, 5)), LinearForm.constant(F(1, 7))]
+    half, third = LinearForm.n(F(1, 2)), LinearForm.n(F(1, 3))
+    with pytest.raises(DegeneratePoles, match=r"^pole families n/2\+1/3 and n/2-5/3 collide$"):
+        mb_to_hyper(MBRepr(1, "z", a, [], [half + F(1, 3), half - F(5, 3)], []))
+    # a non-integer difference, or different symbol parts, keeps both families
+    for c in ([half + F(1, 3), half], [half, third], [half + 1, third + 1]):
+        assert mb_to_hyper(MBRepr(1, "z", a, [], c, [])).q == 3
 
 
 def test_master_counts_match_paper():

@@ -386,13 +386,16 @@ def test_truncated_sum_is_byte_identical_on_the_checks(monkeypatch):
         monkeypatch.setattr(mod, "truncated_sum", checked)
     f = parse_hyper("3F2[2/5+eps, 1/3-eps, 1/7+3*eps; 3/2+2*eps, 5/4-eps; z]")
     target = f.shifted("upper", 0, 2).shifted("lower", 1, -1)
-    assert reduction.verify_reduction(reduction.reduce_to_basis(target, f), N=12, K=4)[0]
-    assert reduction.ode_operator(f).apply(series_of_hyper(f, 10, 4)).is_zero()
     half = parse_hyper("2F1[1/2+eps, 1/2-2*eps; 3/2+3*eps; z]")
-    assert expansion.verify_expansion(half, expansion.epsilon_expand(half, 3), N=8)[0]
     direct = parse_hyper("3F2[1+2*eps, -eps, 3*eps; 1+eps, 1-2*eps; z]")
-    assert expansion.verify_expansion(direct, expansion.epsilon_expand(direct, 4), N=8)[0]
-    assert len(calls) > 20 and all(calls)
+    checks = (lambda: reduction.verify_reduction(reduction.reduce_to_basis(target, f), N=12, K=4)[0],
+              lambda: reduction.ode_operator(f).apply(series_of_hyper(f, 10, 4)).is_zero(),
+              lambda: expansion.verify_expansion(half, expansion.epsilon_expand(half, 3), N=8)[0],
+              lambda: expansion.verify_expansion(direct, expansion.epsilon_expand(direct, 4), N=8)[0])
+    for check in checks:
+        before = len(calls)
+        assert check() and len(calls) > before
+    assert all(calls)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +436,8 @@ def test_binary_ops_match_fraction_reference(Na, Ka, Nb, Kb, da, db, seed):
 @given(st.integers(0, 6), st.integers(0, 3), st.integers(0, 12), st.integers(0, 10 ** 6))
 def test_combine_groups_equal_coefficients_rep_for_rep(N, K, n_terms, seed):
     """Grouped combine against one product per term: repeated coefficients and
-    series, int and zero q, several denominators, eps orders above 0."""
+    series, coefficients of opposite sign, int and zero q, several
+    denominators, eps orders above 0."""
     import random
     rng = random.Random(seed)
     pool = [_rand_series(rng, N + rng.randint(0, 2), K + rng.randint(0, 1), _DENS[d])
