@@ -110,12 +110,19 @@ def _enc_poly(p: Poly) -> list:
     return out
 
 
+def _list(x) -> list:
+    """x, where a record holds a list: a string there would read as its characters."""
+    if type(x) is not list:
+        raise ValueError(f"{json.dumps(x)} is not a list")
+    return x
+
+
 def dec_ratfunc(d: dict, expect: Optional[tuple] = None) -> RatFunc:
     """The RatFunc a record holds, over the variables ``expect`` when given, each
     polynomial read as integers over the lcm of its denominators.  _from_terms
     trusts its exponents: each must be a non-negative int, and no list may repeat.
     An exponent above MAX_EXPONENT is unsupported, refused before any gcd."""
-    vars = tuple(d["vars"])
+    vars = tuple(_list(d["vars"]))
     if expect not in (None, vars):
         raise ValueError(f"expected variables {list(expect)}, got {list(vars)}")
     for e, _ in d["num"] + d["den"]:
@@ -151,7 +158,8 @@ def enc_polylog(e: PolyLogExpr) -> dict:
 
 def dec_polylog(d: dict) -> PolyLogExpr:
     # past the constructor, with its checks: each letter read once, as as_word keeps it
-    letter = {s: _letter(dec_rat(s)) for s in {s for t in d["terms"] for s in t["letters"]}}
+    letter = {s: _letter(dec_rat(s))
+              for s in {s for t in _list(d["terms"]) for s in _list(t["letters"])}}
     terms = _unique(((tuple(map(letter.__getitem__, t["letters"])), dec_rat(t["coeff"]))
                      for t in d["terms"]), "word")
     const, var = dec_rat(d["const"]), d["var"]
@@ -394,7 +402,7 @@ def _decode_record(rec: dict):
             target=target,
             basis=basis,
             s_poly=piece(rec["s"]),
-            r_polys=tuple(piece(r) for r in rec["r"]),
+            r_polys=tuple(piece(r) for r in _list(rec["r"])),
             algebraic_tail=piece(rec["tail"]),
             affine=affine)
     if cmd == "expand":

@@ -10,17 +10,14 @@ over one positive denominator, built without gcds: its coefficients are
 nested harmonic sums, cleared by lcm(1..N) and powers of the letters,
 the factor of each coefficient tabulated once per letter numerator and N.
 One letter kernel, ``_letter_step``, integrates a series against
-dt/(t - a): a word's series is its first letter's step on its suffix's.
-A word's series is cached as a ``BiSeries`` of eps order 0, so sums over
-words and products with kernel rows are the oracle's own integer-row
-operations.
-``PolyLogExpr.biseries`` sums a layer through first letters, Horner's
-rule one level deep: the words that start with a are summed over their
-suffixes' cached series, unreduced, and take one step of a, so the
-cache never holds the words of a layer's longest length; the layer's
-sum is left unreduced for the verifier, which reduces its residual once.
-A word with n nonzero letters is O(z^n), so a sum to order N with a pole
-of order V at 0 builds no series for a word with more than N + V of them.
+dt/(t - a): a word's series, cached as a ``BiSeries`` of eps order 0, is
+its first letter's step on its suffix's.  One sum of words, ``_word_sum``,
+is Horner's rule one level deep: the words that start with a are summed
+over their suffixes' cached series, unreduced, and take one step of a, so
+only those suffixes are cached, and a word with more than N nonzero
+letters, O(z^(N+1)), builds no series.  ``PolyLogExpr.biseries``
+is that sum; a GplCombo's series is one ``series.truncated_sum`` with one
+piece per kernel, the kernel's row times the sum of its words.
 
 GplCombo is the working representation during iterated integration:
 rational functions of the variable multiplying words.  Every kernel has its
@@ -51,7 +48,7 @@ from .errors import UncancelledPole, UnsupportedClass
 from .poly import Poly, _cancel
 from .ratfunc import RatFunc
 from .scalars import rat
-from .series import BiSeries, combine, summed
+from .series import BiSeries, summed, truncated_sum
 from .value import Value
 
 F = Fraction
@@ -119,7 +116,7 @@ def _letter_step(a: Letter, s: BiSeries, N: int) -> BiSeries:
     return BiSeries._of(tuple(out), D * d, N, 0)
 
 
-# bounded; a 30 s `bench/run.py --workload expand` run fills about 773 entries
+# bounded; a 30 s `bench/run.py --workload expand` run fills 771 entries (seeds 1 and 53)
 @lru_cache(maxsize=16384)
 def _word_series(word: Word, N: int) -> BiSeries:
     """G(word; z) to z^N as a BiSeries of eps order 0: z^j has nums[j]/den.
@@ -136,6 +133,20 @@ def _word_series(word: Word, N: int) -> BiSeries:
         except UncancelledPole:
             raise UncancelledPole(f"dt/t against constant term in G{word[i:]}") from None
     return s
+
+
+def _word_sum(terms: Iterable[Tuple[Word, Union[int, Fraction]]], N: int) -> BiSeries:
+    """sum c G(w) over (w, c) pairs to z^N, eps order 0, not reduced, the empty
+    word standing for 1: sum_w c_w G(w) = c_() + sum_a I_a(sum_w' c_(a w') G(w')),
+    I_a the letter step; a word with more than N nonzero letters is dropped."""
+    parts, groups = [], {}
+    for w, c in terms:
+        if not w:
+            parts.append((c, _word_series((), N)))
+        elif len(w) - w.count(0) <= N:
+            groups.setdefault(w[0], []).append((c, _word_series(w[1:], N)))
+    parts += [(1, _letter_step(a, summed(g, N, 0), N)) for a, g in groups.items()]
+    return summed(parts, N, 0)
 
 
 def shuffle_words(w1: Word, w2: Word) -> List[Word]:
@@ -208,26 +219,9 @@ class PolyLogExpr(Value):
     __rmul__ = __mul__
 
     def biseries(self, N: int) -> BiSeries:
-        """The z-series to z^N, eps order 0, over the lcm of its parts'
-        denominators, not reduced: the verifier reduces its residual once.
-
-        Horner's first level: sum_w c_w G(w) = c_() + sum_a I_a(sum_w' c_(a w') G(w')),
-        I_a the letter step, so only the suffixes w' read the word-series
-        cache, and each first letter's sum goes unreduced into its step; a
-        letter that starts one word takes that word's own series.  A word
-        with more than N nonzero letters is O(z^(N+1)) and adds nothing."""
-        groups: Dict[Letter, List[Tuple[Fraction, Word]]] = {}
-        for w, c in self.terms.items():
-            if len(w) - w.count(0) <= N:
-                groups.setdefault(w[0], []).append((c, w))
-        parts = [(self.const, _word_series((), N))]
-        for a, g in groups.items():
-            if len(g) == 1:
-                parts.append((g[0][0], _word_series(g[0][1], N)))
-            else:
-                s = summed([(c, _word_series(w[1:], N)) for c, w in g], N, 0)
-                parts.append((1, _letter_step(a, s, N)))
-        return summed(parts, N, 0)
+        """The z-series to z^N, eps order 0, as ``_word_sum`` leaves it, not
+        reduced: the verifier reduces its residual once."""
+        return _word_sum([((), self.const), *self.terms.items()], N)
 
     def series(self, N: int) -> List[Fraction]:
         return self.biseries(N).eps_row(0)
@@ -393,36 +387,33 @@ def _theta_kernels(r: IntBasis) -> Tuple[int, IntBasis]:
     return D, {k: c for k, c in out.items() if c}
 
 
-def _laurent(w: Word, r: IntBasis, N: int, V: int) -> BiSeries:
-    """z^V r(z) G(w; z) to z^(N+V), V at least the pole order of r at 0."""
-    M = N + V
-    rc = [F(0)] * (M + 1)          # the series of z^V r(z)
-    for (a, m), c in r.items():
-        if a != 0:                 # (-a)^-m sum_k C(m+k-1, k) (z/a)^k
-            t = F(-1, a) ** m
-            for j in range(N + 1):
-                rc[j + V] += c * t
-                t = t * (m + j) / ((j + 1) * a)
-        elif m >= -N:
-            rc[V - m] += c
-    return BiSeries([(x,) for x in rc]) * _word_series(w, M)
+def _kernel_cells(k: Kernel, V: int, N: int) -> Tuple[int, List[Tuple[int, int, int]]]:
+    """z^V (z - a)^-m to z^(N+V) as (D, cells), (j, 0, x) standing for x/D at
+    z^j, V at least the pole order at 0.  For a letter, 1/a = t/p with p > 0
+    and (z - a)^-m = (-1/a)^m sum_j C(m+j-1, j) (z/a)^j, over p^(m+N)."""
+    a, m = k
+    if a == 0:
+        return 1, [(V - m, 0, 1)] if -m <= N else []
+    p, t = abs(a.numerator), a.denominator if a > 0 else -a.denominator
+    return p ** (m + N), [(V + j, 0, (-t) ** m * t ** j * comb(m + j - 1, j) * p ** (N - j))
+                          for j in range(N + 1)]
 
 
 def _series_sum(terms: Sequence[Tuple[Word, IntBasis]], den: int, N: int) -> List[Fraction]:
     """z-series of sum (r(z)/den) G(w; z) over (w, r) to order N; UncancelledPole
-    if the sum keeps a pole at 0 (poles may cancel between words).  With no
-    pole at 0, order 0 is read off the empty word's kernels, and no series
-    is built.  G(w; z) = O(z^n) for a word with n nonzero letters, so a word
-    with more than N + V of them, V the pole order at 0, adds nothing below
-    z^(N+1) nor to the pole and builds no series."""
+    if the sum keeps a pole at 0 (poles may cancel between words).  With V
+    the pole order at 0, one truncated_sum adds one piece per kernel: its
+    cells of z^V (z - a)^-m times the ``_word_sum`` of its words to z^(N+V)."""
     V = max((m for _, r in terms for a, m in r if a == 0 and m > 0), default=0)
-    if not (V or N):
-        # nonempty words vanish at 0, (z - a)^-m is (-a)^-m there and z^i is [i = 0]
-        at0 = sum((c * (F(-1, a) ** m if a else m == 0)
-                   for w, r in terms if not w for (a, m), c in r.items()), F(0))
-        return [at0 / den]
-    s = combine(((F(1, den), _laurent(w, r, N, V)) for w, r in terms
-                 if len(w) - w.count(0) <= N + V), N + V, 0)
+    words: Dict[Kernel, List[Tuple[Word, int]]] = {}
+    for w, r in terms:
+        for k, c in r.items():
+            words.setdefault(k, []).append((w, c))
+    pieces = []
+    for k, wc in words.items():
+        s, (D, cells) = _word_sum(wc, N + V), _kernel_cells(k, V, N)
+        pieces.append((1, cells, D * s.den * den, s.nums))
+    s = truncated_sum(pieces, N + V, 0)
     if any(s.nums[:V]):                 # eps order 0: nums holds one numerator per row
         raise UncancelledPole(f"pole at 0 not cancelled in {_terms_str(terms, den)}")
     return s.eps_row(0)[V:]

@@ -8,14 +8,14 @@ integer rows over the lcm of their denominators, with no gcd, and
 ``combine`` reduces that sum by one gcd.  One integer accumulator,
 ``truncated_sum``, does every truncated product of such series: products,
 ``ThetaOp.apply`` (over ``theta_pieces``), the Horner steps of
-``compose_z_series`` and both verifiers' residuals, whose lowest nonzero
-cell is the verdict.  It accumulates eps-major, one integer list per
-power of eps, so a cell at eps^k meets only the series' columns up to
-eps^(K-k), and interleaves the rows once at the end.  Every piece is
-pole-free, since ``RatFunc.to_biseries``, the one reader of a rational
-function's series, refuses a pole at z = 0, so a sum holds to the
-z-depth of its series.  A cell may
-hold a tuple of numerators x_i for sum_i x_i theta^i, which
+``compose_z_series``, a ``GplCombo``'s series (one piece per kernel) and
+both verifiers' residuals, whose lowest nonzero cell is the verdict.  It
+accumulates eps-major, one integer list per power of eps, so a cell at
+eps^k meets only the series' columns up to eps^(K-k), and interleaves the
+rows once at the end.  Every piece is pole-free (``RatFunc.to_biseries``,
+the one reader of a rational function's series, refuses a pole at z = 0,
+and ``gpl`` lifts one by z^V), so a sum holds to the z-depth of its series.
+A cell may hold a tuple of numerators x_i for sum_i x_i theta^i, which
 ``theta_pieces`` builds from the r_j, so a sum of r_j theta^j s makes one
 product per cell.  ``invert`` is fraction-free.  ``truncated_sum`` and
 ``invert`` reduce their results by one gcd.  ``series_of_hyper`` drops

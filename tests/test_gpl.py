@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction as F
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -629,16 +630,17 @@ def test_integer_combo_matches_fraction_reference(data, letters):
 
 
 # ---------------------------------------------------------------------------
-# the value at the origin without building a series
+# the value at the origin: order 0 with no pole at 0 reads only the empty word
 
 
 def test_value_at_origin_reads_the_empty_words_kernels():
-    # 3/(z - 2) + 1 + 5 z^2 + 7 G(1; z) at 0: 3 (-1/2) + 1
+    # 3/(z - 2) + 1 + 5 z^2 + 7 G(1; z) at 0: 3 (-1/2) + 1; G(1) has a nonzero
+    # letter, more than N + V = 0, and is not summed
     d = {(): {(F(2), 1): F(3), ONE: F(1), (F(0), -2): F(5)}, (F(1),): {ONE: F(7)}}
     c = GplCombo(d)
     got = gpl._series_sum(list(c.data.items()), c.den, 0)
     assert got == [F(-1, 2)] and type(got[0]) is F
-    # a pole at 0 keeps the series path and its check
+    # a pole at 0 sums the words to z^V and checks the rows below it
     with pytest.raises(UncancelledPole):
         GplCombo({(F(1),): {(F(0), 3): F(1)}}).value_at_zero()
     assert GplCombo({(F(1),): {(F(0), 1): F(1)}}).value_at_zero() == -1
@@ -649,7 +651,8 @@ def test_value_at_origin_reads_the_empty_words_kernels():
 def test_value_at_origin_matches_series_path(data, letters):
     c = GplCombo(data.draw(_combo_strategy(letters)))
     terms = list(c.data.items())
-    # N = 1 builds every word's series; its z^0 coefficient is the value at 0
+    # order 0 keeps only the words with at most V nonzero letters; order 1's
+    # z^0 coefficient, which reads one more letter, is the same value
     got = _outcome(gpl._series_sum, terms, c.den, 0)
     ref = _outcome(lambda: gpl._series_sum(terms, c.den, 1)[:1])
     assert got == ref
@@ -657,7 +660,8 @@ def test_value_at_origin_matches_series_path(data, letters):
 
 
 # ---------------------------------------------------------------------------
-# the origin skip: a word with more nonzero letters than N + V builds no series
+# one sum per kernel: a word with more nonzero letters than N + V builds no
+# series, and each call is one truncated_sum with at most one piece per kernel
 
 
 def test_series_sum_keeps_a_word_at_the_order_bound():
@@ -700,21 +704,25 @@ _SKIP_WORDS = (st.lists(st.sampled_from((F(0),) + _SKIP_LETTERS), max_size=5)
        st.integers(0, 2), st.booleans())
 def test_series_sum_with_origin_skip_matches_reference(d, N, cancel):
     """Poles of order V <= 2 at 0, cancelled between words or not, N <= 2: the
-    value, or UncancelledPole with the message naming every term."""
+    value, or UncancelledPole with the message naming every term, from one
+    truncated_sum call with at most one piece per distinct kernel."""
     V = max((m for r in d.values() for a, m in r if a == 0 and m > 0), default=0)
     if cancel:
         d = _pole_free(d, V)
     c = GplCombo(d)
     terms = list(c.data.items())
     ref = _outcome(gpl_reference.series, d, N)
-    try:
-        got = gpl._series_sum(terms, c.den, N)
-    except UncancelledPole as e:
-        assert ref is UncancelledPole
-        assert str(e) == f"pole at 0 not cancelled in {gpl._terms_str(terms, c.den)}"
-    else:
-        assert got == ref
+    with mock.patch.object(gpl, "truncated_sum", wraps=gpl.truncated_sum) as spy:
+        try:
+            got = gpl._series_sum(terms, c.den, N)
+        except UncancelledPole as e:
+            assert ref is UncancelledPole
+            assert str(e) == f"pole at 0 not cancelled in {gpl._terms_str(terms, c.den)}"
+        else:
+            assert got == ref
     assert ref is not UncancelledPole or not cancel
+    assert spy.call_count == 1
+    assert len(spy.call_args.args[0]) <= len({k for _, r in terms for k in r})
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import copy
 import io
 import json
 import random
@@ -12,7 +13,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import grammar_reference
 from hyperred.cli import dec_ratfunc, enc_ratfunc
@@ -416,6 +417,84 @@ def test_cli_verify_reads_a_600_letter_word_without_recursing(tmp_path, letters,
     assert r.returncode == code and "Traceback" not in r.stderr, r.stderr
     if code:
         assert r.stderr == "error: stored expansion fails oracle at (power 1, eps^4)\n"
+
+
+@pytest.mark.parametrize("edit", [lambda r: r["layers"][2]["terms"][0].update(letters="01"),
+                                  lambda r: r["omega0"].update(vars="z")],
+                         ids=["letters", "vars"])
+def test_cli_verify_refuses_a_string_where_a_record_holds_a_list(tmp_path, capsys, edit):
+    """A string iterates as its characters: layer 2's letters "01" would read
+    as the word (0, 1) and omega0's vars "z" as ("z",), each the value the
+    list holds.  Both are malformed (exit 2)."""
+    from hyperred import cli
+    rec = json.loads((Path(__file__).parent / "golden" / "expand-integer.jsonl.out").read_text())
+    edit(rec)
+    path = tmp_path / "string.jsonl"
+    path.write_text(json.dumps(rec) + "\n")
+    assert cli.main(["verify", str(path)]) == 2
+    assert "malformed stored record (ValueError: \"" in capsys.readouterr().err
+
+
+_GOLDEN = Path(__file__).parent / "golden"
+_GOLDEN_RECORDS = [json.loads(line) for p in (sorted(_GOLDEN.glob("reduce-*.jsonl.out"))
+                                              + sorted(_GOLDEN.glob("expand-*.jsonl.out"))
+                                              + [_GOLDEN / "stored.jsonl"])
+                   for line in p.read_text().splitlines()]
+_OTHER_JSON = (None, True, 0, -1, 1.5, "", "x", "01", "z", "1/0", [], ["z"], [[0], "1"], {})
+
+
+def _nodes(x, at=()):
+    """(path, value) of x and of each value inside it, a path the keys and
+    indices that lead to it."""
+    yield at, x
+    for k, v in x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ():
+        yield from _nodes(v, at + (k,))
+
+
+def _parent(rec, path):
+    for k in path[:-1]:
+        rec = rec[k]
+    return rec
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_cli_verify_exits_by_the_table_on_mutated_golden_records(tmp_path, capsys, data):
+    """A golden record with a key dropped, a value swapped for another JSON
+    value, a list entry copied, an exponent set to MAX_EXPONENT + 1 or a word
+    lengthened to 600 letters: verify returns a code of the exit-code table
+    and raises nothing."""
+    from hyperred import cli
+    rec = copy.deepcopy(data.draw(st.sampled_from(_GOLDEN_RECORDS)))
+    kind = data.draw(st.sampled_from(("drop", "swap", "copy", "exponent", "long word")))
+    nodes = [(p, v) for p, v in _nodes(rec) if p and {
+        "drop": isinstance(_parent(rec, p), dict),
+        "swap": True,
+        "copy": isinstance(_parent(rec, p), list),
+        "exponent": len(p) > 3 and p[-4] in ("num", "den") and p[-2] == 0,
+        "long word": p[-1] == "letters"}[kind]]
+    assume(nodes)
+    path, value = data.draw(st.sampled_from(nodes))
+    parent = _parent(rec, path)
+    if kind == "drop":
+        del parent[path[-1]]
+    elif kind == "swap":
+        parent[path[-1]] = copy.deepcopy(data.draw(st.sampled_from(
+            _OTHER_JSON + tuple(v for _, v in nodes))))
+    elif kind == "copy":
+        parent.insert(data.draw(st.integers(0, len(parent))), copy.deepcopy(value))
+    elif kind == "exponent":
+        parent[path[-1]] = cli.MAX_EXPONENT + 1
+    else:
+        fill = value * 600 if data.draw(st.booleans()) else ["0"] * 600
+        value[:0] = fill[:600 - len(value)]
+    out = tmp_path / "mutated.jsonl"
+    out.write_text(json.dumps(rec) + "\n")
+    assert cli.main(["verify", str(out)]) in (cli.EXIT_OK, cli.EXIT_ERROR, cli.EXIT_PARSE,
+                                               cli.EXIT_UNSUPPORTED, cli.EXIT_EXCEPTIONAL,
+                                               cli.EXIT_VERIFY)
+    capsys.readouterr()
 
 
 def _stored_reduce_with_s(tmp_path, key, exponents):
