@@ -1,7 +1,10 @@
 """Command-line front end and exact-value serialization.
 
 Machine-readable output is line-delimited JSON with every rational encoded
-as a "num/den" string; identical jobs produce byte-identical output.
+as a "num/den" string; identical jobs produce byte-identical output.  A
+record is one line of JSON with sorted keys and no spaces; an expand record,
+which may hold thousands of words, is formatted straight from its layers,
+one fragment per term, with no dict built (``_encode_record``).
 Engine failures map to distinct exit codes: parse errors and unbound
 symbols 2, unsupported inputs 3, exceptional or singular parameters 4,
 verification failures 5; a file that cannot be read or written exits 1.
@@ -150,12 +153,6 @@ def _unique(pairs, what: str) -> dict:
     return out
 
 
-def enc_polylog(e: PolyLogExpr) -> dict:
-    return {"var": e.var, "const": enc_rat(e.const),
-            "terms": [{"coeff": enc_rat(c), "letters": list(map(enc_rat, w))}
-                      for w, c in e.sorted_terms()]}
-
-
 def dec_polylog(d: dict) -> PolyLogExpr:
     # past the constructor, with its checks: each letter read once, as as_word keeps it
     letter = {s: _letter(dec_rat(s))
@@ -208,12 +205,15 @@ def _load_expr(text: str) -> str:
     return text
 
 
-def _emit(records: List[dict], args, text_lines: List[str]):
-    if args.format == "jsonl":
-        body = "\n".join(json.dumps(r, sort_keys=True, separators=(",", ":"))
-                         for r in records)
-    else:
-        body = "\n".join(text_lines)
+# a record's JSON line, sorted keys and no spaces: json.dumps with these
+# options, whose encoder is built once here rather than once per call
+_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _emit(lines: List[str], args, text_lines: List[str]):
+    """Print the JSON lines or the text lines, as args.format asks, and
+    write the same bytes to args.out when given."""
+    body = "\n".join(lines if args.format == "jsonl" else text_lines)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(body + "\n")
@@ -269,7 +269,7 @@ def run_count_basis(args) -> int:
              f"cancellable pairs (upper, lower, diff): {list(rep.pairs)}"]
     if rep.shared_flags:
         lines.append(f"warning: uppers {list(rep.shared_flags)} are integer and paired")
-    _emit([rec], args, lines)
+    _emit([_line(rec)], args, lines)
     return EXIT_OK
 
 
@@ -295,7 +295,7 @@ def run_mb(args) -> int:
             "fn": str(t.fn),
         })
         lines.append(f"term {i}: z^({t.power}) * {t.gamma} * {t.fn}")
-    _emit(recs, args, lines)
+    _emit([_line(r) for r in recs], args, lines)
     return EXIT_OK
 
 
@@ -316,7 +316,7 @@ def run_count_masters(args) -> int:
     for fn, r in reports:
         lines.append(f"  {fn}: integer uppers {list(r.integer_uppers)}, "
                      f"pairs {list(r.pairs)}")
-    _emit([rec], args, lines)
+    _emit([_line(rec)], args, lines)
     return EXIT_OK
 
 
@@ -368,21 +368,46 @@ def run_check_parametrization(opts) -> int:
         lines = [f"p_j r_j = 0 admissibility: {rep.passes}",
                  f"s1={rep.s1} s2={rep.s2} form={rep.form}"]
         lines += [f"flag: {f}" for f in rep.flags]
-    _emit([rec], opts, lines)
+    _emit([_line(rec)], opts, lines)
     return EXIT_OK
 
 
-def _encode_record(value, N: int, K: int) -> dict:
-    """The record of a reduction checked at (N, K) or an expansion checked at N
-    (its eps order is len(layers) - 1); _decode_record is its inverse."""
+def _encode_record(value, N: int, K: int) -> str:
+    """The record line of a reduction checked at (N, K) or an expansion checked
+    at N (its eps order is len(layers) - 1); _decode_record reads its JSON.
+
+    An expand record is written as ``_line`` would write its dict, straight
+    from its layers, one fragment per term: a rational prints as a record
+    rational, which needs no JSON escaping, and N is an int."""
     if isinstance(value, ReductionResult):
-        return {"command": "reduce", "target": str(value.target), "basis": str(value.basis),
-                "s": enc_ratfunc(value.s_poly), "r": [enc_ratfunc(r) for r in value.r_polys],
-                "tail": enc_ratfunc(value.algebraic_tail), "affine": value.affine,
-                "verified": True, "N": N, "K": K}
-    return {"command": "expand", "fn": str(value.fn), "kind": value.kind, "var": value.var,
-            "omega0": enc_ratfunc(value.omega0) if value.omega0 is not None else None,
-            "layers": [enc_polylog(l) for l in value.layers], "verified": True, "N": N}
+        return _line({"command": "reduce", "target": str(value.target),
+                      "basis": str(value.basis), "s": enc_ratfunc(value.s_poly),
+                      "r": [enc_ratfunc(r) for r in value.r_polys],
+                      "tail": enc_ratfunc(value.algebraic_tail), "affine": value.affine,
+                      "verified": True, "N": N, "K": K})
+    omega0 = _line(enc_ratfunc(value.omega0)) if value.omega0 is not None else "null"
+    quoted = _Quoted()
+    layers = ",".join([_polylog_line(l, quoted) for l in value.layers])
+    return (f'{{"N":{N},"command":"expand","fn":{_line(str(value.fn))},'
+            f'"kind":{_line(value.kind)},"layers":[{layers}],"omega0":{omega0},'
+            f'"var":{_line(value.var)},"verified":true}}')
+
+
+class _Quoted(dict):
+    """letter -> its record rational in JSON quotes, each letter printed once."""
+
+    def __missing__(self, a):
+        s = self[a] = f'"{enc_rat(a)}"'
+        return s
+
+
+def _polylog_line(e: PolyLogExpr, quoted: _Quoted) -> str:
+    """A layer's JSON, {"const", "terms": [{"coeff", "letters"}, ...], "var"},
+    its terms sorted by length, then word, one formatted fragment per term."""
+    q = quoted.__getitem__
+    terms = ",".join(['{"coeff":"%s","letters":[%s]}' % (c, ",".join(map(q, w)))
+                      for w, c in e.sorted_terms()])
+    return f'{{"const":"{enc_rat(e.const)}","terms":[{terms}],"var":{_line(e.var)}}}'
 
 
 def _decode_record(rec: dict):

@@ -15,7 +15,13 @@ its first letter's step on its suffix's.  One sum of words, ``_word_sum``,
 is Horner's rule one level deep: the words that start with a are summed
 over their suffixes' cached series, unreduced, and take one step of a, so
 only those suffixes are cached, and a word with more than N nonzero
-letters, O(z^(N+1)), builds no series.  ``PolyLogExpr.biseries``
+letters, O(z^(N+1)), builds no series.  By the scaling relation G(-w; z) =
+G(w; -z) (Vollinga & Weinzierl, hep-ph/0410259), a word and its letterwise
+negation are summed once: the words whose first nonzero letter is positive
+and whose negation is present go through one Horner pass, whose sum S
+gives S(z) - S(-z), and what their negations' coefficients leave over
+goes through a second pass with the unpaired words.  The xi layers are odd
+in their words, so their checks read half of them.  ``PolyLogExpr.biseries``
 is that sum; a GplCombo's series is one ``series.truncated_sum`` with one
 piece per kernel, the kernel's row times the sum of its words.
 
@@ -41,7 +47,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm, prod
-from operator import mul
+from operator import mul, neg
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from .errors import UncancelledPole, UnsupportedClass
@@ -135,18 +141,51 @@ def _word_series(word: Word, N: int) -> BiSeries:
     return s
 
 
-def _word_sum(terms: Iterable[Tuple[Word, Union[int, Fraction]]], N: int) -> BiSeries:
-    """sum c G(w) over (w, c) pairs to z^N, eps order 0, not reduced, the empty
-    word standing for 1: sum_w c_w G(w) = c_() + sum_a I_a(sum_w' c_(a w') G(w')),
-    I_a the letter step; a word with more than N nonzero letters is dropped."""
-    parts, groups = [], {}
+def _steps(terms: Iterable[Tuple[Word, Union[int, Fraction]]], N: int):
+    """Horner's rule one level deep on (w, c) pairs of nonempty words: the
+    words that start with a, summed over their suffixes' series, take one
+    step of a.  The parts, summed, are sum c G(w), unreduced."""
+    groups = {}
     for w, c in terms:
+        groups.setdefault(w[0], []).append((c, _word_series(w[1:], N)))
+    return [(1, _letter_step(a, summed(g, N, 0), N)) for a, g in groups.items()]
+
+
+def _word_sum(terms: Mapping[Word, Union[int, Fraction]], N: int, const=0) -> BiSeries:
+    """const + sum c G(w) over terms {w: c} to z^N, eps order 0, not reduced,
+    the empty word standing for 1; a word with more than N nonzero letters
+    is dropped.  A word r whose first nonzero letter is positive is paired
+    with o = -r, letterwise, when o is in terms too: as G(-r; z) = G(r; -z)
+    for r not ending in 0, c_r G(r) + c_o G(o) = c_r (G(r; z) - G(r; -z)) +
+    e G(o) with e = c_o + c_r.  One pass sums the representatives r, S(z),
+    and keeps S(z) - S(-z), its odd cells doubled; the other sums the
+    unpaired words and each o with e != 0.  With no pair it is one pass."""
+    one = _word_series((), N)
+    parts, words = [(const, one)], []
+    for w, c in terms.items():
         if not w:
-            parts.append((c, _word_series((), N)))
+            parts.append((c, one))
         elif len(w) - w.count(0) <= N:
-            groups.setdefault(w[0], []).append((c, _word_series(w[1:], N)))
-    parts += [(1, _letter_step(a, summed(g, N, 0), N)) for a, g in groups.items()]
-    return summed(parts, N, 0)
+            words.append((w, c))
+    if any(min(w) < 0 for w, _ in words):     # a pair needs a word with a negative letter
+        reps, excess, rest, paired = [], [], [], set()
+        for w, c in words:
+            o = tuple(map(neg, w)) if next(filter(None, w), 0) > 0 else None
+            if o in terms:
+                reps.append((w, c))
+                paired.add(o)
+                co = terms[o]
+                if co.numerator != -c.numerator or co.denominator != c.denominator:
+                    excess.append((o, co + c))
+            else:
+                rest.append((w, c))
+        if reps:
+            s = summed(_steps(reps, N), N, 0)
+            cells = [0] * (N + 1)
+            cells[1::2] = [2 * x for x in s.nums[1::2]]
+            parts.append((1, BiSeries._of(tuple(cells), s.den, N, 0)))
+            words = excess + [(w, c) for w, c in rest if w not in paired]
+    return summed(parts + _steps(words, N), N, 0)
 
 
 def shuffle_words(w1: Word, w2: Word) -> List[Word]:
@@ -221,7 +260,7 @@ class PolyLogExpr(Value):
     def biseries(self, N: int) -> BiSeries:
         """The z-series to z^N, eps order 0, as ``_word_sum`` leaves it, not
         reduced: the verifier reduces its residual once."""
-        return _word_sum([((), self.const), *self.terms.items()], N)
+        return _word_sum(self.terms, N, self.const)
 
     def series(self, N: int) -> List[Fraction]:
         return self.biseries(N).eps_row(0)
@@ -230,7 +269,8 @@ class PolyLogExpr(Value):
         return hash((frozenset(self.terms.items()), self.const, self.var))
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda wc: (len(wc[0]), wc[0]))
+        """The (word, coefficient) pairs by word length, then word."""
+        return [(w, self.terms[w]) for w in sorted(sorted(self.terms), key=len)]
 
     def __str__(self):
         parts = [] if self.const == 0 else [str(self.const)]
@@ -405,10 +445,10 @@ def _series_sum(terms: Sequence[Tuple[Word, IntBasis]], den: int, N: int) -> Lis
     the pole order at 0, one truncated_sum adds one piece per kernel: its
     cells of z^V (z - a)^-m times the ``_word_sum`` of its words to z^(N+V)."""
     V = max((m for _, r in terms for a, m in r if a == 0 and m > 0), default=0)
-    words: Dict[Kernel, List[Tuple[Word, int]]] = {}
+    words: Dict[Kernel, Dict[Word, int]] = {}
     for w, r in terms:
         for k, c in r.items():
-            words.setdefault(k, []).append((w, c))
+            words.setdefault(k, {})[w] = c
     pieces = []
     for k, wc in words.items():
         s, (D, cells) = _word_sum(wc, N + V), _kernel_cells(k, V, N)

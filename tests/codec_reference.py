@@ -8,6 +8,8 @@ numerator and denominator, and the decoders read every rational with
 ``int()`` or ``Fraction(str)``.  Those also accept spellings the encoders
 never write (``" 3 "``, ``"+3"``, ``"3_0"``, ``"1.5"``, ``"1e3"``, non-ASCII
 digits), which ``cli`` refuses; on what the encoders write, the two agree.
+``enc_record`` is a record as a dict, whose JSON with sorted keys and no
+spaces is the line ``cli._encode_record`` writes.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from typing import Optional
 from hyperred.gpl import PolyLogExpr
 from hyperred.poly import Poly
 from hyperred.ratfunc import RatFunc
+from hyperred.reduction import ReductionResult
 
 
 def enc_rat(q: Fraction) -> str:
@@ -62,7 +65,7 @@ def enc_polylog(e: PolyLogExpr) -> dict:
         "var": e.var,
         "const": enc_rat(e.const),
         "terms": [{"coeff": enc_rat(c), "letters": [enc_rat(a) for a in w]}
-                  for w, c in e.sorted_terms()],
+                  for w, c in sorted(e.terms.items(), key=lambda wc: (len(wc[0]), wc[0]))],
     }
 
 
@@ -70,3 +73,15 @@ def dec_polylog(d: dict) -> PolyLogExpr:
     terms = _unique(((tuple(dec_rat(a) for a in t["letters"]), dec_rat(t["coeff"]))
                      for t in d["terms"]), "word")
     return PolyLogExpr(terms, dec_rat(d["const"]), d["var"])
+
+
+def enc_record(value, N: int, K: int) -> dict:
+    """The record of a reduction checked at (N, K) or an expansion checked at N."""
+    if isinstance(value, ReductionResult):
+        return {"command": "reduce", "target": str(value.target), "basis": str(value.basis),
+                "s": enc_ratfunc(value.s_poly), "r": [enc_ratfunc(r) for r in value.r_polys],
+                "tail": enc_ratfunc(value.algebraic_tail), "affine": value.affine,
+                "verified": True, "N": N, "K": K}
+    return {"command": "expand", "fn": str(value.fn), "kind": value.kind, "var": value.var,
+            "omega0": enc_ratfunc(value.omega0) if value.omega0 is not None else None,
+            "layers": [enc_polylog(l) for l in value.layers], "verified": True, "N": N}

@@ -20,8 +20,9 @@ import codec_reference
 import grammar_reference
 from hyperred import cli
 from hyperred.errors import ParseError
+from hyperred.expansion import EpsilonExpansion
 from hyperred.gpl import PolyLogExpr
-from hyperred.grammar import parse_input
+from hyperred.grammar import parse_hyper, parse_input
 from hyperred.poly import Poly
 from hyperred.ratfunc import RatFunc
 from hyperred.value import Value
@@ -163,8 +164,9 @@ def test_ratfunc_encoding_is_byte_identical_and_round_trips(r):
 @settings(max_examples=200, deadline=None)
 @given(POLYLOGS)
 def test_polylog_encoding_is_byte_identical_and_round_trips(e):
-    rec = cli.enc_polylog(e)
-    assert _line(rec) == _line(codec_reference.enc_polylog(e))
+    line = cli._polylog_line(e, cli._Quoted())
+    assert line == _line(codec_reference.enc_polylog(e))
+    rec = json.loads(line)
     back = cli.dec_polylog(rec)
     assert back == e == codec_reference.dec_polylog(rec)
     assert _shape(sorted(back.terms, key=str)) == _shape(sorted(e.terms, key=str))
@@ -175,10 +177,44 @@ RECORDS = sorted(GOLDEN.glob("reduce-*.jsonl.out")) + sorted(GOLDEN.glob("expand
 
 @pytest.mark.parametrize("path", RECORDS + [GOLDEN / "stored.jsonl"], ids=lambda p: p.name)
 def test_golden_records_re_encode_to_their_lines(path):
+    """The line written for each decoded golden record is the stored line and
+    the JSON of the reference record dict."""
     for line in path.read_text().splitlines():
         rec = json.loads(line)
-        back = cli._encode_record(cli._decode_record(rec), rec["N"], rec.get("K"))
-        assert _line(back) == line
+        value = cli._decode_record(rec)
+        got = cli._encode_record(value, rec["N"], rec.get("K"))
+        assert got == line == _line(codec_reference.enc_record(value, rec["N"], rec.get("K")))
+
+
+XI_FN = parse_hyper("2F1[1/2+eps, 1/2-2*eps; 3/2+3*eps; z]")
+DIRECT_FN = parse_hyper("2F1[2*eps, 3*eps; 1+5*eps; z]")
+# layers with fractional letters and coefficients, zero constants and no terms
+LAYERS = st.builds(PolyLogExpr, st.dictionaries(WORDS, RATIONALS, max_size=8),
+                   st.one_of(st.just(0), RATIONALS), st.sampled_from(["z", "xi"]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(LAYERS, min_size=1, max_size=5), st.one_of(st.none(), ratfuncs()),
+       st.integers(1, 200))
+@example([PolyLogExpr()], None, 30)
+def test_expand_record_line_is_the_json_of_the_reference_dict(layers, omega0, N):
+    """The expand line, written term by term, is byte for byte json.dumps of
+    the record dict, for either kind and whatever the layers hold."""
+    fn, kind, var = (XI_FN, "xi", "xi") if omega0 is None else (DIRECT_FN, "direct", "z")
+    value = EpsilonExpansion(fn, kind, var, omega0, tuple(layers))
+    line = cli._encode_record(value, N, None)
+    assert line == _line(codec_reference.enc_record(value, N, None))
+    assert [cli.dec_polylog(l) for l in json.loads(line)["layers"]] == layers
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "text"])
+def test_out_file_holds_the_bytes_printed(tmp_path, capsys, fmt):
+    out = tmp_path / f"expand.{fmt}"
+    assert cli.main(["expand", "2F1[1/2+2*eps, 1/2-3*eps; 3/2+5*eps; z]", "--order", "3",
+                     "--format", fmt, "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert out.read_bytes() == printed.encode()
+    assert printed.count("\n") == (1 if fmt == "jsonl" else 8)
 
 
 # ---------------------------------------------------------------------------

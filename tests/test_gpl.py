@@ -333,6 +333,52 @@ def test_biseries_reduces_to_the_per_word_combine_rep_for_rep(words, const, N):
     assert (got.nums, got.den) == (want.nums, want.den)
 
 
+_PAIR_LETTERS = [F(-2), F(-1), F(-1, 2), F(0), F(1, 2), F(1), F(2)]
+_PAIR_COEFFS = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 15))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.sampled_from(_PAIR_LETTERS), min_size=1, max_size=4),
+                          _PAIR_COEFFS, st.sampled_from(["absent", "-c", "+c", "-c+e"]),
+                          _PAIR_COEFFS),
+                max_size=8),
+       st.builds(F, st.integers(-5, 5), st.integers(1, 7)),
+       st.integers(0, 8))
+# every word paired at -c, at +c and at -c + e, two starting with 0, and
+# one unpaired word with more nonzero letters than N = 3
+@example([((F(1), F(-1)), F(3), "-c", F(1)), ((F(0), F(1, 2)), F(-2, 7), "+c", F(1)),
+          ((F(0), F(0), F(-2)), F(5), "-c+e", F(1, 3)), ((F(1),) * 4, F(1, 5), "absent", F(1))],
+         F(0), 3)
+def test_biseries_pairs_words_with_their_negations_rep_for_rep(words, const, N):
+    """A word's letterwise negation absent or present at -c, +c or -c + e: the
+    paired sum, reduced once, is the per-word combine rep for rep."""
+    terms = []
+    for w, c, mode, e in words:
+        if w[-1] != 0:
+            terms.append((w, c))
+            if mode != "absent":
+                terms.append((tuple(-a for a in w), {"-c": -c, "+c": c, "-c+e": e - c}[mode]))
+    p = PolyLogExpr(terms, const)
+    s = p.biseries(N)
+    got, want = series._reduced(s.nums, s.den, N, 0), _per_word_combine(p, N)
+    assert (got.nums, got.den) == (want.nums, want.den)
+
+
+def test_xi_check_sums_half_its_words_through_representatives(monkeypatch):
+    """Every word of an order-6 xi expansion has its negation at minus its
+    coefficient, so the check's Horner passes read 1,457 of its 2,914 words,
+    each with a positive first nonzero letter."""
+    f = parse_hyper("2F1[1/2+2*eps, 1/2+3*eps; 3/2-3*eps; z]")
+    exp = epsilon_expand(f, 6)
+    assert all(layer.terms.get(tuple(-a for a in w)) == -c
+               for layer in exp.layers for w, c in layer.terms.items())
+    read, steps = [], gpl._steps
+    monkeypatch.setattr(gpl, "_steps", lambda terms, N: read.extend(terms) or steps(terms, N))
+    assert verify_expansion(f, exp, N=30) == (True, None)
+    assert sum(map(len, (layer.terms for layer in exp.layers))) == 2914
+    assert len(read) == 1457 and all(next(filter(None, w)) > 0 for w, _ in read)
+
+
 _XI = "2F1[1/2+eps, 1/2-2*eps; 3/2+3*eps; z]"
 
 

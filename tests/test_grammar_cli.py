@@ -379,8 +379,9 @@ def test_dec_polylog_reads_back_every_golden_layer_and_refuses_bad_words(tmp_pat
         e = cli.dec_polylog(d)
         want = PolyLogExpr({tuple(map(cli.dec_rat, t["letters"])): cli.dec_rat(t["coeff"])
                             for t in d["terms"]}, cli.dec_rat(d["const"]), d["var"])
-        assert e == want and cli.dec_polylog(cli.enc_polylog(e)) == e
-        assert cli.enc_polylog(e) == d
+        line = cli._polylog_line(e, cli._Quoted())
+        assert e == want and cli.dec_polylog(json.loads(line)) == e
+        assert line == json.dumps(d, sort_keys=True, separators=(",", ":"))
     zero = {"const": "0", "var": "z", "terms": [{"coeff": "0", "letters": ["1"]},
                                                 {"coeff": "2", "letters": ["0", "1"]}]}
     assert cli.dec_polylog(zero).terms == {(0, 1): 2}
@@ -545,7 +546,7 @@ def test_frontier_reduce_records_stay_under_the_exponent_cap():
         for which, shifts in (("upper", ups), ("lower", los)):
             for i, m in enumerate(shifts):
                 target = target.shifted(which, i, m)
-        rec = cli._encode_record(reduce_to_basis(target, basis), 30, 4)
+        rec = json.loads(cli._encode_record(reduce_to_basis(target, basis), 30, 4))
         pieces = [rec["s"], rec["tail"], *rec["r"]]
         assert max(x for d in pieces for e, _ in d["num"] + d["den"] for x in e) == top
         assert top * 10 < cli.MAX_EXPONENT
@@ -616,6 +617,23 @@ def test_cli_verify_ignores_stored_depth(tmp_path):
     assert r.stdout == f"reduce record ok: {rec['target']}\n"
 
 
+@pytest.mark.parametrize("coeff", ["66", "-65"])
+def test_cli_verify_catches_an_edit_to_one_word_of_a_pair(tmp_path, capsys, coeff):
+    """G(1,1,1,1) at 65 and G(-1,-1,-1,-1) at -65 in layer 4 of the golden
+    K=4 xi record are a pair; moving the first off -(-65) is caught at the
+    even power 4, so the paired sum still checks its even cells."""
+    from hyperred import cli
+    golden = Path(__file__).parent / "golden"
+    rec = json.loads((golden / "expand-half-integer-k4.jsonl.out").read_text())
+    terms = {tuple(t["letters"]): t for t in rec["layers"][4]["terms"]}
+    assert terms[("1",) * 4]["coeff"] == "65" and terms[("-1",) * 4]["coeff"] == "-65"
+    terms[("1",) * 4]["coeff"] = coeff
+    path = tmp_path / "stored.jsonl"
+    path.write_text(json.dumps(rec) + "\n")
+    assert cli.main(["verify", str(path)]) == 5
+    assert capsys.readouterr().err == "error: stored expansion fails oracle at (power 4, eps^4)\n"
+
+
 def test_cli_record_codec_round_trips_every_golden_record():
     """_encode_record of each decoded golden reduce and expand record, at the
     record's N and K, is the stored line byte for byte."""
@@ -626,8 +644,7 @@ def test_cli_record_codec_round_trips_every_golden_record():
     for path in paths:
         line = path.read_text().rstrip("\n")
         rec = json.loads(line)
-        again = cli._encode_record(cli._decode_record(rec), rec["N"], rec.get("K"))
-        assert json.dumps(again, sort_keys=True, separators=(",", ":")) == line, path
+        assert cli._encode_record(cli._decode_record(rec), rec["N"], rec.get("K")) == line, path
 
 
 def _generic_with_r0_plus(tmp_path, k):
