@@ -7,7 +7,7 @@ from .errors import (CriterionViolation, DegeneratePoles, HyperredError,
 from .expansion import (EpsilonExpansion, F3Report, FactorizationReport, epsilon_expand,
                         f3_parametrization_check, factorization_conditions,
                         gauss_triangular_system, three_f2_system, verify_expansion)
-from .gpl import GplCombo, PolyLogExpr, shuffle_words
+from .gpl import GplCombo, PolyLogExpr
 from .grammar import parse_hyper, parse_input
 from .hyper import HyperFn, SymHyperFn
 from .mb import (DiagramPreset, HyperSum, HyperTerm, MBRepr, check_dim,

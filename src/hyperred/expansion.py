@@ -348,7 +348,7 @@ def _omega0_rational(A, beta, h) -> GplCombo:
     r = _combo_rational_part(om)
     if any(a == 0 and m > 0 for a, m in r) or not (c0 := om.value_at_zero()):
         raise UnsupportedClass("eps^0 layer cannot be normalized to 1 at the origin")
-    return om.scale_q(1 / c0)
+    return GplCombo.combine(((1 / c0, om),))
 
 
 # ---------------------------------------------------------------------------

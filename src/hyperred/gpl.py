@@ -122,7 +122,8 @@ def _letter_step(a: Letter, s: BiSeries, N: int) -> BiSeries:
     return BiSeries._of(tuple(out), D * d, N, 0)
 
 
-# bounded; a 30 s `bench/run.py --workload expand` run fills 771 entries (seeds 1 and 53)
+# bounded; the 135 jobs of a 30 s `bench/run.py --workload expand` stream fill
+# 767 entries at seeds 1 and 53, as `--trace 1` reads in gpl.word_series.entries
 @lru_cache(maxsize=16384)
 def _word_series(word: Word, N: int) -> BiSeries:
     """G(word; z) to z^N as a BiSeries of eps order 0: z^j has nums[j]/den.
@@ -188,20 +189,6 @@ def _word_sum(terms: Mapping[Word, Union[int, Fraction]], N: int, const=0) -> Bi
     return summed(parts + _steps(words, N), N, 0)
 
 
-def shuffle_words(w1: Word, w2: Word) -> List[Word]:
-    """All interleavings (with multiplicity): G(w1) G(w2) = sum G(shuffle)."""
-    if not w1:
-        return [w2]
-    if not w2:
-        return [w1]
-    out = []
-    for s in shuffle_words(w1[1:], w2):
-        out.append((w1[0],) + s)
-    for s in shuffle_words(w1, w2[1:]):
-        out.append((w2[0],) + s)
-    return out
-
-
 class PolyLogExpr(Value):
     """Rational-linear combination of Goncharov words plus a constant.
 
@@ -228,34 +215,6 @@ class PolyLogExpr(Value):
 
     def is_zero(self):
         return not self.terms and self.const == 0
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return PolyLogExpr(self.terms, self.const + rat(other), self.var)
-        if self.var != other.var:
-            raise ValueError("variable mismatch")
-        return PolyLogExpr([*self.terms.items(), *other.terms.items()],
-                           self.const + other.const, self.var)
-
-    def __sub__(self, other):
-        return self + (other * -1 if isinstance(other, PolyLogExpr) else -rat(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = rat(other)
-            return PolyLogExpr({w: c * q for w, c in self.terms.items()},
-                               self.const * q, self.var)
-        if self.var != other.var:
-            raise ValueError("variable mismatch")
-        # the constant is the coefficient of the empty word, the shuffle identity
-        out: Dict[Word, Fraction] = {}
-        for w1, c1 in [((), self.const), *self.terms.items()]:
-            for w2, c2 in [((), other.const), *other.terms.items()]:
-                for s in shuffle_words(w1, w2):
-                    out[s] = out.get(s, F(0)) + c1 * c2
-        return PolyLogExpr(out, out.pop((), F(0)), self.var)
-
-    __rmul__ = __mul__
 
     def biseries(self, N: int) -> BiSeries:
         """The z-series to z^N, eps order 0, as ``_word_sum`` leaves it, not
@@ -369,8 +328,9 @@ def basis_ratfunc(coeffs: Mapping[Kernel, Fraction], var: str) -> RatFunc:
     return RatFunc.over(num, {(var, a): m for a, m in top.items()})
 
 
-# bounded; a seed-1 `bench/run.py --workload expand` stream meets 15 kernel pairs
-# (40,252 hits), since the alphabets hold at most three letters
+# bounded; the 135 jobs of a 30 s `bench/run.py --workload expand` stream meet 13
+# kernel pairs (cache_info after its jobs: 36,271 hits at seed 1, 34,579 at seed
+# 53), since the alphabets hold at most three letters
 @lru_cache(maxsize=4096)
 def _kernel_product(k1: Kernel, k2: Kernel) -> Tuple[int, Tuple[Tuple[Kernel, int], ...]]:
     """The product of two basis kernels in the basis, as (D, ((kernel, numerator), ...))."""
@@ -501,10 +461,6 @@ class GplCombo(Value):
     def const(cls, q):
         return cls({(): {ONE: q}})
 
-    @classmethod
-    def word(cls, w, coeff=1):
-        return cls({w: {ONE: coeff}})
-
     def is_zero(self):
         return not self.data
 
@@ -523,15 +479,6 @@ class GplCombo(Value):
                 parts += [(w, d, r if n == 1 else {k: x * n for k, x in r.items()})
                           for w, r in c.data.items()]
         return cls._of(*_collect(parts))
-
-    def __add__(self, other):
-        return GplCombo.combine(((1, self), (1, other)))
-
-    def __sub__(self, other):
-        return GplCombo.combine(((1, self), (-1, other)))
-
-    def scale_q(self, q):
-        return GplCombo.combine(((q, self),))
 
     def scale(self, b: Mapping[Kernel, Fraction]):
         """Multiply every coefficient by the basis dict b."""

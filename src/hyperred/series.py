@@ -4,8 +4,8 @@
 eps to eps^K, held as one positive integer denominator over row-major
 integer numerators; a series in z alone (K = 0) is how ``gpl`` builds
 and caches a word's series.  ``summed`` adds q s over many series as
-integer rows over the lcm of their denominators, with no gcd, and
-``combine`` reduces that sum by one gcd.  One integer accumulator,
+integer rows over the lcm of their denominators, with no gcd, and leaves
+the sum unreduced for its callers in ``gpl``.  One integer accumulator,
 ``truncated_sum``, does every truncated product of such series: products,
 ``ThetaOp.apply`` (over ``theta_pieces``), the Horner steps of
 ``compose_z_series``, a ``GplCombo``'s series (one piece per kernel) and
@@ -96,18 +96,7 @@ class BiSeries(Value):
         K = min(self.eps_order, other.eps_order)
         return N, K
 
-    def __add__(self, other):
-        return combine(((1, self), (1, other)), *self._common(other))
-
-    def __sub__(self, other):
-        return combine(((1, self), (-1, other)), *self._common(other))
-
-    def __neg__(self):
-        return BiSeries._of(tuple(-x for x in self.nums), self.den, self.z_order, self.eps_order)
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return combine(((other, self),), self.z_order, self.eps_order)
         N, K = self._common(other)
         a, b = self._cells(N, K), other._cells(N, K)
         if a.count(0) < b.count(0):
@@ -117,12 +106,6 @@ class BiSeries(Value):
         return truncated_sum([(1, cells, self.den * other.den, b)], N, K)
 
     __rmul__ = __mul__
-
-    def theta(self) -> "BiSeries":
-        """z d/dz on the series."""
-        W = self.eps_order + 1
-        nums = tuple(x * j for j in range(self.z_order + 1) for x in self.nums[j * W:(j + 1) * W])
-        return BiSeries._of(nums, self.den, self.z_order, self.eps_order)
 
     def invert(self) -> "BiSeries":
         """1/series; the z^0 eps^0 coefficient must not vanish.
@@ -183,15 +166,9 @@ def _reduced(nums: Sequence[int], den: int, N: int, K: int) -> BiSeries:
     return BiSeries._of(tuple(nums), den, N, K)
 
 
-def combine(terms: Iterable[Tuple[Fraction, BiSeries]], N: int, K: int) -> BiSeries:
-    """sum q s over (q, s) pairs of a rational and a series, to orders (N, K),
-    reduced by one gcd."""
-    s = summed(terms, N, K)
-    return _reduced(s.nums, s.den, N, K)
-
-
 def summed(terms: Iterable[Tuple[Fraction, BiSeries]], N: int, K: int) -> BiSeries:
-    """sum q s as ``combine`` takes it, not reduced: over the lcm L of the q s denominators.
+    """sum q s over (q, s) pairs of a rational and a series, to orders (N, K),
+    not reduced: over the lcm L of the q s denominators.
 
     The series of one group, one denominator d and one numerator n up to
     sign, are added, or subtracted where the sign differs from the first's,

@@ -9,8 +9,8 @@ coefficient lists, and the Pochhammer expansions build
 ``series_of_hyper``'s terms factor by factor.  ``truncated_sum_row_major``
 is ``truncated_sum`` accumulated row-major, with masked columns, for a
 byte-for-byte comparison of its integer results, and ``combine_per_term``
-is ``combine`` with one product per term instead of one per group of
-equal coefficients.  ``series_of_hyper_per_parameter`` and
+is ``summed``, reduced by one gcd, with one product per term instead of
+one per group of equal coefficients.  ``series_of_hyper_per_parameter`` and
 ``theta_pieces_per_j`` are the integer kernels before pair cancellation,
 eps-free scalars and tuple cells: one pass per parameter and index, and
 one piece over theta^j s per nonzero r_j.  The program's results must
@@ -85,9 +85,9 @@ def _common(a, b):
     return [r[:len(b[0])] for r in a[:len(b)]], [r[:len(a[0])] for r in b[:len(a)]]
 
 
-def rows_add(a, b, sign=1):
+def rows_add(a, b):
     a, b = _common(a, b)
-    return tuple(tuple(x + sign * y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def rows_mul(a, b):
@@ -274,7 +274,7 @@ def theta_pieces_per_j(coeffs: Sequence, s: BiSeries, scale: int = 1):
     pieces = []
     for j, r in enumerate(coeffs):
         if j:
-            s = s.theta()
+            s = BiSeries(rows_theta(s.rows), s.z_order, s.eps_order)
         if not r.is_zero():
             cells, den = r.z_cells(s.z_order, s.eps_order)
             pieces.append((scale, cells, den * s.den, s.nums))

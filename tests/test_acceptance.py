@@ -241,7 +241,8 @@ def test_criterion_8_negative_controls():
     f = HyperFn([EpsLin(0, 2), EpsLin(0, 3)], [EpsLin(1, 5)])
     e = epsilon_expand(f, 2)
     bad_layers = list(e.layers)
-    bad_layers[2] = bad_layers[2] + PolyLogExpr({(1,): F(1, 9)})
+    edited = bad_layers[2]
+    bad_layers[2] = PolyLogExpr([*edited.terms.items(), ((1,), F(1, 9))], edited.const, edited.var)
     bade = EpsilonExpansion(e.fn, e.kind, e.var, e.omega0, tuple(bad_layers))
     ok2, mism2 = verify_expansion(f, bade, 15)
     exp_ok = (not ok2) and mism2 == (1, 2)

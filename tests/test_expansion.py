@@ -270,7 +270,8 @@ def test_verify_detects_corrupted_layer():
     f = HyperFn([EpsLin(0, 2), EpsLin(0, 3)], [EpsLin(1, 5)])
     e = epsilon_expand(f, 2)
     bad_layers = list(e.layers)
-    bad_layers[2] = bad_layers[2] + PolyLogExpr({(1,): F(1, 7)})
+    edited = bad_layers[2]
+    bad_layers[2] = PolyLogExpr([*edited.terms.items(), ((1,), F(1, 7))], edited.const, edited.var)
     bad = EpsilonExpansion(e.fn, e.kind, e.var, e.omega0, tuple(bad_layers))
     ok, mism = verify_expansion(f, bad, 15)
     assert not ok
@@ -287,21 +288,6 @@ def test_verify_refuses_an_omega0_with_a_pole_at_the_origin():
                        match=rf"^piece {re.escape(str(omega0))} has a pole at z = 0$") as exc:
         verify_expansion(f, bad, 15)
     assert cli.exit_code_for(exc.value) == 3
-
-
-def test_shuffle_closure_of_layers():
-    """Products of emitted layers re-expand consistently (word algebra)."""
-    f = HyperFn([EpsLin(1), EpsLin(0, 1)], [EpsLin(1, 1)])
-    e = epsilon_expand(f, 3)
-    N = 15
-    for k1 in (1, 2):
-        for k2 in (1, 2):
-            prod = e.layers[k1] * e.layers[k2]
-            s1 = e.layers[k1].series(N)
-            s2 = e.layers[k2].series(N)
-            direct = [sum(s1[i] * s2[j - i] for i in range(j + 1))
-                      for j in range(N + 1)]
-            assert prod.series(N) == direct
 
 
 def test_xi_series_helpers():
@@ -467,7 +453,7 @@ ONE_OF_EACH_VALUE_TYPE = {
     "Poly": lambda: Poly.variable(("z",), "z"),
     "RatFunc": lambda: RatFunc(Poly.const(("z",), 1), Poly.variable(("z",), "z")),
     "BiSeries": lambda: BiSeries(((F(1), F(2)), (F(3), F(4)))),
-    "GplCombo": lambda: GplCombo.word((1,), F(1, 2)),
+    "GplCombo": lambda: GplCombo({(1,): {(0, 0): F(1, 2)}}),
     "PolyLogExpr": lambda: PolyLogExpr({(0, 1): 2}, 1),
     "Linear": lambda: Linear({"n": 1}, 2),
     "ThetaOp": lambda: ThetaOp.theta(("z",)),

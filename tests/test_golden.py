@@ -14,12 +14,18 @@ and review the diff of ``tests/golden/``.
 import contextlib
 import io
 import json
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from hyperred import cli
+from hyperred import cli, gpl, reduction, series
+from hyperred.gpl import GplCombo
+from hyperred.poly import Poly
+from hyperred.ratfunc import RatFunc
+from hyperred.reduction import OpMatrix
+from hyperred.theta import ThetaOp
 
 GOLDEN = Path(__file__).parent / "golden"
 EXIT_CODES = GOLDEN / "exit_codes.json"
@@ -196,6 +202,89 @@ def test_stored_file_with_no_record_is_malformed(tmp_path):
     stdout, stderr, code = run_case(["verify", str(path)])
     assert (stdout, code) == (b"", 2)
     assert stderr == (GOLDEN / "exit-empty-stored.text.err").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# traffic: the operator algebra that tests and library callers use and no
+# CLI job runs
+
+
+class ForbiddenCall(Exception):
+    """Raised by a callable that a golden job must not reach."""
+
+
+# (owner, attribute) pairs that no golden job calls: RatFunc arithmetic, the
+# ThetaOp algebra (the suite's ODE check builds an operator and applies it),
+# the RatFunc view of a unit step and its matrix algebra, series substitution
+# and the RatFunc partial-fraction converter
+NEVER_RUN = ([(RatFunc, a) for a in ("__add__", "__radd__", "__mul__", "__rmul__",
+                                     "__truediv__", "__rtruediv__")]
+             + [(ThetaOp, a) for a in ("zero", "identity", "theta", "coeff", "__add__",
+                                       "__sub__", "__neg__", "left_mul", "theta_shift",
+                                       "compose")]
+             + [(OpMatrix, "__matmul__"), (OpMatrix, "inverse"), (reduction, "step_matrix"),
+                (series, "compose_z_series"), (gpl, "partial_fractions")])
+# Poly.gcd and exact_div run only where the decoder normalizes a stored
+# rational piece: the rational omega0 and the tail over z^4
+GCD_JOBS = ("verify-stored-rational", "exit-pole-depth")
+
+
+def _replay_forbidding(monkeypatch, forbidden):
+    """Every golden case, cold, with each forbidden callable raising ForbiddenCall
+    and Poly.gcd and exact_div raising outside GCD_JOBS: the (case, callable)
+    calls met and the cases whose exit code or stdout differ from the stored."""
+    met, case = [], [None]
+    modules = [m for n, m in sys.modules.items() if n == "hyperred" or n.startswith("hyperred.")]
+
+    def refusing(label, original=None):
+        def refuse(*args, **kwargs):
+            if original is not None and case[0].rsplit(".", 1)[0] in GCD_JOBS:
+                return original(*args, **kwargs)
+            met.append((case[0], label))
+            raise ForbiddenCall(f"{label} called")
+        return refuse
+
+    for owner, attr in forbidden:
+        label = f"{owner.__name__}.{attr}"
+        if isinstance(owner, type):
+            monkeypatch.setattr(owner, attr, refusing(label))
+            continue
+        original = getattr(owner, attr)
+        for m in modules:      # the module itself and every module that imported the name
+            for key, value in list(vars(m).items()):
+                if value is original:
+                    monkeypatch.setattr(m, key, refusing(label))
+    for attr in ("gcd", "exact_div"):
+        monkeypatch.setattr(Poly, attr, refusing(f"Poly.{attr}", getattr(Poly, attr)))
+    for m in modules:          # a cached result would hide the calls that built it
+        for value in list(vars(m).values()):
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    codes, differ = json.loads(EXIT_CODES.read_text()), []
+    for name, argv in CASES:
+        case[0] = name
+        try:
+            stdout, _, code = run_case(argv)
+        except ForbiddenCall:
+            differ.append(name)
+            continue
+        if code != codes[name] or stdout != (GOLDEN / f"{name}.out").read_bytes():
+            differ.append(name)
+    return met, differ
+
+
+def test_golden_jobs_run_no_test_facing_algebra(monkeypatch):
+    """Every golden job in both formats keeps its stored bytes and exit code
+    while the algebra that only tests and library callers use raises if called."""
+    assert _replay_forbidding(monkeypatch, NEVER_RUN) == ([], [])
+
+
+def test_the_traffic_guard_fails_when_a_job_meets_a_forbidden_call(monkeypatch):
+    """Negative control: every expansion runs GplCombo.combine, so forbidding it
+    too fails the guard on those jobs, and only where the call was met."""
+    met, differ = _replay_forbidding(monkeypatch, NEVER_RUN + [(GplCombo, "combine")])
+    assert {label for _, label in met} == {"GplCombo.combine"}
+    assert "expand-3f2.jsonl" in differ and set(differ) <= {name for name, _ in met}
 
 
 def regenerate():

@@ -1,6 +1,5 @@
-"""Goncharov polylogarithm words, series, shuffles, and integration."""
+"""Goncharov polylogarithm words, series, and integration."""
 
-import random
 from fractions import Fraction as F
 from math import gcd
 from unittest import mock
@@ -12,13 +11,13 @@ from hyperred import gpl, series
 from hyperred.errors import UncancelledPole, UnsupportedClass
 from hyperred.expansion import epsilon_expand, verify_expansion
 from hyperred.gpl import (ONE, GplCombo, PolyLogExpr, basis_product, basis_ratfunc,
-                          partial_fractions, shuffle_words)
+                          partial_fractions)
 from hyperred.grammar import parse_hyper
 from hyperred.poly import Poly
 from hyperred.ratfunc import RatFunc
 import gpl_reference
 from gpl_reference import word_series
-from series_reference import mul_trunc, to_biseries_laurent
+from series_reference import combine_per_term, mul_trunc, to_biseries_laurent
 
 
 # RatFunc reference builders: the program builds its kernels as basis dicts
@@ -68,25 +67,6 @@ def test_weight():
     assert e.weight == 2
 
 
-def test_shuffle_count():
-    assert len(shuffle_words((1,), (0, 1))) == 3
-    assert sorted(shuffle_words((1,), (1,))) == [(1, 1), (1, 1)]
-
-
-def test_shuffle_product_matches_series():
-    rng = random.Random(5)
-    words = [(1,), (-1,), (0, 1), (0, -1), (1, 1), (0, 0, 1)]
-    for _ in range(12):
-        w1, w2 = rng.choice(words), rng.choice(words)
-        e1 = PolyLogExpr({w1: F(rng.randint(1, 3))}, rng.randint(0, 2))
-        e2 = PolyLogExpr({w2: F(rng.randint(-3, -1))}, rng.randint(0, 1))
-        prod = e1 * e2
-        N = 14
-        s1, s2 = e1.series(N), e2.series(N)
-        direct = [sum(s1[i] * s2[j - i] for i in range(j + 1)) for j in range(N + 1)]
-        assert prod.series(N) == direct, (w1, w2)
-
-
 def test_partial_fractions_round_trip():
     r = rf_from_coeffs([F(1), F(0), F(3)]) / (rf_monomial(F(0), 1) * rf_monomial(F(1), 2))
     pf = partial_fractions(r, [F(1)])
@@ -131,7 +111,7 @@ def test_integrate_divergent_raises():
 
 
 def test_theta_of_combo():
-    c = GplCombo.word((1,))
+    c = GplCombo({(1,): {ONE: 1}})
     t = c.theta()
     # theta G(1; z) = z/(z-1)
     s = t.series(8)
@@ -145,7 +125,7 @@ def test_value_at_zero_with_pole_prefactor():
 
 
 def test_to_polylog_requires_constant_coefficients():
-    good = GplCombo.word((1,)).scale_q(F(3, 2))
+    good = GplCombo({(1,): {ONE: F(3, 2)}})
     e = good.to_polylog()
     assert e == PolyLogExpr({(1,): F(3, 2)})
     bad = GplCombo({(F(1),): {(0, -1): F(1)}})     # z G(1;z)
@@ -304,11 +284,12 @@ def test_polylog_series_cancels_to_zero():
 
 
 def _per_word_combine(e, N):
-    """sum c G(w) as one combine of the full words' own series, each word with
-    at most N nonzero letters, the constant on the empty word's series 1."""
-    return series.combine(((c, gpl._word_series(w, N))
-                           for w, c in [((), e.const), *e.terms.items()]
-                           if len(w) - w.count(0) <= N), N, 0)
+    """sum c G(w) as one product per term of the full words' own series, each
+    word with at most N nonzero letters, the constant on the empty word's
+    series 1, reduced by one gcd."""
+    return combine_per_term([(c, gpl._word_series(w, N))
+                             for w, c in [((), e.const), *e.terms.items()]
+                             if len(w) - w.count(0) <= N], N, 0)
 
 
 _FIRST_LETTER_LETTERS = [F(0), F(1), F(-1), F(1, 2), F(3)]
@@ -601,9 +582,10 @@ def test_combo_copies_its_input():
     assert c.data == {(F(1),): {(F(1), 1): F(2)}}
     assert c.series(6) == before
     # sums share no state with their operands' inputs either
-    s = c + GplCombo.word((1,))
+    g1 = GplCombo({(1,): {ONE: 1}})
+    s = GplCombo.combine(((1, c), (1, g1)))
     r[(F(1), 2)] = F(1)
-    assert c.series(6) == before and (s - GplCombo.word((1,))).series(6) == before
+    assert c.series(6) == before and GplCombo.combine(((1, s), (-1, g1))).series(6) == before
 
 
 def test_poles_cancel_between_words():
@@ -662,9 +644,10 @@ def test_integer_combo_matches_fraction_reference(data, letters):
                                      max_size=3))
     c1, c2 = GplCombo(d1), GplCombo(d2)
     assert _rep(c1) == d1 and _rep(GplCombo(pure)) == pure
-    assert _rep(c1 + c2) == gpl_reference.add(d1, d2)
-    assert _rep(c1 - c2) == gpl_reference.add(d1, gpl_reference.scale_q(d2, F(-1)))
-    assert _rep(c1.scale_q(q)) == gpl_reference.scale_q(d1, q)
+    assert _rep(GplCombo.combine(((1, c1), (1, c2)))) == gpl_reference.add(d1, d2)
+    assert (_rep(GplCombo.combine(((1, c1), (-1, c2))))
+            == gpl_reference.add(d1, gpl_reference.scale_q(d2, F(-1))))
+    assert _rep(GplCombo.combine(((q, c1),))) == gpl_reference.scale_q(d1, q)
     assert _rep(c1.scale(b)) == gpl_reference.scale(d1, b)
     assert _rep(c1.theta()) == gpl_reference.theta(d1)
     for d in (d1, pure):
@@ -772,7 +755,7 @@ def test_series_sum_with_origin_skip_matches_reference(d, N, cancel):
 
 
 # ---------------------------------------------------------------------------
-# one _collect for a sum of q c against chained scale_q and +
+# one _collect for a sum of q c against a chain of one-term sums
 
 
 @settings(max_examples=100, deadline=None)
@@ -784,7 +767,7 @@ def test_one_collect_combination_matches_chained_ops(data, letters):
     terms = [(data.draw(qs), GplCombo(d)) for d in ds]
     got, chained, ref = GplCombo.combine(terms), GplCombo.zero(), {}
     for (q, c), d in zip(terms, ds):
-        chained = chained + c.scale_q(q)
+        chained = GplCombo.combine(((1, chained), (q, c)))
         ref = gpl_reference.add(ref, gpl_reference.scale_q(d, q))
     assert (got.den, got.data) == (chained.den, chained.data)
     assert _rep(got) == ref
