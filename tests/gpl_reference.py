@@ -11,7 +11,9 @@ when the two agree.  ``series`` expands each term directly to its Laurent
 series, without ``BiSeries`` products.  ``word_series_rep`` is the integer
 word-series kernel as it was before its per-coefficient factors were
 tabulated, three products and a floor division per coefficient, for a
-rep-for-rep comparison.
+rep-for-rep comparison.  ``shuffle_words`` and ``shuffle_product`` are the
+shuffle algebra the program dropped, G(w1) G(w2) = sum G(shuffle), so the
+suite can check the program's word series against it.
 """
 
 from __future__ import annotations
@@ -32,6 +34,27 @@ def word_series(w, N):
     """G(w; z) to z^N as Fractions, through ``PolyLogExpr.series``; the empty word's is 1."""
     return (PolyLogExpr({w: 1}) if w else PolyLogExpr((), 1)).series(N)
 
+
+
+def shuffle_words(w1, w2):
+    """All interleavings of w1 and w2, with multiplicity."""
+    if not w1 or not w2:
+        return [w1 + w2]
+    return ([(w1[0],) + s for s in shuffle_words(w1[1:], w2)]
+            + [(w2[0],) + s for s in shuffle_words(w1, w2[1:])])
+
+
+def shuffle_product(e1, e2):
+    """e1 e2 for two PolyLogExprs in one variable, as a PolyLogExpr: the constant
+    is the coefficient of the empty word."""
+    assert e1.var == e2.var
+    out = {}
+    for w1, c1 in [((), e1.const), *e1.terms.items()]:
+        for w2, c2 in [((), e2.const), *e2.terms.items()]:
+            for s in shuffle_words(w1, w2):
+                out[s] = out.get(s, F(0)) + c1 * c2
+    const = out.pop((), F(0))
+    return PolyLogExpr({w: c for w, c in out.items() if c}, const, e1.var)
 
 @lru_cache(maxsize=4096)
 def word_series_rep(word, N):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import expansion_reference
+from gpl_reference import shuffle_product
 from hyperred import cli, expansion
 from hyperred.errors import (NoFactorization, NotTriangular, UnsupportedClass)
 from hyperred.expansion import (EpsilonExpansion, epsilon_expand,
@@ -289,6 +290,21 @@ def test_verify_refuses_an_omega0_with_a_pole_at_the_origin():
         verify_expansion(f, bad, 15)
     assert cli.exit_code_for(exc.value) == 3
 
+
+
+def test_shuffle_closure_of_layers():
+    """Products of emitted layers re-expand consistently (word algebra)."""
+    f = HyperFn([EpsLin(1), EpsLin(0, 1)], [EpsLin(1, 1)])
+    e = epsilon_expand(f, 3)
+    N = 15
+    for k1 in (1, 2):
+        for k2 in (1, 2):
+            prod = shuffle_product(e.layers[k1], e.layers[k2])
+            s1 = e.layers[k1].series(N)
+            s2 = e.layers[k2].series(N)
+            direct = [sum(s1[i] * s2[j - i] for i in range(j + 1))
+                      for j in range(N + 1)]
+            assert prod.series(N) == direct
 
 def test_xi_series_helpers():
     zs = expansion_reference.xi_z_series(8)

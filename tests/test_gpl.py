@@ -1,5 +1,6 @@
-"""Goncharov polylogarithm words, series, and integration."""
+"""Goncharov polylogarithm words, series, shuffles, and integration."""
 
+import random
 from fractions import Fraction as F
 from math import gcd
 from unittest import mock
@@ -16,7 +17,7 @@ from hyperred.grammar import parse_hyper
 from hyperred.poly import Poly
 from hyperred.ratfunc import RatFunc
 import gpl_reference
-from gpl_reference import word_series
+from gpl_reference import shuffle_product, shuffle_words, word_series
 from series_reference import combine_per_term, mul_trunc, to_biseries_laurent
 
 
@@ -66,6 +67,26 @@ def test_weight():
     e = PolyLogExpr({(0, 1): F(2), (1,): F(1)}, 5)
     assert e.weight == 2
 
+
+
+def test_shuffle_count():
+    assert len(shuffle_words((1,), (0, 1))) == 3
+    assert sorted(shuffle_words((1,), (1,))) == [(1, 1), (1, 1)]
+
+
+def test_shuffle_product_matches_series():
+    """The series of a shuffle sum is the Cauchy product of the factors' series."""
+    rng = random.Random(5)
+    words = [(1,), (-1,), (0, 1), (0, -1), (1, 1), (0, 0, 1)]
+    for _ in range(12):
+        w1, w2 = rng.choice(words), rng.choice(words)
+        e1 = PolyLogExpr({w1: F(rng.randint(1, 3))}, rng.randint(0, 2))
+        e2 = PolyLogExpr({w2: F(rng.randint(-3, -1))}, rng.randint(0, 1))
+        prod = shuffle_product(e1, e2)
+        N = 14
+        s1, s2 = e1.series(N), e2.series(N)
+        direct = [sum(s1[i] * s2[j - i] for i in range(j + 1)) for j in range(N + 1)]
+        assert prod.series(N) == direct, (w1, w2)
 
 def test_partial_fractions_round_trip():
     r = rf_from_coeffs([F(1), F(0), F(3)]) / (rf_monomial(F(0), 1) * rf_monomial(F(1), 2))
