@@ -364,31 +364,33 @@ def _expand_half_integer_gauss(f: HyperFn, K: int) -> EpsilonExpansion:
                    - 2 a1 a2 u_(k-2)/(1-t^2) ] dt
              - c u_(k-1)/xi + 2c v_(k-1)(0),
     with u_0 = artanh(xi), v_0 = 1/2; all kernels live on {-1, 0, 1}.
+    Every u_k is odd in xi and every v_k even, and the kernels each have a
+    parity, so the engine keeps halves (``GplCombo.integrate``): the words whose
+    first nonzero letter is positive and the empty word's whole part E.
+    An even half's value at 0 is E(0) + 2 R(0), R the rest, and each layer
+    is written out whole, w: c and -w: -c.
     """
     a1, a2 = f.upper[0].eps, f.upper[1].eps
     c = f.lower[0].eps
-    k_flat = {(1, 1): F(-1), (-1, 1): F(1)}     # 2/(1-t^2) = -1/(t-1) + 1/(t+1)
+    k_flat = {(1, 1): F(-1), (-1, 1): F(1)}     # 2/(1-t^2) = -1/(t-1) + 1/(t+1), even
     # v_k's integrand kernels with their factors c - (a1+a2) and -a1 a2 folded in,
-    # 2t/(1-t^2) = -1/(t-1) - 1/(t+1)
+    # 2t/(1-t^2) = -1/(t-1) - 1/(t+1), odd
     s, p = c - (a1 + a2), a1 * a2
     k_v = {(1, 1): -s, (-1, 1): -s}
     k_u = {(1, 1): p, (-1, 1): -p}
     one = GplCombo.const(1)
 
-    u0 = GplCombo({(-1,): {ONE: F(1, 2)}, (1,): {ONE: F(-1, 2)}})
-    v0 = GplCombo.const(F(1, 2))
-    us = [u0]
-    vs = [v0]
+    us = [GplCombo({(1,): {ONE: F(-1, 2)}})]      # u_0 = (G(-1) - G(1)) / 2, odd
+    vs = [GplCombo.const(F(1, 2))]
     for k in range(1, K + 1):
         um2 = us[k - 2] if k >= 2 else GplCombo.zero()
         integrand = GplCombo.combine([(1, vs[k - 1].scale(k_v)), (1, um2.scale(k_u))])
-        vk = GplCombo.combine([(1, integrand.integrate()),
+        vk = GplCombo.combine([(1, integrand.integrate(-1)),
                                (1, us[k - 1].scale({(0, 1): -c})),     # -c u_(k-1)/xi
-                               (2 * c * vs[k - 1].value_at_zero(), one)])
-        uk = vk.scale(k_flat).integrate()
-        us.append(uk)
+                               (2 * c * vs[k - 1].value_at_zero(1), one)])
+        us.append(vk.scale(k_flat).integrate(1))
         vs.append(vk)
-    layers = tuple(u.to_polylog("xi") for u in us)
+    layers = tuple(u.to_polylog("xi", -1) for u in us)
     return EpsilonExpansion(f, "xi", "xi", None, layers)
 
 

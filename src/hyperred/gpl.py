@@ -21,9 +21,14 @@ negation are summed once: the words whose first nonzero letter is positive
 and whose negation is present go through one Horner pass, whose sum S
 gives S(z) - S(-z), and what their negations' coefficients leave over
 goes through a second pass with the unpaired words.  The xi layers are odd
-in their words, so their checks read half of them.  ``PolyLogExpr.biseries``
-is that sum; a GplCombo's series is one ``series.truncated_sum`` with one
-piece per kernel, the kernel's row times the sum of its words.
+in their words, so their checks read half of them.  The cache holds only
+representatives, the empty word and the words whose first nonzero letter
+is positive: a suffix whose first nonzero letter is negative is read as
+its negation's series flipped, its odd cells negated, and in a sum those
+suffixes are summed over their negations and flipped once.
+``PolyLogExpr.biseries`` is that sum; a GplCombo's series is one
+``series.truncated_sum`` with one piece per kernel, the kernel's row times
+the sum of its words.
 
 GplCombo is the working representation during iterated integration:
 rational functions of the variable multiplying words.  Every kernel has its
@@ -37,8 +42,13 @@ hep-ph/0110083).  The expansion's fixed kernels are built in the basis too
 RatFunc only for omega0, printing and messages (``basis_ratfunc``, without
 a gcd).  ``GplCombo.combine`` sums q c over many terms with one collect.
 Poles at the origin are checked on the sum over words, so they may
-cancel between words.  Final expansion layers are PolyLogExpr values, keyed
-by the same letter tuples, with rational coefficients.
+cancel between words.  A combination of parity +-1, f(-z) = +-f(z), can be
+kept as a half, the words whose first nonzero letter is positive and the
+empty word's whole part, each word standing also for its mirror at -z
+(``_mirror``): scale and combine act on halves as they are, and integrate,
+value_at_zero and to_polylog take the parity.  Final expansion layers are
+PolyLogExpr values, keyed by the same letter tuples, with rational
+coefficients.
 """
 
 from __future__ import annotations
@@ -122,18 +132,38 @@ def _letter_step(a: Letter, s: BiSeries, N: int) -> BiSeries:
     return BiSeries._of(tuple(out), D * d, N, 0)
 
 
+def _negative(w: Word) -> bool:
+    """Whether w's first nonzero letter is negative, so that w is not the
+    representative of its +- pair (the empty word is its own)."""
+    return next(filter(None, w), 0) < 0
+
+
+def _flipped(s: BiSeries) -> BiSeries:
+    """s(-z) for s of eps order 0, its odd cells negated: G(-w) from G(w)."""
+    nums = list(s.nums)
+    nums[1::2] = map(neg, nums[1::2])
+    return BiSeries._of(tuple(nums), s.den, s.z_order, 0)
+
+
 # bounded; the 135 jobs of a 30 s `bench/run.py --workload expand` stream fill
-# 767 entries at seeds 1 and 53, as `--trace 1` reads in gpl.word_series.entries
+# 403 entries at seeds 1 and 53, as `--trace 1` reads in gpl.word_series.entries
 @lru_cache(maxsize=16384)
 def _word_series(word: Word, N: int) -> BiSeries:
     """G(word; z) to z^N as a BiSeries of eps order 0: z^j has nums[j]/den.
 
     A word of 1 to 64 letters (an expansion at eps order K writes K + 1 at
-    most) takes one letter step from its suffix's cached series; a longer
-    one, only ever a stored record's, is built by one loop of letter steps
-    from its last letter, with no recursion."""
-    cached = 0 < len(word) <= 64
-    s = _word_series(word[1:], N) if cached else BiSeries._of((1,) + (0,) * N, 1, N, 0)
+    most) takes one letter step from its suffix's series; a longer one, only
+    ever a stored record's, is built by one loop of letter steps from its
+    last letter, with no recursion.  A suffix whose first nonzero letter is
+    negative is read as its negation's series flipped, G(-w; z) = G(w; -z),
+    so the words' own calls cache only representatives."""
+    cached, s = 0 < len(word) <= 64, word[1:]
+    if not cached:
+        s = BiSeries._of((1,) + (0,) * N, 1, N, 0)
+    elif _negative(s):
+        s = _flipped(_word_series(tuple(map(neg, s)), N))
+    else:
+        s = _word_series(s, N)
     for i in reversed(range(1 if cached else len(word))):
         try:
             s = _letter_step(word[i], s, N)
@@ -145,11 +175,23 @@ def _word_series(word: Word, N: int) -> BiSeries:
 def _steps(terms: Iterable[Tuple[Word, Union[int, Fraction]]], N: int):
     """Horner's rule one level deep on (w, c) pairs of nonempty words: the
     words that start with a, summed over their suffixes' series, take one
-    step of a.  The parts, summed, are sum c G(w), unreduced."""
+    step of a.  The suffixes whose first nonzero letter is negative are
+    summed over their negations' series, and that partial sum is flipped
+    once.  The parts, summed, are sum c G(w), unreduced."""
     groups = {}
     for w, c in terms:
-        groups.setdefault(w[0], []).append((c, _word_series(w[1:], N)))
-    return [(1, _letter_step(a, summed(g, N, 0), N)) for a, g in groups.items()]
+        s = w[1:]
+        reps, negs = groups.setdefault(w[0], ([], []))
+        if _negative(s):
+            negs.append((c, _word_series(tuple(map(neg, s)), N)))
+        else:
+            reps.append((c, _word_series(s, N)))
+    out = []
+    for a, (reps, negs) in groups.items():
+        if negs:
+            reps.append((1, _flipped(summed(negs, N, 0))))
+        out.append((1, _letter_step(a, summed(reps, N, 0), N)))
+    return out
 
 
 def _word_sum(terms: Mapping[Word, Union[int, Fraction]], N: int, const=0) -> BiSeries:
@@ -171,7 +213,7 @@ def _word_sum(terms: Mapping[Word, Union[int, Fraction]], N: int, const=0) -> Bi
     if any(min(w) < 0 for w, _ in words):     # a pair needs a word with a negative letter
         reps, excess, rest, paired = [], [], [], set()
         for w, c in words:
-            o = tuple(map(neg, w)) if next(filter(None, w), 0) > 0 else None
+            o = None if _negative(w) else tuple(map(neg, w))
             if o in terms:
                 reps.append((w, c))
                 paired.add(o)
@@ -428,6 +470,13 @@ def _terms_str(terms, den) -> str:
 # rational-function-weighted GPL combinations
 
 
+def _mirror(w: Word, D: int, r: IntBasis, parity: int) -> Part:
+    """parity times the part (r / D) G(w) at -z: G(-w) over the kernels (-a, m),
+    as (-z - a)^-m = (-1)^m (z + a)^-m, each coefficient times parity (-1)^m."""
+    return (tuple(map(neg, w)), D,
+            {(-a, m): -parity * c if m & 1 else parity * c for (a, m), c in r.items()})
+
+
 class GplCombo(Value):
     """sum_w R_w(z) G(w; z); the empty word holds the rational part.
 
@@ -500,14 +549,19 @@ class GplCombo(Value):
         L, data = _collect(parts)
         return GplCombo._of(self.den * L, data)
 
-    def value_at_zero(self) -> Fraction:
-        """Exact limit at the origin, word terms included."""
-        return self.series(0)[0]
+    def value_at_zero(self, parity: int = 0) -> Fraction:
+        """Exact limit at the origin, word terms included.  Of the half of a
+        combination of parity +-1 (``integrate``) it is E(0) + (1 + parity) R(0),
+        E the empty word's part and R the rest, as a mirror's value at 0 is
+        parity times its word's."""
+        f = 1 + parity
+        return _series_sum([(w, {k: c * f for k, c in r.items()} if w and f != 1 else r)
+                            for w, r in self.data.items() if f or not w], self.den, 0)[0]
 
     def series(self, N: int) -> List[Fraction]:
         return _series_sum(list(self.data.items()), self.den, N)
 
-    def integrate(self) -> "GplCombo":
+    def integrate(self, parity: int = 0) -> "GplCombo":
         """int_0^z of the combination; raises UncancelledPole if divergent.
 
         Simple pole kernels prepend letters; the other kernels (z-a)^-m,
@@ -518,6 +572,16 @@ class GplCombo(Value):
         once, on the sum of the by-parts terms of all words and levels, so
         divergent pieces produced by different branches get the chance to
         cancel.  Each level is over its own D (times ``den``).
+
+        With parity 1 (even) or -1 (odd), f(-z) = parity f(z), the
+        combination f is a half: it holds the nonempty words whose first
+        nonzero letter is positive and the empty word's whole part, and
+        stands for those plus each word's mirror (``_mirror``).  The integral
+        is the half of opposite parity: a new word or by-parts suffix whose
+        first nonzero letter is negative is stored as its mirror, a remainder
+        that reaches the empty word brings its mirror along, the one-letter
+        words -a the empty word yields are dropped (its kernel (a, 1) yields
+        their mirrors), and the boundary is taken on the whole edge.
         """
         out, edge, logs = [], [], []      # Parts: the result, the by-parts edge, 1/t pieces
         D, current = 1, self.data
@@ -532,8 +596,10 @@ class GplCombo(Value):
                     elif a == 0 and not w:
                         # pure log pieces cancel across levels or diverge
                         logs.append(((), D, {ONE: c}))
-                    else:
+                    elif not parity or a >= 0:
                         out.append(((a,) + w, D, {ONE: c}))
+                    elif w:
+                        out.append(_mirror((a,) + w, D, {ONE: c}, -parity))
                 if not anti:
                     continue
                 # int anti' G(w) = [anti G(w)]_0^z - int anti G'(w)
@@ -541,10 +607,15 @@ class GplCombo(Value):
                 out.append((w, D * Lw, anti))
                 if w:
                     Dm, prod = _mul(anti, {(w[0], 1): -1})
-                    pending.append((w[1:], D * Lw * Dm, prod))
+                    rest = (w[1:], D * Lw * Dm, prod)
+                    pending.append(_mirror(*rest, parity) if parity and _negative(rest[0]) else rest)
+                    if parity and not rest[0]:
+                        pending.append(_mirror(*rest, parity))
             D, current = _collect(pending)
         if _collect(logs)[1]:
             raise UncancelledPole("int dt/t of a nonzero rational part")
+        if parity:
+            edge += [_mirror(*part, -parity) for part in edge if part[0]]
         De, e = _collect(edge)
         b = _series_sum(list(e.items()), self.den * De, 0)[0]
         if b != 0:
@@ -552,14 +623,19 @@ class GplCombo(Value):
         L, data = _collect(out)
         return GplCombo._of(self.den * L, data)
 
-    def to_polylog(self, var="z") -> PolyLogExpr:
-        """Demand constant coefficients; UnsupportedClass otherwise."""
+    def to_polylog(self, var="z", parity: int = 0) -> PolyLogExpr:
+        """Demand constant coefficients; UnsupportedClass otherwise.  Of the
+        half of a combination of parity +-1 (``integrate``), each word w: c is
+        written out with its mirror -w: parity c."""
         for w, r in self.data.items():
             if r.keys() != {ONE}:
                 rf = basis_ratfunc(self.coeffs(w), var)
                 raise UnsupportedClass(f"layer is not a pure polylog combination: ({rf}) G{w}")
         # the words are interned and the coefficients nonzero already
         terms = {w: F(r[ONE], self.den) for w, r in self.data.items()}
+        if parity:
+            terms.update([(tuple(map(neg, w)), c if parity == 1 else -c)
+                          for w, c in terms.items() if w])
         return PolyLogExpr._of(terms, terms.pop((), F(0)), var)
 
     def __str__(self):

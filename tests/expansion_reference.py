@@ -9,6 +9,9 @@ so equal answers on a grid are an independent check.
 The xi oracle that Pfaff's transformation replaced: the z-series composed
 with z = -xi^2/(1 - xi^2) and dressed by sqrt(-z) = xi (1 - xi^2)^(-1/2),
 both as hand-built Fraction series.
+
+The xi engine that halves replaced: every word of u_k and v_k built, with
+the whole-combination ``GplCombo`` operations (parity 0) and no mirrors.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from itertools import combinations
 from typing import List, Optional, Sequence
 
 from hyperred.errors import NoFactorization, UnsupportedClass
-from hyperred.expansion import FactorizationReport, gauss_flags
+from hyperred.expansion import EpsilonExpansion, FactorizationReport, gauss_flags
+from hyperred.gpl import ONE, GplCombo
 from hyperred.hyper import HyperFn
 from hyperred.scalars import EpsLin
 from hyperred.series import BiSeries, compose_z_series, series_of_hyper, truncated_sum
@@ -143,3 +147,27 @@ def xi_composed_oracle(f: HyperFn, N: int, K: int) -> BiSeries:
     oracle = compose_z_series(series_of_hyper(f, N, K), xi_z_series(M), M)
     dress = BiSeries([(c,) for c in xi_dressing_series(M)])
     return truncated_sum([(1, dress.cells(M, 0), dress.den * oracle.den, oracle.nums)], M, K)
+
+
+def expand_half_integer_gauss(f: HyperFn, K: int) -> EpsilonExpansion:
+    """2F1(1/2 + a1 e, 1/2 + a2 e; 3/2 + c e; z) dressed by sqrt(-z), every
+    word kept: u_k' = 2 v_k / (1 - xi^2) and v_k = int [...] - c u_(k-1)/xi +
+    2c v_(k-1)(0), from u_0 = artanh(xi) and v_0 = 1/2."""
+    a1, a2 = f.upper[0].eps, f.upper[1].eps
+    c = f.lower[0].eps
+    k_flat = {(1, 1): F(-1), (-1, 1): F(1)}
+    s, p = c - (a1 + a2), a1 * a2
+    k_v = {(1, 1): -s, (-1, 1): -s}
+    k_u = {(1, 1): p, (-1, 1): -p}
+    one = GplCombo.const(1)
+    us = [GplCombo({(-1,): {ONE: F(1, 2)}, (1,): {ONE: F(-1, 2)}})]
+    vs = [GplCombo.const(F(1, 2))]
+    for k in range(1, K + 1):
+        um2 = us[k - 2] if k >= 2 else GplCombo.zero()
+        integrand = GplCombo.combine([(1, vs[k - 1].scale(k_v)), (1, um2.scale(k_u))])
+        vk = GplCombo.combine([(1, integrand.integrate()),
+                               (1, us[k - 1].scale({(0, 1): -c})),
+                               (2 * c * vs[k - 1].value_at_zero(), one)])
+        us.append(vk.scale(k_flat).integrate())
+        vs.append(vk)
+    return EpsilonExpansion(f, "xi", "xi", None, tuple(u.to_polylog("xi") for u in us))

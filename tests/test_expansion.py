@@ -238,6 +238,23 @@ def test_expand_half_integer_gauss():
         assert e.layers[k].weight <= k + 1     # dressing carries weight one
 
 
+_NONZERO = st.integers(1, 3).flatmap(lambda n: st.sampled_from((n, -n)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_NONZERO, _NONZERO, _NONZERO, st.integers(0, 5))
+def test_xi_halves_match_the_full_word_engine(a1, a2, c, K):
+    """The engine's halves give, layer for layer and term for term, the layers
+    of the engine that builds every word, and each layer is odd in its words."""
+    f = HyperFn([EpsLin(F(1, 2), a1), EpsLin(F(1, 2), a2)], [EpsLin(F(3, 2), c)])
+    got, ref = epsilon_expand(f, K), expansion_reference.expand_half_integer_gauss(f, K)
+    assert len(got.layers) == len(ref.layers) == K + 1
+    for layer, want in zip(got.layers, ref.layers):
+        assert (layer.terms, layer.const, layer.var) == (want.terms, want.const, want.var)
+        assert layer.const == 0
+        assert all(layer.terms[tuple(-a for a in w)] == -x for w, x in layer.terms.items())
+
+
 def test_expand_unsupported():
     with pytest.raises(UnsupportedClass):
         epsilon_expand(HyperFn([EpsLin(1, 1), EpsLin(1, 2)], [EpsLin(1, 3)]), 2)

@@ -409,6 +409,35 @@ def test_xi_check_at_max_k_fits_the_word_series_cache():
     assert gpl._word_series.cache_info().misses == info.misses
 
 
+def _words_over(letters):
+    return (st.lists(st.sampled_from(letters), max_size=6)
+            .filter(lambda w: not w or w[-1] != 0).map(gpl.as_word))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_words_over((-1, 0, 1)), _words_over((F(-5, 7), 0, F(5, 7)))),
+       st.integers(0, 12))
+def test_negated_word_series_is_the_flipped_series(w, N):
+    """G(-w; z) = G(w; -z): the series of -w is w's with its odd cells
+    negated, numerators and denominator alike."""
+    s, o = gpl._word_series(w, N), gpl._word_series(tuple(-a for a in w), N)
+    assert o.den == s.den
+    assert o.nums == tuple(-x if j % 2 else x for j, x in enumerate(s.nums))
+
+
+def test_xi_check_caches_only_representatives(monkeypatch):
+    """A cold order-6 expansion and check cache only the empty word and words
+    whose first nonzero letter is positive, 371 of them: each other suffix
+    is read through its negation."""
+    asked, cached = set(), gpl._word_series
+    monkeypatch.setattr(gpl, "_word_series", lambda w, N: asked.add((w, N)) or cached(w, N))
+    cached.cache_clear()
+    f = parse_hyper(_XI)
+    assert verify_expansion(f, epsilon_expand(f, 6), N=30) == (True, None)
+    assert cached.cache_info().currsize == len(asked) == 371
+    assert all(next(filter(None, w), 1) > 0 for w, _ in asked)
+
+
 # ---------------------------------------------------------------------------
 # the partial-fraction basis against the RatFunc / series oracle
 

@@ -178,6 +178,22 @@ def test_cli_saved_result_verification(tmp_path):
     assert r.returncode == 5
 
 
+def test_cli_verify_checks_each_word_of_a_stored_xi_pair(tmp_path):
+    """The check reads a +- pair of words once but takes nothing for granted
+    of the pair: moving the coefficient of one word whose first nonzero
+    letter is negative, G(-1,-1,-1) in the K=4 xi record's eps^3 layer, by
+    1/7 fails the oracle (exit 5) at that word's lowest cell, xi^3 eps^3."""
+    golden = Path(__file__).parent / "golden" / "expand-half-integer-k4.jsonl.out"
+    rec = json.loads(golden.read_text())
+    term = next(t for t in rec["layers"][3]["terms"] if t["letters"] == ["-1", "-1", "-1"])
+    term["coeff"] = str(F(term["coeff"]) + F(1, 7))
+    out = tmp_path / "edited.jsonl"
+    out.write_text(json.dumps(rec) + "\n")
+    r = run_cli("verify", str(out))
+    assert r.returncode == 5
+    assert "stored expansion fails oracle at (power 3, eps^3)" in r.stderr
+
+
 def test_cli_verify_uses_at_least_its_own_depth(tmp_path):
     out = tmp_path / "result.jsonl"
     r = run_cli("reduce", "2F1[7/5+eps,1/3-eps;1/2+2*eps;z]",
